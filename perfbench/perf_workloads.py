@@ -88,8 +88,12 @@ PER_LAYER: Dict[str, str] = {
     "trace.spans": "count",
 }
 
-#: Per-layer values that only the untraced run measures.
+#: Per-layer values taken from the untraced run.  Set-up times are its
+#: medians over several set-ups, free of wrapper overhead; the traced
+#: pass's single set-up stays in its spans.
 UNTRACED_LAYERS = (
+    "overlay.topology_s",
+    "p2psim.state_s",
     "overlay.topology_rss_mb",
     "p2psim.state_rss_mb",
     "p2psim.startup_ticks_per_s",
@@ -669,7 +673,6 @@ def per_layer_metrics(
     metrics: Dict[str, float] = {name: 0 for name in PER_LAYER}
     metrics.update(
         {
-            "overlay.topology_s": total("overlay.topology"),
             "overlay.edges": int(counts.get("edges", 0)),
             "overlay.join_calls": calls("overlay.join"),
             "overlay.join_s": total("overlay.join"),
@@ -677,7 +680,6 @@ def per_layer_metrics(
             "overlay.leave_s": total("overlay.leave"),
             "overlay.select_neighbors_calls": calls("overlay.select_neighbors"),
             "overlay.select_neighbors_s": total("overlay.select_neighbors"),
-            "p2psim.state_s": total("p2psim.state"),
             "p2psim.advance_self_s": own("p2psim.advance"),
             "p2psim.churn_s": total("p2psim.churn"),
             # Churn minus the tracker's join and leave: admit, evict and

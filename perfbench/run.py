@@ -43,13 +43,15 @@ def parse_args(argv: Optional[List[str]], workloads: List[str]) -> argparse.Name
         "--seconds", type=int, required=True, help="length of the timed round phase"
     )
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--record", type=Path, default=None, help="where to write the run record"
-    )
     args = parser.parse_args(argv)
     if args.seconds < 1:
         parser.error("--seconds must be at least 1")
     return args
+
+
+def record_path(workload: str, seed: int, trace: int) -> Path:
+    """Where a run of ``workload`` with ``seed`` writes its record."""
+    return OUTPUT / f"{workload}-seed{seed}-trace{trace}.json"
 
 
 def environment(seed: int) -> Dict[str, object]:
@@ -74,7 +76,8 @@ def traced(pw, workload, args, workdir: Path, record: Dict[str, object]):
     """Untraced child run, then the traced pass; returns the traced outcome."""
     from perf_trace import Tracer
 
-    child_record = workdir / "untraced.json"
+    child_record = record_path(args.workload, args.seed, trace=0)
+    child_record.unlink(missing_ok=True)
     proc = subprocess.run(
         [
             sys.executable,
@@ -83,7 +86,6 @@ def traced(pw, workload, args, workdir: Path, record: Dict[str, object]):
             "--seed", str(args.seed),
             "--seconds", str(args.seconds),
             "--trace", "0",
-            "--record", str(child_record),
         ],
         capture_output=True,
         text=True,
@@ -169,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metrics=metrics,
         run_s=time.perf_counter() - started,
     )
-    path = args.record or OUTPUT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
+    path = record_path(args.workload, args.seed, args.trace)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(record, indent=1, default=str))
 

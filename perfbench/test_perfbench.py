@@ -69,6 +69,9 @@ def test_simulator_workload_metrics_and_traced_counts(workload):
     layers = pw.per_layer_metrics(tracer.spans, traced, untraced, overhead_s=0.0)
     assert set(layers) == set(pw.PER_LAYER)
     assert layers["overlay.edges"] == untraced.counts["edges"] > 0
+    # Set-up times are the untraced medians, not the traced pass's one set-up.
+    for name in ("overlay.topology_s", "p2psim.state_s"):
+        assert layers[name] == untraced.layers[name] > 0
     assert layers["p2psim.joins"] == untraced.counts["joins"]
     assert layers["overlay.join_calls"] == untraced.counts["joins"]
     assert layers["overlay.leave_calls"] == untraced.counts["leaves"]
