@@ -12,14 +12,7 @@ Two profiles share one recording format:
   paper's population range — with both kernels, plus a vectorized-only
   population-scaling axis at 10k / 100k / 1M peers (the segmented-CSR
   kernel's million-peer headroom; the loop kernel is Python-bound and
-  skipped there) and is what the committed baseline holds.  Each scaling
-  cell is additionally timed under spatial sharding (shards 2 and 4,
-  thread backend) and the sharded end states are asserted bit-identical
-  to the monolithic run; the throughputs land as
-  ``sharded{2,4}_steps_per_second`` on the same population entry.  On a
-  single-core runner the sharded numbers sit near 1x — the cells exist
-  to gate the sharded path's overhead and to show real scaling on
-  multi-core hardware;
+  skipped there) and is what the committed baseline holds;
 * ``REPRO_BENCH_SIMKERNEL=smoke`` measures only the small populations
   with short horizons plus the 10k scaling cell; CI runs it on every PR
   and ``check_bench_regression.py`` compares the overlapping populations
@@ -78,11 +71,6 @@ SCALING = {
 
 KERNELS = ("loop", "vectorized")
 
-#: Shard counts timed on every scaling cell.  4 matches CI's determinism
-#: job (shards=1 vs shards=4 byte-identity); 2 bounds the fixed
-#: per-shard overhead.
-SHARD_COUNTS = (2, 4)
-
 #: Timing repeats per kernel (best-of): the gated vectorized kernel gets
 #: extra repeats because its runs are cheap and CI runners are noisy.
 REPEATS = {"loop": 1, "vectorized": 3}
@@ -93,13 +81,7 @@ REPEATS = {"loop": 1, "vectorized": 3}
 TELEMETRY_REPEATS = 7
 
 
-def _config(
-    num_peers: int, rounds: int, kernel: str, shards: int | None = None
-) -> MarketSimConfig:
-    if shards is None:
-        options = KernelOptions(kernel=kernel)
-    else:
-        options = KernelOptions(kernel=kernel, shards=shards, shard_backend="thread")
+def _config(num_peers: int, rounds: int, kernel: str) -> MarketSimConfig:
     return MarketSimConfig(
         num_peers=num_peers,
         initial_credits=100.0,
@@ -107,7 +89,7 @@ def _config(
         step=1.0,
         utilization=UtilizationMode.ASYMMETRIC,
         sample_interval=float(rounds),  # one warm-up sample, one final
-        options=options,
+        options=KernelOptions(kernel=kernel),
         seed=1,
     )
 
@@ -132,10 +114,8 @@ def _telemetry_scope():
     return contextlib.nullcontext()
 
 
-def _timed_run(
-    num_peers: int, rounds: int, kernel: str, scope, shards: int | None = None
-) -> dict:
-    simulator = CreditMarketSimulator(_config(num_peers, rounds, kernel, shards))
+def _timed_run(num_peers: int, rounds: int, kernel: str, scope) -> dict:
+    simulator = CreditMarketSimulator(_config(num_peers, rounds, kernel))
     with scope:
         started = time.perf_counter()
         simulator.advance_rounds(rounds)
@@ -219,39 +199,19 @@ def test_simkernel_throughput():
         # Single repeat at the million-peer cell: its construction alone
         # dominates the best-of budget and the 30% gate has headroom.
         repeats = 1 if num_peers >= 500_000 else REPEATS["vectorized"]
-
-        def _best_vectorized(shards: int | None) -> dict:
-            best = None
-            for _ in range(repeats):
-                run = _timed_run(
-                    num_peers, rounds, "vectorized", contextlib.nullcontext(), shards
-                )
-                if best is None or run["seconds"] < best["seconds"]:
-                    best = run
-            return best
-
-        best = _best_vectorized(None)
-        entry = {
-            "num_peers": num_peers,
-            "rounds": rounds,
-            "transfers": best["transfers"],
-            "vectorized_steps_per_second": round(best["steps_per_second"], 2),
-        }
-        for shards in SHARD_COUNTS:
-            sharded = _best_vectorized(shards)
-            # Sharding is pure execution policy: the sharded end state must
-            # be bit-identical to the monolithic run before its timing means
-            # anything.
-            assert sharded["fingerprint"] == best["fingerprint"], (
-                f"sharded run diverged at {num_peers} peers, shards={shards}"
-            )
-            entry[f"sharded{shards}_steps_per_second"] = round(
-                sharded["steps_per_second"], 2
-            )
-        entry["shard_speedup_4x"] = round(
-            entry["sharded4_steps_per_second"] / entry["vectorized_steps_per_second"], 3
+        best = None
+        for _ in range(repeats):
+            run = _timed_run(num_peers, rounds, "vectorized", contextlib.nullcontext())
+            if best is None or run["seconds"] < best["seconds"]:
+                best = run
+        populations.append(
+            {
+                "num_peers": num_peers,
+                "rounds": rounds,
+                "transfers": best["transfers"],
+                "vectorized_steps_per_second": round(best["steps_per_second"], 2),
+            }
         )
-        populations.append(entry)
 
     record = {
         "profile": profile,

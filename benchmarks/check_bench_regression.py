@@ -48,8 +48,6 @@ GATED_METRICS = (
     "loop_steps_per_second",
     "vectorized_ticks_per_second",
     "loop_ticks_per_second",
-    "sharded2_steps_per_second",
-    "sharded4_steps_per_second",
 )
 
 #: The speedup ratio may drop to this fraction of the baseline before the

@@ -4,8 +4,8 @@ Peer-to-Peer Content Distribution" (Qiu, Huang, Wu, Li, Lau — ICDCSW 2012).
 The package models credit-based P2P content distribution markets, maps them
 onto Jackson queueing networks (Table I of the paper), analyses wealth
 condensation (Lemma 1, Theorems 2–3, Eqs. 3–9) and reproduces the paper's
-simulation study with a discrete-event mesh-pull streaming simulator and a
-transaction-level market simulator.
+simulation study with two tick simulators: a chunk-level mesh-pull
+streaming swarm and a transaction-level credit market.
 
 Quickstart
 ----------
@@ -24,12 +24,13 @@ Subpackages
 ``repro.queueing``
     Jackson queueing-network analytics (traffic equations, closed/open
     networks, Buzen convolution, MVA, the paper's approximations).
-``repro.simulation`` / ``repro.overlay`` / ``repro.streaming``
-    Discrete-event engine, overlay topologies with churn, and the mesh-pull
-    streaming protocol substrate.
+``repro.overlay``
+    Overlay topologies, membership and churn parameters.
 ``repro.p2psim``
     The integrated credit-incentivized P2P simulators (chunk-level and
     transaction-level).
+``repro.runner``
+    Cached, parallel parameter sweeps and checkpointed round-blocks.
 ``repro.baselines``
     Scrip-system, credit-network, tit-for-tat and money-exchange baselines.
 ``repro.experiments``

@@ -131,9 +131,7 @@ def _scopes() -> Dict[str, Scope]:
                 "repro/p2psim/",
                 "repro/core/",
                 "repro/overlay/",
-                "repro/streaming/",
                 "repro/workloads/",
-                "repro/simulation/",
                 "repro/baselines/",
             )
         ),
@@ -161,14 +159,6 @@ def _scopes() -> Dict[str, Scope]:
         # modules that spawn threads; the analyzer itself is excluded.
         "THREAD001": Scope(include=simulation, exclude=("repro/analysis/",)),
         "THREAD002": Scope(include=simulation, exclude=("repro/analysis/",)),
-        # Shard-task purity: tasks submitted to run_shard_tasks must not
-        # mutate cross-shard state outside the boundary-exchange phase.
-        # Applies everywhere shard tasks can be built, including tests and
-        # benchmarks (a racy example would teach the racy idiom).
-        "SHARD001": Scope(
-            include=simulation + ("benchmarks/", "tests/"),
-            exclude=("repro/analysis/",),
-        ),
         # Sweep registry/scenario contract drift.
         "SWEEP001": Scope(include=simulation, exclude=("repro/analysis/",)),
         "SWEEP002": Scope(include=simulation, exclude=("repro/analysis/",)),
@@ -212,16 +202,6 @@ def _allowed() -> Dict[str, Tuple[AllowedContext, ...]]:
             ),
         ),
         "SEED001": (
-            AllowedContext(
-                path="repro/streaming/scheduler.py",
-                qualname="ChunkScheduler.__init__",
-                reason=(
-                    "interactive-use fallback when no generator is injected; "
-                    "every simulation path constructs schedulers with an rng "
-                    "derived via make_rng, so the unseeded default never "
-                    "feeds a recorded result"
-                ),
-            ),
             AllowedContext(
                 path="repro/queueing/closed.py",
                 qualname="ClosedJacksonNetwork.sample_occupancy",

@@ -7,7 +7,6 @@ from repro.analysis.rules.determinism import (
     WallClockRule,
 )
 from repro.analysis.rules.seeds import RngEscapeRule, SeedProvenanceRule
-from repro.analysis.rules.shards import ShardTaskPurityRule
 from repro.analysis.rules.structure import (
     KernelPairRule,
     ParseFailureRule,
@@ -32,7 +31,6 @@ __all__ = [
     "RngEscapeRule",
     "UnlockedSharedStateRule",
     "EmitterCaptureRule",
-    "ShardTaskPurityRule",
     "RegistrySignatureRule",
     "ScenarioAxesRule",
 ]

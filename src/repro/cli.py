@@ -43,17 +43,6 @@ representation — and both ``run`` and ``sweep`` accept ``--kernel`` /
     python -m repro.cli run fig7 --scale paper --dtype float32
     python -m repro.cli sweep fig7-paper --kernel loop --reps 4
 
-``run``, ``sweep`` and ``serve`` also accept spatial sharding flags —
-``--shards N`` executes every simulation's kernel sections over N
-overlay-aware peer-space shards (``--partitioner overlay|hash`` picks the
-partitioning strategy, ``--shard-backend thread|process|serial`` the
-intra-round executor).  Sharding is pure execution policy: results are
-byte-identical to the monolithic run and artifact-cache keys do not
-change, unlike ``kernel``/``dtype`` which ride as explicit axes::
-
-    python -m repro.cli run fig7 --scale paper --shards 4
-    python -m repro.cli sweep fig11 --reps 4 --shards 2 --partitioner hash
-
 ``serve`` starts a resident sweep daemon (stdlib HTTP, JSON API): POST a
 sweep job to ``/runs``, poll its status at ``/runs/<id>``, stream its live
 per-round telemetry (Gini/bankruptcy series, kernel span timings, cache
@@ -82,7 +71,7 @@ from typing import List, Optional
 
 from repro.experiments import describe_experiments, run_experiment
 from repro.experiments.common import Scale
-from repro.p2psim.options import DTYPES, KERNELS, PARTITIONERS, SHARD_BACKENDS
+from repro.p2psim.options import DTYPES, KERNELS
 
 __all__ = ["build_parser", "main"]
 
@@ -138,35 +127,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
             "exact) or float32 (half the memory, statistically equivalent)"
         ),
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=(
-            "spatial peer-space shards per simulation; kernel sections of "
-            "each round execute per-shard and merge deterministically "
-            "(byte-identical to the monolithic run; default: 1)"
-        ),
-    )
-    parser.add_argument(
-        "--partitioner",
-        choices=list(PARTITIONERS),
-        default=None,
-        help=(
-            "peer-space partitioning strategy for --shards: 'overlay' "
-            "(edge-cut minimising BFS over the topology, default) or "
-            "'hash' (peer-id modulo baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=list(SHARD_BACKENDS),
-        default=None,
-        help=(
-            "executor for per-shard kernel sections: 'thread' (default), "
-            "'process' (forked workers) or 'serial' (debugging)"
-        ),
-    )
 
 
 def _kernel_axes(args: argparse.Namespace) -> dict:
@@ -177,33 +137,6 @@ def _kernel_axes(args: argparse.Namespace) -> dict:
     if args.dtype is not None:
         axes["dtype"] = [args.dtype]
     return axes
-
-
-def _execution_plan(args: argparse.Namespace):
-    """Build the :class:`~repro.runner.plan.ExecutionPlan` a parsed ``run``/
-    ``sweep`` invocation implies.
-
-    Raises ``ValueError`` for invalid combinations (notably ``--shards``
-    above 1 with the per-peer ``--kernel loop``, which has no shardable
-    kernel sections) so the CLI reports them before any simulation work.
-    """
-    from repro.runner import ExecutionPlan
-
-    if (
-        args.shards is not None
-        and args.shards > 1
-        and getattr(args, "kernel", None) == "loop"
-    ):
-        raise ValueError(
-            "--shards > 1 requires the vectorized kernel; "
-            "the per-peer loop kernel has no shardable sections"
-        )
-    return ExecutionPlan(
-        intra_jobs=args.intra_jobs,
-        shards=args.shards,
-        partitioner=args.partitioner,
-        shard_backend=args.shard_backend,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,18 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--intra-jobs", type=int, default=1, help="round-blocks per simulation"
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="default spatial shards per simulation for submitted jobs",
-    )
-    serve_parser.add_argument(
-        "--partitioner",
-        choices=list(PARTITIONERS),
-        default=None,
-        help="default peer-space partitioner for submitted jobs",
     )
     serve_parser.add_argument(
         "--bench-root",
@@ -421,7 +342,7 @@ def _run_orchestrated(
     seed: int,
     reps: int,
     jobs: int,
-    plan: object,
+    intra_jobs: int,
     cache_dir: Optional[str],
     csv_path: Optional[str],
     kernel_axes: Optional[dict] = None,
@@ -439,7 +360,9 @@ def _run_orchestrated(
 
             validate_sweep_config(experiment, kernel_axes)
             spec.grid = ParamGrid(kernel_axes)
-        report = run_sweep(spec, jobs=jobs, cache=cache, progress=print, plan=plan)
+        report = run_sweep(
+            spec, jobs=jobs, cache=cache, progress=print, intra_jobs=intra_jobs
+        )
         print(report.describe())
         print(report.summary_line())
         print()
@@ -457,35 +380,23 @@ def _run_orchestrated(
 
 def _command_run(args: argparse.Namespace) -> int:
     axes = _kernel_axes(args)
-    try:
-        plan = _execution_plan(args)
-    except ValueError as error:
-        return _print_error(error)
     if args.reps > 1 or args.jobs != 1 or args.intra_jobs != 1 or args.cache_dir:
         return _run_orchestrated(
             args.experiment, args.scale, args.seed, args.reps, args.jobs,
-            plan, args.cache_dir, args.csv, kernel_axes=axes,
+            args.intra_jobs, args.cache_dir, args.csv, kernel_axes=axes,
         )
-    from repro.runner import shard_overrides
-
     try:
-        # The plan's spatial shard settings apply ambiently: they stay out
-        # of the experiment configuration, so a sharded direct run prints
-        # byte-identical tables to the monolithic one.
-        with shard_overrides(**plan.shard_override_kwargs()):
-            if axes:
-                # Route through the point runner, which accepts the kernel
-                # and dtype axes (validated first, so non-simulator
-                # experiments fail with one clean message).
-                from repro.experiments import run_sweep_point, validate_sweep_config
+        if axes:
+            # Route through the point runner, which accepts the kernel and
+            # dtype axes (validated first, so non-simulator experiments
+            # fail with one clean message).
+            from repro.experiments import run_sweep_point, validate_sweep_config
 
-                validate_sweep_config(args.experiment, axes)
-                config = {name: values[0] for name, values in axes.items()}
-                result = run_sweep_point(
-                    args.experiment, config, scale=args.scale, seed=args.seed
-                )
-            else:
-                result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
+            validate_sweep_config(args.experiment, axes)
+            config = {name: values[0] for name, values in axes.items()}
+            result = run_sweep_point(args.experiment, config, scale=args.scale, seed=args.seed)
+        else:
+            result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
     except KeyError as error:
         return _print_error(error)
     return _emit_result(result, args.csv)
@@ -531,12 +442,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
     try:
         spec = _build_sweep_spec(args)
-        plan = _execution_plan(args)
     except (KeyError, ValueError) as error:
         return _print_error(error)
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     try:
-        report = run_sweep(spec, jobs=args.jobs, cache=cache, progress=print, plan=plan)
+        report = run_sweep(
+            spec, jobs=args.jobs, cache=cache, progress=print, intra_jobs=args.intra_jobs
+        )
         print(report.describe())
         print(report.summary_line())
         print()
@@ -602,8 +514,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         intra_jobs=args.intra_jobs,
-        shards=args.shards,
-        partitioner=args.partitioner,
         bench_root=args.bench_root,
     )
     return 0

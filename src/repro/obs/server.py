@@ -20,13 +20,10 @@ Endpoints
 ``POST /runs``
     Submit a job.  Body: ``{"target": "fig7", "params": {"average_wealth":
     [8, 16]}, "scale": "smoke", "reps": 1, "seed": 0, "jobs": 1,
-    "intra_jobs": 1, "shards": 4, "partitioner": "overlay",
-    "shard_backend": "thread"}`` — ``target`` is a sweepable experiment
-    id or a named scenario bundle; everything else is optional.  The
-    spatial shard keys apply ambiently (results and cache keys are
-    identical to unsharded jobs); invalid values are rejected with
-    ``400`` at submission.  Returns ``201`` with the job description
-    (including its ``id``).
+    "intra_jobs": 1}`` — ``target`` is a sweepable experiment id or a
+    named scenario bundle; everything else is optional.  Invalid values
+    are rejected with ``400`` at submission.  Returns ``201`` with the
+    job description (including its ``id``).
 ``GET  /runs/<id>``
     One job's description: status (``pending/running/done/failed``),
     spec summary, executed/cached shard counts, error text on failure.
@@ -66,7 +63,6 @@ from repro.obs.sinks import MemorySink
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runner.grid import SweepSpec
-    from repro.runner.plan import ExecutionPlan
 
 __all__ = ["SweepJob", "SweepService", "ReproServer", "spec_from_request", "serve"]
 
@@ -104,23 +100,6 @@ def spec_from_request(payload: Mapping[str, object]) -> "SweepSpec":
     )
 
 
-def _plan_for(
-    intra_jobs: int,
-    shards: Optional[int],
-    partitioner: Optional[str],
-    shard_backend: Optional[str],
-) -> "ExecutionPlan":
-    """Validated :class:`~repro.runner.plan.ExecutionPlan` for a job's knobs."""
-    from repro.runner import ExecutionPlan
-
-    return ExecutionPlan(
-        intra_jobs=intra_jobs,
-        shards=shards,
-        partitioner=partitioner,
-        shard_backend=shard_backend,
-    )
-
-
 class SweepJob:
     """One submitted sweep job: spec, scheduling knobs, live metrics, result."""
 
@@ -131,18 +110,12 @@ class SweepJob:
         jobs: int,
         intra_jobs: int,
         cache_dir: Optional[str],
-        shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
-        shard_backend: Optional[str] = None,
     ) -> None:
         self.id = job_id
         self.spec = spec
         self.jobs = jobs
         self.intra_jobs = intra_jobs
         self.cache_dir = cache_dir
-        self.shards = shards
-        self.partitioner = partitioner
-        self.shard_backend = shard_backend
         self.status = "pending"
         self.error: Optional[str] = None
         self.submitted = time.time()
@@ -161,9 +134,6 @@ class SweepJob:
             "status": self.status,
             "jobs": self.jobs,
             "intra_jobs": self.intra_jobs,
-            "shards": self.shards,
-            "partitioner": self.partitioner,
-            "shard_backend": self.shard_backend,
             "cache_dir": self.cache_dir,
             "submitted": self.submitted,
             "started": self.started,
@@ -184,14 +154,10 @@ class SweepService:
         cache_dir: Optional[str] = None,
         default_jobs: int = 1,
         default_intra_jobs: int = 1,
-        default_shards: Optional[int] = None,
-        default_partitioner: Optional[str] = None,
     ) -> None:
         self.cache_dir = cache_dir
         self.default_jobs = default_jobs
         self.default_intra_jobs = default_intra_jobs
-        self.default_shards = default_shards
-        self.default_partitioner = default_partitioner
         self._jobs: Dict[str, SweepJob] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
@@ -204,19 +170,10 @@ class SweepService:
         jobs = int(payload.get("jobs", self.default_jobs))  # type: ignore[arg-type]
         intra_jobs = int(payload.get("intra_jobs", self.default_intra_jobs))  # type: ignore[arg-type]
         cache_dir = payload.get("cache_dir", self.cache_dir)
-        raw_shards = payload.get("shards", self.default_shards)
-        shards = int(raw_shards) if raw_shards is not None else None  # type: ignore[arg-type]
-        partitioner = payload.get("partitioner", self.default_partitioner)
-        shard_backend = payload.get("shard_backend")
-        # Building the plan up front validates the spatial shard settings at
-        # submission time, so a bad request 400s instead of failing its
-        # worker thread later.
-        _plan_for(
-            intra_jobs,
-            shards,
-            str(partitioner) if partitioner is not None else None,
-            str(shard_backend) if shard_backend is not None else None,
-        )
+        # Validated here, at submission, so a bad request 400s instead of
+        # failing its worker thread later.
+        if intra_jobs < 1:
+            raise ValueError(f"intra_jobs must be >= 1, got {intra_jobs}")
         with self._lock:
             job = SweepJob(
                 f"run-{next(self._ids):04d}",
@@ -224,9 +181,6 @@ class SweepService:
                 jobs=jobs,
                 intra_jobs=intra_jobs,
                 cache_dir=str(cache_dir) if cache_dir else None,
-                shards=shards,
-                partitioner=str(partitioner) if partitioner is not None else None,
-                shard_backend=str(shard_backend) if shard_backend is not None else None,
             )
             self._jobs[job.id] = job
             self._order.append(job.id)
@@ -267,9 +221,7 @@ class SweepService:
                     job.spec,  # type: ignore[arg-type]
                     jobs=job.jobs,
                     cache=cache,
-                    plan=_plan_for(
-                        job.intra_jobs, job.shards, job.partitioner, job.shard_backend
-                    ),
+                    intra_jobs=job.intra_jobs,
                 )
             job.payloads = [shard.payload for shard in report.shards]
             job.summary = {
@@ -403,8 +355,6 @@ class ReproServer(ThreadingHTTPServer):
         cache_dir: Optional[str] = None,
         jobs: int = 1,
         intra_jobs: int = 1,
-        shards: Optional[int] = None,
-        partitioner: Optional[str] = None,
         bench_root: Optional[str] = None,
     ) -> None:
         super().__init__((host, port), _Handler)
@@ -412,8 +362,6 @@ class ReproServer(ThreadingHTTPServer):
             cache_dir=cache_dir,
             default_jobs=jobs,
             default_intra_jobs=intra_jobs,
-            default_shards=shards,
-            default_partitioner=partitioner,
         )
         self.bench_root = Path(bench_root) if bench_root else None
 
@@ -429,8 +377,6 @@ def serve(
     cache_dir: Optional[str] = None,
     jobs: int = 1,
     intra_jobs: int = 1,
-    shards: Optional[int] = None,
-    partitioner: Optional[str] = None,
     bench_root: Optional[str] = None,
 ) -> int:
     """Run the daemon until interrupted or shut down over HTTP (CLI entry)."""
@@ -440,8 +386,6 @@ def serve(
         cache_dir=cache_dir,
         jobs=jobs,
         intra_jobs=intra_jobs,
-        shards=shards,
-        partitioner=partitioner,
         bench_root=bench_root,
     )
     print(f"repro serve listening on http://{host}:{server.port}", flush=True)

@@ -11,8 +11,8 @@ exponential lifespans (Sec. VI).  This package provides:
   topologies,
 * :class:`~repro.overlay.membership.MembershipTracker` — a tracker-style
   membership service handing bootstrap neighbours to joining peers,
-* :class:`~repro.overlay.churn.ChurnProcess` — Poisson arrival /
-  exponential lifetime churn driving an open (dynamic) overlay.
+* :class:`~repro.overlay.churn.ChurnConfig` — Poisson arrival /
+  exponential lifetime churn parameters for an open (dynamic) overlay.
 """
 
 from repro.overlay.topology import OverlayTopology
@@ -26,7 +26,7 @@ from repro.overlay.generators import (
     scale_free_topology,
 )
 from repro.overlay.membership import MembershipTracker
-from repro.overlay.churn import ChurnConfig, ChurnEvent, ChurnProcess
+from repro.overlay.churn import ChurnConfig
 
 __all__ = [
     "OverlayTopology",
@@ -39,6 +39,4 @@ __all__ = [
     "complete_topology",
     "MembershipTracker",
     "ChurnConfig",
-    "ChurnEvent",
-    "ChurnProcess",
 ]

@@ -6,39 +6,17 @@ Sec. VI-E of the paper studies dynamic overlays under three regimes:
 2. fixed mean lifespan with varying arrival rate;
 3. fixed arrival rate with varying mean lifespan.
 
-:class:`ChurnProcess` drives all three: it schedules Poisson peer arrivals
-and an exponentially-distributed lifetime for every peer (including the
-peers present at time zero, if requested), and notifies registered callbacks
-so the simulator can create/destroy peer agents and their credit.
+:class:`ChurnConfig` parameterises all three; both tick simulators apply it
+round by round (see :func:`repro.p2psim.slots.apply_round_churn`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
 
-from repro.overlay.membership import MembershipTracker
-from repro.simulation.process import Process
 from repro.utils.validation import check_positive
 
-__all__ = ["ChurnConfig", "ChurnEvent", "ChurnEventType", "ChurnProcess"]
-
-
-class ChurnEventType(enum.Enum):
-    """Type of a churn notification."""
-
-    JOIN = "join"
-    LEAVE = "leave"
-
-
-@dataclass(frozen=True)
-class ChurnEvent:
-    """A single churn notification delivered to subscribers."""
-
-    time: float
-    peer_id: int
-    event_type: ChurnEventType
+__all__ = ["ChurnConfig"]
 
 
 @dataclass(frozen=True)
@@ -81,96 +59,3 @@ class ChurnConfig:
             mean_lifespan=mean_lifespan,
             churn_initial_peers=churn_initial_peers,
         )
-
-
-JoinCallback = Callable[[int, float], None]
-LeaveCallback = Callable[[int, float], None]
-
-
-class ChurnProcess(Process):
-    """Drives peer joins and leaves on a dynamic overlay.
-
-    Parameters
-    ----------
-    config:
-        Arrival/lifespan parameters.
-    tracker:
-        Membership tracker performing the topology surgery for each event.
-    on_join / on_leave:
-        Optional callbacks invoked as ``callback(peer_id, time)`` after the
-        overlay has been updated.  The credit simulator uses these to create
-        the peer's wallet (endowed with ``c`` credits) and to destroy it
-        (removing the credits from the economy), as in the paper.
-    """
-
-    def __init__(
-        self,
-        config: ChurnConfig,
-        tracker: MembershipTracker,
-        on_join: Optional[JoinCallback] = None,
-        on_leave: Optional[LeaveCallback] = None,
-        name: str = "churn",
-    ) -> None:
-        super().__init__(name=name)
-        self.config = config
-        self.tracker = tracker
-        self._on_join = on_join
-        self._on_leave = on_leave
-        self.events: List[ChurnEvent] = []
-        self._departure_handles: Dict[int, object] = {}
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def on_start(self) -> None:
-        rng = self.engine.rng("churn")
-        if self.config.churn_initial_peers:
-            for peer_id in self.tracker.topology.peers():
-                lifetime = rng.exponential(self.config.mean_lifespan)
-                self._schedule_departure(peer_id, lifetime)
-        self._schedule_next_arrival()
-
-    def on_stop(self) -> None:
-        for handle in self._departure_handles.values():
-            handle.cancel()
-        self._departure_handles.clear()
-
-    # ------------------------------------------------------------------ internals
-
-    def _schedule_next_arrival(self) -> None:
-        rng = self.engine.rng("churn")
-        delay = rng.exponential(1.0 / self.config.arrival_rate)
-        self.call_in(delay, self._handle_arrival, label="churn.arrival")
-
-    def _schedule_departure(self, peer_id: int, lifetime: float) -> None:
-        handle = self.call_in(lifetime, lambda: self._handle_departure(peer_id),
-                              label=f"churn.departure:{peer_id}")
-        self._departure_handles[peer_id] = handle
-
-    def _handle_arrival(self) -> None:
-        rng = self.engine.rng("churn")
-        peer_id = self.tracker.join()
-        self.events.append(ChurnEvent(self.now, peer_id, ChurnEventType.JOIN))
-        if self._on_join is not None:
-            self._on_join(peer_id, self.now)
-        lifetime = rng.exponential(self.config.mean_lifespan)
-        self._schedule_departure(peer_id, lifetime)
-        self._schedule_next_arrival()
-
-    def _handle_departure(self, peer_id: int) -> None:
-        self._departure_handles.pop(peer_id, None)
-        if not self.tracker.topology.has_peer(peer_id):
-            return
-        self.tracker.leave(peer_id)
-        self.events.append(ChurnEvent(self.now, peer_id, ChurnEventType.LEAVE))
-        if self._on_leave is not None:
-            self._on_leave(peer_id, self.now)
-
-    # ------------------------------------------------------------------ statistics
-
-    def join_count(self) -> int:
-        """Number of join events generated so far."""
-        return sum(1 for event in self.events if event.event_type is ChurnEventType.JOIN)
-
-    def leave_count(self) -> int:
-        """Number of leave events generated so far."""
-        return sum(1 for event in self.events if event.event_type is ChurnEventType.LEAVE)

@@ -260,41 +260,6 @@ class OverlayTopology:
             histogram[len(neighbors)] = histogram.get(len(neighbors), 0) + 1
         return histogram
 
-    def partition_boundary_edges(self, shard_of) -> List[Tuple[int, int]]:
-        """Edges whose endpoints fall in different shards, as sorted tuples.
-
-        ``shard_of`` maps a peer id to its shard — either a callable (for
-        example :meth:`~repro.runner.shard.ShardPlan.shard_of_peer`) or a
-        mapping/array indexable by peer id.  These are exactly the edges
-        whose traffic crosses the boundary-exchange phase of a sharded
-        round.
-        """
-        shard = shard_of if callable(shard_of) else shard_of.__getitem__
-        return [(u, v) for u, v in self.edges() if shard(u) != shard(v)]
-
-    def partition_metrics(self, shard_of) -> Dict[str, object]:
-        """Quality metrics of a peer-space partition over this overlay.
-
-        Returns ``edge_cut`` (boundary edge count), ``total_edges``,
-        ``cut_fraction``, per-shard ``shard_sizes`` and ``imbalance``
-        (largest shard over the balanced ideal; 1.0 is perfect).
-        """
-        shard = shard_of if callable(shard_of) else shard_of.__getitem__
-        sizes: Dict[int, int] = {}
-        for peer in self._adjacency:
-            key = int(shard(peer))
-            sizes[key] = sizes.get(key, 0) + 1
-        edge_cut = sum(1 for u, v in self.edges() if shard(u) != shard(v))
-        shard_sizes = {key: sizes[key] for key in sorted(sizes)}
-        ideal = self.num_peers / len(shard_sizes) if shard_sizes else 0.0
-        return {
-            "edge_cut": edge_cut,
-            "total_edges": self._edge_count,
-            "cut_fraction": edge_cut / self._edge_count if self._edge_count else 0.0,
-            "shard_sizes": shard_sizes,
-            "imbalance": max(shard_sizes.values()) / ideal if shard_sizes else 1.0,
-        }
-
     def adjacency_matrix(self, order: Optional[List[int]] = None) -> np.ndarray:
         """Dense 0/1 adjacency matrix in the given peer order (default: sorted ids)."""
         order = list(order) if order is not None else self.peers()

@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-import sys
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.pricing import PricingScheme, UniformPricing
@@ -23,52 +20,14 @@ from repro.utils.validation import (
 __all__ = ["UtilizationMode", "MarketSimConfig", "StreamingSimConfig"]
 
 
-def _deprecation_stacklevel() -> int:
-    """Stacklevel pointing a config deprecation warning at the caller.
+def _check_narrow_capacity(config: "MarketSimConfig | StreamingSimConfig") -> None:
+    """Validate a narrow-dtype config against the int32/float32 capacity guards.
 
-    The warning fires inside ``_resolve_kernel_options``, reached through
-    the dataclass-generated ``__init__`` (a ``<string>`` frame) and — when
-    the config is rebuilt via :func:`dataclasses.replace` — an extra frame
-    inside :mod:`dataclasses` itself.  A fixed stacklevel therefore points
-    at ``dataclasses.py`` for replace-built configs; instead, walk the
-    stack past every internal frame (this module, the generated
-    ``__init__``, the stdlib ``dataclasses`` machinery) and return the
-    level of the first caller frame.
-    """
-    internal = {__file__, "<string>", dataclasses.__file__}
-    level = 1  # the _resolve_kernel_options frame (= stacklevel 1 for warn)
-    frame = sys._getframe(1)
-    while frame is not None and frame.f_code.co_filename in internal:
-        level += 1
-        frame = frame.f_back
-    return level
-
-
-def _resolve_kernel_options(config: "MarketSimConfig | StreamingSimConfig") -> None:
-    """Merge a config's deprecated ``kernel`` field into its ``options``.
-
-    Shared by both simulator configs: an explicitly passed legacy
-    ``kernel=...`` emits a :class:`DeprecationWarning` and overrides
-    ``options.kernel`` (the legacy field wins, matching what the caller
-    asked for); the field keeps the passed value, while configs built
-    through ``options`` leave it ``None`` — read ``options.kernel`` for
-    the effective setting.  Narrow-dtype configurations are validated
-    against the int32/float32 capacity guards here, where the population
-    size is known.
+    Shared by both simulator configs; runs here, where the population size
+    is known.
     """
     if not isinstance(config.options, KernelOptions):
         raise TypeError("options must be a KernelOptions instance")
-    legacy = config.kernel
-    if legacy is not None:
-        warnings.warn(
-            f"{type(config).__name__}.kernel is deprecated; pass "
-            "options=KernelOptions(kernel=...) instead",
-            DeprecationWarning,
-            stacklevel=_deprecation_stacklevel(),
-        )
-        if legacy not in ("vectorized", "loop"):
-            raise ValueError("kernel must be 'vectorized' or 'loop'")
-        config.options = replace(config.options, kernel=legacy)
     if config.options.is_narrow:
         check_index_capacity(config.num_peers, config.options.index_dtype, "num_peers")
         check_exact_float_range(
@@ -147,11 +106,6 @@ class MarketSimConfig:
         produce bit-identical results — the loop kernel exists as the
         throughput baseline the simulator benchmark
         (``benchmarks/bench_simkernel.py``) compares against.
-    kernel:
-        Deprecated alias of ``options.kernel`` (one release of
-        backwards compatibility): passing it emits a
-        ``DeprecationWarning`` and overrides ``options.kernel``; after
-        construction it mirrors the effective value.
     seed:
         Base RNG seed.
     """
@@ -172,7 +126,6 @@ class MarketSimConfig:
     sample_interval: float = 50.0
     warmup: float = 0.0
     options: KernelOptions = field(default_factory=KernelOptions)
-    kernel: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -189,7 +142,7 @@ class MarketSimConfig:
             raise ValueError("warmup must be non-negative")
         if self.topology_mean_degree >= self.num_peers:
             raise ValueError("topology_mean_degree must be smaller than num_peers")
-        _resolve_kernel_options(self)
+        _check_narrow_capacity(self)
 
 
 @dataclass
@@ -254,9 +207,6 @@ class StreamingSimConfig:
         the same random draws and produce bit-identical results — the loop
         kernel exists as the throughput baseline
         ``benchmarks/bench_streamkernel.py`` compares against.
-    kernel:
-        Deprecated alias of ``options.kernel`` (one release of backwards
-        compatibility), as in :class:`MarketSimConfig`.
     seed:
         Base RNG seed.
     """
@@ -281,7 +231,6 @@ class StreamingSimConfig:
     churn: Optional[ChurnConfig] = None
     sample_interval: float = 30.0
     options: KernelOptions = field(default_factory=KernelOptions)
-    kernel: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -310,4 +259,4 @@ class StreamingSimConfig:
             raise ValueError("transfer_latency must be non-negative")
         if self.topology_mean_degree >= self.num_peers:
             raise ValueError("topology_mean_degree must be smaller than num_peers")
-        _resolve_kernel_options(self)
+        _check_narrow_capacity(self)

@@ -17,10 +17,9 @@ tens of thousands of simulated seconds run in seconds of wall-clock time.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -70,54 +69,6 @@ class _RoutingPack:
     row_start: np.ndarray
     edge_dst: np.ndarray
     flat: np.ndarray
-    #: Row indices grouped by spatial shard (None when running monolithic).
-    shard_rows: Optional[List[np.ndarray]] = None
-
-
-def _route_shard_rows(
-    flat: np.ndarray,
-    edge_dst: np.ndarray,
-    row_start: np.ndarray,
-    rows: np.ndarray,
-    spendable: np.ndarray,
-    row_offsets: np.ndarray,
-    draws: np.ndarray,
-    capacity: int,
-    shard_of_slot: Optional[np.ndarray],
-    shard: int,
-) -> Tuple[Optional[np.ndarray], int]:
-    """Route one shard's credits: the restrict-to-shard view of the kernel.
-
-    A pure function of read-only inputs (the shard executor may run it on
-    a thread or in a forked child): for the spender rows of one shard it
-    gathers exactly the global draw positions the monolithic kernel would
-    consume for those rows (``row_offsets`` is the cumulative spendable
-    count over *all* rows), searches the same globally sorted segmented
-    CDF, and returns a full-capacity income buffer plus the number of
-    credits that crossed the shard boundary.  Incomes are integer counts
-    in float64, so summing the per-shard buffers in shard order is exact —
-    byte-identical to the monolithic ``bincount``.
-    """
-    counts = spendable[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return None, 0
-    offsets = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    expanded = np.repeat(rows, counts)
-    positions = (
-        np.repeat(row_offsets[rows], counts)
-        + np.arange(total, dtype=np.int64)
-        - np.repeat(offsets[:-1], counts)
-    )
-    hits = np.searchsorted(flat, draws[positions] + 3.0 * expanded, side="right")
-    hits = np.minimum(hits, row_start[expanded + 1] - 1)
-    destinations = edge_dst[hits]
-    income = np.bincount(destinations, minlength=capacity).astype(float)
-    boundary = 0
-    if shard_of_slot is not None:
-        boundary = int(np.count_nonzero(shard_of_slot[destinations] != shard))
-    return income, boundary
 
 
 @dataclass
@@ -206,20 +157,8 @@ class CreditMarketSimulator:
             seed=config.seed + 1,
         )
 
-        # --- spatial sharding ------------------------------------------------------
-        # Execution-level knobs: the ambient overrides installed by the
-        # runner (if any) win over the config's options, and a plan is only
-        # built when actually sharding.  Lazy import, mirroring run_config.
-        from repro.runner.shard import plan_shards, resolve_shard_settings
-
-        options = config.options
-        shards, partitioner, shard_backend = resolve_shard_settings(options)
-        self._shard_backend = shard_backend
-        self._shard_plan = (
-            plan_shards(self.topology, shards, partitioner) if shards > 1 else None
-        )
-
         # --- slot-based peer state -------------------------------------------------
+        options = config.options
         float_dtype = options.float_dtype
         capacity = max(16, 2 * self.topology.num_peers)
         if options.is_narrow:
@@ -235,9 +174,6 @@ class CreditMarketSimulator:
         self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
         self._neighbors: Dict[int, np.ndarray] = {}
         self._cdfs: Dict[int, np.ndarray] = {}
-        self._shard_of_slot: Optional[np.ndarray] = (
-            np.zeros(capacity, dtype=np.int16) if self._shard_plan is not None else None
-        )
         self._pack: Optional[_RoutingPack] = None
         # Per-round scratch buffers: `_income` accumulates the loop kernel's
         # transfers, `_zero_income` is the (never written) empty-round view —
@@ -271,14 +207,6 @@ class CreditMarketSimulator:
         # Build the routing pack eagerly: it is part of construction, not of
         # the first advanced round (benchmarks time rounds, not set-up).
         self._routing_pack()
-        emitter = get_emitter()
-        if self._shard_plan is not None and emitter.enabled and options.telemetry:
-            emitter.gauge("market.shard.count", float(self._shard_plan.shards))
-            emitter.gauge("market.shard.plan_imbalance", self._shard_plan.imbalance)
-            if self._shard_plan.cut_fraction is not None:
-                emitter.gauge(
-                    "market.shard.cut_fraction", self._shard_plan.cut_fraction
-                )
 
     # ------------------------------------------------------------------ setup helpers
 
@@ -347,8 +275,6 @@ class CreditMarketSimulator:
         self._earned = extend(self._earned)
         self._income = np.zeros(new_capacity)
         self._zero_income = np.zeros(new_capacity)
-        if self._shard_of_slot is not None:
-            self._shard_of_slot = extend(self._shard_of_slot)
         self._free_slots = list(range(new_capacity - 1, self._capacity - 1, -1)) + self._free_slots
         self._capacity = new_capacity
 
@@ -370,8 +296,6 @@ class CreditMarketSimulator:
         self._earned[slot] = 0.0
         self._slot_of[peer_id] = slot
         self._peer_of[slot] = peer_id
-        if self._shard_of_slot is not None:
-            self._shard_of_slot[slot] = self._shard_plan.shard_of_peer(peer_id)
         if refresh:
             self._refresh_routing_row(peer_id)
             for neighbor in self.topology.neighbors(peer_id):
@@ -479,16 +403,7 @@ class CreditMarketSimulator:
             flat = edge_cdf.astype(np.float64, copy=False) + 3.0 * np.repeat(
                 np.arange(count, dtype=np.float64), degrees
             )
-            shard_rows = None
-            if self._shard_plan is not None:
-                shard_of_rows = self._shard_of_slot[alive_slots]
-                shard_rows = [
-                    np.flatnonzero(shard_of_rows == shard)
-                    for shard in range(self._shard_plan.shards)
-                ]
-            self._pack = _RoutingPack(
-                alive_slots, degrees, row_start, edge_dst, flat, shard_rows
-            )
+            self._pack = _RoutingPack(alive_slots, degrees, row_start, edge_dst, flat)
         return self._pack
 
     def _route_credits_vectorized(
@@ -509,53 +424,6 @@ class CreditMarketSimulator:
         hits = np.minimum(hits, pack.row_start[rows + 1] - 1)
         destinations = pack.edge_dst[hits]
         return np.bincount(destinations, minlength=self._capacity).astype(float)
-
-    def _route_credits_sharded(
-        self,
-        pack: _RoutingPack,
-        spendable: np.ndarray,
-        draws: np.ndarray,
-        observing: bool,
-    ) -> Tuple[np.ndarray, int]:
-        """Route the round's credits shard by shard, concurrently.
-
-        Each shard task runs :func:`_route_shard_rows` over its own spender
-        rows against the shared read-only pack; the boundary-exchange
-        phase is the ordered sum of the returned income buffers (exact —
-        integer counts in float64), so the merged income is byte-identical
-        to :meth:`_route_credits_vectorized` on the same draws.  Boundary
-        destinations are only counted when telemetry is observing.
-        """
-        from repro.runner.shard import run_shard_tasks
-
-        row_offsets = np.zeros(spendable.size + 1, dtype=np.int64)
-        np.cumsum(spendable, out=row_offsets[1:])
-        shard_of_slot = self._shard_of_slot if observing else None
-        tasks = [
-            functools.partial(
-                _route_shard_rows,
-                pack.flat,
-                pack.edge_dst,
-                pack.row_start,
-                rows,
-                spendable,
-                row_offsets,
-                draws,
-                self._capacity,
-                shard_of_slot,
-                shard,
-            )
-            for shard, rows in enumerate(pack.shard_rows)
-        ]
-        income = np.zeros(self._capacity)
-        boundary = 0
-        for shard_income, shard_boundary in run_shard_tasks(
-            tasks, backend=self._shard_backend
-        ):
-            if shard_income is not None:
-                income += shard_income
-            boundary += shard_boundary
-        return income, boundary
 
     def _route_credits_loop(
         self, pack: _RoutingPack, spendable: np.ndarray, draws: np.ndarray
@@ -612,13 +480,8 @@ class CreditMarketSimulator:
         emitter = get_emitter()
         observing = emitter.enabled and options.telemetry
         kernel_started = time.perf_counter() if observing else 0.0
-        boundary = 0
         if options.kernel == "loop":
             income = self._route_credits_loop(pack, spendable, draws)
-        elif self._shard_plan is not None:
-            income, boundary = self._route_credits_sharded(
-                pack, spendable, draws, observing
-            )
         else:
             income = self._route_credits_vectorized(pack, spendable, draws)
         if observing:
@@ -626,8 +489,6 @@ class CreditMarketSimulator:
                 "market.kernel." + options.kernel,
                 time.perf_counter() - kernel_started,
             )
-            if self._shard_plan is not None:
-                emitter.counter("market.shard.boundary_credits", float(boundary))
         spent = spendable.astype(float)
         self._balance[alive_slots] -= spent
         self._spent[alive_slots] += spent
@@ -690,15 +551,6 @@ class CreditMarketSimulator:
                 "market.mean_wealth", self._time, self.recorder.mean_wealth_series.y[-1]
             )
             emitter.point("market.population", self._time, float(alive_slots.size))
-            if self._shard_plan is not None and alive_slots.size:
-                sizes = np.bincount(
-                    self._shard_of_slot[alive_slots],
-                    minlength=self._shard_plan.shards,
-                )
-                ideal = alive_slots.size / self._shard_plan.shards
-                emitter.point(
-                    "market.shard.imbalance", self._time, float(sizes.max() / ideal)
-                )
 
     def _build_result(self) -> MarketSimResult:
         alive_slots = np.flatnonzero(self._alive)

@@ -1,10 +1,8 @@
 """Shared kernel/dtype/telemetry options for the integrated simulators.
 
-Both :class:`~repro.p2psim.config.MarketSimConfig` and
-:class:`~repro.p2psim.config.StreamingSimConfig` historically carried their
-own copy of the ``kernel`` knob; the dtype switch introduced with the CSR
-kernels would have tripled that duplication.  :class:`KernelOptions` is the
-one shared bundle both simulators consume:
+:class:`KernelOptions` is the one bundle of execution switches that both
+:class:`~repro.p2psim.config.MarketSimConfig` and
+:class:`~repro.p2psim.config.StreamingSimConfig` carry:
 
 * ``kernel`` — ``"vectorized"`` (default) or ``"loop"``; both kernels
   consume the same random draws and produce bit-identical results.
@@ -19,18 +17,6 @@ one shared bundle both simulators consume:
   telemetry emission even while an emitter is enabled (useful to exclude
   instrumentation from micro-benchmarks without reconfiguring the global
   emitter).
-* ``shards`` / ``partitioner`` / ``shard_backend`` — spatial peer-space
-  sharding (see :mod:`repro.runner.shard`).  ``shards=1`` (default) runs
-  the monolithic kernels; ``shards=N`` partitions the peers with the
-  chosen ``partitioner`` (``"overlay"`` edge-cut-minimising BFS or the
-  ``"hash"`` baseline) and executes each shard's kernel section
-  concurrently on the ``shard_backend`` (``"thread"`` over GIL-releasing
-  numpy sections, ``"process"`` fork fallback, or ``"serial"`` for
-  debugging).  Sharded runs are byte-identical to monolithic runs, so
-  these are pure execution knobs — the runner may also set them ambiently
-  (without touching the config) via
-  :func:`repro.runner.shard.shard_overrides`, which keeps artifact-cache
-  keys shared between sharded and monolithic executions.
 
 The options object is immutable (hashable, safely shareable between
 configs); derive variants with :func:`dataclasses.replace`.
@@ -43,19 +29,13 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["KernelOptions", "KERNELS", "DTYPES", "PARTITIONERS", "SHARD_BACKENDS"]
+__all__ = ["KernelOptions", "KERNELS", "DTYPES"]
 
 #: Valid kernel implementations, in documentation order.
 KERNELS: Tuple[str, ...] = ("vectorized", "loop")
 
 #: Valid state-dtype switches.
 DTYPES: Tuple[str, ...] = ("float64", "float32")
-
-#: Valid spatial-shard partitioners (see :mod:`repro.runner.shard`).
-PARTITIONERS: Tuple[str, ...] = ("overlay", "hash")
-
-#: Valid shard execution backends.
-SHARD_BACKENDS: Tuple[str, ...] = ("thread", "process", "serial")
 
 
 @dataclass(frozen=True)
@@ -73,23 +53,11 @@ class KernelOptions:
     telemetry:
         Whether the simulators emit their per-round telemetry when an
         emitter is enabled (default True).
-    shards:
-        Spatial shard count (default 1 = monolithic).  ``shards > 1``
-        requires the vectorized kernel.
-    partitioner:
-        Peer-space partitioner: ``"overlay"`` (default, edge-cut
-        minimising BFS) or ``"hash"`` (``peer_id % shards`` baseline).
-    shard_backend:
-        Shard executor: ``"thread"`` (default), ``"process"`` or
-        ``"serial"``.
     """
 
     kernel: str = "vectorized"
     dtype: str = "float64"
     telemetry: bool = True
-    shards: int = 1
-    partitioner: str = "overlay"
-    shard_backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.kernel not in KERNELS:
@@ -100,24 +68,6 @@ class KernelOptions:
             raise ValueError(
                 f"dtype must be one of {DTYPES}, got {self.dtype!r}"
             )
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool):
-            raise ValueError(f"shards must be an int, got {self.shards!r}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.partitioner not in PARTITIONERS:
-            raise ValueError(
-                f"partitioner must be one of {PARTITIONERS}, got {self.partitioner!r}"
-            )
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"shard_backend must be one of {SHARD_BACKENDS}, "
-                f"got {self.shard_backend!r}"
-            )
-        if self.shards > 1 and self.kernel == "loop":
-            raise ValueError(
-                "shards > 1 requires the vectorized kernel; the per-spender "
-                "loop kernel has no sharded form"
-            )
 
     @classmethod
     def resolve(
@@ -125,26 +75,17 @@ class KernelOptions:
         kernel: "str | None" = None,
         dtype: "str | None" = None,
         telemetry: "bool | None" = None,
-        shards: "int | None" = None,
-        partitioner: "str | None" = None,
-        shard_backend: "str | None" = None,
     ) -> "KernelOptions":
         """Build options from optional overrides (``None`` = default).
 
         The experiment point runners and the CLI expose ``kernel`` /
-        ``dtype`` (and the shard knobs) as optional axes whose unset value
-        must mean "the simulator default"; this constructor centralises
-        that mapping.
+        ``dtype`` as optional axes whose unset value must mean "the
+        simulator default"; this constructor centralises that mapping.
         """
         return cls(
             kernel=cls.kernel if kernel is None else str(kernel),
             dtype=cls.dtype if dtype is None else str(dtype),
             telemetry=cls.telemetry if telemetry is None else bool(telemetry),
-            shards=cls.shards if shards is None else int(shards),
-            partitioner=cls.partitioner if partitioner is None else str(partitioner),
-            shard_backend=(
-                cls.shard_backend if shard_backend is None else str(shard_backend)
-            ),
         )
 
     @property

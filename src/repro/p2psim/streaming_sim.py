@@ -60,7 +60,6 @@ commutes with the batched tick.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -103,28 +102,22 @@ def _choose_suppliers_for_cells(
     cand_u: np.ndarray,
     seg_len: np.ndarray,
     choice: str,
-    sel: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Resolve the supplier choice for the candidate cells listed in ``sel``.
+    """Resolve the supplier choice for every candidate cell.
 
-    The segmented-expansion core of the vectorized scheduling kernel,
-    factored out as a pure function of read-only inputs so the spatial
-    shard executor can run disjoint cell subsets concurrently (each cell's
-    supplier depends only on its own edge segment, so any partition of the
-    cells — like any ``_EDGE_BLOCK`` blocking — produces bit-identical
-    results).  Returns ``(chosen, resolved)`` aligned with ``sel``.
+    The segmented-expansion core of the vectorized scheduling kernel, a
+    pure function of read-only inputs.  Each cell's supplier depends only
+    on its own edge segment, so any ``_EDGE_BLOCK`` blocking of the cells
+    produces bit-identical results.  Returns ``(chosen, resolved)`` aligned
+    with the candidate arrays.
     """
-    n = sel.size
+    n = cand_rows.size
     chosen = np.zeros(n, dtype=np.int64)
     resolved = np.zeros(n, dtype=bool)
     if n == 0:
         return chosen, resolved
-    sub_rows = cand_rows[sel]
-    sub_cols = cand_cols[sel]
-    sub_u = cand_u[sel]
-    sub_len = seg_len[sel]
     starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sub_len, out=starts[1:])
+    np.cumsum(seg_len, out=starts[1:])
     # Cells are processed in blocks of at most ~_EDGE_BLOCK edges: exact
     # results, bounded transient memory (a full expansion at 10^6 peers
     # would otherwise materialise hundreds of millions of entries).
@@ -136,17 +129,17 @@ def _choose_suppliers_for_cells(
         hi_cell = min(max(hi_cell, lo_cell + 1), n)
         block = slice(lo_cell, hi_cell)
         n_cells = hi_cell - lo_cell
-        seg = sub_len[block]
+        seg = seg_len[block]
         bstarts = starts[lo_cell : hi_cell + 1] - starts[lo_cell]
         total = int(bstarts[-1])
         cell_of = np.repeat(np.arange(n_cells), seg)
         edge_pos = (
-            np.repeat(row_start[sub_rows[block]], seg)
+            np.repeat(row_start[cand_rows[block]], seg)
             + np.arange(total)
             - np.repeat(bstarts[:-1], seg)
         )
         dst = edge_dst[edge_pos]
-        cell_col = sub_cols[block][cell_of]
+        cell_col = cand_cols[block][cell_of]
         eligible = have[dst, cell_col]
 
         if choice == "least-loaded":
@@ -161,7 +154,7 @@ def _choose_suppliers_for_cells(
             tie = eligible
         tie_int = tie.astype(np.int64)
         tie_count = np.add.reduceat(tie_int, bstarts[:-1])
-        pick = np.floor(sub_u[block] * tie_count).astype(np.int64)
+        pick = np.floor(cand_u[block] * tie_count).astype(np.int64)
         pick = np.minimum(pick, tie_count - 1)  # u*cnt can round up to cnt
         # Inclusive tie rank within each cell's segment: the chosen
         # supplier is the (pick+1)-th tie in neighbour order — exactly
@@ -314,20 +307,8 @@ class StreamingMarketSimulator:
         self._win_base = 0
         self._emitted = 0
 
-        # --- spatial sharding ------------------------------------------------------
-        # Execution-level knobs: the ambient overrides installed by the
-        # runner (if any) win over the config's options, and a plan is only
-        # built when actually sharding.  Lazy import, mirroring run_config.
-        from repro.runner.shard import plan_shards, resolve_shard_settings
-
-        options = config.options
-        shards, partitioner, shard_backend = resolve_shard_settings(options)
-        self._shard_backend = shard_backend
-        self._shard_plan = (
-            plan_shards(self.topology, shards, partitioner) if shards > 1 else None
-        )
-
         # --- slot-based peer state -------------------------------------------------
+        options = config.options
         float_dtype = options.float_dtype
         capacity = max(16, 2 * self.topology.num_peers)
         if options.is_narrow:
@@ -349,9 +330,6 @@ class StreamingMarketSimulator:
         self._peer_of: Dict[int, int] = {}
         self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
         self._neighbors: Dict[int, np.ndarray] = {}
-        self._shard_of_slot: Optional[np.ndarray] = (
-            np.zeros(capacity, dtype=np.int16) if self._shard_plan is not None else None
-        )
         self._pack: Optional[_StreamPack] = None
 
         # Purchased chunks in flight: ``_in_flight[i]`` is applied at the
@@ -390,14 +368,6 @@ class StreamingMarketSimulator:
             self._refresh_neighbors(peer_id)
         # Build the stream pack eagerly: construction cost, not tick cost.
         self._stream_pack()
-        emitter = get_emitter()
-        if self._shard_plan is not None and emitter.enabled and options.telemetry:
-            emitter.gauge("streaming.shard.count", float(self._shard_plan.shards))
-            emitter.gauge("streaming.shard.plan_imbalance", self._shard_plan.imbalance)
-            if self._shard_plan.cut_fraction is not None:
-                emitter.gauge(
-                    "streaming.shard.cut_fraction", self._shard_plan.cut_fraction
-                )
 
     # ------------------------------------------------------------------ clock helpers
 
@@ -443,8 +413,6 @@ class StreamingMarketSimulator:
         self._price_win = np.vstack(
             [self._price_win, np.zeros((pad, self._win_width), dtype=self._price_win.dtype)]
         )
-        if self._shard_of_slot is not None:
-            self._shard_of_slot = extend(self._shard_of_slot)
         self._free_slots = (
             list(range(new_capacity - 1, self._capacity - 1, -1)) + self._free_slots
         )
@@ -475,8 +443,6 @@ class StreamingMarketSimulator:
         self._have[slot, :] = False
         self._slot_of[peer_id] = slot
         self._peer_of[slot] = peer_id
-        if self._shard_of_slot is not None:
-            self._shard_of_slot[slot] = self._shard_plan.shard_of_peer(peer_id)
         self._fill_price_row(slot)
         if refresh:
             self._refresh_neighbors(peer_id)
@@ -663,8 +629,17 @@ class StreamingMarketSimulator:
             cand_cols = cols[cand_rows, cand_ws]
             seg_len = pack.degrees[cand_rows]
             cand_u = uniforms[cand_rows, cand_ws]
-            chosen, resolved = self._resolve_suppliers(
-                pack, cand_rows, cand_cols, cand_u, seg_len, config.supplier_choice
+            chosen, resolved = _choose_suppliers_for_cells(
+                self._have,
+                self._price_win,
+                self._uploads_total,
+                pack.row_start,
+                pack.edge_dst,
+                cand_rows,
+                cand_cols,
+                cand_u,
+                seg_len,
+                config.supplier_choice,
             )
             rows_ok = cand_rows[resolved]
             ws_ok = cand_ws[resolved]
@@ -715,62 +690,6 @@ class StreamingMarketSimulator:
         admitted = np.empty(size, dtype=bool)
         admitted[order] = admitted_sorted
         return buyers[admitted], sellers[admitted], chunk_abs[admitted], paid[admitted]
-
-    def _resolve_suppliers(
-        self,
-        pack: _StreamPack,
-        cand_rows: np.ndarray,
-        cand_cols: np.ndarray,
-        cand_u: np.ndarray,
-        seg_len: np.ndarray,
-        choice: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the supplier-choice expansion, monolithic or sharded by buyer.
-
-        Sharded mode partitions the candidate cells by the *buyer's* shard
-        and resolves each subset concurrently against the shared read-only
-        state; the central merge writes each subset's results back to its
-        own (disjoint) cell indices in shard order.  Supplier choice is
-        independent per cell, so the merged arrays are byte-identical to
-        the monolithic expansion; the budget walk and the global
-        upload-slot admission that follow stay central — they are the
-        round's boundary-exchange phase, where cross-shard chunk deliveries
-        reconcile deterministically.
-        """
-        args = (
-            self._have,
-            self._price_win,
-            self._uploads_total,
-            pack.row_start,
-            pack.edge_dst,
-            cand_rows,
-            cand_cols,
-            cand_u,
-            seg_len,
-            choice,
-        )
-        if self._shard_plan is None:
-            return _choose_suppliers_for_cells(
-                *args, np.arange(cand_rows.size, dtype=np.int64)
-            )
-        from repro.runner.shard import run_shard_tasks
-
-        shard_of_cell = self._shard_of_slot[pack.alive_slots[cand_rows]]
-        selections = [
-            np.flatnonzero(shard_of_cell == shard)
-            for shard in range(self._shard_plan.shards)
-        ]
-        tasks = [
-            functools.partial(_choose_suppliers_for_cells, *args, sel)
-            for sel in selections
-        ]
-        chosen = np.zeros(cand_rows.size, dtype=np.int64)
-        resolved = np.zeros(cand_rows.size, dtype=bool)
-        results = run_shard_tasks(tasks, backend=self._shard_backend)
-        for sel, (chosen_s, resolved_s) in zip(selections, results):
-            chosen[sel] = chosen_s
-            resolved[sel] = resolved_s
-        return chosen, resolved
 
     def _schedule_loop(
         self,
@@ -1069,16 +988,6 @@ class StreamingMarketSimulator:
             buyers, sellers, chunk_abs, prices = kernel(
                 pack, balances, uniforms, self._win_base, self._emitted - 1
             )
-        if observing and self._shard_plan is not None:
-            # Admitted purchases whose buyer and seller live in different
-            # shards — the chunk deliveries the boundary-exchange phase
-            # reconciles this tick.
-            boundary = int(
-                np.count_nonzero(
-                    self._shard_of_slot[buyers] != self._shard_of_slot[sellers]
-                )
-            )
-            emitter.counter("streaming.shard.boundary_chunks", float(boundary))
         self._settle(pack, buyers, sellers, chunk_abs, prices)
         self._advance_playback(pack, dt)
         self._apply_deliveries()
@@ -1129,14 +1038,6 @@ class StreamingMarketSimulator:
                 "streaming.mean_wealth", self.now, self.recorder.mean_wealth_series.y[-1]
             )
             emitter.point("streaming.population", self.now, float(len(order)))
-            if self._shard_plan is not None and slots.size:
-                sizes = np.bincount(
-                    self._shard_of_slot[slots], minlength=self._shard_plan.shards
-                )
-                ideal = slots.size / self._shard_plan.shards
-                emitter.point(
-                    "streaming.shard.imbalance", self.now, float(sizes.max() / ideal)
-                )
 
     def _build_result(self) -> StreamingSimResult:
         order = self._peer_order()

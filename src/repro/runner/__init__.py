@@ -21,13 +21,8 @@ into declarative, cache-aware, parallel parameter sweeps:
   (``--intra-jobs``) that pipeline across the worker pool and resume
   interrupted runs at block granularity, bit-identical to the monolithic
   run;
-* :mod:`repro.runner.shard` — spatial peer-space sharding:
-  :func:`plan_shards` partitions the overlay into balanced,
-  edge-cut-minimising shards and the simulators execute each shard's
-  kernel section concurrently, byte-identical to the monolithic round;
-* :mod:`repro.runner.plan` — the unified :class:`ExecutionPlan` /
-  :func:`execute` entry point behind which temporal blocks, spatial
-  shards and kernel options compose.
+* :mod:`repro.runner.plan` — :func:`execute`, the one entry point that
+  runs either simulator's configuration, optionally as round-blocks.
 
 Determinism contract
 --------------------
@@ -65,26 +60,16 @@ from repro.runner.partition import (
     CheckpointStore,
     OutOfBlockBudget,
     round_blocks,
-    run_market_partitioned,
-    run_streaming_partitioned,
 )
-from repro.runner.plan import ExecutionPlan, execute
-from repro.runner.shard import (
-    ShardPlan,
-    plan_shards,
-    run_shard_tasks,
-    shard_overrides,
-)
+from repro.runner.plan import execute
 
 __all__ = [
     "ArtifactCache",
     "BlockContext",
     "CheckpointStore",
-    "ExecutionPlan",
     "OutOfBlockBudget",
     "ParamGrid",
     "SCENARIOS",
-    "ShardPlan",
     "ShardResult",
     "SweepReport",
     "SweepSpec",
@@ -98,14 +83,9 @@ __all__ = [
     "default_jobs",
     "execute",
     "payload_to_result",
-    "plan_shards",
     "result_to_payload",
     "round_blocks",
-    "run_market_partitioned",
-    "run_shard_tasks",
-    "run_streaming_partitioned",
     "run_sweep",
     "scenario",
-    "shard_overrides",
     "task_key",
 ]

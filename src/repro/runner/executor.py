@@ -47,8 +47,6 @@ from repro.obs import get_emitter
 from repro.runner.cache import ArtifactCache, code_fingerprint, payload_to_result, result_to_payload, task_key
 from repro.runner.grid import SweepSpec, SweepTask
 from repro.runner.partition import BlockContext, CheckpointStore, OutOfBlockBudget
-from repro.runner.plan import ExecutionPlan
-from repro.runner.shard import shard_overrides
 
 __all__ = ["ShardResult", "SweepReport", "run_sweep", "default_jobs"]
 
@@ -88,9 +86,6 @@ class SweepReport:
     intra_jobs:
         Round-blocks each shard's market simulations were split into
         (``1`` = monolithic shards).
-    plan:
-        The :class:`~repro.runner.plan.ExecutionPlan` applied to every
-        shard (``None`` when the sweep ran with plain arguments).
     duration:
         Wall-clock seconds spent inside :func:`run_sweep`.
     cache_stats:
@@ -105,7 +100,6 @@ class SweepReport:
     cached: int = 0
     jobs: int = 1
     intra_jobs: int = 1
-    plan: Optional[ExecutionPlan] = None
     duration: float = 0.0
     cache_stats: Optional[Dict[str, int]] = None
 
@@ -123,12 +117,9 @@ class SweepReport:
     def describe(self) -> str:
         """One-line human summary of what ran and what was reused."""
         intra = f", intra_jobs={self.intra_jobs}" if self.intra_jobs > 1 else ""
-        spatial = ""
-        if self.plan is not None and (self.plan.shards or 1) > 1:
-            spatial = f", shards={self.plan.shards}"
         return (
             f"{self.spec.describe()} — {self.executed} executed, "
-            f"{self.cached} from cache, jobs={self.jobs}{intra}{spatial}, "
+            f"{self.cached} from cache, jobs={self.jobs}{intra}, "
             f"{self.duration:.2f}s"
         )
 
@@ -149,26 +140,17 @@ class SweepReport:
         )
 
 
-def _execute_task(
-    payload: Mapping[str, object],
-    shard_settings: Optional[Mapping[str, object]] = None,
-) -> Dict[str, object]:
+def _execute_task(payload: Mapping[str, object]) -> Dict[str, object]:
     """Worker entry point: run one shard and return its JSON-safe payload.
 
     Module-level so it pickles cleanly into pool workers; takes and
     returns plain dicts so no library object crosses the process
-    boundary.  ``shard_settings`` (spatial shard count / partitioner /
-    backend) travel as an explicit argument for the same reason: the
-    ambient :func:`~repro.runner.shard.shard_overrides` context does not
-    cross process boundaries, so each worker re-installs it around its
-    point runner.  The settings never enter ``task.config`` and therefore
-    never perturb cache keys or results.
+    boundary.
     """
     task = SweepTask.from_payload(payload)
-    with shard_overrides(**dict(shard_settings or {})):
-        result = run_sweep_point(
-            task.experiment_id, dict(task.config), scale=task.scale, seed=task.seed
-        )
+    result = run_sweep_point(
+        task.experiment_id, dict(task.config), scale=task.scale, seed=task.seed
+    )
     return result_to_payload(result)
 
 
@@ -177,7 +159,6 @@ def _execute_chain_step(
     blocks: int,
     store_root: str,
     budget: Optional[int] = 1,
-    shard_settings: Optional[Mapping[str, object]] = None,
 ) -> Optional[Dict[str, object]]:
     """Worker entry point for one round-block invocation of a shard chain.
 
@@ -194,7 +175,7 @@ def _execute_chain_step(
     store = CheckpointStore(store_root)
     context = BlockContext(store, blocks=blocks, scope=task_key(task), budget=budget)
     try:
-        with shard_overrides(**dict(shard_settings or {})), context:
+        with context:
             result = run_sweep_point(
                 task.experiment_id, dict(task.config), scale=task.scale, seed=task.seed
             )
@@ -210,7 +191,6 @@ def _run_chains(
     intra_jobs: int,
     store_root: str,
     commit: Callable[[int, Dict[str, object], int], None],
-    shard_settings: Optional[Mapping[str, object]] = None,
 ) -> None:
     """Drive every pending shard through its round-block invocation chain.
 
@@ -224,8 +204,7 @@ def _run_chains(
     if jobs == 1 or len(pending) == 1:
         for count, index in enumerate(pending, start=1):
             payload = _execute_chain_step(
-                tasks[index].to_payload(), intra_jobs, store_root,
-                budget=None, shard_settings=shard_settings,
+                tasks[index].to_payload(), intra_jobs, store_root, budget=None
             )
             assert payload is not None  # unlimited budget always completes
             commit(index, payload, count)
@@ -239,8 +218,7 @@ def _run_chains(
 
         def submit(index: int) -> None:
             future = pool.submit(
-                _execute_chain_step, tasks[index].to_payload(), intra_jobs,
-                store_root, 1, shard_settings,
+                _execute_chain_step, tasks[index].to_payload(), intra_jobs, store_root
             )
             inflight[future] = index
 
@@ -275,7 +253,6 @@ def run_sweep(
     cache: Optional[ArtifactCache] = None,
     progress: Optional[Callable[[str], None]] = None,
     intra_jobs: int = 1,
-    plan: Optional[ExecutionPlan] = None,
 ) -> SweepReport:
     """Execute every shard of ``spec``, reusing cached artifacts.
 
@@ -300,42 +277,12 @@ def run_sweep(
         pipeline across the worker pool and — with a persistent cache —
         resume interrupted paper-scale runs at block granularity.  Shard
         payloads and cache keys are identical in both modes.
-    plan:
-        Optional :class:`~repro.runner.plan.ExecutionPlan` applied to
-        every shard.  Its ``intra_jobs`` takes the place of the
-        ``intra_jobs`` argument (setting both to conflicting values is an
-        error), and its spatial shard settings (``shards`` /
-        ``partitioner`` / ``shard_backend``) are installed ambiently in
-        each worker, so task configurations and cache keys stay identical
-        to an unplanned sweep.  Modelling-visible knobs have no place
-        here: ``plan.options`` (kernel/dtype selection rides as explicit
-        sweep axes) and ``plan.rounds_per_block`` (block counts are
-        per-shard via ``intra_jobs``) are rejected.
     """
     started = time.perf_counter()
     if jobs <= 0:
         jobs = default_jobs()
     if intra_jobs < 1:
         raise ValueError("intra_jobs must be at least 1")
-    shard_settings: Optional[Dict[str, object]] = None
-    if plan is not None:
-        if plan.options is not None:
-            raise ValueError(
-                "run_sweep does not accept plan.options; sweep kernel/dtype "
-                "selection rides as explicit grid axes (see repro.cli)"
-            )
-        if plan.rounds_per_block is not None:
-            raise ValueError(
-                "run_sweep does not accept plan.rounds_per_block; "
-                "use plan.intra_jobs to split shards into round-blocks"
-            )
-        if intra_jobs > 1 and plan.intra_jobs > 1 and intra_jobs != plan.intra_jobs:
-            raise ValueError(
-                f"conflicting intra_jobs: argument says {intra_jobs}, "
-                f"plan says {plan.intra_jobs}"
-            )
-        intra_jobs = max(intra_jobs, plan.intra_jobs)
-        shard_settings = plan.shard_override_kwargs() or None
     tasks = spec.tasks()
     say = progress or (lambda message: None)
     say(spec.describe())
@@ -346,7 +293,6 @@ def run_sweep(
         shards=len(tasks),
         jobs=jobs,
         intra_jobs=intra_jobs,
-        spatial_shards=int(shard_settings.get("shards", 1)) if shard_settings else 1,
     )
 
     ordered: List[Optional[ShardResult]] = [None] * len(tasks)
@@ -400,21 +346,14 @@ def run_sweep(
                 # them before adding new ones.
                 CheckpointStore(cache.root / "checkpoints").prune_stale()
                 _run_chains(
-                    tasks, pending, jobs, intra_jobs,
-                    str(cache.root / "checkpoints"), commit, shard_settings,
+                    tasks, pending, jobs, intra_jobs, str(cache.root / "checkpoints"), commit
                 )
             else:
                 with tempfile.TemporaryDirectory(prefix="repro-intra-") as tmp:
-                    _run_chains(
-                        tasks, pending, jobs, intra_jobs, tmp, commit, shard_settings
-                    )
+                    _run_chains(tasks, pending, jobs, intra_jobs, tmp, commit)
         elif jobs == 1 or len(pending) == 1:
             for count, index in enumerate(pending, start=1):
-                commit(
-                    index,
-                    _execute_task(tasks[index].to_payload(), shard_settings),
-                    count,
-                )
+                commit(index, _execute_task(tasks[index].to_payload()), count)
         else:
             # Commit in completion order (not submission order): a slow early
             # shard must not delay persisting the shards finishing behind it.
@@ -424,9 +363,7 @@ def run_sweep(
             first_error: Optional[BaseException] = None
             with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
                 futures = {
-                    pool.submit(
-                        _execute_task, tasks[index].to_payload(), shard_settings
-                    ): index
+                    pool.submit(_execute_task, tasks[index].to_payload()): index
                     for index in pending
                 }
                 count = 0
@@ -458,7 +395,6 @@ def run_sweep(
         cached=len(tasks) - len(pending),
         jobs=jobs,
         intra_jobs=intra_jobs,
-        plan=plan,
         duration=duration,
         cache_stats=cache.stats() if cache is not None else None,
     )

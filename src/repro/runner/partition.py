@@ -53,7 +53,6 @@ import pickle
 import shutil
 import tempfile
 import time
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, cast
 
@@ -68,8 +67,6 @@ __all__ = [
     "OutOfBlockBudget",
     "active_context",
     "round_blocks",
-    "run_market_partitioned",
-    "run_streaming_partitioned",
 ]
 
 _ACTIVE: Optional["BlockContext"] = None
@@ -276,7 +273,7 @@ class BlockContext:
         How many *new* blocks this invocation may advance before raising
         :class:`OutOfBlockBudget`.  Restoring existing checkpoints is
         free.  The executor uses ``budget=1`` so every pool task does one
-        block of work; :func:`run_market_partitioned` uses an unlimited
+        block of work; :func:`repro.runner.plan.execute` uses an unlimited
         budget to run a whole simulation in-process.
 
     Installed via ``with context:`` — both simulators'
@@ -380,9 +377,6 @@ class BlockContext:
         self._sync_config_state(config, simulator.config)
         return result
 
-    #: Backwards-compatible alias from when only market runs partitioned.
-    run_market = run_simulation
-
     def _load(self, ordinal: int, block: int) -> Optional[object]:
         return self.store.load(self.scope, ordinal, block, self.blocks)
 
@@ -418,67 +412,3 @@ class BlockContext:
                 caller.__dict__.clear()
                 caller.__dict__.update(copy.deepcopy(restored.__dict__))
 
-
-def run_market_partitioned(
-    config: object,
-    blocks: int,
-    store: Optional[CheckpointStore] = None,
-    topology: object = None,
-    snapshot_times: Optional[Sequence[float]] = None,
-    scope: str = "run-market-partitioned",
-) -> object:
-    """Deprecated: run one :class:`MarketSimConfig` as checkpointed blocks.
-
-    Thin wrapper over :func:`repro.runner.plan.execute` with
-    ``ExecutionPlan(intra_jobs=blocks)`` — same semantics, same checkpoint
-    scope (existing stores stay resumable), bit-identical results.  New
-    code should call ``execute`` directly, where temporal blocks compose
-    with spatial sharding and kernel options behind one plan object.
-    """
-    warnings.warn(
-        "run_market_partitioned is deprecated; use "
-        "repro.runner.plan.execute(config, ExecutionPlan(intra_jobs=blocks))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runner.plan import ExecutionPlan, execute
-
-    return execute(
-        config,
-        ExecutionPlan(intra_jobs=blocks),
-        topology=topology,
-        snapshot_times=snapshot_times,
-        store=store,
-        scope=scope,
-    )
-
-
-def run_streaming_partitioned(
-    config: object,
-    blocks: int,
-    store: Optional[CheckpointStore] = None,
-    topology: object = None,
-    snapshot_times: Optional[Sequence[float]] = None,
-    scope: str = "run-streaming-partitioned",
-) -> object:
-    """Deprecated: run one :class:`StreamingSimConfig` as checkpointed blocks.
-
-    The streaming counterpart of :func:`run_market_partitioned`; equally a
-    thin deprecated wrapper over :func:`repro.runner.plan.execute`.
-    """
-    warnings.warn(
-        "run_streaming_partitioned is deprecated; use "
-        "repro.runner.plan.execute(config, ExecutionPlan(intra_jobs=blocks))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runner.plan import ExecutionPlan, execute
-
-    return execute(
-        config,
-        ExecutionPlan(intra_jobs=blocks),
-        topology=topology,
-        snapshot_times=snapshot_times,
-        store=store,
-        scope=scope,
-    )

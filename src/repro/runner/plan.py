@@ -1,158 +1,52 @@
-"""The unified execution plan: one object for *how* a simulation runs.
+"""One entry point for running a simulator configuration to completion.
 
-Earlier revisions scattered execution knobs across call sites —
-``run_market_partitioned(config, blocks)`` / ``run_streaming_partitioned``
-for temporal partitioning, ``--intra-jobs`` on the CLI, kernel and dtype
-switches inside :class:`~repro.p2psim.options.KernelOptions`, and (with
-spatial sharding) ``--shards``/``--partitioner`` on top.  The frozen
-:class:`ExecutionPlan` collapses them behind one :func:`execute` entry
-point:
+:func:`execute` dispatches on the config type — a
+:class:`~repro.p2psim.config.MarketSimConfig` runs the credit market, a
+:class:`~repro.p2psim.config.StreamingSimConfig` the streaming swarm — and
+optionally splits the run into checkpointed round-blocks:
 
->>> from repro.runner.plan import ExecutionPlan, execute
->>> plan = ExecutionPlan(rounds_per_block=500, shards=4)
->>> result = execute(config, plan)                        # doctest: +SKIP
+>>> from repro.runner.plan import execute
+>>> result = execute(config, blocks=4)                    # doctest: +SKIP
 
-Every plan field describes *execution*, never the simulated system:
-``execute(config, plan)`` is byte-identical to ``execute(config)`` for
-all plans, which is why sweeps can apply a plan ambiently without
-touching task configurations or artifact-cache keys.  The legacy
-``run_*_partitioned`` helpers remain as thin deprecated wrappers.
+Kernel and dtype selection live on the config's
+:class:`~repro.p2psim.options.KernelOptions`; ``blocks`` only changes how
+the run executes, never what it produces: ``execute(config, blocks=n)`` is
+byte-identical to ``execute(config)`` for every ``n``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import tempfile
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.p2psim.options import PARTITIONERS, SHARD_BACKENDS, KernelOptions
 from repro.runner.partition import BlockContext, CheckpointStore
-from repro.runner.shard import MAX_SHARDS
 
-__all__ = ["ExecutionPlan", "execute"]
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """Immutable description of how (not what) a simulation executes.
-
-    Attributes
-    ----------
-    rounds_per_block:
-        Temporal partitioning: checkpoint every that-many rounds (the
-        block count follows from the config's horizon).  ``None`` leaves
-        the block count to ``intra_jobs``.
-    intra_jobs:
-        Number of checkpointed round-blocks (and, in sweeps, the pipeline
-        width for block execution) — the historical ``--intra-jobs`` /
-        ``blocks`` knob.  Ignored for block counting when
-        ``rounds_per_block`` is set.
-    shards:
-        Spatial shard count (``None`` inherits the config options').
-    partitioner:
-        ``"overlay"`` or ``"hash"`` (``None`` inherits).
-    shard_backend:
-        ``"thread"``, ``"process"`` or ``"serial"`` (``None`` inherits).
-    options:
-        Full :class:`~repro.p2psim.options.KernelOptions` override; when
-        set it replaces the config's options wholesale (the shard fields
-        above still win over it when also set).
-    """
-
-    rounds_per_block: Optional[int] = None
-    intra_jobs: int = 1
-    shards: Optional[int] = None
-    partitioner: Optional[str] = None
-    shard_backend: Optional[str] = None
-    options: Optional[KernelOptions] = None
-
-    def __post_init__(self) -> None:
-        if self.rounds_per_block is not None and self.rounds_per_block < 1:
-            raise ValueError(
-                f"rounds_per_block must be >= 1, got {self.rounds_per_block}"
-            )
-        if self.intra_jobs < 1:
-            raise ValueError(f"intra_jobs must be >= 1, got {self.intra_jobs}")
-        if self.shards is not None and not 1 <= self.shards <= MAX_SHARDS:
-            raise ValueError(
-                f"shards must be in [1, {MAX_SHARDS}], got {self.shards}"
-            )
-        if self.partitioner is not None and self.partitioner not in PARTITIONERS:
-            raise ValueError(
-                f"partitioner must be one of {PARTITIONERS}, got {self.partitioner!r}"
-            )
-        if self.shard_backend is not None and self.shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"shard_backend must be one of {SHARD_BACKENDS}, "
-                f"got {self.shard_backend!r}"
-            )
-        if self.options is not None and not isinstance(self.options, KernelOptions):
-            raise TypeError("options must be a KernelOptions instance or None")
-
-    def resolved_options(self, config: object) -> KernelOptions:
-        """Effective kernel options for ``config`` under this plan."""
-        base = self.options if self.options is not None else config.options
-        updates: Dict[str, object] = {}
-        if self.shards is not None:
-            updates["shards"] = self.shards
-        if self.partitioner is not None:
-            updates["partitioner"] = self.partitioner
-        if self.shard_backend is not None:
-            updates["shard_backend"] = self.shard_backend
-        return dataclasses.replace(base, **updates) if updates else base
-
-    def shard_override_kwargs(self) -> Dict[str, object]:
-        """The plan's explicit shard settings, as :func:`~repro.runner.shard.\
-shard_overrides` keyword arguments (empty when everything is inherited)."""
-        out: Dict[str, object] = {}
-        if self.shards is not None:
-            out["shards"] = self.shards
-        if self.partitioner is not None:
-            out["partitioner"] = self.partitioner
-        if self.shard_backend is not None:
-            out["shard_backend"] = self.shard_backend
-        return out
-
-    def blocks_for(self, total_rounds: int) -> int:
-        """Round-block count for a run of ``total_rounds`` rounds."""
-        if self.rounds_per_block is not None:
-            return max(1, math.ceil(total_rounds / self.rounds_per_block))
-        return max(1, self.intra_jobs)
-
-
-def _round_length(sim_config: object) -> float:
-    """Seconds of simulated time per round for either simulator config."""
-    if hasattr(sim_config, "step"):
-        return float(sim_config.step)
-    return float(sim_config.scheduling_interval)
+__all__ = ["execute"]
 
 
 def execute(
     sim_config: object,
-    plan: Optional[ExecutionPlan] = None,
     *,
+    blocks: int = 1,
     topology: object = None,
     snapshot_times: Optional[Sequence[float]] = None,
     store: Optional[CheckpointStore] = None,
     scope: str = "execute",
 ) -> object:
-    """Run ``sim_config`` to completion under ``plan``.
+    """Run ``sim_config`` to completion, optionally as ``blocks`` round-blocks.
 
-    The single entry point behind which temporal partitioning
-    (``rounds_per_block`` / ``intra_jobs`` checkpointed blocks, persisted
-    in ``store`` when given), spatial sharding (``shards`` /
-    ``partitioner`` / ``shard_backend``) and kernel selection compose.
-    Dispatches on the config type; any plan produces byte-identical
-    results to the monolithic default plan.
+    With ``blocks > 1`` (or a ``store``) the run advances in checkpointed
+    round-blocks persisted in ``store`` under ``scope`` — a throwaway
+    directory when no store is given — so a persistent store resumes an
+    interrupted run from its last completed block.  Results are
+    byte-identical to the single-block run.
     """
     from repro.p2psim.config import MarketSimConfig, StreamingSimConfig
     from repro.p2psim.market_sim import CreditMarketSimulator
     from repro.p2psim.streaming_sim import StreamingMarketSimulator
 
-    if plan is None:
-        plan = ExecutionPlan()
+    if blocks < 1:
+        raise ValueError(f"blocks must be >= 1, got {blocks}")
     if isinstance(sim_config, MarketSimConfig):
         runner = CreditMarketSimulator.run_config
     elif isinstance(sim_config, StreamingSimConfig):
@@ -162,24 +56,12 @@ def execute(
             "execute() needs a MarketSimConfig or StreamingSimConfig, "
             f"got {type(sim_config).__name__}"
         )
-    options = plan.resolved_options(sim_config)
-    if options == sim_config.options:
-        config = sim_config
-    else:
-        # kernel=None keeps the legacy field from re-firing its
-        # deprecation warning on the rebuilt config; the effective kernel
-        # already lives in the resolved options.
-        config = dataclasses.replace(sim_config, options=options, kernel=None)
-
-    total = max(1, math.ceil(float(sim_config.horizon) / _round_length(sim_config)))
-    blocks = plan.blocks_for(total)
-    if blocks <= 1 and store is None:
-        return runner(config, topology=topology, snapshot_times=snapshot_times)
+    if blocks == 1 and store is None:
+        return runner(sim_config, topology=topology, snapshot_times=snapshot_times)
 
     def run_blocks(checkpoints: CheckpointStore) -> object:
-        context = BlockContext(checkpoints, blocks=blocks, scope=scope, budget=None)
-        with context:
-            return runner(config, topology=topology, snapshot_times=snapshot_times)
+        with BlockContext(checkpoints, blocks=blocks, scope=scope, budget=None):
+            return runner(sim_config, topology=topology, snapshot_times=snapshot_times)
 
     if store is not None:
         return run_blocks(store)

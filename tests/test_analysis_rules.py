@@ -675,7 +675,6 @@ class TestRegistry:
             "SEED002",
             "THREAD001",
             "THREAD002",
-            "SHARD001",
             "SWEEP001",
             "SWEEP002",
             "NOQA001",
@@ -695,135 +694,3 @@ class TestRegistry:
             "DET001",
             "OBS001",
         ]
-
-
-class TestSHARD001ShardTaskPurity:
-    def test_self_write_in_closure_task_fires(self):
-        findings = run_rules(
-            """
-            import functools
-            from repro.runner.shard import run_shard_tasks
-
-            class Sim:
-                def round(self, shard_rows):
-                    def task(rows):
-                        self.income += rows.sum()
-                        return rows
-
-                    run_shard_tasks(
-                        [functools.partial(task, rows) for rows in shard_rows]
-                    )
-            """
-        )
-        assert [f.rule for f in findings] == ["SHARD001"]
-        assert "simulator state" in findings[0].message
-
-    def test_free_name_mutation_fires(self):
-        findings = run_rules(
-            """
-            from repro.runner.shard import run_shard_tasks
-
-            def round(shard_rows):
-                merged = []
-                tasks = [lambda rows=rows: merged.append(rows.sum()) for rows in shard_rows]
-                run_shard_tasks(tasks)
-            """
-        )
-        assert [f.rule for f in findings] == ["SHARD001"]
-        assert "`merged`" in findings[0].message
-
-    def test_global_declaration_fires(self):
-        findings = run_rules(
-            """
-            from repro.runner.shard import run_shard_tasks
-
-            def counter_task():
-                global TOTAL
-                TOTAL += 1
-
-            def round():
-                run_shard_tasks([counter_task])
-            """
-        )
-        assert [f.rule for f in findings] == ["SHARD001"]
-        assert "global TOTAL" in findings[0].message
-
-    def test_subscript_store_on_free_name_fires(self):
-        assert fired(
-            """
-            from repro.runner import run_shard_tasks
-
-            def round(shard_rows, income):
-                run_shard_tasks([lambda rows=rows: income.__iadd__(0) or None
-                                 for rows in shard_rows])
-                tasks = []
-                for rows in shard_rows:
-                    tasks.append(lambda rows=rows: None)
-                bad = [lambda rows=rows: income.update({0: 1}) for rows in shard_rows]
-                run_shard_tasks(bad)
-            """
-        ) == ["SHARD001"]
-
-    def test_pure_partial_tasks_stay_quiet(self):
-        assert fired(
-            """
-            import functools
-            from repro.runner.shard import run_shard_tasks
-
-            def _route_rows(rows, data, draws):
-                local = data[rows] + draws[rows]
-                out = local.cumsum()
-                return out
-
-            class Sim:
-                def round(self, shard_rows, data, draws):
-                    tasks = [
-                        functools.partial(_route_rows, rows, data, draws)
-                        for rows in shard_rows
-                    ]
-                    pieces = run_shard_tasks(tasks, backend="thread")
-                    total = 0.0
-                    for piece in pieces:  # boundary exchange: caller merges
-                        total += piece[-1]
-                    return total
-            """
-        ) == []
-
-    def test_local_mutation_inside_task_stays_quiet(self):
-        assert fired(
-            """
-            from repro.runner.shard import run_shard_tasks
-
-            def round(shard_rows):
-                def task(rows):
-                    acc = []
-                    acc.append(rows)
-                    buffer = {}
-                    buffer["rows"] = rows
-                    return buffer
-
-                run_shard_tasks([lambda rows=rows: task(rows) for rows in shard_rows])
-            """
-        ) == []
-
-    def test_unrelated_run_shard_tasks_name_stays_quiet(self):
-        # A same-named helper from another package is not the executor.
-        assert fired(
-            """
-            from othermod import run_shard_tasks
-
-            def round(tasks, sink):
-                run_shard_tasks([lambda: sink.append(1) for _ in range(2)])
-            """
-        ) == []
-
-    def test_out_of_scope_path_stays_quiet(self):
-        assert fired(
-            """
-            from repro.runner.shard import run_shard_tasks
-
-            def round(sink):
-                run_shard_tasks([lambda: sink.append(1)])
-            """,
-            path="src/repro/analysis/fixture.py",
-        ) == []

@@ -32,7 +32,6 @@ from repro.p2psim import (
 from repro.runner import (
     ParamGrid,
     SweepSpec,
-    ExecutionPlan,
     aggregate_sweep,
     execute,
     run_sweep,
@@ -152,14 +151,14 @@ class TestPartitionEquivalence:
     def test_round_blocks_byte_identical_to_monolithic(self, shape, blocks):
         config = CONFIG_FACTORIES[shape]()
         monolithic = CreditMarketSimulator.run_config(config)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=blocks))
+        partitioned = execute(config, blocks=blocks)
         assert fingerprint(monolithic) == fingerprint(partitioned)
 
     def test_partitioned_snapshots_match(self):
         config = fig7_like_config()
         times = [100.0, 200.0]
         monolithic = CreditMarketSimulator(config, snapshot_times=times).run()
-        partitioned = execute(config, ExecutionPlan(intra_jobs=3), snapshot_times=times)
+        partitioned = execute(config, blocks=3, snapshot_times=times)
         assert set(partitioned.recorder.snapshots) == set(monolithic.recorder.snapshots)
         for time in times:
             np.testing.assert_array_equal(

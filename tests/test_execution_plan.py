@@ -1,35 +1,21 @@
-"""The unified ExecutionPlan API and its deprecated predecessors.
+"""``execute``: the one entry point that runs a simulator configuration.
 
-Satellite contract of the sharding PR: ``ExecutionPlan`` + ``execute``
-replace the scattered execution knobs (``run_market_partitioned`` /
-``run_streaming_partitioned``, per-call ``intra_jobs``, shard flags); the
-legacy wrappers survive as thin deprecated shims with unchanged
-semantics; and deprecation warnings — including the PR-9 legacy
-``kernel=`` config pass-through — point at the *caller's* line, not at
-library internals.
+Pins ``execute``'s own contract: ``blocks`` validation, dispatch on the
+config type, and persistence of round-blocks in a caller-supplied
+checkpoint store under a scope.  Byte-identity of round-blocks against
+monolithic runs is pinned per simulator in ``test_determinism_modes.py``
+and ``test_streaming_determinism.py``.
 """
-
-import dataclasses
-import warnings
 
 import pytest
 
 from repro.p2psim import (
     CreditMarketSimulator,
-    KernelOptions,
     MarketSimConfig,
     StreamingMarketSimulator,
     StreamingSimConfig,
 )
-from repro.runner import (
-    CheckpointStore,
-    ExecutionPlan,
-    execute,
-    run_market_partitioned,
-    run_streaming_partitioned,
-    run_sweep,
-)
-from repro.runner.grid import SweepSpec
+from repro.runner import CheckpointStore, execute
 
 
 def market_config(**overrides):
@@ -67,166 +53,62 @@ def fingerprint(result):
     )
 
 
-class TestExecutionPlanValidation:
-    def test_defaults_are_inert(self):
-        plan = ExecutionPlan()
-        assert plan.blocks_for(100) == 1
-        assert plan.shard_override_kwargs() == {}
+class TestBlocksValidation:
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_non_positive_blocks_rejected(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be >= 1"):
+            execute(market_config(), blocks=blocks)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(rounds_per_block=0),
-            dict(intra_jobs=0),
-            dict(shards=0),
-            dict(shards=5000),
-            dict(partitioner="metis"),
-            dict(shard_backend="gpu"),
-        ],
-    )
-    def test_invalid_fields_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            ExecutionPlan(**kwargs)
-
-    def test_options_must_be_kernel_options(self):
+    def test_blocks_is_keyword_only(self):
         with pytest.raises(TypeError):
-            ExecutionPlan(options={"kernel": "loop"})
-
-    def test_blocks_for_prefers_rounds_per_block(self):
-        plan = ExecutionPlan(rounds_per_block=30, intra_jobs=8)
-        assert plan.blocks_for(100) == 4  # ceil(100 / 30)
-        assert ExecutionPlan(intra_jobs=3).blocks_for(100) == 3
-
-    def test_resolved_options_layering(self):
-        config = market_config(options=KernelOptions(dtype="float32"))
-        resolved = ExecutionPlan(shards=4).resolved_options(config)
-        assert resolved.dtype == "float32"  # config options survive
-        assert resolved.shards == 4  # plan shard fields win
-        wholesale = ExecutionPlan(
-            options=KernelOptions(telemetry=False), shards=2
-        ).resolved_options(config)
-        assert wholesale.telemetry is False
-        assert wholesale.shards == 2
-
-    def test_plan_is_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            ExecutionPlan().intra_jobs = 2
+            execute(market_config(), 2)  # type: ignore[misc]
 
 
-class TestExecuteEquivalence:
-    def test_market_plan_variants_byte_identical(self):
-        config = market_config()
-        baseline = CreditMarketSimulator(config).run()
-        for plan in (
-            None,
-            ExecutionPlan(),
-            ExecutionPlan(intra_jobs=3),
-            ExecutionPlan(rounds_per_block=25),
-            ExecutionPlan(shards=2, shard_backend="serial"),
-            ExecutionPlan(rounds_per_block=40, shards=2, shard_backend="serial"),
-        ):
-            assert fingerprint(execute(config, plan)) == fingerprint(baseline)
-
-    def test_streaming_plan_variants_byte_identical(self):
-        config = streaming_config()
-        baseline = StreamingMarketSimulator(config).run()
-        for plan in (ExecutionPlan(intra_jobs=2), ExecutionPlan(shards=4)):
-            assert fingerprint(execute(config, plan)) == fingerprint(baseline)
-
-    def test_execute_rejects_unknown_config(self):
+class TestDispatch:
+    def test_rejects_unknown_config(self):
         with pytest.raises(TypeError, match="MarketSimConfig or StreamingSimConfig"):
             execute({"num_peers": 10})
 
-    def test_execute_persists_blocks_into_store(self, tmp_path):
+    @pytest.mark.parametrize(
+        "factory, simulator",
+        [
+            (market_config, CreditMarketSimulator),
+            (streaming_config, StreamingMarketSimulator),
+        ],
+    )
+    def test_dispatches_on_config_type(self, factory, simulator):
+        config = factory()
+        result = execute(config)
+        assert type(result) is type(simulator(config).run())
+        assert fingerprint(result) == fingerprint(simulator(config).run())
+
+
+class TestStorePersistence:
+    def test_blocks_persist_into_store_under_scope(self, tmp_path):
         store = CheckpointStore(tmp_path)
         config = market_config()
-        result = execute(config, ExecutionPlan(intra_jobs=2), store=store, scope="t")
+        result = execute(config, blocks=2, store=store, scope="t")
         assert fingerprint(result) == fingerprint(CreditMarketSimulator(config).run())
-        assert list(tmp_path.iterdir())  # checkpoints actually landed
+        # Two block states plus the finalised result, all under scope "t".
+        assert store.prune_scope("t") == 3
 
+    def test_store_alone_checkpoints_one_block(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        execute(market_config(), store=store, scope="single")
+        assert store.prune_scope("single") == 2
 
-class TestDeprecatedWrappers:
-    def test_market_wrapper_warns_and_matches(self):
-        config = market_config()
-        with pytest.warns(DeprecationWarning, match="ExecutionPlan"):
-            legacy = run_market_partitioned(config, blocks=3)
-        assert fingerprint(legacy) == fingerprint(
-            execute(config, ExecutionPlan(intra_jobs=3))
-        )
+    def test_scopes_do_not_collide(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        first, second = market_config(seed=13), market_config(seed=14)
+        a = execute(first, blocks=2, store=store, scope="a")
+        b = execute(second, blocks=2, store=store, scope="b")
+        assert fingerprint(a) == fingerprint(CreditMarketSimulator(first).run())
+        assert fingerprint(b) == fingerprint(CreditMarketSimulator(second).run())
+        assert fingerprint(a) != fingerprint(b)
 
-    def test_streaming_wrapper_warns_and_matches(self):
+    def test_streaming_blocks_persist(self, tmp_path):
+        store = CheckpointStore(tmp_path)
         config = streaming_config()
-        with pytest.warns(DeprecationWarning, match="ExecutionPlan"):
-            legacy = run_streaming_partitioned(config, blocks=2)
-        assert fingerprint(legacy) == fingerprint(
-            execute(config, ExecutionPlan(intra_jobs=2))
-        )
-
-    def test_wrapper_warning_points_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_market_partitioned(market_config(), blocks=2)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-
-class TestLegacyKernelFieldStacklevel:
-    """The PR-9 ``kernel=`` config pass-through must blame the caller."""
-
-    def test_direct_construction_points_here(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            market_config(kernel="loop")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-    def test_dataclasses_replace_points_here(self):
-        config = market_config()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            dataclasses.replace(config, kernel="vectorized")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-    def test_streaming_construction_points_here(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            streaming_config(kernel="vectorized")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert deprecations and deprecations[0].filename == __file__
-
-
-class TestRunSweepPlan:
-    def test_plan_rejects_modelling_fields(self):
-        spec = SweepSpec("fig7", replications=1, scale="smoke")
-        with pytest.raises(ValueError, match="plan.options"):
-            run_sweep(spec, plan=ExecutionPlan(options=KernelOptions()))
-        with pytest.raises(ValueError, match="rounds_per_block"):
-            run_sweep(spec, plan=ExecutionPlan(rounds_per_block=10))
-
-    def test_conflicting_intra_jobs_rejected(self):
-        spec = SweepSpec("fig7", replications=1, scale="smoke")
-        with pytest.raises(ValueError, match="conflicting intra_jobs"):
-            run_sweep(spec, intra_jobs=3, plan=ExecutionPlan(intra_jobs=2))
-
-    def test_plan_intra_jobs_drives_report(self):
-        spec = SweepSpec("fig7", replications=1, scale="smoke")
-        report = run_sweep(spec, plan=ExecutionPlan(intra_jobs=2))
-        assert report.intra_jobs == 2
-        assert report.plan is not None
-
-    def test_sharded_sweep_shares_cache_keys(self, tmp_path):
-        from repro.runner import ArtifactCache
-
-        spec = SweepSpec("fig7", replications=1, scale="smoke")
-        cache = ArtifactCache(tmp_path)
-        first = run_sweep(
-            spec, cache=cache, plan=ExecutionPlan(shards=4, shard_backend="serial")
-        )
-        assert first.executed == 1
-        # A monolithic re-run restores the sharded run's artifact: shard
-        # settings never enter the cache key.
-        second = run_sweep(spec, cache=cache)
-        assert second.executed == 0
-        assert second.cached == 1
-        assert [s.payload for s in first.shards] == [s.payload for s in second.shards]
+        result = execute(config, blocks=2, store=store, scope="s")
+        assert fingerprint(result) == fingerprint(StreamingMarketSimulator(config).run())
+        assert store.prune_scope("s") == 3

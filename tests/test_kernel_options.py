@@ -1,8 +1,7 @@
 """Tests for the shared :class:`KernelOptions` bundle and the narrow-dtype path.
 
 Covers the options object itself (validation, ``resolve``, immutability),
-the deprecated per-config ``kernel`` field, the capacity/precision guards
-that fire for narrow-dtype configurations, and the contractual properties
+the capacity/precision guards that fire for narrow-dtype configurations, and the contractual properties
 of the float32 representation: cross-kernel bit-identity at either dtype,
 statistical (not bitwise) equivalence against the default float64 state,
 and picklable mid-run state in both layouts.
@@ -23,7 +22,7 @@ from repro.p2psim import (
     StreamingSimConfig,
     UtilizationMode,
 )
-from repro.runner import ExecutionPlan, execute
+from repro.runner import execute
 
 
 def market_config(**overrides):
@@ -90,26 +89,7 @@ class TestKernelOptions:
         assert len({KernelOptions(), KernelOptions(kernel="loop")}) == 2
 
 
-class TestDeprecatedKernelField:
-    @pytest.mark.parametrize("config_cls", [MarketSimConfig, StreamingSimConfig])
-    def test_legacy_field_warns_and_wins(self, config_cls):
-        with pytest.warns(DeprecationWarning, match="KernelOptions"):
-            config = config_cls(kernel="loop", options=KernelOptions(kernel="vectorized"))
-        assert config.options.kernel == "loop"
-
-    @pytest.mark.parametrize("config_cls", [MarketSimConfig, StreamingSimConfig])
-    def test_options_path_is_silent(self, config_cls, recwarn):
-        config = config_cls(options=KernelOptions(kernel="loop"))
-        assert config.options.kernel == "loop"
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_legacy_field_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="kernel"):
-                MarketSimConfig(kernel="bogus")
-
+class TestConfigOptions:
     def test_rejects_non_options_object(self):
         with pytest.raises(TypeError, match="KernelOptions"):
             MarketSimConfig(options="vectorized")
@@ -210,7 +190,7 @@ class TestPicklableStateBothLayouts:
     def test_market_partitioned_matches_monolithic(self, dtype):
         config = market_config(options=KernelOptions(dtype=dtype))
         monolithic = CreditMarketSimulator.run_config(config)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=3))
+        partitioned = execute(config, blocks=3)
         np.testing.assert_array_equal(monolithic.final_wealths, partitioned.final_wealths)
         assert partitioned.final_wealths.dtype == np.dtype(dtype)
 
@@ -218,6 +198,6 @@ class TestPicklableStateBothLayouts:
     def test_streaming_partitioned_matches_monolithic(self, dtype):
         config = streaming_config(options=KernelOptions(dtype=dtype))
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=3))
+        partitioned = execute(config, blocks=3)
         np.testing.assert_array_equal(monolithic.final_wealths, partitioned.final_wealths)
         assert partitioned.final_wealths.dtype == np.dtype(dtype)

@@ -100,6 +100,14 @@ class TestRoutes:
         assert status == 400
         assert "fig99" in payload["error"]
 
+    def test_non_positive_intra_jobs_400_registers_no_job(self, server):
+        status, payload = _request(
+            server, "POST", "/runs", {"target": "fig7", "intra_jobs": 0}
+        )
+        assert status == 400
+        assert "intra_jobs" in payload["error"]
+        assert server.service.list() == []
+
     def test_malformed_body_400(self, server):
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
         try:

@@ -48,14 +48,6 @@ class TestConfigValidation:
             assert config.options.kernel == kernel
             assert config.churn is churn
 
-    def test_legacy_kernel_field_warns_and_overrides_options(self):
-        with pytest.warns(DeprecationWarning, match="KernelOptions"):
-            config = StreamingSimConfig(kernel="loop")
-        assert config.options.kernel == "loop"
-        with pytest.warns(DeprecationWarning, match="KernelOptions"):
-            with pytest.raises(ValueError, match="kernel"):
-                StreamingSimConfig(kernel="bogus")
-
 
 class TestStreamingRun:
     def test_chunks_flow_and_credits_move(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.p2psim import CreditMarketSimulator, MarketSimConfig
 from repro.runner import ArtifactCache, SweepSpec, run_sweep
-from repro.runner import ExecutionPlan, execute
+from repro.runner import execute
 from repro.runner.partition import (
     BlockContext,
     CheckpointStore,
@@ -192,7 +192,7 @@ class TestExecuteRoundBlocks:
     def test_single_block_matches_monolithic(self):
         config = small_config()
         reference = CreditMarketSimulator.run_config(config)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=1))
+        partitioned = execute(config, blocks=1)
         assert partitioned.final_wealths.tobytes() == reference.final_wealths.tobytes()
 
     def test_more_blocks_than_rounds(self, tmp_path):
@@ -201,7 +201,7 @@ class TestExecuteRoundBlocks:
         config = small_config()
         reference = CreditMarketSimulator.run_config(config)
         store = CheckpointStore(tmp_path)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=150), store=store, scope="wide")
+        partitioned = execute(config, blocks=150, store=store, scope="wide")
         assert partitioned.final_wealths.tobytes() == reference.final_wealths.tobytes()
         # 100 non-empty block states + the finalised result; 50 zero blocks
         # wrote nothing.
@@ -210,10 +210,10 @@ class TestExecuteRoundBlocks:
     def test_persistent_store_resumes_across_calls(self, tmp_path):
         store = CheckpointStore(tmp_path)
         config = small_config(seed=5)
-        first = execute(config, ExecutionPlan(intra_jobs=4), store=store, scope="persist")
+        first = execute(config, blocks=4, store=store, scope="persist")
         # All four checkpoints exist now; a second call restores the final
         # state without simulating a single round.
-        again = execute(config, ExecutionPlan(intra_jobs=4), store=store, scope="persist")
+        again = execute(config, blocks=4, store=store, scope="persist")
         assert again.final_wealths.tobytes() == first.final_wealths.tobytes()
         assert again.total_transfers == first.total_transfers
 

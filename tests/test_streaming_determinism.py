@@ -27,7 +27,6 @@ from repro.overlay import ChurnConfig
 from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
 from repro.runner import (
     SCENARIOS,
-    ExecutionPlan,
     aggregate_sweep,
     execute,
     run_sweep,
@@ -134,14 +133,14 @@ class TestStreamingPartitionEquivalence:
     def test_round_blocks_byte_identical_to_monolithic(self, shape, blocks):
         config = CONFIG_FACTORIES[shape]()
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=blocks))
+        partitioned = execute(config, blocks=blocks)
         assert fingerprint(monolithic) == fingerprint(partitioned)
 
     def test_partitioned_snapshots_match(self):
         config = static_config()
         times = [40.0, 90.0]
         monolithic = StreamingMarketSimulator(config, snapshot_times=times).run()
-        partitioned = execute(config, ExecutionPlan(intra_jobs=3), snapshot_times=times)
+        partitioned = execute(config, blocks=3, snapshot_times=times)
         assert set(partitioned.recorder.snapshots) == set(monolithic.recorder.snapshots)
         for time in times:
             np.testing.assert_array_equal(
@@ -151,7 +150,7 @@ class TestStreamingPartitionEquivalence:
     def test_churn_event_state_survives_checkpoints(self):
         config = churned_config()
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, ExecutionPlan(intra_jobs=4))
+        partitioned = execute(config, blocks=4)
         assert monolithic.joins == partitioned.joins > 0
         assert monolithic.leaves == partitioned.leaves > 0
         assert (
