@@ -1,8 +1,9 @@
 """Tests for the shared :class:`KernelOptions` bundle and the narrow-dtype path.
 
 Covers the options object itself (validation, ``resolve``, immutability),
-the capacity/precision guards that fire for narrow-dtype configurations, and the contractual properties
-of the float32 representation: cross-kernel bit-identity at either dtype,
+the capacity/precision guards that fire for narrow-dtype configurations,
+and the contractual properties of the float32 representation:
+cross-kernel bit-identity at either dtype,
 statistical (not bitwise) equivalence against the default float64 state,
 and picklable mid-run state in both layouts.
 """
