@@ -22,7 +22,7 @@ Endpoints
     [8, 16]}, "scale": "smoke", "reps": 1, "seed": 0, "jobs": 1,
     "intra_jobs": 1}`` — ``target`` is a sweepable experiment id or a
     named scenario bundle; everything else is optional.  Invalid values
-    are rejected with ``400`` at submission.  Returns ``201`` with the
+    and unknown keys are rejected with ``400`` at submission.  Returns ``201`` with the
     job description (including its ``id``).
 ``GET  /runs/<id>``
     One job's description: status (``pending/running/done/failed``),
@@ -65,6 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runner.grid import SweepSpec
 
 __all__ = ["SweepJob", "SweepService", "ReproServer", "spec_from_request", "serve"]
+
+#: Keys a ``POST /runs`` body may carry; any other key is a 400.
+REQUEST_KEYS = frozenset(
+    {"target", "params", "scale", "reps", "seed", "jobs", "intra_jobs", "cache_dir"}
+)
 
 
 def spec_from_request(payload: Mapping[str, object]) -> "SweepSpec":
@@ -166,6 +171,9 @@ class SweepService:
 
     def submit(self, payload: Mapping[str, object]) -> SweepJob:
         """Validate a job request, register it and start its worker thread."""
+        unknown = sorted(set(payload) - REQUEST_KEYS)
+        if unknown:
+            raise ValueError(f"unknown job request keys: {', '.join(unknown)}")
         spec = spec_from_request(payload)
         jobs = int(payload.get("jobs", self.default_jobs))  # type: ignore[arg-type]
         intra_jobs = int(payload.get("intra_jobs", self.default_intra_jobs))  # type: ignore[arg-type]

@@ -16,6 +16,7 @@ byte-identical to ``execute(config)`` for every ``n``.
 
 from __future__ import annotations
 
+import numbers
 import tempfile
 from typing import Optional, Sequence
 
@@ -45,6 +46,8 @@ def execute(
     from repro.p2psim.market_sim import CreditMarketSimulator
     from repro.p2psim.streaming_sim import StreamingMarketSimulator
 
+    if isinstance(blocks, bool) or not isinstance(blocks, numbers.Integral):
+        raise TypeError(f"blocks must be an int, got {type(blocks).__name__}")
     if blocks < 1:
         raise ValueError(f"blocks must be >= 1, got {blocks}")
     if isinstance(sim_config, MarketSimConfig):

@@ -47,6 +47,42 @@ class TestParser:
         )
         assert args.param == ["tax_rate=0.1,0.2", "tax_threshold=50"]
 
+    def test_serve_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.host, args.port, args.jobs, args.intra_jobs) == ("127.0.0.1", 8765, 1, 1)
+        assert args.cache_dir is None and args.bench_root is None
+
+    # Each simulator has one execution path; the spatial-sharding flags
+    # are gone from every subcommand rather than accepted and ignored.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig7", "--shards", "2"],
+            ["run", "fig7", "--partitioner", "hash"],
+            ["run", "fig7", "--shard-backend", "thread"],
+            ["sweep", "fig7", "--shards", "2"],
+            ["sweep", "fig7", "--partitioner", "overlay"],
+            ["sweep", "fig7", "--shard-backend", "process"],
+            ["serve", "--shards", "2"],
+            ["serve", "--partitioner", "hash"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_sharding_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_intra_jobs_exit_2(self, command, value, capsys):
+        argv = [command, "fig7", "--scale", "smoke", "--intra-jobs", value]
+        if command == "sweep":
+            argv += ["--param", "average_wealth=8"]
+        assert main(argv) == 2
+        assert "intra_jobs must be at least 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_prints_all_experiments(self, capsys):

@@ -9,10 +9,11 @@ parallelism promised that *how* a simulation executes never changes
   (fig7-shaped symmetric-noise markets and fig10-shaped dynamic-spending
   markets, plus churn/taxation variants);
 * partition — a run split into checkpointed round-blocks must be
-  byte-identical to the monolithic run;
+  byte-identical to the monolithic run, including under churn, taxation,
+  float32 state and the loop kernel;
 * orchestrator — ``run_sweep(..., intra_jobs=2)`` must produce the same
-  shard payloads and aggregate CSV as the monolithic sweep for the fig7
-  and fig10 smoke scenarios.
+  shard payloads and aggregate CSV as the monolithic sweep for the fig7,
+  fig9 and fig10 smoke scenarios.
 """
 
 import dataclasses
@@ -95,6 +96,15 @@ CONFIG_FACTORIES = {
     "fig10-like": fig10_like_config,
 }
 
+#: Variants of the fig7 shape whose state the round-block path must carry
+#: unchanged: churned membership, the tax pool, narrow arrays, the loop kernel.
+VARIANTS = {
+    "churn": lambda: fig7_like_config(churn=ChurnConfig(arrival_rate=0.2, mean_lifespan=150.0)),
+    "taxed": lambda: fig7_like_config(tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0)),
+    "float32": lambda: fig7_like_config(options=KernelOptions(dtype="float32")),
+    "loop": lambda: fig7_like_config(options=KernelOptions(kernel="loop")),
+}
+
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("shape", sorted(CONFIG_FACTORIES))
@@ -150,6 +160,14 @@ class TestPartitionEquivalence:
     @pytest.mark.parametrize("blocks", [2, 3, 7])
     def test_round_blocks_byte_identical_to_monolithic(self, shape, blocks):
         config = CONFIG_FACTORIES[shape]()
+        monolithic = CreditMarketSimulator.run_config(config)
+        partitioned = execute(config, blocks=blocks)
+        assert fingerprint(monolithic) == fingerprint(partitioned)
+
+    @pytest.mark.parametrize("blocks", [2, 4, 8])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_round_blocks_byte_identical_under_variants(self, variant, blocks):
+        config = VARIANTS[variant]()
         monolithic = CreditMarketSimulator.run_config(config)
         partitioned = execute(config, blocks=blocks)
         assert fingerprint(monolithic) == fingerprint(partitioned)

@@ -1,14 +1,17 @@
 """``execute``: the one entry point that runs a simulator configuration.
 
-Pins ``execute``'s own contract: ``blocks`` validation, dispatch on the
-config type, and persistence of round-blocks in a caller-supplied
-checkpoint store under a scope.  Byte-identity of round-blocks against
+Pins ``execute``'s own contract: ``blocks`` and keyword validation,
+dispatch on the config type, persistence of round-blocks in a
+caller-supplied checkpoint store under a scope, and use of a caller's
+topology.  Byte-identity of round-blocks against
 monolithic runs is pinned per simulator in ``test_determinism_modes.py``
 and ``test_streaming_determinism.py``.
 """
 
+import numpy as np
 import pytest
 
+from repro.overlay import ring_topology
 from repro.p2psim import (
     CreditMarketSimulator,
     MarketSimConfig,
@@ -53,6 +56,12 @@ def fingerprint(result):
     )
 
 
+SIMULATORS = {
+    "market": (market_config, CreditMarketSimulator),
+    "streaming": (streaming_config, StreamingMarketSimulator),
+}
+
+
 class TestBlocksValidation:
     @pytest.mark.parametrize("blocks", [0, -3])
     def test_non_positive_blocks_rejected(self, blocks):
@@ -62,6 +71,36 @@ class TestBlocksValidation:
     def test_blocks_is_keyword_only(self):
         with pytest.raises(TypeError):
             execute(market_config(), 2)  # type: ignore[misc]
+
+    # A float or bool would otherwise be truncated silently by the block
+    # context; a string would fail only deep inside the run.
+    @pytest.mark.parametrize("blocks", [1.5, 2.0, "2", True, None])
+    def test_non_integer_blocks_rejected(self, blocks):
+        with pytest.raises(TypeError, match="blocks must be an int"):
+            execute(market_config(), blocks=blocks)
+
+    def test_numpy_integer_blocks_accepted(self):
+        config = market_config()
+        result = execute(config, blocks=np.int64(2))
+        assert fingerprint(result) == fingerprint(CreditMarketSimulator(config).run())
+
+    # Execution settings that once rode along on a plan object are gone:
+    # ``execute`` takes round-blocks and persistence, nothing else.
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("plan", None),
+            ("options", None),
+            ("intra_jobs", 2),
+            ("rounds_per_block", 10),
+            ("shards", 2),
+            ("partitioner", "hash"),
+            ("shard_backend", "thread"),
+        ],
+    )
+    def test_unknown_keywords_rejected(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            execute(market_config(), **{keyword: value})
 
 
 class TestDispatch:
@@ -112,3 +151,40 @@ class TestStorePersistence:
         result = execute(config, blocks=2, store=store, scope="s")
         assert fingerprint(result) == fingerprint(StreamingMarketSimulator(config).run())
         assert store.prune_scope("s") == 3
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", sorted(SIMULATORS))
+    def test_one_checkpoint_per_block_plus_result(self, tmp_path, kind, blocks):
+        factory, simulator = SIMULATORS[kind]
+        store = CheckpointStore(tmp_path)
+        config = factory()
+        result = execute(config, blocks=blocks, store=store, scope="count")
+        assert fingerprint(result) == fingerprint(simulator(config).run())
+        assert store.prune_scope("count") == blocks + 1
+
+    @pytest.mark.parametrize("kind", sorted(SIMULATORS))
+    def test_rerun_restores_without_simulating(self, tmp_path, kind, monkeypatch):
+        factory, simulator = SIMULATORS[kind]
+        store = CheckpointStore(tmp_path)
+        config = factory()
+        first = execute(config, blocks=3, store=store, scope="again")
+
+        def refuse(self, rounds):
+            raise AssertionError("a completed run must not advance again")
+
+        monkeypatch.setattr(simulator, "advance_rounds", refuse)
+        again = execute(factory(), blocks=3, store=store, scope="again")
+        assert fingerprint(again) == fingerprint(first)
+
+
+class TestTopologyPassthrough:
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("kind", sorted(SIMULATORS))
+    def test_given_topology_is_used(self, kind, blocks):
+        factory, simulator = SIMULATORS[kind]
+        config = factory()
+        topology = ring_topology(config.num_peers)
+        result = execute(config, blocks=blocks, topology=topology)
+        reference = simulator(config, topology=ring_topology(config.num_peers)).run()
+        assert fingerprint(result) == fingerprint(reference)
+        assert fingerprint(result) != fingerprint(simulator(config).run())

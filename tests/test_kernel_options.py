@@ -23,6 +23,7 @@ from repro.p2psim import (
     StreamingSimConfig,
     UtilizationMode,
 )
+from repro.p2psim.options import DTYPES, KERNELS
 from repro.runner import execute
 
 
@@ -89,11 +90,79 @@ class TestKernelOptions:
             options.kernel = "loop"
         assert len({KernelOptions(), KernelOptions(kernel="loop")}) == 2
 
+    def test_fields_are_kernel_dtype_telemetry(self):
+        assert [field.name for field in dataclasses.fields(KernelOptions)] == [
+            "kernel",
+            "dtype",
+            "telemetry",
+        ]
+
+    @pytest.mark.parametrize("name", ["shards", "partitioner", "shard_backend"])
+    def test_execution_knobs_are_not_options(self, name):
+        with pytest.raises(TypeError, match=name):
+            KernelOptions(**{name: 2})
+        with pytest.raises(TypeError, match=name):
+            KernelOptions.resolve(**{name: 2})
+
+    # Validation is exact: no case folding, aliases or whitespace trimming.
+    @pytest.mark.parametrize("kernel", ["", "Loop", "VECTORIZED", " loop", "numba", "sharded"])
+    def test_rejects_near_miss_kernels(self, kernel):
+        with pytest.raises(ValueError, match="kernel must be one of"):
+            KernelOptions(kernel=kernel)
+
+    @pytest.mark.parametrize("dtype", ["", "float", "f4", "Float32", "int32", "float64 "])
+    def test_rejects_near_miss_dtypes(self, dtype):
+        with pytest.raises(ValueError, match="dtype must be one of"):
+            KernelOptions(dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_resolve_builds_every_combination(self, kernel, dtype):
+        options = KernelOptions.resolve(kernel=kernel, dtype=dtype, telemetry=0)
+        assert options == KernelOptions(kernel=kernel, dtype=dtype, telemetry=False)
+        assert options.telemetry is False
+        narrow = dtype == "float32"
+        assert options.is_narrow is narrow
+        assert options.float_dtype == np.dtype(np.float32 if narrow else np.float64)
+        assert options.index_dtype == np.dtype(np.int32 if narrow else np.int64)
+
+    def test_resolve_rejects_invalid_values(self):
+        with pytest.raises(ValueError, match="kernel"):
+            KernelOptions.resolve(kernel="bogus")
+        with pytest.raises(ValueError, match="dtype"):
+            KernelOptions.resolve(dtype="float16")
+
+
+CONFIG_CLASSES = {"market": MarketSimConfig, "streaming": StreamingSimConfig}
+
 
 class TestConfigOptions:
-    def test_rejects_non_options_object(self):
+    @pytest.mark.parametrize("name", sorted(CONFIG_CLASSES))
+    def test_rejects_non_options_object(self, name):
         with pytest.raises(TypeError, match="KernelOptions"):
-            MarketSimConfig(options="vectorized")
+            CONFIG_CLASSES[name](options="vectorized")
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_CLASSES))
+    def test_kernel_is_not_a_config_field(self, name):
+        # Kernel selection lives only on ``options``.
+        config_cls = CONFIG_CLASSES[name]
+        assert "kernel" not in {field.name for field in dataclasses.fields(config_cls)}
+        with pytest.raises(TypeError, match="kernel"):
+            config_cls(kernel="loop")
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_CLASSES))
+    def test_default_options_per_config(self, name):
+        first, second = CONFIG_CLASSES[name](), CONFIG_CLASSES[name]()
+        assert first.options == KernelOptions()
+        assert first.options == second.options
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_CLASSES))
+    def test_replace_swaps_options(self, name):
+        config = CONFIG_CLASSES[name](num_peers=40)
+        narrow = dataclasses.replace(config, options=KernelOptions(kernel="loop", dtype="float32"))
+        assert narrow.options.kernel == "loop" and narrow.options.is_narrow
+        assert narrow.num_peers == config.num_peers
+        assert config.options == KernelOptions()
 
 
 class TestNarrowDtypeGuards:

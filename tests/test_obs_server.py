@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.obs.server import ReproServer, SweepJob, spec_from_request
+from repro.obs.server import ReproServer, SweepJob, SweepService, spec_from_request
 
 SWEEP_REQUEST = {
     "target": "fig7",
@@ -79,6 +79,43 @@ class TestSpecFromRequest:
             spec_from_request({"params": {"average_wealth": [8]}})
 
 
+class TestSubmissionValidation:
+    """Bad requests fail in ``submit`` and never register a job."""
+
+    @staticmethod
+    def _rejected(payload, exception, match):
+        service = SweepService()
+        with pytest.raises(exception, match=match):
+            service.submit(payload)
+        assert service.list() == []
+
+    @pytest.mark.parametrize("value", [0, -1, "0"])
+    def test_non_positive_intra_jobs(self, value):
+        self._rejected({"target": "fig7", "intra_jobs": value}, ValueError, "intra_jobs")
+
+    def test_non_numeric_intra_jobs(self):
+        self._rejected({"target": "fig7", "intra_jobs": "two"}, ValueError, "two")
+
+    # Removed sharding knobs and misspellings are named, not ignored.
+    @pytest.mark.parametrize("key", ["shards", "partitioner", "shard_backend", "intra-jobs"])
+    def test_unknown_keys(self, key):
+        self._rejected({"target": "fig7", key: 2}, ValueError, f"unknown job request keys: {key}")
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({}, "target"),
+            ({"target": "  "}, "target"),
+            ({"target": "fig7", "params": [8]}, "params"),
+            ({"target": "fig99"}, "fig99"),
+            ({"target": "fig7", "params": {"bogus": [1]}}, "bogus"),
+        ],
+        ids=["missing-target", "blank-target", "params-not-mapping", "unknown-target", "unknown-axis"],
+    )
+    def test_invalid_specs(self, payload, match):
+        self._rejected(payload, (KeyError, ValueError), match)
+
+
 class TestRoutes:
     def test_healthz(self, server):
         status, payload = _request(server, "GET", "/healthz")
@@ -106,6 +143,14 @@ class TestRoutes:
         )
         assert status == 400
         assert "intra_jobs" in payload["error"]
+        assert server.service.list() == []
+
+    def test_unknown_key_400_registers_no_job(self, server):
+        status, payload = _request(
+            server, "POST", "/runs", {"target": "fig7", "shards": 4}
+        )
+        assert status == 400
+        assert payload["error"] == "unknown job request keys: shards"
         assert server.service.list() == []
 
     def test_malformed_body_400(self, server):

@@ -1,10 +1,12 @@
 """Tests for the mutable overlay topology."""
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.overlay import OverlayTopology
+from repro.overlay import OverlayTopology, generators
 
 
 def triangle():
@@ -206,3 +208,105 @@ class TestCsrAdjacency:
         row_start, col_indices = topo.csr_adjacency()
         assert row_start[2] == row_start[3]  # peer 2 has no neighbours
         assert col_indices.size == 2
+
+
+def _array_path_topology(num_peers, seed):
+    # Force the stub-pairing array path the million-peer overlays take.
+    with mock.patch.object(generators, "LARGE_OVERLAY_THRESHOLD", 0):
+        return generators.powerlaw_configuration_topology(
+            num_peers, mean_degree=6.0, seed=seed
+        )
+
+
+#: Every overlay family the simulators are built on, at small sizes.
+GENERATED_TOPOLOGIES = {
+    "scale-free-200-s1": lambda: generators.scale_free_topology(200, mean_degree=8.0, seed=1),
+    "scale-free-200-s2": lambda: generators.scale_free_topology(200, mean_degree=8.0, seed=2),
+    "scale-free-500-s3": lambda: generators.scale_free_topology(500, mean_degree=12.0, seed=3),
+    "powerlaw-networkx-150-s4": lambda: generators.powerlaw_configuration_topology(
+        150, mean_degree=6.0, seed=4
+    ),
+    "powerlaw-array-300-s5": lambda: _array_path_topology(300, seed=5),
+    "barabasi-albert-120-s6": lambda: generators.barabasi_albert_topology(
+        120, attachments=3, seed=6
+    ),
+    "erdos-renyi-200-s7": lambda: generators.erdos_renyi_topology(200, mean_degree=6.0, seed=7),
+    "erdos-renyi-60-s8": lambda: generators.erdos_renyi_topology(60, mean_degree=2.0, seed=8),
+    "random-regular-100-s9": lambda: generators.random_regular_topology(100, degree=6, seed=9),
+    "ring-50": lambda: generators.ring_topology(50),
+    "complete-12": lambda: generators.complete_topology(12),
+}
+
+
+def _csr_rows(row_start, col_indices):
+    return [
+        col_indices[row_start[row] : row_start[row + 1]].tolist()
+        for row in range(row_start.size - 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATED_TOPOLOGIES))
+class TestCsrAdjacencyAcrossGenerators:
+    """CSR invariants on every generator family, not just hand-built graphs."""
+
+    def test_rows_are_sorted_neighbour_positions(self, kind):
+        topo = GENERATED_TOPOLOGIES[kind]()
+        order = topo.peers()
+        position = {peer: index for index, peer in enumerate(order)}
+        rows = _csr_rows(*topo.csr_adjacency())
+        assert len(rows) == topo.num_peers
+        for peer, row in zip(order, rows):
+            assert row == sorted(position[neighbor] for neighbor in topo.neighbors(peer))
+
+    def test_symmetric_without_self_loops(self, kind):
+        rows = _csr_rows(*GENERATED_TOPOLOGIES[kind]().csr_adjacency())
+        entries = {(row, col) for row, cols in enumerate(rows) for col in cols}
+        assert all(row != col for row, col in entries)
+        assert all((col, row) in entries for row, col in entries)
+
+    def test_row_lengths_are_degrees(self, kind):
+        topo = GENERATED_TOPOLOGIES[kind]()
+        row_start, col_indices = topo.csr_adjacency()
+        assert row_start.dtype == np.int64 and col_indices.dtype == np.int64
+        assert row_start.size == topo.num_peers + 1
+        assert np.all(np.diff(row_start) >= 0)
+        assert np.diff(row_start).tolist() == [topo.degree(peer) for peer in topo.peers()]
+        assert int(row_start[-1]) == col_indices.size == 2 * topo.num_edges
+
+    def test_permuted_order_relabels_rows(self, kind):
+        topo = GENERATED_TOPOLOGIES[kind]()
+        peers = topo.peers()
+        order = [peers[i] for i in np.random.default_rng(0).permutation(len(peers))]
+        default_rows = _csr_rows(*topo.csr_adjacency())
+        permuted_rows = _csr_rows(*topo.csr_adjacency(order))
+        position = {peer: index for index, peer in enumerate(order)}
+        for index, peer in enumerate(order):
+            expected = sorted(position[peers[col]] for col in default_rows[peers.index(peer)])
+            assert permuted_rows[index] == expected
+
+    def test_partial_order_matches_dense_submatrix(self, kind):
+        topo = GENERATED_TOPOLOGIES[kind]()
+        order = topo.peers()[::2]
+        rows = _csr_rows(*topo.csr_adjacency(order))
+        dense = topo.adjacency_matrix(order)
+        assert [np.flatnonzero(dense[row]).tolist() for row in range(len(order))] == rows
+
+    def test_reflects_membership_edits(self, kind):
+        # Churn removes peers and wires new ids beyond the initial range;
+        # the CSR view must track the live overlay, not the generated one.
+        topo = GENERATED_TOPOLOGIES[kind]()
+        departed = topo.peers()[1::5]
+        for peer in departed:
+            topo.remove_peer(peer)
+        newcomer = max(topo.peers()) + 1000
+        topo.add_peer(newcomer)
+        for neighbor in topo.peers()[:3]:
+            if neighbor != newcomer:
+                topo.add_edge(newcomer, neighbor)
+        order = topo.peers()
+        position = {peer: index for index, peer in enumerate(order)}
+        rows = _csr_rows(*topo.csr_adjacency())
+        assert len(rows) == topo.num_peers
+        assert rows[position[newcomer]] == [0, 1, 2]
+        for peer, row in zip(order, rows):
+            assert row == sorted(position[neighbor] for neighbor in topo.neighbors(peer))

@@ -136,6 +136,14 @@ class TestStreamingPartitionEquivalence:
         partitioned = execute(config, blocks=blocks)
         assert fingerprint(monolithic) == fingerprint(partitioned)
 
+    @pytest.mark.parametrize("blocks", [2, 4, 8])
+    @pytest.mark.parametrize("choice", ["availability", "least-loaded", "cheapest"])
+    def test_supplier_policies_byte_identical_across_blocks(self, choice, blocks):
+        config = static_config(supplier_choice=choice, horizon=80.0)
+        monolithic = StreamingMarketSimulator.run_config(config)
+        partitioned = execute(config, blocks=blocks)
+        assert fingerprint(monolithic) == fingerprint(partitioned)
+
     def test_partitioned_snapshots_match(self):
         config = static_config()
         times = [40.0, 90.0]
