@@ -11,8 +11,10 @@ end state — final wealths, measured rates, tax pool and the
 transfer/chunk/join/leave counts — is hashed with SHA-256.  Every case is
 checked against both the vectorized and the loop kernel, which must land
 on the same digest.  The CLI cases hash the stdout of ``repro run
-<fig> --scale smoke``; the ``-kernel`` variants pin the kernel on the
-command line and must print the same table under either kernel.
+<fig> --scale smoke`` for every figure; the ``-kernel`` variants pin the
+kernel on the command line and must print the same table under either
+kernel.  The sweep case hashes the aggregate table of a multi-shard,
+multi-replication smoke sweep, which pins seed derivation per shard.
 
 To see which digests moved after a deliberate change, and to re-pin them::
 
@@ -29,7 +31,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -96,10 +98,23 @@ STREAMING_CASES: Dict[str, Callable[[], StreamingSimConfig]] = {
 #: CLI cases: name -> argv of ``repro`` (kernel-pinned variants get
 #: ``--kernel <k>`` appended for each kernel).
 CLI_CASES: Dict[str, List[str]] = {
-    "cli-fig7": ["run", "fig7", "--scale", "smoke"],
-    "cli-fig11": ["run", "fig11", "--scale", "smoke"],
+    **{
+        f"cli-{fig}": ["run", fig, "--scale", "smoke"]
+        for fig in (
+            "fig1", "fig2", "fig3", "fig4", "fig5_6", "fig7", "fig8", "fig9",
+            "fig10", "fig11",
+        )
+    },
     "cli-fig7-kernel": ["run", "fig7", "--scale", "smoke"],
     "cli-fig11-kernel": ["run", "fig11", "--scale", "smoke"],
+}
+
+#: Sweep cases: name -> (target, ``--param`` axes, replications), each run
+#: at smoke scale like ``repro sweep fig7 --param average_wealth=10,30
+#: --reps 2 --scale smoke``.  Only the aggregate table is hashed; the
+#: progress and wall-time lines vary from run to run.
+SWEEP_CASES: Dict[str, Tuple[str, List[str], int]] = {
+    "sweep-fig7": ("fig7", ["average_wealth=10,30"], 2),
 }
 
 
@@ -170,6 +185,17 @@ def cli_digest(name: str, kernel: "str | None") -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def sweep_digest(name: str) -> str:
+    from repro.runner import ParamGrid, aggregate_sweep, build_spec, run_sweep
+
+    target, params, reps = SWEEP_CASES[name]
+    spec = build_spec(
+        target, grid=ParamGrid.parse(params), replications=reps, scale="smoke"
+    )
+    table = aggregate_sweep(run_sweep(spec)).to_csv()
+    return hashlib.sha256(table.encode()).hexdigest()
+
+
 def _cli_kernels(name: str):
     return KERNELS if name.endswith("-kernel") else (None,)
 
@@ -181,6 +207,7 @@ def current_digests() -> Dict[str, str]:
         {name: streaming_digest(name, "vectorized") for name in STREAMING_CASES}
     )
     digests.update({name: cli_digest(name, _cli_kernels(name)[0]) for name in CLI_CASES})
+    digests.update({name: sweep_digest(name) for name in SWEEP_CASES})
     return digests
 
 
@@ -199,7 +226,9 @@ def _check(golden: Dict[str, str], name: str, kernel: "str | None", actual: str)
 
 
 def test_golden_file_names_exactly_the_cases(golden):
-    assert set(golden) == set(MARKET_CASES) | set(STREAMING_CASES) | set(CLI_CASES)
+    assert set(golden) == (
+        set(MARKET_CASES) | set(STREAMING_CASES) | set(CLI_CASES) | set(SWEEP_CASES)
+    )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -220,6 +249,11 @@ def test_streaming_end_state(golden, name, kernel):
 )
 def test_cli_stdout(golden, name, kernel):
     _check(golden, name, kernel, cli_digest(name, kernel))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_aggregate(golden, name):
+    _check(golden, name, None, sweep_digest(name))
 
 
 if __name__ == "__main__":
