@@ -31,17 +31,15 @@ every market *and* streaming simulation into N checkpointed round-blocks
 that pipeline across the worker pool and (with ``--cache-dir``) resume
 interrupted paper-scale runs at block granularity — byte-identical to the
 monolithic run in every case.  Every simulator-backed experiment exposes
-the shared kernel options as ``kernel`` and ``dtype`` sweep axes —
-``kernel`` selects the batched (``vectorized``) or per-peer (``loop``)
-round implementation (bit-identical results), ``dtype`` the ``float64``
-(default, exact) or ``float32`` (narrow, statistically equivalent) state
-representation — and both ``run`` and ``sweep`` accept ``--kernel`` /
-``--dtype`` flags that pin the setting on every shard::
+a ``dtype`` sweep axis — ``float64`` (default, exact) or ``float32``
+(narrow, statistically equivalent) state — and both ``run`` and ``sweep``
+accept a ``--dtype`` flag that pins it on every shard.  Every run uses
+the simulators' default (vectorized) kernel::
 
     python -m repro.cli sweep fig5_6 --param simulator=streaming \
-        --param kernel=loop,vectorized --scale smoke
+        --param dtype=float64,float32 --scale smoke
     python -m repro.cli run fig7 --scale paper --dtype float32
-    python -m repro.cli sweep fig7-paper --kernel loop --reps 4
+    python -m repro.cli sweep fig7-paper --dtype float32 --reps 4
 
 ``serve`` starts a resident sweep daemon (stdlib HTTP, JSON API): POST a
 sweep job to ``/runs``, poll its status at ``/runs/<id>``, stream its live
@@ -71,7 +69,7 @@ from typing import List, Optional
 
 from repro.experiments import describe_experiments, run_experiment
 from repro.experiments.common import Scale
-from repro.p2psim.options import DTYPES, KERNELS
+from repro.p2psim.options import DTYPES
 
 __all__ = ["build_parser", "main"]
 
@@ -110,15 +108,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         help="artifact cache directory; completed shards are reused across runs",
     )
     parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        help=(
-            "simulator kernel for every shard (both kernels are "
-            "bit-identical; default: the simulator default, vectorized)"
-        ),
-    )
-    parser.add_argument(
         "--dtype",
         choices=list(DTYPES),
         default=None,
@@ -130,13 +119,8 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _kernel_axes(args: argparse.Namespace) -> dict:
-    """Single-value grid axes implied by ``--kernel``/``--dtype`` flags."""
-    axes = {}
-    if args.kernel is not None:
-        axes["kernel"] = [args.kernel]
-    if args.dtype is not None:
-        axes["dtype"] = [args.dtype]
-    return axes
+    """Single-value grid axis implied by the ``--dtype`` flag."""
+    return {"dtype": [args.dtype]} if args.dtype is not None else {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,9 +337,9 @@ def _run_orchestrated(
     try:
         spec = SweepSpec(experiment, replications=reps, base_seed=seed, scale=scale)
         if kernel_axes:
-            # --kernel/--dtype pin shared kernel options for every shard;
-            # they ride as single-value grid axes so cache keys, derived
-            # seeds and aggregate rows all see the setting.
+            # --dtype pins the state dtype for every shard; it rides as a
+            # single-value grid axis so cache keys, derived seeds and
+            # aggregate rows all see the setting.
             from repro.experiments import validate_sweep_config
 
             validate_sweep_config(experiment, kernel_axes)
@@ -387,9 +371,9 @@ def _command_run(args: argparse.Namespace) -> int:
         )
     try:
         if axes:
-            # Route through the point runner, which accepts the kernel and
-            # dtype axes (validated first, so non-simulator experiments
-            # fail with one clean message).
+            # Route through the point runner, which accepts the dtype axis
+            # (validated first, so non-simulator experiments fail with one
+            # clean message).
             from repro.experiments import run_sweep_point, validate_sweep_config
 
             validate_sweep_config(args.experiment, axes)
@@ -421,10 +405,10 @@ def _build_sweep_spec(args: argparse.Namespace):
     )
     axes = _kernel_axes(args)
     if axes:
-        # --kernel/--dtype pin the shared kernel options on every point of
-        # the sweep (including a named scenario's own grid) without
-        # clobbering the other axes; an explicit --param kernel=... axis
-        # is replaced by the flag.
+        # --dtype pins the state dtype on every point of the sweep
+        # (including a named scenario's own grid) without clobbering the
+        # other axes; an explicit --param dtype=... axis is replaced by the
+        # flag.
         from repro.experiments import validate_sweep_config
 
         validate_sweep_config(spec.experiment_id, axes)

@@ -63,7 +63,6 @@ SWEEP_PARAMS = (
     "mean_price",
     "num_peers",
     "horizon",
-    "kernel",
     "dtype",
 )
 
@@ -96,7 +95,6 @@ def _run_case(
     initial_credits: float,
     pricing: PricingScheme,
     seed: int,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> dict:
     """Run one streaming-market configuration and summarise it."""
@@ -109,7 +107,7 @@ def _run_case(
         seed_fanout=max(4, params["num_peers"] // 7),
         sample_interval=max(10.0, params["horizon"] / 20.0),
         seed=seed,
-        options=KernelOptions.resolve(kernel=kernel, dtype=dtype),
+        options=KernelOptions.resolve(dtype=dtype),
     )
     result = StreamingMarketSimulator.run_config(config)
     summary = wealth_summary(result.final_wealths)
@@ -139,19 +137,16 @@ def run_point(
     mean_price: float = MEAN_CHUNK_PRICE,
     num_peers: int | None = None,
     horizon: float | None = None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Run a single Fig. 1 streaming-market configuration as a sweep shard.
 
     The sweep axes cross the paper's two levers — initial wealth and the
     pricing model (``uniform`` vs ``poisson-seller``) — plus the mean
-    chunk price, the usual population/horizon knobs and the shared kernel
-    options: the streaming scheduling ``kernel`` (``vectorized``/``loop``,
-    bit-identical results) and the state ``dtype`` (``float64``/
-    ``float32``; the narrow dtype is statistically, not bitwise,
-    equivalent).  ``initial_credits`` defaults to the scale preset's
-    healthy-case wealth.
+    chunk price, the usual population/horizon knobs and the state
+    ``dtype`` (``float64``/``float32``; the narrow dtype is statistically,
+    not bitwise, equivalent).  ``initial_credits`` defaults to the scale
+    preset's healthy-case wealth.
     """
     params = scale_parameters(
         scale,
@@ -170,7 +165,7 @@ def run_point(
     pricing_model = str(pricing_model)
 
     pricing = _make_pricing(pricing_model, mean_price, params["num_peers"], seed)
-    outcome = _run_case(params, initial_credits, pricing, seed, kernel=kernel, dtype=dtype)
+    outcome = _run_case(params, initial_credits, pricing, seed, dtype=dtype)
     realized_mean_price = float(
         np.mean([pricing.price(peer, 0) for peer in range(params["num_peers"])])
     )
@@ -182,7 +177,6 @@ def run_point(
         initial_credits=initial_credits,
         pricing_model=pricing_model,
         mean_price=mean_price,
-        kernel=kernel,
         dtype=dtype,
     )
     label = f"{pricing_model} prices, c={initial_credits:g}"

@@ -45,7 +45,6 @@ SWEEP_PARAMS = (
     "initial_credits",
     "num_snapshots",
     "simulator",
-    "kernel",
     "dtype",
 )
 
@@ -71,7 +70,6 @@ def run_point(
     initial_credits: float | None = None,
     num_snapshots: int | None = None,
     simulator: str = "market",
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one convergence study as a sweep shard.
@@ -82,10 +80,8 @@ def run_point(
     several observation windows, sweeping ``num_peers`` its size
     sensitivity.  ``simulator="streaming"`` runs the chunk-level streaming
     market instead of the transaction-level one (Sec. VI-A's actual
-    setting), ``kernel`` selects the batched (``"vectorized"``) or
-    per-peer (``"loop"``) round implementation of either simulator — both
-    kernels produce bit-identical results — and ``dtype`` the state
-    representation (``float64``/``float32``).
+    setting), and ``dtype`` selects the state representation
+    (``float64``/``float32``).
     """
     simulator = str(simulator)
     if simulator not in SIMULATORS:
@@ -125,7 +121,7 @@ def run_point(
             horizon=horizon,
             sample_interval=max(1.0, horizon / 200.0),
             seed=seed,
-            options=KernelOptions.resolve(kernel=kernel, dtype=dtype),
+            options=KernelOptions.resolve(dtype=dtype),
         )
         result = StreamingMarketSimulator.run_config(
             streaming_config, snapshot_times=early_times + late_times
@@ -139,7 +135,7 @@ def run_point(
             utilization=UtilizationMode.SYMMETRIC,
             sample_interval=max(params["step"], horizon / 200.0),
             seed=seed,
-            options=KernelOptions.resolve(kernel=kernel, dtype=dtype),
+            options=KernelOptions.resolve(dtype=dtype),
         )
         result = CreditMarketSimulator.run_config(
             config, snapshot_times=early_times + late_times
@@ -161,9 +157,7 @@ def run_point(
                 curve.append(float(index * step), float(wealth))
             series.append(curve)
 
-    metadata = dict(
-        params, scale=str(scale), seed=seed, simulator=simulator, kernel=kernel, dtype=dtype
-    )
+    metadata = dict(params, scale=str(scale), seed=seed, simulator=simulator, dtype=dtype)
     table = ResultTable(title=TITLE, metadata=metadata)
     table.add_row(
         stage="early (Fig. 5)",

@@ -49,7 +49,7 @@ TITLE_SYMMETRIC = "Fig. 7 — Gini evolution, symmetric utilization"
 TITLE_ASYMMETRIC = "Fig. 8 — Gini evolution, asymmetric utilization"
 
 #: Parameters the `run_point_*` runners accept as sweep axes.
-SWEEP_PARAMS = ("average_wealth", "num_peers", "horizon", "kernel", "dtype")
+SWEEP_PARAMS = ("average_wealth", "num_peers", "horizon", "dtype")
 
 
 def _scale_params(scale: str) -> dict:
@@ -76,7 +76,6 @@ def _run_one_wealth(
     wealth: float,
     seed: int,
     horizon: float | None = None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> dict:
     """Run one (utilization, average wealth) market and summarise it."""
@@ -92,7 +91,7 @@ def _run_one_wealth(
         spending_rate_noise=0.05 if symmetric else 0.0,
         sample_interval=max(params["step"], horizon / 120.0),
         seed=seed,
-        options=KernelOptions.resolve(kernel=kernel, dtype=dtype),
+        options=KernelOptions.resolve(dtype=dtype),
     )
     result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series
@@ -118,7 +117,6 @@ def _run_point(
     average_wealth: float,
     num_peers: int | None,
     horizon: float | None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Shared point-runner implementation for the Fig. 7/8 sweep axes."""
@@ -133,8 +131,7 @@ def _run_point(
     experiment_id = "fig7" if symmetric else "fig8"
 
     outcome = _run_one_wealth(
-        params, utilization, average_wealth, seed, horizon=horizon,
-        kernel=kernel, dtype=dtype,
+        params, utilization, average_wealth, seed, horizon=horizon, dtype=dtype
     )
     metadata = dict(
         params,
@@ -143,7 +140,6 @@ def _run_point(
         average_wealth=average_wealth,
         horizon=outcome["horizon"],
         utilization=utilization.value,
-        kernel=kernel,
         dtype=dtype,
     )
     table = ResultTable(title=title, metadata=metadata)
@@ -163,18 +159,17 @@ def run_point_symmetric(
     average_wealth: float = 100.0,
     num_peers: int | None = None,
     horizon: float | None = None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Fig. 7 sweep shard: one average wealth under symmetric utilization.
 
     ``horizon`` defaults to the scale preset's wealth-proportional horizon
-    (``max(min_horizon, horizon_per_wealth * c)``); ``kernel`` / ``dtype``
-    select the shared kernel options of the market simulator.
+    (``max(min_horizon, horizon_per_wealth * c)``); ``dtype`` selects the
+    market simulator's state representation.
     """
     return _run_point(
         UtilizationMode.SYMMETRIC, scale, seed, average_wealth, num_peers, horizon,
-        kernel=kernel, dtype=dtype,
+        dtype=dtype,
     )
 
 
@@ -184,13 +179,12 @@ def run_point_asymmetric(
     average_wealth: float = 100.0,
     num_peers: int | None = None,
     horizon: float | None = None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Fig. 8 sweep shard: one average wealth under asymmetric utilization."""
     return _run_point(
         UtilizationMode.ASYMMETRIC, scale, seed, average_wealth, num_peers, horizon,
-        kernel=kernel, dtype=dtype,
+        dtype=dtype,
     )
 
 

@@ -31,7 +31,7 @@ EXPERIMENT_ID = "fig9"
 TITLE = "Fig. 9 — Gini index under different tax rates and thresholds"
 
 #: Parameters `run_point` accepts as sweep axes.
-SWEEP_PARAMS = ("tax_rate", "tax_threshold", "num_peers", "horizon", "kernel", "dtype")
+SWEEP_PARAMS = ("tax_rate", "tax_threshold", "num_peers", "horizon", "dtype")
 
 
 def run_point(
@@ -41,7 +41,6 @@ def run_point(
     tax_threshold: float = 50.0,
     num_peers: int | None = None,
     horizon: float | None = None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one ``(tax_rate, tax_threshold)`` grid point of the Fig. 9 study.
@@ -49,9 +48,7 @@ def run_point(
     ``tax_rate=0`` means no taxation.  Population and horizon default to
     the scale preset but are sweepable too (the taxation grid of the
     sensitivity study varies rate × threshold at a fixed population).
-    ``kernel`` selects the round implementation (``vectorized``/``loop``,
-    bit-identical) and ``dtype`` the state representation (``float64``/
-    ``float32``).
+    ``dtype`` selects the state representation (``float64``/``float32``).
     """
     params = scale_parameters(
         scale,
@@ -81,7 +78,7 @@ def run_point(
         tax_policy=policy,
         sample_interval=max(params["step"], params["horizon"] / 100.0),
         seed=seed,
-        options=KernelOptions.resolve(kernel=kernel, dtype=dtype),
+        options=KernelOptions.resolve(dtype=dtype),
     )
     result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series
@@ -93,7 +90,6 @@ def run_point(
         seed=seed,
         tax_rate=tax_rate,
         tax_threshold=tax_threshold,
-        kernel=kernel,
         dtype=dtype,
     )
     collected: Optional[float] = getattr(policy, "total_collected", None)

@@ -31,7 +31,6 @@ SWEEP_PARAMS = (
     "initial_credits",
     "num_peers",
     "horizon",
-    "kernel",
     "dtype",
 )
 
@@ -50,7 +49,6 @@ def _run_policy(
     policy,
     label: str,
     seed: int,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> dict:
     """Run one spending-policy market and summarise it."""
@@ -63,7 +61,7 @@ def _run_policy(
         spending_policy=policy,
         sample_interval=max(params["step"], params["horizon"] / 100.0),
         seed=seed,
-        options=KernelOptions.resolve(kernel=kernel, dtype=dtype),
+        options=KernelOptions.resolve(dtype=dtype),
     )
     result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series
@@ -87,7 +85,6 @@ def run_point(
     initial_credits: float | None = None,
     num_peers: int | None = None,
     horizon: float | None = None,
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one spending-policy grid point of the Fig. 10 study.
@@ -96,9 +93,8 @@ def run_point(
     (wealth-proportional adjustment above ``wealth_threshold``, the
     paper's ``m``); the threshold defaults to the initial wealth as in the
     paper.  Initial wealth, population and horizon default to the scale
-    preset.  ``kernel`` selects the round implementation (``vectorized``/
-    ``loop``, bit-identical) and ``dtype`` the state representation
-    (``float64``/``float32``).
+    preset.  ``dtype`` selects the state representation (``float64``/
+    ``float32``).
     """
     params = _scale_params(scale)
     if num_peers is not None:
@@ -128,14 +124,13 @@ def run_point(
             f"known policies: {', '.join(SPENDING_POLICIES)}"
         )
 
-    outcome = _run_policy(params, policy, label, seed, kernel=kernel, dtype=dtype)
+    outcome = _run_policy(params, policy, label, seed, dtype=dtype)
     metadata = dict(
         params,
         scale=str(scale),
         seed=seed,
         spending_policy=spending_policy,
         spending_threshold_m=wealth_threshold,
-        kernel=kernel,
         dtype=dtype,
     )
     table = ResultTable(title=TITLE, metadata=metadata)

@@ -47,7 +47,6 @@ SWEEP_PARAMS = (
     "num_peers",
     "horizon",
     "simulator",
-    "kernel",
     "dtype",
 )
 
@@ -61,7 +60,6 @@ def run_point(
     num_peers: int | None = None,
     horizon: float | None = None,
     simulator: str = "market",
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one churn setting of the Fig. 11 study as a sweepable grid point.
@@ -72,10 +70,7 @@ def run_point(
     equal to the static population — or can be fixed directly with
     ``arrival_rate``.  ``simulator="streaming"`` runs the chunk-level
     streaming market under churn instead of the transaction-level one, and
-    ``kernel`` selects either simulator's batched (``"vectorized"``) or
-    per-peer (``"loop"``) round implementation — bit-identical results
-    either way — while ``dtype`` picks the state representation
-    (``float64``/``float32``).
+    ``dtype`` picks the state representation (``float64``/``float32``).
     """
     simulator = str(simulator)
     if simulator not in SIMULATORS:
@@ -114,9 +109,7 @@ def run_point(
         churn = ChurnConfig(arrival_rate=rate, mean_lifespan=mean_lifespan)
         label = f"lifespan={mean_lifespan:.0f}s, arr. rate={rate:.2g}/s"
 
-    outcome = _run_single(
-        params, churn, label, seed, simulator=simulator, kernel=kernel, dtype=dtype
-    )
+    outcome = _run_single(params, churn, label, seed, simulator=simulator, dtype=dtype)
     metadata = dict(
         params,
         scale=str(scale),
@@ -125,7 +118,6 @@ def run_point(
         arrival_rate=rate,
         rate_factor=float(rate_factor),
         simulator=simulator,
-        kernel=kernel,
         dtype=dtype,
     )
     table = ResultTable(title=TITLE, metadata=metadata)
@@ -154,11 +146,10 @@ def _run_single(
     label: str,
     seed: int,
     simulator: str = "market",
-    kernel: str | None = None,
     dtype: str | None = None,
 ) -> dict:
     """Run one churn setting and summarise it."""
-    options = KernelOptions.resolve(kernel=kernel, dtype=dtype)
+    options = KernelOptions.resolve(dtype=dtype)
     if simulator == "streaming":
         streaming_config = StreamingSimConfig(
             num_peers=params["num_peers"],

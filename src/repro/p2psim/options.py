@@ -5,7 +5,10 @@
 :class:`~repro.p2psim.config.StreamingSimConfig` carry:
 
 * ``kernel`` — ``"vectorized"`` (default) or ``"loop"``; both kernels
-  consume the same random draws and produce bit-identical results.
+  consume the same random draws and produce bit-identical results.  The
+  experiments, sweeps and CLI always run the default; setting this field
+  on a simulator config is the only way to reach the loop kernel, which
+  the benchmarks and the bit-identity tests compare against.
 * ``dtype`` — ``"float64"`` (default) keeps the historical float64 state
   and int64 peer ids; ``"float32"`` narrows wealth/price/CDF state to
   float32 and peer-id/edge arrays to int32, roughly halving the memory of
@@ -70,23 +73,16 @@ class KernelOptions:
             )
 
     @classmethod
-    def resolve(
-        cls,
-        kernel: "str | None" = None,
-        dtype: "str | None" = None,
-        telemetry: "bool | None" = None,
-    ) -> "KernelOptions":
-        """Build options from optional overrides (``None`` = default).
+    def resolve(cls, dtype: "str | None" = None) -> "KernelOptions":
+        """Build options from an optional ``dtype`` (``None`` = default).
 
-        The experiment point runners and the CLI expose ``kernel`` /
-        ``dtype`` as optional axes whose unset value must mean "the
-        simulator default"; this constructor centralises that mapping.
+        The experiment point runners and the CLI expose ``dtype`` as an
+        optional axis whose unset value must mean "the simulator
+        default"; this constructor centralises that mapping.  They always
+        run the default (vectorized) kernel: the loop kernel is reachable
+        only by building ``KernelOptions(kernel="loop")`` directly.
         """
-        return cls(
-            kernel=cls.kernel if kernel is None else str(kernel),
-            dtype=cls.dtype if dtype is None else str(dtype),
-            telemetry=cls.telemetry if telemetry is None else bool(telemetry),
-        )
+        return cls(dtype=cls.dtype if dtype is None else str(dtype))
 
     @property
     def float_dtype(self) -> np.dtype:

@@ -357,11 +357,11 @@ def _fig11_churn_grid() -> SweepSpec:
     )
 
 
-# -- streaming-kernel smoke bundles ---------------------------------------------
+# -- streaming smoke bundles ----------------------------------------------------
 #
-# Tiny streaming-simulator grids crossing the two scheduling kernels; CI's
-# determinism job sweeps them to pin the cross-kernel / cross-partition
-# byte-identity and cache-key contracts of the streaming path.
+# Tiny two-shard streaming-simulator grids (two populations each); CI's
+# determinism job sweeps them to pin the cross-partition byte-identity and
+# cache-key contracts of the streaming path.
 
 
 def _fig5_6_streaming_smoke() -> SweepSpec:
@@ -370,8 +370,7 @@ def _fig5_6_streaming_smoke() -> SweepSpec:
         grid=ParamGrid(
             {
                 "simulator": ["streaming"],
-                "kernel": ["loop", "vectorized"],
-                "num_peers": [36],
+                "num_peers": [36, 48],
                 "horizon": [150.0],
             }
         ),
@@ -386,9 +385,8 @@ def _fig11_streaming_smoke() -> SweepSpec:
         grid=ParamGrid(
             {
                 "simulator": ["streaming"],
-                "kernel": ["loop", "vectorized"],
                 "mean_lifespan": [80.0],
-                "num_peers": [36],
+                "num_peers": [36, 48],
                 "horizon": [150.0],
             }
         ),

@@ -53,10 +53,14 @@ class TestParser:
         assert args.cache_dir is None and args.bench_root is None
 
     # Each simulator has one execution path; the spatial-sharding flags
-    # are gone from every subcommand rather than accepted and ignored.
+    # and the kernel switch are gone from every subcommand rather than
+    # accepted and ignored (the loop kernel is a simulator-level test
+    # oracle, reachable only through KernelOptions).
     @pytest.mark.parametrize(
         "argv",
         [
+            ["run", "fig7", "--kernel", "loop"],
+            ["sweep", "fig7", "--kernel", "loop"],
             ["run", "fig7", "--shards", "2"],
             ["run", "fig7", "--partitioner", "hash"],
             ["run", "fig7", "--shard-backend", "thread"],
@@ -227,39 +231,36 @@ class TestCommands:
         assert "4 shards" in output
         assert "wealth_gini" in output
 
-    def test_run_accepts_kernel_and_dtype_flags(self, capsys):
-        argv = ["run", "fig10", "--scale", "smoke", "--kernel", "loop", "--dtype", "float64"]
+    def test_run_accepts_dtype_flag(self, capsys):
+        argv = ["run", "fig10", "--scale", "smoke", "--dtype", "float64"]
         assert main(argv) == 0
         assert "stabilized_gini" in capsys.readouterr().out
 
-    def test_run_kernel_flag_rejected_for_analytic_experiment(self, capsys):
-        assert main(["run", "fig3", "--scale", "smoke", "--kernel", "loop"]) == 2
+    def test_run_dtype_flag_rejected_for_analytic_experiment(self, capsys):
+        assert main(["run", "fig3", "--scale", "smoke", "--dtype", "float32"]) == 2
         assert "unknown sweep parameter" in capsys.readouterr().err
 
-    def test_run_kernel_flag_is_bit_identical_to_default(self, capsys):
-        assert main(["run", "fig10", "--scale", "smoke"]) == 0
-        plain = capsys.readouterr().out
-        assert main(["run", "fig10", "--scale", "smoke", "--kernel", "vectorized"]) == 0
-        flagged = capsys.readouterr().out
-        # Same simulated numbers, reported through the point-runner table.
-        for line in plain.splitlines():
-            if "dynamic" in line:
-                assert line in flagged
-
-    def test_sweep_kernel_flag_pins_axis_on_every_point(self, capsys):
+    def test_sweep_dtype_flag_pins_axis_on_every_point(self, capsys):
         argv = [
             "sweep", "fig9", "--param", "tax_rate=0,0.2",
-            "--scale", "smoke", "--kernel", "loop",
+            "--scale", "smoke", "--dtype", "float32",
         ]
         assert main(argv) == 0
         output = capsys.readouterr().out
         assert "2 shards" in output
-        assert "loop" in output
+        assert "float32" in output
 
     def test_sweep_dtype_flag_rejected_for_analytic_experiment(self, capsys):
         assert main(["sweep", "fig3", "--dtype", "float32", "--scale", "smoke"]) == 2
         assert "unknown sweep parameter" in capsys.readouterr().err
 
-    def test_parser_rejects_unknown_kernel_value(self):
+    def test_sweep_kernel_axis_rejected(self, capsys):
+        # The kernel is not a sweep axis: every sweep runs the vectorized
+        # kernel, so it never feeds derived seeds or cache keys.
+        argv = ["sweep", "fig7", "--param", "kernel=loop", "--scale", "smoke"]
+        assert main(argv) == 2
+        assert "unknown sweep parameter" in capsys.readouterr().err
+
+    def test_parser_rejects_unknown_dtype_value(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig10", "--kernel", "bogus"])
+            build_parser().parse_args(["run", "fig10", "--dtype", "bogus"])

@@ -10,11 +10,11 @@ Each simulator case is a small (200–300 peer, 200–300 round) run whose
 end state — final wealths, measured rates, tax pool and the
 transfer/chunk/join/leave counts — is hashed with SHA-256.  Every case is
 checked against both the vectorized and the loop kernel, which must land
-on the same digest.  The CLI cases hash the stdout of ``repro run
-<fig> --scale smoke`` for every figure; the ``-kernel`` variants pin the
-kernel on the command line and must print the same table under either
-kernel.  The sweep case hashes the aggregate table of a multi-shard,
-multi-replication smoke sweep, which pins seed derivation per shard.
+on the same digest; ``KernelOptions(kernel="loop")`` on a simulator config
+is the only way to reach the loop kernel.  The CLI cases hash the stdout
+of ``repro run <fig> --scale smoke`` for every figure.  The sweep case
+hashes the aggregate table of a multi-shard, multi-replication smoke
+sweep, which pins seed derivation per shard.
 
 To see which digests moved after a deliberate change, and to re-pin them::
 
@@ -95,18 +95,12 @@ STREAMING_CASES: Dict[str, Callable[[], StreamingSimConfig]] = {
     ),
 }
 
-#: CLI cases: name -> argv of ``repro`` (kernel-pinned variants get
-#: ``--kernel <k>`` appended for each kernel).
+#: CLI cases: name -> argv of ``repro``.
 CLI_CASES: Dict[str, List[str]] = {
-    **{
-        f"cli-{fig}": ["run", fig, "--scale", "smoke"]
-        for fig in (
-            "fig1", "fig2", "fig3", "fig4", "fig5_6", "fig7", "fig8", "fig9",
-            "fig10", "fig11",
-        )
-    },
-    "cli-fig7-kernel": ["run", "fig7", "--scale", "smoke"],
-    "cli-fig11-kernel": ["run", "fig11", "--scale", "smoke"],
+    f"cli-{fig}": ["run", fig, "--scale", "smoke"]
+    for fig in (
+        "fig1", "fig2", "fig3", "fig4", "fig5_6", "fig7", "fig8", "fig9", "fig10", "fig11",
+    )
 }
 
 #: Sweep cases: name -> (target, ``--param`` axes, replications), each run
@@ -172,12 +166,10 @@ def streaming_digest(name: str, kernel: str) -> str:
     )
 
 
-def cli_digest(name: str, kernel: "str | None") -> str:
+def cli_digest(name: str) -> str:
     from repro.cli import main
 
-    argv = list(CLI_CASES[name])
-    if kernel is not None:
-        argv += ["--kernel", kernel]
+    argv = CLI_CASES[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -196,17 +188,13 @@ def sweep_digest(name: str) -> str:
     return hashlib.sha256(table.encode()).hexdigest()
 
 
-def _cli_kernels(name: str):
-    return KERNELS if name.endswith("-kernel") else (None,)
-
-
 def current_digests() -> Dict[str, str]:
     """Every digest at this revision (computed with the vectorized kernel)."""
     digests = {name: market_digest(name, "vectorized") for name in MARKET_CASES}
     digests.update(
         {name: streaming_digest(name, "vectorized") for name in STREAMING_CASES}
     )
-    digests.update({name: cli_digest(name, _cli_kernels(name)[0]) for name in CLI_CASES})
+    digests.update({name: cli_digest(name) for name in CLI_CASES})
     digests.update({name: sweep_digest(name) for name in SWEEP_CASES})
     return digests
 
@@ -243,12 +231,9 @@ def test_streaming_end_state(golden, name, kernel):
     _check(golden, name, kernel, streaming_digest(name, kernel))
 
 
-@pytest.mark.parametrize(
-    "name, kernel",
-    [(name, kernel) for name in sorted(CLI_CASES) for kernel in _cli_kernels(name)],
-)
-def test_cli_stdout(golden, name, kernel):
-    _check(golden, name, kernel, cli_digest(name, kernel))
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout(golden, name):
+    _check(golden, name, None, cli_digest(name))
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
@@ -262,6 +247,8 @@ if __name__ == "__main__":
     moved = sorted(name for name in digests if committed.get(name) != digests[name])
     for name in moved:
         print(f"moved: {name} {committed.get(name)} -> {digests[name]}")
+    for name in sorted(set(committed) - set(digests)):
+        print(f"dropped: {name} (no longer a case)")
     if not moved:
         print("no golden digest moved")
     if "--write" in sys.argv[1:]:

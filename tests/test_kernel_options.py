@@ -80,9 +80,8 @@ class TestKernelOptions:
 
     def test_resolve_maps_none_to_defaults(self):
         assert KernelOptions.resolve() == KernelOptions()
-        assert KernelOptions.resolve(kernel="loop") == KernelOptions(kernel="loop")
+        assert KernelOptions.resolve(dtype=None) == KernelOptions()
         assert KernelOptions.resolve(dtype="float32") == KernelOptions(dtype="float32")
-        assert KernelOptions.resolve(telemetry=False).telemetry is False
 
     def test_frozen_and_hashable(self):
         options = KernelOptions()
@@ -117,9 +116,9 @@ class TestKernelOptions:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_resolve_builds_every_combination(self, kernel, dtype):
-        options = KernelOptions.resolve(kernel=kernel, dtype=dtype, telemetry=0)
-        assert options == KernelOptions(kernel=kernel, dtype=dtype, telemetry=False)
+    def test_builds_every_combination(self, kernel, dtype):
+        options = KernelOptions(kernel=kernel, dtype=dtype, telemetry=False)
+        assert (options.kernel, options.dtype) == (kernel, dtype)
         assert options.telemetry is False
         narrow = dtype == "float32"
         assert options.is_narrow is narrow
@@ -127,10 +126,16 @@ class TestKernelOptions:
         assert options.index_dtype == np.dtype(np.int32 if narrow else np.int64)
 
     def test_resolve_rejects_invalid_values(self):
-        with pytest.raises(ValueError, match="kernel"):
-            KernelOptions.resolve(kernel="bogus")
         with pytest.raises(ValueError, match="dtype"):
             KernelOptions.resolve(dtype="float16")
+
+    # The point runners build their options through ``resolve``, which
+    # takes only the dtype: they always run the default kernel.
+    @pytest.mark.parametrize("name", ["kernel", "telemetry"])
+    def test_resolve_takes_only_dtype(self, name):
+        with pytest.raises(TypeError, match=name):
+            KernelOptions.resolve(**{name: None})
+        assert KernelOptions.resolve(dtype="float32").kernel == "vectorized"
 
 
 CONFIG_CLASSES = {"market": MarketSimConfig, "streaming": StreamingSimConfig}

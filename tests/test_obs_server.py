@@ -109,8 +109,12 @@ class TestSubmissionValidation:
             ({"target": "fig7", "params": [8]}, "params"),
             ({"target": "fig99"}, "fig99"),
             ({"target": "fig7", "params": {"bogus": [1]}}, "bogus"),
+            ({"target": "fig7", "params": {"kernel": ["loop"]}}, "kernel"),
         ],
-        ids=["missing-target", "blank-target", "params-not-mapping", "unknown-target", "unknown-axis"],
+        ids=[
+            "missing-target", "blank-target", "params-not-mapping", "unknown-target",
+            "unknown-axis", "kernel-axis",
+        ],
     )
     def test_invalid_specs(self, payload, match):
         self._rejected(payload, (KeyError, ValueError), match)
@@ -151,6 +155,15 @@ class TestRoutes:
         )
         assert status == 400
         assert payload["error"] == "unknown job request keys: shards"
+        assert server.service.list() == []
+
+    def test_kernel_axis_400_registers_no_job(self, server):
+        # Jobs always run the vectorized kernel; it is not a sweep axis.
+        status, payload = _request(
+            server, "POST", "/runs", {"target": "fig7", "params": {"kernel": ["loop"]}}
+        )
+        assert status == 400
+        assert "unknown sweep parameter" in payload["error"]
         assert server.service.list() == []
 
     def test_malformed_body_400(self, server):

@@ -8,7 +8,8 @@ at every layer:
 * simulator — the ``loop`` and ``vectorized`` scheduling kernels, fed the
   same configuration, must end in byte-identical
   :class:`StreamingSimResult`\\ s (static, churned, heterogeneously priced
-  and taxed swarms);
+  and taxed swarms, and the configs the streaming fig5_6/fig11 points
+  build);
 * partition — a streaming run split into checkpointed round-blocks must
   be byte-identical to the monolithic run (churn-event state included);
 * orchestrator — the streaming-backed fig5_6/fig11 smoke scenarios must
@@ -92,10 +93,45 @@ def priced_taxed_config(**overrides):
     return static_config(**defaults)
 
 
+def fig5_6_point_config():
+    """The config ``run_point("fig5_6")`` builds for a smoke streaming point
+    (``num_peers=30, horizon=120``, seed 11)."""
+    return StreamingSimConfig(
+        num_peers=30, initial_credits=20.0, horizon=120.0, sample_interval=1.0, seed=11
+    )
+
+
+def fig11_point_config():
+    """The config ``run_point("fig11")`` builds for a smoke streaming point
+    (``mean_lifespan=60, num_peers=30, horizon=120``, seed 11)."""
+    return StreamingSimConfig(
+        num_peers=30,
+        initial_credits=20.0,
+        horizon=120.0,
+        churn=ChurnConfig(arrival_rate=30 / 60.0, mean_lifespan=60.0),
+        sample_interval=1.5,
+        seed=11,
+    )
+
+
 CONFIG_FACTORIES = {
     "static": static_config,
     "churned": churned_config,
     "priced-taxed": priced_taxed_config,
+    "fig5_6-point": fig5_6_point_config,
+    "fig11-point": fig11_point_config,
+}
+
+#: Streaming sweep points and the simulator config each one builds.
+POINT_CONFIGS = {
+    "fig5_6": (
+        {"simulator": "streaming", "num_peers": 30, "horizon": 120.0},
+        fig5_6_point_config,
+    ),
+    "fig11": (
+        {"simulator": "streaming", "mean_lifespan": 60.0, "num_peers": 30, "horizon": 120.0},
+        fig11_point_config,
+    ),
 }
 
 
@@ -193,36 +229,19 @@ class TestStreamingIntraJobsSweepEquivalence:
         for report in (pooled, chained, cold, warm):
             assert aggregate_sweep(report).to_csv() == reference_csv
 
-    @pytest.mark.parametrize(
-        "experiment_id, config",
-        [
-            ("fig5_6", {"simulator": "streaming", "num_peers": 30, "horizon": 120.0}),
-            (
-                "fig11",
-                {
-                    "simulator": "streaming",
-                    "mean_lifespan": 60.0,
-                    "num_peers": 30,
-                    "horizon": 120.0,
-                },
-            ),
-        ],
-    )
-    def test_cross_kernel_point_runs_report_identical_rows(self, experiment_id, config):
-        # At a shared seed the kernel axis changes execution, never results:
-        # the loop and vectorized shards of the streaming-backed fig5_6 and
-        # fig11 points must report identical simulated quantities.
+    @pytest.mark.parametrize("experiment_id", sorted(POINT_CONFIGS))
+    def test_point_configs_are_what_the_point_runners_build(self, experiment_id):
+        # Ties the kernel-equivalence inputs above to the configs the
+        # streaming sweep points really run: same final Gini, same churn.
         from repro.experiments.registry import run_sweep_point
 
-        rows = []
-        for kernel in ("loop", "vectorized"):
-            result = run_sweep_point(
-                experiment_id, dict(config, kernel=kernel), scale="smoke", seed=11
-            )
-            rows.append(
-                [row.as_dict() for table in result.tables for row in table]
-            )
-        assert rows[0] == rows[1]
+        config, factory = POINT_CONFIGS[experiment_id]
+        table = run_sweep_point(experiment_id, config, scale="smoke", seed=11).tables[0]
+        last = [row.as_dict() for row in table][-1]
+        result = StreamingMarketSimulator.run_config(factory())
+        assert last["final_gini"] == result.final_gini
+        if experiment_id == "fig11":
+            assert (last["joins"], last["leaves"]) == (result.joins, result.leaves)
 
     def test_streaming_scenarios_registered(self):
         for name in STREAMING_SCENARIOS:

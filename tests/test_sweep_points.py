@@ -7,6 +7,8 @@ experiments are byte-identical across execution modes (serial, parallel,
 warm cache).
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ class TestRegistryCompleteness:
             params = sweep_params(experiment_id)
             assert isinstance(params, tuple) and params, experiment_id
             assert all(isinstance(name, str) for name in params), experiment_id
+
+    # The kernel never splits seeds or cache keys: every point runs the
+    # vectorized kernel, and the loop kernel is a simulator-level oracle.
+    @pytest.mark.parametrize("experiment_id", sorted(SWEEPS))
+    def test_kernel_is_not_a_sweep_axis(self, experiment_id):
+        assert "kernel" not in sweep_params(experiment_id)
+        runner = SWEEPS[experiment_id]["runner"]
+        assert "kernel" not in inspect.signature(runner).parameters
 
     def test_point_configs_cover_every_experiment(self):
         assert set(POINT_CONFIGS) == set(EXPERIMENTS)
