@@ -23,18 +23,16 @@ PARSE001   unparsable files gate the build
 =========  ==============================================================
 
 The SEED/THREAD/SWEEP families are *project rules*: they run against a
-whole-program model (symbol tables, import graph, call graph, flow
-closures) built in a first pass and cached incrementally by content hash
-— see :mod:`repro.analysis.project` and :mod:`repro.analysis.flow`.
+whole-program model (symbol tables, call graph, flow closures) built in
+a first pass from the same parsed files — see
+:mod:`repro.analysis.project` and :mod:`repro.analysis.flow`.  A run is a
+pure function of the analyzed sources: it keeps no state between runs.
 
-Line-level escapes use ``# repro: noqa RULE123 -- reason``; repo-level
-grandfathering lives in the committed ``.repro-analysis-baseline.json``
-(regenerate with ``repro analyze --write-baseline``); per-function policy
-exemptions live in :mod:`repro.analysis.config` as allowed contexts with
-written justifications.
+Line-level escapes use ``# repro: noqa RULE123 -- reason``; per-function
+policy exemptions live in :mod:`repro.analysis.config` as allowed
+contexts with written justifications.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.config import DEFAULT_CONFIG, AllowedContext, AnalysisConfig, Scope
 from repro.analysis.core import (
     FileContext,
@@ -45,7 +43,7 @@ from repro.analysis.core import (
     all_rules,
     select_rules,
 )
-from repro.analysis.project import ModuleSummary, ProjectCache, ProjectModel
+from repro.analysis.project import ModuleSummary, ProjectModel
 from repro.analysis.report import render_human, render_json, write_json
 from repro.analysis.walker import Report, analyze_file, analyze_paths, iter_python_files
 
@@ -53,8 +51,6 @@ from repro.analysis.walker import Report, analyze_file, analyze_paths, iter_pyth
 from repro.analysis import rules as _rules  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "AnalysisConfig",
     "AllowedContext",
     "Scope",
@@ -67,7 +63,6 @@ __all__ = [
     "all_rules",
     "select_rules",
     "ModuleSummary",
-    "ProjectCache",
     "ProjectModel",
     "Report",
     "analyze_file",

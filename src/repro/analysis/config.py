@@ -16,7 +16,7 @@ Two mechanisms, deliberately distinct:
   *legitimately* outside the contract (GC bookkeeping, order-insensitive
   reductions) — unlike a ``# repro: noqa`` suppression, it is config
   reviewed with the analyzer, not an annotation scattered in the target
-  file, and unlike a baseline entry it does not rot when the line moves.
+  file, and it keeps matching when lines around it move.
 """
 
 from __future__ import annotations

@@ -8,17 +8,15 @@ state stays picklable for ``CheckpointStore``, hot-loop telemetry is
 guarded by the branch-on-local-bool pattern, and every loop/vectorized
 kernel pair stays reachable from its config switch.
 
-This module holds the shared machinery: :class:`Finding` (one diagnostic,
-with a content hash that survives line-number drift so baselines stay
-stable), :class:`FileContext` (parsed source plus parent links and
-qualified names), :class:`ImportMap` (static resolution of dotted call
+This module holds the shared machinery: :class:`Finding` (one diagnostic),
+:class:`FileContext` (parsed source plus parent links and qualified
+names), :class:`ImportMap` (static resolution of dotted call
 targets through import aliases), and the rule registry.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Type
@@ -50,7 +48,6 @@ class Severity(str, Enum):
 #: Lifecycle states a finding moves through while the report is assembled.
 STATUS_ACTIVE = "active"
 STATUS_SUPPRESSED = "suppressed"
-STATUS_BASELINED = "baselined"
 
 
 @dataclass
@@ -63,23 +60,11 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line, recorded so baselines can match on content
-    #: rather than on line numbers (which drift with unrelated edits).
+    #: The stripped source line, shown in the report.
     snippet: str = ""
     status: str = STATUS_ACTIVE
-    #: Why the finding does not gate (baseline justification / noqa reason).
+    #: Why the finding does not gate (its inline suppression's reason).
     justification: str = ""
-
-    @property
-    def content_hash(self) -> str:
-        """Line-number-independent identity used by baseline matching."""
-        digest = hashlib.sha1(f"{self.rule}::{self.snippet}".encode("utf-8"))
-        return digest.hexdigest()[:12]
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline bucket: same rule, file and line content."""
-        return (self.rule, self.path, self.content_hash)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -251,7 +236,7 @@ class ProjectRule(Rule):
     flow closures) instead of one AST.  Their per-file :meth:`check` is a
     no-op; the walker invokes :meth:`check_project` after the model is
     built, then routes the findings through the same scope, allowed-
-    context, suppression and baseline machinery as per-file findings.
+    context and suppression machinery as per-file findings.
     """
 
     def check(self, ctx: FileContext, config: "AnalysisConfig") -> Iterator[Finding]:

@@ -1,4 +1,4 @@
-"""Pass 1 of the project-wide analyzer: the cached project model.
+"""Pass 1 of the project-wide analyzer: the project model.
 
 The per-file rules in :mod:`repro.analysis.rules` see one AST at a time;
 the cross-module rule families (SEED, THREAD, SWEEP) need whole-program
@@ -12,29 +12,20 @@ seed value came from.  This module builds that context once per run as a
   seed-provenance tags, RNG escapes into module/class scope, thread
   spawns, shared-attribute accesses, ``SWEEP_PARAMS`` tuples, registry
   and scenario declarations);
-* an import graph with its reverse closure (who must be re-analyzed when
-  a module changes);
 * a conservative call graph over canonical ``module:qualname`` ids,
   resolved through import aliases **and** package re-export chains.
 
-Summaries are pure data (JSON round-trippable) and are keyed by the
-module's content hash, so the model is cached incrementally: a warm run
-re-parses only the files whose content changed and replays everything
-else from :class:`ProjectCache`, counting hits and misses so CI can
-assert the increment actually happened.  Global derivations (call graph,
-fixpoints) are recomputed from summaries on every run — they are cheap,
-and recomputing them keeps cross-module facts correct when any
-transitive dependency changed.
+Summaries are extracted from the :class:`~repro.analysis.core.FileContext`
+the walker already built for the per-file rules, so each file is parsed
+once per run.  The model is a pure function of the analyzed sources:
+nothing is read from or written to disk.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import FileContext
 
@@ -49,13 +40,10 @@ __all__ = [
     "RegistryEntry",
     "SpecFact",
     "ModuleSummary",
-    "ProjectCache",
     "ProjectModel",
     "module_name_for",
     "summarize_module",
 ]
-
-_CACHE_VERSION = 1
 
 #: numpy/stdlib generator constructors, plus the repo's own factory.  Raw
 #: (import-resolved) spellings; re-exported spellings are canonicalized by
@@ -108,13 +96,8 @@ def module_name_for(path: str) -> str:
     return ".".join(parts)
 
 
-def content_hash(source: str) -> str:
-    """Content key for cache entries: sha256 of the raw source."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:20]
-
-
 # ---------------------------------------------------------------------------
-# Summary records (all JSON round-trippable via to/from_payload)
+# Summary records
 # ---------------------------------------------------------------------------
 
 
@@ -253,7 +236,6 @@ class ModuleSummary:
 
     path: str
     module: str
-    content_hash: str
     module_aliases: Dict[str, str] = field(default_factory=dict)
     member_aliases: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
@@ -272,152 +254,6 @@ class ModuleSummary:
     mutable_globals: Dict[str, Tuple[int, int, str]] = field(default_factory=dict)
     #: unlocked mutations of those globals: (qualname, name, line, col, snippet).
     global_mutations: List[Tuple[str, str, int, int, str]] = field(default_factory=list)
-    #: parsed inline suppression annotations: (line, rules, reason).
-    suppressions: List[Tuple[int, Tuple[str, ...], str]] = field(default_factory=list)
-    parse_error: bool = False
-
-    # -- JSON round-trip ----------------------------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        def rec(obj: object) -> object:
-            if hasattr(obj, "__dataclass_fields__"):
-                return {k: rec(getattr(obj, k)) for k in obj.__dataclass_fields__}  # type: ignore[attr-defined]
-            if isinstance(obj, (list, tuple)):
-                return [rec(item) for item in obj]
-            if isinstance(obj, dict):
-                return {str(k): rec(v) for k, v in obj.items()}
-            return obj
-
-        return {k: rec(getattr(self, k)) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "ModuleSummary":
-        def tup(seq: object) -> Tuple[str, ...]:
-            return tuple(str(item) for item in (seq or ()))  # type: ignore[union-attr]
-
-        summary = cls(
-            path=str(payload["path"]),
-            module=str(payload["module"]),
-            content_hash=str(payload["content_hash"]),
-        )
-        summary.module_aliases = {str(k): str(v) for k, v in dict(payload.get("module_aliases", {})).items()}  # type: ignore[arg-type]
-        summary.member_aliases = {
-            str(k): (str(v[0]), str(v[1]))
-            for k, v in dict(payload.get("member_aliases", {})).items()  # type: ignore[arg-type]
-        }
-        for qual, fn in dict(payload.get("functions", {})).items():  # type: ignore[arg-type]
-            summary.functions[str(qual)] = FunctionFacts(
-                qualname=str(fn["qualname"]),
-                line=int(fn["line"]),
-                col=int(fn["col"]),
-                params=tup(fn["params"]),
-                has_varkw=bool(fn["has_varkw"]),
-                calls=tuple(
-                    CallSite(str(c["target"]), int(c["line"]), int(c["col"])) for c in fn["calls"]
-                ),
-                return_tags=tup(fn["return_tags"]),
-                axis_keys=tup(fn["axis_keys"]),
-            )
-        for name, cl in dict(payload.get("classes", {})).items():  # type: ignore[arg-type]
-            summary.classes[str(name)] = ClassFacts(
-                name=str(cl["name"]),
-                line=int(cl["line"]),
-                col=int(cl["col"]),
-                mutable_attrs={
-                    str(k): (int(v[0]), int(v[1]), str(v[2]))
-                    for k, v in dict(cl["mutable_attrs"]).items()
-                },
-                lock_attrs=tup(cl["lock_attrs"]),
-                accesses=tuple(
-                    AttrAccess(
-                        method=str(a["method"]),
-                        attr=str(a["attr"]),
-                        mutation=bool(a["mutation"]),
-                        locked=bool(a["locked"]),
-                        line=int(a["line"]),
-                        col=int(a["col"]),
-                        snippet=str(a["snippet"]),
-                    )
-                    for a in cl["accesses"]
-                ),
-                methods=tup(cl["methods"]),
-            )
-        summary.rng_sites = [
-            RngSite(
-                constructor=str(s["constructor"]),
-                qualname=str(s["qualname"]),
-                tags=tup(s["tags"]),
-                line=int(s["line"]),
-                col=int(s["col"]),
-                snippet=str(s["snippet"]),
-            )
-            for s in list(payload.get("rng_sites", []))  # type: ignore[arg-type]
-        ]
-        summary.rng_escapes = [
-            RngEscape(
-                kind=str(s["kind"]),
-                constructor=str(s["constructor"]),
-                qualname=str(s["qualname"]),
-                name=str(s["name"]),
-                line=int(s["line"]),
-                col=int(s["col"]),
-                snippet=str(s["snippet"]),
-            )
-            for s in list(payload.get("rng_escapes", []))  # type: ignore[arg-type]
-        ]
-        summary.emitter_captures = [
-            EmitterCapture(
-                kind=str(s["kind"]),
-                qualname=str(s["qualname"]),
-                line=int(s["line"]),
-                col=int(s["col"]),
-                snippet=str(s["snippet"]),
-            )
-            for s in list(payload.get("emitter_captures", []))  # type: ignore[arg-type]
-        ]
-        summary.thread_targets = [str(t) for t in list(payload.get("thread_targets", []))]  # type: ignore[arg-type]
-        summary.spawns_threads = bool(payload.get("spawns_threads", False))
-        summary.string_tuples = {
-            str(k): tup(v) for k, v in dict(payload.get("string_tuples", {})).items()  # type: ignore[arg-type]
-        }
-        summary.registry_entries = [
-            RegistryEntry(
-                experiment_id=str(e["experiment_id"]),
-                runner=str(e["runner"]),
-                params=str(e["params"]),
-                line=int(e["line"]),
-                col=int(e["col"]),
-                snippet=str(e["snippet"]),
-            )
-            for e in list(payload.get("registry_entries", []))  # type: ignore[arg-type]
-        ]
-        summary.spec_facts = [
-            SpecFact(
-                experiment_id=(None if s["experiment_id"] is None else str(s["experiment_id"])),
-                axes=tup(s["axes"]),
-                helpers=tup(s["helpers"]),
-                resolvable=bool(s["resolvable"]),
-                qualname=str(s["qualname"]),
-                line=int(s["line"]),
-                col=int(s["col"]),
-                snippet=str(s["snippet"]),
-            )
-            for s in list(payload.get("spec_facts", []))  # type: ignore[arg-type]
-        ]
-        summary.mutable_globals = {
-            str(k): (int(v[0]), int(v[1]), str(v[2]))
-            for k, v in dict(payload.get("mutable_globals", {})).items()  # type: ignore[arg-type]
-        }
-        summary.global_mutations = [
-            (str(m[0]), str(m[1]), int(m[2]), int(m[3]), str(m[4]))
-            for m in list(payload.get("global_mutations", []))  # type: ignore[arg-type]
-        ]
-        summary.suppressions = [
-            (int(s[0]), tup(s[1]), str(s[2]))
-            for s in list(payload.get("suppressions", []))  # type: ignore[arg-type]
-        ]
-        summary.parse_error = bool(payload.get("parse_error", False))
-        return summary
 
 
 # ---------------------------------------------------------------------------
@@ -715,18 +551,12 @@ def _grid_axes(expr: ast.expr) -> Optional[List[str]]:
     return None
 
 
-def summarize_module(path: str, source: str, tree: ast.Module) -> ModuleSummary:
+def summarize_module(ctx: FileContext) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` for one parsed file."""
-    from repro.analysis.walker import parse_suppressions
-
-    ctx = FileContext(path=path, source=source, tree=tree)
-    summary = ModuleSummary(
-        path=path, module=module_name_for(path), content_hash=content_hash(source)
-    )
+    tree = ctx.tree
+    summary = ModuleSummary(path=ctx.path, module=module_name_for(ctx.path))
     summary.module_aliases = dict(ctx.imports.module_aliases)
     summary.member_aliases = dict(ctx.imports.member_aliases)
-    suppressions, _ = parse_suppressions(source)
-    summary.suppressions = [(s.line, s.rules, s.reason) for s in suppressions]
 
     # -- functions: signatures, calls, returns, axis keys -------------------
     for node in ast.walk(tree):
@@ -1134,43 +964,8 @@ def _class_facts(ctx: FileContext, node: ast.ClassDef) -> ClassFacts:
 
 
 # ---------------------------------------------------------------------------
-# Cache + model
+# Model
 # ---------------------------------------------------------------------------
-
-
-class ProjectCache:
-    """Content-hash-keyed store of module summaries on disk."""
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-        self.path = self.directory / "project-model.json"
-
-    def load(self) -> Dict[str, ModuleSummary]:
-        if not self.path.is_file():
-            return {}
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if payload.get("version") != _CACHE_VERSION:
-            return {}
-        summaries: Dict[str, ModuleSummary] = {}
-        for path, entry in dict(payload.get("modules", {})).items():
-            try:
-                summaries[str(path)] = ModuleSummary.from_payload(entry)
-            except (KeyError, TypeError, ValueError):
-                continue  # a corrupt entry is just a cache miss
-        return summaries
-
-    def save(self, summaries: Mapping[str, ModuleSummary]) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": _CACHE_VERSION,
-            "modules": {path: summary.to_payload() for path, summary in sorted(summaries.items())},
-        }
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        tmp.replace(self.path)
 
 
 class ProjectModel:
@@ -1184,111 +979,12 @@ class ProjectModel:
         for path in sorted(self.summaries):
             summary = self.summaries[path]
             self.modules.setdefault(summary.module, summary)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: paths whose content hash differed from the cached model.
-        self.changed_paths: Set[str] = set()
-        self._import_graph: Optional[Dict[str, Set[str]]] = None
         self._call_graph: Optional[Dict[str, Set[str]]] = None
 
-    # -- construction --------------------------------------------------------
-
     @classmethod
-    def build(
-        cls,
-        files: Sequence[Tuple[str, str]],
-        cached: Optional[Mapping[str, ModuleSummary]] = None,
-        trees: Optional[Mapping[str, ast.Module]] = None,
-    ) -> "ProjectModel":
-        """Build a model from ``(display_path, source)`` pairs.
-
-        Files whose content hash matches a cached summary are replayed
-        without re-parsing; everything else is re-extracted and counted
-        as a miss.  ``trees`` supplies already-parsed ASTs (the walker
-        parses each file once for the per-file rules anyway).
-        """
-        cached = cached or {}
-        trees = trees or {}
-        summaries: Dict[str, ModuleSummary] = {}
-        hits = misses = 0
-        changed: Set[str] = set()
-        for path, source in files:
-            digest = content_hash(source)
-            prior = cached.get(path)
-            if prior is not None and prior.content_hash == digest:
-                summaries[path] = prior
-                hits += 1
-                continue
-            misses += 1
-            changed.add(path)
-            tree = trees.get(path)
-            if tree is None:
-                try:
-                    tree = ast.parse(source, filename=path)
-                except SyntaxError:
-                    summary = ModuleSummary(
-                        path=path, module=module_name_for(path), content_hash=digest
-                    )
-                    summary.parse_error = True
-                    summaries[path] = summary
-                    continue
-            summaries[path] = summarize_module(path, source, tree)
-        model = cls(summaries)
-        model.cache_hits = hits
-        model.cache_misses = misses
-        model.changed_paths = changed
-        return model
-
-    # -- graphs --------------------------------------------------------------
-
-    @property
-    def import_graph(self) -> Dict[str, Set[str]]:
-        """module name -> imported module names (restricted to the model)."""
-        if self._import_graph is None:
-            graph: Dict[str, Set[str]] = {}
-            for summary in self.summaries.values():
-                edges: Set[str] = set()
-                for dotted in summary.module_aliases.values():
-                    edges.update(self._known_module_prefixes(dotted))
-                for module, member in summary.member_aliases.values():
-                    edges.update(self._known_module_prefixes(module))
-                    edges.update(self._known_module_prefixes(f"{module}.{member}"))
-                edges.discard(summary.module)
-                graph[summary.module] = edges
-            self._import_graph = graph
-        return self._import_graph
-
-    def _known_module_prefixes(self, dotted: str) -> Set[str]:
-        found: Set[str] = set()
-        parts = dotted.split(".")
-        for end in range(1, len(parts) + 1):
-            prefix = ".".join(parts[:end])
-            if prefix in self.modules:
-                found.add(prefix)
-        return found
-
-    def reverse_importers(self, changed_paths: Set[str]) -> Set[str]:
-        """Paths of modules that (transitively) import any changed module."""
-        changed_modules = {
-            self.summaries[path].module for path in changed_paths if path in self.summaries
-        }
-        reverse: Dict[str, Set[str]] = {}
-        for module, imports in self.import_graph.items():
-            for imported in imports:
-                reverse.setdefault(imported, set()).add(module)
-        affected = set(changed_modules)
-        frontier = list(changed_modules)
-        while frontier:
-            module = frontier.pop()
-            for dependent in reverse.get(module, ()):  # transitive closure
-                if dependent not in affected:
-                    affected.add(dependent)
-                    frontier.append(dependent)
-        return {
-            path
-            for path, summary in self.summaries.items()
-            if summary.module in affected
-        }
+    def build(cls, contexts: Sequence[FileContext]) -> "ProjectModel":
+        """Build a model from the parsed files, keyed by their display paths."""
+        return cls({ctx.path: summarize_module(ctx) for ctx in contexts})
 
     # -- name resolution -----------------------------------------------------
 

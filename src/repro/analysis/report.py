@@ -1,9 +1,8 @@
 """Human and JSON renderings of an analyzer :class:`Report`.
 
 The JSON document is the machine interface: CI uploads it as an artifact
-and ``repro serve``'s dashboard can consume it alongside the benchmark
-history (the shapes follow the same convention — a version field, flat
-record lists, and a summary block).
+for reviewers and tools.  Its shape is a version field, a flat list of
+finding records and a summary block.
 """
 
 from __future__ import annotations
@@ -17,13 +16,13 @@ from repro.analysis.walker import Report
 
 __all__ = ["render_human", "render_json", "write_json"]
 
-_REPORT_VERSION = 1
+_REPORT_VERSION = 2
 
 
 def render_human(report: Report, verbose: bool = False) -> str:
     """Grouped, greppable text: ``path:line:col: RULE severity: message``.
 
-    Non-gating findings (suppressed/baselined) are listed only with
+    Suppressed (non-gating) findings are listed only with
     ``verbose``; the summary always counts them so a quiet report still
     says what was waved through.
     """
@@ -45,18 +44,11 @@ def render_human(report: Report, verbose: bool = False) -> str:
         f"{report.files_analyzed} files analyzed: "
         f"{len(report.active)} finding(s)"
         + (f" ({per_rule})" if per_rule else "")
-        + f", {len(report.baselined)} baselined, {len(report.suppressed)} suppressed"
+        + f", {len(report.suppressed)} suppressed"
     )
     lines.append(summary)
     if report.modules_total:
-        model_line = (
-            f"project model: {report.modules_total} modules, "
-            f"{report.modules_reparsed} re-parsed, "
-            f"{report.modules_cached} from cache"
-        )
-        if report.changed_only:
-            model_line += f"; --changed selected {report.files_selected} file(s)"
-        lines.append(model_line)
+        lines.append(f"project model: {report.modules_total} modules")
     return "\n".join(lines)
 
 
@@ -69,7 +61,6 @@ def _finding_record(finding: Finding) -> Dict[str, object]:
         "col": finding.col,
         "message": finding.message,
         "snippet": finding.snippet,
-        "content_hash": finding.content_hash,
         "status": finding.status,
         "justification": finding.justification,
     }
@@ -83,16 +74,11 @@ def render_json(report: Report) -> Dict[str, object]:
         "findings": [_finding_record(f) for f in report.findings],
         "summary": {
             "active": len(report.active),
-            "baselined": len(report.baselined),
             "suppressed": len(report.suppressed),
             "per_rule": report.per_rule_counts(),
         },
         "project_model": {
             "modules_total": report.modules_total,
-            "modules_reparsed": report.modules_reparsed,
-            "modules_cached": report.modules_cached,
-            "changed_only": report.changed_only,
-            "files_selected": report.files_selected,
         },
     }
 

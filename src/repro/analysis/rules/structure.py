@@ -281,7 +281,7 @@ class KernelPairRule(Rule):
 
 # The three rules below are emitted by the walker (suppression parsing and
 # file loading), not by AST visitation; they are registered so they appear
-# in --list-rules, carry documented severities, and can be baselined.
+# in --list-rules and carry documented severities.
 
 
 @register

@@ -2,10 +2,11 @@
 
 This is the driver: it finds the ``.py`` files under the requested paths
 (in sorted order — the analyzer eats its own DET002 dogfood), parses each
-one, runs every in-scope per-file rule, builds the cached project model
-(pass 1) and runs the cross-module rules over it (pass 2), applies
-``# repro: noqa`` suppressions and the committed baseline, and assembles
-a :class:`Report`.
+one, runs every in-scope per-file rule, builds the project model from
+the same parsed files (pass 1) and runs the cross-module rules over it
+(pass 2), applies ``# repro: noqa`` suppressions, and assembles a
+:class:`Report`.  Each file is read, tokenized and parsed exactly once,
+and a run reads nothing but the analyzed sources.
 
 Suppression syntax, on the flagged line::
 
@@ -16,12 +17,6 @@ without either does not suppress and is itself reported (NOQA001), and a
 suppression that matches no finding is reported as stale (NOQA002) so
 dead annotations cannot accumulate.  Project-rule findings route through
 the same suppression machinery: NOQA002 is only decided after pass 2.
-
-Incremental mode: with a cache directory, pass 1 re-parses only modules
-whose content hash changed; with ``changed_only`` the per-file pass and
-the report are additionally restricted to changed files plus their
-transitive reverse importers (the files whose cross-module facts could
-have shifted).
 """
 
 from __future__ import annotations
@@ -32,13 +27,11 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import DEFAULT_CONFIG, AnalysisConfig
 from repro.analysis.core import (
     STATUS_ACTIVE,
-    STATUS_BASELINED,
     STATUS_SUPPRESSED,
     FileContext,
     Finding,
@@ -47,7 +40,7 @@ from repro.analysis.core import (
     Severity,
     all_rules,
 )
-from repro.analysis.project import ProjectCache, ProjectModel
+from repro.analysis.project import ProjectModel
 
 __all__ = [
     "Suppression",
@@ -60,8 +53,9 @@ __all__ = [
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\b(?P<rest>.*)$")
 _RULE_ID_RE = re.compile(r"[A-Z]+\d+")
 
-#: Directories never descended into during discovery.
-_SKIP_DIRS = {"__pycache__", ".git", ".artifact-cache", ".repro-analysis-cache"}
+#: Directories never descended into during discovery (dot-directories
+#: below a requested root are skipped too).
+_SKIP_DIRS = {"__pycache__"}
 
 
 @dataclass
@@ -82,13 +76,8 @@ class Report:
     paths: List[str] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
     files_analyzed: int = 0
-    #: Pass-1 model statistics (all zero when no project pass ran).
+    #: Modules in the pass-1 model (zero when no project rule ran).
     modules_total: int = 0
-    modules_reparsed: int = 0
-    modules_cached: int = 0
-    #: ``--changed`` bookkeeping: was the report restricted, and to what.
-    changed_only: bool = False
-    files_selected: int = 0
 
     @property
     def active(self) -> List[Finding]:
@@ -98,10 +87,6 @@ class Report:
     def suppressed(self) -> List[Finding]:
         return [f for f in self.findings if f.status == STATUS_SUPPRESSED]
 
-    @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings if f.status == STATUS_BASELINED]
-
     def per_rule_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for finding in self.active:
@@ -110,13 +95,18 @@ class Report:
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
-    """All ``.py`` files under ``paths``, sorted, caches skipped."""
+    """All ``.py`` files under ``paths``, sorted, caches skipped.
+
+    Only the parts below each requested directory are filtered, so a root
+    that itself lives under a dot-directory is still analyzed.
+    """
     found: List[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             for candidate in sorted(path.rglob("*.py")):
-                if any(part in _SKIP_DIRS or part.startswith(".") for part in candidate.parts):
+                parts = candidate.relative_to(path).parts
+                if any(part in _SKIP_DIRS or part.startswith(".") for part in parts):
                     continue
                 found.append(candidate)
         elif path.is_file():
@@ -188,7 +178,6 @@ class _FileEntry:
 
     display: str
     source: str
-    tree: Optional[ast.Module] = None
     ctx: Optional[FileContext] = None
     findings: List[Finding] = field(default_factory=list)
     suppressions: List[Suppression] = field(default_factory=list)
@@ -202,7 +191,7 @@ def _load_file(path: Path) -> _FileEntry:
     entry = _FileEntry(display=display, source=source)
     entry.suppressions, entry.malformed = parse_suppressions(source)
     try:
-        entry.tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as error:
         line = error.lineno or 1
         entry.findings.append(
@@ -217,7 +206,7 @@ def _load_file(path: Path) -> _FileEntry:
             )
         )
         return entry
-    entry.ctx = FileContext(path=display, source=source, tree=entry.tree)
+    entry.ctx = FileContext(path=display, source=source, tree=tree)
     return entry
 
 
@@ -305,75 +294,33 @@ def analyze_paths(
     paths: Sequence[Union[str, Path]],
     config: AnalysisConfig = DEFAULT_CONFIG,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    changed_only: bool = False,
 ) -> Report:
-    """Analyze every file under ``paths``: both passes, baseline applied.
+    """Analyze every file under ``paths``: both passes, suppressions applied.
 
-    ``cache_dir`` enables the incremental project-model cache (pass 1
-    re-parses only content-changed modules).  ``changed_only`` further
-    restricts the per-file pass — and the report — to changed files plus
-    their transitive reverse importers; pass 1 still summarizes every
-    file (from cache where unchanged) so cross-module rules always see
-    the whole program.
+    Pass 1 summarizes the :class:`FileContext` each file already got for
+    the per-file rules; unparsable files carry PARSE001 and stay out of
+    the model.
     """
-    report = Report(paths=[str(p) for p in paths], changed_only=changed_only)
+    report = Report(paths=[str(p) for p in paths])
     active_rules = list(rules) if rules is not None else all_rules()
     project_rules = [rule for rule in active_rules if isinstance(rule, ProjectRule)]
 
-    entries: List[_FileEntry] = []
-    by_display: Dict[str, _FileEntry] = {}
-    for path in iter_python_files(paths):
-        entry = _load_file(path)
-        entries.append(entry)
-        by_display[entry.display] = entry
-
-    model: Optional[ProjectModel] = None
-    if project_rules or changed_only:
-        cache: Optional[ProjectCache] = None
-        cached = None
-        if cache_dir is not None:
-            cache = ProjectCache(cache_dir)
-            cached = cache.load()
-        model = ProjectModel.build(
-            [(entry.display, entry.source) for entry in entries],
-            cached=cached,
-            trees={
-                entry.display: entry.tree for entry in entries if entry.tree is not None
-            },
-        )
-        if cache is not None:
-            cache.save(model.summaries)
-        report.modules_total = len(model.summaries)
-        report.modules_reparsed = model.cache_misses
-        report.modules_cached = model.cache_hits
-
-    selected: Set[str] = set(by_display)
-    if changed_only and model is not None:
-        selected = model.reverse_importers(model.changed_paths) | model.changed_paths
-
+    entries = [_load_file(path) for path in iter_python_files(paths)]
+    by_display = {entry.display: entry for entry in entries}
     for entry in entries:
-        if entry.display not in selected:
-            continue
         _run_file_rules(entry, config, active_rules)
 
-    if model is not None:
+    if project_rules:
+        model = ProjectModel.build([entry.ctx for entry in entries if entry.ctx is not None])
+        report.modules_total = len(model.summaries)
         for rule in project_rules:
             for finding in rule.check_project(model, config):
                 target = by_display.get(finding.path)
-                if target is None or finding.path not in selected:
-                    continue
-                target.findings.append(finding)
+                if target is not None:
+                    target.findings.append(finding)
 
     for entry in entries:
-        if entry.display not in selected:
-            continue
         report.findings.extend(_finalize_file(entry))
-        report.files_analyzed += 1
-    report.files_selected = len(selected & set(by_display))
-
-    if baseline is not None:
-        baseline.apply(report.findings)
+    report.files_analyzed = len(entries)
     report.findings.sort(key=Finding.sort_key)
     return report

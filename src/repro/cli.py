@@ -53,12 +53,11 @@ from ``/runs/<id>/result``, and read the committed benchmark history from
 
 ``analyze`` runs the determinism/checkpoint-safety static analyzer
 (:mod:`repro.analysis`) over the given paths and exits non-zero on any
-finding that is neither suppressed inline (``# repro: noqa RULE -- why``)
-nor grandfathered in the committed baseline — the blocking CI gate::
+finding that is not suppressed inline (``# repro: noqa RULE -- why``) or
+covered by an allowed context — the blocking CI gate::
 
     python -m repro.cli analyze src tests benchmarks --json report.json
     python -m repro.cli analyze --list-rules
-    python -m repro.cli analyze src --write-baseline
 """
 
 from __future__ import annotations
@@ -235,25 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable report (CI uploads this as an artifact)",
     )
     analyze_parser.add_argument(
-        "--baseline",
-        default=".repro-analysis-baseline.json",
-        metavar="PATH",
-        help="baseline of grandfathered findings (default: %(default)s)",
-    )
-    analyze_parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file (report every finding as gating)",
-    )
-    analyze_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "regenerate the baseline from the current findings (justifications "
-            "of surviving entries are preserved) and exit 0"
-        ),
-    )
-    analyze_parser.add_argument(
         "--rules",
         default=None,
         metavar="ID[,ID...]",
@@ -267,27 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also list suppressed and baselined findings",
-    )
-    analyze_parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "restrict the report to files whose content hash differs from the "
-            "cached project model, plus their transitive reverse importers "
-            "(cold cache = full run)"
-        ),
-    )
-    analyze_parser.add_argument(
-        "--cache-dir",
-        default=".repro-analysis-cache",
-        metavar="DIR",
-        help="incremental project-model cache directory (default: %(default)s)",
-    )
-    analyze_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="build the project model from scratch and persist nothing",
+        help="also list suppressed findings",
     )
     return parser
 
@@ -445,7 +405,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 def _command_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import (
-        Baseline,
         analyze_paths,
         all_rules,
         render_human,
@@ -462,26 +421,9 @@ def _command_analyze(args: argparse.Namespace) -> int:
     except KeyError as error:
         return _print_error(error)
     try:
-        baseline = Baseline.load(args.baseline) if not args.no_baseline else None
-        report = analyze_paths(
-            args.paths,
-            rules=rules,
-            baseline=baseline,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            changed_only=args.changed,
-        )
+        report = analyze_paths(args.paths, rules=rules)
     except (FileNotFoundError, ValueError) as error:
         return _print_error(error)
-    if args.write_baseline:
-        regenerated = Baseline.from_findings(report.findings, previous=baseline)
-        regenerated.save(args.baseline)
-        print(
-            f"wrote {args.baseline}: {len(regenerated)} grandfathered finding(s) "
-            "(fill in each entry's justification)"
-        )
-        if args.json_path:
-            write_json(report, args.json_path)
-        return 0
     print(render_human(report, verbose=args.verbose))
     if args.json_path:
         write_json(report, args.json_path)

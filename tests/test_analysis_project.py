@@ -1,18 +1,14 @@
 """Tests for the project-wide analyzer: the pass-1 model (symbol tables,
-import/call graphs, incremental cache) and the pass-2 SEED/THREAD/SWEEP
-rule families, each with a planted violation and a clean counterpart."""
+call graph) and the pass-2 SEED/THREAD/SWEEP rule families, each with a
+planted violation and a clean counterpart."""
 
+import ast
 import textwrap
 
 import pytest
 
-from repro.analysis import analyze_paths
-from repro.analysis.project import (
-    ModuleSummary,
-    ProjectCache,
-    ProjectModel,
-    module_name_for,
-)
+from repro.analysis import FileContext, analyze_paths
+from repro.analysis.project import ProjectModel, module_name_for
 
 MINI_PACKAGE = {
     "src/repro/mini/__init__.py": """
@@ -45,12 +41,12 @@ def write_tree(root, files):
     return root
 
 
-def build_model(root, files, cached=None):
-    write_tree(root, files)
-    pairs = [
-        (rel, textwrap.dedent(source)) for rel, source in sorted(files.items())
-    ]
-    return ProjectModel.build(pairs, cached=cached)
+def build_model(files):
+    contexts = []
+    for rel, source in sorted(files.items()):
+        source = textwrap.dedent(source)
+        contexts.append(FileContext(path=rel, source=source, tree=ast.parse(source)))
+    return ProjectModel.build(contexts)
 
 
 def active_rules(root, files, paths=None):
@@ -72,57 +68,17 @@ class TestModuleNames:
 
 
 class TestProjectModel:
-    def test_import_graph_edges(self, tmp_path):
-        model = build_model(tmp_path, MINI_PACKAGE)
-        graph = model.import_graph
-        assert "repro.mini.util" in graph["repro.mini.core"]
-        assert "repro.mini" in graph["repro.mini.driver"]
-        assert "repro.mini.core" in graph["repro.mini"]
-
-    def test_call_graph_resolves_through_reexport(self, tmp_path):
+    def test_call_graph_resolves_through_reexport(self):
         # driver calls `compute`, imported from the package __init__, which
         # re-exports it from repro.mini.core — the edge lands on the origin.
-        model = build_model(tmp_path, MINI_PACKAGE)
+        model = build_model(MINI_PACKAGE)
         assert "repro.mini.core:compute" in model.call_graph["repro.mini.driver:run"]
         assert "repro.mini.util:helper" in model.call_graph["repro.mini.core:compute"]
 
-    def test_reverse_importers_close_transitively(self, tmp_path):
-        model = build_model(tmp_path, MINI_PACKAGE)
-        affected = model.reverse_importers({"src/repro/mini/util.py"})
-        # util changed: core imports it, __init__ re-exports core, driver
-        # imports the package — all four must be re-checked.
-        assert affected == set(MINI_PACKAGE)
-
-    def test_cache_hit_and_invalidation(self, tmp_path):
-        first = build_model(tmp_path, MINI_PACKAGE)
-        assert first.cache_misses == len(MINI_PACKAGE)
-        # Unchanged content: everything replays from the cached summaries.
-        warm = build_model(tmp_path, MINI_PACKAGE, cached=first.summaries)
-        assert (warm.cache_hits, warm.cache_misses) == (len(MINI_PACKAGE), 0)
-        # A transitive dependency changes: only it is re-parsed, and the
-        # reverse-importer closure names everything that must be re-run.
-        edited = dict(MINI_PACKAGE)
-        edited["src/repro/mini/util.py"] = """
-            def helper():
-                return 2
-            """
-        changed = build_model(tmp_path, edited, cached=first.summaries)
-        assert changed.cache_misses == 1
-        assert changed.changed_paths == {"src/repro/mini/util.py"}
-        assert changed.reverse_importers(changed.changed_paths) == set(MINI_PACKAGE)
-
-    def test_disk_cache_round_trip_and_corruption(self, tmp_path):
-        model = build_model(tmp_path, MINI_PACKAGE)
-        cache = ProjectCache(tmp_path / "cache")
-        cache.save(model.summaries)
-        loaded = cache.load()
-        assert set(loaded) == set(model.summaries)
-        reloaded = loaded["src/repro/mini/core.py"]
-        assert isinstance(reloaded, ModuleSummary)
-        assert reloaded.functions["compute"].calls
-        # A corrupt cache file is a cold start, never an error.
-        cache.path.write_text("{not json", encoding="utf-8")
-        assert cache.load() == {}
+    def test_model_is_keyed_by_display_path(self):
+        model = build_model(MINI_PACKAGE)
+        assert sorted(model.summaries) == sorted(MINI_PACKAGE)
+        assert model.modules["repro.mini"].path == "src/repro/mini/__init__.py"
 
 
 class TestSeedRules:

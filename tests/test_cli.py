@@ -55,7 +55,8 @@ class TestParser:
     # Each simulator has one execution path; the spatial-sharding flags
     # and the kernel switch are gone from every subcommand rather than
     # accepted and ignored (the loop kernel is a simulator-level test
-    # oracle, reachable only through KernelOptions).
+    # oracle, reachable only through KernelOptions).  `analyze` keeps no
+    # state between runs: its cache, --changed and baseline flags are gone.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -69,6 +70,12 @@ class TestParser:
             ["sweep", "fig7", "--shard-backend", "process"],
             ["serve", "--shards", "2"],
             ["serve", "--partitioner", "hash"],
+            ["analyze", "--changed", "src"],
+            ["analyze", "--cache-dir", "cache"],
+            ["analyze", "--no-cache", "src"],
+            ["analyze", "--baseline", "base.json"],
+            ["analyze", "--no-baseline", "src"],
+            ["analyze", "--write-baseline", "src"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
