@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 import pytest
 
+from repro.core.pricing import PoissonPricing
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import (
@@ -79,6 +80,13 @@ MARKET_CASES: Dict[str, Callable[[], MarketSimConfig]] = {
     "market-static": lambda: _market(),
     "market-churn": lambda: _market(
         churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=250.0)
+    ),
+    # Memoised pricing draws each seller's price the first time a routing
+    # row quotes it, so this case pins the order in which churn refreshes
+    # rows.  A mean above the minimum price makes every quote a real draw.
+    "market-churn-poisson": lambda: _market(
+        churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=250.0),
+        pricing=PoissonPricing(mean_price=2.0, seed=303),
     ),
     "market-taxed": lambda: _market(
         utilization=UtilizationMode.SYMMETRIC,
@@ -244,13 +252,16 @@ def test_sweep_aggregate(golden, name):
 if __name__ == "__main__":
     committed = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.is_file() else {}
     digests = current_digests()
-    moved = sorted(name for name in digests if committed.get(name) != digests[name])
+    moved = sorted(
+        name for name in digests if committed.get(name, digests[name]) != digests[name]
+    )
     for name in moved:
-        print(f"moved: {name} {committed.get(name)} -> {digests[name]}")
+        print(f"moved: {name} {committed[name]} -> {digests[name]}")
+    for name in sorted(set(digests) - set(committed)):
+        print(f"new: {name} {digests[name]}")
     for name in sorted(set(committed) - set(digests)):
         print(f"dropped: {name} (no longer a case)")
-    if not moved:
-        print("no golden digest moved")
+    print(f"{len(moved)} moved of {len(digests)} digests checked")
     if "--write" in sys.argv[1:]:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
