@@ -10,14 +10,23 @@ shape of the overlay is preserved under churn.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.overlay.topology import OverlayTopology
 from repro.utils.rng import make_rng
 
-__all__ = ["MembershipTracker"]
+__all__ = ["Departure", "MembershipTracker"]
+
+
+class Departure(NamedTuple):
+    """What :meth:`MembershipTracker.leave` changed in the overlay."""
+
+    #: The departed peer's neighbours, sorted by id.
+    former_neighbors: List[int]
+    #: ``(orphan, partner)`` for each edge added to re-attach an orphan.
+    repairs: List[Tuple[int, int]]
 
 
 class MembershipTracker:
@@ -110,21 +119,25 @@ class MembershipTracker:
         self.joins += 1
         return peer_id
 
-    def leave(self, peer_id: int, repair: bool = True) -> List[int]:
+    def leave(self, peer_id: int, repair: bool = True) -> Departure:
         """Remove a peer; optionally repair the orphans it leaves behind.
 
         When ``repair`` is True, former neighbours that became isolated are
         re-attached to a random remaining peer, so the overlay never
         fragments into singleton components because of a departure.
 
-        Returns the list of former neighbours of the departed peer.
+        Returns the departed peer's former neighbours and the repair edges,
+        so a caller caching per-peer neighbour state knows every peer whose
+        neighbour set changed.
         """
         former = self.topology.remove_peer(peer_id)
         self.leaves += 1
+        repairs: List[Tuple[int, int]] = []
         if repair and self.topology.num_peers > 1:
             for orphan in former:
                 if self.topology.has_peer(orphan) and self.topology.degree(orphan) == 0:
                     candidates = self.select_neighbors(exclude=orphan, count=1)
                     for candidate in candidates:
                         self.topology.add_edge(orphan, candidate)
-        return former
+                        repairs.append((orphan, candidate))
+        return Departure(former, repairs)

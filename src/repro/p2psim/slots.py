@@ -54,11 +54,15 @@ def apply_round_churn(
         if sim.topology.num_peers <= 2:
             break
         peer_id = sim._peer_of[int(slot)]
-        former_neighbors = sim._tracker.leave(peer_id)
+        departure = sim._tracker.leave(peer_id)
         sim._evict(peer_id)
         sim.leaves += 1
-        for neighbor in former_neighbors:
+        for neighbor in departure.former_neighbors:
             refresh_neighbor(neighbor)
+        # A repaired orphan is a former neighbour; its partner gained an
+        # edge too and must start routing to it.
+        for _, partner in departure.repairs:
+            refresh_neighbor(partner)
     arrivals = rng.poisson(churn.arrival_rate * dt)
     for _ in range(int(arrivals)):
         peer_id = sim._tracker.join()

@@ -151,3 +151,56 @@ class TestRoundChurn:
         result = SIMULATOR_RUNS[simulator](None)
         assert result.joins == result.leaves == 0
         assert set(result.recorder.population_series.y) == {30}
+
+
+#: Small, sparse churned configs: at mean degree 2 most peers hang off a
+#: single edge, so departures orphan peers and the tracker repairs often.
+SPARSE_CHURN = ChurnConfig(arrival_rate=0.5, mean_lifespan=40.0)
+SPARSE_SIMULATORS = {
+    "market": lambda: CreditMarketSimulator(
+        MarketSimConfig(
+            num_peers=40,
+            initial_credits=10.0,
+            horizon=60.0,
+            step=1.0,
+            topology_mean_degree=2.0,
+            seed=11,
+            churn=SPARSE_CHURN,
+        )
+    ),
+    "streaming": lambda: StreamingMarketSimulator(
+        StreamingSimConfig(
+            num_peers=40,
+            initial_credits=10.0,
+            horizon=60.0,
+            topology_mean_degree=2.0,
+            seed=11,
+            churn=SPARSE_CHURN,
+        )
+    ),
+}
+
+
+class TestOrphanRepair:
+    @pytest.mark.parametrize("simulator", sorted(SPARSE_SIMULATORS))
+    def test_repair_partner_routes_to_the_orphan(self, simulator, monkeypatch):
+        sim = SPARSE_SIMULATORS[simulator]()
+        tracker = sim._tracker
+        repairs = []
+        leave = tracker.leave
+
+        def recording_leave(peer_id, repair=True):
+            departure = leave(peer_id, repair)
+            repairs.extend(departure.repairs)
+            return departure
+
+        monkeypatch.setattr(tracker, "leave", recording_leave)
+        for _ in range(sim.total_rounds()):
+            sim.advance_rounds(1)
+            # A repair edge lasts until one of its ends departs.
+            for orphan, partner in repairs:
+                if orphan in sim._slot_of and partner in sim._slot_of:
+                    orphan_slot, partner_slot = sim._slot_of[orphan], sim._slot_of[partner]
+                    assert orphan_slot in sim._neighbors[partner_slot]
+                    assert partner_slot in sim._neighbors[orphan_slot]
+        assert repairs, "expected the sparse overlay to orphan some peers"
