@@ -31,7 +31,9 @@ class ChurnConfig:
         Expected peer lifetime in seconds (exponential distribution).
     churn_initial_peers:
         If True, peers present at simulation start are also given
-        exponential lifetimes; if False they stay for the whole run.
+        exponential lifetimes; if False they stay for the whole run.  Only
+        the trace generator (:mod:`repro.workloads.churn_traces`) honours
+        False; both tick simulators reject it.
     """
 
     arrival_rate: float

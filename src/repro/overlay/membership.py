@@ -32,6 +32,14 @@ class Departure(NamedTuple):
 class MembershipTracker:
     """Bootstrap service that attaches joining peers to an overlay.
 
+    The tracker mirrors the overlay in two aligned numpy arrays, built once
+    from the topology: the sorted peer ids and their degrees.  Joins,
+    leaves and orphan repairs patch both arrays in O(degree) lookups plus
+    one array copy, so selecting neighbours never walks the population in
+    Python.  Once the tracker is built it must be the only code that
+    mutates the overlay: a peer or edge changed behind its back leaves the
+    arrays stale, and preferential selection then draws from wrong weights.
+
     Parameters
     ----------
     topology:
@@ -61,7 +69,12 @@ class MembershipTracker:
         self.target_degree = int(target_degree)
         self.preferential = bool(preferential)
         self._rng = make_rng(seed, "membership-tracker")
-        self._next_peer_id = (max(topology.peers()) + 1) if topology.num_peers else 0
+        degrees = topology.degrees()
+        ids = np.fromiter(degrees.keys(), dtype=np.int64, count=len(degrees))
+        order = np.argsort(ids)
+        self._ids = ids[order]
+        self._degrees = np.fromiter(degrees.values(), dtype=np.int64, count=len(degrees))[order]
+        self._next_peer_id = int(self._ids[-1]) + 1 if self._ids.size else 0
         self.joins = 0
         self.leaves = 0
 
@@ -84,19 +97,28 @@ class MembershipTracker:
         empty list when the overlay is empty.
         """
         count = self.target_degree if count is None else int(count)
-        candidates = [peer for peer in self.topology.peers() if peer != exclude]
-        if not candidates or count <= 0:
+        candidates, degrees = self._ids, self._degrees
+        position = self._position(exclude)
+        if position is not None:
+            candidates = np.delete(candidates, position)
+            degrees = np.delete(degrees, position)
+        if candidates.size == 0 or count <= 0:
             return []
-        count = min(count, len(candidates))
+        count = min(count, candidates.size)
         if self.preferential:
-            weights = np.array(
-                [self.topology.degree(peer) + 1.0 for peer in candidates], dtype=float
-            )
+            weights = degrees + 1.0
             weights /= weights.sum()
             chosen = self._rng.choice(candidates, size=count, replace=False, p=weights)
         else:
             chosen = self._rng.choice(candidates, size=count, replace=False)
-        return [int(peer) for peer in chosen]
+        return chosen.tolist()
+
+    def _position(self, peer_id: int) -> Optional[int]:
+        """Index of ``peer_id`` in the sorted id array, or None if absent."""
+        position = int(np.searchsorted(self._ids, peer_id))
+        if position < self._ids.size and self._ids[position] == peer_id:
+            return position
+        return None
 
     # ------------------------------------------------------------------ mutation
 
@@ -116,6 +138,10 @@ class MembershipTracker:
         self.topology.add_peer(peer_id)
         for neighbor in neighbors:
             self.topology.add_edge(peer_id, neighbor)
+        self._degrees[np.searchsorted(self._ids, neighbors)] += 1
+        position = int(np.searchsorted(self._ids, peer_id))
+        self._ids = np.insert(self._ids, position, peer_id)
+        self._degrees = np.insert(self._degrees, position, len(neighbors))
         self.joins += 1
         return peer_id
 
@@ -131,13 +157,20 @@ class MembershipTracker:
         neighbour set changed.
         """
         former = self.topology.remove_peer(peer_id)
+        position = self._position(peer_id)
+        self._ids = np.delete(self._ids, position)
+        self._degrees = np.delete(self._degrees, position)
+        former_positions = np.searchsorted(self._ids, former)
+        self._degrees[former_positions] -= 1
         self.leaves += 1
         repairs: List[Tuple[int, int]] = []
         if repair and self.topology.num_peers > 1:
-            for orphan in former:
-                if self.topology.has_peer(orphan) and self.topology.degree(orphan) == 0:
-                    candidates = self.select_neighbors(exclude=orphan, count=1)
-                    for candidate in candidates:
+            for orphan, orphan_position in zip(former, former_positions.tolist()):
+                # An earlier repair in this loop may have wired this orphan.
+                if self._degrees[orphan_position] == 0:
+                    for candidate in self.select_neighbors(exclude=orphan, count=1):
                         self.topology.add_edge(orphan, candidate)
+                        self._degrees[orphan_position] += 1
+                        self._degrees[self._position(candidate)] += 1
                         repairs.append((orphan, candidate))
         return Departure(former, repairs)

@@ -29,7 +29,11 @@ from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.recorder import WealthRecorder
-from repro.p2psim.slots import apply_income_taxation, apply_round_churn
+from repro.p2psim.slots import (
+    apply_income_taxation,
+    apply_round_churn,
+    check_churn_supported,
+)
 from repro.queueing.routing import RoutingMatrix
 from repro.queueing.traffic import solve_traffic_equations
 from repro.utils.rng import make_rng
@@ -136,6 +140,7 @@ class CreditMarketSimulator:
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
     ) -> None:
+        check_churn_supported(config.churn)
         self.config = config
         self._rng = make_rng(config.seed, "market-sim")
         self.topology = (
@@ -193,15 +198,14 @@ class CreditMarketSimulator:
 
         initial_peers = self.topology.peers()
         mu_by_peer = self._configure_spending_rates(initial_peers)
-        # Bulk admission: create every peer's state first, then derive each
-        # routing row exactly once.  Admitting with per-peer refresh would
-        # recompute every earlier neighbour's row on each admission —
-        # O(sum degree^2) Python work that dominated start-up well before
-        # the million-peer scale.  A row only depends on which of its own
-        # neighbours are admitted, so refresh-once-at-the-end produces
-        # bit-identical rows to the historical cascade.
+        # Bulk admission: `_admit` never derives routing rows, so create
+        # every peer's state first, then derive each row exactly once.  A
+        # row only depends on which of its own neighbours are admitted, so
+        # this matches refreshing a peer and its admitted neighbours after
+        # every admission — O(sum degree^2) work that dominated start-up.
+        # Churn rounds follow the same rule (see `apply_round_churn`).
         for peer in initial_peers:
-            self._admit(peer, mu_by_peer[peer], refresh=False)
+            self._admit(peer, mu_by_peer[peer])
         for peer in initial_peers:
             self._refresh_routing_row(peer)
         # Build the routing pack eagerly: it is part of construction, not of
@@ -278,13 +282,13 @@ class CreditMarketSimulator:
         self._free_slots = list(range(new_capacity - 1, self._capacity - 1, -1)) + self._free_slots
         self._capacity = new_capacity
 
-    def _admit(self, peer_id: int, spending_rate: float, refresh: bool = True) -> int:
+    def _admit(self, peer_id: int, spending_rate: float) -> int:
         """Create simulator state for ``peer_id`` (already present in the topology).
 
-        ``refresh=False`` skips the routing-row derivation (and the
-        re-derivation of already-admitted neighbours); the caller is then
-        responsible for refreshing every affected row — the bulk admission
-        path in ``__init__`` does this exactly once per peer.
+        No routing row is derived here: the caller refreshes the rows of
+        the new peer and of its neighbours once it has admitted everyone —
+        ``__init__`` once per initial peer, :func:`apply_round_churn` once
+        per touched peer per round.
         """
         if not self._free_slots:
             self._grow_capacity()
@@ -296,12 +300,21 @@ class CreditMarketSimulator:
         self._earned[slot] = 0.0
         self._slot_of[peer_id] = slot
         self._peer_of[slot] = peer_id
-        if refresh:
-            self._refresh_routing_row(peer_id)
-            for neighbor in self.topology.neighbors(peer_id):
-                if neighbor in self._slot_of:
-                    self._refresh_routing_row(neighbor)
+        self._pack = None
         return slot
+
+    def _admit_joiner(self, peer_id: int) -> int:
+        """Admit a peer arriving through churn.
+
+        Memoised pricing schemes draw a seller's price the first time a
+        routing row quotes it.  Rows are refreshed only at the end of a
+        churn round, so the joiner is quoted here, on arrival: its draw
+        then keeps its place in the pricing stream whatever order the rows
+        are refreshed in.  (Every other peer a refreshed row quotes was
+        already quoted when its neighbours' rows were first built.)
+        """
+        self.config.pricing.price(peer_id, chunk_index=0)
+        return self._admit(peer_id, self._default_spending_rate())
 
     def _evict(self, peer_id: int) -> None:
         """Remove ``peer_id``'s simulator state (topology surgery happens separately)."""
@@ -360,7 +373,7 @@ class CreditMarketSimulator:
         apply_round_churn(
             self,
             dt,
-            admit=lambda peer_id: self._admit(peer_id, self._default_spending_rate()),
+            admit=self._admit_joiner,
             refresh_neighbor=self._refresh_routing_row,
         )
 

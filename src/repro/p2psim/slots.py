@@ -8,7 +8,10 @@ and draw from a single ``_rng`` stream.  The per-round churn and
 income-taxation steps are therefore identical up to the simulator-specific
 admit/refresh hooks — this module holds the one copy both simulators call,
 so a fix to either step can never silently diverge the two fidelity
-levels.
+levels.  Admitting a peer never derives a neighbour row: a churn round
+first applies every departure and arrival, then refreshes each peer whose
+neighbour set changed exactly once, so a hub touched by many joins in one
+round is recomputed once rather than once per join.
 
 The expected simulator attributes are ``config`` (with ``churn`` and
 ``tax_policy``), ``_rng``, ``_alive``, ``_balance``, ``_peer_of``,
@@ -18,13 +21,28 @@ counters.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.taxation import NoTax, ThresholdIncomeTax
+from repro.overlay.churn import ChurnConfig
 
-__all__ = ["apply_round_churn", "apply_income_taxation"]
+__all__ = ["apply_round_churn", "apply_income_taxation", "check_churn_supported"]
+
+
+def check_churn_supported(churn: Optional[ChurnConfig]) -> None:
+    """Reject churn settings :func:`apply_round_churn` cannot honour.
+
+    The round step gives every alive peer the same exponential lifetime,
+    so peers present at start-up always churn; only the trace generator in
+    :mod:`repro.workloads.churn_traces` can keep them for the whole run.
+    """
+    if churn is not None and not churn.churn_initial_peers:
+        raise ValueError(
+            "churn_initial_peers=False is not supported by the tick simulators: "
+            "every alive peer, initial or not, departs at the same rate"
+        )
 
 
 def apply_round_churn(
@@ -40,8 +58,12 @@ def apply_round_churn(
     distribution is memoryless, so peers present at start-up churn like
     everyone else) and a Poisson number of peers arrives, wired into the
     overlay by the tracker.  ``admit`` creates the simulator state of one
-    joining peer; ``refresh_neighbor`` re-derives one peer's cached
-    neighbour row after topology surgery.
+    joining peer without deriving any neighbour row.  After the last
+    arrival, ``refresh_neighbor`` re-derives the cached row of every peer
+    whose neighbour set changed — each leaver's former neighbours, each
+    orphan's repair partner, each joiner and its neighbours — once, in the
+    order they were first touched.  Peers that left later in the round are
+    skipped by the hook.
     """
     churn = sim.config.churn
     if churn is None:
@@ -50,6 +72,8 @@ def apply_round_churn(
     departure_probability = 1.0 - np.exp(-dt / churn.mean_lifespan)
     alive_slots = np.flatnonzero(sim._alive)
     departing = alive_slots[rng.random(alive_slots.size) < departure_probability]
+    # Insertion-ordered set of the peers whose neighbour rows went stale.
+    touched: Dict[int, None] = {}
     for slot in departing:
         if sim.topology.num_peers <= 2:
             break
@@ -57,17 +81,19 @@ def apply_round_churn(
         departure = sim._tracker.leave(peer_id)
         sim._evict(peer_id)
         sim.leaves += 1
-        for neighbor in departure.former_neighbors:
-            refresh_neighbor(neighbor)
+        touched.update(dict.fromkeys(departure.former_neighbors))
         # A repaired orphan is a former neighbour; its partner gained an
         # edge too and must start routing to it.
-        for _, partner in departure.repairs:
-            refresh_neighbor(partner)
+        touched.update(dict.fromkeys(partner for _, partner in departure.repairs))
     arrivals = rng.poisson(churn.arrival_rate * dt)
     for _ in range(int(arrivals)):
         peer_id = sim._tracker.join()
         admit(peer_id)
         sim.joins += 1
+        touched[peer_id] = None
+        touched.update(dict.fromkeys(sim.topology.neighbors(peer_id)))
+    for peer_id in touched:
+        refresh_neighbor(peer_id)
 
 
 def apply_income_taxation(sim, income: np.ndarray, now: float) -> None:

@@ -72,7 +72,11 @@ from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim.config import StreamingSimConfig
 from repro.p2psim.recorder import WealthRecorder
-from repro.p2psim.slots import apply_income_taxation, apply_round_churn
+from repro.p2psim.slots import (
+    apply_income_taxation,
+    apply_round_churn,
+    check_churn_supported,
+)
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_index_capacity
 
@@ -277,6 +281,7 @@ class StreamingMarketSimulator:
         snapshot_times: Optional[Sequence[float]] = None,
         seed_fanout: Optional[int] = None,
     ) -> None:
+        check_churn_supported(config.churn)
         self.config = config
         self._rng = make_rng(config.seed, "streaming-sim")
         self.topology = (
@@ -355,15 +360,16 @@ class StreamingMarketSimulator:
         self._next_sample = 0.0
         self._measure_start = config.horizon / 2.0
 
-        # Bulk admission: create every peer's state first, then derive each
-        # compacted neighbour row exactly once — the per-admission refresh
-        # cascade is O(sum degree^2) Python work, quadratic in the mean
-        # degree, and dominated start-up well below the million-peer scale.
-        # A row only depends on which of its own neighbours are admitted,
-        # so refresh-once-at-the-end yields bit-identical rows.
+        # Bulk admission: `_admit` never derives neighbour rows, so create
+        # every peer's state first, then derive each compacted row exactly
+        # once.  A row only depends on which of its own neighbours are
+        # admitted, so this matches refreshing a peer and its admitted
+        # neighbours after every admission — O(sum degree^2) work that
+        # dominated start-up.  Churn rounds follow the same rule (see
+        # `apply_round_churn`).
         initial_peers = self.topology.peers()
         for peer_id in initial_peers:
-            self._admit(peer_id, refresh=False)
+            self._admit(peer_id)
         for peer_id in initial_peers:
             self._refresh_neighbors(peer_id)
         # Build the stream pack eagerly: construction cost, not tick cost.
@@ -418,12 +424,13 @@ class StreamingMarketSimulator:
         )
         self._capacity = new_capacity
 
-    def _admit(self, peer_id: int, refresh: bool = True) -> int:
+    def _admit(self, peer_id: int) -> int:
         """Create simulator state for ``peer_id`` (already present in the topology).
 
-        ``refresh=False`` skips the neighbour-row derivation (and the
-        re-derivation of already-admitted neighbours); the bulk admission
-        path in ``__init__`` refreshes every row exactly once instead.
+        No neighbour row is derived here: the caller refreshes the rows of
+        the new peer and of its neighbours once it has admitted everyone —
+        ``__init__`` once per initial peer, :func:`apply_round_churn` once
+        per touched peer per round.
         """
         if not self._free_slots:
             self._grow_capacity()
@@ -444,11 +451,7 @@ class StreamingMarketSimulator:
         self._slot_of[peer_id] = slot
         self._peer_of[slot] = peer_id
         self._fill_price_row(slot)
-        if refresh:
-            self._refresh_neighbors(peer_id)
-            for neighbor in self.topology.neighbors(peer_id):
-                if neighbor in self._slot_of:
-                    self._refresh_neighbors(neighbor)
+        self._pack = None
         return slot
 
     def _evict(self, peer_id: int) -> None:

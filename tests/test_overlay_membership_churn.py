@@ -66,6 +66,84 @@ class TestMembershipTracker:
         assert tracker.population() == 3
 
 
+def _list_select_neighbors(tracker, exclude, count=None):
+    """The list-based selection the array tracker replaced, kept as an oracle."""
+    count = tracker.target_degree if count is None else int(count)
+    candidates = [peer for peer in tracker.topology.peers() if peer != exclude]
+    if not candidates or count <= 0:
+        return []
+    count = min(count, len(candidates))
+    if tracker.preferential:
+        weights = np.array(
+            [tracker.topology.degree(peer) + 1.0 for peer in candidates], dtype=float
+        )
+        weights /= weights.sum()
+        chosen = tracker._rng.choice(candidates, size=count, replace=False, p=weights)
+    else:
+        chosen = tracker._rng.choice(candidates, size=count, replace=False)
+    return [int(peer) for peer in chosen]
+
+
+def _churn_tracker(tracker, steps, seed):
+    """Random joins and leaves; sparse overlays make leaves repair orphans."""
+    rng = np.random.default_rng(seed)
+    repairs = 0
+    for _ in range(steps):
+        if rng.random() < 0.5 and tracker.population() > 3:
+            peers = tracker.topology.peers()
+            departure = tracker.leave(peers[rng.integers(len(peers))])
+            repairs += len(departure.repairs)
+        else:
+            tracker.join(degree=int(rng.integers(1, 4)))
+    return repairs
+
+
+class TestTrackerArrays:
+    @pytest.mark.parametrize("preferential", [True, False])
+    def test_arrays_mirror_the_topology_through_churn(self, preferential):
+        topology = scale_free_topology(40, mean_degree=2.0, seed=8)
+        tracker = MembershipTracker(
+            topology, target_degree=2, preferential=preferential, seed=9
+        )
+        repairs = 0
+        for step in range(4):
+            repairs += _churn_tracker(tracker, steps=50, seed=step)
+            assert tracker._ids.tolist() == topology.peers()
+            degrees = topology.degrees()
+            assert tracker._degrees.tolist() == [degrees[peer] for peer in topology.peers()]
+        assert repairs > 0, "expected some leaves to repair orphans"
+
+    def test_explicit_ids_below_the_maximum_keep_the_arrays_sorted(self):
+        topology = OverlayTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        topology.remove_peer(1)
+        topology.add_edge(0, 2)
+        tracker = MembershipTracker(topology, target_degree=2, seed=1)
+        tracker.join(peer_id=1)
+        assert tracker._ids.tolist() == topology.peers() == [0, 1, 2, 3]
+        degrees = topology.degrees()
+        assert tracker._degrees.tolist() == [degrees[peer] for peer in range(4)]
+
+    @pytest.mark.parametrize("exclude", ["present", "absent"])
+    @pytest.mark.parametrize("preferential", [True, False])
+    def test_select_neighbors_matches_the_list_oracle(self, preferential, exclude):
+        topology = scale_free_topology(60, mean_degree=4.0, seed=3)
+        tracker = MembershipTracker(
+            topology, target_degree=5, preferential=preferential, seed=4
+        )
+        _churn_tracker(tracker, steps=40, seed=5)
+        peers = topology.peers()
+        for trial in range(20):
+            if exclude == "present":
+                excluded = peers[(7 * trial) % len(peers)]
+            else:
+                excluded = tracker.allocate_peer_id()
+            count = 1 + trial % 7
+            state = tracker._rng.bit_generator.state
+            expected = _list_select_neighbors(tracker, excluded, count)
+            tracker._rng.bit_generator.state = state
+            assert tracker.select_neighbors(excluded, count) == expected
+
+
 class TestChurnConfig:
     def test_expected_population(self):
         config = ChurnConfig(arrival_rate=2.0, mean_lifespan=500.0)
@@ -145,6 +223,12 @@ class TestRoundChurn:
         assert result.joins > 0 and result.leaves > 0
         final_population = result.recorder.population_series.y[-1]
         assert 30 + result.joins - result.leaves == final_population
+
+    @pytest.mark.parametrize("simulator", sorted(SIMULATOR_RUNS))
+    def test_initial_peers_that_never_churn_are_rejected(self, simulator):
+        churn = ChurnConfig(arrival_rate=0.5, mean_lifespan=60.0, churn_initial_peers=False)
+        with pytest.raises(ValueError, match="churn_initial_peers"):
+            SIMULATOR_RUNS[simulator](churn)
 
     @pytest.mark.parametrize("simulator", sorted(SIMULATOR_RUNS))
     def test_without_churn_population_is_fixed(self, simulator):
