@@ -34,9 +34,9 @@ class MembershipTracker:
 
     The tracker mirrors the overlay in two aligned numpy arrays, built once
     from the topology: the sorted peer ids and their degrees.  Joins,
-    leaves and orphan repairs patch both arrays in O(degree) lookups plus
-    one array copy, so selecting neighbours never walks the population in
-    Python.  Once the tracker is built it must be the only code that
+    leaves and orphan repairs patch both arrays with binary searches and
+    one ``insert`` or ``delete`` each, so selecting neighbours never walks
+    the population in Python.  Once the tracker is built it must be the only code that
     mutates the overlay: a peer or edge changed behind its back leaves the
     arrays stale, and preferential selection then draws from wrong weights.
 

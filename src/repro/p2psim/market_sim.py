@@ -201,9 +201,8 @@ class CreditMarketSimulator:
         # Bulk admission: `_admit` never derives routing rows, so create
         # every peer's state first, then derive each row exactly once.  A
         # row only depends on which of its own neighbours are admitted, so
-        # this matches refreshing a peer and its admitted neighbours after
-        # every admission — O(sum degree^2) work that dominated start-up.
-        # Churn rounds follow the same rule (see `apply_round_churn`).
+        # deferring the derivation changes no row; churn rounds defer it
+        # the same way (see `apply_round_churn`).
         for peer in initial_peers:
             self._admit(peer, mu_by_peer[peer])
         for peer in initial_peers:
@@ -310,8 +309,9 @@ class CreditMarketSimulator:
         routing row quotes it.  Rows are refreshed only at the end of a
         churn round, so the joiner is quoted here, on arrival: its draw
         then keeps its place in the pricing stream whatever order the rows
-        are refreshed in.  (Every other peer a refreshed row quotes was
-        already quoted when its neighbours' rows were first built.)
+        are refreshed in.  Peers already in the overlay were quoted when
+        their neighbours' rows were built; an initial peer without
+        neighbours is the one exception.
         """
         self.config.pricing.price(peer_id, chunk_index=0)
         return self._admit(peer_id, self._default_spending_rate())

@@ -363,10 +363,8 @@ class StreamingMarketSimulator:
         # Bulk admission: `_admit` never derives neighbour rows, so create
         # every peer's state first, then derive each compacted row exactly
         # once.  A row only depends on which of its own neighbours are
-        # admitted, so this matches refreshing a peer and its admitted
-        # neighbours after every admission — O(sum degree^2) work that
-        # dominated start-up.  Churn rounds follow the same rule (see
-        # `apply_round_churn`).
+        # admitted, so deferring the derivation changes no row; churn
+        # rounds defer it the same way (see `apply_round_churn`).
         initial_peers = self.topology.peers()
         for peer_id in initial_peers:
             self._admit(peer_id)
