@@ -51,12 +51,12 @@ def run_churn(label, churn):
 
 def analytical_open_network_demo() -> None:
     """A 3-peer open network: credits arrive with newcomers and leave with departures."""
-    routing = RoutingMatrix([[0.0, 0.6, 0.3], [0.5, 0.0, 0.4], [0.45, 0.45, 0.0]])
+    routing = RoutingMatrix([[0.0, 2 / 3, 1 / 3], [5 / 9, 0.0, 4 / 9], [0.5, 0.5, 0.0]])
     # 10% of each peer's spending leaves the network (the spender departs).
     open_routing = routing.matrix * 0.9
     network = OpenJacksonNetwork(
         open_routing,
-        external_arrivals=[0.3, 0.3, 0.3],
+        external_arrivals=[0.05, 0.05, 0.05],
         service_rates=[1.0, 1.2, 0.8],
     )
     print("\nAnalytical open-network example (3 peers):")

@@ -31,10 +31,14 @@ Subpackages
     transaction-level).
 ``repro.runner``
     Cached, parallel parameter sweeps and checkpointed round-blocks.
-``repro.baselines``
-    Scrip-system, credit-network, tit-for-tat and money-exchange baselines.
 ``repro.experiments``
     One registered runner per figure of the paper's evaluation.
+``repro.obs``
+    Zero-dependency telemetry and the ``repro serve`` sweep daemon.
+``repro.analysis``
+    The determinism and checkpoint-safety static analyzer (``repro analyze``).
+``repro.utils``
+    Seeded RNG streams, argument validation, statistics and records.
 """
 
 from repro.core import (

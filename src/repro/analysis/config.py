@@ -119,7 +119,6 @@ def _scopes() -> Dict[str, Scope]:
         "DET003": Scope(
             include=(
                 "repro/p2psim/",
-                "repro/baselines/",
                 "repro/experiments/",
                 "repro/runner/",
             )
@@ -131,8 +130,6 @@ def _scopes() -> Dict[str, Scope]:
                 "repro/p2psim/",
                 "repro/core/",
                 "repro/overlay/",
-                "repro/workloads/",
-                "repro/baselines/",
             )
         ),
         # Telemetry guard pattern in hot loops.  The emitter's own package

@@ -28,17 +28,13 @@ class ChurnConfig:
     arrival_rate:
         Expected peer arrivals per second (Poisson process).
     mean_lifespan:
-        Expected peer lifetime in seconds (exponential distribution).
-    churn_initial_peers:
-        If True, peers present at simulation start are also given
-        exponential lifetimes; if False they stay for the whole run.  Only
-        the trace generator (:mod:`repro.workloads.churn_traces`) honours
-        False; both tick simulators reject it.
+        Expected peer lifetime in seconds (exponential distribution).  Peers
+        present at simulation start draw lifetimes from the same
+        distribution as arrivals.
     """
 
     arrival_rate: float
     mean_lifespan: float
-    churn_initial_peers: bool = True
 
     def __post_init__(self) -> None:
         check_positive(self.arrival_rate, "arrival_rate")
@@ -50,14 +46,11 @@ class ChurnConfig:
         return self.arrival_rate * self.mean_lifespan
 
     @classmethod
-    def for_population(
-        cls, population: float, mean_lifespan: float, churn_initial_peers: bool = True
-    ) -> "ChurnConfig":
+    def for_population(cls, population: float, mean_lifespan: float) -> "ChurnConfig":
         """Build a config whose steady-state population equals ``population``."""
         check_positive(population, "population")
         check_positive(mean_lifespan, "mean_lifespan")
         return cls(
             arrival_rate=population / mean_lifespan,
             mean_lifespan=mean_lifespan,
-            churn_initial_peers=churn_initial_peers,
         )

@@ -5,7 +5,7 @@ follows a power law ``P(D) ~ D^{-k}`` with shape ``k = 2.5`` and an average
 of 20 neighbours.  :func:`scale_free_topology` reproduces exactly that
 parameterisation via a degree-targeted configuration model; the other
 generators (Barabási–Albert, Erdős–Rényi, random-regular, ring, complete)
-support ablations and baselines.
+support ablations and tests.
 """
 
 from __future__ import annotations

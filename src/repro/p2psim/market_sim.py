@@ -29,11 +29,7 @@ from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.recorder import WealthRecorder
-from repro.p2psim.slots import (
-    apply_income_taxation,
-    apply_round_churn,
-    check_churn_supported,
-)
+from repro.p2psim.slots import apply_income_taxation, apply_round_churn
 from repro.queueing.routing import RoutingMatrix
 from repro.queueing.traffic import solve_traffic_equations
 from repro.utils.rng import make_rng
@@ -140,7 +136,6 @@ class CreditMarketSimulator:
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
     ) -> None:
-        check_churn_supported(config.churn)
         self.config = config
         self._rng = make_rng(config.seed, "market-sim")
         self.topology = (

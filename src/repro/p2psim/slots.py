@@ -21,28 +21,13 @@ counters.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.core.taxation import NoTax, ThresholdIncomeTax
-from repro.overlay.churn import ChurnConfig
 
-__all__ = ["apply_round_churn", "apply_income_taxation", "check_churn_supported"]
-
-
-def check_churn_supported(churn: Optional[ChurnConfig]) -> None:
-    """Reject churn settings :func:`apply_round_churn` cannot honour.
-
-    The round step gives every alive peer the same exponential lifetime,
-    so peers present at start-up always churn; only the trace generator in
-    :mod:`repro.workloads.churn_traces` can keep them for the whole run.
-    """
-    if churn is not None and not churn.churn_initial_peers:
-        raise ValueError(
-            "churn_initial_peers=False is not supported by the tick simulators: "
-            "every alive peer, initial or not, departs at the same rate"
-        )
+__all__ = ["apply_round_churn", "apply_income_taxation"]
 
 
 def apply_round_churn(

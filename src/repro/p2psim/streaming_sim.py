@@ -72,11 +72,7 @@ from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim.config import StreamingSimConfig
 from repro.p2psim.recorder import WealthRecorder
-from repro.p2psim.slots import (
-    apply_income_taxation,
-    apply_round_churn,
-    check_churn_supported,
-)
+from repro.p2psim.slots import apply_income_taxation, apply_round_churn
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_index_capacity
 
@@ -281,7 +277,6 @@ class StreamingMarketSimulator:
         snapshot_times: Optional[Sequence[float]] = None,
         seed_fanout: Optional[int] = None,
     ) -> None:
-        check_churn_supported(config.churn)
         self.config = config
         self._rng = make_rng(config.seed, "streaming-sim")
         self.topology = (

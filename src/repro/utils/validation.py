@@ -153,6 +153,6 @@ def check_stochastic_matrix(
     if not np.allclose(row_sums, 1.0, atol=atol, rtol=0.0):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
         raise ValueError(
-            f"{name} rows must each sum to 1; row {bad} sums to {row_sums[bad]!r}"
+            f"{name} rows must each sum to 1; row {bad} sums to {float(row_sums[bad])!r}"
         )
     return arr / row_sums[:, None]

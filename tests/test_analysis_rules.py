@@ -7,9 +7,11 @@ bit-identity contract, in miniature.
 
 import ast
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import (
     DEFAULT_CONFIG,
     AllowedContext,
@@ -20,6 +22,8 @@ from repro.analysis import (
 )
 from repro.analysis.core import FileContext
 
+#: The directory holding the ``repro`` package, for resolving scope patterns.
+SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 #: A path whose segments put fixtures in scope for every simulation rule.
 SIM_PATH = "src/repro/p2psim/fixture.py"
 #: A path outside every contract scope (telemetry is exempt by design).
@@ -694,3 +698,23 @@ class TestRegistry:
             "DET001",
             "OBS001",
         ]
+
+
+class TestDefaultConfig:
+    def test_every_repro_path_names_existing_code(self):
+        # A pattern left behind by a deleted package silently scopes nothing.
+        patterns = [
+            (rule_id, pattern)
+            for rule_id, scope in DEFAULT_CONFIG.rule_scopes.items()
+            for pattern in scope.include + scope.exclude
+            if pattern.startswith("repro/")
+        ] + [
+            (rule_id, context.path)
+            for rule_id, contexts in DEFAULT_CONFIG.allowed_contexts.items()
+            for context in contexts
+        ]
+        for rule_id, pattern in patterns:
+            if pattern.endswith("/"):
+                assert (SRC_ROOT / pattern / "__init__.py").is_file(), (rule_id, pattern)
+            else:
+                assert (SRC_ROOT / pattern).is_file(), (rule_id, pattern)

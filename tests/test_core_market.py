@@ -6,7 +6,28 @@ import pytest
 from repro.core import CreditMarket, PerPeerFlatPricing, UniformPricing
 from repro.overlay import OverlayTopology, ring_topology, scale_free_topology
 from repro.queueing import ClosedJacksonNetwork
-from repro.workloads import elastic_chunk_rates, streaming_chunk_rates
+
+
+def _split_over_neighbors(topology, aggregate_rates):
+    """Per-neighbour chunk rates: each buyer's aggregate rate split evenly."""
+    rates = {}
+    for buyer, aggregate in zip(topology.peers(), aggregate_rates):
+        neighbors = sorted(topology.neighbors(buyer))
+        rates[buyer] = {seller: aggregate / len(neighbors) for seller in neighbors}
+    return rates
+
+
+def streaming_chunk_rates(topology):
+    """Sec. V-C case 1: every peer downloads at the same stream rate, 1 chunk/s."""
+    return _split_over_neighbors(topology, [1.0] * topology.num_peers)
+
+
+def elastic_chunk_rates(topology, seed):
+    """Sec. V-C case 2: lognormal aggregate download rates, mean 1 and CV 1."""
+    sigma = np.sqrt(np.log(2.0))
+    rng = np.random.default_rng(seed)
+    aggregates = rng.lognormal(-(sigma**2) / 2.0, sigma, topology.num_peers)
+    return _split_over_neighbors(topology, aggregates)
 
 
 class TestConstruction:
@@ -56,7 +77,7 @@ class TestSectionVC:
             topology,
             initial_credits=10.0,
             pricing=UniformPricing(2.0),
-            chunk_rates=streaming_chunk_rates(topology, streaming_rate=1.0),
+            chunk_rates=streaming_chunk_rates(topology),
         )
         # mu_i = s * r = 2.0 for every peer.
         np.testing.assert_allclose(market.spending_rates, 2.0)
@@ -87,7 +108,7 @@ class TestSectionVC:
         market = CreditMarket(
             topology,
             initial_credits=50.0,
-            chunk_rates=elastic_chunk_rates(topology, dispersion=1.0, seed=4),
+            chunk_rates=elastic_chunk_rates(topology, seed=4),
         )
         utilizations = market.equilibrium().utilizations
         assert utilizations.std() > 0.01

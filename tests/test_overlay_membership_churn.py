@@ -225,12 +225,6 @@ class TestRoundChurn:
         assert 30 + result.joins - result.leaves == final_population
 
     @pytest.mark.parametrize("simulator", sorted(SIMULATOR_RUNS))
-    def test_initial_peers_that_never_churn_are_rejected(self, simulator):
-        churn = ChurnConfig(arrival_rate=0.5, mean_lifespan=60.0, churn_initial_peers=False)
-        with pytest.raises(ValueError, match="churn_initial_peers"):
-            SIMULATOR_RUNS[simulator](churn)
-
-    @pytest.mark.parametrize("simulator", sorted(SIMULATOR_RUNS))
     def test_without_churn_population_is_fixed(self, simulator):
         result = SIMULATOR_RUNS[simulator](None)
         assert result.joins == result.leaves == 0

@@ -124,8 +124,9 @@ class TestMatrices:
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0)
 
     def test_stochastic_matrix_rejects_bad_row_sum(self):
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ValueError, match="row 1 sums to 0.7") as excinfo:
             check_stochastic_matrix([[0.5, 0.5], [0.5, 0.2]], "m")
+        assert "np.float64(" not in str(excinfo.value)
 
     def test_stochastic_matrix_rejects_negative(self):
         with pytest.raises(ValueError):
