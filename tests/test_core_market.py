@@ -67,6 +67,56 @@ class TestConstruction:
         market = CreditMarket(topology, initial_credits=10.0, reserve_fraction=0.25)
         np.testing.assert_allclose(market.routing_matrix.self_loop_fractions(), 0.25)
 
+    def test_chunk_rates_reject_unknown_buyers_and_negative_rates(self):
+        topology = ring_topology(4)
+        with pytest.raises(KeyError):
+            CreditMarket(topology, initial_credits=10.0, chunk_rates={9: {0: 1.0}})
+        with pytest.raises(ValueError):
+            CreditMarket(topology, initial_credits=10.0, chunk_rates={0: {1: -1.0}})
+
+    def test_spending_rates_reject_unknown_peers_and_non_positive_rates(self):
+        topology = ring_topology(3)
+        with pytest.raises(KeyError):
+            CreditMarket(topology, spending_rates={0: 1.0, 1: 1.0, 2: 1.0, 7: 1.0})
+        with pytest.raises(ValueError):
+            CreditMarket(topology, spending_rates={0: 1.0, 1: 0.0, 2: 1.0})
+
+    @pytest.mark.parametrize(
+        "keywords", [{"initial_credits": 0.0}, {"initial_credits": -5.0}, {"reserve_fraction": 1.5}]
+    )
+    def test_invalid_scalars_rejected(self, keywords):
+        with pytest.raises(ValueError):
+            CreditMarket(ring_topology(4), **keywords)
+
+    def test_accessors_return_copies(self):
+        market = CreditMarket(ring_topology(4), initial_credits=10.0)
+        market.peer_order.append(99)
+        market.spending_rates[0] = 99.0
+        assert market.peer_order == [0, 1, 2, 3]
+        np.testing.assert_allclose(market.spending_rates, 1.0)
+
+    def test_buyer_without_purchases_spends_at_the_mean_price(self):
+        topology = ring_topology(4)
+        rates = streaming_chunk_rates(topology)
+        rates[2] = {seller: 0.0 for seller in rates[2]}
+        market = CreditMarket(
+            topology, initial_credits=10.0, pricing=UniformPricing(3.0), chunk_rates=rates
+        )
+        np.testing.assert_allclose(market.spending_rates, [3.0, 3.0, 3.0, 3.0])
+        # Its routing row has no purchase weight to normalise, yet stays stochastic.
+        np.testing.assert_allclose(market.routing_matrix.matrix.sum(axis=1), 1.0)
+
+    def test_routing_only_between_neighbours(self):
+        topology = scale_free_topology(40, mean_degree=4, seed=2)
+        market = CreditMarket(topology, initial_credits=10.0)
+        matrix = market.routing_matrix.matrix
+        order = market.peer_order
+        for i, buyer in enumerate(order):
+            for j, seller in enumerate(order):
+                if matrix[i, j] > 0:
+                    assert topology.has_edge(buyer, seller)
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0)
+
 
 class TestSectionVC:
     """Sec. V-C: mu_i = sum_j r_ji s_j and p_ij proportional to r_ji s_j."""
@@ -121,6 +171,21 @@ class TestEquilibrium:
         equilibrium = market.equilibrium()
         assert np.all(equilibrium.arrival_rates <= equilibrium.service_rates + 1e-9)
         assert equilibrium.traffic_residual < 1e-6
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_arrival_rates_solve_the_traffic_equations(self, seed):
+        topology = scale_free_topology(50, mean_degree=6, seed=seed)
+        market = CreditMarket(
+            topology, initial_credits=10.0, chunk_rates=elastic_chunk_rates(topology, seed)
+        )
+        equilibrium = market.equilibrium()
+        lam = equilibrium.arrival_rates
+        np.testing.assert_allclose(lam @ market.routing_matrix.matrix, lam, atol=1e-9)
+        # The scale of lambda is fixed by lambda_i = mu_i at the busiest peer.
+        ratios = lam / equilibrium.service_rates
+        assert ratios.max() == pytest.approx(1.0)
+        assert np.argmax(ratios) == np.argmax(equilibrium.utilizations)
+        assert equilibrium.utilizations.max() == pytest.approx(1.0)
 
     def test_equilibrium_cached_unless_recomputed(self):
         market = CreditMarket(ring_topology(5), initial_credits=10.0)

@@ -63,6 +63,54 @@ class TestThresholdIncomeTax:
             ThresholdIncomeTax(rate=1.5, threshold=10.0)
         with pytest.raises(ValueError):
             ThresholdIncomeTax(rate=0.1, threshold=-1.0)
+        with pytest.raises(ValueError):
+            ThresholdIncomeTax(rate=0.1, threshold=10.0, rebate_unit=-1.0)
+
+    def test_wealth_exactly_at_threshold_is_not_taxed(self):
+        ledger = ledger_with({1: 50.0, 2: 0.0})
+        policy = ThresholdIncomeTax(rate=0.5, threshold=50.0)
+        assert policy.on_income(ledger, 1, 10.0, 0.0, [1, 2]) == 0.0
+        assert ledger.wallet(1).balance == 50.0
+
+    def test_zero_rate_collects_nothing(self):
+        ledger = ledger_with({1: 500.0, 2: 0.0})
+        policy = ThresholdIncomeTax(rate=0.0, threshold=10.0)
+        assert policy.on_income(ledger, 1, 100.0, 0.0, [1, 2]) == 0.0
+        assert policy.total_collected == 0.0
+        assert ledger.system_pool == 0.0
+
+    def test_zero_rebate_unit_keeps_the_pool(self):
+        ledger = ledger_with({1: 100.0, 2: 0.0})
+        policy = ThresholdIncomeTax(rate=0.5, threshold=10.0, rebate_unit=0.0)
+        for _ in range(3):
+            policy.on_income(ledger, 1, 10.0, 0.0, [1, 2])
+        assert policy.total_collected == pytest.approx(15.0)
+        assert policy.rebate_rounds == 0
+        assert ledger.system_pool == pytest.approx(15.0)
+        assert ledger.wallet(2).balance == 0.0
+        ledger.verify_conservation()
+
+    def test_rebates_skip_peers_without_wallets(self):
+        ledger = ledger_with({1: 100.0, 2: 0.0})
+        policy = ThresholdIncomeTax(rate=0.5, threshold=10.0)
+        # Peer 3 has left: the pool only needs 2 credits for a round of 1 each.
+        policy.on_income(ledger, 1, 4.0, 0.0, [1, 2, 3])
+        assert policy.rebate_rounds == 1
+        assert policy.total_rebated == pytest.approx(2.0)
+        assert not ledger.has_wallet(3)
+        assert ledger.wallet(2).balance == pytest.approx(1.0)
+
+    def test_conserves_credits_over_many_incomes(self):
+        rng = np.random.default_rng(4)
+        ledger = ledger_with({peer: float(rng.integers(0, 200)) for peer in range(8)})
+        before = ledger.total_in_circulation()
+        policy = ThresholdIncomeTax(rate=0.2, threshold=80.0)
+        for _ in range(200):
+            peer = int(rng.integers(0, 8))
+            policy.on_income(ledger, peer, float(rng.uniform(0, 20)), 0.0, list(range(8)))
+        assert ledger.total_in_circulation() == pytest.approx(before)
+        assert policy.total_collected == pytest.approx(policy.total_rebated + ledger.system_pool)
+        ledger.verify_conservation()
 
 
 class TestProportionalRedistributionTax:
@@ -81,6 +129,38 @@ class TestProportionalRedistributionTax:
         ledger = ledger_with({1: 200.0, 2: 150.0})
         policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
         assert policy.on_income(ledger, 1, 20.0, 0.0, [1, 2]) == 0.0
+
+    def test_shares_are_proportional_to_shortfall(self):
+        ledger = ledger_with({1: 200.0, 2: 40.0, 3: 20.0, 4: 90.0})
+        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
+        collected = policy.on_income(ledger, 1, 24.0, 0.0, [1, 2, 3, 4])
+        # Shortfalls 10 and 30 split the 12 credits 1:3; peer 4 is above the threshold.
+        assert collected == pytest.approx(12.0)
+        assert ledger.wallet(2).balance == pytest.approx(43.0)
+        assert ledger.wallet(3).balance == pytest.approx(29.0)
+        assert ledger.wallet(4).balance == pytest.approx(90.0)
+        assert policy.total_rebated == pytest.approx(policy.total_collected)
+
+    def test_payer_and_absent_peers_receive_nothing(self):
+        ledger = ledger_with({1: 60.0, 2: 49.0})
+        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
+        policy.on_income(ledger, 1, 10.0, 0.0, [1, 2, 3])
+        assert ledger.wallet(1).balance == pytest.approx(55.0)
+        assert ledger.wallet(2).balance == pytest.approx(54.0)
+        ledger.verify_conservation()
+
+    def test_below_threshold_and_zero_income_untaxed(self):
+        ledger = ledger_with({1: 30.0, 2: 5.0})
+        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
+        assert policy.on_income(ledger, 1, 10.0, 0.0, [1, 2]) == 0.0
+        assert policy.on_income(ledger, 1, 0.0, 0.0, [1, 2]) == 0.0
+        assert policy.total_collected == 0.0
+
+    def test_describe_and_validation(self):
+        text = ProportionalRedistributionTax(rate=0.2, threshold=80).describe()
+        assert text.startswith("proportional") and "0.2" in text and "80" in text
+        with pytest.raises(ValueError):
+            ProportionalRedistributionTax(rate=-0.1, threshold=10.0)
 
 
 class TestSpendingPolicies:

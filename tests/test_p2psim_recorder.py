@@ -41,6 +41,24 @@ class TestRecording:
         with pytest.raises(ValueError):
             WealthRecorder().gini_at(1.0)
 
+    def test_array_and_list_samples_record_alike(self):
+        from_list, from_array = WealthRecorder(), WealthRecorder()
+        samples = [[5, 0, 3, 2], [1, 1, 7, 0], [4, 4, 0, 0]]
+        for time, sample in enumerate(samples):
+            from_list.record(float(time), sample)
+            from_array.record(float(time), np.asarray(sample, dtype=float))
+        for name in ("gini_series", "bankrupt_series", "mean_wealth_series", "population_series"):
+            assert getattr(from_list, name).points() == getattr(from_array, name).points()
+
+    def test_population_series_follows_churn(self):
+        recorder = WealthRecorder()
+        recorder.record(0.0, [2, 2, 2])
+        recorder.record(1.0, [2, 2, 2, 0, 0])
+        recorder.record(2.0, [6])
+        assert recorder.population_series.y == [3.0, 5.0, 1.0]
+        assert recorder.mean_wealth_series.y == pytest.approx([2.0, 1.2, 6.0])
+        assert recorder.bankrupt_series.y == pytest.approx([0.0, 0.4, 0.0])
+
 
 class TestSnapshots:
     def test_snapshots_taken_at_requested_times(self):
@@ -60,6 +78,22 @@ class TestSnapshots:
         assert len(profiles) == 2
         np.testing.assert_array_equal(profiles[0], [1, 2])
         np.testing.assert_array_equal(profiles[1], [5, 6])
+
+    def test_one_sample_can_fill_several_requested_times(self):
+        recorder = WealthRecorder(snapshot_times=[1.0, 2.0, 30.0])
+        recorder.record(5.0, [3, 1, 2])
+        assert set(recorder.snapshots) == {1.0, 2.0}
+        np.testing.assert_array_equal(recorder.snapshots[1.0], [1, 2, 3])
+        np.testing.assert_array_equal(recorder.snapshots[2.0], [1, 2, 3])
+        recorder.record(10.0, [0, 0, 6])
+        assert 30.0 not in recorder.snapshots
+
+    def test_snapshot_is_a_sorted_copy(self):
+        recorder = WealthRecorder(snapshot_times=[0.0])
+        wealths = np.array([4.0, 1.0, 3.0])
+        recorder.record(0.0, wealths)
+        wealths[:] = -1.0
+        np.testing.assert_array_equal(recorder.snapshots[0.0], [1.0, 3.0, 4.0])
 
 
 class TestConvergence:

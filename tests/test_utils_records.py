@@ -74,6 +74,27 @@ class TestResultTable:
         table.add_row(x=1)
         assert [row["x"] for row in table] == [1]
 
+    def test_filter_copies_metadata_and_can_match_nothing(self):
+        table = ResultTable(title="t", metadata={"seed": 3})
+        table.add_row(kind="x", value=1)
+        table.add_row(kind="x", value=2)
+        assert len(table.filter(kind="x", value=2)) == 1
+        empty = table.filter(kind="z")
+        assert len(empty) == 0
+        assert empty.title == "t"
+        empty.metadata["seed"] = 99
+        assert table.metadata == {"seed": 3}
+
+    def test_format_aligns_columns_and_rounds_floats(self):
+        table = ResultTable(title="t")
+        table.add_row(name="a", value=1.0 / 3.0)
+        table.add_row(name="longer", value=2)
+        lines = table.format(float_precision=3).splitlines()
+        assert lines[1].split() == ["name", "value"]
+        assert lines[3].split() == ["a", "0.333"]
+        # Every row pads the first column to the widest cell.
+        assert lines[3].index("0.333") == lines[4].index("2") == len("longer") + 2
+
 
 class TestSeriesRecord:
     def test_append_and_len(self):
@@ -100,6 +121,15 @@ class TestSeriesRecord:
         with pytest.raises(ValueError):
             series.tail_mean(0.0)
 
+    def test_tail_mean_keeps_at_least_the_last_sample(self):
+        series = SeriesRecord(label="s", x=[0, 1, 2], y=[1.0, 2.0, 9.0])
+        assert series.tail_mean(0.01) == 9.0
+        assert series.tail_mean(1.0) == pytest.approx(4.0)
+
+    def test_final_value_of_empty_series_raises(self):
+        with pytest.raises(IndexError):
+            SeriesRecord(label="s").final_value()
+
 
 class TestRowsToCsv:
     def test_column_subset_and_order(self):
@@ -113,3 +143,7 @@ class TestRowsToCsv:
         rows = [ResultRecord({"a": 1})]
         text = rows_to_csv(rows, columns=["a", "z"])
         assert text.strip().splitlines()[1] == "1,"
+
+    def test_default_columns_are_the_union_in_first_seen_order(self):
+        rows = [ResultRecord({"b": 1}), ResultRecord({"a": 2, "b": 3})]
+        assert rows_to_csv(rows).splitlines() == ["b,a", "1,", "3,2"]
