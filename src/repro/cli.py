@@ -30,16 +30,12 @@ caching so interrupted or repeated sweeps skip completed shards.  Both
 every market *and* streaming simulation into N checkpointed round-blocks
 that pipeline across the worker pool and (with ``--cache-dir``) resume
 interrupted paper-scale runs at block granularity — byte-identical to the
-monolithic run in every case.  Every simulator-backed experiment exposes
-a ``dtype`` sweep axis — ``float64`` (default, exact) or ``float32``
-(narrow, statistically equivalent) state — and both ``run`` and ``sweep``
-accept a ``--dtype`` flag that pins it on every shard.  Every run uses
-the simulators' default (vectorized) kernel::
+monolithic run in every case.  Every run uses the simulators' default
+(vectorized) kernel and their one numeric representation (float64 state,
+int64 peer ids)::
 
-    python -m repro.cli sweep fig5_6 --param simulator=streaming \
-        --param dtype=float64,float32 --scale smoke
-    python -m repro.cli run fig7 --scale paper --dtype float32
-    python -m repro.cli sweep fig7-paper --dtype float32 --reps 4
+    python -m repro.cli sweep fig5_6 --param simulator=market,streaming --scale smoke
+    python -m repro.cli sweep fig7-paper --reps 4 --intra-jobs 4 --cache-dir .repro-cache
 
 ``serve`` starts a resident sweep daemon (stdlib HTTP, JSON API): POST a
 sweep job to ``/runs``, poll its status at ``/runs/<id>``, stream its live
@@ -68,7 +64,6 @@ from typing import List, Optional
 
 from repro.experiments import describe_experiments, run_experiment
 from repro.experiments.common import Scale
-from repro.p2psim.options import DTYPES
 
 __all__ = ["build_parser", "main"]
 
@@ -106,20 +101,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="artifact cache directory; completed shards are reused across runs",
     )
-    parser.add_argument(
-        "--dtype",
-        choices=list(DTYPES),
-        default=None,
-        help=(
-            "simulator state dtype for every shard: float64 (default, "
-            "exact) or float32 (half the memory, statistically equivalent)"
-        ),
-    )
-
-
-def _kernel_axes(args: argparse.Namespace) -> dict:
-    """Single-value grid axis implied by the ``--dtype`` flag."""
-    return {"dtype": [args.dtype]} if args.dtype is not None else {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,21 +270,12 @@ def _run_orchestrated(
     intra_jobs: int,
     cache_dir: Optional[str],
     csv_path: Optional[str],
-    kernel_axes: Optional[dict] = None,
 ) -> int:
-    from repro.runner import ArtifactCache, ParamGrid, SweepSpec, aggregate_report, run_sweep
+    from repro.runner import ArtifactCache, SweepSpec, aggregate_report, run_sweep
 
     cache = ArtifactCache(cache_dir) if cache_dir else None
     try:
         spec = SweepSpec(experiment, replications=reps, base_seed=seed, scale=scale)
-        if kernel_axes:
-            # --dtype pins the state dtype for every shard; it rides as a
-            # single-value grid axis so cache keys, derived seeds and
-            # aggregate rows all see the setting.
-            from repro.experiments import validate_sweep_config
-
-            validate_sweep_config(experiment, kernel_axes)
-            spec.grid = ParamGrid(kernel_axes)
         report = run_sweep(
             spec, jobs=jobs, cache=cache, progress=print, intra_jobs=intra_jobs
         )
@@ -323,24 +295,15 @@ def _run_orchestrated(
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    axes = _kernel_axes(args)
-    if args.reps > 1 or args.jobs != 1 or args.intra_jobs != 1 or args.cache_dir:
+    # Any --reps other than 1 goes through the orchestrator, whose
+    # SweepSpec rejects a non-positive count with exit 2.
+    if args.reps != 1 or args.jobs != 1 or args.intra_jobs != 1 or args.cache_dir:
         return _run_orchestrated(
             args.experiment, args.scale, args.seed, args.reps, args.jobs,
-            args.intra_jobs, args.cache_dir, args.csv, kernel_axes=axes,
+            args.intra_jobs, args.cache_dir, args.csv,
         )
     try:
-        if axes:
-            # Route through the point runner, which accepts the dtype axis
-            # (validated first, so non-simulator experiments fail with one
-            # clean message).
-            from repro.experiments import run_sweep_point, validate_sweep_config
-
-            validate_sweep_config(args.experiment, axes)
-            config = {name: values[0] for name, values in axes.items()}
-            result = run_sweep_point(args.experiment, config, scale=args.scale, seed=args.seed)
-        else:
-            result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
+        result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
     except KeyError as error:
         return _print_error(error)
     return _emit_result(result, args.csv)
@@ -356,29 +319,13 @@ def _build_sweep_spec(args: argparse.Namespace):
     """
     from repro.runner import ParamGrid, build_spec
 
-    spec = build_spec(
+    return build_spec(
         args.target,
         grid=ParamGrid.parse(args.param) if args.param else None,
         replications=args.reps,
         base_seed=args.seed,
         scale=args.scale,
     )
-    axes = _kernel_axes(args)
-    if axes:
-        # --dtype pins the state dtype on every point of the sweep
-        # (including a named scenario's own grid) without clobbering the
-        # other axes; an explicit --param dtype=... axis is replaced by the
-        # flag.
-        from repro.experiments import validate_sweep_config
-
-        validate_sweep_config(spec.experiment_id, axes)
-        if isinstance(spec.grid, ParamGrid):
-            for name, values in axes.items():
-                spec.grid.add_axis(name, values)
-        else:
-            pinned = {name: values[0] for name, values in axes.items()}
-            spec.grid = [dict(config, **pinned) for config in spec.grid]
-    return spec
 
 
 def _command_sweep(args: argparse.Namespace) -> int:

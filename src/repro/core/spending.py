@@ -38,19 +38,14 @@ class SpendingPolicy:
         that apply the *same* floating-point operations in the same order,
         so both paths return bit-identical rates.  Simulator hot loops call
         this once per round instead of once per peer.
-
-        Overrides preserve the dtype of ``base_rates`` (the narrow-dtype
-        simulators pass float32 state and expect float32 rates back); the
-        scalar fallback computes in float64 and casts down at the end.
         """
-        rates = np.array(
+        return np.array(
             [
                 self.effective_rate(float(base), float(wealth))
                 for base, wealth in zip(base_rates, wealths)
             ],
             dtype=float,
         )
-        return rates.astype(np.asarray(base_rates).dtype, copy=False)
 
     def describe(self) -> str:
         """One-line description for experiment legends."""
@@ -66,10 +61,7 @@ class FixedSpendingPolicy(SpendingPolicy):
     def effective_rate_vector(
         self, base_rates: np.ndarray, wealths: np.ndarray
     ) -> np.ndarray:
-        # Dtype-preserving: float64 input (the default representation)
-        # passes through untouched, bit-identical to the historical
-        # ``asarray(..., dtype=float)``.
-        return np.asarray(base_rates)
+        return np.asarray(base_rates, dtype=float)
 
     def describe(self) -> str:
         return "fixed spending rate"
@@ -110,10 +102,8 @@ class DynamicSpendingPolicy(SpendingPolicy):
     def effective_rate_vector(
         self, base_rates: np.ndarray, wealths: np.ndarray
     ) -> np.ndarray:
-        # Dtype-preserving (python-scalar thresholds do not upcast float32
-        # arrays); float64 inputs follow the exact historical operations.
-        base_rates = np.asarray(base_rates)
-        wealths = np.maximum(np.asarray(wealths), 0.0)
+        base_rates = np.asarray(base_rates, dtype=float)
+        wealths = np.maximum(np.asarray(wealths, dtype=float), 0.0)
         multiplier = wealths / self.wealth_threshold
         if self.max_multiplier is not None:
             multiplier = np.minimum(multiplier, self.max_multiplier)

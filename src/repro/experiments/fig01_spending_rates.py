@@ -39,7 +39,6 @@ from repro.core.metrics import gini_index, wealth_summary
 from repro.core.pricing import PerPeerFlatPricing, PricingScheme, UniformPricing
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.p2psim.config import StreamingSimConfig
-from repro.p2psim.options import KernelOptions
 from repro.p2psim.streaming_sim import StreamingMarketSimulator
 from repro.utils.records import ResultTable, SeriesRecord
 from repro.utils.rng import make_rng
@@ -63,7 +62,6 @@ SWEEP_PARAMS = (
     "mean_price",
     "num_peers",
     "horizon",
-    "dtype",
 )
 
 
@@ -95,7 +93,6 @@ def _run_case(
     initial_credits: float,
     pricing: PricingScheme,
     seed: int,
-    dtype: str | None = None,
 ) -> dict:
     """Run one streaming-market configuration and summarise it."""
     config = StreamingSimConfig(
@@ -107,7 +104,6 @@ def _run_case(
         seed_fanout=max(4, params["num_peers"] // 7),
         sample_interval=max(10.0, params["horizon"] / 20.0),
         seed=seed,
-        options=KernelOptions.resolve(dtype=dtype),
     )
     result = StreamingMarketSimulator.run_config(config)
     summary = wealth_summary(result.final_wealths)
@@ -137,16 +133,13 @@ def run_point(
     mean_price: float = MEAN_CHUNK_PRICE,
     num_peers: int | None = None,
     horizon: float | None = None,
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Run a single Fig. 1 streaming-market configuration as a sweep shard.
 
     The sweep axes cross the paper's two levers — initial wealth and the
     pricing model (``uniform`` vs ``poisson-seller``) — plus the mean
-    chunk price, the usual population/horizon knobs and the state
-    ``dtype`` (``float64``/``float32``; the narrow dtype is statistically,
-    not bitwise, equivalent).  ``initial_credits`` defaults to the scale
-    preset's healthy-case wealth.
+    chunk price and the usual population/horizon knobs.
+    ``initial_credits`` defaults to the scale preset's healthy-case wealth.
     """
     params = scale_parameters(
         scale,
@@ -165,7 +158,7 @@ def run_point(
     pricing_model = str(pricing_model)
 
     pricing = _make_pricing(pricing_model, mean_price, params["num_peers"], seed)
-    outcome = _run_case(params, initial_credits, pricing, seed, dtype=dtype)
+    outcome = _run_case(params, initial_credits, pricing, seed)
     realized_mean_price = float(
         np.mean([pricing.price(peer, 0) for peer in range(params["num_peers"])])
     )
@@ -177,7 +170,6 @@ def run_point(
         initial_credits=initial_credits,
         pricing_model=pricing_model,
         mean_price=mean_price,
-        dtype=dtype,
     )
     label = f"{pricing_model} prices, c={initial_credits:g}"
     table = ResultTable(title=TITLE, metadata=metadata)

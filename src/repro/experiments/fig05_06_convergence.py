@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.p2psim.config import MarketSimConfig, StreamingSimConfig, UtilizationMode
-from repro.p2psim.options import KernelOptions
 from repro.p2psim.market_sim import CreditMarketSimulator
 from repro.p2psim.streaming_sim import StreamingMarketSimulator
 from repro.utils.records import ResultTable, SeriesRecord
@@ -45,7 +44,6 @@ SWEEP_PARAMS = (
     "initial_credits",
     "num_snapshots",
     "simulator",
-    "dtype",
 )
 
 
@@ -70,7 +68,6 @@ def run_point(
     initial_credits: float | None = None,
     num_snapshots: int | None = None,
     simulator: str = "market",
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one convergence study as a sweep shard.
 
@@ -80,8 +77,7 @@ def run_point(
     several observation windows, sweeping ``num_peers`` its size
     sensitivity.  ``simulator="streaming"`` runs the chunk-level streaming
     market instead of the transaction-level one (Sec. VI-A's actual
-    setting), and ``dtype`` selects the state representation
-    (``float64``/``float32``).
+    setting).
     """
     simulator = str(simulator)
     if simulator not in SIMULATORS:
@@ -121,7 +117,6 @@ def run_point(
             horizon=horizon,
             sample_interval=max(1.0, horizon / 200.0),
             seed=seed,
-            options=KernelOptions.resolve(dtype=dtype),
         )
         result = StreamingMarketSimulator.run_config(
             streaming_config, snapshot_times=early_times + late_times
@@ -135,7 +130,6 @@ def run_point(
             utilization=UtilizationMode.SYMMETRIC,
             sample_interval=max(params["step"], horizon / 200.0),
             seed=seed,
-            options=KernelOptions.resolve(dtype=dtype),
         )
         result = CreditMarketSimulator.run_config(
             config, snapshot_times=early_times + late_times
@@ -157,7 +151,7 @@ def run_point(
                 curve.append(float(index * step), float(wealth))
             series.append(curve)
 
-    metadata = dict(params, scale=str(scale), seed=seed, simulator=simulator, dtype=dtype)
+    metadata = dict(params, scale=str(scale), seed=seed, simulator=simulator)
     table = ResultTable(title=TITLE, metadata=metadata)
     table.add_row(
         stage="early (Fig. 5)",

@@ -33,7 +33,6 @@ from __future__ import annotations
 from repro.core.metrics import bankruptcy_fraction
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
-from repro.p2psim.options import KernelOptions
 from repro.p2psim.market_sim import CreditMarketSimulator
 from repro.utils.records import ResultTable
 
@@ -49,7 +48,7 @@ TITLE_SYMMETRIC = "Fig. 7 — Gini evolution, symmetric utilization"
 TITLE_ASYMMETRIC = "Fig. 8 — Gini evolution, asymmetric utilization"
 
 #: Parameters the `run_point_*` runners accept as sweep axes.
-SWEEP_PARAMS = ("average_wealth", "num_peers", "horizon", "dtype")
+SWEEP_PARAMS = ("average_wealth", "num_peers", "horizon")
 
 
 def _scale_params(scale: str) -> dict:
@@ -76,7 +75,6 @@ def _run_one_wealth(
     wealth: float,
     seed: int,
     horizon: float | None = None,
-    dtype: str | None = None,
 ) -> dict:
     """Run one (utilization, average wealth) market and summarise it."""
     symmetric = utilization is UtilizationMode.SYMMETRIC
@@ -91,7 +89,6 @@ def _run_one_wealth(
         spending_rate_noise=0.05 if symmetric else 0.0,
         sample_interval=max(params["step"], horizon / 120.0),
         seed=seed,
-        options=KernelOptions.resolve(dtype=dtype),
     )
     result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series
@@ -117,7 +114,6 @@ def _run_point(
     average_wealth: float,
     num_peers: int | None,
     horizon: float | None,
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Shared point-runner implementation for the Fig. 7/8 sweep axes."""
     params = _scale_params(scale)
@@ -130,9 +126,7 @@ def _run_point(
     title = TITLE_SYMMETRIC if symmetric else TITLE_ASYMMETRIC
     experiment_id = "fig7" if symmetric else "fig8"
 
-    outcome = _run_one_wealth(
-        params, utilization, average_wealth, seed, horizon=horizon, dtype=dtype
-    )
+    outcome = _run_one_wealth(params, utilization, average_wealth, seed, horizon=horizon)
     metadata = dict(
         params,
         scale=str(scale),
@@ -140,7 +134,6 @@ def _run_point(
         average_wealth=average_wealth,
         horizon=outcome["horizon"],
         utilization=utilization.value,
-        dtype=dtype,
     )
     table = ResultTable(title=title, metadata=metadata)
     table.add_row(**outcome["row"])
@@ -159,17 +152,14 @@ def run_point_symmetric(
     average_wealth: float = 100.0,
     num_peers: int | None = None,
     horizon: float | None = None,
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Fig. 7 sweep shard: one average wealth under symmetric utilization.
 
     ``horizon`` defaults to the scale preset's wealth-proportional horizon
-    (``max(min_horizon, horizon_per_wealth * c)``); ``dtype`` selects the
-    market simulator's state representation.
+    (``max(min_horizon, horizon_per_wealth * c)``).
     """
     return _run_point(
-        UtilizationMode.SYMMETRIC, scale, seed, average_wealth, num_peers, horizon,
-        dtype=dtype,
+        UtilizationMode.SYMMETRIC, scale, seed, average_wealth, num_peers, horizon
     )
 
 
@@ -179,12 +169,10 @@ def run_point_asymmetric(
     average_wealth: float = 100.0,
     num_peers: int | None = None,
     horizon: float | None = None,
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Fig. 8 sweep shard: one average wealth under asymmetric utilization."""
     return _run_point(
-        UtilizationMode.ASYMMETRIC, scale, seed, average_wealth, num_peers, horizon,
-        dtype=dtype,
+        UtilizationMode.ASYMMETRIC, scale, seed, average_wealth, num_peers, horizon
     )
 
 

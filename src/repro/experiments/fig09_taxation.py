@@ -22,7 +22,6 @@ from repro.core.taxation import NoTax, ThresholdIncomeTax
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.market_sim import CreditMarketSimulator
-from repro.p2psim.options import KernelOptions
 from repro.utils.records import ResultTable
 
 __all__ = ["run", "run_point"]
@@ -31,7 +30,7 @@ EXPERIMENT_ID = "fig9"
 TITLE = "Fig. 9 — Gini index under different tax rates and thresholds"
 
 #: Parameters `run_point` accepts as sweep axes.
-SWEEP_PARAMS = ("tax_rate", "tax_threshold", "num_peers", "horizon", "dtype")
+SWEEP_PARAMS = ("tax_rate", "tax_threshold", "num_peers", "horizon")
 
 
 def run_point(
@@ -41,14 +40,12 @@ def run_point(
     tax_threshold: float = 50.0,
     num_peers: int | None = None,
     horizon: float | None = None,
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one ``(tax_rate, tax_threshold)`` grid point of the Fig. 9 study.
 
     ``tax_rate=0`` means no taxation.  Population and horizon default to
     the scale preset but are sweepable too (the taxation grid of the
     sensitivity study varies rate × threshold at a fixed population).
-    ``dtype`` selects the state representation (``float64``/``float32``).
     """
     params = scale_parameters(
         scale,
@@ -78,7 +75,6 @@ def run_point(
         tax_policy=policy,
         sample_interval=max(params["step"], params["horizon"] / 100.0),
         seed=seed,
-        options=KernelOptions.resolve(dtype=dtype),
     )
     result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series
@@ -90,7 +86,6 @@ def run_point(
         seed=seed,
         tax_rate=tax_rate,
         tax_threshold=tax_threshold,
-        dtype=dtype,
     )
     collected: Optional[float] = getattr(policy, "total_collected", None)
     rebated: Optional[float] = getattr(policy, "total_rebated", None)

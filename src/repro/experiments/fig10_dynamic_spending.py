@@ -13,7 +13,6 @@ from repro.core.spending import DynamicSpendingPolicy, FixedSpendingPolicy
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.market_sim import CreditMarketSimulator
-from repro.p2psim.options import KernelOptions
 from repro.utils.records import ResultTable
 
 __all__ = ["run", "run_point", "SPENDING_POLICIES"]
@@ -31,7 +30,6 @@ SWEEP_PARAMS = (
     "initial_credits",
     "num_peers",
     "horizon",
-    "dtype",
 )
 
 
@@ -49,7 +47,6 @@ def _run_policy(
     policy,
     label: str,
     seed: int,
-    dtype: str | None = None,
 ) -> dict:
     """Run one spending-policy market and summarise it."""
     config = MarketSimConfig(
@@ -61,7 +58,6 @@ def _run_policy(
         spending_policy=policy,
         sample_interval=max(params["step"], params["horizon"] / 100.0),
         seed=seed,
-        options=KernelOptions.resolve(dtype=dtype),
     )
     result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series
@@ -85,7 +81,6 @@ def run_point(
     initial_credits: float | None = None,
     num_peers: int | None = None,
     horizon: float | None = None,
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one spending-policy grid point of the Fig. 10 study.
 
@@ -93,8 +88,7 @@ def run_point(
     (wealth-proportional adjustment above ``wealth_threshold``, the
     paper's ``m``); the threshold defaults to the initial wealth as in the
     paper.  Initial wealth, population and horizon default to the scale
-    preset.  ``dtype`` selects the state representation (``float64``/
-    ``float32``).
+    preset.
     """
     params = _scale_params(scale)
     if num_peers is not None:
@@ -124,14 +118,13 @@ def run_point(
             f"known policies: {', '.join(SPENDING_POLICIES)}"
         )
 
-    outcome = _run_policy(params, policy, label, seed, dtype=dtype)
+    outcome = _run_policy(params, policy, label, seed)
     metadata = dict(
         params,
         scale=str(scale),
         seed=seed,
         spending_policy=spending_policy,
         spending_threshold_m=wealth_threshold,
-        dtype=dtype,
     )
     table = ResultTable(title=TITLE, metadata=metadata)
     table.add_row(**outcome["row"])

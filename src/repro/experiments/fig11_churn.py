@@ -26,7 +26,6 @@ from typing import Optional
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.overlay.churn import ChurnConfig
 from repro.p2psim.config import MarketSimConfig, StreamingSimConfig, UtilizationMode
-from repro.p2psim.options import KernelOptions
 from repro.p2psim.market_sim import CreditMarketSimulator
 from repro.p2psim.streaming_sim import StreamingMarketSimulator
 from repro.utils.records import ResultTable
@@ -47,7 +46,6 @@ SWEEP_PARAMS = (
     "num_peers",
     "horizon",
     "simulator",
-    "dtype",
 )
 
 
@@ -60,7 +58,6 @@ def run_point(
     num_peers: int | None = None,
     horizon: float | None = None,
     simulator: str = "market",
-    dtype: str | None = None,
 ) -> ExperimentResult:
     """Run one churn setting of the Fig. 11 study as a sweepable grid point.
 
@@ -69,8 +66,7 @@ def run_point(
     mean_lifespan`` — ``rate_factor=1`` keeps the expected overlay size
     equal to the static population — or can be fixed directly with
     ``arrival_rate``.  ``simulator="streaming"`` runs the chunk-level
-    streaming market under churn instead of the transaction-level one, and
-    ``dtype`` picks the state representation (``float64``/``float32``).
+    streaming market under churn instead of the transaction-level one.
     """
     simulator = str(simulator)
     if simulator not in SIMULATORS:
@@ -109,7 +105,7 @@ def run_point(
         churn = ChurnConfig(arrival_rate=rate, mean_lifespan=mean_lifespan)
         label = f"lifespan={mean_lifespan:.0f}s, arr. rate={rate:.2g}/s"
 
-    outcome = _run_single(params, churn, label, seed, simulator=simulator, dtype=dtype)
+    outcome = _run_single(params, churn, label, seed, simulator=simulator)
     metadata = dict(
         params,
         scale=str(scale),
@@ -118,7 +114,6 @@ def run_point(
         arrival_rate=rate,
         rate_factor=float(rate_factor),
         simulator=simulator,
-        dtype=dtype,
     )
     table = ResultTable(title=TITLE, metadata=metadata)
     table.add_row(
@@ -146,10 +141,8 @@ def _run_single(
     label: str,
     seed: int,
     simulator: str = "market",
-    dtype: str | None = None,
 ) -> dict:
     """Run one churn setting and summarise it."""
-    options = KernelOptions.resolve(dtype=dtype)
     if simulator == "streaming":
         streaming_config = StreamingSimConfig(
             num_peers=params["num_peers"],
@@ -158,7 +151,6 @@ def _run_single(
             churn=churn,
             sample_interval=max(1.0, params["horizon"] / 80.0),
             seed=seed,
-            options=options,
         )
         result = StreamingMarketSimulator.run_config(streaming_config)
     else:
@@ -171,7 +163,6 @@ def _run_single(
             churn=churn,
             sample_interval=max(params["step"], params["horizon"] / 80.0),
             seed=seed,
-            options=options,
         )
         result = CreditMarketSimulator.run_config(config)
     gini_series = result.recorder.gini_series

@@ -17,8 +17,8 @@ detail:
   behaviour (spending rates, convergence of the wealth profile) is the
   quantity of interest.
 
-Both simulators advance in synchronous rounds over slot-indexed arrays,
-offer bit-identical ``"vectorized"`` / ``"loop"`` kernels for their hot
+Both simulators advance in synchronous rounds over slot-indexed arrays
+(float64 wealth/price/CDF state, int64 peer ids), offer bit-identical ``"vectorized"`` / ``"loop"`` kernels for their hot
 round (selected by the shared
 :class:`~repro.p2psim.options.KernelOptions`), partition into
 checkpointed round-blocks (:mod:`repro.runner.partition`), and share the
@@ -64,8 +64,7 @@ class Simulator(Protocol):
     * **Picklable state** — the entire simulator object must pickle after
       any number of ``advance_rounds`` calls, because
       :meth:`repro.runner.partition.BlockContext.run_simulation`
-      checkpoints it between round blocks (both narrow and default dtype
-      layouts must round-trip).
+      checkpoints it between round blocks.
     * **State-only determinism** — each round's random draws may depend
       only on the simulator's state before the round, so a
       pickle/unpickle boundary between rounds cannot change the

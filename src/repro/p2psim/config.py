@@ -11,30 +11,9 @@ from repro.core.spending import FixedSpendingPolicy, SpendingPolicy
 from repro.core.taxation import NoTax, TaxPolicy
 from repro.overlay.churn import ChurnConfig
 from repro.p2psim.options import KernelOptions
-from repro.utils.validation import (
-    check_exact_float_range,
-    check_index_capacity,
-    check_positive,
-)
+from repro.utils.validation import check_positive
 
 __all__ = ["UtilizationMode", "MarketSimConfig", "StreamingSimConfig"]
-
-
-def _check_narrow_capacity(config: "MarketSimConfig | StreamingSimConfig") -> None:
-    """Validate a narrow-dtype config against the int32/float32 capacity guards.
-
-    Shared by both simulator configs; runs here, where the population size
-    is known.
-    """
-    if not isinstance(config.options, KernelOptions):
-        raise TypeError("options must be a KernelOptions instance")
-    if config.options.is_narrow:
-        check_index_capacity(config.num_peers, config.options.index_dtype, "num_peers")
-        check_exact_float_range(
-            config.num_peers * config.initial_credits,
-            config.options.float_dtype,
-            "total initial credits (num_peers * initial_credits)",
-        )
 
 
 class UtilizationMode(enum.Enum):
@@ -93,11 +72,8 @@ class MarketSimConfig:
         (closed network).
     sample_interval:
         Seconds between Gini/snapshot samples.
-    warmup:
-        Samples before this time are recorded but flagged as warm-up by the
-        recorder's helpers.
     options:
-        Shared kernel/dtype/telemetry switches (see
+        Shared kernel switch (see
         :class:`~repro.p2psim.options.KernelOptions`).  ``options.kernel``
         selects the spending-round implementation: ``"vectorized"``
         (default) routes every credit of a round through one batched
@@ -124,7 +100,6 @@ class MarketSimConfig:
     tax_policy: TaxPolicy = field(default_factory=NoTax)
     churn: Optional[ChurnConfig] = None
     sample_interval: float = 50.0
-    warmup: float = 0.0
     options: KernelOptions = field(default_factory=KernelOptions)
     seed: int = 0
 
@@ -138,11 +113,10 @@ class MarketSimConfig:
         if self.spending_rate_noise < 0:
             raise ValueError("spending_rate_noise must be non-negative")
         check_positive(self.sample_interval, "sample_interval")
-        if self.warmup < 0:
-            raise ValueError("warmup must be non-negative")
         if self.topology_mean_degree >= self.num_peers:
             raise ValueError("topology_mean_degree must be smaller than num_peers")
-        _check_narrow_capacity(self)
+        if not isinstance(self.options, KernelOptions):
+            raise TypeError("options must be a KernelOptions instance")
 
 
 @dataclass
@@ -197,7 +171,7 @@ class StreamingSimConfig:
     sample_interval:
         Seconds between recorder samples.
     options:
-        Shared kernel/dtype/telemetry switches (see
+        Shared kernel switch (see
         :class:`~repro.p2psim.options.KernelOptions`).  ``options.kernel``
         selects the scheduling-round implementation: ``"vectorized"``
         (default) stacks every alive peer's chunk-request routing —
@@ -259,4 +233,5 @@ class StreamingSimConfig:
             raise ValueError("transfer_latency must be non-negative")
         if self.topology_mean_degree >= self.num_peers:
             raise ValueError("topology_mean_degree must be smaller than num_peers")
-        _check_narrow_capacity(self)
+        if not isinstance(self.options, KernelOptions):
+            raise TypeError("options must be a KernelOptions instance")

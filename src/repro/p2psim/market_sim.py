@@ -33,7 +33,6 @@ from repro.p2psim.slots import apply_income_taxation, apply_round_churn
 from repro.queueing.routing import RoutingMatrix
 from repro.queueing.traffic import solve_traffic_equations
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_index_capacity
 
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
 
@@ -55,10 +54,7 @@ class _RoutingPack:
     ``N × max_degree`` matrices earlier revisions materialised (which made
     a single scale-free hub cost its degree on *every* peer and capped the
     population near 10^3).  Both kernels compare against the same ``flat``
-    values, so their routing decisions are bit-identical; ``flat`` stays
-    float64 under either dtype switch because float32 cannot resolve a CDF
-    against a ``3.0 * r`` offset once ``r`` is large (spacing 0.25 at
-    ``r ≈ 10^6``).
+    values, so their routing decisions are bit-identical.
 
     The pack is a pure cache derived from ``_neighbors``/``_cdfs``; any
     membership or routing change drops it and the next round rebuilds it.
@@ -158,17 +154,13 @@ class CreditMarketSimulator:
         )
 
         # --- slot-based peer state -------------------------------------------------
-        options = config.options
-        float_dtype = options.float_dtype
         capacity = max(16, 2 * self.topology.num_peers)
-        if options.is_narrow:
-            check_index_capacity(capacity, options.index_dtype, "slot capacity")
         self._capacity = capacity
         self._alive = np.zeros(capacity, dtype=bool)
-        self._balance = np.zeros(capacity, dtype=float_dtype)
-        self._base_mu = np.zeros(capacity, dtype=float_dtype)
-        self._spent = np.zeros(capacity, dtype=float_dtype)
-        self._earned = np.zeros(capacity, dtype=float_dtype)
+        self._balance = np.zeros(capacity)
+        self._base_mu = np.zeros(capacity)
+        self._spent = np.zeros(capacity)
+        self._earned = np.zeros(capacity)
         self._slot_of: Dict[int, int] = {}
         self._peer_of: Dict[int, int] = {}
         self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
@@ -178,9 +170,6 @@ class CreditMarketSimulator:
         # Per-round scratch buffers: `_income` accumulates the loop kernel's
         # transfers, `_zero_income` is the (never written) empty-round view —
         # both preallocated so the hot loop allocates nothing on quiet rounds.
-        # Incomes are integer transfer counts and stay float64 under either
-        # dtype switch: counts are exact in float64, so narrowing only the
-        # persistent state keeps both kernels' settlements identical.
         self._income = np.zeros(capacity)
         self._zero_income = np.zeros(capacity)
 
@@ -257,10 +246,6 @@ class CreditMarketSimulator:
 
     def _grow_capacity(self) -> None:
         new_capacity = self._capacity * 2
-        if self.config.options.is_narrow:
-            check_index_capacity(
-                new_capacity, self.config.options.index_dtype, "slot capacity"
-            )
         pad = new_capacity - self._capacity
 
         def extend(array: np.ndarray) -> np.ndarray:
@@ -325,9 +310,8 @@ class CreditMarketSimulator:
     def _refresh_routing_row(self, peer_id: int) -> None:
         """Recompute the neighbour list and routing CDF of one peer.
 
-        The cumulative distribution is derived here (in float64, then
-        stored at the configured state dtype) rather than at pack-build
-        time: per-row ``cumsum`` keeps the exact historical float
+        The cumulative distribution is derived here rather than at
+        pack-build time: per-row ``cumsum`` keeps the exact historical float
         sequence — a segmented cumsum over the concatenated edge array
         would accumulate across rows and round differently — and moves the
         O(degree) Python work out of the (benchmarked) round loop.
@@ -336,15 +320,14 @@ class CreditMarketSimulator:
         if slot is None:
             return
         self._pack = None
-        options = self.config.options
         neighbor_ids = [
             neighbor
             for neighbor in self.topology.neighbors(peer_id)
             if neighbor in self._slot_of
         ]
         if not neighbor_ids:
-            self._neighbors[slot] = np.empty(0, dtype=options.index_dtype)
-            self._cdfs[slot] = np.empty(0, dtype=options.float_dtype)
+            self._neighbors[slot] = np.empty(0, dtype=np.int64)
+            self._cdfs[slot] = np.empty(0)
             return
         weights = np.asarray(
             self.config.pricing.price_array(neighbor_ids, 0), dtype=float
@@ -352,7 +335,7 @@ class CreditMarketSimulator:
         weights = np.clip(weights, 1e-12, None)
         self._neighbors[slot] = np.array(
             [self._slot_of[neighbor] for neighbor in neighbor_ids],
-            dtype=options.index_dtype,
+            dtype=np.int64,
         )
         probs = weights / weights.sum()
         row_cdf = np.cumsum(probs)
@@ -360,7 +343,7 @@ class CreditMarketSimulator:
         # [0, 1) lands on a real neighbour despite cumsum rounding;
         # dividing by the total guarantees it.
         row_cdf /= row_cdf[-1]
-        self._cdfs[slot] = row_cdf.astype(options.float_dtype, copy=False)
+        self._cdfs[slot] = row_cdf
 
     # ------------------------------------------------------------------ churn
 
@@ -390,7 +373,7 @@ class CreditMarketSimulator:
         if self._pack is None:
             alive_slots = np.flatnonzero(self._alive)
             count = alive_slots.size
-            empty_nbr = np.empty(0, dtype=self.config.options.index_dtype)
+            empty_nbr = np.empty(0, dtype=np.int64)
             rows = [self._neighbors.get(int(slot), empty_nbr) for slot in alive_slots]
             degrees = np.fromiter(
                 (row.size for row in rows), dtype=np.int64, count=count
@@ -405,10 +388,7 @@ class CreditMarketSimulator:
             else:
                 edge_dst = empty_nbr
                 edge_cdf = np.empty(0)
-            # float64 offsets regardless of the state dtype: adding 3r to a
-            # float32 CDF stops resolving distinct probabilities once r is
-            # large, while a float64 add of a float32 cdf value is exact.
-            flat = edge_cdf.astype(np.float64, copy=False) + 3.0 * np.repeat(
+            flat = edge_cdf + 3.0 * np.repeat(
                 np.arange(count, dtype=np.float64), degrees
             )
             self._pack = _RoutingPack(alive_slots, degrees, row_start, edge_dst, flat)
@@ -486,7 +466,7 @@ class CreditMarketSimulator:
         # cost, which the telemetry-overhead CI gate holds under 5%.
         options = self.config.options
         emitter = get_emitter()
-        observing = emitter.enabled and options.telemetry
+        observing = emitter.enabled
         kernel_started = time.perf_counter() if observing else 0.0
         if options.kernel == "loop":
             income = self._route_credits_loop(pack, spendable, draws)
@@ -519,7 +499,7 @@ class CreditMarketSimulator:
         because each round's draws depend only on the state before it.
         """
         dt = self.config.step
-        observing = get_emitter().enabled and self.config.options.telemetry
+        observing = get_emitter().enabled
         started = time.perf_counter() if observing else 0.0
         for _ in range(rounds):
             if self._time + 1e-9 >= self._next_sample:
@@ -545,7 +525,7 @@ class CreditMarketSimulator:
     def _record_sample(self) -> None:
         alive_slots = np.flatnonzero(self._alive)
         emitter = get_emitter()
-        observing = emitter.enabled and self.config.options.telemetry
+        observing = emitter.enabled
         before = len(self.recorder.gini_series.x) if observing else 0
         self.recorder.record(self._time, self._balance[alive_slots])
         # Stream the freshly recorded sample (the recorder drops empty

@@ -74,7 +74,6 @@ from repro.p2psim.config import StreamingSimConfig
 from repro.p2psim.recorder import WealthRecorder
 from repro.p2psim.slots import apply_income_taxation, apply_round_churn
 from repro.utils.rng import make_rng
-from repro.utils.validation import check_index_capacity
 
 __all__ = ["StreamingSimResult", "StreamingMarketSimulator"]
 
@@ -265,9 +264,6 @@ class StreamingMarketSimulator:
         shape/mean degree is generated when omitted.
     snapshot_times:
         Simulation times at which sorted wealth snapshots are kept.
-    seed_fanout:
-        Override of ``config.seed_fanout`` (number of random peers that
-        receive each freshly emitted chunk for free).
     """
 
     def __init__(
@@ -275,7 +271,6 @@ class StreamingMarketSimulator:
         config: StreamingSimConfig,
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
-        seed_fanout: Optional[int] = None,
     ) -> None:
         self.config = config
         self._rng = make_rng(config.seed, "streaming-sim")
@@ -297,9 +292,6 @@ class StreamingMarketSimulator:
             target_degree=max(1, int(round(config.topology_mean_degree))),
             seed=config.seed + 1,
         )
-        self.seed_fanout = max(
-            1, int(seed_fanout if seed_fanout is not None else config.seed_fanout)
-        )
 
         # --- sliding availability window over the live stream ----------------------
         window = config.playback_window
@@ -308,24 +300,20 @@ class StreamingMarketSimulator:
         self._emitted = 0
 
         # --- slot-based peer state -------------------------------------------------
-        options = config.options
-        float_dtype = options.float_dtype
         capacity = max(16, 2 * self.topology.num_peers)
-        if options.is_narrow:
-            check_index_capacity(capacity, options.index_dtype, "slot capacity")
         self._capacity = capacity
         self._alive = np.zeros(capacity, dtype=bool)
-        self._balance = np.zeros(capacity, dtype=float_dtype)
-        self._spent_win = np.zeros(capacity, dtype=float_dtype)
-        self._earned_win = np.zeros(capacity, dtype=float_dtype)
-        self._uploads_total = np.zeros(capacity, dtype=float_dtype)
+        self._balance = np.zeros(capacity)
+        self._spent_win = np.zeros(capacity)
+        self._earned_win = np.zeros(capacity)
+        self._uploads_total = np.zeros(capacity)
         self._played = np.zeros(capacity, dtype=np.int64)
         self._missed = np.zeros(capacity, dtype=np.int64)
         self._pb_next = np.zeros(capacity, dtype=np.int64)
         self._pb_started = np.zeros(capacity, dtype=bool)
-        self._pb_backlog = np.zeros(capacity, dtype=float_dtype)
+        self._pb_backlog = np.zeros(capacity)
         self._have = np.zeros((capacity, self._win_width), dtype=bool)
-        self._price_win = np.zeros((capacity, self._win_width), dtype=float_dtype)
+        self._price_win = np.zeros((capacity, self._win_width))
         self._slot_of: Dict[int, int] = {}
         self._peer_of: Dict[int, int] = {}
         self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
@@ -481,9 +469,7 @@ class StreamingMarketSimulator:
             for neighbor in self.topology.neighbors(peer_id)
             if neighbor in self._slot_of
         )
-        self._neighbors[slot] = np.array(
-            neighbor_slots, dtype=self.config.options.index_dtype
-        )
+        self._neighbors[slot] = np.array(neighbor_slots, dtype=np.int64)
 
     def _stream_pack(self) -> _StreamPack:
         """Return the CSR neighbour arrays of the alive population.
@@ -495,8 +481,7 @@ class StreamingMarketSimulator:
         if self._pack is None:
             alive_slots = np.flatnonzero(self._alive)
             count = alive_slots.size
-            index_dtype = self.config.options.index_dtype
-            empty_row = np.empty(0, dtype=index_dtype)
+            empty_row = np.empty(0, dtype=np.int64)
             rows = [self._neighbors.get(int(slot), empty_row) for slot in alive_slots]
             degrees = np.fromiter(
                 (row.size for row in rows), dtype=np.int64, count=count
@@ -576,7 +561,7 @@ class StreamingMarketSimulator:
             self._fill_price_column(col, index)
             alive_slots = np.flatnonzero(self._alive)
             if alive_slots.size:
-                fanout = min(self.seed_fanout, alive_slots.size)
+                fanout = min(self.config.seed_fanout, alive_slots.size)
                 chosen = rng.choice(alive_slots, size=fanout, replace=False)
                 self._have[chosen, col] = True
             self._emitted += 1
@@ -942,7 +927,7 @@ class StreamingMarketSimulator:
         dt = config.scheduling_interval
         stateful_pricing = config.pricing.is_stateful()
         emitter = get_emitter()
-        observing = emitter.enabled and config.options.telemetry
+        observing = emitter.enabled
         started = time.perf_counter() if observing else 0.0
         for _ in range(rounds):
             if self.now + 1e-9 >= self._next_sample:
@@ -974,7 +959,7 @@ class StreamingMarketSimulator:
             self._schedule_loop if options.kernel == "loop" else self._schedule_vectorized
         )
         emitter = get_emitter()
-        observing = emitter.enabled and options.telemetry
+        observing = emitter.enabled
         if observing:
             with emitter.span("streaming.kernel." + options.kernel):
                 buyers, sellers, chunk_abs, prices = kernel(
@@ -1020,7 +1005,7 @@ class StreamingMarketSimulator:
         order = self._peer_order()
         slots = np.array([self._slot_of[peer] for peer in order], dtype=np.int64)
         emitter = get_emitter()
-        observing = emitter.enabled and self.config.options.telemetry
+        observing = emitter.enabled
         before = len(self.recorder.gini_series.x) if observing else 0
         self.recorder.record(self.now, self._balance[slots])
         # Stream the freshly recorded sample (the recorder drops empty

@@ -8,7 +8,7 @@ optionally splits the run into checkpointed round-blocks:
 >>> from repro.runner.plan import execute
 >>> result = execute(config, blocks=4)                    # doctest: +SKIP
 
-Kernel and dtype selection live on the config's
+Kernel selection lives on the config's
 :class:`~repro.p2psim.options.KernelOptions`; ``blocks`` only changes how
 the run executes, never what it produces: ``execute(config, blocks=n)`` is
 byte-identical to ``execute(config)`` for every ``n``.

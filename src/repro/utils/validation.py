@@ -7,7 +7,6 @@ surface are actionable.
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,17 +18,9 @@ __all__ = [
     "check_probability_vector",
     "check_square_matrix",
     "check_stochastic_matrix",
-    "check_index_capacity",
-    "check_exact_float_range",
-    "FLOAT32_EXACT_INT_MAX",
 ]
 
 Number = Union[int, float]
-
-#: Largest integer magnitude float32 represents exactly (2**24).  Integer
-#: credit totals beyond it silently lose units to rounding under the narrow
-#: dtype switch.
-FLOAT32_EXACT_INT_MAX = 2**24
 
 
 def check_positive(value: Number, name: str) -> float:
@@ -80,49 +71,6 @@ def check_probability_vector(vector: Sequence[Number], name: str, *, atol: float
     if not np.isclose(total, 1.0, atol=atol, rtol=0.0):
         raise ValueError(f"{name} must sum to 1 (got {total!r})")
     return arr / total
-
-
-def check_index_capacity(count: int, index_dtype: "np.dtype", name: str) -> int:
-    """Validate that ``count`` ids are representable in ``index_dtype``.
-
-    The narrow-dtype kernels store peer ids and edge destinations as int32;
-    a population at or beyond ``2**31 - 1`` would silently wrap, so the
-    simulators reject such configurations up front with an actionable
-    message (switch back to the default int64/float64 representation).
-    """
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"{name} must be non-negative, got {count!r}")
-    limit = int(np.iinfo(index_dtype).max)
-    if count >= limit:
-        raise ValueError(
-            f"{name} ({count}) exceeds the capacity of index dtype "
-            f"{np.dtype(index_dtype).name} (max {limit}); use the default "
-            "float64/int64 representation for populations this large"
-        )
-    return count
-
-
-def check_exact_float_range(total: Number, float_dtype: "np.dtype", name: str) -> float:
-    """Warn when an integer-valued total exceeds float32's exact range.
-
-    Credit incomes are integer counts, exact in float32 only up to
-    ``2**24``; beyond that, wealth totals accumulate rounding error under
-    the narrow dtype switch.  The configuration is still allowed — the
-    float32 path is statistically, not bitwise, equivalent anyway — but the
-    caller is warned so silent precision loss never surprises.
-    """
-    total = float(total)
-    if np.dtype(float_dtype) == np.float32 and total > FLOAT32_EXACT_INT_MAX:
-        warnings.warn(
-            f"{name} ({total:g}) exceeds float32's exact-integer range "
-            f"(2**24 = {FLOAT32_EXACT_INT_MAX}); credit totals will lose "
-            "precision under dtype='float32' — use the default 'float64' "
-            "for exact accounting",
-            UserWarning,
-            stacklevel=3,
-        )
-    return total
 
 
 def check_square_matrix(matrix: Sequence[Sequence[Number]], name: str) -> np.ndarray:

@@ -52,16 +52,19 @@ class TestParser:
         assert (args.host, args.port, args.jobs, args.intra_jobs) == ("127.0.0.1", 8765, 1, 1)
         assert args.cache_dir is None and args.bench_root is None
 
-    # Each simulator has one execution path; the spatial-sharding flags
-    # and the kernel switch are gone from every subcommand rather than
-    # accepted and ignored (the loop kernel is a simulator-level test
-    # oracle, reachable only through KernelOptions).  `analyze` keeps no
+    # Each simulator has one execution path; the spatial-sharding flags,
+    # the kernel switch and the state-dtype switch are gone from every
+    # subcommand rather than accepted and ignored (the loop kernel is a
+    # simulator-level test oracle, reachable only through KernelOptions;
+    # float64 state is the only representation).  `analyze` keeps no
     # state between runs: its cache, --changed and baseline flags are gone.
     @pytest.mark.parametrize(
         "argv",
         [
             ["run", "fig7", "--kernel", "loop"],
             ["sweep", "fig7", "--kernel", "loop"],
+            ["run", "fig7", "--dtype", "float32"],
+            ["sweep", "fig7", "--dtype", "float32"],
             ["run", "fig7", "--shards", "2"],
             ["run", "fig7", "--partitioner", "hash"],
             ["run", "fig7", "--shard-backend", "thread"],
@@ -93,6 +96,19 @@ class TestParser:
             argv += ["--param", "average_wealth=8"]
         assert main(argv) == 2
         assert "intra_jobs must be at least 1" in capsys.readouterr().err
+
+    # `run` rejects a non-positive replication count like `sweep` does,
+    # instead of silently running once at the default --jobs 1.
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_reps_exit_2(self, command, value, capsys):
+        argv = [command, "fig7", "--scale", "smoke", "--reps", value]
+        if command == "sweep":
+            argv += ["--param", "average_wealth=8"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "replications must be at least 1" in captured.err
+        assert "stabilized_gini" not in captured.out
 
 
 class TestCommands:
@@ -238,27 +254,15 @@ class TestCommands:
         assert "4 shards" in output
         assert "wealth_gini" in output
 
-    def test_run_accepts_dtype_flag(self, capsys):
-        argv = ["run", "fig10", "--scale", "smoke", "--dtype", "float64"]
-        assert main(argv) == 0
-        assert "stabilized_gini" in capsys.readouterr().out
-
-    def test_run_dtype_flag_rejected_for_analytic_experiment(self, capsys):
-        assert main(["run", "fig3", "--scale", "smoke", "--dtype", "float32"]) == 2
-        assert "unknown sweep parameter" in capsys.readouterr().err
-
-    def test_sweep_dtype_flag_pins_axis_on_every_point(self, capsys):
-        argv = [
-            "sweep", "fig9", "--param", "tax_rate=0,0.2",
-            "--scale", "smoke", "--dtype", "float32",
-        ]
-        assert main(argv) == 0
-        output = capsys.readouterr().out
-        assert "2 shards" in output
-        assert "float32" in output
-
-    def test_sweep_dtype_flag_rejected_for_analytic_experiment(self, capsys):
-        assert main(["sweep", "fig3", "--dtype", "float32", "--scale", "smoke"]) == 2
+    # float64 state is the only representation: no simulator-backed
+    # experiment accepts a dtype axis, so it never feeds derived seeds or
+    # cache keys.
+    @pytest.mark.parametrize(
+        "experiment", ["fig1", "fig5_6", "fig7", "fig8", "fig9", "fig10", "fig11"]
+    )
+    def test_sweep_dtype_axis_rejected(self, experiment, capsys):
+        argv = ["sweep", experiment, "--param", "dtype=float32", "--scale", "smoke"]
+        assert main(argv) == 2
         assert "unknown sweep parameter" in capsys.readouterr().err
 
     def test_sweep_kernel_axis_rejected(self, capsys):
@@ -267,7 +271,3 @@ class TestCommands:
         argv = ["sweep", "fig7", "--param", "kernel=loop", "--scale", "smoke"]
         assert main(argv) == 2
         assert "unknown sweep parameter" in capsys.readouterr().err
-
-    def test_parser_rejects_unknown_dtype_value(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig10", "--dtype", "bogus"])

@@ -236,3 +236,22 @@ class TestEffectiveRateVector:
         policy = Halver(wealth_threshold=100.0)
         vector = policy.effective_rate_vector(self.BASES, self.WEALTHS)
         assert vector.tobytes() == (0.5 * self.BASES).tobytes()
+
+    # Rates are always float64, whatever the input arrays' dtype.
+    @pytest.mark.parametrize("input_dtype", [np.int64, np.float32])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            FixedSpendingPolicy(),
+            DynamicSpendingPolicy(wealth_threshold=100.0),
+            DynamicSpendingPolicy(wealth_threshold=100.0, max_multiplier=3.0),
+        ],
+        ids=["fixed", "dynamic", "dynamic-capped"],
+    )
+    def test_vector_rates_are_float64(self, policy, input_dtype):
+        bases = np.array([1, 2, 3], dtype=input_dtype)
+        wealths = np.array([0, 100, 450], dtype=input_dtype)
+        vector = policy.effective_rate_vector(bases, wealths)
+        assert vector.dtype == np.float64
+        expected = [policy.effective_rate(float(b), float(w)) for b, w in zip(bases, wealths)]
+        assert vector.tolist() == expected

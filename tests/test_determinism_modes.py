@@ -9,8 +9,8 @@ parallelism promised that *how* a simulation executes never changes
   (fig7-shaped symmetric-noise markets and fig10-shaped dynamic-spending
   markets, plus churn/taxation variants);
 * partition — a run split into checkpointed round-blocks must be
-  byte-identical to the monolithic run, including under churn, taxation,
-  float32 state and the loop kernel;
+  byte-identical to the monolithic run, including under churn, taxation
+  and the loop kernel;
 * orchestrator — ``run_sweep(..., intra_jobs=2)`` must produce the same
   shard payloads and aggregate CSV as the monolithic sweep for the fig7,
   fig9 and fig10 smoke scenarios.
@@ -97,11 +97,10 @@ CONFIG_FACTORIES = {
 }
 
 #: Variants of the fig7 shape whose state the round-block path must carry
-#: unchanged: churned membership, the tax pool, narrow arrays, the loop kernel.
+#: unchanged: churned membership, the tax pool, the loop kernel.
 VARIANTS = {
     "churn": lambda: fig7_like_config(churn=ChurnConfig(arrival_rate=0.2, mean_lifespan=150.0)),
     "taxed": lambda: fig7_like_config(tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0)),
-    "float32": lambda: fig7_like_config(options=KernelOptions(dtype="float32")),
     "loop": lambda: fig7_like_config(options=KernelOptions(kernel="loop")),
 }
 

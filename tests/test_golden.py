@@ -41,7 +41,6 @@ from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import (
     CreditMarketSimulator,
-    KernelOptions,
     MarketSimConfig,
     StreamingMarketSimulator,
     StreamingSimConfig,
@@ -93,7 +92,6 @@ MARKET_CASES: Dict[str, Callable[[], MarketSimConfig]] = {
         spending_rate_noise=0.05,
         tax_policy=ThresholdIncomeTax(rate=0.2, threshold=15.0),
     ),
-    "market-float32": lambda: _market(options=KernelOptions(dtype="float32")),
 }
 
 STREAMING_CASES: Dict[str, Callable[[], StreamingSimConfig]] = {

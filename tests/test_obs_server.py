@@ -110,10 +110,11 @@ class TestSubmissionValidation:
             ({"target": "fig99"}, "fig99"),
             ({"target": "fig7", "params": {"bogus": [1]}}, "bogus"),
             ({"target": "fig7", "params": {"kernel": ["loop"]}}, "kernel"),
+            ({"target": "fig7", "params": {"dtype": ["float32"]}}, "dtype"),
         ],
         ids=[
             "missing-target", "blank-target", "params-not-mapping", "unknown-target",
-            "unknown-axis", "kernel-axis",
+            "unknown-axis", "kernel-axis", "dtype-axis",
         ],
     )
     def test_invalid_specs(self, payload, match):
@@ -164,6 +165,16 @@ class TestRoutes:
         )
         assert status == 400
         assert "unknown sweep parameter" in payload["error"]
+        assert server.service.list() == []
+
+    def test_dtype_axis_400_registers_no_job(self, server):
+        # float64 state is the only representation; dtype is not a sweep axis.
+        status, payload = _request(
+            server, "POST", "/runs", {"target": "fig9", "params": {"dtype": ["float32"]}}
+        )
+        assert status == 400
+        assert "unknown sweep parameter" in payload["error"]
+        assert "dtype" in payload["error"]
         assert server.service.list() == []
 
     def test_malformed_body_400(self, server):

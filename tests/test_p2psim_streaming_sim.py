@@ -270,6 +270,43 @@ class TestUploadSlotAccounting:
         assert simulator.chunks_delivered > 0
 
 
+class TestSeedFanout:
+    """``config.seed_fanout`` is the only source of the origin's push degree."""
+
+    @staticmethod
+    def _seeded_holders(simulator):
+        # At time zero the source emits its startup backlog; each chunk is
+        # pushed for free to `seed_fanout` distinct alive peers.
+        simulator._emit_due_chunks()
+        return simulator._have[:, : simulator._emitted].sum(axis=0)
+
+    @pytest.mark.parametrize("fanout", [1, 4, 9])
+    def test_config_value_sets_push_degree(self, fanout):
+        simulator = StreamingMarketSimulator(small_config(seed_fanout=fanout))
+        holders = self._seeded_holders(simulator)
+        assert holders.size == simulator.config.startup_chunks
+        assert holders.tolist() == [fanout] * holders.size
+
+    def test_constructor_has_no_override(self):
+        with pytest.raises(TypeError, match="seed_fanout"):
+            StreamingMarketSimulator(small_config(), seed_fanout=2)
+
+    def test_fig1_fanout_reaches_simulator(self, monkeypatch):
+        from repro.experiments.fig01_spending_rates import run_point
+
+        holders = []
+        original = StreamingMarketSimulator.run_config.__func__
+
+        def spy(cls, config, topology=None, snapshot_times=None):
+            holders.append(self._seeded_holders(cls(config, topology, snapshot_times)))
+            return original(cls, config, topology=topology, snapshot_times=snapshot_times)
+
+        monkeypatch.setattr(StreamingMarketSimulator, "run_config", classmethod(spy))
+        # fig1 pushes each chunk to max(4, num_peers // 7) peers.
+        run_point(scale="smoke", seed=1, num_peers=70, horizon=20.0)
+        assert holders and all(set(counts.tolist()) == {10} for counts in holders)
+
+
 class TestKernelParity:
     def test_loop_and_vectorized_deliver_identical_results(self):
         config = small_config()

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    FLOAT32_EXACT_INT_MAX,
-    check_exact_float_range,
     check_fraction,
-    check_index_capacity,
     check_non_negative,
     check_positive,
     check_probability_vector,
@@ -71,39 +68,6 @@ class TestProbabilityVector:
             check_probability_vector([], "p")
         with pytest.raises(ValueError):
             check_probability_vector([[0.5, 0.5]], "p")
-
-
-class TestCapacityGuards:
-    def test_index_capacity_accepts_small_counts(self):
-        assert check_index_capacity(1_000_000, np.int32, "num_peers") == 1_000_000
-        assert check_index_capacity(2**31 - 2, np.int32, "num_peers") == 2**31 - 2
-
-    def test_index_capacity_rejects_int32_overflow(self):
-        with pytest.raises(ValueError, match="int32"):
-            check_index_capacity(2**31 - 1, np.int32, "num_peers")
-        with pytest.raises(ValueError, match="num_peers"):
-            check_index_capacity(2**31, np.int32, "num_peers")
-
-    def test_index_capacity_wide_dtype_admits_huge_counts(self):
-        assert check_index_capacity(2**31, np.int64, "num_peers") == 2**31
-
-    def test_index_capacity_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_index_capacity(-1, np.int64, "num_peers")
-
-    def test_exact_float_range_quiet_within_range(self, recwarn):
-        assert check_exact_float_range(FLOAT32_EXACT_INT_MAX, np.float32, "wealth") == float(
-            FLOAT32_EXACT_INT_MAX
-        )
-        assert not recwarn.list
-
-    def test_exact_float_range_warns_beyond_2_24(self):
-        with pytest.warns(UserWarning, match="float32"):
-            check_exact_float_range(FLOAT32_EXACT_INT_MAX + 1, np.float32, "wealth")
-
-    def test_exact_float_range_quiet_for_float64(self, recwarn):
-        check_exact_float_range(2.0**40, np.float64, "wealth")
-        assert not recwarn.list
 
 
 class TestMatrices:
