@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -22,8 +22,8 @@ class OverlayTopology:
     Examples
     --------
     >>> topo = OverlayTopology.from_edges(3, [(0, 1), (1, 2)])
-    >>> sorted(topo.neighbors(1))
-    [0, 2]
+    >>> topo.neighbors(1)
+    (0, 2)
     >>> topo.degree(1)
     2
     """
@@ -189,12 +189,17 @@ class OverlayTopology:
 
     # ------------------------------------------------------------------ neighbour queries
 
-    def neighbors(self, peer_id: int) -> FrozenSet[int]:
-        """Frozen set of neighbour ids of ``peer_id``."""
+    def neighbors(self, peer_id: int) -> Tuple[int, ...]:
+        """Neighbour ids of ``peer_id``, ascending.
+
+        The order is part of the contract: routing rows, churn refreshes
+        and price draws follow it, so it must not depend on how the
+        adjacency sets happen to iterate.
+        """
         peer_id = int(peer_id)
         if peer_id not in self._adjacency:
             raise KeyError(f"peer {peer_id} is not in the overlay")
-        return frozenset(self._adjacency[peer_id])
+        return tuple(sorted(self._adjacency[peer_id]))
 
     def degree(self, peer_id: int) -> int:
         """Number of neighbours of ``peer_id``."""

@@ -320,23 +320,21 @@ class CreditMarketSimulator:
         if slot is None:
             return
         self._pack = None
-        neighbor_ids = [
-            neighbor
+        neighbor_slots = sorted(
+            self._slot_of[neighbor]
             for neighbor in self.topology.neighbors(peer_id)
             if neighbor in self._slot_of
-        ]
-        if not neighbor_ids:
+        )
+        if not neighbor_slots:
             self._neighbors[slot] = np.empty(0, dtype=np.int64)
             self._cdfs[slot] = np.empty(0)
             return
+        neighbor_ids = [self._peer_of[neighbor] for neighbor in neighbor_slots]
         weights = np.asarray(
             self.config.pricing.price_array(neighbor_ids, 0), dtype=float
         )
         weights = np.clip(weights, 1e-12, None)
-        self._neighbors[slot] = np.array(
-            [self._slot_of[neighbor] for neighbor in neighbor_ids],
-            dtype=np.int64,
-        )
+        self._neighbors[slot] = np.array(neighbor_slots, dtype=np.int64)
         probs = weights / weights.sum()
         row_cdf = np.cumsum(probs)
         # The last entry must be exactly 1.0 so every uniform draw in

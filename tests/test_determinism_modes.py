@@ -13,7 +13,12 @@ parallelism promised that *how* a simulation executes never changes
   and the loop kernel;
 * orchestrator — ``run_sweep(..., intra_jobs=2)`` must produce the same
   shard payloads and aggregate CSV as the monolithic sweep for the fig7,
-  fig9 and fig10 smoke scenarios.
+  fig9, fig10 and (churned, so restored from checkpoint pickles
+  mid-run) fig11 smoke scenarios;
+* routing rows — every market row lists its neighbours in ascending slot
+  order, whatever order the overlay's adjacency sets iterate in, and
+  still routes to each neighbour with probability ``clip(price_j) /
+  Σ clip(price)``.
 """
 
 import dataclasses
@@ -21,6 +26,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.pricing import PoissonPricing
 from repro.core.spending import DynamicSpendingPolicy, FixedSpendingPolicy
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
@@ -196,6 +202,9 @@ SWEEP_SPECS = {
         "fig10",
         [{"spending_policy": "fixed"}, {"spending_policy": "dynamic", "wealth_threshold": 20.0}],
     ),
+    # A churned market: checkpoint pickles rebuild the overlay's adjacency
+    # sets, so a row built in set order would differ after a restore.
+    "fig11": _sweep_spec("fig11", ParamGrid({"mean_lifespan": [250, 400]})),
 }
 
 
@@ -215,3 +224,58 @@ class TestIntraJobsSweepEquivalence:
         reference = aggregate_sweep(monolithic).to_csv()
         assert aggregate_sweep(chained).to_csv() == reference
         assert aggregate_sweep(pooled).to_csv() == reference
+
+
+def _routing_rows(simulator):
+    """``(peer, neighbour slots, row CDF)`` of every alive market peer."""
+    return [
+        (simulator._peer_of[slot], simulator._neighbors[slot], simulator._cdfs[slot])
+        for slot in np.flatnonzero(simulator._alive).tolist()
+    ]
+
+
+class TestCanonicalRoutingRows:
+    """Rows ascend by neighbour slot; the routing distribution is unchanged."""
+
+    @pytest.fixture(scope="class")
+    def churned(self):
+        # Memoised Poisson prices make the weights uneven, and churn makes
+        # slot order differ from peer-id order (freed slots are reused).
+        simulator = CreditMarketSimulator(
+            fig7_like_config(
+                churn=ChurnConfig(arrival_rate=0.5, mean_lifespan=60.0),
+                pricing=PoissonPricing(mean_price=2.0, seed=5),
+            )
+        )
+        simulator.advance_rounds(100)
+        assert simulator.joins > 0 and simulator.leaves > 0
+        return simulator
+
+    def test_rows_ascend_by_slot(self, churned):
+        rows = _routing_rows(churned)
+        assert rows
+        for _, row, _ in rows:
+            assert np.all(np.diff(row) > 0)
+        slot_order_differs = any(
+            [churned._peer_of[int(s)] for s in row]
+            != sorted(churned._peer_of[int(s)] for s in row)
+            for _, row, _ in rows
+        )
+        assert slot_order_differs, "churn should leave some rows out of id order"
+
+    def test_rows_hold_exactly_the_overlay_neighbours(self, churned):
+        for peer, row, _ in _routing_rows(churned):
+            ids = sorted(churned._peer_of[int(s)] for s in row)
+            assert ids == list(churned.topology.neighbors(peer))
+
+    def test_each_neighbour_keeps_its_price_share(self, churned):
+        pricing = churned.config.pricing
+        for _, row, cdf in _routing_rows(churned):
+            ids = [churned._peer_of[int(s)] for s in row]
+            weights = np.clip(np.asarray(pricing.price_array(ids, 0), dtype=float), 1e-12, None)
+            expected = np.cumsum(weights / weights.sum())
+            expected /= expected[-1]
+            assert cdf.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(
+                np.diff(cdf, prepend=0.0), weights / weights.sum(), rtol=1e-12, atol=1e-15
+            )

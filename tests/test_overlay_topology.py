@@ -95,9 +95,15 @@ class TestEdges:
 class TestQueries:
     def test_neighbors_and_degree(self):
         topo = triangle()
-        assert topo.neighbors(0) == frozenset({1, 2})
+        assert topo.neighbors(0) == (1, 2)
         assert topo.degree(0) == 2
         assert topo.degrees() == {0: 2, 1: 2, 2: 2}
+
+    def test_neighbors_ascend_whatever_the_set_order(self):
+        # On CPython a set of {1, 8} iterates 8 first (8 lands in bucket
+        # 0), so this pins that neighbours come back sorted, not in set order.
+        topo = OverlayTopology.from_edges(9, [(0, 8), (0, 1)])
+        assert topo.neighbors(0) == (1, 8)
 
     def test_neighbors_missing_peer_raises(self):
         with pytest.raises(KeyError):
@@ -167,8 +173,8 @@ class TestBulkConstruction:
             4, np.array([0, 0, 1, 2, 3]), np.array([1, 1, 0, 2, 0])
         )
         assert topo.num_edges == 2  # {0,1} once, {2,2} dropped, {3,0} kept
-        assert topo.neighbors(0) == frozenset({1, 3})
-        assert topo.neighbors(2) == frozenset()
+        assert topo.neighbors(0) == (1, 3)
+        assert topo.neighbors(2) == ()
 
     def test_from_edge_arrays_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="endpoints"):
