@@ -234,9 +234,10 @@ class ProjectRule(Rule):
 
     Project rules see every module at once (import graph, call graph,
     flow closures) instead of one AST.  Their per-file :meth:`check` is a
-    no-op; the walker invokes :meth:`check_project` after the model is
-    built, then routes the findings through the same scope, allowed-
-    context and suppression machinery as per-file findings.
+    no-op unless a rule also has a per-file half (DET002); the walker
+    invokes :meth:`check_project` after the model is built, then routes
+    the findings through the same scope, allowed-context and suppression
+    machinery as per-file findings.
     """
 
     def check(self, ctx: FileContext, config: "AnalysisConfig") -> Iterator[Finding]:

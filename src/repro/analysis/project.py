@@ -11,7 +11,8 @@ seed value came from.  This module builds that context once per run as a
   "facts" the flow rules consume (RNG construction sites with local
   seed-provenance tags, RNG escapes into module/class scope, thread
   spawns, shared-attribute accesses, ``SWEEP_PARAMS`` tuples, registry
-  and scenario declarations);
+  and scenario declarations, set-returning functions and the loops that
+  iterate straight over a call);
 * a conservative call graph over canonical ``module:qualname`` ids,
   resolved through import aliases **and** package re-export chains.
 
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import FileContext
 
 __all__ = [
     "CallSite",
+    "IterationCall",
     "RngSite",
     "RngEscape",
     "EmitterCapture",
@@ -42,7 +44,9 @@ __all__ = [
     "ModuleSummary",
     "ProjectModel",
     "module_name_for",
+    "iterables",
     "summarize_module",
+    "unwrap_iterable",
 ]
 
 #: numpy/stdlib generator constructors, plus the repo's own factory.  Raw
@@ -60,6 +64,12 @@ DERIVE_SEED = "repro.utils.rng:derive_seed"
 
 #: Call terminals that *might* be RNG constructors before canonicalization.
 _RNG_CANDIDATE_TERMINALS = {"default_rng", "RandomState", "Random", "make_rng"}
+
+#: Return annotations that make a function set-valued.
+_SET_TYPES = {"Set", "FrozenSet", "AbstractSet", "set", "frozenset"}
+
+#: Builtins that keep the traversal order of the iterable they wrap.
+_ORDER_PRESERVING_WRAPPERS = ("list", "tuple", "iter", "reversed", "enumerate")
 
 _MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
 _LOCK_TERMINALS = {"Lock", "RLock", "Condition"}
@@ -114,6 +124,23 @@ class CallSite:
     target: str
     line: int
     col: int
+
+
+@dataclass(frozen=True)
+class IterationCall:
+    """A ``for`` loop or comprehension iterating straight over a call.
+
+    ``target`` is the raw call target as in :class:`CallSite`; it is
+    ``None`` for a method called on an arbitrary object
+    (``self.topology.neighbors(p)``), where only ``method`` is known.
+    """
+
+    target: Optional[str]
+    method: Optional[str]
+    qualname: str
+    line: int
+    col: int
+    snippet: str
 
 
 @dataclass(frozen=True)
@@ -254,6 +281,9 @@ class ModuleSummary:
     mutable_globals: Dict[str, Tuple[int, int, str]] = field(default_factory=dict)
     #: unlocked mutations of those globals: (qualname, name, line, col, snippet).
     global_mutations: List[Tuple[str, str, int, int, str]] = field(default_factory=list)
+    #: qualnames of functions annotated to return a set or frozenset.
+    set_returning: List[str] = field(default_factory=list)
+    iteration_calls: List[IterationCall] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +305,57 @@ def _resolve_target(ctx: FileContext, func: ast.expr) -> Optional[str]:
     ):
         return f"self:{func.attr}"
     return None
+
+
+def iterables(tree: ast.AST) -> Iterator[ast.expr]:
+    """The iterable of every ``for`` loop and comprehension generator."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield node.iter
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            yield from (generator.iter for generator in node.generators)
+
+
+def unwrap_iterable(node: ast.expr) -> ast.expr:
+    """The iterable inside ``list(x)``/``tuple(x)``/…, which keep its order."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _ORDER_PRESERVING_WRAPPERS
+        and node.args
+    ):
+        return node.args[0]
+    return node
+
+
+def _is_set_annotation(annotation: Optional[ast.expr]) -> bool:
+    """True for ``set``, ``FrozenSet[int]``, ``typing.Set[str]``, ``"Set[int]"``."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return False
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr in _SET_TYPES
+    return isinstance(annotation, ast.Name) and annotation.id in _SET_TYPES
+
+
+def _iteration_calls(ctx: FileContext) -> Iterator[IterationCall]:
+    for iterable in iterables(ctx.tree):
+        call = unwrap_iterable(iterable)
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        yield IterationCall(
+            target=_resolve_target(ctx, func),
+            method=func.attr if isinstance(func, ast.Attribute) else None,
+            qualname=ctx.qualname(iterable),
+            line=iterable.lineno,
+            col=iterable.col_offset,
+            snippet=ctx.snippet(iterable.lineno),
+        )
 
 
 def _is_mutable_literal(ctx: FileContext, value: ast.expr) -> Optional[str]:
@@ -575,6 +656,8 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
                 target = _resolve_target(ctx, child.func)
                 if target is not None:
                     calls.append(CallSite(target, child.lineno, child.col_offset))
+        if _is_set_annotation(node.returns):
+            summary.set_returning.append(qualname)
         summary.functions[qualname] = FunctionFacts(
             qualname=qualname,
             line=node.lineno,
@@ -819,6 +902,7 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
             if fact is not None:
                 summary.spec_facts.append(fact)
 
+    summary.iteration_calls = list(_iteration_calls(ctx))
     return summary
 
 

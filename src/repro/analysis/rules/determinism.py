@@ -13,7 +13,8 @@ import ast
 from typing import Iterator, Optional, Set
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.core import FileContext, Finding, Rule, Severity, register
+from repro.analysis.core import FileContext, Finding, ProjectRule, Rule, Severity, register
+from repro.analysis.project import IterationCall, ProjectModel, iterables, unwrap_iterable
 
 __all__ = ["GlobalRngRule", "UnorderedIterationRule", "WallClockRule"]
 
@@ -161,8 +162,17 @@ def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
 
 
 @register
-class UnorderedIterationRule(Rule):
-    """DET002 — iteration feeding results must have explicit order."""
+class UnorderedIterationRule(ProjectRule):
+    """DET002 — iteration feeding results must have explicit order.
+
+    The per-file pass sees set literals, ``set(...)``/``frozenset(...)``
+    calls, set-algebra methods, names bound to those and filesystem
+    listings.  The project pass adds calls to any analyzed function or
+    method annotated to return ``Set``/``FrozenSet``/``set``/``frozenset``,
+    wherever it is defined.  A function call is resolved through imports;
+    a method called on an arbitrary object (``self.topology.neighbors(p)``)
+    is matched by its name alone, which is conservative.
+    """
 
     id = "DET002"
     severity = Severity.ERROR
@@ -174,32 +184,19 @@ class UnorderedIterationRule(Rule):
     def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
         collector = _SetLocalCollector()
         collector.visit(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            iters = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for candidate in iters:
-                message = self._diagnose(ctx, candidate, collector.set_names)
-                if message is None:
-                    continue
-                if config.allowed_context(self.id, ctx, candidate) is not None:
-                    continue
-                yield self.finding(ctx, candidate, message)
+        for candidate in iterables(ctx.tree):
+            message = self._diagnose(ctx, candidate, collector.set_names)
+            if message is None:
+                continue
+            if config.allowed_context(self.id, ctx, candidate) is not None:
+                continue
+            yield self.finding(ctx, candidate, message)
 
     def _diagnose(
         self, ctx: FileContext, node: ast.expr, set_names: Set[str]
     ) -> Optional[str]:
         # `list(s)` / `tuple(s)` preserve the unordered traversal; unwrap.
-        unwrapped = node
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("list", "tuple", "iter", "reversed", "enumerate")
-            and node.args
-        ):
-            unwrapped = node.args[0]
+        unwrapped = unwrap_iterable(node)
         if _is_set_expr(unwrapped, set_names):
             return (
                 "iteration over a set has no deterministic order — wrap the "
@@ -222,6 +219,60 @@ class UnorderedIterationRule(Rule):
                 "platform-dependent order — wrap the listing in sorted(...)"
             )
         return None
+
+    def check_project(
+        self, model: ProjectModel, config: AnalysisConfig
+    ) -> Iterator[Finding]:
+        set_valued: Set[str] = set()
+        set_methods: Set[str] = set()
+        for summary in model.summaries.values():
+            for qualname in summary.set_returning:
+                set_valued.add(f"{summary.module}:{qualname}")
+                if "." in qualname:
+                    set_methods.add(qualname.rsplit(".", 1)[1])
+        for summary in model.summaries.values():
+            if not config.covers_path(self.id, summary.path):
+                continue
+            for site in summary.iteration_calls:
+                name = _set_valued_call(model, summary.module, site, set_valued, set_methods)
+                if name is None:
+                    continue
+                if config.allowed_context_for_path(self.id, summary.path, site.qualname):
+                    continue
+                yield self.project_finding(
+                    path=summary.path,
+                    line=site.line,
+                    col=site.col,
+                    snippet=site.snippet,
+                    message=(
+                        f"iteration over `{name}(...)`, which is annotated to "
+                        "return a set, has no deterministic order — return an "
+                        "ordered sequence or wrap the call in sorted(...)"
+                    ),
+                )
+
+
+def _set_valued_call(
+    model: ProjectModel,
+    module: str,
+    site: IterationCall,
+    set_valued: Set[str],
+    set_methods: Set[str],
+) -> Optional[str]:
+    """The name of the set-returning function ``site`` iterates over, if any."""
+    target = site.target
+    if target is None:
+        return site.method if site.method in set_methods else None
+    if target.startswith("self:"):
+        if "." not in site.qualname:
+            return None
+        owner = site.qualname.rsplit(".", 1)[0]
+        canonical: Optional[str] = f"{module}:{owner}.{target[len('self:'):]}"
+    else:
+        canonical = model.resolve(target, module)
+    if canonical in set_valued:
+        return str(canonical).split(":", 1)[1]
+    return None
 
 
 @register

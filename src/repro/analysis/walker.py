@@ -216,8 +216,6 @@ def _run_file_rules(
     if entry.ctx is None:
         return
     for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
         if not config.in_scope(rule.id, entry.ctx):
             continue
         entry.findings.extend(rule.check(entry.ctx, config))
@@ -282,7 +280,8 @@ def analyze_file(
 ) -> List[Finding]:
     """Run every in-scope per-file rule over one file, suppressions applied.
 
-    Project rules need the whole-program model and are skipped here; use
+    Project checks need the whole-program model and are skipped here
+    (a project rule's per-file half still runs); use
     :func:`analyze_paths` to run them.
     """
     entry = _load_file(path)

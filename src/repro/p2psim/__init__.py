@@ -18,7 +18,8 @@ detail:
   quantity of interest.
 
 Both simulators advance in synchronous rounds over slot-indexed arrays
-(float64 wealth/price/CDF state, int64 peer ids), offer bit-identical ``"vectorized"`` / ``"loop"`` kernels for their hot
+(float64 wealth/price/CDF state, int64 peer ids) kept by one
+:class:`~repro.p2psim.slots.PeerSlots` store, offer bit-identical ``"vectorized"`` / ``"loop"`` kernels for their hot
 round (selected by the shared
 :class:`~repro.p2psim.options.KernelOptions`), partition into
 checkpointed round-blocks (:mod:`repro.runner.partition`), and share the

@@ -19,52 +19,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import get_emitter
-from repro.overlay.generators import scale_free_topology
-from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.recorder import WealthRecorder
-from repro.p2psim.slots import apply_income_taxation, apply_round_churn
+from repro.p2psim.slots import (
+    SlotArray,
+    SlotPack,
+    SlotSimulator,
+    apply_income_taxation,
+    apply_round_churn,
+)
 from repro.queueing.routing import RoutingMatrix
 from repro.queueing.traffic import solve_traffic_equations
-from repro.utils.rng import make_rng
 
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
-
-
-@dataclass
-class _RoutingPack:
-    """Alive peers' routing rows in CSR (segmented) layout — no padding.
-
-    Row ``r`` describes the peer in slot ``alive_slots[r]``: its routing
-    edges occupy positions ``row_start[r]:row_start[r+1]`` of the flat
-    edge arrays.  ``edge_dst`` holds neighbour slot indices and ``flat``
-    the segmented cumulative routing probabilities offset by ``3.0 * r``
-    (each row's CDF is normalised so its last entry is exactly 1.0, so row
-    ``r`` occupies values in ``(3r, 3r + 1]``).  The concatenation is
-    therefore one globally sorted vector, and a credit of spender row
-    ``r`` with uniform ``u`` routes to edge ``searchsorted(flat, u + 3r,
-    "right")`` — one batched binary search routes every credit of a round
-    against exactly the degree mass of the overlay, instead of the padded
-    ``N × max_degree`` matrices earlier revisions materialised (which made
-    a single scale-free hub cost its degree on *every* peer and capped the
-    population near 10^3).  Both kernels compare against the same ``flat``
-    values, so their routing decisions are bit-identical.
-
-    The pack is a pure cache derived from ``_neighbors``/``_cdfs``; any
-    membership or routing change drops it and the next round rebuilds it.
-    """
-
-    alive_slots: np.ndarray
-    degrees: np.ndarray
-    row_start: np.ndarray
-    edge_dst: np.ndarray
-    flat: np.ndarray
 
 
 @dataclass
@@ -112,8 +85,14 @@ class MarketSimResult:
         return self.recorder.stabilized_gini()
 
 
-class CreditMarketSimulator:
+class CreditMarketSimulator(SlotSimulator):
     """Round-based simulator of credit circulation on a P2P overlay.
+
+    Peer state lives in slot-indexed arrays kept by a
+    :class:`~repro.p2psim.slots.PeerSlots` store, which also holds each
+    peer's neighbour row.  The simulator adds what routing needs on top:
+    each row's routing CDF, derived from its neighbours' posted prices, and
+    the ``flat`` search array over all rows (see :meth:`_routing_pack`).
 
     Parameters
     ----------
@@ -126,67 +105,43 @@ class CreditMarketSimulator:
         Simulation times at which sorted wealth snapshots are kept.
     """
 
+    _rng_label = "market-sim"
+    _base_mu = SlotArray()
+    _spent = SlotArray()
+    _earned = SlotArray()
+    _income = SlotArray()
+    _zero_income = SlotArray()
+
     def __init__(
         self,
         config: MarketSimConfig,
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
     ) -> None:
-        self.config = config
-        self._rng = make_rng(config.seed, "market-sim")
-        self.topology = (
-            topology
-            if topology is not None
-            else scale_free_topology(
-                config.num_peers,
-                shape=config.topology_shape,
-                mean_degree=config.topology_mean_degree,
-                seed=config.seed,
-            )
-        )
-        if self.topology.num_peers < 2:
-            raise ValueError("the overlay must contain at least 2 peers")
-        self.recorder = WealthRecorder(snapshot_times=snapshot_times)
-        self._tracker = MembershipTracker(
-            self.topology,
-            target_degree=int(round(config.topology_mean_degree)),
-            seed=config.seed + 1,
-        )
-
+        super().__init__(config, topology, snapshot_times)
         # --- slot-based peer state -------------------------------------------------
-        capacity = max(16, 2 * self.topology.num_peers)
-        self._capacity = capacity
-        self._alive = np.zeros(capacity, dtype=bool)
-        self._balance = np.zeros(capacity)
+        capacity = self._slots.capacity
         self._base_mu = np.zeros(capacity)
         self._spent = np.zeros(capacity)
         self._earned = np.zeros(capacity)
-        self._slot_of: Dict[int, int] = {}
-        self._peer_of: Dict[int, int] = {}
-        self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
-        self._neighbors: Dict[int, np.ndarray] = {}
-        self._cdfs: Dict[int, np.ndarray] = {}
-        self._pack: Optional[_RoutingPack] = None
         # Per-round scratch buffers: `_income` accumulates the loop kernel's
         # transfers, `_zero_income` is the (never written) empty-round view —
         # both preallocated so the hot loop allocates nothing on quiet rounds.
         self._income = np.zeros(capacity)
         self._zero_income = np.zeros(capacity)
+        # Routing CDF of each slot's row, and the search array over all rows
+        # with the store pack it was built from.
+        self._cdfs: Dict[int, np.ndarray] = {}
+        self._flat = np.empty(0)
+        self._flat_pack: Optional[SlotPack] = None
 
-        self._tax_pool = 0.0
         self.total_transfers = 0
-        self.joins = 0
-        self.leaves = 0
         self._time = 0.0
         self._next_sample = 0.0
 
         initial_peers = self.topology.peers()
         mu_by_peer = self._configure_spending_rates(initial_peers)
-        # Bulk admission: `_admit` never derives routing rows, so create
-        # every peer's state first, then derive each row exactly once.  A
-        # row only depends on which of its own neighbours are admitted, so
-        # deferring the derivation changes no row; churn rounds defer it
-        # the same way (see `apply_round_churn`).
+        # Admit everyone first, then derive each row once (as churn rounds do).
         for peer in initial_peers:
             self._admit(peer, mu_by_peer[peer])
         for peer in initial_peers:
@@ -244,23 +199,6 @@ class CreditMarketSimulator:
 
     # ------------------------------------------------------------------ peer lifecycle
 
-    def _grow_capacity(self) -> None:
-        new_capacity = self._capacity * 2
-        pad = new_capacity - self._capacity
-
-        def extend(array: np.ndarray) -> np.ndarray:
-            return np.concatenate([array, np.zeros(pad, dtype=array.dtype)])
-
-        self._alive = extend(self._alive)
-        self._balance = extend(self._balance)
-        self._base_mu = extend(self._base_mu)
-        self._spent = extend(self._spent)
-        self._earned = extend(self._earned)
-        self._income = np.zeros(new_capacity)
-        self._zero_income = np.zeros(new_capacity)
-        self._free_slots = list(range(new_capacity - 1, self._capacity - 1, -1)) + self._free_slots
-        self._capacity = new_capacity
-
     def _admit(self, peer_id: int, spending_rate: float) -> int:
         """Create simulator state for ``peer_id`` (already present in the topology).
 
@@ -269,17 +207,11 @@ class CreditMarketSimulator:
         ``__init__`` once per initial peer, :func:`apply_round_churn` once
         per touched peer per round.
         """
-        if not self._free_slots:
-            self._grow_capacity()
-        slot = self._free_slots.pop()
-        self._alive[slot] = True
+        slot = self._slots.admit(peer_id)
         self._balance[slot] = self.config.initial_credits
         self._base_mu[slot] = spending_rate
         self._spent[slot] = 0.0
         self._earned[slot] = 0.0
-        self._slot_of[peer_id] = slot
-        self._peer_of[slot] = peer_id
-        self._pack = None
         return slot
 
     def _admit_joiner(self, peer_id: int) -> int:
@@ -298,43 +230,33 @@ class CreditMarketSimulator:
 
     def _evict(self, peer_id: int) -> None:
         """Remove ``peer_id``'s simulator state (topology surgery happens separately)."""
-        slot = self._slot_of.pop(peer_id)
-        self._peer_of.pop(slot)
-        self._alive[slot] = False
+        slot = self._slots.evict(peer_id)
         self._balance[slot] = 0.0
-        self._neighbors.pop(slot, None)
         self._cdfs.pop(slot, None)
-        self._free_slots.append(slot)
-        self._pack = None
 
     def _refresh_routing_row(self, peer_id: int) -> None:
-        """Recompute the neighbour list and routing CDF of one peer.
+        """Recompute the neighbour row and routing CDF of one peer.
 
-        The cumulative distribution is derived here rather than at
-        pack-build time: per-row ``cumsum`` keeps the exact historical float
-        sequence — a segmented cumsum over the concatenated edge array
-        would accumulate across rows and round differently — and moves the
-        O(degree) Python work out of the (benchmarked) round loop.
+        The row lists the neighbours' slots ascending, so the CDF's order
+        never depends on how the overlay's sets iterate.  The cumulative
+        distribution is derived here rather than at pack-build time:
+        per-row ``cumsum`` keeps the exact historical float sequence — a
+        segmented cumsum over the concatenated edge array would accumulate
+        across rows and round differently — and moves the O(degree) Python
+        work out of the (benchmarked) round loop.
         """
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
+        slot = self._slots.refresh(peer_id)
+        if slot < 0:
             return
-        self._pack = None
-        neighbor_slots = sorted(
-            self._slot_of[neighbor]
-            for neighbor in self.topology.neighbors(peer_id)
-            if neighbor in self._slot_of
-        )
-        if not neighbor_slots:
-            self._neighbors[slot] = np.empty(0, dtype=np.int64)
+        row = self._slots.row(slot)
+        if row.size == 0:
             self._cdfs[slot] = np.empty(0)
             return
-        neighbor_ids = [self._peer_of[neighbor] for neighbor in neighbor_slots]
+        neighbor_ids = self._slots.peer_of[row].tolist()
         weights = np.asarray(
             self.config.pricing.price_array(neighbor_ids, 0), dtype=float
         )
         weights = np.clip(weights, 1e-12, None)
-        self._neighbors[slot] = np.array(neighbor_slots, dtype=np.int64)
         probs = weights / weights.sum()
         row_cdf = np.cumsum(probs)
         # The last entry must be exactly 1.0 so every uniform draw in
@@ -360,40 +282,33 @@ class CreditMarketSimulator:
 
     # ------------------------------------------------------------------ main loop
 
-    def _routing_pack(self) -> _RoutingPack:
-        """Return the CSR routing arrays of the alive population.
+    def _routing_pack(self) -> Tuple[SlotPack, np.ndarray]:
+        """Return the store's CSR rows and the ``flat`` routing search array.
 
-        Rebuilt lazily after any membership/routing change; on static
-        overlays the pack is built once and reused for the whole run.
-        Memory and build time scale with the edge count, never with
-        ``N × max_degree``.
+        ``flat`` holds every row's routing CDF, concatenated in pack row
+        order and offset by ``3.0 * r`` (each row's CDF ends at exactly
+        1.0, so row ``r`` occupies values in ``(3r, 3r + 1]``).  It is
+        therefore one globally sorted vector, and a credit of spender row
+        ``r`` with uniform ``u`` routes to edge ``searchsorted(flat, u + 3r,
+        "right")`` — one batched binary search routes every credit of a
+        round against exactly the degree mass of the overlay.  Both kernels
+        compare against the same ``flat`` values, so their routing
+        decisions are bit-identical.  It is rebuilt whenever the store
+        rebuilds its pack, i.e. after any membership change; on static
+        overlays it is built once and reused for the whole run.
         """
-        if self._pack is None:
-            alive_slots = np.flatnonzero(self._alive)
-            count = alive_slots.size
-            empty_nbr = np.empty(0, dtype=np.int64)
-            rows = [self._neighbors.get(int(slot), empty_nbr) for slot in alive_slots]
-            degrees = np.fromiter(
-                (row.size for row in rows), dtype=np.int64, count=count
+        pack = self._slots.pack()
+        if self._flat_pack is not pack:
+            rows = pack.alive_slots.tolist()
+            edge_cdf = np.concatenate([self._cdfs[slot] for slot in rows]) if rows else np.empty(0)
+            self._flat = edge_cdf + 3.0 * np.repeat(
+                np.arange(len(rows), dtype=np.float64), pack.degrees
             )
-            row_start = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=row_start[1:])
-            if count:
-                edge_dst = np.concatenate(rows)
-                edge_cdf = np.concatenate(
-                    [self._cdfs.get(int(slot), empty_nbr) for slot in alive_slots]
-                )
-            else:
-                edge_dst = empty_nbr
-                edge_cdf = np.empty(0)
-            flat = edge_cdf + 3.0 * np.repeat(
-                np.arange(count, dtype=np.float64), degrees
-            )
-            self._pack = _RoutingPack(alive_slots, degrees, row_start, edge_dst, flat)
-        return self._pack
+            self._flat_pack = pack
+        return pack, self._flat
 
     def _route_credits_vectorized(
-        self, pack: _RoutingPack, spendable: np.ndarray, draws: np.ndarray
+        self, pack: SlotPack, flat: np.ndarray, spendable: np.ndarray, draws: np.ndarray
     ) -> np.ndarray:
         """Route every credit of the round with one batched binary search.
 
@@ -403,16 +318,16 @@ class CreditMarketSimulator:
         ``3r - 2`` and can never capture row ``r``'s draws.
         """
         rows = np.repeat(np.arange(pack.alive_slots.size), spendable)
-        hits = np.searchsorted(pack.flat, draws + 3.0 * rows, side="right")
+        hits = np.searchsorted(flat, draws + 3.0 * rows, side="right")
         # `u + 3r` can round up to exactly the row's final cdf value (e.g.
         # u = 1 - 2**-53 at row 1 rounds to 4.0), which would index one past
         # the row's last edge; clamp those ~ulp-probability draws onto it.
         hits = np.minimum(hits, pack.row_start[rows + 1] - 1)
         destinations = pack.edge_dst[hits]
-        return np.bincount(destinations, minlength=self._capacity).astype(float)
+        return np.bincount(destinations, minlength=self._slots.capacity).astype(float)
 
     def _route_credits_loop(
-        self, pack: _RoutingPack, spendable: np.ndarray, draws: np.ndarray
+        self, pack: SlotPack, flat: np.ndarray, spendable: np.ndarray, draws: np.ndarray
     ) -> np.ndarray:
         """Per-spender routing loop (the benchmark baseline).
 
@@ -431,7 +346,7 @@ class CreditMarketSimulator:
             offset += to_spend
             start = pack.row_start[row]
             end = pack.row_start[row + 1]
-            segment = pack.flat[start:end]
+            segment = flat[start:end]
             hits = np.searchsorted(segment, uniforms + 3.0 * row, side="right")
             hits = np.minimum(hits, pack.degrees[row] - 1)
             np.add.at(income, pack.edge_dst[start:end][hits], 1.0)
@@ -439,7 +354,7 @@ class CreditMarketSimulator:
 
     def _spending_round(self, dt: float) -> None:
         rng = self._rng
-        pack = self._routing_pack()
+        pack, flat = self._routing_pack()
         alive_slots = pack.alive_slots
         if alive_slots.size == 0:
             return
@@ -467,9 +382,9 @@ class CreditMarketSimulator:
         observing = emitter.enabled
         kernel_started = time.perf_counter() if observing else 0.0
         if options.kernel == "loop":
-            income = self._route_credits_loop(pack, spendable, draws)
+            income = self._route_credits_loop(pack, flat, spendable, draws)
         else:
-            income = self._route_credits_vectorized(pack, spendable, draws)
+            income = self._route_credits_vectorized(pack, flat, spendable, draws)
         if observing:
             emitter.timing(
                 "market.kernel." + options.kernel,
@@ -510,33 +425,8 @@ class CreditMarketSimulator:
             elapsed = max(time.perf_counter() - started, 1e-9)
             get_emitter().gauge("market.steps_per_second", rounds / elapsed)
 
-    def finalize(self) -> MarketSimResult:
-        """Record the final sample and assemble the run's result."""
-        self._record_sample()
-        return self._build_result()
-
-    def run(self) -> MarketSimResult:
-        """Run the simulation for the configured horizon and return the result."""
-        self.advance_rounds(self.total_rounds())
-        return self.finalize()
-
     def _record_sample(self) -> None:
-        alive_slots = np.flatnonzero(self._alive)
-        emitter = get_emitter()
-        observing = emitter.enabled
-        before = len(self.recorder.gini_series.x) if observing else 0
-        self.recorder.record(self._time, self._balance[alive_slots])
-        # Stream the freshly recorded sample (the recorder drops empty
-        # populations, so only emit when it actually appended one).
-        if observing and len(self.recorder.gini_series.x) > before:
-            emitter.point("market.gini", self._time, self.recorder.gini_series.y[-1])
-            emitter.point(
-                "market.bankrupt_fraction", self._time, self.recorder.bankrupt_series.y[-1]
-            )
-            emitter.point(
-                "market.mean_wealth", self._time, self.recorder.mean_wealth_series.y[-1]
-            )
-            emitter.point("market.population", self._time, float(alive_slots.size))
+        self._record_wealth("market", self._time, np.flatnonzero(self._alive))
 
     def _build_result(self) -> MarketSimResult:
         alive_slots = np.flatnonzero(self._alive)
@@ -555,29 +445,3 @@ class CreditMarketSimulator:
                 "final_population": int(alive_slots.size),
             },
         )
-
-    # ------------------------------------------------------------------ conveniences
-
-    @classmethod
-    def run_config(
-        cls,
-        config: MarketSimConfig,
-        topology: Optional[OverlayTopology] = None,
-        snapshot_times: Optional[Sequence[float]] = None,
-    ) -> MarketSimResult:
-        """Build a simulator for ``config`` and run it to completion.
-
-        When an intra-run partition context is active (see
-        :mod:`repro.runner.partition`), the run executes as checkpointed
-        round-blocks through that context instead — producing bit-identical
-        results, since block boundaries only pickle/unpickle the state the
-        monolithic loop would carry anyway.
-        """
-        from repro.runner.partition import active_context
-
-        context = active_context()
-        if context is not None:
-            return context.run_simulation(
-                cls, config, topology=topology, snapshot_times=snapshot_times
-            )
-        return cls(config, topology=topology, snapshot_times=snapshot_times).run()

@@ -1,37 +1,320 @@
-"""Shared round-based churn and taxation for the slot-array simulators.
+"""The peer-slot store and the churn and tax steps both simulators share.
 
 Both :class:`~repro.p2psim.market_sim.CreditMarketSimulator` and
 :class:`~repro.p2psim.streaming_sim.StreamingMarketSimulator` keep peer
-state in slot-indexed numpy arrays behind an ``_alive`` mask, drive
-membership through a :class:`~repro.overlay.membership.MembershipTracker`
-and draw from a single ``_rng`` stream.  The per-round churn and
-income-taxation steps are therefore identical up to the simulator-specific
-admit/refresh hooks — this module holds the one copy both simulators call,
-so a fix to either step can never silently diverge the two fidelity
-levels.  Admitting a peer never derives a neighbour row: a churn round
-first applies every departure and arrival, then refreshes each peer whose
-neighbour set changed exactly once, so a hub touched by many joins in one
-round is recomputed once rather than once per join.
+state in slot-indexed numpy arrays.  :class:`PeerSlots` is the one copy of
+the bookkeeping behind those arrays: the alive mask, the peer↔slot maps,
+the free-slot list, capacity growth of every per-slot array, each peer's
+neighbour row (its neighbours' slots, ascending) and the CSR pack of all
+alive rows.  A simulator declares its per-slot arrays as
+:class:`SlotArray` attributes, so assigning one registers it with the
+store, and the store grows it with the population.
 
-The expected simulator attributes are ``config`` (with ``churn`` and
-``tax_policy``), ``_rng``, ``_alive``, ``_balance``, ``_peer_of``,
-``_tracker``, ``topology``, ``_tax_pool`` and the ``joins``/``leaves``
-counters.
+Rows are derived from :meth:`OverlayTopology.neighbors
+<repro.overlay.topology.OverlayTopology.neighbors>` through the
+peer→slot array and sorted by slot, so no row depends on how a set
+happens to iterate — a simulator restored from a checkpoint pickle
+rebuilds exactly the rows it had.  Admitting a peer never derives a row:
+a churn round first applies every departure and arrival, then refreshes
+each peer whose neighbour set changed exactly once, so a hub touched by
+many joins in one round is recomputed once rather than once per join.
+
+:class:`SlotSimulator` is the set-up and run plumbing both simulators
+inherit, and :func:`apply_round_churn` and :func:`apply_income_taxation`
+are the round steps both call, so a fix to either step can never
+silently diverge the two fidelity levels.  The steps read the attributes
+a :class:`SlotSimulator` sets up (``config`` with its ``churn`` and
+``tax_policy``, ``_rng``, ``_slots``, ``_balance``, ``_tracker``,
+``topology``, ``_tax_pool``, the ``joins``/``leaves`` counters) and call
+the simulator's own ``_evict(peer_id)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.taxation import NoTax, ThresholdIncomeTax
+from repro.obs import get_emitter
+from repro.overlay.generators import scale_free_topology
+from repro.overlay.membership import MembershipTracker
+from repro.overlay.topology import OverlayTopology
+from repro.p2psim.recorder import WealthRecorder
+from repro.utils.rng import make_rng
 
-__all__ = ["apply_round_churn", "apply_income_taxation"]
+__all__ = [
+    "PeerSlots",
+    "SlotArray",
+    "SlotPack",
+    "SlotSimulator",
+    "apply_round_churn",
+    "apply_income_taxation",
+]
+
+_EMPTY_ROW = np.empty(0, dtype=np.int64)
+
+
+@dataclass
+class SlotPack:
+    """Alive peers' neighbour rows in CSR (segmented) layout — no padding.
+
+    Row ``r`` describes the peer in slot ``alive_slots[r]``:
+    ``edge_dst[row_start[r]:row_start[r+1]]`` are its neighbours' slots,
+    ascending.  Memory scales with the edge count, never with
+    ``N × max_degree``.
+    """
+
+    alive_slots: np.ndarray
+    degrees: np.ndarray
+    row_start: np.ndarray
+    edge_dst: np.ndarray
+
+
+class PeerSlots:
+    """Slot bookkeeping for the peers of one overlay.
+
+    ``alive[slot]`` marks the slots in use and ``peer_of[slot]`` names the
+    peer in each (meaningful only where alive); ``slot_of[peer_id]`` is
+    the reverse map, -1 for peers without a slot.  Peer ids must be
+    non-negative integers: ``slot_of`` is indexed by them.  Freed slots
+    are reused last-in first-out, and the initial population, admitted
+    in ascending id order, gets slots ``0, 1, 2, …``.
+    """
+
+    def __init__(self, topology: OverlayTopology) -> None:
+        self.topology = topology
+        self.capacity = max(16, 2 * topology.num_peers)
+        #: Every per-slot array, grown together; see :class:`SlotArray`.
+        self.arrays: Dict[str, np.ndarray] = {
+            "alive": np.zeros(self.capacity, dtype=bool),
+            "peer_of": np.zeros(self.capacity, dtype=np.int64),
+        }
+        self.slot_of = np.full(self.capacity, -1, dtype=np.int64)
+        self._free: List[int] = list(range(self.capacity - 1, -1, -1))
+        self._rows: Dict[int, np.ndarray] = {}
+        self._pack: Optional[SlotPack] = None
+
+    @property
+    def alive(self) -> np.ndarray:
+        return self.arrays["alive"]
+
+    @property
+    def peer_of(self) -> np.ndarray:
+        return self.arrays["peer_of"]
+
+    def slot(self, peer_id: int) -> int:
+        """The slot of ``peer_id``, or -1 if it has none."""
+        if 0 <= peer_id < self.slot_of.size:
+            return int(self.slot_of[peer_id])
+        return -1
+
+    def admit(self, peer_id: int) -> int:
+        """Give ``peer_id`` a free slot (growing every array if none is left)."""
+        if not self._free:
+            self._grow()
+        if peer_id >= self.slot_of.size:
+            pad = max(self.slot_of.size, peer_id + 1 - self.slot_of.size)
+            self.slot_of = np.concatenate([self.slot_of, np.full(pad, -1, dtype=np.int64)])
+        slot = self._free.pop()
+        self.alive[slot] = True
+        self.peer_of[slot] = peer_id
+        self.slot_of[peer_id] = slot
+        self._pack = None
+        return slot
+
+    def evict(self, peer_id: int) -> int:
+        """Free ``peer_id``'s slot and drop its row; return the freed slot."""
+        slot = int(self.slot_of[peer_id])
+        self.slot_of[peer_id] = -1
+        self.alive[slot] = False
+        self._rows.pop(slot, None)
+        self._free.append(slot)
+        self._pack = None
+        return slot
+
+    def _grow(self) -> None:
+        old = self.capacity
+        for name, array in self.arrays.items():
+            pad = np.zeros((old,) + array.shape[1:], dtype=array.dtype)
+            self.arrays[name] = np.concatenate([array, pad])
+        self._free = list(range(2 * old - 1, old - 1, -1)) + self._free
+        self.capacity = 2 * old
+
+    def refresh(self, peer_id: int) -> int:
+        """Re-derive ``peer_id``'s neighbour row; return its slot (-1: no slot).
+
+        Every overlay neighbour must already have a slot: rows are
+        refreshed only after all of a round's admissions.
+        """
+        slot = self.slot(peer_id)
+        if slot < 0:
+            return slot
+        neighbors = np.array(self.topology.neighbors(peer_id), dtype=np.int64)
+        row = np.sort(self.slot_of[neighbors])
+        if row.size and row[0] < 0:
+            raise RuntimeError(f"a neighbour of peer {peer_id} has no slot")
+        self._rows[slot] = row
+        self._pack = None
+        return slot
+
+    def row(self, slot: int) -> np.ndarray:
+        """The neighbour slots of ``slot``, ascending."""
+        return self._rows.get(slot, _EMPTY_ROW)
+
+    def pack(self) -> SlotPack:
+        """The CSR rows of the alive population, cached until membership changes."""
+        if self._pack is None:
+            alive_slots = np.flatnonzero(self.alive)
+            count = alive_slots.size
+            rows = [self._rows.get(slot, _EMPTY_ROW) for slot in alive_slots.tolist()]
+            degrees = np.fromiter((row.size for row in rows), dtype=np.int64, count=count)
+            row_start = np.zeros(count + 1, dtype=np.int64)
+            np.cumsum(degrees, out=row_start[1:])
+            edge_dst = np.concatenate(rows) if rows else _EMPTY_ROW
+            self._pack = SlotPack(alive_slots, degrees, row_start, edge_dst)
+        return self._pack
+
+
+class SlotArray:
+    """A simulator attribute that is one per-slot array of its ``_slots`` store.
+
+    Assigning the attribute stores the array in ``sim._slots.arrays``
+    under the attribute's name (or under ``key``), where the store grows
+    it along its first axis whenever the population outgrows the
+    capacity.
+    """
+
+    def __init__(self, key: Optional[str] = None) -> None:
+        self.key = key
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        if self.key is None:
+            self.key = name
+
+    def __get__(self, sim: Any, owner: Optional[type] = None) -> Any:
+        if sim is None:
+            return self
+        return sim._slots.arrays[self.key]
+
+    def __set__(self, sim: Any, array: np.ndarray) -> None:
+        sim._slots.arrays[self.key] = array
+
+
+class SlotSimulator:
+    """Set-up and run plumbing both slot-array simulators share.
+
+    ``__init__`` adopts ``topology`` (or generates the configured
+    scale-free overlay) and builds the wealth recorder, the membership
+    tracker and the slot store; a subclass then adds its per-slot arrays
+    and admits the initial population.  A subclass names its random
+    stream in ``_rng_label`` and implements the four methods below that
+    raise :class:`NotImplementedError`.
+    """
+
+    _rng_label = ""
+    _alive = SlotArray("alive")
+    _balance = SlotArray()
+
+    def __init__(
+        self,
+        config: Any,
+        topology: Optional[OverlayTopology] = None,
+        snapshot_times: Optional[Sequence[float]] = None,
+    ) -> None:
+        self.config = config
+        self._rng = make_rng(config.seed, self._rng_label)
+        self.topology = (
+            topology
+            if topology is not None
+            else scale_free_topology(
+                config.num_peers,
+                shape=config.topology_shape,
+                mean_degree=config.topology_mean_degree,
+                seed=config.seed,
+            )
+        )
+        if self.topology.num_peers < 2:
+            raise ValueError("the overlay must contain at least 2 peers")
+        self.recorder = WealthRecorder(snapshot_times=snapshot_times)
+        self._tracker = MembershipTracker(
+            self.topology,
+            target_degree=max(1, int(round(config.topology_mean_degree))),
+            seed=config.seed + 1,
+        )
+        self._slots = PeerSlots(self.topology)
+        self._balance = np.zeros(self._slots.capacity)
+        self._tax_pool = 0.0
+        self.joins = 0
+        self.leaves = 0
+
+    def total_rounds(self) -> int:
+        raise NotImplementedError
+
+    def advance_rounds(self, rounds: int) -> None:
+        raise NotImplementedError
+
+    def _record_sample(self) -> None:
+        raise NotImplementedError
+
+    def _build_result(self) -> Any:
+        raise NotImplementedError
+
+    def _record_wealth(self, prefix: str, now: float, slots: np.ndarray) -> None:
+        """Record the wealth of ``slots`` at ``now`` and stream the sample.
+
+        The recorder drops empty populations, so a sample is emitted as
+        ``<prefix>.gini`` & co. only when the recorder appended one.
+        """
+        recorder = self.recorder
+        emitter = get_emitter()
+        observing = emitter.enabled
+        before = len(recorder.gini_series.x) if observing else 0
+        recorder.record(now, self._balance[slots])
+        if observing and len(recorder.gini_series.x) > before:
+            emitter.point(prefix + ".gini", now, recorder.gini_series.y[-1])
+            emitter.point(prefix + ".bankrupt_fraction", now, recorder.bankrupt_series.y[-1])
+            emitter.point(prefix + ".mean_wealth", now, recorder.mean_wealth_series.y[-1])
+            emitter.point(prefix + ".population", now, float(slots.size))
+
+    def finalize(self) -> Any:
+        """Record the final sample and assemble the run's result."""
+        self._record_sample()
+        return self._build_result()
+
+    def run(self) -> Any:
+        """Run the simulation for the configured horizon and return the result."""
+        self.advance_rounds(self.total_rounds())
+        return self.finalize()
+
+    @classmethod
+    def run_config(
+        cls,
+        config: Any,
+        topology: Optional[OverlayTopology] = None,
+        snapshot_times: Optional[Sequence[float]] = None,
+    ) -> Any:
+        """Build a simulator for ``config`` and run it to completion.
+
+        When an intra-run partition context is active (see
+        :mod:`repro.runner.partition`), the run executes as checkpointed
+        round-blocks through that context instead — producing bit-identical
+        results, since block boundaries only pickle/unpickle the state the
+        monolithic loop would carry anyway.
+        """
+        from repro.runner.partition import active_context
+
+        context = active_context()
+        if context is not None:
+            return context.run_simulation(
+                cls, config, topology=topology, snapshot_times=snapshot_times
+            )
+        return cls(config, topology=topology, snapshot_times=snapshot_times).run()
 
 
 def apply_round_churn(
-    sim,
+    sim: Any,
     dt: float,
     admit: Callable[[int], object],
     refresh_neighbor: Callable[[int], None],
@@ -55,14 +338,13 @@ def apply_round_churn(
         return
     rng = sim._rng
     departure_probability = 1.0 - np.exp(-dt / churn.mean_lifespan)
-    alive_slots = np.flatnonzero(sim._alive)
+    alive_slots = np.flatnonzero(sim._slots.alive)
     departing = alive_slots[rng.random(alive_slots.size) < departure_probability]
     # Insertion-ordered set of the peers whose neighbour rows went stale.
     touched: Dict[int, None] = {}
-    for slot in departing:
+    for peer_id in sim._slots.peer_of[departing].tolist():
         if sim.topology.num_peers <= 2:
             break
-        peer_id = sim._peer_of[int(slot)]
         departure = sim._tracker.leave(peer_id)
         sim._evict(peer_id)
         sim.leaves += 1
@@ -81,7 +363,7 @@ def apply_round_churn(
         refresh_neighbor(peer_id)
 
 
-def apply_income_taxation(sim, income: np.ndarray, now: float) -> None:
+def apply_income_taxation(sim: Any, income: np.ndarray, now: float) -> None:
     """Tax one round's per-slot income under the simulator's tax policy.
 
     :class:`~repro.core.taxation.ThresholdIncomeTax` — the paper's rule —
@@ -93,7 +375,7 @@ def apply_income_taxation(sim, income: np.ndarray, now: float) -> None:
     policy = sim.config.tax_policy
     if isinstance(policy, NoTax):
         return
-    alive_slots = np.flatnonzero(sim._alive)
+    alive_slots = np.flatnonzero(sim._slots.alive)
     if alive_slots.size == 0:
         return
     if isinstance(policy, ThresholdIncomeTax):

@@ -67,13 +67,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_emitter
-from repro.overlay.generators import scale_free_topology
-from repro.overlay.membership import MembershipTracker
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim.config import StreamingSimConfig
 from repro.p2psim.recorder import WealthRecorder
-from repro.p2psim.slots import apply_income_taxation, apply_round_churn
-from repro.utils.rng import make_rng
+from repro.p2psim.slots import (
+    SlotArray,
+    SlotPack,
+    SlotSimulator,
+    apply_income_taxation,
+    apply_round_churn,
+)
 
 __all__ = ["StreamingSimResult", "StreamingMarketSimulator"]
 
@@ -168,34 +171,6 @@ def _choose_suppliers_for_cells(
 
 
 @dataclass
-class _StreamPack:
-    """Alive peers' neighbour rows in CSR (segmented) layout — no padding.
-
-    Row ``r`` describes the peer in slot ``alive_slots[r]``:
-    ``edge_dst[row_start[r]:row_start[r+1]]`` are its neighbour slot
-    indices in ascending slot order.  Both kernels (and the stateful
-    settlement path) read neighbours from these edge segments; earlier
-    revisions also stacked a padded ``count × max_degree`` matrix, which
-    priced every peer at the maximum hub degree — prohibitive on a
-    scale-free overlay at large N, where a single 10^3-degree hub would
-    pad a million rows.
-
-    The pack is a pure cache derived from the per-peer neighbour rows; any
-    membership change drops it and the next tick rebuilds it.
-    """
-
-    alive_slots: np.ndarray
-    degrees: np.ndarray
-    edge_dst: np.ndarray
-    row_start: np.ndarray
-    row_of: Dict[int, int]
-
-    def neighbors_of_row(self, row: int) -> np.ndarray:
-        """The neighbour-slot segment of pack row ``row`` (a view)."""
-        return self.edge_dst[self.row_start[row] : self.row_start[row + 1]]
-
-
-@dataclass
 class StreamingSimResult:
     """Output of one :class:`StreamingMarketSimulator` run.
 
@@ -252,7 +227,7 @@ class StreamingSimResult:
         return gini_index(self.spending_rates)
 
 
-class StreamingMarketSimulator:
+class StreamingMarketSimulator(SlotSimulator):
     """Builds and runs a credit-incentivized streaming swarm simulation.
 
     Parameters
@@ -266,33 +241,25 @@ class StreamingMarketSimulator:
         Simulation times at which sorted wealth snapshots are kept.
     """
 
+    _rng_label = "streaming-sim"
+    _spent_win = SlotArray()
+    _earned_win = SlotArray()
+    _uploads_total = SlotArray()
+    _played = SlotArray()
+    _missed = SlotArray()
+    _pb_next = SlotArray()
+    _pb_started = SlotArray()
+    _pb_backlog = SlotArray()
+    _have = SlotArray()
+    _price_win = SlotArray()
+
     def __init__(
         self,
         config: StreamingSimConfig,
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
     ) -> None:
-        self.config = config
-        self._rng = make_rng(config.seed, "streaming-sim")
-        self.topology = (
-            topology
-            if topology is not None
-            else scale_free_topology(
-                config.num_peers,
-                shape=config.topology_shape,
-                mean_degree=config.topology_mean_degree,
-                seed=config.seed,
-            )
-        )
-        if self.topology.num_peers < 2:
-            raise ValueError("the overlay must contain at least 2 peers")
-        self.recorder = WealthRecorder(snapshot_times=snapshot_times)
-        self._tracker = MembershipTracker(
-            self.topology,
-            target_degree=max(1, int(round(config.topology_mean_degree))),
-            seed=config.seed + 1,
-        )
-
+        super().__init__(config, topology, snapshot_times)
         # --- sliding availability window over the live stream ----------------------
         window = config.playback_window
         self._win_width = max(4 * window, window + 2, config.startup_chunks + 2)
@@ -300,10 +267,7 @@ class StreamingMarketSimulator:
         self._emitted = 0
 
         # --- slot-based peer state -------------------------------------------------
-        capacity = max(16, 2 * self.topology.num_peers)
-        self._capacity = capacity
-        self._alive = np.zeros(capacity, dtype=bool)
-        self._balance = np.zeros(capacity)
+        capacity = self._slots.capacity
         self._spent_win = np.zeros(capacity)
         self._earned_win = np.zeros(capacity)
         self._uploads_total = np.zeros(capacity)
@@ -314,11 +278,6 @@ class StreamingMarketSimulator:
         self._pb_backlog = np.zeros(capacity)
         self._have = np.zeros((capacity, self._win_width), dtype=bool)
         self._price_win = np.zeros((capacity, self._win_width))
-        self._slot_of: Dict[int, int] = {}
-        self._peer_of: Dict[int, int] = {}
-        self._free_slots: List[int] = list(range(capacity - 1, -1, -1))
-        self._neighbors: Dict[int, np.ndarray] = {}
-        self._pack: Optional[_StreamPack] = None
 
         # Purchased chunks in flight: ``_in_flight[i]`` is applied at the
         # end of the i-th tick from now; each batch is a list of
@@ -333,28 +292,21 @@ class StreamingMarketSimulator:
             [] for _ in range(delay_ticks)
         ]
 
-        self._tax_pool = 0.0
         self._minted = 0.0
         self._destroyed = 0.0
         self.chunks_delivered = 0
-        self.joins = 0
-        self.leaves = 0
         self._tick = 0
         self._next_sample = 0.0
         self._measure_start = config.horizon / 2.0
 
-        # Bulk admission: `_admit` never derives neighbour rows, so create
-        # every peer's state first, then derive each compacted row exactly
-        # once.  A row only depends on which of its own neighbours are
-        # admitted, so deferring the derivation changes no row; churn
-        # rounds defer it the same way (see `apply_round_churn`).
+        # Admit everyone first, then derive each row once (as churn rounds do).
         initial_peers = self.topology.peers()
         for peer_id in initial_peers:
             self._admit(peer_id)
         for peer_id in initial_peers:
-            self._refresh_neighbors(peer_id)
-        # Build the stream pack eagerly: construction cost, not tick cost.
-        self._stream_pack()
+            self._slots.refresh(peer_id)
+        # Build the pack eagerly: construction cost, not tick cost.
+        self._slots.pack()
 
     # ------------------------------------------------------------------ clock helpers
 
@@ -377,34 +329,6 @@ class StreamingMarketSimulator:
 
     # ------------------------------------------------------------------ peer lifecycle
 
-    def _grow_capacity(self) -> None:
-        new_capacity = self._capacity * 2
-        pad = new_capacity - self._capacity
-
-        def extend(array: np.ndarray) -> np.ndarray:
-            return np.concatenate([array, np.zeros(pad, dtype=array.dtype)])
-
-        self._alive = extend(self._alive)
-        self._balance = extend(self._balance)
-        self._spent_win = extend(self._spent_win)
-        self._earned_win = extend(self._earned_win)
-        self._uploads_total = extend(self._uploads_total)
-        self._played = extend(self._played)
-        self._missed = extend(self._missed)
-        self._pb_next = extend(self._pb_next)
-        self._pb_started = extend(self._pb_started)
-        self._pb_backlog = extend(self._pb_backlog)
-        self._have = np.vstack(
-            [self._have, np.zeros((pad, self._win_width), dtype=bool)]
-        )
-        self._price_win = np.vstack(
-            [self._price_win, np.zeros((pad, self._win_width), dtype=self._price_win.dtype)]
-        )
-        self._free_slots = (
-            list(range(new_capacity - 1, self._capacity - 1, -1)) + self._free_slots
-        )
-        self._capacity = new_capacity
-
     def _admit(self, peer_id: int) -> int:
         """Create simulator state for ``peer_id`` (already present in the topology).
 
@@ -413,10 +337,7 @@ class StreamingMarketSimulator:
         ``__init__`` once per initial peer, :func:`apply_round_churn` once
         per touched peer per round.
         """
-        if not self._free_slots:
-            self._grow_capacity()
-        slot = self._free_slots.pop()
-        self._alive[slot] = True
+        slot = self._slots.admit(peer_id)
         self._balance[slot] = self.config.initial_credits
         self._minted += self.config.initial_credits
         self._spent_win[slot] = 0.0
@@ -429,10 +350,7 @@ class StreamingMarketSimulator:
         self._pb_started[slot] = False
         self._pb_backlog[slot] = 0.0
         self._have[slot, :] = False
-        self._slot_of[peer_id] = slot
-        self._peer_of[slot] = peer_id
         self._fill_price_row(slot)
-        self._pack = None
         return slot
 
     def _evict(self, peer_id: int) -> None:
@@ -443,68 +361,26 @@ class StreamingMarketSimulator:
         departure must neither crash the delivery nor hand the chunk to
         whichever peer later reuses the slot.
         """
-        slot = self._slot_of.pop(peer_id)
-        self._peer_of.pop(slot)
-        self._alive[slot] = False
+        slot = self._slots.evict(peer_id)
         self._destroyed += float(self._balance[slot])
         self._balance[slot] = 0.0
         self._have[slot, :] = False
-        self._neighbors.pop(slot, None)
         for batch in self._in_flight:
             for position, (buyer_slots, chunk_indices) in enumerate(batch):
                 keep = buyer_slots != slot
                 if not keep.all():
                     batch[position] = (buyer_slots[keep], chunk_indices[keep])
-        self._free_slots.append(slot)
-        self._pack = None
-
-    def _refresh_neighbors(self, peer_id: int) -> None:
-        """Recompute one peer's compacted neighbour-slot row."""
-        slot = self._slot_of.get(peer_id)
-        if slot is None:
-            return
-        self._pack = None
-        neighbor_slots = sorted(
-            self._slot_of[neighbor]
-            for neighbor in self.topology.neighbors(peer_id)
-            if neighbor in self._slot_of
-        )
-        self._neighbors[slot] = np.array(neighbor_slots, dtype=np.int64)
-
-    def _stream_pack(self) -> _StreamPack:
-        """Return the CSR neighbour arrays of the alive population.
-
-        Rebuilt lazily after any membership change; on static overlays the
-        pack is built once and reused for the whole run.  Memory scales
-        with the edge count, never with ``N × max_degree``.
-        """
-        if self._pack is None:
-            alive_slots = np.flatnonzero(self._alive)
-            count = alive_slots.size
-            empty_row = np.empty(0, dtype=np.int64)
-            rows = [self._neighbors.get(int(slot), empty_row) for slot in alive_slots]
-            degrees = np.fromiter(
-                (row.size for row in rows), dtype=np.int64, count=count
-            )
-            edge_dst = np.concatenate(rows) if rows else empty_row
-            row_start = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=row_start[1:])
-            row_of = {int(slot): row for row, slot in enumerate(alive_slots)}
-            self._pack = _StreamPack(alive_slots, degrees, edge_dst, row_start, row_of)
-        return self._pack
 
     # ------------------------------------------------------------------ churn
 
     def _apply_churn(self, dt: float) -> None:
-        apply_round_churn(
-            self, dt, admit=self._admit, refresh_neighbor=self._refresh_neighbors
-        )
+        apply_round_churn(self, dt, admit=self._admit, refresh_neighbor=self._slots.refresh)
 
     # ------------------------------------------------------------------ stream window
 
     def _fill_price_row(self, slot: int) -> None:
         """Quote one (re)admitted seller's prices for every chunk in the window."""
-        peer_id = self._peer_of[slot]
+        peer_id = int(self._slots.peer_of[slot])
         live_cols = self._emitted - self._win_base
         for col in range(live_cols):
             self._price_win[slot, col] = self.config.pricing.price(
@@ -516,7 +392,7 @@ class StreamingMarketSimulator:
         alive_slots = np.flatnonzero(self._alive)
         if alive_slots.size == 0:
             return
-        peer_ids = [self._peer_of[int(slot)] for slot in alive_slots]
+        peer_ids = self._slots.peer_of[alive_slots].tolist()
         self._price_win[alive_slots, col] = self.config.pricing.price_array(
             peer_ids, chunk_index
         )
@@ -570,7 +446,7 @@ class StreamingMarketSimulator:
 
     def _schedule_vectorized(
         self,
-        pack: _StreamPack,
+        pack: SlotPack,
         balances: np.ndarray,
         uniforms: np.ndarray,
         base: int,
@@ -674,7 +550,7 @@ class StreamingMarketSimulator:
 
     def _schedule_loop(
         self,
-        pack: _StreamPack,
+        pack: SlotPack,
         balances: np.ndarray,
         uniforms: np.ndarray,
         base: int,
@@ -695,6 +571,7 @@ class StreamingMarketSimulator:
         have = self._have
         price_win = self._price_win
         uploads_total = self._uploads_total
+        pb_next = self._pb_next
         buyers: List[int] = []
         sellers: List[int] = []
         chunks: List[int] = []
@@ -708,8 +585,8 @@ class StreamingMarketSimulator:
             degree = int(pack.degrees[row])
             if degree == 0:
                 continue
-            neighbors = pack.neighbors_of_row(row)
-            playback_point = int(self._pb_next[slot])
+            neighbors = self._slots.row(slot)
+            playback_point = int(pb_next[slot])
             budget = float(balances[row])
             requests = 0
             for w in range(window):
@@ -769,7 +646,6 @@ class StreamingMarketSimulator:
 
     def _settle(
         self,
-        pack: _StreamPack,
         buyers: np.ndarray,
         sellers: np.ndarray,
         chunk_abs: np.ndarray,
@@ -783,26 +659,27 @@ class StreamingMarketSimulator:
         the scalar ``settle``/``note_purchase`` hooks.
         """
         config = self.config
-        income = np.zeros(self._capacity)
+        capacity = self._slots.capacity
+        income = np.zeros(capacity)
         deliveries = self._in_flight[self._delay_ticks - 1]
         measuring = self.now >= self._measure_start
         if buyers.size:
             if config.pricing.is_stateful():
                 base = self._win_base
+                peer_of = self._slots.peer_of
                 delivered_slots: List[int] = []
                 delivered_chunks: List[int] = []
                 for buyer, seller, index, _quote in zip(
                     buyers, sellers, chunk_abs, prices
                 ):
                     buyer_slot, seller_slot = int(buyer), int(seller)
-                    buyer_id = self._peer_of[buyer_slot]
-                    seller_id = self._peer_of[seller_slot]
-                    row = pack.row_of[buyer_slot]
+                    buyer_id = int(peer_of[buyer_slot])
+                    seller_id = int(peer_of[seller_slot])
                     col = int(index) - base
                     competing = [
-                        self._peer_of[int(s)]
-                        for s in pack.neighbors_of_row(row)
-                        if self._have[int(s), col]
+                        int(peer_of[s])
+                        for s in self._slots.row(buyer_slot)
+                        if self._have[s, col]
                     ]
                     price = float(
                         config.pricing.settle(
@@ -831,13 +708,11 @@ class StreamingMarketSimulator:
                         )
                     )
             else:
-                spent = np.bincount(buyers, weights=prices, minlength=self._capacity)
-                income = np.bincount(sellers, weights=prices, minlength=self._capacity)
+                spent = np.bincount(buyers, weights=prices, minlength=capacity)
+                income = np.bincount(sellers, weights=prices, minlength=capacity)
                 self._balance -= spent
                 self._balance += income
-                self._uploads_total += np.bincount(
-                    sellers, minlength=self._capacity
-                ).astype(float)
+                self._uploads_total += np.bincount(sellers, minlength=capacity).astype(float)
                 if measuring:
                     self._spent_win += spent
                     self._earned_win += income
@@ -850,7 +725,7 @@ class StreamingMarketSimulator:
 
     # ------------------------------------------------------------------ playback
 
-    def _advance_playback(self, pack: _StreamPack, dt: float) -> None:
+    def _advance_playback(self, pack: SlotPack, dt: float) -> None:
         """Advance every started peer's playback clock by one tick.
 
         Due chunks not held at their deadline are skipped and counted as
@@ -951,7 +826,7 @@ class StreamingMarketSimulator:
         if stateful_pricing:
             config.pricing.reset_round()
             self._refresh_price_window()
-        pack = self._stream_pack()
+        pack = self._slots.pack()
         balances = self._balance[pack.alive_slots]
         uniforms = self._rng.random((pack.alive_slots.size, config.playback_window))
         options = config.options
@@ -969,19 +844,9 @@ class StreamingMarketSimulator:
             buyers, sellers, chunk_abs, prices = kernel(
                 pack, balances, uniforms, self._win_base, self._emitted - 1
             )
-        self._settle(pack, buyers, sellers, chunk_abs, prices)
+        self._settle(buyers, sellers, chunk_abs, prices)
         self._advance_playback(pack, dt)
         self._apply_deliveries()
-
-    def finalize(self) -> StreamingSimResult:
-        """Record the final sample and assemble the run's result."""
-        self._record_sample()
-        return self._build_result()
-
-    def run(self) -> StreamingSimResult:
-        """Run the simulation for the configured horizon and return the result."""
-        self.advance_rounds(self.total_rounds())
-        return self.finalize()
 
     # ------------------------------------------------------------------ bookkeeping
 
@@ -997,32 +862,16 @@ class StreamingMarketSimulator:
                 f"in_circulation={in_circulation:.6g} (error {error:.3g})"
             )
 
-    def _peer_order(self) -> List[int]:
-        """Alive peer ids in ascending order (the reporting order)."""
-        return sorted(self._slot_of)
+    def _reporting_slots(self) -> np.ndarray:
+        """Alive slots in ascending peer-id order (the reporting order)."""
+        return self._slots.slot_of[np.sort(self._slots.peer_of[self._alive])]
 
     def _record_sample(self) -> None:
-        order = self._peer_order()
-        slots = np.array([self._slot_of[peer] for peer in order], dtype=np.int64)
-        emitter = get_emitter()
-        observing = emitter.enabled
-        before = len(self.recorder.gini_series.x) if observing else 0
-        self.recorder.record(self.now, self._balance[slots])
-        # Stream the freshly recorded sample (the recorder drops empty
-        # populations, so only emit when it actually appended one).
-        if observing and len(self.recorder.gini_series.x) > before:
-            emitter.point("streaming.gini", self.now, self.recorder.gini_series.y[-1])
-            emitter.point(
-                "streaming.bankrupt_fraction", self.now, self.recorder.bankrupt_series.y[-1]
-            )
-            emitter.point(
-                "streaming.mean_wealth", self.now, self.recorder.mean_wealth_series.y[-1]
-            )
-            emitter.point("streaming.population", self.now, float(len(order)))
+        self._record_wealth("streaming", self.now, self._reporting_slots())
 
     def _build_result(self) -> StreamingSimResult:
-        order = self._peer_order()
-        slots = np.array([self._slot_of[peer] for peer in order], dtype=np.int64)
+        slots = self._reporting_slots()
+        order = self._slots.peer_of[slots].tolist()
         window = max(self.config.horizon - self._measure_start, 1e-9)
         played = self._played[slots].astype(float)
         missed = self._missed[slots].astype(float)
@@ -1045,29 +894,3 @@ class StreamingMarketSimulator:
                 "tax_pool": self._tax_pool,
             },
         )
-
-    # ------------------------------------------------------------------ conveniences
-
-    @classmethod
-    def run_config(
-        cls,
-        config: StreamingSimConfig,
-        topology: Optional[OverlayTopology] = None,
-        snapshot_times: Optional[Sequence[float]] = None,
-    ) -> StreamingSimResult:
-        """Build a simulator for ``config`` and run it to completion.
-
-        When an intra-run partition context is active (see
-        :mod:`repro.runner.partition`), the run executes as checkpointed
-        round-blocks through that context instead — producing bit-identical
-        results, since block boundaries only pickle/unpickle the state the
-        monolithic loop would carry anyway.
-        """
-        from repro.runner.partition import active_context
-
-        context = active_context()
-        if context is not None:
-            return context.run_simulation(
-                cls, config, topology=topology, snapshot_times=snapshot_times
-            )
-        return cls(config, topology=topology, snapshot_times=snapshot_times).run()

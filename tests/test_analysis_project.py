@@ -341,6 +341,85 @@ class TestSweepRules:
         assert "nonesuch" in finding.message
 
 
+#: A graph module whose lookups return sets, and a walker module that
+#: iterates them without sorting — the order leak DET002 must see across
+#: the module boundary.
+SET_RETURNING_GRAPH = {
+    "src/repro/mini/graph.py": """
+        from typing import FrozenSet, Set
+
+        class Graph:
+            def __init__(self):
+                self._adjacency = {}
+
+            def neighbours(self, peer) -> FrozenSet[int]:
+                return frozenset(self._adjacency[peer])
+
+            def degree(self, peer) -> int:
+                return len(self._adjacency[peer])
+
+        def members(graph) -> "Set[int]":
+            return set(graph._adjacency)
+        """,
+}
+
+
+class TestCrossModuleUnorderedIteration:
+    def test_iterating_a_set_returning_call_fires(self, tmp_path):
+        files = dict(SET_RETURNING_GRAPH)
+        files["src/repro/mini/walk.py"] = """
+            from repro.mini.graph import members
+
+            def route(graph, peer):
+                return [n for n in graph.neighbours(peer)]
+
+            def census(graph):
+                for peer in list(members(graph)):
+                    yield peer
+            """
+        rules, report = active_rules(tmp_path, files)
+        assert rules == ["DET002"]
+        messages = sorted(f.message for f in report.active)
+        assert len(messages) == 2
+        assert "`members(...)`" in messages[0]
+        assert "`neighbours(...)`" in messages[1]
+        assert {f.path.rsplit("/", 1)[-1] for f in report.active} == {"walk.py"}
+
+    def test_sorted_and_non_set_calls_are_clean(self, tmp_path):
+        files = dict(SET_RETURNING_GRAPH)
+        files["src/repro/mini/walk.py"] = """
+            from repro.mini.graph import members
+
+            def route(graph, peer):
+                return [n for n in sorted(graph.neighbours(peer))]
+
+            def census(graph):
+                for peer in sorted(members(graph)):
+                    yield peer
+                for _ in range(graph.degree(0)):
+                    yield None
+            """
+        rules, _ = active_rules(tmp_path, files)
+        assert rules == []
+
+    def test_method_called_on_self_resolves_to_its_class(self, tmp_path):
+        files = {
+            "src/repro/mini/graph.py": """
+                from typing import Set
+
+                class Graph:
+                    def peers(self) -> Set[int]:
+                        return {1, 2}
+
+                    def walk(self):
+                        return [p for p in self.peers()]
+                """,
+        }
+        rules, report = active_rules(tmp_path, files)
+        assert rules == ["DET002"]
+        assert "`Graph.peers(...)`" in report.active[0].message
+
+
 class TestProjectFindingSuppression:
     def test_noqa_suppresses_project_findings(self, tmp_path):
         write_tree(

@@ -138,15 +138,15 @@ class TestKernelEquivalence:
         # u = 1 - 2**-53 at row 1 rounds to 4.0); both kernels must clamp
         # that onto the last real neighbour instead of indexing the padding.
         simulator = CreditMarketSimulator(fig7_like_config())
-        pack = simulator._routing_pack()
+        pack, flat = simulator._routing_pack()
         count = pack.alive_slots.size
         spendable = np.ones(count, dtype=np.int64)
         draws = np.full(count, 1.0 - 2.0**-53)
-        vectorized = simulator._route_credits_vectorized(pack, spendable, draws).copy()
-        loop = simulator._route_credits_loop(pack, spendable, draws).copy()
+        vectorized = simulator._route_credits_vectorized(pack, flat, spendable, draws).copy()
+        loop = simulator._route_credits_loop(pack, flat, spendable, draws).copy()
         assert vectorized.tobytes() == loop.tobytes()
         assert vectorized.sum() == count  # every credit landed on a real peer
-        assert np.all(vectorized[~simulator._alive] == 0.0)
+        assert np.all(vectorized[~simulator._slots.alive] == 0.0)
 
     def test_dynamic_policy_takes_vector_fast_path(self):
         # The dynamic rule must visibly accelerate rich peers through the
@@ -228,9 +228,10 @@ class TestIntraJobsSweepEquivalence:
 
 def _routing_rows(simulator):
     """``(peer, neighbour slots, row CDF)`` of every alive market peer."""
+    slots = simulator._slots
     return [
-        (simulator._peer_of[slot], simulator._neighbors[slot], simulator._cdfs[slot])
-        for slot in np.flatnonzero(simulator._alive).tolist()
+        (int(slots.peer_of[slot]), slots.row(slot), simulator._cdfs[slot])
+        for slot in np.flatnonzero(slots.alive).tolist()
     ]
 
 
@@ -256,22 +257,22 @@ class TestCanonicalRoutingRows:
         assert rows
         for _, row, _ in rows:
             assert np.all(np.diff(row) > 0)
-        slot_order_differs = any(
-            [churned._peer_of[int(s)] for s in row]
-            != sorted(churned._peer_of[int(s)] for s in row)
-            for _, row, _ in rows
-        )
+        peer_of = churned._slots.peer_of
+        slot_order_differs = any(np.any(np.diff(peer_of[row]) < 0) for _, row, _ in rows)
         assert slot_order_differs, "churn should leave some rows out of id order"
 
     def test_rows_hold_exactly_the_overlay_neighbours(self, churned):
         for peer, row, _ in _routing_rows(churned):
-            ids = sorted(churned._peer_of[int(s)] for s in row)
+            ids = sorted(churned._slots.peer_of[row].tolist())
             assert ids == list(churned.topology.neighbors(peer))
 
     def test_each_neighbour_keeps_its_price_share(self, churned):
         pricing = churned.config.pricing
         for _, row, cdf in _routing_rows(churned):
-            ids = [churned._peer_of[int(s)] for s in row]
+            if row.size == 0:
+                assert cdf.size == 0
+                continue
+            ids = churned._slots.peer_of[row].tolist()
             weights = np.clip(np.asarray(pricing.price_array(ids, 0), dtype=float), 1e-12, None)
             expected = np.cumsum(weights / weights.sum())
             expected /= expected[-1]

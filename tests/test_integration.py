@@ -108,7 +108,7 @@ class TestSimulationMatchesTheory:
         simulator = CreditMarketSimulator(config, topology=topology)
         # Override the spending rates to the heterogeneous profile.
         for peer, rate in spending.items():
-            simulator._base_mu[simulator._slot_of[peer]] = rate
+            simulator._base_mu[simulator._slots.slot(peer)] = rate
         result = simulator.run()
         measured = result.final_wealths
         # Peers with the lower spending rate hold more credits, as predicted.

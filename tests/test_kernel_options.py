@@ -145,11 +145,15 @@ class TestSimulatorProtocol:
 def _assert_one_representation(simulator):
     """Wealth and routing state is float64; peer ids and edges are int64."""
     assert simulator._balance.dtype == np.float64
-    assert simulator._neighbors
-    for row in simulator._neighbors.values():
-        assert row.dtype == np.int64
-    assert simulator._pack.edge_dst.dtype == np.int64
-    assert simulator._pack.alive_slots.dtype == np.int64
+    slots = simulator._slots
+    alive = np.flatnonzero(slots.alive).tolist()
+    assert alive
+    for slot in alive:
+        assert slots.row(slot).dtype == np.int64
+    assert slots.peer_of.dtype == np.int64
+    assert slots.slot_of.dtype == np.int64
+    assert slots.pack().edge_dst.dtype == np.int64
+    assert slots.pack().alive_slots.dtype == np.int64
 
 
 class TestOneRepresentation:
@@ -160,7 +164,8 @@ class TestOneRepresentation:
         assert simulator._cdfs
         for row in simulator._cdfs.values():
             assert row.dtype == np.float64
-        assert simulator._pack.flat.dtype == np.float64
+        _, flat = simulator._routing_pack()
+        assert flat.dtype == np.float64
         result = simulator.finalize()
         assert result.final_wealths.dtype == np.float64
 

@@ -277,8 +277,8 @@ class TestOrphanRepair:
             sim.advance_rounds(1)
             # A repair edge lasts until one of its ends departs.
             for orphan, partner in repairs:
-                if orphan in sim._slot_of and partner in sim._slot_of:
-                    orphan_slot, partner_slot = sim._slot_of[orphan], sim._slot_of[partner]
-                    assert orphan_slot in sim._neighbors[partner_slot]
-                    assert partner_slot in sim._neighbors[orphan_slot]
+                orphan_slot, partner_slot = sim._slots.slot(orphan), sim._slots.slot(partner)
+                if orphan_slot >= 0 and partner_slot >= 0:
+                    assert orphan_slot in sim._slots.row(partner_slot)
+                    assert partner_slot in sim._slots.row(orphan_slot)
         assert repairs, "expected the sparse overlay to orphan some peers"

@@ -194,7 +194,7 @@ class TestChurn:
         }
         assert in_flight_slots, "expected purchases in flight"
         victim_slot = sorted(in_flight_slots)[0]
-        victim_peer = simulator._peer_of[victim_slot]
+        victim_peer = int(simulator._slots.peer_of[victim_slot])
         simulator._tracker.leave(victim_peer)
         simulator._evict(victim_peer)
         remaining = {
