@@ -179,8 +179,8 @@ class StreamingSimConfig:
         array operations over the whole swarm; ``"loop"`` walks peers and
         window positions in a per-peer Python loop.  Both kernels consume
         the same random draws and produce bit-identical results — the loop
-        kernel exists as the throughput baseline
-        ``benchmarks/bench_streamkernel.py`` compares against.
+        kernel exists as the bit-identity oracle the determinism and
+        golden tests check the vectorized kernel against.
     seed:
         Base RNG seed.
     """

@@ -42,13 +42,27 @@ cell, drawn tick-wise before the kernel runs):
 * ``kernel="vectorized"`` (default) stacks the round into array
   operations — the measured hot path;
 * ``kernel="loop"`` walks peers and window positions in a per-peer Python
-  loop — the benchmark baseline (``benchmarks/bench_streamkernel.py``).
+  loop — the bit-identity oracle the determinism and golden tests hold
+  the vectorized kernel to.
 
 Results are bit-identical between the kernels by construction.  Because
 each tick depends only on the simulator's (fully picklable) state, runs
 also partition into checkpointed round-blocks
 (:mod:`repro.runner.partition`) that are bit-identical to the monolithic
 run.
+
+The vectorized kernel's supplier choice prices every window column two
+ways and expands it from the cheaper side.  The *demand* side walks the
+row of every peer missing the chunk (the column's candidate cells); the
+*supply* side walks the row of every peer holding it and keeps the
+neighbours that miss it.  The column's demand mass — the degrees of its
+candidate cells summed — and its supply mass — the degrees of its alive
+holders summed — are what each side would expand.  Early in the stream
+almost every cell is missing and few peers hold anything, so the supply
+side is orders of magnitude smaller; a column nobody holds expands
+nothing at all.  Both sides feed one tie-break tail with the same
+neighbour order and uniform per cell, so the choice of side never
+changes a purchase.
 
 Churn (Sec. VI-E) follows the market simulator's round-based model: per
 tick, each alive peer departs with probability ``1 − exp(−dt/lifespan)``
@@ -62,7 +76,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,89 +99,269 @@ __all__ = ["StreamingSimResult", "StreamingMarketSimulator"]
 _EPS = 1e-12
 
 
-#: Upper bound on the edge mass a single segmented-expansion block of the
+#: Upper bound on the entry count a single expansion block of the
 #: vectorized scheduling kernel materialises at once.  Supplier choice is
 #: independent per candidate cell, so processing cells in bounded blocks is
 #: exact while capping the kernel's transient memory at a few hundred MB
 #: even for 10^5–10^6-peer swarms.
 _EDGE_BLOCK = 1 << 22
 
+#: The supply side's fixed cost, in expanded entries: it makes about
+#: forty array calls however little it expands, so it runs only when the
+#: columns it would take save more entries than this.  Below a few
+#: hundred peers it never does.
+_SUPPLY_OVERHEAD = 1 << 12
+
+
+def _blocks(seg: np.ndarray) -> Iterator[Tuple[int, int, int]]:
+    """Split consecutive segments into runs of at most ~``_EDGE_BLOCK`` entries.
+
+    Yields ``(lo, hi, offset)``: segments ``lo:hi`` and the entry offset
+    of segment ``lo``.  A segment longer than the block gets a run of
+    its own.
+    """
+    ends = np.cumsum(seg)
+    lo = 0
+    while lo < seg.size:
+        offset = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, offset + _EDGE_BLOCK, side="right"))
+        hi = min(max(hi, lo + 1), seg.size)
+        yield lo, hi, offset
+        lo = hi
+
+
+def _pick_ties(
+    dst: np.ndarray,
+    cols: np.ndarray,
+    eligible: np.ndarray,
+    seg: np.ndarray,
+    u: np.ndarray,
+    price_win: np.ndarray,
+    uploads_total: np.ndarray,
+    choice: str,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pick one supplier per segment of offers; the tail both sides share.
+
+    Entry ``i`` offers neighbour ``dst[i]`` for window column ``cols[i]``
+    and is ``eligible`` if that neighbour holds the chunk.  The entries
+    come in consecutive non-empty segments of ``seg`` entries, one per
+    cell, in the cell's neighbour order; ``u`` holds each cell's uniform.
+    Among the eligible entries the policy's best score ties, and the
+    cell takes the ``(pick+1)``-th tie in segment order with
+    ``pick = floor(u · ties)`` — the loop kernel's ``ties[pick]``.
+    Returns ``(chosen, resolved)`` per segment.
+    """
+    starts = np.zeros(seg.size, dtype=np.int64)
+    np.cumsum(seg[:-1], out=starts[1:])
+    if choice == "availability":
+        tie = eligible
+    else:
+        if choice == "least-loaded":
+            score = np.where(eligible, uploads_total[dst], np.inf)
+        else:  # cheapest
+            score = np.where(eligible, price_win[dst, cols], np.inf)
+        best = np.minimum.reduceat(score, starts)
+        tie = eligible & (score <= np.repeat(best, seg) + _EPS)
+    tie_int = tie.astype(np.int64)
+    tie_count = np.add.reduceat(tie_int, starts)
+    pick = np.floor(u * tie_count).astype(np.int64)
+    pick = np.minimum(pick, tie_count - 1)  # u*cnt can round up to cnt
+    # Inclusive tie rank within each segment.
+    cum = np.cumsum(tie_int)
+    rank = cum - np.repeat(cum[starts] - tie_int[starts], seg)
+    match = np.flatnonzero(tie & (rank == np.repeat(pick + 1, seg)))
+    segment = np.searchsorted(starts, match, side="right") - 1
+    chosen = np.zeros(seg.size, dtype=np.int64)
+    resolved = np.zeros(seg.size, dtype=bool)
+    chosen[segment] = dst[match]
+    resolved[segment] = True
+    return chosen, resolved
+
+
+def _demand_side(
+    have: np.ndarray,
+    price_win: np.ndarray,
+    uploads_total: np.ndarray,
+    pack: SlotPack,
+    rows: np.ndarray,
+    ws: np.ndarray,
+    cols: np.ndarray,
+    uniforms: np.ndarray,
+    choice: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve cells ``(rows, ws)`` by expanding each over its whole row.
+
+    Every edge of the cell's row is an entry, eligible where the
+    neighbour holds column ``cols``.  Returns the resolved cells' rows,
+    window positions and suppliers.
+    """
+    seg_all = pack.degrees[rows]
+    out = []
+    for lo, hi, _ in _blocks(seg_all):
+        b_rows, b_ws, b_cols = rows[lo:hi], ws[lo:hi], cols[lo:hi]
+        seg = seg_all[lo:hi]
+        offsets = np.zeros(seg.size, dtype=np.int64)
+        np.cumsum(seg[:-1], out=offsets[1:])
+        edge_pos = np.repeat(pack.row_start[b_rows] - offsets, seg) + np.arange(
+            int(offsets[-1] + seg[-1])
+        )
+        dst = pack.edge_dst[edge_pos]
+        entry_cols = np.repeat(b_cols, seg)
+        chosen, resolved = _pick_ties(
+            dst, entry_cols, have[dst, entry_cols], seg, uniforms[b_rows, b_ws],
+            price_win, uploads_total, choice,
+        )
+        out.append((b_rows[resolved], b_ws[resolved], chosen[resolved]))
+    return _concat(out)
+
+
+def _supply_side(
+    have: np.ndarray,
+    price_win: np.ndarray,
+    uploads_total: np.ndarray,
+    pack: SlotPack,
+    first_col: np.ndarray,
+    candidate: np.ndarray,
+    uniforms: np.ndarray,
+    supply_cols: np.ndarray,
+    slot_degree: np.ndarray,
+    choice: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve the candidate cells of ``supply_cols`` from their holders.
+
+    Walks the row of every alive holder ``h`` of each column ``c`` and
+    keeps the pairs whose neighbour ``n`` has ``(n, c)`` as a candidate
+    cell.  Rows are ascending and the overlay is undirected, so ``h``'s
+    position in ``n``'s row orders the pairs of a cell as ascending
+    ``h``: one sort of a column's ``(row of n, h)`` keys both groups its
+    pairs by cell and puts each group in the cell's neighbour order.
+    Every pair is an eligible offer; cells without one stay unresolved.
+    """
+    capacity = have.shape[0]
+    count, window = candidate.shape
+    row_of = np.full(capacity, -1, dtype=np.int64)
+    row_of[pack.alive_slots] = np.arange(count)
+    linked = slot_degree > 0
+    # A (row, holder) key packs the row above the holder's slot bits.
+    shift = max(capacity - 1, 1).bit_length()
+    out = []
+    for col in supply_cols.tolist():
+        holders = np.flatnonzero(have[:, col] & linked)
+        if holders.size == 0:
+            continue
+        # The slots missing ``col`` in their window, as a per-slot mask
+        # small enough to stay in cache while the holders' rows go
+        # through it.
+        w = col - first_col
+        in_window = np.flatnonzero((w >= 0) & (w < window))
+        wanted = np.zeros(capacity, dtype=bool)
+        wanted[pack.alive_slots[in_window]] = candidate[in_window, w[in_window]]
+        # The holders' rows end to end, expanded in blocks that may split
+        # a row.
+        hold_deg = slot_degree[holders]
+        hold_end = np.cumsum(hold_deg)
+        hold_start = hold_end - hold_deg
+        total = int(hold_end[-1])
+        keys = []
+        for lo in range(0, total, _EDGE_BLOCK):
+            hi = min(lo + _EDGE_BLOCK, total)
+            part = slice(
+                int(np.searchsorted(hold_end, lo, side="right")),
+                int(np.searchsorted(hold_start, hi, side="left")),
+            )
+            lengths = np.minimum(hold_end[part], hi) - np.maximum(hold_start[part], lo)
+            edge_pos = np.repeat(
+                pack.row_start[row_of[holders[part]]] - hold_start[part], lengths
+            ) + np.arange(lo, hi)
+            nbr = pack.edge_dst[edge_pos]
+            keep = np.flatnonzero(wanted[nbr])
+            keys.append((row_of[nbr[keep]] << shift) | np.repeat(holders[part], lengths)[keep])
+        key = np.sort(np.concatenate(keys))
+        rows = key >> shift
+        seg_start = np.flatnonzero(np.diff(rows, prepend=-1))
+        seg_all = np.diff(seg_start, append=key.size)
+        cell_rows = rows[seg_start]
+        cell_ws = col - first_col[cell_rows]
+        for lo, hi, offset in _blocks(seg_all):
+            seg = seg_all[lo:hi]
+            dst = key[offset : offset + int(seg.sum())] & ((1 << shift) - 1)
+            b_rows, b_ws = cell_rows[lo:hi], cell_ws[lo:hi]
+            chosen, resolved = _pick_ties(
+                dst, np.full(dst.size, col), np.ones(dst.size, dtype=bool), seg,
+                uniforms[b_rows, b_ws], price_win, uploads_total, choice,
+            )
+            out.append((b_rows[resolved], b_ws[resolved], chosen[resolved]))
+    return _concat(out)
+
+
+def _concat(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join ``(rows, ws, sellers)`` results column by column."""
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    rows, ws, sellers = zip(*parts)
+    return np.concatenate(rows), np.concatenate(ws), np.concatenate(sellers)
+
 
 def _choose_suppliers_for_cells(
     have: np.ndarray,
     price_win: np.ndarray,
     uploads_total: np.ndarray,
-    row_start: np.ndarray,
-    edge_dst: np.ndarray,
-    cand_rows: np.ndarray,
-    cand_cols: np.ndarray,
-    cand_u: np.ndarray,
-    seg_len: np.ndarray,
+    pack: SlotPack,
+    first_col: np.ndarray,
+    candidate: np.ndarray,
+    uniforms: np.ndarray,
     choice: str,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve the supplier choice for every candidate cell.
 
-    The segmented-expansion core of the vectorized scheduling kernel, a
-    pure function of read-only inputs.  Each cell's supplier depends only
-    on its own edge segment, so any ``_EDGE_BLOCK`` blocking of the cells
-    produces bit-identical results.  Returns ``(chosen, resolved)`` aligned
-    with the candidate arrays.
-    """
-    n = cand_rows.size
-    chosen = np.zeros(n, dtype=np.int64)
-    resolved = np.zeros(n, dtype=bool)
-    if n == 0:
-        return chosen, resolved
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(seg_len, out=starts[1:])
-    # Cells are processed in blocks of at most ~_EDGE_BLOCK edges: exact
-    # results, bounded transient memory (a full expansion at 10^6 peers
-    # would otherwise materialise hundreds of millions of entries).
-    lo_cell = 0
-    while lo_cell < n:
-        hi_cell = int(
-            np.searchsorted(starts, starts[lo_cell] + _EDGE_BLOCK, side="right")
-        ) - 1
-        hi_cell = min(max(hi_cell, lo_cell + 1), n)
-        block = slice(lo_cell, hi_cell)
-        n_cells = hi_cell - lo_cell
-        seg = seg_len[block]
-        bstarts = starts[lo_cell : hi_cell + 1] - starts[lo_cell]
-        total = int(bstarts[-1])
-        cell_of = np.repeat(np.arange(n_cells), seg)
-        edge_pos = (
-            np.repeat(row_start[cand_rows[block]], seg)
-            + np.arange(total)
-            - np.repeat(bstarts[:-1], seg)
-        )
-        dst = edge_dst[edge_pos]
-        cell_col = cand_cols[block][cell_of]
-        eligible = have[dst, cell_col]
+    Cell ``(r, w)`` — where ``candidate[r, w]`` — asks pack row ``r``'s
+    neighbours for window column ``first_col[r] + w`` and spends uniform
+    ``uniforms[r, w]``.  A pure function of read-only inputs: each cell's
+    supplier depends only on its own neighbours, so how cells are split
+    into ``_EDGE_BLOCK`` blocks or between the two sides cannot change
+    it.  Each window column is expanded from its cheaper side:
 
-        if choice == "least-loaded":
-            score = np.where(eligible, uploads_total[dst], np.inf)
-            best = np.minimum.reduceat(score, bstarts[:-1])
-            tie = eligible & (score <= np.repeat(best, seg) + _EPS)
-        elif choice == "cheapest":
-            score = np.where(eligible, price_win[dst, cell_col], np.inf)
-            best = np.minimum.reduceat(score, bstarts[:-1])
-            tie = eligible & (score <= np.repeat(best, seg) + _EPS)
-        else:  # availability
-            tie = eligible
-        tie_int = tie.astype(np.int64)
-        tie_count = np.add.reduceat(tie_int, bstarts[:-1])
-        pick = np.floor(cand_u[block] * tie_count).astype(np.int64)
-        pick = np.minimum(pick, tie_count - 1)  # u*cnt can round up to cnt
-        # Inclusive tie rank within each cell's segment: the chosen
-        # supplier is the (pick+1)-th tie in neighbour order — exactly
-        # the loop kernel's ``ties[pick]``.
-        cum = np.cumsum(tie_int)
-        rank = cum - np.repeat(cum[bstarts[:-1]] - tie_int[bstarts[:-1]], seg)
-        match = tie & (rank == np.repeat(pick + 1, seg))
-        chosen[lo_cell + cell_of[match]] = dst[match]
-        resolved[lo_cell + cell_of[match]] = True
-        lo_cell = hi_cell
-    return chosen, resolved
+    * demand mass — the degrees of its candidate cells summed — prices
+      expanding every cell over its row (:func:`_demand_side`);
+    * supply mass — the degrees of its alive holders summed — prices
+      expanding every holder over its row (:func:`_supply_side`).
+
+    The supply side runs only if the columns it would take save more
+    than ``_SUPPLY_OVERHEAD`` entries in all.  Returns
+    ``(rows, ws, sellers)`` of the resolved cells.
+    """
+    # ``flatnonzero`` + ``divmod`` is the row-major ``nonzero``, much faster.
+    cand_rows, cand_ws = np.divmod(np.flatnonzero(candidate), candidate.shape[1])
+    if cand_rows.size == 0:
+        return _concat([])
+    cand_cols = first_col[cand_rows] + cand_ws
+    width = have.shape[1]
+    demand_mass = np.bincount(cand_cols, weights=pack.degrees[cand_rows], minlength=width)
+    slot_degree = np.zeros(have.shape[0], dtype=np.int64)
+    slot_degree[pack.alive_slots] = pack.degrees
+    lo, hi = int(cand_cols.min()), int(cand_cols.max()) + 1
+    saving = demand_mass[lo:hi] - np.einsum("ij,i->j", have[:, lo:hi], slot_degree)
+    supply_cols = lo + np.flatnonzero(saving > 0)
+    if saving[supply_cols - lo].sum() <= _SUPPLY_OVERHEAD:
+        supply_cols = supply_cols[:0]
+    by_supply = np.zeros(width, dtype=bool)
+    by_supply[supply_cols] = True
+    demand = np.flatnonzero(~by_supply[cand_cols])
+    return _concat(
+        [
+            _demand_side(
+                have, price_win, uploads_total, pack, cand_rows[demand],
+                cand_ws[demand], cand_cols[demand], uniforms, choice,
+            ),
+            _supply_side(
+                have, price_win, uploads_total, pack, first_col, candidate,
+                uniforms, supply_cols, slot_degree, choice,
+            ),
+        ]
+    )
 
 
 @dataclass
@@ -467,79 +661,62 @@ class StreamingMarketSimulator(SlotSimulator):
             return empty, empty, empty, np.empty(0)
 
         slots = pack.alive_slots
-        abs_idx = self._pb_next[slots][:, None] + np.arange(window)[None, :]
-        valid = (abs_idx >= base) & (abs_idx <= live_edge)
-        cols = np.clip(abs_idx - base, 0, self._win_width - 1)
-        own = self._have[slots[:, None], cols]
+        first_col = self._pb_next[slots] - base
+        cols = first_col[:, None] + np.arange(window)[None, :]
+        valid = (cols >= 0) & (cols <= live_edge - base)
+        width = self._win_width
+        own = self._have.ravel()[(slots * width)[:, None] + np.clip(cols, 0, width - 1)]
         candidate = valid & ~own & (pack.degrees > 0)[:, None]
 
         # Supplier choice for every candidate (peer, window-position) cell,
-        # via a segmented expansion over each candidate peer's edge list.
-        # Cost scales with the degree mass of the *candidate* cells — a
-        # scale-free hub only pays its own degree where it is actually
-        # missing a chunk, never as padding on every other peer.
-        price = np.full((count, window), np.inf)
-        supplier = np.zeros((count, window), dtype=np.int64)
-        cand_rows, cand_ws = np.nonzero(candidate)
-        cells = cand_rows.size
-        if cells:
-            cand_cols = cols[cand_rows, cand_ws]
-            seg_len = pack.degrees[cand_rows]
-            cand_u = uniforms[cand_rows, cand_ws]
-            chosen, resolved = _choose_suppliers_for_cells(
-                self._have,
-                self._price_win,
-                self._uploads_total,
-                pack.row_start,
-                pack.edge_dst,
-                cand_rows,
-                cand_cols,
-                cand_u,
-                seg_len,
-                config.supplier_choice,
-            )
-            rows_ok = cand_rows[resolved]
-            ws_ok = cand_ws[resolved]
-            supplier[rows_ok, ws_ok] = chosen[resolved]
-            price[rows_ok, ws_ok] = self._price_win[chosen[resolved], cand_cols[resolved]]
+        # each window column expanded from its cheaper side: the candidate
+        # cells' rows or the holders' rows.
+        rows, ws, sellers = _choose_suppliers_for_cells(
+            self._have,
+            self._price_win,
+            self._uploads_total,
+            pack,
+            first_col,
+            candidate,
+            uniforms,
+            config.supplier_choice,
+        )
+        # The resolved cells as one list in (row, w) order: every peer's
+        # window, in order, minus the cells no neighbour can supply.
+        order = np.argsort(rows * window + ws)
+        rows, ws, sellers = rows[order], ws[order], sellers[order]
+        prices = self._price_win[sellers, first_col[rows] + ws]
 
         # Greedy selection with budget skip, one vectorized pass per request
-        # slot: each pass takes every peer's first still-affordable
-        # candidate.  Budgets only decrease, so the passes reproduce the
-        # sequential "scan once, skip unaffordable" rule exactly.
+        # slot: each pass takes every peer's first still-open affordable
+        # cell.  Budgets only decrease, so the passes reproduce the
+        # sequential "scan once, skip unaffordable" rule exactly, and each
+        # peer's picks come in window order.
         budget = balances.copy()
-        max_requests = config.max_requests_per_round
-        sel_w = np.full((count, max_requests), -1, dtype=np.int64)
-        open_price = price.copy()
-        for request in range(max_requests):
-            affordable = open_price <= budget[:, None] + _EPS
-            any_affordable = affordable.any(axis=1)
-            if not any_affordable.any():
+        open_cell = np.ones(rows.size, dtype=bool)
+        for _ in range(config.max_requests_per_round):
+            affordable = np.flatnonzero(open_cell & (prices <= budget[rows] + _EPS))
+            if affordable.size == 0:
                 break
-            first = np.argmax(affordable, axis=1)
-            takers = np.flatnonzero(any_affordable)
-            picked = first[takers]
-            sel_w[takers, request] = picked
-            budget[takers] -= open_price[takers, picked]
-            open_price[takers, picked] = np.inf
-
-        selected = sel_w >= 0
-        if not selected.any():
+            first = np.ones(affordable.size, dtype=bool)
+            first[1:] = rows[affordable[1:]] != rows[affordable[:-1]]
+            taken = affordable[first]
+            budget[rows[taken]] -= prices[taken]
+            open_cell[taken] = False
+        picked = np.flatnonzero(~open_cell)  # (row, w) order = global order
+        if picked.size == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty, np.empty(0)
-        flat = np.flatnonzero(selected.ravel())  # row-major = global order
-        rows = flat // max_requests
-        w = sel_w.ravel()[flat]
+        rows, ws, sellers, paid = rows[picked], ws[picked], sellers[picked], prices[picked]
         buyers = slots[rows]
-        sellers = supplier[rows, w]
-        chunk_abs = abs_idx[rows, w]
-        paid = price[rows, w]
+        chunk_abs = base + first_col[rows] + ws
 
         # Upload-slot admission in global order: within each seller, the
-        # first ``upload_capacity`` requests win.
-        order = np.argsort(sellers, kind="stable")
-        sorted_sellers = sellers[order]
+        # first ``upload_capacity`` requests win.  The ``(seller, position)``
+        # keys are unique, so sorting them is the stable sort by seller.
         size = sellers.size
+        order = np.sort(sellers * size + np.arange(size)) % size
+        sorted_sellers = sellers[order]
         new_group = np.ones(size, dtype=bool)
         new_group[1:] = sorted_sellers[1:] != sorted_sellers[:-1]
         group_first = np.maximum.accumulate(np.where(new_group, np.arange(size), 0))
@@ -556,7 +733,7 @@ class StreamingMarketSimulator(SlotSimulator):
         base: int,
         live_edge: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-peer scheduling loop (the benchmark baseline).
+        """Per-peer scheduling loop (the vectorized kernel's test oracle).
 
         Walks every alive peer's want window one position at a time —
         exactly what the retired event-driven scheduler did per peer per

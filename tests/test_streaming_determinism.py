@@ -8,8 +8,9 @@ at every layer:
 * simulator — the ``loop`` and ``vectorized`` scheduling kernels, fed the
   same configuration, must end in byte-identical
   :class:`StreamingSimResult`\\ s (static, churned, heterogeneously priced
-  and taxed swarms, and the configs the streaming fig5_6/fig11 points
-  build);
+  and taxed swarms, the configs the streaming fig5_6/fig11 points build,
+  and 400-peer swarms whose runs take both of the vectorized kernel's
+  supplier-choice sides);
 * partition — a streaming run split into checkpointed round-blocks must
   be byte-identical to the monolithic run (churn-event state included);
 * orchestrator — the streaming-backed fig5_6/fig11 smoke scenarios must
@@ -161,6 +162,56 @@ class TestStreamingKernelEquivalence:
             dataclasses.replace(config, options=KernelOptions(kernel="loop"))
         )
         assert fingerprint(vectorized) == fingerprint(loop)
+
+
+def swarm_config(**overrides):
+    """A 400-peer swarm run from start-up into its steady state.
+
+    Large enough that, within one run, the vectorized kernel expands some
+    window columns from their few holders and others from their candidate
+    cells (the 36-peer shapes above may only ever take one side).
+    """
+    defaults = dict(num_peers=400, horizon=30.0, sample_interval=5.0, seed=5)
+    defaults.update(overrides)
+    return StreamingSimConfig(**defaults)
+
+
+class TestStreamingKernelEquivalenceAtSwarmScale:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            swarm_config(supplier_choice="availability"),
+            swarm_config(supplier_choice="least-loaded"),
+            swarm_config(supplier_choice="cheapest"),
+            swarm_config(churn=ChurnConfig(arrival_rate=400 / 60.0, mean_lifespan=60.0)),
+        ],
+        ids=["availability", "least-loaded", "cheapest", "churned"],
+    )
+    def test_both_sides_taken_and_kernels_byte_identical(self, config, monkeypatch):
+        from repro.p2psim import streaming_sim
+
+        taken = {"demand": 0, "supply": 0}
+        demand, supply = streaming_sim._demand_side, streaming_sim._supply_side
+
+        def demand_spy(*args):
+            taken["demand"] += args[4].size  # candidate cells
+            return demand(*args)
+
+        def supply_spy(*args):
+            taken["supply"] += args[7].size  # window columns
+            return supply(*args)
+
+        monkeypatch.setattr(streaming_sim, "_demand_side", demand_spy)
+        monkeypatch.setattr(streaming_sim, "_supply_side", supply_spy)
+        vectorized = StreamingMarketSimulator.run_config(
+            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
+        )
+        assert taken["demand"] > 0 and taken["supply"] > 0
+        loop = StreamingMarketSimulator.run_config(
+            dataclasses.replace(config, options=KernelOptions(kernel="loop"))
+        )
+        assert fingerprint(vectorized) == fingerprint(loop)
+        assert vectorized.chunks_delivered > 0
 
 
 class TestStreamingPartitionEquivalence:
