@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -276,6 +277,17 @@ class OverlayTopology:
                 matrix[index[v], index[u]] = 1.0
         return matrix
 
+    def neighbor_rows(self, peer_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Degrees and concatenated neighbour ids of ``peer_ids``, read in one pass.
+
+        Each row is in adjacency-set order, which is arbitrary: callers
+        key-sort the rows before their order can matter.
+        """
+        sets = [self._adjacency[peer] for peer in peer_ids]
+        degrees = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(degrees.sum()))
+        return degrees, ids
+
     def csr_adjacency(
         self, order: Optional[List[int]] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -287,31 +299,23 @@ class OverlayTopology:
         segmented layout the million-peer simulator kernels consume —
         memory scales with the edge count (``2 × num_edges`` int64
         entries), never ``N × max_degree`` padding or the ``N²`` cells of
-        :meth:`adjacency_matrix`.  Peers outside ``order`` are ignored,
-        matching :meth:`adjacency_matrix`.
+        :meth:`adjacency_matrix`.  Neighbours outside ``order`` are
+        ignored, matching :meth:`adjacency_matrix`; every peer of ``order``
+        must be in the overlay.
         """
-        order = list(order) if order is not None else self.peers()
-        index = {peer: i for i, peer in enumerate(order)}
-        count = len(order)
-        rows = [
-            sorted(
-                index[neighbor]
-                for neighbor in self._adjacency.get(peer, ())
-                if neighbor in index
-            )
-            for peer in order
-        ]
+        order = np.asarray(order if order is not None else self.peers(), dtype=np.int64)
+        count = order.size
+        degrees, neighbor_ids = self.neighbor_rows(order.tolist())
+        # Map ids to positions in `order` through its sorted copy.
+        by_id = np.argsort(order, kind="stable")
+        found = np.minimum(np.searchsorted(order[by_id], neighbor_ids), max(count - 1, 0))
+        keep = order[by_id[found]] == neighbor_ids
+        rows = np.repeat(np.arange(count, dtype=np.int64), degrees)[keep]
+        # One key sort of (row, column) orders every row at once.
+        keys = np.sort(rows * count + by_id[found[keep]])
         row_start = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(row) for row in rows), dtype=np.int64, count=count),
-            out=row_start[1:],
-        )
-        col_indices = np.fromiter(
-            (col for row in rows for col in row),
-            dtype=np.int64,
-            count=int(row_start[-1]),
-        )
-        return row_start, col_indices
+        np.cumsum(np.bincount(rows, minlength=count), out=row_start[1:])
+        return row_start, keys % max(count, 1)
 
     # ------------------------------------------------------------------ dunder
 

@@ -39,6 +39,30 @@ from repro.queueing.traffic import solve_traffic_equations
 
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
 
+#: Rows quoted and normalised per block when routing rows are refreshed.
+_ROW_BLOCK = 4096
+
+
+def routing_cdfs(prices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Routing CDFs of consecutive rows of ``prices`` (row ``i`` has ``degrees[i]``).
+
+    Each CDF ends at exactly 1.0, so every uniform draw in [0, 1) lands on
+    a real neighbour.  Rows go in blocks of one exact degree: the sums and
+    ``cumsum`` of a C-contiguous ``(rows, degree)`` block round exactly as
+    each row's alone would, which ``np.add.reduceat`` or zero padding would not.
+    """
+    weights = np.clip(prices, 1e-12, None)
+    cdf = np.empty(weights.size)
+    offsets = np.cumsum(degrees) - degrees
+    for degree in np.unique(degrees[degrees > 0]).tolist():
+        block = offsets[degrees == degree, None] + np.arange(degree)
+        probs = weights[block]
+        probs /= probs.sum(axis=1, keepdims=True)
+        row_cdf = np.cumsum(probs, axis=1)
+        row_cdf /= row_cdf[:, -1:]
+        cdf[block] = row_cdf
+    return cdf
+
 
 @dataclass
 class MarketSimResult:
@@ -89,10 +113,11 @@ class CreditMarketSimulator(SlotSimulator):
     """Round-based simulator of credit circulation on a P2P overlay.
 
     Peer state lives in slot-indexed arrays kept by a
-    :class:`~repro.p2psim.slots.PeerSlots` store, which also holds each
-    peer's neighbour row.  The simulator adds what routing needs on top:
-    each row's routing CDF, derived from its neighbours' posted prices, and
-    the ``flat`` search array over all rows (see :meth:`_routing_pack`).
+    :class:`~repro.p2psim.slots.PeerSlots` store, which also holds the
+    neighbour rows as a CSR pack.  The simulator adds what routing needs
+    on top: ``_edge_cdf``, each row's routing CDF over its neighbours'
+    prices, and the ``flat`` search array over all rows (see
+    :meth:`_routing_pack`).
 
     Parameters
     ----------
@@ -111,6 +136,7 @@ class CreditMarketSimulator(SlotSimulator):
     _earned = SlotArray()
     _income = SlotArray()
     _zero_income = SlotArray()
+    _edge_cdf = SlotArray(edges=True)
 
     def __init__(
         self,
@@ -129,9 +155,9 @@ class CreditMarketSimulator(SlotSimulator):
         # both preallocated so the hot loop allocates nothing on quiet rounds.
         self._income = np.zeros(capacity)
         self._zero_income = np.zeros(capacity)
-        # Routing CDF of each slot's row, and the search array over all rows
-        # with the store pack it was built from.
-        self._cdfs: Dict[int, np.ndarray] = {}
+        # The routing CDF of every pack edge, and the search array over all
+        # rows with the store pack it was built from.
+        self._edge_cdf = np.empty(0)
         self._flat = np.empty(0)
         self._flat_pack: Optional[SlotPack] = None
 
@@ -141,11 +167,10 @@ class CreditMarketSimulator(SlotSimulator):
 
         initial_peers = self.topology.peers()
         mu_by_peer = self._configure_spending_rates(initial_peers)
-        # Admit everyone first, then derive each row once (as churn rounds do).
+        # Admit everyone first, then derive every row in one batch.
         for peer in initial_peers:
             self._admit(peer, mu_by_peer[peer])
-        for peer in initial_peers:
-            self._refresh_routing_row(peer)
+        self._refresh_routing_rows(initial_peers)
         # Build the routing pack eagerly: it is part of construction, not of
         # the first advanced round (benchmarks time rounds, not set-up).
         self._routing_pack()
@@ -203,9 +228,9 @@ class CreditMarketSimulator(SlotSimulator):
         """Create simulator state for ``peer_id`` (already present in the topology).
 
         No routing row is derived here: the caller refreshes the rows of
-        the new peer and of its neighbours once it has admitted everyone —
-        ``__init__`` once per initial peer, :func:`apply_round_churn` once
-        per touched peer per round.
+        the new peer and of its neighbours in one batch once it has admitted
+        everyone — ``__init__`` for the initial population,
+        :func:`apply_round_churn` at the end of each round.
         """
         slot = self._slots.admit(peer_id)
         self._balance[slot] = self.config.initial_credits
@@ -232,38 +257,24 @@ class CreditMarketSimulator(SlotSimulator):
         """Remove ``peer_id``'s simulator state (topology surgery happens separately)."""
         slot = self._slots.evict(peer_id)
         self._balance[slot] = 0.0
-        self._cdfs.pop(slot, None)
 
-    def _refresh_routing_row(self, peer_id: int) -> None:
-        """Recompute the neighbour row and routing CDF of one peer.
+    def _refresh_routing_rows(self, peer_ids: Sequence[int]) -> None:
+        """Re-derive the neighbour rows and routing CDFs of ``peer_ids``.
 
-        The row lists the neighbours' slots ascending, so the CDF's order
-        never depends on how the overlay's sets iterate.  The cumulative
-        distribution is derived here rather than at pack-build time:
-        per-row ``cumsum`` keeps the exact historical float sequence — a
-        segmented cumsum over the concatenated edge array would accumulate
-        across rows and round differently — and moves the O(degree) Python
-        work out of the (benchmarked) round loop.
+        The store splices the slot-sorted rows into its pack; their
+        neighbours are quoted row after row (one ``price_array`` call per
+        block), so memoised pricing draws in per-row order, and
+        :func:`routing_cdfs` fills their stretch of ``_edge_cdf``.
         """
-        slot = self._slots.refresh(peer_id)
-        if slot < 0:
-            return
-        row = self._slots.row(slot)
-        if row.size == 0:
-            self._cdfs[slot] = np.empty(0)
-            return
-        neighbor_ids = self._slots.peer_of[row].tolist()
-        weights = np.asarray(
-            self.config.pricing.price_array(neighbor_ids, 0), dtype=float
-        )
-        weights = np.clip(weights, 1e-12, None)
-        probs = weights / weights.sum()
-        row_cdf = np.cumsum(probs)
-        # The last entry must be exactly 1.0 so every uniform draw in
-        # [0, 1) lands on a real neighbour despite cumsum rounding;
-        # dividing by the total guarantees it.
-        row_cdf /= row_cdf[-1]
-        self._cdfs[slot] = row_cdf
+        rows = self._slots.refresh_rows(peer_ids)
+        pack = self._slots.pack()
+        # Blocks of rows bound the transient arrays of a start-up batch.
+        for lo in range(0, rows.size, _ROW_BLOCK):
+            block_rows = rows[lo : lo + _ROW_BLOCK]
+            edges = pack.edge_positions(block_rows)
+            neighbor_ids = self._slots.peer_of[pack.edge_dst[edges]].tolist()
+            prices = np.asarray(self.config.pricing.price_array(neighbor_ids, 0), dtype=float)
+            self._edge_cdf[edges] = routing_cdfs(prices, pack.degrees[block_rows])
 
     # ------------------------------------------------------------------ churn
 
@@ -272,7 +283,7 @@ class CreditMarketSimulator(SlotSimulator):
             self,
             dt,
             admit=self._admit_joiner,
-            refresh_neighbor=self._refresh_routing_row,
+            refresh_rows=self._refresh_routing_rows,
         )
 
     # ------------------------------------------------------------------ taxation
@@ -293,16 +304,14 @@ class CreditMarketSimulator(SlotSimulator):
         "right")`` — one batched binary search routes every credit of a
         round against exactly the degree mass of the overlay.  Both kernels
         compare against the same ``flat`` values, so their routing
-        decisions are bit-identical.  It is rebuilt whenever the store
-        rebuilds its pack, i.e. after any membership change; on static
+        decisions are bit-identical.  It is recomputed from ``_edge_cdf``
+        in one array pass whenever the store splices a new pack; on static
         overlays it is built once and reused for the whole run.
         """
         pack = self._slots.pack()
         if self._flat_pack is not pack:
-            rows = pack.alive_slots.tolist()
-            edge_cdf = np.concatenate([self._cdfs[slot] for slot in rows]) if rows else np.empty(0)
-            self._flat = edge_cdf + 3.0 * np.repeat(
-                np.arange(len(rows), dtype=np.float64), pack.degrees
+            self._flat = self._edge_cdf + 3.0 * np.repeat(
+                np.arange(pack.alive_slots.size, dtype=np.float64), pack.degrees
             )
             self._flat_pack = pack
         return pack, self._flat

@@ -4,20 +4,19 @@ Both :class:`~repro.p2psim.market_sim.CreditMarketSimulator` and
 :class:`~repro.p2psim.streaming_sim.StreamingMarketSimulator` keep peer
 state in slot-indexed numpy arrays.  :class:`PeerSlots` is the one copy of
 the bookkeeping behind those arrays: the alive mask, the peer↔slot maps,
-the free-slot list, capacity growth of every per-slot array, each peer's
-neighbour row (its neighbours' slots, ascending) and the CSR pack of all
-alive rows.  A simulator declares its per-slot arrays as
-:class:`SlotArray` attributes, so assigning one registers it with the
-store, and the store grows it with the population.
+the free-slot list, capacity growth of every per-slot array and the
+alive peers' neighbour rows (their neighbours' slots, ascending), kept
+only as a CSR pack.  A simulator declares its per-slot arrays, and the
+arrays aligned with the pack's edges, as :class:`SlotArray` attributes,
+so assigning one registers it with the store, which grows or splices it.
 
-Rows are derived from :meth:`OverlayTopology.neighbors
-<repro.overlay.topology.OverlayTopology.neighbors>` through the
-peer→slot array and sorted by slot, so no row depends on how a set
-happens to iterate — a simulator restored from a checkpoint pickle
-rebuilds exactly the rows it had.  Admitting a peer never derives a row:
-a churn round first applies every departure and arrival, then refreshes
-each peer whose neighbour set changed exactly once, so a hub touched by
-many joins in one round is recomputed once rather than once per join.
+Rows are read from the overlay in one batch and key-sorted by slot, so
+no row depends on how a set happens to iterate — a simulator restored
+from a checkpoint pickle rebuilds exactly the rows it had.  Admitting a
+peer never derives a row: a churn round first applies every departure
+and arrival, then re-derives the rows of every peer whose neighbour set
+changed with one :meth:`PeerSlots.refresh_rows` call, which patches the
+pack with one gather; a hub touched by many joins is recomputed once.
 
 :class:`SlotSimulator` is the set-up and run plumbing both simulators
 inherit, and :func:`apply_round_churn` and :func:`apply_income_taxation`
@@ -56,6 +55,12 @@ __all__ = [
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
 
 
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(start, start + length)`` of every segment, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
 @dataclass
 class SlotPack:
     """Alive peers' neighbour rows in CSR (segmented) layout — no padding.
@@ -71,6 +76,10 @@ class SlotPack:
     row_start: np.ndarray
     edge_dst: np.ndarray
 
+    def edge_positions(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in ``edge_dst`` of the edges of ``rows``, row after row."""
+        return _segments(self.row_start[rows], self.degrees[rows])
+
 
 class PeerSlots:
     """Slot bookkeeping for the peers of one overlay.
@@ -80,7 +89,8 @@ class PeerSlots:
     the reverse map, -1 for peers without a slot.  Peer ids must be
     non-negative integers: ``slot_of`` is indexed by them.  Freed slots
     are reused last-in first-out, and the initial population, admitted
-    in ascending id order, gets slots ``0, 1, 2, …``.
+    in ascending id order, gets slots ``0, 1, 2, …``.  ``pack_row[slot]``
+    is one plus the slot's row in the pack (0: none, or evicted).
     """
 
     def __init__(self, topology: OverlayTopology) -> None:
@@ -90,11 +100,15 @@ class PeerSlots:
         self.arrays: Dict[str, np.ndarray] = {
             "alive": np.zeros(self.capacity, dtype=bool),
             "peer_of": np.zeros(self.capacity, dtype=np.int64),
+            "pack_row": np.zeros(self.capacity, dtype=np.int64),
         }
+        #: Every array aligned with the pack's ``edge_dst``.
+        self.edge_arrays: Dict[str, np.ndarray] = {}
         self.slot_of = np.full(self.capacity, -1, dtype=np.int64)
         self._free: List[int] = list(range(self.capacity - 1, -1, -1))
-        self._rows: Dict[int, np.ndarray] = {}
-        self._pack: Optional[SlotPack] = None
+        self._pack = SlotPack(_EMPTY_ROW, _EMPTY_ROW, np.zeros(1, dtype=np.int64), _EMPTY_ROW)
+        #: Whether slots were admitted or evicted since the pack was spliced.
+        self._moved = False
 
     @property
     def alive(self) -> np.ndarray:
@@ -110,6 +124,12 @@ class PeerSlots:
             return int(self.slot_of[peer_id])
         return -1
 
+    def _slots_of(self, peer_ids: np.ndarray) -> np.ndarray:
+        """:meth:`slot` of every id in ``peer_ids``."""
+        slots = self.slot_of.take(peer_ids, mode="clip")
+        slots[(peer_ids < 0) | (peer_ids >= self.slot_of.size)] = -1
+        return slots
+
     def admit(self, peer_id: int) -> int:
         """Give ``peer_id`` a free slot (growing every array if none is left)."""
         if not self._free:
@@ -121,7 +141,7 @@ class PeerSlots:
         self.alive[slot] = True
         self.peer_of[slot] = peer_id
         self.slot_of[peer_id] = slot
-        self._pack = None
+        self._moved = True
         return slot
 
     def evict(self, peer_id: int) -> int:
@@ -129,9 +149,9 @@ class PeerSlots:
         slot = int(self.slot_of[peer_id])
         self.slot_of[peer_id] = -1
         self.alive[slot] = False
-        self._rows.pop(slot, None)
+        self.arrays["pack_row"][slot] = 0
         self._free.append(slot)
-        self._pack = None
+        self._moved = True
         return slot
 
     def _grow(self) -> None:
@@ -142,38 +162,60 @@ class PeerSlots:
         self._free = list(range(2 * old - 1, old - 1, -1)) + self._free
         self.capacity = 2 * old
 
-    def refresh(self, peer_id: int) -> int:
-        """Re-derive ``peer_id``'s neighbour row; return its slot (-1: no slot).
+    def refresh_rows(self, peer_ids: Sequence[int]) -> np.ndarray:
+        """Re-derive the rows of ``peer_ids`` and splice them into the pack.
 
-        Every overlay neighbour must already have a slot: rows are
-        refreshed only after all of a round's admissions.
+        Peers without a slot are skipped; every overlay neighbour of the
+        others must have one.  All rows are read in one pass and ordered by
+        one sort of their ``(row, slot)`` keys.  One gather then builds the
+        new pack, and every :attr:`edge_arrays` entry (zero on these rows),
+        from the old pack's other alive rows and these; evicted slots lose
+        their rows.  Returns these rows' indices in the new pack, in order.
         """
-        slot = self.slot(peer_id)
-        if slot < 0:
-            return slot
-        neighbors = np.array(self.topology.neighbors(peer_id), dtype=np.int64)
-        row = np.sort(self.slot_of[neighbors])
-        if row.size and row[0] < 0:
-            raise RuntimeError(f"a neighbour of peer {peer_id} has no slot")
-        self._rows[slot] = row
-        self._pack = None
-        return slot
+        ids = np.asarray(peer_ids, dtype=np.int64)
+        slots = self._slots_of(ids)
+        ids, slots = ids[slots >= 0], slots[slots >= 0]
+        if not ids.size and not self._moved:
+            return _EMPTY_ROW
+        degrees, keys = self.topology.neighbor_rows(ids.tolist())
+        keys = self._slots_of(keys)
+        if keys.size and keys.min() < 0:
+            row = np.searchsorted(np.cumsum(degrees), np.argmin(keys), side="right")
+            raise RuntimeError(f"a neighbour of peer {ids[row]} has no slot")
+        keys += np.repeat(np.arange(ids.size) * self.capacity, degrees)
+        keys.sort()
+        fresh = np.remainder(keys, self.capacity, out=keys)
+        old, pack_row = self._pack, self.arrays["pack_row"]
+        alive_slots = np.flatnonzero(self.alive)
+        old_rows = pack_row[alive_slots] - 1
+        kept = old_rows >= 0
+        lengths = np.zeros(alive_slots.size, dtype=np.int64)
+        starts = np.zeros(alive_slots.size, dtype=np.int64)
+        lengths[kept], starts[kept] = old.degrees[old_rows[kept]], old.row_start[old_rows[kept]]
+        rows = np.searchsorted(alive_slots, slots)
+        lengths[rows], starts[rows] = degrees, old.edge_dst.size + np.cumsum(degrees) - degrees
+        take = _segments(starts, lengths)
+        for name, values in self.edge_arrays.items():
+            padded = np.concatenate([values, np.zeros(fresh.size, dtype=values.dtype)])
+            self.edge_arrays[name] = padded[take]
+        row_start = np.concatenate([[0], np.cumsum(lengths)])
+        edge_dst = np.concatenate([old.edge_dst, fresh])[take]
+        self._pack = SlotPack(alive_slots, lengths, row_start, edge_dst)
+        pack_row[alive_slots] = np.arange(1, alive_slots.size + 1)
+        self._moved = False
+        return rows
 
     def row(self, slot: int) -> np.ndarray:
-        """The neighbour slots of ``slot``, ascending."""
-        return self._rows.get(slot, _EMPTY_ROW)
+        """The neighbour slots of ``slot``, ascending (a view into the pack)."""
+        row, pack = int(self.arrays["pack_row"][slot]) - 1, self._pack
+        if row < 0:
+            return _EMPTY_ROW
+        return pack.edge_dst[pack.row_start[row] : pack.row_start[row + 1]]
 
     def pack(self) -> SlotPack:
-        """The CSR rows of the alive population, cached until membership changes."""
-        if self._pack is None:
-            alive_slots = np.flatnonzero(self.alive)
-            count = alive_slots.size
-            rows = [self._rows.get(slot, _EMPTY_ROW) for slot in alive_slots.tolist()]
-            degrees = np.fromiter((row.size for row in rows), dtype=np.int64, count=count)
-            row_start = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=row_start[1:])
-            edge_dst = np.concatenate(rows) if rows else _EMPTY_ROW
-            self._pack = SlotPack(alive_slots, degrees, row_start, edge_dst)
+        """The CSR rows of the alive population (spliced first if slots moved)."""
+        if self._moved:
+            self.refresh_rows(())
         return self._pack
 
 
@@ -183,11 +225,14 @@ class SlotArray:
     Assigning the attribute stores the array in ``sim._slots.arrays``
     under the attribute's name (or under ``key``), where the store grows
     it along its first axis whenever the population outgrows the
-    capacity.
+    capacity.  With ``edges=True`` it is stored in ``edge_arrays``
+    instead, aligned with the pack's ``edge_dst``, and every splice
+    carries it along.
     """
 
-    def __init__(self, key: Optional[str] = None) -> None:
+    def __init__(self, key: Optional[str] = None, edges: bool = False) -> None:
         self.key = key
+        self.registry = "edge_arrays" if edges else "arrays"
 
     def __set_name__(self, owner: type, name: str) -> None:
         if self.key is None:
@@ -196,10 +241,10 @@ class SlotArray:
     def __get__(self, sim: Any, owner: Optional[type] = None) -> Any:
         if sim is None:
             return self
-        return sim._slots.arrays[self.key]
+        return getattr(sim._slots, self.registry)[self.key]
 
     def __set__(self, sim: Any, array: np.ndarray) -> None:
-        sim._slots.arrays[self.key] = array
+        getattr(sim._slots, self.registry)[self.key] = array
 
 
 class SlotSimulator:
@@ -317,7 +362,7 @@ def apply_round_churn(
     sim: Any,
     dt: float,
     admit: Callable[[int], object],
-    refresh_neighbor: Callable[[int], None],
+    refresh_rows: Callable[[List[int]], object],
 ) -> None:
     """Apply one round of Poisson arrivals and exponential departures.
 
@@ -327,11 +372,11 @@ def apply_round_churn(
     everyone else) and a Poisson number of peers arrives, wired into the
     overlay by the tracker.  ``admit`` creates the simulator state of one
     joining peer without deriving any neighbour row.  After the last
-    arrival, ``refresh_neighbor`` re-derives the cached row of every peer
-    whose neighbour set changed — each leaver's former neighbours, each
-    orphan's repair partner, each joiner and its neighbours — once, in the
-    order they were first touched.  Peers that left later in the round are
-    skipped by the hook.
+    arrival, ``refresh_rows`` gets, in one call, every peer whose
+    neighbour set changed — each leaver's former neighbours, each orphan's
+    repair partner, each joiner and its neighbours — once each, in the
+    order they were first touched.  Peers that left later in the round
+    have no slot and are skipped by the store.
     """
     churn = sim.config.churn
     if churn is None:
@@ -359,8 +404,7 @@ def apply_round_churn(
         sim.joins += 1
         touched[peer_id] = None
         touched.update(dict.fromkeys(sim.topology.neighbors(peer_id)))
-    for peer_id in touched:
-        refresh_neighbor(peer_id)
+    refresh_rows(list(touched))
 
 
 def apply_income_taxation(sim: Any, income: np.ndarray, now: float) -> None:

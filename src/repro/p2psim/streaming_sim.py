@@ -493,14 +493,12 @@ class StreamingMarketSimulator(SlotSimulator):
         self._next_sample = 0.0
         self._measure_start = config.horizon / 2.0
 
-        # Admit everyone first, then derive each row once (as churn rounds do).
+        # Admit everyone first, then derive every row in one batch (as churn
+        # rounds do); the pack is built here, as construction cost.
         initial_peers = self.topology.peers()
         for peer_id in initial_peers:
             self._admit(peer_id)
-        for peer_id in initial_peers:
-            self._slots.refresh(peer_id)
-        # Build the pack eagerly: construction cost, not tick cost.
-        self._slots.pack()
+        self._slots.refresh_rows(initial_peers)
 
     # ------------------------------------------------------------------ clock helpers
 
@@ -527,9 +525,9 @@ class StreamingMarketSimulator(SlotSimulator):
         """Create simulator state for ``peer_id`` (already present in the topology).
 
         No neighbour row is derived here: the caller refreshes the rows of
-        the new peer and of its neighbours once it has admitted everyone —
-        ``__init__`` once per initial peer, :func:`apply_round_churn` once
-        per touched peer per round.
+        the new peer and of its neighbours in one batch once it has admitted
+        everyone — ``__init__`` for the initial population,
+        :func:`apply_round_churn` at the end of each round.
         """
         slot = self._slots.admit(peer_id)
         self._balance[slot] = self.config.initial_credits
@@ -568,7 +566,7 @@ class StreamingMarketSimulator(SlotSimulator):
     # ------------------------------------------------------------------ churn
 
     def _apply_churn(self, dt: float) -> None:
-        apply_round_churn(self, dt, admit=self._admit, refresh_neighbor=self._slots.refresh)
+        apply_round_churn(self, dt, admit=self._admit, refresh_rows=self._slots.refresh_rows)
 
     # ------------------------------------------------------------------ stream window
 

@@ -229,9 +229,15 @@ class TestIntraJobsSweepEquivalence:
 def _routing_rows(simulator):
     """``(peer, neighbour slots, row CDF)`` of every alive market peer."""
     slots = simulator._slots
+    pack = slots.pack()
+    assert pack.alive_slots.tolist() == np.flatnonzero(slots.alive).tolist()
     return [
-        (int(slots.peer_of[slot]), slots.row(slot), simulator._cdfs[slot])
-        for slot in np.flatnonzero(slots.alive).tolist()
+        (
+            int(slots.peer_of[slot]),
+            slots.row(slot),
+            simulator._edge_cdf[pack.row_start[row] : pack.row_start[row + 1]],
+        )
+        for row, slot in enumerate(pack.alive_slots.tolist())
     ]
 
 

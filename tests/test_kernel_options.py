@@ -161,9 +161,9 @@ class TestOneRepresentation:
         simulator = CreditMarketSimulator(market_config())
         simulator.advance_rounds(5)
         _assert_one_representation(simulator)
-        assert simulator._cdfs
-        for row in simulator._cdfs.values():
-            assert row.dtype == np.float64
+        edge_cdf = simulator._edge_cdf
+        assert edge_cdf.size == simulator._slots.pack().edge_dst.size > 0
+        assert edge_cdf.dtype == np.float64
         _, flat = simulator._routing_pack()
         assert flat.dtype == np.float64
         result = simulator.finalize()

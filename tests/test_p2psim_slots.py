@@ -23,8 +23,7 @@ def path_topology(num_peers):
 def admit_all(slots):
     for peer in slots.topology.peers():
         slots.admit(peer)
-    for peer in slots.topology.peers():
-        slots.refresh(peer)
+    slots.refresh_rows(slots.topology.peers())
 
 
 class _Owner:
@@ -70,13 +69,14 @@ class TestAdmitEvict:
         assert slots.slot(0) == -1
         assert slots.slot(-1) == -1
         assert slots.slot(10**6) == -1
-        assert slots.refresh(10**6) == -1
+        # A peer without a slot is skipped: it gets no row.
+        assert slots.refresh_rows([10**6, -1]).size == 0
 
     def test_refresh_requires_every_neighbour_admitted(self):
         slots = PeerSlots(path_topology(3))
         slots.admit(1)
         with pytest.raises(RuntimeError, match="neighbour of peer 1 has no slot"):
-            slots.refresh(1)
+            slots.refresh_rows([1])
 
 
 class TestRows:
@@ -90,7 +90,7 @@ class TestRows:
         topology.add_peer(4)
         topology.add_edge(4, 2)
         slots.admit(4)
-        slots.refresh(2)
+        slots.refresh_rows([2])
         assert slots.slot(4) == 0
         assert slots.row(slots.slot(2)).tolist() == [0, 1, 3]
         assert slots.peer_of[slots.row(slots.slot(2))].tolist() == [4, 1, 3]
@@ -100,7 +100,7 @@ class TestRows:
         admit_all(slots)
         pack = slots.pack()
         assert slots.pack() is pack
-        slots.refresh(2)
+        slots.refresh_rows([2])
         assert slots.pack() is not pack
         pack = slots.pack()
         slots.evict(5)
@@ -111,7 +111,7 @@ class TestRows:
         admit_all(slots)
         slots.topology.remove_peer(3)
         slots.evict(3)
-        slots.refresh(2)
+        slots.refresh_rows([2])
         pack = slots.pack()
         assert pack.alive_slots.tolist() == [0, 1, 2]
         assert pack.degrees.tolist() == [1, 2, 1]
@@ -210,16 +210,17 @@ class TestChurnedRuns:
     def test_every_refresh_follows_the_rounds_admissions(self, name, monkeypatch):
         # Rows are refreshed only once every peer of the round is admitted,
         # so a refreshed peer's neighbours always have slots.
-        refresh = PeerSlots.refresh
+        refresh_rows = PeerSlots.refresh_rows
         checked = []
 
-        def checking_refresh(slots, peer_id):
-            if slots.slot(peer_id) >= 0:
-                neighbors = slots.topology.neighbors(peer_id)
-                checked.append(all(slots.slot(neighbor) >= 0 for neighbor in neighbors))
-            return refresh(slots, peer_id)
+        def checking_refresh_rows(slots, peer_ids):
+            for peer_id in peer_ids:
+                if slots.slot(peer_id) >= 0:
+                    neighbors = slots.topology.neighbors(peer_id)
+                    checked.append(all(slots.slot(neighbor) >= 0 for neighbor in neighbors))
+            return refresh_rows(slots, peer_ids)
 
-        monkeypatch.setattr(PeerSlots, "refresh", checking_refresh)
+        monkeypatch.setattr(PeerSlots, "refresh_rows", checking_refresh_rows)
         sim = SIMULATORS[name]()
         sim.advance_rounds(sim.total_rounds())
         assert sim.joins > 0
