@@ -157,8 +157,8 @@ class PeerSlots:
     def _grow(self) -> None:
         old = self.capacity
         for name, array in self.arrays.items():
-            pad = np.zeros((old,) + array.shape[1:], dtype=array.dtype)
-            self.arrays[name] = np.concatenate([array, pad])
+            pad = np.zeros(array.shape[:-1] + (old,), dtype=array.dtype)
+            self.arrays[name] = np.concatenate([array, pad], axis=-1)
         self._free = list(range(2 * old - 1, old - 1, -1)) + self._free
         self.capacity = 2 * old
 
@@ -224,8 +224,8 @@ class SlotArray:
 
     Assigning the attribute stores the array in ``sim._slots.arrays``
     under the attribute's name (or under ``key``), where the store grows
-    it along its first axis whenever the population outgrows the
-    capacity.  With ``edges=True`` it is stored in ``edge_arrays``
+    it along its last axis, the slot axis, whenever the population
+    outgrows the capacity.  With ``edges=True`` it is stored in ``edge_arrays``
     instead, aligned with the pack's ``edge_dst``, and every splice
     carries it along.
     """

@@ -25,15 +25,14 @@ simulator.
 
 Execution model
 ---------------
-Earlier revisions drove every peer through its own discrete-event process
-(one heap event per peer per scheduling round, one per chunk delivery),
-which made the per-peer Python loop the dominant cost of every paper-scale
-streaming scenario.  The simulator now advances in **synchronous ticks** of
-one scheduling interval: peer state lives in slot-indexed numpy arrays
-behind an alive mask, chunk availability is a sliding boolean window over
-the live stream, and the whole scheduling round — candidate scoring,
-supplier choice, upload-slot admission — executes as one batched kernel
-over all alive peers.
+The simulator advances in **synchronous ticks** of one scheduling
+interval.  Peer state lives in slot-indexed numpy arrays behind an alive
+mask.  Chunk availability is a sliding boolean window over the live
+stream, column-major like the posted prices (``_have[col, slot]``,
+``_price_win[col, slot]``): a chunk's holders are one contiguous row,
+emission fills a row and a slide moves whole rows.  The scheduling round
+— candidate cells, supplier choice, budget greedy, upload-slot admission
+— runs as one batched kernel over all alive peers.
 
 Two kernels implement the identical round semantics and consume the
 identical random draws (one tie-break uniform per (peer, window-position)
@@ -51,18 +50,19 @@ also partition into checkpointed round-blocks
 (:mod:`repro.runner.partition`) that are bit-identical to the monolithic
 run.
 
-The vectorized kernel's supplier choice prices every window column two
-ways and expands it from the cheaper side.  The *demand* side walks the
-row of every peer missing the chunk (the column's candidate cells); the
-*supply* side walks the row of every peer holding it and keeps the
-neighbours that miss it.  The column's demand mass — the degrees of its
-candidate cells summed — and its supply mass — the degrees of its alive
-holders summed — are what each side would expand.  Early in the stream
-almost every cell is missing and few peers hold anything, so the supply
-side is orders of magnitude smaller; a column nobody holds expands
-nothing at all.  Both sides feed one tie-break tail with the same
-neighbour order and uniform per cell, so the choice of side never
-changes a purchase.
+The vectorized kernel works per window column.  One pass over the live
+columns' ``have`` rows lists the candidate cells (window columns a peer
+misses) grouped by column, and each column expands from its cheaper
+side.  The *demand* side walks the row of every peer missing the chunk;
+the *supply* side walks the row of every holder and keeps the
+neighbours that miss it.  A column's demand mass — its candidate cells'
+degrees summed — and its supply mass — its alive holders' degrees
+summed — are what each side would expand.  Early in the stream few
+peers hold anything, so the supply side is orders of magnitude smaller.
+Both sides pass only holding neighbours to one tie-break tail, in the
+cell's neighbour order and with its uniform, so the side never changes a
+purchase.  One sort of packed keys then restores the loop kernel's
+peer-by-peer order for the budget greedy.
 
 Churn (Sec. VI-E) follows the market simulator's round-based model: per
 tick, each alive peer departs with probability ``1 − exp(−dt/lifespan)``
@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,15 +102,17 @@ _EPS = 1e-12
 #: Upper bound on the entry count a single expansion block of the
 #: vectorized scheduling kernel materialises at once.  Supplier choice is
 #: independent per candidate cell, so processing cells in bounded blocks is
-#: exact while capping the kernel's transient memory at a few hundred MB
-#: even for 10^5–10^6-peer swarms.
-_EDGE_BLOCK = 1 << 22
+#: exact; blocks this small cap the kernel's transient memory at a few MB
+#: and keep each block's arrays in cache.
+_EDGE_BLOCK = 1 << 18
 
 #: The supply side's fixed cost, in expanded entries: it makes about
 #: forty array calls however little it expands, so it runs only when the
 #: columns it would take save more entries than this.  Below a few
 #: hundred peers it never does.
 _SUPPLY_OVERHEAD = 1 << 12
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _blocks(seg: np.ndarray) -> Iterator[Tuple[int, int, int]]:
@@ -130,199 +132,209 @@ def _blocks(seg: np.ndarray) -> Iterator[Tuple[int, int, int]]:
         lo = hi
 
 
-def _pick_ties(
-    dst: np.ndarray,
-    cols: np.ndarray,
-    eligible: np.ndarray,
-    seg: np.ndarray,
-    u: np.ndarray,
-    price_win: np.ndarray,
-    uploads_total: np.ndarray,
-    choice: str,
+def _candidate_cells(
+    have: np.ndarray, pack: SlotPack, first_col: np.ndarray, window: int, live: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pick one supplier per segment of offers; the tail both sides share.
+    """Every candidate cell of the round, column by column.
 
-    Entry ``i`` offers neighbour ``dst[i]`` for window column ``cols[i]``
-    and is ``eligible`` if that neighbour holds the chunk.  The entries
-    come in consecutive non-empty segments of ``seg`` entries, one per
-    cell, in the cell's neighbour order; ``u`` holds each cell's uniform.
-    Among the eligible entries the policy's best score ties, and the
-    cell takes the ``(pick+1)``-th tie in segment order with
-    ``pick = floor(u · ties)`` — the loop kernel's ``ties[pick]``.
-    Returns ``(chosen, resolved)`` per segment.
+    Pack row ``r`` wants the columns ``first_col[r] ≤ c < first_col[r] +
+    window`` that are live (``0 ≤ c < live``) and that it does not hold,
+    if it has a neighbour to ask.  One pass over the live columns'
+    contiguous ``have`` rows finds them all.  Returns ``(rows, cols)``:
+    ``cols`` non-decreasing, ``rows`` ascending within a column.
     """
-    starts = np.zeros(seg.size, dtype=np.int64)
-    np.cumsum(seg[:-1], out=starts[1:])
-    if choice == "availability":
-        tie = eligible
+    start = np.maximum(first_col, 0)
+    stop = np.where(pack.degrees > 0, np.minimum(first_col + window, live), 0)
+    lo, hi = int(start.min()), int(stop.max())
+    if lo >= hi:
+        return _EMPTY, _EMPTY
+    col = np.arange(lo, hi)[:, None]
+    wanted = (col >= start) & (col < stop)
+    # In the window and not held: ``wanted > held``.
+    np.greater(wanted, have[lo:hi, pack.alive_slots], out=wanted)
+    cols, rows = np.divmod(np.flatnonzero(wanted), first_col.size)
+    return rows, cols + lo
+
+
+class _Round(NamedTuple):
+    """The read-only inputs of one round's supplier choice.
+
+    ``have`` and ``price_win`` are column-major, ``[col, slot]``.  Pack
+    row ``r``'s window starts at column ``first_col[r]``, and its cell at
+    window position ``w`` spends tie-break uniform ``uniforms[r, w]``.
+    """
+
+    have: np.ndarray
+    price_win: np.ndarray
+    uploads_total: np.ndarray
+    pack: SlotPack
+    first_col: np.ndarray
+    uniforms: np.ndarray
+    choice: str
+
+    def cell_uniforms(self, rows: np.ndarray, cols: Union[int, np.ndarray]) -> np.ndarray:
+        """The uniform of each cell ``(rows, cols)``."""
+        at = rows * self.uniforms.shape[1] + (cols - self.first_col[rows])
+        return self.uniforms.ravel()[at]
+
+    def score(self, offers: np.ndarray, quote_at: np.ndarray) -> Optional[np.ndarray]:
+        """Each offer's score (None: all tie); ``quote_at`` flat-indexes its price."""
+        if self.choice == "least-loaded":
+            return self.uploads_total[offers]
+        if self.choice == "cheapest":
+            return self.price_win.ravel()[quote_at]
+        return None
+
+
+def _pick_ties(
+    offers: np.ndarray, cell: np.ndarray, u: np.ndarray, score: Optional[np.ndarray]
+) -> np.ndarray:
+    """Pick one supplier per cell from its offers; the tail both sides share.
+
+    Offer ``i`` is neighbour ``offers[i]``, which holds the chunk of cell
+    ``cell[i]``.  ``cell`` is non-decreasing, every cell ``0 … u.size-1``
+    has an offer, and each cell's offers come in its neighbour order;
+    ``u`` holds each cell's uniform.  The offers whose ``score`` is
+    within ``_EPS`` of their cell's best tie (all of them when ``score``
+    is None), and the cell takes the ``(pick+1)``-th tie in neighbour
+    order with ``pick = floor(u · ties)`` — the loop kernel's
+    ``ties[pick]``.  Returns each cell's choice.
+    """
+    count = u.size
+    if score is None:
+        ties = np.bincount(cell, minlength=count)
+        tied = offers
     else:
-        if choice == "least-loaded":
-            score = np.where(eligible, uploads_total[dst], np.inf)
-        else:  # cheapest
-            score = np.where(eligible, price_win[dst, cols], np.inf)
-        best = np.minimum.reduceat(score, starts)
-        tie = eligible & (score <= np.repeat(best, seg) + _EPS)
-    tie_int = tie.astype(np.int64)
-    tie_count = np.add.reduceat(tie_int, starts)
-    pick = np.floor(u * tie_count).astype(np.int64)
-    pick = np.minimum(pick, tie_count - 1)  # u*cnt can round up to cnt
-    # Inclusive tie rank within each segment.
-    cum = np.cumsum(tie_int)
-    rank = cum - np.repeat(cum[starts] - tie_int[starts], seg)
-    match = np.flatnonzero(tie & (rank == np.repeat(pick + 1, seg)))
-    segment = np.searchsorted(starts, match, side="right") - 1
-    chosen = np.zeros(seg.size, dtype=np.int64)
-    resolved = np.zeros(seg.size, dtype=bool)
-    chosen[segment] = dst[match]
-    resolved[segment] = True
-    return chosen, resolved
+        best = np.full(count, np.inf)
+        # An equal but distinct float64 dtype (an unpickled array's) would
+        # send ``ufunc.at`` down a per-element casting path.
+        np.minimum.at(best, cell, score.view(best.dtype))
+        best += _EPS
+        at = np.flatnonzero(score <= best[cell])
+        ties = np.bincount(cell[at], minlength=count)
+        tied = offers[at]
+    before = np.zeros(count, dtype=np.int64)
+    np.cumsum(ties[:-1], out=before[1:])
+    # u·ties can round up to ties.
+    pick = np.minimum(np.floor(u * ties).astype(np.int64), ties - 1)
+    return tied[before + pick]
 
 
-def _demand_side(
-    have: np.ndarray,
-    price_win: np.ndarray,
-    uploads_total: np.ndarray,
-    pack: SlotPack,
-    rows: np.ndarray,
-    ws: np.ndarray,
-    cols: np.ndarray,
-    uniforms: np.ndarray,
-    choice: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve cells ``(rows, ws)`` by expanding each over its whole row.
+def _demand_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Resolve cells ``(rows, cols)`` by expanding each over its whole row.
 
-    Every edge of the cell's row is an entry, eligible where the
-    neighbour holds column ``cols``.  Returns the resolved cells' rows,
-    window positions and suppliers.
+    Each edge of a cell's row offers its neighbour, read from the
+    column's contiguous ``have`` row; only the neighbours holding the
+    chunk reach the tie tail.  Returns the resolved cells' rows, columns
+    and suppliers.
     """
+    pack, capacity = round_.pack, round_.have.shape[1]
+    held = round_.have.ravel()
     seg_all = pack.degrees[rows]
     out = []
     for lo, hi, _ in _blocks(seg_all):
-        b_rows, b_ws, b_cols = rows[lo:hi], ws[lo:hi], cols[lo:hi]
-        seg = seg_all[lo:hi]
-        offsets = np.zeros(seg.size, dtype=np.int64)
-        np.cumsum(seg[:-1], out=offsets[1:])
-        edge_pos = np.repeat(pack.row_start[b_rows] - offsets, seg) + np.arange(
-            int(offsets[-1] + seg[-1])
-        )
-        dst = pack.edge_dst[edge_pos]
-        entry_cols = np.repeat(b_cols, seg)
-        chosen, resolved = _pick_ties(
-            dst, entry_cols, have[dst, entry_cols], seg, uniforms[b_rows, b_ws],
-            price_win, uploads_total, choice,
-        )
-        out.append((b_rows[resolved], b_ws[resolved], chosen[resolved]))
+        b_rows, b_cols, seg = rows[lo:hi], cols[lo:hi], seg_all[lo:hi]
+        dst = pack.edge_dst[pack.edge_positions(b_rows)]
+        cell = np.repeat(np.arange(seg.size), seg)
+        at = np.repeat(b_cols * capacity, seg)
+        at += dst
+        keep = np.flatnonzero(held[at])
+        cell = cell[keep]
+        offered = np.bincount(cell, minlength=seg.size) > 0
+        found = np.flatnonzero(offered)
+        if found.size == 0:
+            continue
+        if found.size < seg.size:
+            cell = (np.cumsum(offered) - 1)[cell]
+        f_rows, f_cols = b_rows[found], b_cols[found]
+        offers = dst[keep]
+        u = round_.cell_uniforms(f_rows, f_cols)
+        out.append((f_rows, f_cols, _pick_ties(offers, cell, u, round_.score(offers, at[keep]))))
     return _concat(out)
 
 
-def _supply_side(
-    have: np.ndarray,
-    price_win: np.ndarray,
-    uploads_total: np.ndarray,
-    pack: SlotPack,
-    first_col: np.ndarray,
-    candidate: np.ndarray,
-    uniforms: np.ndarray,
-    supply_cols: np.ndarray,
-    slot_degree: np.ndarray,
-    choice: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resolve the candidate cells of ``supply_cols`` from their holders.
+def _supply_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Resolve whole columns of cells ``(rows, cols)`` from their holders.
 
-    Walks the row of every alive holder ``h`` of each column ``c`` and
-    keeps the pairs whose neighbour ``n`` has ``(n, c)`` as a candidate
-    cell.  Rows are ascending and the overlay is undirected, so ``h``'s
-    position in ``n``'s row orders the pairs of a cell as ascending
-    ``h``: one sort of a column's ``(row of n, h)`` keys both groups its
-    pairs by cell and puts each group in the cell's neighbour order.
-    Every pair is an eligible offer; cells without one stay unresolved.
+    ``cols`` is non-decreasing and each column's cells are all of its
+    candidate cells.  Walks the row of every alive holder ``h`` of each
+    column — one contiguous scan of ``have[col]`` — and keeps the
+    neighbours ``n`` with a cell in the column.  Rows are ascending and
+    the overlay is undirected, so ``h``'s position in ``n``'s row orders
+    the pairs of a cell as ascending ``h``: one sort of a column's
+    ``(row of n, h)`` keys both groups its pairs by cell and puts each
+    group in the cell's neighbour order.  Every pair is an eligible
+    offer; cells without one stay unresolved.
     """
-    capacity = have.shape[0]
-    count, window = candidate.shape
-    row_of = np.full(capacity, -1, dtype=np.int64)
-    row_of[pack.alive_slots] = np.arange(count)
-    linked = slot_degree > 0
+    if rows.size == 0:
+        return _concat([])
+    pack, capacity = round_.pack, round_.have.shape[1]
+    slots = pack.alive_slots
+    linked = np.zeros(capacity, dtype=bool)
+    linked[slots[pack.degrees > 0]] = True
+    # ``cell_row[slot]``: the row of the slot's cell in the current
+    # column, or -1; small enough to stay in cache while the holders'
+    # rows go through it.
+    cell_row = np.full(capacity, -1, dtype=np.int64)
     # A (row, holder) key packs the row above the holder's slot bits.
     shift = max(capacity - 1, 1).bit_length()
+    first = int(cols[0])
+    bounds = np.searchsorted(cols, np.arange(first, int(cols[-1]) + 2)).tolist()
     out = []
-    for col in supply_cols.tolist():
-        holders = np.flatnonzero(have[:, col] & linked)
+    for col, a, b in zip(range(first, first + len(bounds) - 1), bounds[:-1], bounds[1:]):
+        holders = np.flatnonzero(round_.have[col] & linked) if a < b else _EMPTY
         if holders.size == 0:
             continue
-        # The slots missing ``col`` in their window, as a per-slot mask
-        # small enough to stay in cache while the holders' rows go
-        # through it.
-        w = col - first_col
-        in_window = np.flatnonzero((w >= 0) & (w < window))
-        wanted = np.zeros(capacity, dtype=bool)
-        wanted[pack.alive_slots[in_window]] = candidate[in_window, w[in_window]]
-        # The holders' rows end to end, expanded in blocks that may split
-        # a row.
-        hold_deg = slot_degree[holders]
-        hold_end = np.cumsum(hold_deg)
-        hold_start = hold_end - hold_deg
-        total = int(hold_end[-1])
+        cell_slots = slots[rows[a:b]]
+        cell_row[cell_slots] = rows[a:b]
+        hold_rows = np.searchsorted(slots, holders)
+        hold_deg = pack.degrees[hold_rows]
         keys = []
-        for lo in range(0, total, _EDGE_BLOCK):
-            hi = min(lo + _EDGE_BLOCK, total)
-            part = slice(
-                int(np.searchsorted(hold_end, lo, side="right")),
-                int(np.searchsorted(hold_start, hi, side="left")),
-            )
-            lengths = np.minimum(hold_end[part], hi) - np.maximum(hold_start[part], lo)
-            edge_pos = np.repeat(
-                pack.row_start[row_of[holders[part]]] - hold_start[part], lengths
-            ) + np.arange(lo, hi)
-            nbr = pack.edge_dst[edge_pos]
-            keep = np.flatnonzero(wanted[nbr])
-            keys.append((row_of[nbr[keep]] << shift) | np.repeat(holders[part], lengths)[keep])
+        for lo, hi, _ in _blocks(hold_deg):
+            nbr_row = cell_row[pack.edge_dst[pack.edge_positions(hold_rows[lo:hi])]]
+            keep = np.flatnonzero(nbr_row >= 0)
+            keys.append((nbr_row[keep] << shift) | np.repeat(holders[lo:hi], hold_deg[lo:hi])[keep])
+        cell_row[cell_slots] = -1
         key = np.sort(np.concatenate(keys))
-        rows = key >> shift
-        seg_start = np.flatnonzero(np.diff(rows, prepend=-1))
-        seg_all = np.diff(seg_start, append=key.size)
-        cell_rows = rows[seg_start]
-        cell_ws = col - first_col[cell_rows]
+        if key.size == 0:
+            continue
+        # A cell per run of equal rows; ``cell_all`` numbers each pair's.
+        key_rows = key >> shift
+        new_cell = key_rows[1:] != key_rows[:-1]
+        cell_all = np.zeros(key.size, dtype=np.int64)
+        np.cumsum(new_cell, out=cell_all[1:])
+        seg_start = np.flatnonzero(new_cell) + 1
+        found = key_rows[np.concatenate([[0], seg_start])]
+        seg_all = np.diff(seg_start, prepend=0, append=key.size)
         for lo, hi, offset in _blocks(seg_all):
-            seg = seg_all[lo:hi]
-            dst = key[offset : offset + int(seg.sum())] & ((1 << shift) - 1)
-            b_rows, b_ws = cell_rows[lo:hi], cell_ws[lo:hi]
-            chosen, resolved = _pick_ties(
-                dst, np.full(dst.size, col), np.ones(dst.size, dtype=bool), seg,
-                uniforms[b_rows, b_ws], price_win, uploads_total, choice,
-            )
-            out.append((b_rows[resolved], b_ws[resolved], chosen[resolved]))
+            end = offset + int(seg_all[lo:hi].sum())
+            offers = key[offset:end] & ((1 << shift) - 1)
+            f_rows = found[lo:hi]
+            u = round_.cell_uniforms(f_rows, col)
+            score = round_.score(offers, offers + col * capacity)
+            chosen = _pick_ties(offers, cell_all[offset:end] - lo, u, score)
+            out.append((f_rows, np.full(f_rows.size, col), chosen))
     return _concat(out)
 
 
-def _concat(
-    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Join ``(rows, ws, sellers)`` results column by column."""
+def _concat(parts: Sequence[Tuple[np.ndarray, ...]], width: int = 3) -> Tuple[np.ndarray, ...]:
+    """Join ``width``-tuples of arrays, such as ``(rows, cols, sellers)`` results."""
     if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    rows, ws, sellers = zip(*parts)
-    return np.concatenate(rows), np.concatenate(ws), np.concatenate(sellers)
+        return (_EMPTY,) * width
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _choose_suppliers_for_cells(
-    have: np.ndarray,
-    price_win: np.ndarray,
-    uploads_total: np.ndarray,
-    pack: SlotPack,
-    first_col: np.ndarray,
-    candidate: np.ndarray,
-    uniforms: np.ndarray,
-    choice: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    round_: _Round, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, ...]:
     """Resolve the supplier choice for every candidate cell.
 
-    Cell ``(r, w)`` — where ``candidate[r, w]`` — asks pack row ``r``'s
-    neighbours for window column ``first_col[r] + w`` and spends uniform
-    ``uniforms[r, w]``.  A pure function of read-only inputs: each cell's
-    supplier depends only on its own neighbours, so how cells are split
-    into ``_EDGE_BLOCK`` blocks or between the two sides cannot change
-    it.  Each window column is expanded from its cheaper side:
+    Cell ``(rows[i], cols[i])``, as :func:`_candidate_cells` lists them,
+    asks pack row ``rows[i]``'s neighbours for window column ``cols[i]``.
+    A pure function of read-only inputs: each cell's supplier depends
+    only on its own neighbours, so how cells are split into
+    ``_EDGE_BLOCK`` blocks or between the two sides cannot change it.
+    Each window column is expanded from its cheaper side:
 
     * demand mass — the degrees of its candidate cells summed — prices
       expanding every cell over its row (:func:`_demand_side`);
@@ -331,36 +343,31 @@ def _choose_suppliers_for_cells(
 
     The supply side runs only if the columns it would take save more
     than ``_SUPPLY_OVERHEAD`` entries in all.  Returns
-    ``(rows, ws, sellers)`` of the resolved cells.
+    ``(rows, cols, sellers)`` of the resolved cells.
     """
-    # ``flatnonzero`` + ``divmod`` is the row-major ``nonzero``, much faster.
-    cand_rows, cand_ws = np.divmod(np.flatnonzero(candidate), candidate.shape[1])
-    if cand_rows.size == 0:
+    if rows.size == 0:
         return _concat([])
-    cand_cols = first_col[cand_rows] + cand_ws
-    width = have.shape[1]
-    demand_mass = np.bincount(cand_cols, weights=pack.degrees[cand_rows], minlength=width)
-    slot_degree = np.zeros(have.shape[0], dtype=np.int64)
+    pack = round_.pack
+    lo, hi = int(cols[0]), int(cols[-1]) + 1
+    # Column ``lo + i`` holds cells ``bounds[i]:bounds[i + 1]``.
+    bounds = np.searchsorted(cols, np.arange(lo, hi + 1))
+    cum_degree = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(pack.degrees[rows], out=cum_degree[1:])
+    demand_mass = np.diff(cum_degree[bounds])
+    slot_degree = np.zeros(round_.have.shape[1], dtype=np.int64)
     slot_degree[pack.alive_slots] = pack.degrees
-    lo, hi = int(cand_cols.min()), int(cand_cols.max()) + 1
-    saving = demand_mass[lo:hi] - np.einsum("ij,i->j", have[:, lo:hi], slot_degree)
-    supply_cols = lo + np.flatnonzero(saving > 0)
-    if saving[supply_cols - lo].sum() <= _SUPPLY_OVERHEAD:
-        supply_cols = supply_cols[:0]
-    by_supply = np.zeros(width, dtype=bool)
-    by_supply[supply_cols] = True
-    demand = np.flatnonzero(~by_supply[cand_cols])
+    # ``einsum`` casts ``have`` in buffered chunks, never as a whole.
+    saving = demand_mass - np.einsum("ij,j->i", round_.have[lo:hi], slot_degree)
+    supply = saving > 0
+    if saving[supply].sum() <= _SUPPLY_OVERHEAD:
+        return _demand_side(round_, rows, cols)
+
+    def cells(columns: np.ndarray) -> Tuple[np.ndarray, ...]:
+        parts = [slice(bounds[i], bounds[i + 1]) for i in np.flatnonzero(columns).tolist()]
+        return _concat([(rows[p], cols[p]) for p in parts], width=2)
+
     return _concat(
-        [
-            _demand_side(
-                have, price_win, uploads_total, pack, cand_rows[demand],
-                cand_ws[demand], cand_cols[demand], uniforms, choice,
-            ),
-            _supply_side(
-                have, price_win, uploads_total, pack, first_col, candidate,
-                uniforms, supply_cols, slot_degree, choice,
-            ),
-        ]
+        [_demand_side(round_, *cells(~supply)), _supply_side(round_, *cells(supply))]
     )
 
 
@@ -470,8 +477,10 @@ class StreamingMarketSimulator(SlotSimulator):
         self._pb_next = np.zeros(capacity, dtype=np.int64)
         self._pb_started = np.zeros(capacity, dtype=bool)
         self._pb_backlog = np.zeros(capacity)
-        self._have = np.zeros((capacity, self._win_width), dtype=bool)
-        self._price_win = np.zeros((capacity, self._win_width))
+        # Column-major: ``_have[col, slot]``, so a column is one
+        # contiguous row.
+        self._have = np.zeros((self._win_width, capacity), dtype=bool)
+        self._price_win = np.zeros((self._win_width, capacity))
 
         # Purchased chunks in flight: ``_in_flight[i]`` is applied at the
         # end of the i-th tick from now; each batch is a list of
@@ -541,7 +550,7 @@ class StreamingMarketSimulator(SlotSimulator):
         self._pb_next[slot] = max(0, self._emitted - self.config.startup_chunks)
         self._pb_started[slot] = False
         self._pb_backlog[slot] = 0.0
-        self._have[slot, :] = False
+        self._have[:, slot] = False
         self._fill_price_row(slot)
         return slot
 
@@ -556,7 +565,7 @@ class StreamingMarketSimulator(SlotSimulator):
         slot = self._slots.evict(peer_id)
         self._destroyed += float(self._balance[slot])
         self._balance[slot] = 0.0
-        self._have[slot, :] = False
+        self._have[:, slot] = False
         for batch in self._in_flight:
             for position, (buyer_slots, chunk_indices) in enumerate(batch):
                 keep = buyer_slots != slot
@@ -575,45 +584,44 @@ class StreamingMarketSimulator(SlotSimulator):
         peer_id = int(self._slots.peer_of[slot])
         live_cols = self._emitted - self._win_base
         for col in range(live_cols):
-            self._price_win[slot, col] = self.config.pricing.price(
+            self._price_win[col, slot] = self.config.pricing.price(
                 peer_id, self._win_base + col
             )
 
-    def _fill_price_column(self, col: int, chunk_index: int) -> None:
-        """Quote every alive seller's posted price for one new chunk column."""
-        alive_slots = np.flatnonzero(self._alive)
+    def _fill_price_column(self, col: int, chunk_index: int, alive_slots: np.ndarray) -> None:
+        """Quote every alive seller's posted price for one chunk column."""
         if alive_slots.size == 0:
             return
         peer_ids = self._slots.peer_of[alive_slots].tolist()
-        self._price_win[alive_slots, col] = self.config.pricing.price_array(
+        self._price_win[col, alive_slots] = self.config.pricing.price_array(
             peer_ids, chunk_index
         )
 
-    def _refresh_price_window(self) -> None:
+    def _refresh_price_window(self, alive_slots: np.ndarray) -> None:
         """Re-quote the whole window (stateful pricing schemes only)."""
         live_cols = self._emitted - self._win_base
         for col in range(live_cols):
-            self._fill_price_column(col, self._win_base + col)
+            self._fill_price_column(col, self._win_base + col, alive_slots)
 
     def _slide_window(self, shift: int) -> None:
         width = self._win_width
         if shift >= width:
-            self._have[:, :] = False
-            self._price_win[:, :] = 0.0
+            self._have[:] = False
+            self._price_win[:] = 0.0
         else:
-            self._have[:, : width - shift] = self._have[:, shift:]
-            self._have[:, width - shift :] = False
-            self._price_win[:, : width - shift] = self._price_win[:, shift:]
-            self._price_win[:, width - shift :] = 0.0
+            self._have[: width - shift] = self._have[shift:]
+            self._have[width - shift :] = False
+            self._price_win[: width - shift] = self._price_win[shift:]
+            self._price_win[width - shift :] = 0.0
         self._win_base += shift
 
-    def _emit_due_chunks(self) -> None:
+    def _emit_due_chunks(self, alive_slots: np.ndarray) -> None:
         """Emit (and seed) every chunk due by the current tick time.
 
         The source pre-fills ``startup_chunks`` of backlog at time zero and
         then emits at ``chunk_rate``; each fresh chunk is pushed for free to
-        ``seed_fanout`` random alive peers (the origin server's push
-        degree).
+        ``seed_fanout`` random peers of ``alive_slots`` (the origin
+        server's push degree).
         """
         config = self.config
         target = config.startup_chunks + int(
@@ -626,12 +634,11 @@ class StreamingMarketSimulator(SlotSimulator):
             if col >= self._win_width:
                 self._slide_window(col - self._win_width + 1)
                 col = index - self._win_base
-            self._fill_price_column(col, index)
-            alive_slots = np.flatnonzero(self._alive)
+            self._fill_price_column(col, index, alive_slots)
             if alive_slots.size:
                 fanout = min(self.config.seed_fanout, alive_slots.size)
                 chosen = rng.choice(alive_slots, size=fanout, replace=False)
-                self._have[chosen, col] = True
+                self._have[col, chosen] = True
             self._emitted += 1
 
     # ------------------------------------------------------------------ scheduling kernels
@@ -647,43 +654,38 @@ class StreamingMarketSimulator(SlotSimulator):
         """Batched scheduling round: every alive peer's requests at once.
 
         Implements exactly the per-peer semantics of ``_schedule_loop`` —
-        same candidate order, same supplier tie-breaks (cell ``(r, w)``
-        spends uniform ``uniforms[r, w]``), same greedy budget rule, same
-        global admission order — as pure array operations.
+        same candidate order, same supplier tie-breaks (the cell at window
+        position ``w`` of pack row ``r`` spends uniform ``uniforms[r, w]``),
+        same greedy budget rule, same global admission order — as pure
+        array operations.  The candidate cells are found and resolved
+        window column by window column; one sort of packed keys then puts
+        the resolved cells in the loop's peer-by-peer order.
         """
         config = self.config
-        window = config.playback_window
-        count = pack.alive_slots.size
-        if count == 0 or live_edge < 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0)
-
         slots = pack.alive_slots
-        first_col = self._pb_next[slots] - base
-        cols = first_col[:, None] + np.arange(window)[None, :]
-        valid = (cols >= 0) & (cols <= live_edge - base)
-        width = self._win_width
-        own = self._have.ravel()[(slots * width)[:, None] + np.clip(cols, 0, width - 1)]
-        candidate = valid & ~own & (pack.degrees > 0)[:, None]
+        if slots.size == 0 or live_edge < 0:
+            return _EMPTY, _EMPTY, _EMPTY, np.empty(0)
 
-        # Supplier choice for every candidate (peer, window-position) cell,
-        # each window column expanded from its cheaper side: the candidate
-        # cells' rows or the holders' rows.
-        rows, ws, sellers = _choose_suppliers_for_cells(
-            self._have,
-            self._price_win,
-            self._uploads_total,
-            pack,
-            first_col,
-            candidate,
-            uniforms,
+        first_col = self._pb_next[slots] - base
+        rows, cols = _candidate_cells(
+            self._have, pack, first_col, config.playback_window, live_edge - base + 1
+        )
+        round_ = _Round(
+            self._have, self._price_win, self._uploads_total, pack, first_col, uniforms,
             config.supplier_choice,
         )
-        # The resolved cells as one list in (row, w) order: every peer's
-        # window, in order, minus the cells no neighbour can supply.
-        order = np.argsort(rows * window + ws)
-        rows, ws, sellers = rows[order], ws[order], sellers[order]
-        prices = self._price_win[sellers, first_col[rows] + ws]
+        rows, cols, sellers = _choose_suppliers_for_cells(round_, rows, cols)
+        # The resolved cells as one list in (row, column) order: every
+        # peer's window, in order, minus the cells no neighbour can supply.
+        capacity = self._have.shape[1]
+        seller_bits = max(capacity - 1, 1).bit_length()
+        col_bits = max(self._win_width - 1, 1).bit_length()
+        key = np.sort((((rows << col_bits) | cols) << seller_bits) | sellers)
+        sellers = key & ((1 << seller_bits) - 1)
+        key >>= seller_bits
+        cols = key & ((1 << col_bits) - 1)
+        rows = key >> col_bits
+        prices = self._price_win.ravel()[cols * capacity + sellers]
 
         # Greedy selection with budget skip, one vectorized pass per request
         # slot: each pass takes every peer's first still-open affordable
@@ -701,13 +703,12 @@ class StreamingMarketSimulator(SlotSimulator):
             taken = affordable[first]
             budget[rows[taken]] -= prices[taken]
             open_cell[taken] = False
-        picked = np.flatnonzero(~open_cell)  # (row, w) order = global order
+        picked = np.flatnonzero(~open_cell)  # (row, column) order = global order
         if picked.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0)
-        rows, ws, sellers, paid = rows[picked], ws[picked], sellers[picked], prices[picked]
-        buyers = slots[rows]
-        chunk_abs = base + first_col[rows] + ws
+            return _EMPTY, _EMPTY, _EMPTY, np.empty(0)
+        sellers, paid = sellers[picked], prices[picked]
+        buyers = slots[rows[picked]]
+        chunk_abs = base + cols[picked]
 
         # Upload-slot admission in global order: within each seller, the
         # first ``upload_capacity`` requests win.  The ``(seller, position)``
@@ -753,8 +754,7 @@ class StreamingMarketSimulator(SlotSimulator):
         paid: List[float] = []
         used: Dict[int, int] = {}
         if live_edge < 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0)
+            return _EMPTY, _EMPTY, _EMPTY, np.empty(0)
         for row in range(pack.alive_slots.size):
             slot = int(pack.alive_slots[row])
             degree = int(pack.degrees[row])
@@ -771,9 +771,9 @@ class StreamingMarketSimulator(SlotSimulator):
                 if index < base or index > live_edge:
                     continue
                 col = index - base
-                if have[slot, col]:
+                if have[col, slot]:
                     continue
-                eligible = [int(s) for s in neighbors if have[s, col]]
+                eligible = [int(s) for s in neighbors if have[col, s]]
                 if not eligible:
                     continue
                 if choice == "least-loaded":
@@ -781,14 +781,14 @@ class StreamingMarketSimulator(SlotSimulator):
                     best = min(loads)
                     ties = [s for s, load in zip(eligible, loads) if load <= best + _EPS]
                 elif choice == "cheapest":
-                    quotes = [float(price_win[s, col]) for s in eligible]
+                    quotes = [float(price_win[col, s]) for s in eligible]
                     best = min(quotes)
                     ties = [s for s, quote in zip(eligible, quotes) if quote <= best + _EPS]
                 else:
                     ties = eligible
                 pick = min(int(float(uniforms[row, w]) * len(ties)), len(ties) - 1)
                 seller = ties[pick]
-                price = float(price_win[seller, col])
+                price = float(price_win[col, seller])
                 if price > budget + _EPS:
                     continue
                 budget -= price
@@ -854,7 +854,7 @@ class StreamingMarketSimulator(SlotSimulator):
                     competing = [
                         int(peer_of[s])
                         for s in self._slots.row(buyer_slot)
-                        if self._have[s, col]
+                        if self._have[col, s]
                     ]
                     price = float(
                         config.pricing.settle(
@@ -922,7 +922,7 @@ class StreamingMarketSimulator(SlotSimulator):
                 idx = self._pb_next[not_started][:, None] + np.arange(need)[None, :]
                 in_window = (idx >= base) & (idx <= live_edge)
                 cols = np.clip(idx - base, 0, self._win_width - 1)
-                held = self._have[not_started[:, None], cols] & in_window
+                held = self._have[cols, not_started[:, None]] & in_window
                 self._pb_started[not_started[held.all(axis=1)]] = True
         playing = slots[self._pb_started[slots]]
         if playing.size == 0:
@@ -936,7 +936,7 @@ class StreamingMarketSimulator(SlotSimulator):
         active = np.arange(max_due)[None, :] < due[:, None]
         in_window = (idx >= base) & (idx <= live_edge)
         cols = np.clip(idx - base, 0, self._win_width - 1)
-        held = self._have[playing[:, None], cols] & in_window & active
+        held = self._have[cols, playing[:, None]] & in_window & active
         hits = held.sum(axis=1)
         self._played[playing] += hits
         self._missed[playing] += due - hits
@@ -957,7 +957,7 @@ class StreamingMarketSimulator(SlotSimulator):
         for buyer_slots, chunk_indices in batch:
             cols = chunk_indices - base
             landed = (cols >= 0) & (cols < width) & self._alive[buyer_slots]
-            self._have[buyer_slots[landed], cols[landed]] = True
+            self._have[cols[landed], buyer_slots[landed]] = True
 
     # ------------------------------------------------------------------ main loop
 
@@ -997,11 +997,11 @@ class StreamingMarketSimulator(SlotSimulator):
         """Execute one scheduling tick (churn, emission, scheduling, settlement)."""
         config = self.config
         self._apply_churn(dt)
-        self._emit_due_chunks()
+        pack = self._slots.pack()
+        self._emit_due_chunks(pack.alive_slots)
         if stateful_pricing:
             config.pricing.reset_round()
-            self._refresh_price_window()
-        pack = self._slots.pack()
+            self._refresh_price_window(pack.alive_slots)
         balances = self._balance[pack.alive_slots]
         uniforms = self._rng.random((pack.alive_slots.size, config.playback_window))
         options = config.options

@@ -35,7 +35,7 @@ class _Owner:
     def __init__(self, topology, width=3):
         self._slots = PeerSlots(topology)
         self.weight = np.zeros(self._slots.capacity)
-        self.window = np.zeros((self._slots.capacity, width), dtype=bool)
+        self.window = np.zeros((width, self._slots.capacity), dtype=bool)
 
 
 class TestAdmitEvict:
@@ -128,24 +128,54 @@ class TestGrowth:
         assert capacity == 16
         for peer in range(4):
             owner.weight[slots.slot(peer)] = peer + 0.5
-            owner.window[slots.slot(peer), peer % 3] = True
+            owner.window[peer % 3, slots.slot(peer)] = True
         rows = {peer: slots.row(slots.slot(peer)).tolist() for peer in range(4)}
         # Peer ids past the initial slot_of size grow it too.
         for peer in range(100, 100 + capacity):
             slots.admit(peer)
         assert slots.capacity == 2 * capacity
         assert owner.weight.shape == (2 * capacity,)
-        assert owner.window.shape == (2 * capacity, 3)
+        assert owner.window.shape == (3, 2 * capacity)
         assert slots.alive.shape == slots.peer_of.shape == (2 * capacity,)
         for peer in range(4):
             slot = slots.slot(peer)
             assert owner.weight[slot] == peer + 0.5
-            assert owner.window[slot].tolist() == [i == peer % 3 for i in range(3)]
+            assert owner.window[:, slot].tolist() == [i == peer % 3 for i in range(3)]
             assert slots.row(slot).tolist() == rows[peer]
         assert not owner.weight[capacity:].any()
-        assert not owner.window[capacity:].any()
+        assert not owner.window[:, capacity:].any()
         assert slots.slot(100 + capacity - 1) == capacity + 3
         assert int(np.count_nonzero(slots.alive)) == capacity + 4
+
+    def test_column_major_arrays_keep_their_contents_when_churn_grows_the_store(
+        self, monkeypatch
+    ):
+        # The streaming window is column-major, ``have[col, slot]``: growth
+        # appends slots along the last axis and leaves every column's
+        # existing slots where they were.
+        grown = []
+        grow = PeerSlots._grow
+
+        def recording_grow(slots):
+            before = {key: slots.arrays[key].copy() for key in ("_have", "_price_win")}
+            grow(slots)
+            grown.append((before, {key: slots.arrays[key].copy() for key in before}))
+
+        monkeypatch.setattr(PeerSlots, "_grow", recording_grow)
+        sim = _streaming(
+            num_peers=10, horizon=40.0, churn=ChurnConfig(arrival_rate=3.0, mean_lifespan=400.0)
+        )
+        initial = sim._slots.capacity
+        sim.advance_rounds(sim.total_rounds())
+        assert grown and sim._slots.capacity > initial
+        for before, after in grown:
+            for key, old in before.items():
+                width, capacity = old.shape
+                assert after[key].shape == (width, 2 * capacity)
+                assert after[key][:, :capacity].tobytes() == old.tobytes()
+                assert not after[key][:, capacity:].any()
+        assert any(before["_have"].any() for before, _ in grown)
+        sim.verify_conservation()
 
     def test_slot_array_reads_and_writes_the_store(self):
         owner = _Owner(path_topology(3))

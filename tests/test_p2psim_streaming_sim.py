@@ -209,7 +209,7 @@ class TestChurn:
         joiner = simulator._tracker.join()
         reused_slot = simulator._admit(joiner)
         assert reused_slot == victim_slot
-        assert not simulator._have[reused_slot].any()
+        assert not simulator._have[:, reused_slot].any()
         simulator.advance_rounds(simulator.total_rounds() - 10)
         simulator.verify_conservation()
 
@@ -277,8 +277,8 @@ class TestSeedFanout:
     def _seeded_holders(simulator):
         # At time zero the source emits its startup backlog; each chunk is
         # pushed for free to `seed_fanout` distinct alive peers.
-        simulator._emit_due_chunks()
-        return simulator._have[:, : simulator._emitted].sum(axis=0)
+        simulator._emit_due_chunks(simulator._slots.pack().alive_slots)
+        return simulator._have[: simulator._emitted].sum(axis=1)
 
     @pytest.mark.parametrize("fanout", [1, 4, 9])
     def test_config_value_sets_push_degree(self, fanout):

@@ -194,11 +194,11 @@ class TestStreamingKernelEquivalenceAtSwarmScale:
         demand, supply = streaming_sim._demand_side, streaming_sim._supply_side
 
         def demand_spy(*args):
-            taken["demand"] += args[4].size  # candidate cells
+            taken["demand"] += args[1].size  # candidate cells
             return demand(*args)
 
         def supply_spy(*args):
-            taken["supply"] += args[7].size  # window columns
+            taken["supply"] += np.unique(args[2]).size  # window columns
             return supply(*args)
 
         monkeypatch.setattr(streaming_sim, "_demand_side", demand_spy)

@@ -1,11 +1,12 @@
 """Supplier choice of the vectorized streaming kernel, side by side.
 
-``_choose_suppliers_for_cells`` expands each window column from its
+``_candidate_cells`` lists the round's candidate cells column by column,
+and ``_choose_suppliers_for_cells`` expands each window column from its
 cheaper side: the candidate cells' rows (demand) or the holders' rows
 (supply).  Both sides must pick exactly what the loop kernel picks —
-``eligible → ties → ties[pick]`` per cell — so these tests compare each
-side, and the split between them, against that brute-force reference on
-random undirected CSR overlays.
+``eligible → ties → ties[pick]`` per cell — so these tests compare the
+cell list, each side, and the split between them, against a brute-force
+reference on random undirected CSR overlays.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.p2psim import streaming_sim
 from repro.p2psim.slots import SlotPack
 from repro.p2psim.streaming_sim import (
     _EPS,
+    _Round,
+    _candidate_cells,
     _choose_suppliers_for_cells,
     _demand_side,
     _pick_ties,
@@ -28,12 +31,15 @@ class Swarm:
     """Read-only kernel inputs over a random undirected overlay.
 
     ``density[c]`` is the chance that an alive slot holds column ``c``;
-    ``hub`` links the first alive slot to every other alive slot.
+    ``hub`` links the first alive slot to every other alive slot.  Chunk
+    availability and prices are column-major, ``have[col, slot]``, as the
+    simulator keeps them.
     """
 
     def __init__(self, seed, density, capacity=48, window=5, degree=4.0, hub=False):
         rng = np.random.default_rng(seed)
         width = len(density)
+        self.window = window
         self.alive_slots = np.sort(rng.choice(capacity, size=3 * capacity // 4, replace=False))
         count = self.alive_slots.size
         links = np.triu(rng.random((count, count)) < degree / count, k=1)
@@ -48,73 +54,82 @@ class Swarm:
 
         alive = np.zeros(capacity, dtype=bool)
         alive[self.alive_slots] = True
-        self.have = (rng.random((capacity, width)) < np.asarray(density)) & alive[:, None]
+        self.have = (rng.random((width, capacity)) < np.asarray(density)[:, None]) & alive
         # Few distinct prices and loads, so ties are common.
-        self.price_win = rng.integers(1, 4, size=(capacity, width)).astype(float)
+        self.price_win = rng.integers(1, 4, size=(width, capacity)).astype(float)
         self.uploads_total = rng.integers(0, 3, size=capacity).astype(float)
 
         self.first_col = rng.integers(-2, width - window + 2, size=count)
-        cols = self.first_col[:, None] + np.arange(window)
-        valid = (cols >= 0) & (cols < width)
-        own = self.have[self.alive_slots[:, None], np.clip(cols, 0, width - 1)]
-        self.candidate = valid & ~own & (degrees > 0)[:, None]
         self.uniforms = rng.random((count, window))
         # u = 1 makes u·count equal count: the pick must clamp to the last tie.
         self.uniforms[rng.random((count, window)) < 0.1] = 1.0
-
-    def inputs(self, choice):
-        return (
-            self.have, self.price_win, self.uploads_total, self.pack,
-            self.first_col, self.candidate, self.uniforms, choice,
+        self.rows, self.cols = _candidate_cells(
+            self.have, self.pack, self.first_col, window, width
         )
 
+    def cells(self, columns=None):
+        """The candidate cells of ``columns`` (all if None), column by column."""
+        if columns is None:
+            return self.rows, self.cols
+        keep = np.isin(self.cols, sorted(columns))
+        return self.rows[keep], self.cols[keep]
+
+    def inputs(self, choice, columns=None):
+        round_ = _Round(
+            self.have, self.price_win, self.uploads_total, self.pack,
+            self.first_col, self.uniforms, choice,
+        )
+        return (round_, *self.cells(columns))
+
+    def candidates(self):
+        """``{(row, col)}`` by the loop kernel's window walk."""
+        width = self.have.shape[0]
+        cells = set()
+        for r, slot in enumerate(self.alive_slots.tolist()):
+            if self.pack.degrees[r] == 0:
+                continue
+            for w in range(self.window):
+                col = int(self.first_col[r]) + w
+                if 0 <= col < width and not self.have[col, slot]:
+                    cells.add((r, col))
+        return cells
+
     def reference(self, choice, columns=None):
-        """``{(row, w): supplier}`` by the loop kernel's per-cell rule."""
+        """``{(row, col): supplier}`` by the loop kernel's per-cell rule."""
         chosen = {}
         pack = self.pack
-        for r, w in zip(*np.nonzero(self.candidate)):
-            col = int(self.first_col[r] + w)
+        for r, col in sorted(self.candidates()):
             if columns is not None and col not in columns:
                 continue
             neighbours = pack.edge_dst[pack.row_start[r] : pack.row_start[r + 1]]
-            eligible = [int(s) for s in neighbours if self.have[s, col]]
+            eligible = [int(s) for s in neighbours if self.have[col, s]]
             if not eligible:
                 continue
             if choice == "least-loaded":
                 scores = [float(self.uploads_total[s]) for s in eligible]
             elif choice == "cheapest":
-                scores = [float(self.price_win[s, col]) for s in eligible]
+                scores = [float(self.price_win[col, s]) for s in eligible]
             else:
                 scores = [0.0] * len(eligible)
             best = min(scores)
             ties = [s for s, score in zip(eligible, scores) if score <= best + _EPS]
-            pick = min(int(float(self.uniforms[r, w]) * len(ties)), len(ties) - 1)
-            chosen[(int(r), int(w))] = ties[pick]
+            u = float(self.uniforms[r, col - self.first_col[r]])
+            chosen[(r, col)] = ties[min(int(u * len(ties)), len(ties) - 1)]
         return chosen
 
 
-def as_dict(rows, ws, sellers):
-    result = {(int(r), int(w)): int(s) for r, w, s in zip(rows, ws, sellers)}
+def as_dict(rows, cols, sellers):
+    result = {(int(r), int(c)): int(s) for r, c, s in zip(rows, cols, sellers)}
     assert len(result) == len(rows), "a cell was resolved twice"
     return result
 
 
-def demand_only(swarm, choice):
-    rows, ws = np.nonzero(swarm.candidate)
-    return _demand_side(
-        swarm.have, swarm.price_win, swarm.uploads_total, swarm.pack,
-        rows, ws, swarm.first_col[rows] + ws, swarm.uniforms, choice,
-    )
+def demand_only(swarm, choice, columns=None):
+    return _demand_side(*swarm.inputs(choice, columns))
 
 
-def supply_only(swarm, choice, columns):
-    slot_degree = np.zeros(swarm.have.shape[0], dtype=np.int64)
-    slot_degree[swarm.pack.alive_slots] = swarm.pack.degrees
-    return _supply_side(
-        swarm.have, swarm.price_win, swarm.uploads_total, swarm.pack,
-        swarm.first_col, swarm.candidate, swarm.uniforms,
-        np.asarray(columns, dtype=np.int64), slot_degree, choice,
-    )
+def supply_only(swarm, choice, columns=None):
+    return _supply_side(*swarm.inputs(choice, columns))
 
 
 @pytest.fixture
@@ -129,11 +144,11 @@ def sides(monkeypatch):
     demand, supply = streaming_sim._demand_side, streaming_sim._supply_side
 
     def demand_spy(*args):
-        seen["demand_cells"] += args[4].size
+        seen["demand_cells"] += args[1].size
         return demand(*args)
 
     def supply_spy(*args):
-        seen["supply_cols"].extend(args[7].tolist())
+        seen["supply_cols"].extend(np.unique(args[2]).tolist())
         return supply(*args)
 
     monkeypatch.setattr(streaming_sim, "_demand_side", demand_spy)
@@ -142,6 +157,24 @@ def sides(monkeypatch):
 
 
 MIXED = [0.0, 0.03, 0.05, 0.6, 0.8, 0.1, 0.9, 0.0, 0.02, 0.7, 0.5, 0.04]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_candidate_cells_follow_the_window_walk_column_by_column(seed):
+    swarm = Swarm(seed, MIXED)
+    rows, cols = swarm.cells()
+    assert set(zip(rows.tolist(), cols.tolist())) == swarm.candidates()
+    assert len(rows) == len(swarm.candidates())
+    order = np.lexsort((rows, cols))
+    assert order.tolist() == list(range(rows.size))
+
+
+def test_candidate_cells_stop_at_the_live_edge():
+    swarm = Swarm(0, [0.2] * 10)
+    live = 6
+    rows, cols = _candidate_cells(swarm.have, swarm.pack, swarm.first_col, swarm.window, live)
+    expected = {(r, c) for r, c in swarm.candidates() if c < live}
+    assert set(zip(rows.tolist(), cols.tolist())) == expected
 
 
 @pytest.mark.parametrize("choice", CHOICES)
@@ -153,14 +186,13 @@ class TestEachSideMatchesTheReference:
 
     def test_supply_side(self, choice, seed):
         swarm = Swarm(seed, MIXED)
-        columns = range(len(MIXED))
-        assert as_dict(*supply_only(swarm, choice, columns)) == swarm.reference(choice)
+        assert as_dict(*supply_only(swarm, choice)) == swarm.reference(choice)
 
     def test_supply_side_on_a_subset_of_columns(self, choice, seed):
         swarm = Swarm(seed, MIXED)
         columns = {1, 2, 5, 8}
         expected = swarm.reference(choice, columns=columns)
-        assert as_dict(*supply_only(swarm, choice, sorted(columns))) == expected
+        assert as_dict(*supply_only(swarm, choice, columns)) == expected
 
 
 @pytest.mark.parametrize("choice", CHOICES)
@@ -186,11 +218,11 @@ class TestColumnSplit:
     def test_holderless_columns_stay_unresolved(self, choice, sides):
         density = [0.0, 0.8, 0.0, 0.0, 0.05, 0.0, 0.7, 0.0]
         swarm = Swarm(6, density)
-        rows, ws, _ = _choose_suppliers_for_cells(*swarm.inputs(choice))
+        _, cols, _ = _choose_suppliers_for_cells(*swarm.inputs(choice))
         empty = {c for c, d in enumerate(density) if d == 0.0}
-        assert not empty & set((swarm.first_col[rows] + ws).tolist())
+        assert not empty & set(cols.tolist())
         assert empty <= set(sides["supply_cols"])
-        assert as_dict(*supply_only(swarm, choice, sorted(empty))) == {}
+        assert as_dict(*supply_only(swarm, choice, empty)) == {}
 
 
 def test_supply_side_waits_for_a_saving_above_its_overhead(sides, monkeypatch):
@@ -206,24 +238,47 @@ def test_hub_row_split_across_blocks(choice, monkeypatch):
     swarm = Swarm(7, MIXED, capacity=64, hub=True)
     expected = swarm.reference(choice)
     monkeypatch.setattr(streaming_sim, "_EDGE_BLOCK", 5)
-    # The hub (row 0) is longer than a block, misses chunks (demand side)
-    # and holds chunks (supply side, where its row is split).
+    # The hub (row 0) is longer than a block: a block of its own when it
+    # misses chunks (demand side) and when it holds them (supply side).
     assert swarm.pack.degrees[0] > 5
-    assert swarm.candidate[0].any() and swarm.have[swarm.alive_slots[0]].any()
+    assert (swarm.rows == 0).any() and swarm.have[:, swarm.alive_slots[0]].any()
     assert as_dict(*demand_only(swarm, choice)) == expected
-    assert as_dict(*supply_only(swarm, choice, range(len(MIXED)))) == expected
+    assert as_dict(*supply_only(swarm, choice)) == expected
     assert as_dict(*_choose_suppliers_for_cells(*swarm.inputs(choice))) == expected
 
 
 def test_pick_clamps_when_u_times_count_reaches_count():
-    dst = np.array([7, 8, 9, 4, 5])
-    seg = np.array([3, 2])
+    offers = np.array([7, 8, 9, 4, 5])
+    cell = np.array([0, 0, 0, 1, 1])
     u = np.array([1.0, 0.0])
-    cols = np.zeros(5, dtype=np.int64)
-    prices, loads = np.zeros((10, 1)), np.zeros(10)
-    everyone = np.ones(5, dtype=bool)
-    chosen, resolved = _pick_ties(dst, cols, everyone, seg, u, prices, loads, "availability")
-    assert chosen.tolist() == [9, 4] and resolved.all()
-    eligible = np.array([True, True, False, False, True])
-    chosen, resolved = _pick_ties(dst, cols, eligible, seg, u, prices, loads, "least-loaded")
-    assert chosen.tolist() == [8, 5] and resolved.all()
+    assert _pick_ties(offers, cell, u, None).tolist() == [9, 4]
+    # Only the offers of neighbours holding the chunk reach the tail: here
+    # 7, 8 and 5 of the five, all equally loaded.
+    offers, cell = np.array([7, 8, 5]), np.array([0, 0, 1])
+    assert _pick_ties(offers, cell, u, np.zeros(3)).tolist() == [8, 5]
+
+
+def test_near_ties_count_in_neighbour_order():
+    # Scores within _EPS of the best tie without being equal to it; a pick
+    # by sorted score would take the strictly cheapest offer instead.
+    offers = np.array([11, 12, 13, 14, 21, 22, 23])
+    cell = np.array([0, 0, 0, 0, 1, 1, 1])
+    score = np.array(
+        [1.0 + 0.6 * _EPS, 1.0, 1.0 + 0.9 * _EPS, 1.0 + 2 * _EPS, 3.0, 3.0 - 0.5 * _EPS, 3.5]
+    )
+    assert len(set(score.tolist())) == score.size
+    assert _pick_ties(offers, cell, np.array([0.0, 0.0]), score).tolist() == [11, 21]
+    assert _pick_ties(offers, cell, np.array([0.5, 0.99]), score).tolist() == [12, 22]
+    assert _pick_ties(offers, cell, np.array([0.9, 0.5]), score).tolist() == [13, 22]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cheapest_near_ties_match_the_reference_on_both_sides(seed):
+    swarm = Swarm(seed, MIXED)
+    # Every integer price level splits into distinct quotes less than
+    # _EPS apart; the loop kernel treats each level as one tie.
+    rng = np.random.default_rng(seed + 10)
+    swarm.price_win = swarm.price_win + rng.random(swarm.price_win.shape) * 0.9 * _EPS
+    expected = swarm.reference("cheapest")
+    assert as_dict(*demand_only(swarm, "cheapest")) == expected
+    assert as_dict(*supply_only(swarm, "cheapest")) == expected
