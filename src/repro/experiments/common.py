@@ -62,7 +62,7 @@ class ExperimentResult:
         raise KeyError(f"no series labelled {label!r}")
 
     def format(self) -> str:
-        """Plain-text rendering of every table (benchmarks print this)."""
+        """Plain-text rendering of every table (what `repro run` prints)."""
         parts = [f"== {self.title} =="]
         for table in self.tables:
             parts.append(table.format())

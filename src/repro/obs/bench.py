@@ -1,7 +1,7 @@
 """Aggregate the committed ``BENCH_*.json`` recordings into one view.
 
-The repo commits one benchmark recording per subsystem (`BENCH_simkernel`,
-`BENCH_streamkernel`, `BENCH_runner`) as the CI regression baselines; this
+The repo commits one benchmark recording per simulation kernel
+(`BENCH_simkernel`, `BENCH_streamkernel`) as the CI regression baselines; this
 module is their first *consumer*: :func:`load_bench_history` reads every
 ``BENCH_*.json`` under a root directory and condenses the kernel-format
 recordings (the ones with a ``populations`` table) into per-population

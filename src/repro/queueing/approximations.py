@@ -16,7 +16,7 @@ independently and uniformly at random in proportion to utilization — i.e.
 to a *grand-canonical* view of the market — and is what Figs. 2–4 of the
 paper are computed from.  The exact closed-network marginal is available in
 :class:`repro.queueing.closed.ClosedJacksonNetwork` for comparison
-(``benchmarks/bench_theory_buzen_vs_approx.py``).
+(``test_buzen_marginals_against_eq6`` in ``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

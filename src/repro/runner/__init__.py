@@ -14,7 +14,7 @@ into declarative, cache-aware, parallel parameter sweeps:
   on-disk artifact store keyed by experiment id, configuration, seed and
   code version, making interrupted sweeps resumable;
 * :mod:`repro.runner.aggregate` — cross-replication aggregation (mean,
-  std, normal and bootstrap confidence intervals) feeding the existing
+  std, Student-t and bootstrap confidence intervals) feeding the existing
   :class:`~repro.utils.records.ResultTable` containers;
 * :mod:`repro.runner.partition` — intra-run parallelism: a single
   paper-scale market simulation executes as checkpointed round-blocks

@@ -5,7 +5,7 @@
 :class:`~repro.runner.executor.SweepReport` into one long-format
 :class:`~repro.utils.records.ResultTable`: one row per (configuration,
 table row, numeric metric) with the mean, standard deviation, a
-normal-approximation confidence interval and a bootstrap percentile
+Student-t confidence interval and a bootstrap percentile
 confidence interval across replications.
 
 Determinism contract
@@ -84,7 +84,7 @@ def aggregate_sweep(
 
     For every configuration, the first table of each replication's result
     is read row by row; every numeric column becomes a metric row with
-    ``mean``/``std``/``ci_low``/``ci_high`` (normal approximation) and
+    ``mean``/``std``/``ci_low``/``ci_high`` (Student-t) and
     ``boot_low``/``boot_high`` (percentile bootstrap).  Non-numeric cells
     of the underlying row (e.g. a ``setting`` label) are carried through
     from the first replication as identifying columns.

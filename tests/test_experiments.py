@@ -1,8 +1,9 @@
-"""Smoke tests for the experiment registry and every figure runner.
+"""Smoke tests for the experiment registry and the figure runners' outputs.
 
-These run each experiment at the ``smoke`` scale, which keeps the entire
-file to a few tens of seconds while still executing the full code path of
-every figure reproduction.
+These run experiments at the ``smoke`` scale, which keeps the file to a few
+seconds.  The paper's claims about each figure are asserted over seeds in
+``test_paper_claims.py``; every figure's smoke output is pinned by the
+``cli-fig*`` digests in ``test_golden.py``.
 """
 
 import pytest
@@ -52,25 +53,8 @@ class TestAnalyticExperiments:
             assert 0.0 < row["gini_exact"] < 1.0
             assert 0.0 < row["gini_eq8"] < 1.0
 
-    def test_fig3_gini_increases_with_wealth(self):
-        result = run_experiment("fig3", scale="smoke", seed=1)
-        for series in result.series:
-            assert series.y[-1] >= series.y[0] - 0.05
-
-    def test_fig4_efficiency_monotone(self):
-        result = run_experiment("fig4", scale="smoke", seed=1)
-        values = result.series_by_label("1 - e^{-c} (Eq. 9)").y
-        assert values == sorted(values)
-
 
 class TestSimulationExperiments:
-    def test_fig1_condensed_case_more_skewed(self):
-        result = run_experiment("fig1", scale="smoke", seed=2)
-        rows = {row["case"]: row for row in result.table()}
-        condensed = rows["condensed (non-uniform prices)"]
-        healthy = rows["healthy (uniform prices)"]
-        assert condensed["wealth_gini"] > healthy["wealth_gini"] - 0.1
-
     def test_fig5_6_produces_snapshots(self):
         result = run_experiment("fig5_6", scale="smoke", seed=2)
         assert len(result.series) >= 4
@@ -83,21 +67,6 @@ class TestSimulationExperiments:
             for row in result.table():
                 assert 0.0 <= row["stabilized_gini"] <= 1.0
 
-    def test_fig9_taxation_reduces_gini(self):
-        result = run_experiment("fig9", scale="smoke", seed=2)
-        rows = {row["taxation"]: row for row in result.table()}
-        baseline = rows["no taxation"]["stabilized_gini"]
-        taxed = [row["stabilized_gini"] for label, row in rows.items() if label != "no taxation"]
-        assert all(value <= baseline + 0.05 for value in taxed)
-
-    def test_fig10_dynamic_spending_reduces_gini(self):
-        result = run_experiment("fig10", scale="smoke", seed=2)
-        rows = {row["spending_policy"]: row for row in result.table()}
-        assert (
-            rows["with adjustment"]["stabilized_gini"]
-            <= rows["without adjustment"]["stabilized_gini"] + 0.05
-        )
-
     def test_fig11_run_point_rejects_churn_params_without_lifespan(self):
         from repro.experiments.fig11_churn import run_point
 
@@ -105,14 +74,3 @@ class TestSimulationExperiments:
             run_point(scale="smoke", arrival_rate=0.5)
         with pytest.raises(ValueError, match="mean_lifespan"):
             run_point(scale="smoke", rate_factor=2.0)
-
-    def test_fig11_churn_reduces_gini(self):
-        result = run_experiment("fig11", scale="smoke", seed=2)
-        table1 = result.table("Fig. 11(1)")
-        rows = {row["setting"]: row for row in table1}
-        static = rows["static topology"]["stabilized_gini"]
-        dynamic = [
-            row["stabilized_gini"] for label, row in rows.items() if label != "static topology"
-        ]
-        assert all(value <= static + 0.05 for value in dynamic)
-        assert len(result.tables) == 3

@@ -85,31 +85,22 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             confidence_interval([])
 
-    def test_z_values_match_normal_quantiles_to_1e6(self):
-        # The Winitzki approximation alone is ~1e-3 off; the Newton-refined
-        # inverse must reproduce the standard normal quantiles to 1e-6.
-        from repro.utils.stats import _erfinv
-
-        for confidence, reference_z in (
-            (0.95, 1.959963984540054),
-            (0.99, 2.5758293035489004),
+    def test_t_quantiles_match_student_t_to_1e6(self):
+        # Samples scaled so that s / sqrt(n) == 1: the half-width is then
+        # the 97.5% Student-t quantile with n - 1 degrees of freedom.
+        for samples, reference_t in (
+            (np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * math.sqrt(5.0 / 2.5), 2.7764451),
+            ([-1.0, 1.0], 12.7062047),
         ):
-            z = math.sqrt(2.0) * _erfinv(confidence)
-            assert abs(z - reference_z) < 1e-6
-
-    def test_erfinv_roundtrips_erf(self):
-        from repro.utils.stats import _erfinv
-
-        assert _erfinv(0.0) == 0.0
-        for value in (-0.999, -0.5, -0.1, 0.1, 0.5, 0.9, 0.99, 0.999):
-            assert math.erf(_erfinv(value)) == pytest.approx(value, abs=1e-9)
+            low, high = confidence_interval(samples, 0.95)
+            assert (high - low) / 2.0 == pytest.approx(reference_t, abs=1e-6)
 
     def test_ci_width_uses_refined_z(self):
         # Two samples: std = sqrt(2), sqrt(n) = sqrt(2), so the 99%
-        # half-width collapses to exactly z(99%).
+        # half-width collapses to exactly t(1, 0.995).
         samples = [-1.0, 1.0]
         low, high = confidence_interval(samples, 0.99)
-        assert (high - low) / 2.0 == pytest.approx(2.5758293035489004, abs=1e-6)
+        assert (high - low) / 2.0 == pytest.approx(63.656741162871526, abs=1e-6)
 
 
 class TestDescribe:
