@@ -30,13 +30,13 @@ Subpackages
     The integrated credit-incentivized P2P simulators (chunk-level and
     transaction-level).
 ``repro.runner``
-    Cached, parallel parameter sweeps and checkpointed round-blocks.
+    Cached, parallel parameter sweeps.
 ``repro.experiments``
     One registered runner per figure of the paper's evaluation.
 ``repro.obs``
     Zero-dependency telemetry and the ``repro serve`` sweep daemon.
 ``repro.analysis``
-    The determinism and checkpoint-safety static analyzer (``repro analyze``).
+    The determinism static analyzer (``repro analyze``).
 ``repro.utils``
     Seeded RNG streams, argument validation, statistics and records.
 """

@@ -1,4 +1,4 @@
-"""Determinism & checkpoint-safety static analyzer (``repro analyze``).
+"""Determinism static analyzer (``repro analyze``).
 
 An AST-level linter that encodes this repository's reproducibility
 contract as enforceable rules — the static counterpart to the dynamic
@@ -8,7 +8,6 @@ determinism suite and the benchmark-regression gate:
 DET001     randomness only via injected generators, never global RNG state
 DET002     set / filesystem iteration feeding results must be sorted
 DET003     no wall-clock reads in result paths (monotonic spans are fine)
-PICKLE001  checkpointed state must stay picklable (no lambdas/handles/locks)
 OBS001     hot-loop telemetry guarded by the branch-on-local-bool pattern
 KERNEL001  loop/vectorized kernel pairs reachable from the config switch
 SEED001    generator seeds descend from derive_seed or an injected value

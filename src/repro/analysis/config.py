@@ -2,9 +2,8 @@
 
 Every rule encodes a contract that only holds for part of the tree —
 wall-clock reads are fine in ``obs/`` (telemetry timestamps *are* wall
-time) but not in result paths; picklability only matters for state that
-flows through ``CheckpointStore``.  This module pins those boundaries in
-one reviewable place.
+time) but not in result paths.  This module pins those boundaries in one
+reviewable place.
 
 Two mechanisms, deliberately distinct:
 
@@ -13,10 +12,10 @@ Two mechanisms, deliberately distinct:
   the analyzed file's path so relative and absolute invocations agree.
 * **Allowed contexts** exempt a single function, by file and qualified
   name, with a mandatory written reason.  This is for code that is
-  *legitimately* outside the contract (GC bookkeeping, order-insensitive
-  reductions) — unlike a ``# repro: noqa`` suppression, it is config
-  reviewed with the analyzer, not an annotation scattered in the target
-  file, and it keeps matching when lines around it move.
+  *legitimately* outside the contract (order-insensitive reductions,
+  optional-generator defaults) — unlike a ``# repro: noqa`` suppression,
+  it is config reviewed with the analyzer, not an annotation scattered in
+  the target file, and it keeps matching when lines around it move.
 """
 
 from __future__ import annotations
@@ -123,15 +122,6 @@ def _scopes() -> Dict[str, Scope]:
                 "repro/runner/",
             )
         ),
-        # Unpicklable attributes on simulator/run state: every package
-        # whose classes can end up inside a CheckpointStore pickle.
-        "PICKLE001": Scope(
-            include=(
-                "repro/p2psim/",
-                "repro/core/",
-                "repro/overlay/",
-            )
-        ),
         # Telemetry guard pattern in hot loops.  The emitter's own package
         # is exempt (it *is* the instrumentation).
         "OBS001": Scope(include=simulation, exclude=("repro/obs/",)),
@@ -168,30 +158,7 @@ def _scopes() -> Dict[str, Scope]:
 
 def _allowed() -> Dict[str, Tuple[AllowedContext, ...]]:
     return {
-        "DET003": (
-            AllowedContext(
-                path="repro/runner/partition.py",
-                qualname="CheckpointStore.prune_stale",
-                reason=(
-                    "wall-clock GC cutoff for stale checkpoint scopes; "
-                    "bookkeeping only, never feeds a simulation result"
-                ),
-            ),
-        ),
         "DET002": (
-            AllowedContext(
-                path="repro/runner/partition.py",
-                qualname="CheckpointStore.prune_scope",
-                reason="order-insensitive count of checkpoint files before rmtree",
-            ),
-            AllowedContext(
-                path="repro/runner/partition.py",
-                qualname="CheckpointStore.prune_stale",
-                reason=(
-                    "GC scan over scope directories; mtimes are reduced with "
-                    "max() so traversal order cannot affect behaviour"
-                ),
-            ),
             AllowedContext(
                 path="repro/runner/cache.py",
                 qualname="ArtifactCache.__len__",

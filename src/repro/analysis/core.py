@@ -1,12 +1,11 @@
-"""Primitives of the determinism/checkpoint-safety static analyzer.
+"""Primitives of the determinism static analyzer.
 
 The analyzer encodes, as AST checks, the contracts the dynamic test suite
 can only probe on the paths it happens to execute: simulation code draws
 randomness exclusively from injected generators, iteration feeding results
-is explicitly ordered, result paths never read the wall clock, simulator
-state stays picklable for ``CheckpointStore``, hot-loop telemetry is
-guarded by the branch-on-local-bool pattern, and every loop/vectorized
-kernel pair stays reachable from its config switch.
+is explicitly ordered, result paths never read the wall clock, hot-loop
+telemetry is guarded by the branch-on-local-bool pattern, and every
+loop/vectorized kernel pair stays reachable from its config switch.
 
 This module holds the shared machinery: :class:`Finding` (one diagnostic),
 :class:`FileContext` (parsed source plus parent links and qualified
@@ -116,7 +115,7 @@ class FileContext:
             current = self._parents.get(current)
 
     def qualname(self, node: ast.AST) -> str:
-        """Dotted enclosing-scope name, e.g. ``CheckpointStore.prune_stale``."""
+        """Dotted enclosing-scope name, e.g. ``ArtifactCache.__len__``."""
         names: List[str] = []
         current: Optional[ast.AST] = node
         while current is not None:
@@ -137,7 +136,7 @@ def path_matches(parts: Sequence[str], pattern: str) -> bool:
 
     ``"repro/p2psim/"`` matches ``src/repro/p2psim/market_sim.py`` whether
     the analyzed path was relative or absolute; a trailing filename in the
-    pattern (``repro/runner/partition.py``) anchors on that file.
+    pattern (``repro/runner/cache.py``) anchors on that file.
     """
     needle = tuple(segment for segment in pattern.replace("\\", "/").split("/") if segment)
     if not needle:

@@ -12,7 +12,6 @@ from repro.analysis.rules.structure import (
     ParseFailureRule,
     SuppressionHygieneRule,
     UnguardedEmitterRule,
-    UnpicklableAttributeRule,
     UnusedSuppressionRule,
 )
 from repro.analysis.rules.threads import EmitterCaptureRule, UnlockedSharedStateRule
@@ -21,7 +20,6 @@ __all__ = [
     "GlobalRngRule",
     "UnorderedIterationRule",
     "WallClockRule",
-    "UnpicklableAttributeRule",
     "UnguardedEmitterRule",
     "KernelPairRule",
     "SuppressionHygieneRule",

@@ -1,8 +1,7 @@
-"""Structural rules: checkpoint safety, telemetry guards, kernel pairing.
+"""Structural rules: telemetry guards, kernel pairing, suppression hygiene.
 
-PICKLE001 keeps simulator state compatible with ``CheckpointStore``'s
-full-state pickles; OBS001 enforces the branch-on-local-bool pattern that
-keeps the telemetry-overhead CI gate honest; KERNEL001 keeps every
+OBS001 enforces the branch-on-local-bool pattern that keeps the
+telemetry-overhead CI gate honest; KERNEL001 keeps every
 loop/vectorized kernel pair reachable from its config switch so the
 bit-identity tests keep comparing two live implementations.
 """
@@ -17,7 +16,6 @@ from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Finding, Rule, Severity, register
 
 __all__ = [
-    "UnpicklableAttributeRule",
     "UnguardedEmitterRule",
     "KernelPairRule",
     "SuppressionHygieneRule",
@@ -25,99 +23,10 @@ __all__ = [
     "ParseFailureRule",
 ]
 
-#: threading constructs that cannot be pickled.
-_THREADING_UNPICKLABLE = {
-    "Lock",
-    "RLock",
-    "Condition",
-    "Event",
-    "Semaphore",
-    "BoundedSemaphore",
-    "Barrier",
-}
-
 #: Emitter event methods (see repro.obs.emitter.MetricsEmitter).
 _EMITTER_METHODS = {"counter", "gauge", "point", "mark", "timing", "span"}
 
 _KERNEL_NAME_RE = re.compile(r"^(?P<stem>.+)_(?P<variant>loop|vectorized)$")
-
-
-@register
-class UnpicklableAttributeRule(Rule):
-    """PICKLE001 — checkpointed state must stay picklable."""
-
-    id = "PICKLE001"
-    severity = Severity.ERROR
-    summary = (
-        "unpicklable attribute (lambda, open handle, lock, generator, "
-        "nested function) assigned to self in checkpoint-bearing classes"
-    )
-
-    def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
-        for class_node in ast.walk(ctx.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            for method in class_node.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                nested = {
-                    child.name
-                    for child in ast.walk(method)
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and child is not method
-                }
-                for node in ast.walk(method):
-                    value: Optional[ast.expr] = None
-                    if isinstance(node, ast.Assign):
-                        value = node.value
-                        targets = node.targets
-                    elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                        value = node.value
-                        targets = [node.target]
-                    else:
-                        continue
-                    if not any(_is_self_attribute(target) for target in targets):
-                        continue
-                    reason = self._diagnose(ctx, value, nested)
-                    if reason is None:
-                        continue
-                    if config.allowed_context(self.id, ctx, node) is not None:
-                        continue
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{reason} assigned to self in `{class_node.name}` — "
-                        "this state flows through CheckpointStore pickles; "
-                        "store picklable data and rebuild the object on use",
-                    )
-
-    def _diagnose(
-        self, ctx: FileContext, value: ast.expr, nested: Set[str]
-    ) -> Optional[str]:
-        if isinstance(value, ast.Lambda):
-            return "lambda"
-        if isinstance(value, ast.GeneratorExp):
-            return "generator expression"
-        if isinstance(value, ast.Name) and value.id in nested:
-            return f"nested function `{value.id}` (closure)"
-        if isinstance(value, ast.Call):
-            func = value.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                return "open file handle"
-            target = ctx.imports.resolve(func)
-            if target is not None and target.startswith("threading."):
-                attr = target.split(".", 1)[1]
-                if attr in _THREADING_UNPICKLABLE:
-                    return f"`threading.{attr}()`"
-        return None
-
-
-def _is_self_attribute(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
 
 
 @register

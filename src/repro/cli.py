@@ -12,7 +12,6 @@ Usage::
     python -m repro.cli sweep fig1 --param initial_credits=12,200 \
         --param pricing_model=uniform,poisson-seller --scale smoke
     python -m repro.cli sweep fig7-paper --reps 4 --jobs 0 --cache-dir .repro-cache
-    python -m repro.cli run fig7 --scale paper --intra-jobs 4 --cache-dir .repro-cache
 
 ``list`` prints every registered experiment with its paper section, the
 sweep axes each experiment's point runner accepts, and the named scenario
@@ -25,17 +24,13 @@ run through the orchestrator too, printing the experiment's own tables);
 ``sweep`` runs a parameter grid (a named scenario bundle or ad-hoc
 ``--param`` axes, validated against the experiment's declared axes before
 anything executes) sharded over worker processes, with optional artifact
-caching so interrupted or repeated sweeps skip completed shards.  Both
-``run`` and ``sweep`` accept ``--intra-jobs N`` to additionally split
-every market *and* streaming simulation into N checkpointed round-blocks
-that pipeline across the worker pool and (with ``--cache-dir``) resume
-interrupted paper-scale runs at block granularity — byte-identical to the
-monolithic run in every case.  Every run uses the simulators' default
+caching so interrupted or repeated sweeps skip completed shards.  One
+shard is one ``(config × replication)``; each runs its simulations to
+completion in one worker.  Every run uses the simulators' default
 (vectorized) kernel and their one numeric representation (float64 state,
 int64 peer ids)::
 
     python -m repro.cli sweep fig5_6 --param simulator=market,streaming --scale smoke
-    python -m repro.cli sweep fig7-paper --reps 4 --intra-jobs 4 --cache-dir .repro-cache
 
 ``serve`` starts a resident sweep daemon (stdlib HTTP, JSON API): POST a
 sweep job to ``/runs``, poll its status at ``/runs/<id>``, stream its live
@@ -47,7 +42,7 @@ from ``/runs/<id>/result``, and read the committed benchmark history from
 
     python -m repro.cli serve --port 8765 --cache-dir .repro-cache
 
-``analyze`` runs the determinism/checkpoint-safety static analyzer
+``analyze`` runs the determinism static analyzer
 (:mod:`repro.analysis`) over the given paths and exits non-zero on any
 finding that is not suppressed inline (``# repro: noqa RULE -- why``) or
 covered by an allowed context — the blocking CI gate::
@@ -84,17 +79,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="worker processes (0 = one per CPU; default: %(default)s)",
-    )
-    parser.add_argument(
-        "--intra-jobs",
-        type=int,
-        default=1,
-        help=(
-            "round-blocks each market/streaming simulation is split into; "
-            "blocks checkpoint into the cache and pipeline across workers "
-            "(results are byte-identical to monolithic runs; default: "
-            "%(default)s)"
-        ),
     )
     parser.add_argument(
         "--cache-dir",
@@ -189,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument(
-        "--intra-jobs", type=int, default=1, help="round-blocks per simulation"
-    )
-    serve_parser.add_argument(
         "--bench-root",
         default=None,
         help="directory scanned for BENCH_*.json by /bench (default: repo root)",
@@ -199,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = subparsers.add_parser(
         "analyze",
-        help="run the determinism/checkpoint-safety static analyzer",
+        help="run the determinism static analyzer",
     )
     analyze_parser.add_argument(
         "paths",
@@ -267,7 +248,6 @@ def _run_orchestrated(
     seed: int,
     reps: int,
     jobs: int,
-    intra_jobs: int,
     cache_dir: Optional[str],
     csv_path: Optional[str],
 ) -> int:
@@ -276,9 +256,7 @@ def _run_orchestrated(
     cache = ArtifactCache(cache_dir) if cache_dir else None
     try:
         spec = SweepSpec(experiment, replications=reps, base_seed=seed, scale=scale)
-        report = run_sweep(
-            spec, jobs=jobs, cache=cache, progress=print, intra_jobs=intra_jobs
-        )
+        report = run_sweep(spec, jobs=jobs, cache=cache, progress=print)
         print(report.describe())
         print(report.summary_line())
         print()
@@ -297,10 +275,10 @@ def _run_orchestrated(
 def _command_run(args: argparse.Namespace) -> int:
     # Any --reps other than 1 goes through the orchestrator, whose
     # SweepSpec rejects a non-positive count with exit 2.
-    if args.reps != 1 or args.jobs != 1 or args.intra_jobs != 1 or args.cache_dir:
+    if args.reps != 1 or args.jobs != 1 or args.cache_dir:
         return _run_orchestrated(
             args.experiment, args.scale, args.seed, args.reps, args.jobs,
-            args.intra_jobs, args.cache_dir, args.csv,
+            args.cache_dir, args.csv,
         )
     try:
         result = run_experiment(args.experiment, scale=args.scale, seed=args.seed)
@@ -337,9 +315,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return _print_error(error)
     cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
     try:
-        report = run_sweep(
-            spec, jobs=args.jobs, cache=cache, progress=print, intra_jobs=args.intra_jobs
-        )
+        report = run_sweep(spec, jobs=args.jobs, cache=cache, progress=print)
         print(report.describe())
         print(report.summary_line())
         print()
@@ -386,7 +362,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         port=args.port,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        intra_jobs=args.intra_jobs,
         bench_root=args.bench_root,
     )
     return 0

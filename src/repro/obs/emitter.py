@@ -36,9 +36,8 @@ thread observes its own installation — the ``repro serve`` daemon runs
 every sweep job in its own thread with its own emitter + in-memory sink,
 and concurrent jobs never see each other's metrics.  Simulators fetch the
 active emitter via :func:`get_emitter` at run time instead of storing it
-on ``self``: checkpoint pickles stay free of sink handles, and a run
-restored in another process simply reattaches to whatever emitter is
-active there.
+on ``self``: a pickled simulator carries no sink handles, and an unpickled
+one reports to whatever emitter is active where it resumes.
 """
 
 from __future__ import annotations
@@ -178,7 +177,7 @@ class MetricsEmitter:
         """Emit a pre-measured duration as a ``span`` event.
 
         For regions whose start/end do not bracket cleanly into a ``with``
-        block (e.g. a checkpoint restore that only counts on success).
+        block (e.g. a kernel call timed only while someone observes).
         The event carries the emitter's *current* span stack as its
         nesting context.
         """

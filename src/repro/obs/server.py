@@ -19,11 +19,11 @@ Endpoints
     Every submitted job, newest last, with status and timings.
 ``POST /runs``
     Submit a job.  Body: ``{"target": "fig7", "params": {"average_wealth":
-    [8, 16]}, "scale": "smoke", "reps": 1, "seed": 0, "jobs": 1,
-    "intra_jobs": 1}`` — ``target`` is a sweepable experiment id or a
-    named scenario bundle; everything else is optional.  Invalid values
-    and unknown keys are rejected with ``400`` at submission.  Returns ``201`` with the
-    job description (including its ``id``).
+    [8, 16]}, "scale": "smoke", "reps": 1, "seed": 0, "jobs": 1}`` —
+    ``target`` is a sweepable experiment id or a named scenario bundle;
+    everything else is optional.  Invalid values and unknown keys are
+    rejected with ``400`` at submission.  Returns ``201`` with the job
+    description (including its ``id``).
 ``GET  /runs/<id>``
     One job's description: status (``pending/running/done/failed``),
     spec summary, executed/cached shard counts, error text on failure.
@@ -68,7 +68,7 @@ __all__ = ["SweepJob", "SweepService", "ReproServer", "spec_from_request", "serv
 
 #: Keys a ``POST /runs`` body may carry; any other key is a 400.
 REQUEST_KEYS = frozenset(
-    {"target", "params", "scale", "reps", "seed", "jobs", "intra_jobs", "cache_dir"}
+    {"target", "params", "scale", "reps", "seed", "jobs", "cache_dir"}
 )
 
 
@@ -113,13 +113,11 @@ class SweepJob:
         job_id: str,
         spec: "SweepSpec",
         jobs: int,
-        intra_jobs: int,
         cache_dir: Optional[str],
     ) -> None:
         self.id = job_id
         self.spec = spec
         self.jobs = jobs
-        self.intra_jobs = intra_jobs
         self.cache_dir = cache_dir
         self.status = "pending"
         self.error: Optional[str] = None
@@ -138,7 +136,6 @@ class SweepJob:
             "experiment_id": self.spec.experiment_id,
             "status": self.status,
             "jobs": self.jobs,
-            "intra_jobs": self.intra_jobs,
             "cache_dir": self.cache_dir,
             "submitted": self.submitted,
             "started": self.started,
@@ -158,11 +155,9 @@ class SweepService:
         self,
         cache_dir: Optional[str] = None,
         default_jobs: int = 1,
-        default_intra_jobs: int = 1,
     ) -> None:
         self.cache_dir = cache_dir
         self.default_jobs = default_jobs
-        self.default_intra_jobs = default_intra_jobs
         self._jobs: Dict[str, SweepJob] = {}
         self._order: List[str] = []
         self._lock = threading.Lock()
@@ -176,18 +171,12 @@ class SweepService:
             raise ValueError(f"unknown job request keys: {', '.join(unknown)}")
         spec = spec_from_request(payload)
         jobs = int(payload.get("jobs", self.default_jobs))  # type: ignore[arg-type]
-        intra_jobs = int(payload.get("intra_jobs", self.default_intra_jobs))  # type: ignore[arg-type]
         cache_dir = payload.get("cache_dir", self.cache_dir)
-        # Validated here, at submission, so a bad request 400s instead of
-        # failing its worker thread later.
-        if intra_jobs < 1:
-            raise ValueError(f"intra_jobs must be >= 1, got {intra_jobs}")
         with self._lock:
             job = SweepJob(
                 f"run-{next(self._ids):04d}",
                 spec,
                 jobs=jobs,
-                intra_jobs=intra_jobs,
                 cache_dir=str(cache_dir) if cache_dir else None,
             )
             self._jobs[job.id] = job
@@ -229,7 +218,6 @@ class SweepService:
                     job.spec,  # type: ignore[arg-type]
                     jobs=job.jobs,
                     cache=cache,
-                    intra_jobs=job.intra_jobs,
                 )
             job.payloads = [shard.payload for shard in report.shards]
             job.summary = {
@@ -362,15 +350,10 @@ class ReproServer(ThreadingHTTPServer):
         port: int = 8765,
         cache_dir: Optional[str] = None,
         jobs: int = 1,
-        intra_jobs: int = 1,
         bench_root: Optional[str] = None,
     ) -> None:
         super().__init__((host, port), _Handler)
-        self.service = SweepService(
-            cache_dir=cache_dir,
-            default_jobs=jobs,
-            default_intra_jobs=intra_jobs,
-        )
+        self.service = SweepService(cache_dir=cache_dir, default_jobs=jobs)
         self.bench_root = Path(bench_root) if bench_root else None
 
     @property
@@ -384,7 +367,6 @@ def serve(
     port: int = 8765,
     cache_dir: Optional[str] = None,
     jobs: int = 1,
-    intra_jobs: int = 1,
     bench_root: Optional[str] = None,
 ) -> int:
     """Run the daemon until interrupted or shut down over HTTP (CLI entry)."""
@@ -393,7 +375,6 @@ def serve(
         port=port,
         cache_dir=cache_dir,
         jobs=jobs,
-        intra_jobs=intra_jobs,
         bench_root=bench_root,
     )
     print(f"repro serve listening on http://{host}:{server.port}", flush=True)

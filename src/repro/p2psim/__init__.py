@@ -19,16 +19,14 @@ detail:
 
 Both simulators advance in synchronous rounds over slot-indexed arrays
 (float64 wealth/price/CDF state, int64 peer ids) kept by one
-:class:`~repro.p2psim.slots.PeerSlots` store, offer bit-identical ``"vectorized"`` / ``"loop"`` kernels for their hot
-round (selected by the shared
-:class:`~repro.p2psim.options.KernelOptions`), partition into
-checkpointed round-blocks (:mod:`repro.runner.partition`), and share the
+:class:`~repro.p2psim.slots.PeerSlots` store, offer bit-identical
+``"vectorized"`` / ``"loop"`` kernels for their hot round (selected by the
+shared :class:`~repro.p2psim.options.KernelOptions`), and share the
 :class:`~repro.p2psim.recorder.WealthRecorder` for Gini / snapshot time
-series.  The round-block contract both satisfy is formalised as the
-:class:`Simulator` protocol below.
+series.  Both inherit :class:`~repro.p2psim.slots.SlotSimulator`, whose
+round contract (``total_rounds`` / ``advance_rounds`` / ``finalize``,
+picklable state between rounds) they satisfy.
 """
-
-from typing import Any, Protocol, runtime_checkable
 
 from repro.p2psim.config import MarketSimConfig, StreamingSimConfig, UtilizationMode
 from repro.p2psim.options import KernelOptions
@@ -46,42 +44,5 @@ __all__ = [
     "MarketSimResult",
     "StreamingMarketSimulator",
     "StreamingSimResult",
-    "Simulator",
 ]
 
-
-@runtime_checkable
-class Simulator(Protocol):
-    """The round-block contract every round-based simulator satisfies.
-
-    A simulator exposes its configuration, the number of synchronous
-    rounds its horizon spans, an incremental ``advance_rounds`` and a
-    terminal ``finalize``; ``run()`` is by definition
-    ``advance_rounds(total_rounds())`` followed by ``finalize()``.
-
-    Two requirements are part of the contract but outside what a Protocol
-    can express:
-
-    * **Picklable state** — the entire simulator object must pickle after
-      any number of ``advance_rounds`` calls, because
-      :meth:`repro.runner.partition.BlockContext.run_simulation`
-      checkpoints it between round blocks.
-    * **State-only determinism** — each round's random draws may depend
-      only on the simulator's state before the round, so a
-      pickle/unpickle boundary between rounds cannot change the
-      trajectory.
-    """
-
-    config: Any
-
-    def total_rounds(self) -> int:
-        """Number of rounds the configured horizon spans."""
-        ...
-
-    def advance_rounds(self, rounds: int) -> None:
-        """Advance the simulation by ``rounds`` rounds without finalising."""
-        ...
-
-    def finalize(self) -> Any:
-        """Record the final sample and assemble the run's result object."""
-        ...

@@ -416,9 +416,8 @@ class CreditMarketSimulator(SlotSimulator):
         """Advance the simulation by ``rounds`` rounds (without finalising).
 
         ``run()`` is ``advance_rounds(total_rounds())`` + ``finalize()``;
-        intra-run partitioning (:mod:`repro.runner.partition`) advances the
-        same rounds in checkpointed blocks, which yields an identical state
-        because each round's draws depend only on the state before it.
+        advancing the same rounds in several calls yields an identical
+        state because each round's draws depend only on the state before it.
         """
         dt = self.config.step
         observing = get_emitter().enabled

@@ -11,8 +11,8 @@ arrays aligned with the pack's edges, as :class:`SlotArray` attributes,
 so assigning one registers it with the store, which grows or splices it.
 
 Rows are read from the overlay in one batch and key-sorted by slot, so
-no row depends on how a set happens to iterate — a simulator restored
-from a checkpoint pickle rebuilds exactly the rows it had.  Admitting a
+no row depends on how a set happens to iterate — an unpickled simulator,
+whose overlay sets were rebuilt, derives exactly the rows it had.  Admitting a
 peer never derives a row: a churn round first applies every departure
 and arrival, then re-derives the rows of every peer whose neighbour set
 changed with one :meth:`PeerSlots.refresh_rows` call, which patches the
@@ -256,6 +256,12 @@ class SlotSimulator:
     and admits the initial population.  A subclass names its random
     stream in ``_rng_label`` and implements the four methods below that
     raise :class:`NotImplementedError`.
+
+    The round contract: ``run()`` is ``advance_rounds(total_rounds())``
+    followed by ``finalize()``.  The whole simulator pickles after any
+    number of ``advance_rounds`` calls, and each round's draws depend only
+    on the state before it, so a run advanced in blocks with a pickle
+    round-trip between them ends byte-identical to the one-block run.
     """
 
     _rng_label = ""
@@ -340,21 +346,7 @@ class SlotSimulator:
         topology: Optional[OverlayTopology] = None,
         snapshot_times: Optional[Sequence[float]] = None,
     ) -> Any:
-        """Build a simulator for ``config`` and run it to completion.
-
-        When an intra-run partition context is active (see
-        :mod:`repro.runner.partition`), the run executes as checkpointed
-        round-blocks through that context instead — producing bit-identical
-        results, since block boundaries only pickle/unpickle the state the
-        monolithic loop would carry anyway.
-        """
-        from repro.runner.partition import active_context
-
-        context = active_context()
-        if context is not None:
-            return context.run_simulation(
-                cls, config, topology=topology, snapshot_times=snapshot_times
-            )
+        """Build a simulator for ``config`` and run it to completion."""
         return cls(config, topology=topology, snapshot_times=snapshot_times).run()
 
 

@@ -44,11 +44,10 @@ cell, drawn tick-wise before the kernel runs):
   loop — the bit-identity oracle the determinism and golden tests hold
   the vectorized kernel to.
 
-Results are bit-identical between the kernels by construction.  Because
-each tick depends only on the simulator's (fully picklable) state, runs
-also partition into checkpointed round-blocks
-(:mod:`repro.runner.partition`) that are bit-identical to the monolithic
-run.
+Results are bit-identical between the kernels by construction.  Each
+tick depends only on the simulator's (fully picklable) state, so a run
+advanced in blocks with a pickle round-trip between them is bit-identical
+to the one-block run.
 
 The vectorized kernel works per window column.  One pass over the live
 columns' ``have`` rows lists the candidate cells (window columns a peer
@@ -969,9 +968,8 @@ class StreamingMarketSimulator(SlotSimulator):
         """Advance the simulation by ``rounds`` ticks (without finalising).
 
         ``run()`` is ``advance_rounds(total_rounds())`` + ``finalize()``;
-        intra-run partitioning (:mod:`repro.runner.partition`) advances the
-        same ticks in checkpointed blocks, which yields an identical state
-        because each tick's draws depend only on the state before it.
+        advancing the same ticks in several calls yields an identical
+        state because each tick's draws depend only on the state before it.
         """
         config = self.config
         dt = config.scheduling_interval

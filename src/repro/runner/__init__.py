@@ -15,14 +15,7 @@ into declarative, cache-aware, parallel parameter sweeps:
   code version, making interrupted sweeps resumable;
 * :mod:`repro.runner.aggregate` — cross-replication aggregation (mean,
   std, Student-t and bootstrap confidence intervals) feeding the existing
-  :class:`~repro.utils.records.ResultTable` containers;
-* :mod:`repro.runner.partition` — intra-run parallelism: a single
-  paper-scale market simulation executes as checkpointed round-blocks
-  (``--intra-jobs``) that pipeline across the worker pool and resume
-  interrupted runs at block granularity, bit-identical to the monolithic
-  run;
-* :mod:`repro.runner.plan` — :func:`execute`, the one entry point that
-  runs either simulator's configuration, optionally as round-blocks.
+  :class:`~repro.utils.records.ResultTable` containers.
 
 Determinism contract
 --------------------
@@ -55,19 +48,9 @@ from repro.runner.grid import (
     canonical_config,
     scenario,
 )
-from repro.runner.partition import (
-    BlockContext,
-    CheckpointStore,
-    OutOfBlockBudget,
-    round_blocks,
-)
-from repro.runner.plan import execute
 
 __all__ = [
     "ArtifactCache",
-    "BlockContext",
-    "CheckpointStore",
-    "OutOfBlockBudget",
     "ParamGrid",
     "SCENARIOS",
     "ShardResult",
@@ -81,10 +64,8 @@ __all__ = [
     "canonical_config",
     "code_fingerprint",
     "default_jobs",
-    "execute",
     "payload_to_result",
     "result_to_payload",
-    "round_blocks",
     "run_sweep",
     "scenario",
     "task_key",

@@ -6,24 +6,21 @@ the :class:`~repro.runner.cache.ArtifactCache`, executes the remainder —
 in-process at ``jobs=1``, on a ``ProcessPoolExecutor`` otherwise — and
 returns the shards in deterministic ``(config_index, replication)`` order.
 
-With ``intra_jobs > 1`` each shard additionally executes as a *chain* of
-round-block invocations (see :mod:`repro.runner.partition`): every pool
-task advances one checkpointed block of one shard's market simulation, so
-blocks of different shards pipeline across the workers and an interrupted
-paper-scale run resumes from its last completed block.  Partitioned and
-monolithic execution produce byte-identical shard payloads and share the
-same artifact-cache keys.
+Each pool worker pins the bundled OpenBLAS to one thread
+(:func:`_single_blas_thread`): ``jobs`` workers that each start a
+machine-wide BLAS thread pool oversubscribe the cores, and make pooled
+sweeps of points that solve dense traffic equations (fig3) several times
+slower than serial ones.
 
 Determinism contract
 --------------------
 * Shard seeds come from the spec (``derive_seed`` chain over the config
   content), so the randomness a shard consumes is fixed before any worker
   is chosen; worker count and completion order cannot perturb it.
-* Every shard result — fresh or cached, serial or parallel, monolithic or
-  round-block partitioned — passes through the same JSON payload
-  round-trip (:func:`~repro.runner.cache.result_to_payload`), so
-  downstream aggregation sees exactly the same values in every execution
-  mode.
+* Every shard result — fresh or cached, serial or parallel — passes
+  through the same JSON payload round-trip
+  (:func:`~repro.runner.cache.result_to_payload`), so downstream
+  aggregation sees exactly the same values in every execution mode.
 * Results are re-ordered by task index before being returned; completion
   order never leaks into the report.
 
@@ -34,19 +31,16 @@ the cache atomically, so a re-run executes only the missing ones.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import run_sweep_point
 from repro.obs import get_emitter
 from repro.runner.cache import ArtifactCache, code_fingerprint, payload_to_result, result_to_payload, task_key
 from repro.runner.grid import SweepSpec, SweepTask
-from repro.runner.partition import BlockContext, CheckpointStore, OutOfBlockBudget
 
 __all__ = ["ShardResult", "SweepReport", "run_sweep", "default_jobs"]
 
@@ -83,9 +77,6 @@ class SweepReport:
         How many shards ran vs. were restored from the artifact cache.
     jobs:
         Worker count used for the executed shards.
-    intra_jobs:
-        Round-blocks each shard's market simulations were split into
-        (``1`` = monolithic shards).
     duration:
         Wall-clock seconds spent inside :func:`run_sweep`.
     cache_stats:
@@ -99,7 +90,6 @@ class SweepReport:
     executed: int = 0
     cached: int = 0
     jobs: int = 1
-    intra_jobs: int = 1
     duration: float = 0.0
     cache_stats: Optional[Dict[str, int]] = None
 
@@ -116,10 +106,9 @@ class SweepReport:
 
     def describe(self) -> str:
         """One-line human summary of what ran and what was reused."""
-        intra = f", intra_jobs={self.intra_jobs}" if self.intra_jobs > 1 else ""
         return (
             f"{self.spec.describe()} — {self.executed} executed, "
-            f"{self.cached} from cache, jobs={self.jobs}{intra}, "
+            f"{self.cached} from cache, jobs={self.jobs}, "
             f"{self.duration:.2f}s"
         )
 
@@ -154,97 +143,41 @@ def _execute_task(payload: Mapping[str, object]) -> Dict[str, object]:
     return result_to_payload(result)
 
 
-def _execute_chain_step(
-    payload: Mapping[str, object],
-    blocks: int,
-    store_root: str,
-    budget: Optional[int] = 1,
-) -> Optional[Dict[str, object]]:
-    """Worker entry point for one round-block invocation of a shard chain.
+def _openblas_symbol(names: Sequence[str]) -> Optional[Callable[..., int]]:
+    """The first of ``names`` that numpy's bundled OpenBLAS exports, or ``None``.
 
-    Installs a :class:`BlockContext` with a budget of ``budget`` new
-    blocks and re-enters the shard's point runner: completed simulations
-    restore from their checkpoints for free, unfinished ones advance up
-    to the budget (checkpointing each block), and the invocation either
-    finishes the experiment (returning its payload) or runs out of budget
-    (returning ``None`` so the scheduler re-submits the chain).
-    ``budget=None`` is unlimited — the whole shard completes in one
-    invocation, still checkpointing every block boundary.
+    numpy wheels bundle OpenBLAS in ``numpy.libs``; its thread-count
+    functions are ``scipy_openblas_*64_`` on scipy-openblas builds and
+    ``openblas_*`` on plain ones.
     """
-    task = SweepTask.from_payload(payload)
-    store = CheckpointStore(store_root)
-    context = BlockContext(store, blocks=blocks, scope=task_key(task), budget=budget)
-    try:
-        with context:
-            result = run_sweep_point(
-                task.experiment_id, dict(task.config), scale=task.scale, seed=task.seed
-            )
-    except OutOfBlockBudget:
-        return None
-    return result_to_payload(result)
+    import ctypes
+    import glob
+
+    import numpy
+
+    site = os.path.dirname(os.path.dirname(numpy.__file__))
+    for path in sorted(glob.glob(os.path.join(site, "numpy.libs", "*openblas*"))):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            symbol = getattr(library, name, None)
+            if symbol is not None:
+                return symbol
+    return None
 
 
-def _run_chains(
-    tasks: List[SweepTask],
-    pending: List[int],
-    jobs: int,
-    intra_jobs: int,
-    store_root: str,
-    commit: Callable[[int, Dict[str, object], int], None],
-) -> None:
-    """Drive every pending shard through its round-block invocation chain.
+def _single_blas_thread() -> None:
+    """Pool initializer: pin numpy's bundled OpenBLAS to one thread.
 
-    Blocks of one shard are sequential (each needs the previous one's
-    checkpoint); blocks of different shards interleave freely across the
-    pool, which is what pipelines a multi-replication paper-scale sweep.
-    With a single worker there is nothing to pipeline, so each shard runs
-    its whole chain in one unlimited-budget invocation — identical
-    checkpoints and payload, none of the per-block re-entry overhead.
+    Does nothing when no bundled OpenBLAS is found.  Serial sweeps keep
+    the default thread count, and their payloads must equal pooled ones
+    byte for byte; the serial-versus-pooled sweep tests check that.
     """
-    if jobs == 1 or len(pending) == 1:
-        for count, index in enumerate(pending, start=1):
-            payload = _execute_chain_step(
-                tasks[index].to_payload(), intra_jobs, store_root, budget=None
-            )
-            assert payload is not None  # unlimited budget always completes
-            commit(index, payload, count)
-        return
-
-    first_error: Optional[BaseException] = None
-    count = 0
-    queue = deque(pending)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        inflight: Dict[object, int] = {}
-
-        def submit(index: int) -> None:
-            future = pool.submit(
-                _execute_chain_step, tasks[index].to_payload(), intra_jobs, store_root
-            )
-            inflight[future] = index
-
-        while queue and len(inflight) < min(jobs, len(pending)):
-            submit(queue.popleft())
-        while inflight:
-            completed, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-            for future in completed:
-                index = inflight.pop(future)
-                try:
-                    payload = future.result()
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = error
-                    if queue:
-                        submit(queue.popleft())
-                    continue
-                if payload is None:
-                    submit(index)  # next block of the same shard
-                else:
-                    count += 1
-                    commit(index, payload, count)
-                    if queue:
-                        submit(queue.popleft())
-    if first_error is not None:
-        raise first_error
+    setter = _openblas_symbol(("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"))
+    if setter is not None:
+        setter(1)
 
 
 def run_sweep(
@@ -252,7 +185,6 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[ArtifactCache] = None,
     progress: Optional[Callable[[str], None]] = None,
-    intra_jobs: int = 1,
 ) -> SweepReport:
     """Execute every shard of ``spec``, reusing cached artifacts.
 
@@ -262,27 +194,19 @@ def run_sweep(
         The sweep to run.
     jobs:
         Worker processes.  ``1`` executes in-process (no pool); higher
-        values shard the pending tasks over a ``ProcessPoolExecutor``.
-        ``0``/negative selects :func:`default_jobs`.
+        values shard the pending tasks over a ``ProcessPoolExecutor``
+        whose workers each use one BLAS thread.  ``0``/negative selects
+        :func:`default_jobs`.
     cache:
         Optional artifact cache; cached shards are restored without
         executing, and freshly executed shards are committed atomically
         so an interrupted sweep resumes where it stopped.
     progress:
         Optional callable receiving human-readable progress lines.
-    intra_jobs:
-        Round-blocks each shard's market simulations are split into.
-        ``1`` (default) runs shards monolithically; higher values execute
-        each shard as a chain of checkpointed block invocations that
-        pipeline across the worker pool and — with a persistent cache —
-        resume interrupted paper-scale runs at block granularity.  Shard
-        payloads and cache keys are identical in both modes.
     """
     started = time.perf_counter()
     if jobs <= 0:
         jobs = default_jobs()
-    if intra_jobs < 1:
-        raise ValueError("intra_jobs must be at least 1")
     tasks = spec.tasks()
     say = progress or (lambda message: None)
     say(spec.describe())
@@ -292,7 +216,6 @@ def run_sweep(
         experiment_id=spec.experiment_id,
         shards=len(tasks),
         jobs=jobs,
-        intra_jobs=intra_jobs,
     )
 
     ordered: List[Optional[ShardResult]] = [None] * len(tasks)
@@ -320,12 +243,6 @@ def run_sweep(
         ordered[index] = ShardResult(task=tasks[index], payload=payload)
         if cache is not None:
             cache.store(keys[index], payload)
-            # The result artifact supersedes any round-block checkpoints of
-            # this shard — including ones left by an interrupted partitioned
-            # run that this (possibly monolithic) execution just completed.
-            checkpoint_root = cache.root / "checkpoints"
-            if checkpoint_root.is_dir():
-                CheckpointStore(checkpoint_root).prune_scope(keys[index])
         say(f"executed shard {count}/{len(pending)}")
         emitter.counter("runner.shard.executed")
         emitter.mark(
@@ -334,50 +251,35 @@ def run_sweep(
             replication=tasks[index].replication,
         )
 
-    if pending:
-        if intra_jobs > 1:
-            # Round-block chains: checkpoints live next to the result
-            # artifacts when a cache is given (making interrupted runs
-            # resumable across processes), in a throwaway directory
-            # otherwise (workers still need a shared medium for state).
-            if cache is not None:
-                # Week-old scopes are unreachable leftovers (interrupted
-                # runs whose code fingerprint has since changed) — collect
-                # them before adding new ones.
-                CheckpointStore(cache.root / "checkpoints").prune_stale()
-                _run_chains(
-                    tasks, pending, jobs, intra_jobs, str(cache.root / "checkpoints"), commit
-                )
-            else:
-                with tempfile.TemporaryDirectory(prefix="repro-intra-") as tmp:
-                    _run_chains(tasks, pending, jobs, intra_jobs, tmp, commit)
-        elif jobs == 1 or len(pending) == 1:
-            for count, index in enumerate(pending, start=1):
-                commit(index, _execute_task(tasks[index].to_payload()), count)
-        else:
-            # Commit in completion order (not submission order): a slow early
-            # shard must not delay persisting the shards finishing behind it.
-            # A failing shard must not abort the loop either — every shard
-            # that completes is committed before the first error is re-raised,
-            # so a partially failing sweep still resumes from its successes.
-            first_error: Optional[BaseException] = None
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {
-                    pool.submit(_execute_task, tasks[index].to_payload()): index
-                    for index in pending
-                }
-                count = 0
-                for future in as_completed(futures):
-                    try:
-                        payload = future.result()
-                    except BaseException as error:  # noqa: BLE001 - re-raised below
-                        if first_error is None:
-                            first_error = error
-                        continue
-                    count += 1
-                    commit(futures[future], payload, count)
-            if first_error is not None:
-                raise first_error
+    if jobs == 1 or len(pending) == 1:
+        for count, index in enumerate(pending, start=1):
+            commit(index, _execute_task(tasks[index].to_payload()), count)
+    elif pending:
+        # Commit in completion order (not submission order): a slow early
+        # shard must not delay persisting the shards finishing behind it.
+        # A failing shard must not abort the loop either — every shard
+        # that completes is committed before the first error is re-raised,
+        # so a partially failing sweep still resumes from its successes.
+        first_error: Optional[BaseException] = None
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(pending)), initializer=_single_blas_thread
+        ) as pool:
+            futures = {
+                pool.submit(_execute_task, tasks[index].to_payload()): index
+                for index in pending
+            }
+            count = 0
+            for future in as_completed(futures):
+                try:
+                    payload = future.result()
+                except BaseException as error:  # noqa: BLE001 - re-raised below
+                    if first_error is None:
+                        first_error = error
+                    continue
+                count += 1
+                commit(futures[future], payload, count)
+        if first_error is not None:
+            raise first_error
 
     shards = [shard for shard in ordered if shard is not None]
     duration = time.perf_counter() - started
@@ -394,7 +296,6 @@ def run_sweep(
         executed=len(pending),
         cached=len(tasks) - len(pending),
         jobs=jobs,
-        intra_jobs=intra_jobs,
         duration=duration,
         cache_stats=cache.stats() if cache is not None else None,
     )

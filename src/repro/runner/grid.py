@@ -360,8 +360,8 @@ def _fig11_churn_grid() -> SweepSpec:
 # -- streaming smoke bundles ----------------------------------------------------
 #
 # Tiny two-shard streaming-simulator grids (two populations each); CI's
-# determinism job sweeps them to pin the cross-partition byte-identity and
-# cache-key contracts of the streaming path.
+# determinism job sweeps them to pin the cache-key contract of the
+# streaming path across worker counts.
 
 
 def _fig5_6_streaming_smoke() -> SweepSpec:

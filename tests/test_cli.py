@@ -25,14 +25,7 @@ class TestParser:
         args = build_parser().parse_args(["run", "fig4", "--reps", "3", "--jobs", "2"])
         assert args.reps == 3
         assert args.jobs == 2
-        assert args.intra_jobs == 1
         assert args.cache_dir is None
-
-    def test_run_and_sweep_accept_intra_jobs(self):
-        args = build_parser().parse_args(["run", "fig7", "--intra-jobs", "4"])
-        assert args.intra_jobs == 4
-        args = build_parser().parse_args(["sweep", "fig7", "--intra-jobs", "2"])
-        assert args.intra_jobs == 2
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "fig11"])
@@ -49,15 +42,16 @@ class TestParser:
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert (args.host, args.port, args.jobs, args.intra_jobs) == ("127.0.0.1", 8765, 1, 1)
+        assert (args.host, args.port, args.jobs) == ("127.0.0.1", 8765, 1)
         assert args.cache_dir is None and args.bench_root is None
 
     # Each simulator has one execution path; the spatial-sharding flags,
-    # the kernel switch and the state-dtype switch are gone from every
-    # subcommand rather than accepted and ignored (the loop kernel is a
-    # simulator-level test oracle, reachable only through KernelOptions;
-    # float64 state is the only representation).  `analyze` keeps no
-    # state between runs: its cache, --changed and baseline flags are gone.
+    # the round-block flag, the kernel switch and the state-dtype switch
+    # are gone from every subcommand rather than accepted and ignored (the
+    # loop kernel is a simulator-level test oracle, reachable only through
+    # KernelOptions; float64 state is the only representation; a shard
+    # runs its simulations whole).  `analyze` keeps no state between runs:
+    # its cache, --changed and baseline flags are gone.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -73,6 +67,9 @@ class TestParser:
             ["sweep", "fig7", "--shard-backend", "process"],
             ["serve", "--shards", "2"],
             ["serve", "--partitioner", "hash"],
+            ["run", "fig7", "--intra-jobs", "2"],
+            ["sweep", "fig7", "--intra-jobs", "2"],
+            ["serve", "--intra-jobs", "2"],
             ["analyze", "--changed", "src"],
             ["analyze", "--cache-dir", "cache"],
             ["analyze", "--no-cache", "src"],
@@ -87,15 +84,6 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_non_positive_intra_jobs_exit_2(self, command, value, capsys):
-        argv = [command, "fig7", "--scale", "smoke", "--intra-jobs", value]
-        if command == "sweep":
-            argv += ["--param", "average_wealth=8"]
-        assert main(argv) == 2
-        assert "intra_jobs must be at least 1" in capsys.readouterr().err
 
     # `run` rejects a non-positive replication count like `sweep` does,
     # instead of silently running once at the default --jobs 1.
@@ -187,16 +175,6 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Sweep aggregate" in output
         assert "stabilized_gini" in output
-
-    def test_sweep_intra_jobs_matches_monolithic_output(self, capsys):
-        argv = ["sweep", "fig7", "--param", "average_wealth=8", "--scale", "smoke"]
-        assert main(argv) == 0
-        monolithic = capsys.readouterr().out
-        assert main(argv + ["--intra-jobs", "2"]) == 0
-        partitioned = capsys.readouterr().out
-        assert "intra_jobs=2" in partitioned
-        # Identical tables; only the execution-summary line differs.
-        assert monolithic.splitlines()[-5:] == partitioned.splitlines()[-5:]
 
     def test_sweep_unknown_experiment_fails(self, capsys):
         assert main(["sweep", "fig99", "--param", "a=1", "--scale", "smoke"]) == 2

@@ -1,20 +1,18 @@
-"""Cross-mode determinism: kernels, round-block partitioning, intra-jobs.
+"""Cross-mode determinism: kernels, pickle round-trips, worker counts.
 
-The PR that vectorised the spending hot path and added intra-run
-parallelism promised that *how* a simulation executes never changes
-*what* it produces.  These tests pin that contract at every layer:
+*How* a simulation executes never changes *what* it produces.  These
+tests pin that contract at every layer:
 
 * simulator — the ``loop`` and ``vectorized`` kernels, fed the same
   configuration, must end in byte-identical :class:`MarketSimResult`\\ s
   (fig7-shaped symmetric-noise markets and fig10-shaped dynamic-spending
   markets, plus churn/taxation variants);
-* partition — a run split into checkpointed round-blocks must be
-  byte-identical to the monolithic run, including under churn, taxation
-  and the loop kernel;
-* orchestrator — ``run_sweep(..., intra_jobs=2)`` must produce the same
-  shard payloads and aggregate CSV as the monolithic sweep for the fig7,
-  fig9, fig10 and (churned, so restored from checkpoint pickles
-  mid-run) fig11 smoke scenarios;
+* round-trip — a run advanced in blocks with a pickle round-trip of the
+  simulator at each boundary must be byte-identical to the one-block
+  run, including under churn, taxation and the loop kernel;
+* orchestrator — a pooled sweep (``jobs=2``, one BLAS thread per worker)
+  must produce the same shard payloads and aggregate CSV as the serial
+  sweep, for every sweepable figure at smoke scale;
 * routing rows — every market row lists its neighbours in ascending slot
   order, whatever order the overlay's adjacency sets iterate in, and
   still routes to each neighbour with probability ``clip(price_j) /
@@ -36,13 +34,14 @@ from repro.p2psim import (
     MarketSimConfig,
     UtilizationMode,
 )
+from repro.experiments import SWEEPS
 from repro.runner import (
     ParamGrid,
     SweepSpec,
     aggregate_sweep,
-    execute,
     run_sweep,
 )
+from roundtrip import run_round_tripped
 
 
 def fingerprint(result):
@@ -102,12 +101,14 @@ CONFIG_FACTORIES = {
     "fig10-like": fig10_like_config,
 }
 
-#: Variants of the fig7 shape whose state the round-block path must carry
-#: unchanged: churned membership, the tax pool, the loop kernel.
+#: Variants of the fig7 shape whose state a pickle round-trip must carry
+#: unchanged: churned membership, the tax pool, the loop kernel, and the
+#: memoised prices and price generator of Poisson pricing.
 VARIANTS = {
     "churn": lambda: fig7_like_config(churn=ChurnConfig(arrival_rate=0.2, mean_lifespan=150.0)),
     "taxed": lambda: fig7_like_config(tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0)),
     "loop": lambda: fig7_like_config(options=KernelOptions(kernel="loop")),
+    "poisson-priced": lambda: fig7_like_config(pricing=PoissonPricing(mean_price=2.0, seed=5)),
 }
 
 
@@ -160,32 +161,37 @@ class TestKernelEquivalence:
         assert dynamic.total_transfers > fixed.total_transfers
 
 
-class TestPartitionEquivalence:
+class TestPickleRoundTripEquivalence:
     @pytest.mark.parametrize("shape", sorted(CONFIG_FACTORIES))
     @pytest.mark.parametrize("blocks", [2, 3, 7])
-    def test_round_blocks_byte_identical_to_monolithic(self, shape, blocks):
+    def test_round_tripped_blocks_byte_identical_to_monolithic(self, shape, blocks):
         config = CONFIG_FACTORIES[shape]()
         monolithic = CreditMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=blocks)
-        assert fingerprint(monolithic) == fingerprint(partitioned)
+        round_tripped = run_round_tripped(CreditMarketSimulator(config), blocks=blocks)
+        assert fingerprint(monolithic) == fingerprint(round_tripped)
 
     @pytest.mark.parametrize("blocks", [2, 4, 8])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_round_blocks_byte_identical_under_variants(self, variant, blocks):
-        config = VARIANTS[variant]()
-        monolithic = CreditMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=blocks)
-        assert fingerprint(monolithic) == fingerprint(partitioned)
+    def test_round_tripped_blocks_byte_identical_under_variants(self, variant, blocks):
+        # Each run gets its own config: a stateful pricing scheme draws
+        # and memoises prices as the run goes.
+        monolithic = CreditMarketSimulator.run_config(VARIANTS[variant]())
+        round_tripped = run_round_tripped(
+            CreditMarketSimulator(VARIANTS[variant]()), blocks=blocks
+        )
+        assert fingerprint(monolithic) == fingerprint(round_tripped)
 
-    def test_partitioned_snapshots_match(self):
+    def test_round_tripped_snapshots_match(self):
         config = fig7_like_config()
         times = [100.0, 200.0]
         monolithic = CreditMarketSimulator(config, snapshot_times=times).run()
-        partitioned = execute(config, blocks=3, snapshot_times=times)
-        assert set(partitioned.recorder.snapshots) == set(monolithic.recorder.snapshots)
+        round_tripped = run_round_tripped(
+            CreditMarketSimulator(config, snapshot_times=times), blocks=3
+        )
+        assert set(round_tripped.recorder.snapshots) == set(monolithic.recorder.snapshots)
         for time in times:
             np.testing.assert_array_equal(
-                partitioned.recorder.snapshots[time], monolithic.recorder.snapshots[time]
+                round_tripped.recorder.snapshots[time], monolithic.recorder.snapshots[time]
             )
 
 
@@ -193,37 +199,32 @@ def _sweep_spec(experiment_id, grid):
     return SweepSpec(experiment_id, grid=grid, replications=2, base_seed=17, scale="smoke")
 
 
-SWEEP_SPECS = {
-    "fig7": _sweep_spec("fig7", ParamGrid({"average_wealth": [8.0, 16.0]})),
-    # fig9 reads mutable tax-policy counters back after each run — the
-    # partitioned path must sync them onto the caller's policy objects.
-    "fig9": _sweep_spec("fig9", ParamGrid({"tax_rate": [0.2], "tax_threshold": [20.0, 40.0]})),
-    "fig10": _sweep_spec(
-        "fig10",
-        [{"spending_policy": "fixed"}, {"spending_policy": "dynamic", "wealth_threshold": 20.0}],
-    ),
-    # A churned market: checkpoint pickles rebuild the overlay's adjacency
-    # sets, so a row built in set order would differ after a restore.
-    "fig11": _sweep_spec("fig11", ParamGrid({"mean_lifespan": [250, 400]})),
+#: Two-config grids for the market figures whose points differ most by
+#: configuration; every other sweepable figure runs its default point.
+SWEEP_GRIDS = {
+    "fig7": ParamGrid({"average_wealth": [8.0, 16.0]}),
+    # fig9 reads mutable tax-policy counters back after each run.
+    "fig9": ParamGrid({"tax_rate": [0.2], "tax_threshold": [20.0, 40.0]}),
+    "fig10": [
+        {"spending_policy": "fixed"},
+        {"spending_policy": "dynamic", "wealth_threshold": 20.0},
+    ],
+    # A churned market, whose rows must not depend on set iteration order.
+    "fig11": ParamGrid({"mean_lifespan": [250, 400]}),
 }
 
 
-class TestIntraJobsSweepEquivalence:
-    @pytest.mark.parametrize("experiment_id", sorted(SWEEP_SPECS))
-    def test_monolithic_vs_intra_jobs_aggregates_byte_identical(self, experiment_id):
-        spec = SWEEP_SPECS[experiment_id]
-        monolithic = run_sweep(spec, jobs=1)
-        chained = run_sweep(spec, jobs=1, intra_jobs=2)
-        pooled = run_sweep(spec, jobs=2, intra_jobs=2)
-        assert monolithic.executed == chained.executed == pooled.executed == 4
-        assert (
-            [shard.payload for shard in monolithic.shards]
-            == [shard.payload for shard in chained.shards]
-            == [shard.payload for shard in pooled.shards]
-        )
-        reference = aggregate_sweep(monolithic).to_csv()
-        assert aggregate_sweep(chained).to_csv() == reference
-        assert aggregate_sweep(pooled).to_csv() == reference
+class TestSerialPooledSweepEquivalence:
+    @pytest.mark.parametrize("experiment_id", sorted(SWEEPS))
+    def test_serial_and_pooled_sweeps_byte_identical(self, experiment_id):
+        spec = _sweep_spec(experiment_id, SWEEP_GRIDS.get(experiment_id, ParamGrid()))
+        serial = run_sweep(spec, jobs=1)
+        pooled = run_sweep(spec, jobs=2)
+        assert serial.executed == pooled.executed == len(spec.tasks()) >= 2
+        assert [shard.payload for shard in serial.shards] == [
+            shard.payload for shard in pooled.shards
+        ]
+        assert aggregate_sweep(pooled).to_csv() == aggregate_sweep(serial).to_csv()
 
 
 def _routing_rows(simulator):

@@ -16,13 +16,12 @@ from repro.p2psim import (
     CreditMarketSimulator,
     KernelOptions,
     MarketSimConfig,
-    Simulator,
     StreamingMarketSimulator,
     StreamingSimConfig,
     UtilizationMode,
 )
 from repro.p2psim.options import KERNELS
-from repro.runner import execute
+from roundtrip import run_round_tripped
 
 
 def market_config(**overrides):
@@ -136,12 +135,6 @@ class TestConfigOptions:
             MarketSimConfig(warmup=10.0)
 
 
-class TestSimulatorProtocol:
-    def test_simulators_satisfy_protocol(self):
-        assert isinstance(CreditMarketSimulator(market_config()), Simulator)
-        assert isinstance(StreamingMarketSimulator(streaming_config()), Simulator)
-
-
 def _assert_one_representation(simulator):
     """Wealth and routing state is float64; peer ids and edges are int64."""
     assert simulator._balance.dtype == np.float64
@@ -192,16 +185,16 @@ class TestPicklableState:
         resumed = clone.finalize()
         assert original.final_wealths.tobytes() == resumed.final_wealths.tobytes()
 
-    def test_market_partitioned_matches_monolithic(self):
+    def test_market_round_tripped_matches_monolithic(self):
         config = market_config()
         monolithic = CreditMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=3)
-        np.testing.assert_array_equal(monolithic.final_wealths, partitioned.final_wealths)
-        assert partitioned.final_wealths.dtype == np.float64
+        round_tripped = run_round_tripped(CreditMarketSimulator(config), blocks=3)
+        np.testing.assert_array_equal(monolithic.final_wealths, round_tripped.final_wealths)
+        assert round_tripped.final_wealths.dtype == np.float64
 
-    def test_streaming_partitioned_matches_monolithic(self):
+    def test_streaming_round_tripped_matches_monolithic(self):
         config = streaming_config()
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=3)
-        np.testing.assert_array_equal(monolithic.final_wealths, partitioned.final_wealths)
-        assert partitioned.final_wealths.dtype == np.float64
+        round_tripped = run_round_tripped(StreamingMarketSimulator(config), blocks=3)
+        np.testing.assert_array_equal(monolithic.final_wealths, round_tripped.final_wealths)
+        assert round_tripped.final_wealths.dtype == np.float64

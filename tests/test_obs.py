@@ -4,11 +4,14 @@ Covers the emitter/sink core (aggregation, span nesting, JSONL
 round-trips, the disabled no-op contract) and the two integration
 properties the instrumentation must uphold: telemetry is *strictly
 observational* (instrumented simulator runs are byte-identical to
-uninstrumented ones) and the runner/cache/checkpoint layers emit their
+uninstrumented ones) and the runner and cache layers emit their
 lifecycle events through the active emitter.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 
 from repro.obs import (
     DISABLED,
@@ -221,6 +224,39 @@ class TestSimulatorTelemetry:
             assert 0.0 <= kernel["duration"] <= tick["duration"]
 
 
+    @pytest.mark.parametrize(
+        "simulator_cls, make_config, prefix",
+        [
+            (CreditMarketSimulator, _market_config, "market"),
+            (StreamingMarketSimulator, _streaming_config, "streaming"),
+        ],
+        ids=["market", "streaming"],
+    )
+    def test_pickled_run_reports_to_the_emitter_where_it_resumes(
+        self, simulator_cls, make_config, prefix, tmp_path
+    ):
+        plain = simulator_cls(make_config())
+        plain.advance_rounds(30)
+
+        before, after = MemorySink(), MemorySink()
+        simulator = simulator_cls(make_config())
+        with JSONLSink(tmp_path / "events.jsonl") as handle_sink:
+            with use_emitter(MetricsEmitter(sinks=[handle_sink, before])):
+                simulator.advance_rounds(15)
+                # The open JSONL handle is only reachable through the
+                # active emitter, never from the simulator.
+                resumed = pickle.loads(pickle.dumps(simulator))
+        with use_emitter(MetricsEmitter(sinks=[after])):
+            resumed.advance_rounds(15)
+
+        assert resumed._balance.tobytes() == plain._balance.tobytes()
+        gini = prefix + ".gini"
+        assert before.series()[gini]["x"] + after.series()[gini]["x"] == (
+            resumed.recorder.gini_series.x
+        )
+        assert resumed.recorder.gini_series.y == plain.recorder.gini_series.y
+
+
 class TestRunnerTelemetry:
     SPEC = SweepSpec(
         "fig7",
@@ -241,6 +277,9 @@ class TestRunnerTelemetry:
         assert "cache.hit" not in counters
         mark_names = [mark["name"] for mark in cold_sink.marks()]
         assert mark_names[0] == "runner.sweep.start"
+        assert cold_sink.marks()[0]["fields"] == {
+            "experiment_id": "fig7", "shards": 1, "jobs": 1
+        }
         assert "runner.shard.committed" in mark_names
         assert mark_names[-1] == "runner.sweep.done"
         assert cold_sink.gauges()["runner.sweep.duration"] > 0.0
@@ -254,32 +293,6 @@ class TestRunnerTelemetry:
         assert warm["cache.hit"] == 1.0
         assert warm["runner.shard.cached"] == 1.0
         assert "runner.shard.executed" not in warm
-
-    def test_partitioned_sweep_times_checkpoint_saves(self, tmp_path):
-        sink = MemorySink()
-        with use_emitter(MetricsEmitter(sinks=[sink])):
-            run_sweep(
-                self.SPEC, jobs=1, intra_jobs=2, cache=ArtifactCache(tmp_path)
-            )
-        spans = sink.spans()
-        # A two-block in-process chain saves at least the boundary checkpoint.
-        assert spans["checkpoint.save"]["count"] >= 1
-        assert spans["checkpoint.save"]["total"] > 0.0
-
-    def test_resumed_chain_times_checkpoint_restore(self, tmp_path):
-        from repro.runner.executor import _execute_chain_step
-
-        task = self.SPEC.tasks()[0]
-        sink = MemorySink()
-        with use_emitter(MetricsEmitter(sinks=[sink])):
-            # Budgeted invocations mirror the pool scheduler: the first
-            # runs block 1 and checkpoints, the second restores that
-            # checkpoint and finishes the shard.
-            assert _execute_chain_step(task.to_payload(), 2, str(tmp_path)) is None
-            assert _execute_chain_step(task.to_payload(), 2, str(tmp_path)) is not None
-        spans = sink.spans()
-        assert spans["checkpoint.save"]["count"] >= 1
-        assert spans["checkpoint.restore"]["count"] >= 1
 
 
 class TestRecorderNdarrayInput:

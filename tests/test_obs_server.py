@@ -89,15 +89,14 @@ class TestSubmissionValidation:
             service.submit(payload)
         assert service.list() == []
 
-    @pytest.mark.parametrize("value", [0, -1, "0"])
-    def test_non_positive_intra_jobs(self, value):
-        self._rejected({"target": "fig7", "intra_jobs": value}, ValueError, "intra_jobs")
+    def test_non_numeric_jobs(self):
+        self._rejected({"target": "fig7", "jobs": "two"}, ValueError, "two")
 
-    def test_non_numeric_intra_jobs(self):
-        self._rejected({"target": "fig7", "intra_jobs": "two"}, ValueError, "two")
-
-    # Removed sharding knobs and misspellings are named, not ignored.
-    @pytest.mark.parametrize("key", ["shards", "partitioner", "shard_backend", "intra-jobs"])
+    # Removed sharding and round-block knobs and misspellings are named,
+    # not ignored.
+    @pytest.mark.parametrize(
+        "key", ["shards", "partitioner", "shard_backend", "intra_jobs", "intra-jobs"]
+    )
     def test_unknown_keys(self, key):
         self._rejected({"target": "fig7", key: 2}, ValueError, f"unknown job request keys: {key}")
 
@@ -142,20 +141,11 @@ class TestRoutes:
         assert status == 400
         assert "fig99" in payload["error"]
 
-    def test_non_positive_intra_jobs_400_registers_no_job(self, server):
-        status, payload = _request(
-            server, "POST", "/runs", {"target": "fig7", "intra_jobs": 0}
-        )
+    @pytest.mark.parametrize("key", ["shards", "intra_jobs"])
+    def test_unknown_key_400_registers_no_job(self, server, key):
+        status, payload = _request(server, "POST", "/runs", {"target": "fig7", key: 2})
         assert status == 400
-        assert "intra_jobs" in payload["error"]
-        assert server.service.list() == []
-
-    def test_unknown_key_400_registers_no_job(self, server):
-        status, payload = _request(
-            server, "POST", "/runs", {"target": "fig7", "shards": 4}
-        )
-        assert status == 400
-        assert payload["error"] == "unknown job request keys: shards"
+        assert payload["error"] == f"unknown job request keys: {key}"
         assert server.service.list() == []
 
     def test_kernel_axis_400_registers_no_job(self, server):
@@ -190,7 +180,7 @@ class TestRoutes:
     def test_result_409_while_not_finished(self, server):
         # Register a job that never ran: /runs/<id>/result must 409 until
         # the worker thread stores payloads.
-        job = SweepJob("run-test", spec=None, jobs=1, intra_jobs=1, cache_dir=None)
+        job = SweepJob("run-test", spec=None, jobs=1, cache_dir=None)
         server.service._jobs[job.id] = job
         server.service._order.append(job.id)
         status, payload = _request(server, "GET", "/runs/run-test/result")

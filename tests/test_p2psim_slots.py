@@ -275,3 +275,24 @@ class TestChurnedRuns:
             assert getattr(clone.pack(), field).tobytes() == getattr(slots.pack(), field).tobytes()
         # Admitting into the clone takes the same slot as into the original.
         assert clone.admit(10**4) == slots.admit(10**4)
+
+
+class TestRunConfig:
+    """``SlotSimulator.run_config`` builds the simulator and runs it whole."""
+
+    @pytest.mark.parametrize("name", sorted(SIMULATORS))
+    def test_overlay_and_snapshot_times_reach_the_simulator(self, name):
+        simulator = SIMULATORS[name]()
+        cls, config = type(simulator), simulator.config
+        times = [config.horizon / 2]
+        result = cls.run_config(
+            config, topology=path_topology(config.num_peers), snapshot_times=times
+        )
+        reference = cls(
+            config, topology=path_topology(config.num_peers), snapshot_times=times
+        ).run()
+        assert list(result.recorder.snapshots) == times
+        assert result.final_wealths.tobytes() == reference.final_wealths.tobytes()
+        assert result.recorder.gini_series.y == reference.recorder.gini_series.y
+        # Without a topology the configured scale-free overlay is generated.
+        assert cls.run_config(config).recorder.gini_series.y != result.recorder.gini_series.y

@@ -16,6 +16,7 @@ from repro.runner import (
     run_sweep,
     task_key,
 )
+from repro.runner.executor import _openblas_symbol, _single_blas_thread
 
 # Two configs x three replications of the cheap fig3 point runner: the whole
 # sweep takes well under a second even including pool startup.
@@ -144,3 +145,49 @@ def test_progress_callback_reports_execution(tmp_path):
     run_sweep(SPEC, jobs=1, cache=ArtifactCache(tmp_path), progress=lines.append)
     assert any("6 shards" in line for line in lines)
     assert any("executed shard 6/6" in line for line in lines)
+
+
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads():
+    """Threads numpy's bundled OpenBLAS uses in this process (``None``: not found)."""
+    getter = _openblas_symbol(BLAS_THREAD_GETTERS)
+    return None if getter is None else getter()
+
+
+def test_pool_workers_use_one_blas_thread():
+    from concurrent.futures import ProcessPoolExecutor
+
+    if _blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+    with ProcessPoolExecutor(max_workers=1, initializer=_single_blas_thread) as pool:
+        assert pool.submit(_blas_threads).result() == 1
+
+
+def test_blas_pin_is_a_no_op_without_a_bundled_openblas(tmp_path, monkeypatch):
+    import numpy
+
+    (tmp_path / "numpy.libs").mkdir()
+    monkeypatch.setattr(numpy, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert _blas_threads() is None
+    assert _single_blas_thread() is None
+
+
+def test_warm_sweep_and_single_shard_start_no_pool(tmp_path, monkeypatch):
+    from repro.runner import executor
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no process pool should start")
+
+    cache = ArtifactCache(tmp_path)
+    run_sweep(SPEC, jobs=1, cache=cache)
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
+    assert run_sweep(SPEC, jobs=4, cache=cache).cached == 6
+    single = SweepSpec("fig3", grid=ParamGrid({"num_peers": [30], "num_samples": [2]}), scale="smoke")
+    assert run_sweep(single, jobs=4).executed == 1
+
+
+def test_run_sweep_has_no_round_block_knob():
+    with pytest.raises(TypeError, match="intra_jobs"):
+        run_sweep(SPEC, jobs=1, intra_jobs=2)

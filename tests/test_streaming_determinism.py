@@ -1,4 +1,4 @@
-"""Cross-mode determinism for the streaming simulator: kernels, partitioning, sweeps.
+"""Cross-mode determinism for the streaming simulator: kernels, round-trips, sweeps.
 
 The PR that batched the streaming scheduling round promised the same
 contract the market simulator already honours: *how* a streaming
@@ -11,11 +11,12 @@ at every layer:
   and taxed swarms, the configs the streaming fig5_6/fig11 points build,
   and 400-peer swarms whose runs take both of the vectorized kernel's
   supplier-choice sides);
-* partition — a streaming run split into checkpointed round-blocks must
-  be byte-identical to the monolithic run (churn-event state included);
+* round-trip — a streaming run advanced in blocks with a pickle
+  round-trip of the simulator at each boundary must be byte-identical to
+  the one-block run (churn-event state included);
 * orchestrator — the streaming-backed fig5_6/fig11 smoke scenarios must
   produce the same shard payloads and aggregates at ``jobs=1``,
-  ``jobs=4``, with ``intra_jobs=2`` chains, and from a warm cache.
+  ``jobs=4``, and from a cold and a warm cache.
 """
 
 import dataclasses
@@ -23,16 +24,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.pricing import PerPeerFlatPricing
+from repro.core.pricing import PerPeerFlatPricing, PoissonPricing
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
 from repro.runner import (
     SCENARIOS,
     aggregate_sweep,
-    execute,
     run_sweep,
 )
+from roundtrip import run_round_tripped
 
 
 def fingerprint(result):
@@ -214,70 +215,81 @@ class TestStreamingKernelEquivalenceAtSwarmScale:
         assert vectorized.chunks_delivered > 0
 
 
-class TestStreamingPartitionEquivalence:
+class TestStreamingPickleRoundTripEquivalence:
     @pytest.mark.parametrize("shape", sorted(CONFIG_FACTORIES))
     @pytest.mark.parametrize("blocks", [2, 3, 7])
-    def test_round_blocks_byte_identical_to_monolithic(self, shape, blocks):
+    def test_round_tripped_blocks_byte_identical_to_monolithic(self, shape, blocks):
         config = CONFIG_FACTORIES[shape]()
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=blocks)
-        assert fingerprint(monolithic) == fingerprint(partitioned)
+        round_tripped = run_round_tripped(StreamingMarketSimulator(config), blocks=blocks)
+        assert fingerprint(monolithic) == fingerprint(round_tripped)
 
     @pytest.mark.parametrize("blocks", [2, 4, 8])
     @pytest.mark.parametrize("choice", ["availability", "least-loaded", "cheapest"])
     def test_supplier_policies_byte_identical_across_blocks(self, choice, blocks):
         config = static_config(supplier_choice=choice, horizon=80.0)
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=blocks)
-        assert fingerprint(monolithic) == fingerprint(partitioned)
+        round_tripped = run_round_tripped(StreamingMarketSimulator(config), blocks=blocks)
+        assert fingerprint(monolithic) == fingerprint(round_tripped)
 
-    def test_partitioned_snapshots_match(self):
+    def test_round_tripped_snapshots_match(self):
         config = static_config()
         times = [40.0, 90.0]
         monolithic = StreamingMarketSimulator(config, snapshot_times=times).run()
-        partitioned = execute(config, blocks=3, snapshot_times=times)
-        assert set(partitioned.recorder.snapshots) == set(monolithic.recorder.snapshots)
+        round_tripped = run_round_tripped(
+            StreamingMarketSimulator(config, snapshot_times=times), blocks=3
+        )
+        assert set(round_tripped.recorder.snapshots) == set(monolithic.recorder.snapshots)
         for time in times:
             np.testing.assert_array_equal(
-                partitioned.recorder.snapshots[time], monolithic.recorder.snapshots[time]
+                round_tripped.recorder.snapshots[time], monolithic.recorder.snapshots[time]
             )
 
-    def test_churn_event_state_survives_checkpoints(self):
+    @pytest.mark.parametrize("blocks", [2, 4, 8])
+    def test_memoised_prices_survive_round_trips(self, blocks):
+        # Each run gets its own config: Poisson prices are drawn and
+        # memoised as the run goes.
+        def config():
+            return static_config(pricing=PoissonPricing(mean_price=2.0, seed=5))
+
+        monolithic = StreamingMarketSimulator.run_config(config())
+        round_tripped = run_round_tripped(StreamingMarketSimulator(config()), blocks=blocks)
+        assert fingerprint(monolithic) == fingerprint(round_tripped)
+
+    def test_churn_event_state_survives_round_trips(self):
         config = churned_config()
         monolithic = StreamingMarketSimulator.run_config(config)
-        partitioned = execute(config, blocks=4)
-        assert monolithic.joins == partitioned.joins > 0
-        assert monolithic.leaves == partitioned.leaves > 0
+        round_tripped = run_round_tripped(StreamingMarketSimulator(config), blocks=4)
+        assert monolithic.joins == round_tripped.joins > 0
+        assert monolithic.leaves == round_tripped.leaves > 0
         assert (
             monolithic.extras["final_population"]
-            == partitioned.extras["final_population"]
+            == round_tripped.extras["final_population"]
         )
 
 
 STREAMING_SCENARIOS = ("fig5_6-streaming-smoke", "fig11-streaming-smoke")
 
 
-class TestStreamingIntraJobsSweepEquivalence:
+class TestStreamingSweepEquivalence:
     @pytest.mark.parametrize("scenario_name", STREAMING_SCENARIOS)
-    def test_serial_parallel_chained_and_cached_identical(self, scenario_name, tmp_path):
+    def test_serial_parallel_and_cached_identical(self, scenario_name, tmp_path):
         from repro.runner import ArtifactCache, scenario
 
         spec = scenario(scenario_name, base_seed=17)
         serial = run_sweep(spec, jobs=1)
         pooled = run_sweep(spec, jobs=4)
-        chained = run_sweep(spec, jobs=4, intra_jobs=2)
         cache = ArtifactCache(tmp_path / "cache")
-        cold = run_sweep(spec, jobs=1, cache=cache, intra_jobs=2)
+        cold = run_sweep(spec, jobs=4, cache=cache)
         warm = run_sweep(spec, jobs=1, cache=cache)
-        assert serial.executed == pooled.executed == chained.executed == 2
+        assert serial.executed == pooled.executed == 2
         assert cold.executed == 2 and warm.executed == 0 and warm.cached == 2
         reference = [shard.payload for shard in serial.shards]
         assert [shard.payload for shard in pooled.shards] == reference
-        assert [shard.payload for shard in chained.shards] == reference
         assert [shard.payload for shard in cold.shards] == reference
         assert [shard.payload for shard in warm.shards] == reference
         reference_csv = aggregate_sweep(serial).to_csv()
-        for report in (pooled, chained, cold, warm):
+        for report in (pooled, cold, warm):
             assert aggregate_sweep(report).to_csv() == reference_csv
 
     @pytest.mark.parametrize("experiment_id", sorted(POINT_CONFIGS))

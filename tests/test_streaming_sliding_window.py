@@ -7,8 +7,9 @@ the supply side's fixed cost zeroed so that each run also takes both of
 the vectorized kernel's supplier-choice sides; the 400-peer swarms of
 ``test_streaming_determinism`` never slide, and the golden cases never
 take the supply side.  Each must end byte-identical under both kernels
-and as a 3-block partitioned run, including a churned swarm whose peers
-depart with chunks still in flight after a slide.
+and when run in 3 blocks with a pickle round-trip between them, including
+a churned swarm whose peers depart with chunks still in flight after a
+slide.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from repro.core.pricing import PerPeerFlatPricing
 from repro.overlay import ChurnConfig
 from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
 from repro.p2psim import streaming_sim
-from repro.runner import execute
+from roundtrip import run_round_tripped
 
 NUM_PEERS = 80
 
@@ -136,8 +137,8 @@ def test_departures_with_chunks_in_flight_after_a_slide(sides, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_three_blocks_byte_identical_to_monolithic(name, sides):
+def test_three_round_tripped_blocks_byte_identical_to_monolithic(name, sides):
     config = CONFIGS[name]
     monolithic = StreamingMarketSimulator.run_config(config)
-    partitioned = execute(config, blocks=3)
-    assert fingerprint(partitioned) == fingerprint(monolithic)
+    round_tripped = run_round_tripped(StreamingMarketSimulator(config), blocks=3)
+    assert fingerprint(round_tripped) == fingerprint(monolithic)
