@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "condensation_threshold",
@@ -135,6 +134,8 @@ def condensation_threshold_from_density(
             return 0.0
         return w * float(density(w)) / (1.0 - w)
 
+    from scipy import integrate
+
     value, _error = integrate.quad(integrand, 0.0, 1.0, points=[1.0 - eps], limit=200)
     if not math.isfinite(value) or value > 1e12:
         return math.inf
@@ -174,6 +175,8 @@ def solve_fugacity(utilizations: Sequence[float], total_credits: float) -> float
     upper = 1.0 - 1e-12
     if expected_total(upper) < total_credits:
         return 1.0
+    from scipy import optimize
+
     solution = optimize.brentq(
         lambda z: expected_total(z) - total_credits, 0.0, upper, xtol=1e-14
     )

@@ -27,7 +27,6 @@ visible; EXPERIMENTS.md discusses it.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.core.metrics import gini_from_pmf, lorenz_curve_from_pmf
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
@@ -113,6 +112,8 @@ def exact_symmetric_marginal_pmf(num_peers: int, total_jobs: int) -> np.ndarray:
     if total_jobs < 0:
         raise ValueError("total_jobs must be non-negative")
     support = np.arange(total_jobs + 1)
+    from scipy import special
+
     log_num = special.gammaln(total_jobs - support + num_peers - 1) - (
         special.gammaln(total_jobs - support + 1) + special.gammaln(num_peers - 1)
     )

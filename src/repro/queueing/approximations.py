@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "multinomial_marginal_pmf",
@@ -65,6 +64,8 @@ def multinomial_marginal_pmf(
         raise ValueError("total_jobs must be non-negative")
     success = float(util[int(queue)] / util.sum())
     support = np.arange(total_jobs + 1)
+    from scipy import stats
+
     return stats.binom.pmf(support, total_jobs, success)
 
 
@@ -77,6 +78,8 @@ def symmetric_marginal_pmf(num_queues: int, total_jobs: int) -> np.ndarray:
     if total_jobs < 0:
         raise ValueError("total_jobs must be non-negative")
     support = np.arange(total_jobs + 1)
+    from scipy import stats
+
     return stats.binom.pmf(support, total_jobs, 1.0 / num_queues)
 
 
