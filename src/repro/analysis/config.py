@@ -171,8 +171,7 @@ def _allowed() -> Dict[str, Tuple[AllowedContext, ...]]:
                 qualname="ClosedJacksonNetwork.sample_occupancy",
                 reason=(
                     "optional-rng convenience default for exploratory "
-                    "sampling; fig9/fig10 experiment paths always pass a "
-                    "make_rng-derived generator"
+                    "sampling; no experiment path calls the sampler"
                 ),
             ),
         ),

@@ -268,29 +268,35 @@ class ClosedJacksonNetwork:
     ) -> np.ndarray:
         """Draw occupancy vectors from the product-form equilibrium (Eq. 3).
 
-        Sampling uses the standard sequential conditional decomposition:
-        queue 1's wealth is drawn from its exact marginal for the full
-        population, queue 2's from the network with queue 1 removed and the
-        remaining jobs, and so on.  The returned array has shape
+        Sampling uses the sequential conditional decomposition over the
+        suffix partition functions ``G_k(m)`` of queues ``k..N-1``, built
+        once per call: with ``r`` jobs left for queues ``k..N-1``, queue
+        ``k`` holds ``j`` of them with probability
+        ``u_k^j G_{k+1}(r - j) / G_k(r)``.  The returned array has shape
         ``(num_samples, N)`` and every row sums to ``M``.
         """
         rng = rng if rng is not None else np.random.default_rng()
+        log_u = np.log(self._u)
+        jobs = np.arange(self._m + 1)
+        # suffix[k, m] = log G_k(m); G_k(m) = sum_j u_k^j G_{k+1}(m - j), a
+        # running log-sum once u_k^m is factored out.
+        suffix = np.full((self.num_queues + 1, self._m + 1), -np.inf)
+        suffix[-1, 0] = 0.0
+        for queue in range(self.num_queues - 1, -1, -1):
+            tilt = jobs * log_u[queue]
+            suffix[queue] = tilt + np.logaddexp.accumulate(suffix[queue + 1] - tilt)
         samples = np.zeros((int(num_samples), self.num_queues), dtype=int)
-        for s in range(int(num_samples)):
-            remaining_jobs = self._m
-            remaining_util = list(self._u)
-            for position in range(self.num_queues):
-                if position == self.num_queues - 1:
-                    samples[s, position] = remaining_jobs
+        for row in samples:
+            remaining = self._m
+            for queue in range(self.num_queues):
+                if remaining == 0:
                     break
-                if remaining_jobs == 0:
-                    break
-                sub_network = ClosedJacksonNetwork(remaining_util, remaining_jobs)
-                pmf = sub_network.marginal_pmf(0)
-                draw = int(rng.choice(len(pmf), p=pmf))
-                samples[s, position] = draw
-                remaining_jobs -= draw
-                remaining_util = remaining_util[1:]
+                log_weights = jobs[: remaining + 1] * log_u[queue] + suffix[
+                    queue + 1, remaining::-1
+                ]
+                weights = np.exp(log_weights - log_weights.max())
+                row[queue] = rng.choice(remaining + 1, p=weights / weights.sum())
+                remaining -= row[queue]
         return samples
 
     def __repr__(self) -> str:

@@ -160,6 +160,29 @@ class TestThroughputAndSampling:
             samples.mean(axis=0), network.mean_queue_lengths(), atol=0.6
         )
 
+    def test_sampled_marginals_match_the_exact_marginals(self):
+        # Chi-square of each queue's sampled wealth against marginal_pmf,
+        # with cells expecting fewer than 5 draws pooled into one.
+        from scipy import stats
+
+        network = ClosedJacksonNetwork([1.0, 0.7, 0.4, 0.9, 0.25], 14)
+        num_samples = 4000
+        samples = network.sample_occupancy(rng=np.random.default_rng(3), num_samples=num_samples)
+        for queue in range(network.num_queues):
+            observed = np.bincount(samples[:, queue], minlength=network.total_jobs + 1)
+            expected = network.marginal_pmf(queue) * num_samples
+            sparse = expected < 5.0
+            if sparse.any():
+                observed = np.append(observed[~sparse], observed[sparse].sum())
+                expected = np.append(expected[~sparse], expected[sparse].sum())
+            assert stats.chisquare(observed, expected).pvalue > 1e-3, queue
+
+    def test_sample_occupancy_without_jobs_is_all_zero(self):
+        samples = ClosedJacksonNetwork([1.0, 0.3], 0).sample_occupancy(
+            rng=np.random.default_rng(4), num_samples=3
+        )
+        np.testing.assert_array_equal(samples, np.zeros((3, 2), dtype=int))
+
     def test_expected_wealth_gini_zero_for_symmetric(self):
         network = ClosedJacksonNetwork([1.0] * 5, 25)
         assert network.expected_wealth_gini() == pytest.approx(0.0, abs=1e-9)
