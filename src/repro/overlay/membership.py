@@ -38,7 +38,7 @@ class MembershipTracker:
     one ``insert`` or ``delete`` each, so selecting neighbours never walks
     the population in Python.  Once the tracker is built it must be the only code that
     mutates the overlay: a peer or edge changed behind its back leaves the
-    arrays stale, and preferential selection then draws from wrong weights.
+    arrays stale, and selection then draws from wrong weights.
 
     Parameters
     ----------
@@ -47,11 +47,6 @@ class MembershipTracker:
     target_degree:
         Number of neighbours handed to a joining peer (capped at the current
         population minus one).
-    preferential:
-        If True (default), neighbour candidates are sampled with probability
-        proportional to ``degree + 1`` — preferential attachment, preserving
-        the scale-free character of the paper's overlays under churn.  If
-        False, candidates are sampled uniformly.
     seed:
         Randomness seed for candidate selection.
     """
@@ -60,14 +55,12 @@ class MembershipTracker:
         self,
         topology: OverlayTopology,
         target_degree: int = 20,
-        preferential: bool = True,
         seed: Optional[int] = None,
     ) -> None:
         if target_degree < 1:
             raise ValueError(f"target_degree must be at least 1, got {target_degree}")
         self.topology = topology
         self.target_degree = int(target_degree)
-        self.preferential = bool(preferential)
         self._rng = make_rng(seed, "membership-tracker")
         degrees = topology.degrees()
         ids = np.fromiter(degrees.keys(), dtype=np.int64, count=len(degrees))
@@ -93,8 +86,11 @@ class MembershipTracker:
     def select_neighbors(self, exclude: int, count: Optional[int] = None) -> List[int]:
         """Pick up to ``count`` neighbour candidates for a joining peer.
 
-        Candidates never include ``exclude`` and are distinct.  Returns an
-        empty list when the overlay is empty.
+        Candidates never include ``exclude`` and are distinct.  They are
+        drawn without replacement with probability proportional to
+        ``degree + 1`` — preferential attachment, which keeps the overlay
+        scale-free under churn.  Returns an empty list when the overlay is
+        empty.
         """
         count = self.target_degree if count is None else int(count)
         candidates, degrees = self._ids, self._degrees
@@ -105,13 +101,9 @@ class MembershipTracker:
         if candidates.size == 0 or count <= 0:
             return []
         count = min(count, candidates.size)
-        if self.preferential:
-            weights = degrees + 1.0
-            weights /= weights.sum()
-            chosen = self._rng.choice(candidates, size=count, replace=False, p=weights)
-        else:
-            chosen = self._rng.choice(candidates, size=count, replace=False)
-        return chosen.tolist()
+        weights = degrees + 1.0
+        weights /= weights.sum()
+        return self._rng.choice(candidates, size=count, replace=False, p=weights).tolist()
 
     def _position(self, peer_id: int) -> Optional[int]:
         """Index of ``peer_id`` in the sorted id array, or None if absent."""

@@ -73,14 +73,9 @@ def _list_select_neighbors(tracker, exclude, count=None):
     if not candidates or count <= 0:
         return []
     count = min(count, len(candidates))
-    if tracker.preferential:
-        weights = np.array(
-            [tracker.topology.degree(peer) + 1.0 for peer in candidates], dtype=float
-        )
-        weights /= weights.sum()
-        chosen = tracker._rng.choice(candidates, size=count, replace=False, p=weights)
-    else:
-        chosen = tracker._rng.choice(candidates, size=count, replace=False)
+    weights = np.array([tracker.topology.degree(peer) + 1.0 for peer in candidates])
+    weights /= weights.sum()
+    chosen = tracker._rng.choice(candidates, size=count, replace=False, p=weights)
     return [int(peer) for peer in chosen]
 
 
@@ -99,12 +94,9 @@ def _churn_tracker(tracker, steps, seed):
 
 
 class TestTrackerArrays:
-    @pytest.mark.parametrize("preferential", [True, False])
-    def test_arrays_mirror_the_topology_through_churn(self, preferential):
+    def test_arrays_mirror_the_topology_through_churn(self):
         topology = scale_free_topology(40, mean_degree=2.0, seed=8)
-        tracker = MembershipTracker(
-            topology, target_degree=2, preferential=preferential, seed=9
-        )
+        tracker = MembershipTracker(topology, target_degree=2, seed=9)
         repairs = 0
         for step in range(4):
             repairs += _churn_tracker(tracker, steps=50, seed=step)
@@ -124,12 +116,9 @@ class TestTrackerArrays:
         assert tracker._degrees.tolist() == [degrees[peer] for peer in range(4)]
 
     @pytest.mark.parametrize("exclude", ["present", "absent"])
-    @pytest.mark.parametrize("preferential", [True, False])
-    def test_select_neighbors_matches_the_list_oracle(self, preferential, exclude):
+    def test_select_neighbors_matches_the_list_oracle(self, exclude):
         topology = scale_free_topology(60, mean_degree=4.0, seed=3)
-        tracker = MembershipTracker(
-            topology, target_degree=5, preferential=preferential, seed=4
-        )
+        tracker = MembershipTracker(topology, target_degree=5, seed=4)
         _churn_tracker(tracker, steps=40, seed=5)
         peers = topology.peers()
         for trial in range(20):
@@ -142,6 +131,28 @@ class TestTrackerArrays:
             expected = _list_select_neighbors(tracker, excluded, count)
             tracker._rng.bit_generator.state = state
             assert tracker.select_neighbors(excluded, count) == expected
+
+
+@pytest.mark.parametrize("exclude", [0, 5, 99])
+def test_single_picks_are_proportional_to_degree_plus_one(exclude):
+    """Chi-square of one-neighbour picks against ``degree + 1``.
+
+    It checks the distribution, not the random stream: any sampler that
+    draws a joiner's neighbours with these weights passes.
+    """
+    from scipy import stats
+
+    # A hub over eleven peers plus a short chain: degrees 11, 3, 2 and 1.
+    edges = [(0, peer) for peer in range(1, 12)] + [(1, 2), (2, 3), (3, 4)]
+    topology = OverlayTopology.from_edges(12, edges)
+    tracker = MembershipTracker(topology, seed=12)
+    candidates = [peer for peer in topology.peers() if peer != exclude]
+    weights = np.array([topology.degree(peer) + 1.0 for peer in candidates])
+    draws = 6000
+    picks = [tracker.select_neighbors(exclude, count=1)[0] for _ in range(draws)]
+    observed = [picks.count(peer) for peer in candidates]
+    expected = weights / weights.sum() * draws
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestChurnConfig:
