@@ -7,8 +7,9 @@ exponential lifespans (Sec. VI).  This package provides:
 
 * :class:`~repro.overlay.topology.OverlayTopology` — mutable neighbour
   tables with join/leave support,
-* generators for scale-free, Erdős–Rényi, regular, ring and complete
-  topologies,
+* :func:`~repro.overlay.generators.scale_free_topology` — the paper's
+  configuration-model overlay, built by array stub pairing at every
+  size — plus ring and complete baselines,
 * :class:`~repro.overlay.membership.MembershipTracker` — a tracker-style
   membership service handing bootstrap neighbours to joining peers,
 * :class:`~repro.overlay.churn.ChurnConfig` — Poisson arrival /
@@ -16,25 +17,13 @@ exponential lifespans (Sec. VI).  This package provides:
 """
 
 from repro.overlay.topology import OverlayTopology
-from repro.overlay.generators import (
-    barabasi_albert_topology,
-    complete_topology,
-    erdos_renyi_topology,
-    powerlaw_configuration_topology,
-    random_regular_topology,
-    ring_topology,
-    scale_free_topology,
-)
+from repro.overlay.generators import complete_topology, ring_topology, scale_free_topology
 from repro.overlay.membership import MembershipTracker
 from repro.overlay.churn import ChurnConfig
 
 __all__ = [
     "OverlayTopology",
     "scale_free_topology",
-    "powerlaw_configuration_topology",
-    "barabasi_albert_topology",
-    "erdos_renyi_topology",
-    "random_regular_topology",
     "ring_topology",
     "complete_topology",
     "MembershipTracker",

@@ -3,16 +3,17 @@
 The paper (Sec. VI) uses scale-free overlays where the neighbour count
 follows a power law ``P(D) ~ D^{-k}`` with shape ``k = 2.5`` and an average
 of 20 neighbours.  :func:`scale_free_topology` reproduces exactly that
-parameterisation via a degree-targeted configuration model; the other
-generators (Barabási–Albert, Erdős–Rényi, random-regular, ring, complete)
-support ablations and tests.
+parameterisation with the configuration model of Newman, Strogatz and
+Watts (Phys. Rev. E 64, 026118, 2001): a power-law degree sequence whose
+stubs are paired uniformly at random, realised with array operations at
+every population size.  Ring and complete overlays are the regular
+baselines of the tests and the Dandekar et al. setting.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.overlay.topology import OverlayTopology
@@ -21,12 +22,7 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "powerlaw_degree_sequence",
-    "powerlaw_configuration_topology",
-    "LARGE_OVERLAY_THRESHOLD",
     "scale_free_topology",
-    "barabasi_albert_topology",
-    "erdos_renyi_topology",
-    "random_regular_topology",
     "ring_topology",
     "complete_topology",
 ]
@@ -127,108 +123,33 @@ def powerlaw_degree_sequence(
     return degrees
 
 
-#: Population size at which :func:`powerlaw_configuration_topology` switches
-#: from the networkx configuration model to the array-based stub pairing.
-#: Both realise the same distribution, but they consume randomness
-#: differently, so the switch sits far above every seeded golden topology
-#: (paper-scale runs use N ≤ 10^4) to keep those bit-identical.
-LARGE_OVERLAY_THRESHOLD = 50_000
-
-
-def powerlaw_configuration_topology(
+def scale_free_topology(
     num_peers: int,
     shape: float = 2.5,
     mean_degree: float = 20.0,
     min_degree: int = 2,
     seed: Optional[int] = None,
 ) -> OverlayTopology:
-    """Scale-free overlay from a power-law degree sequence via the configuration model.
+    """The paper's overlay: a configuration model on power-law degrees (shape 2.5, mean 20).
 
-    Multi-edges and self-loops produced by the configuration model are
-    discarded, and the largest connected component is patched to include all
-    peers (isolated peers get an edge to a random well-connected peer), so
-    the result is always a simple connected overlay.
-
-    Below :data:`LARGE_OVERLAY_THRESHOLD` peers the realisation goes through
-    ``networkx.configuration_model`` (unchanged historical path, so seeded
-    topologies stay bit-identical); at or above it the same stub-pairing
-    model runs as pure array operations — shuffle the stub multiset, pair
-    consecutive stubs, bulk-load via
-    :meth:`~repro.overlay.topology.OverlayTopology.from_edge_arrays` — which
-    builds a million-peer overlay in seconds instead of tens of minutes of
-    per-edge Python/networkx object churn.
+    The degree sequence comes from :func:`powerlaw_degree_sequence`.  The
+    stub multiset (peer ``i`` repeated ``degree[i]`` times) is shuffled
+    with one permutation and consecutive stubs are paired into edges,
+    loaded in bulk by
+    :meth:`~repro.overlay.topology.OverlayTopology.from_edge_arrays`.
+    Self-loops and multi-edges are dropped, and every component other
+    than the largest is then joined to it by one random edge, so the
+    result is always a simple connected overlay.  The same arrays build
+    every size, from a dozen peers to a million.
     """
     rng = make_rng(seed, "configuration-model")
     degrees = powerlaw_degree_sequence(
         num_peers, shape=shape, mean_degree=mean_degree, min_degree=min_degree, rng=rng
     )
-    if num_peers >= LARGE_OVERLAY_THRESHOLD:
-        stubs = np.repeat(np.arange(num_peers, dtype=np.int64), degrees)
-        stubs = rng.permutation(stubs)
-        topo = OverlayTopology.from_edge_arrays(num_peers, stubs[0::2], stubs[1::2])
-    else:
-        graph = nx.configuration_model(
-            degrees.tolist(), seed=int(rng.integers(2**31 - 1))
-        )
-        graph = nx.Graph(graph)  # drop parallel edges
-        graph.remove_edges_from(nx.selfloop_edges(graph))
-        topo = OverlayTopology.from_networkx(graph)
+    stubs = rng.permutation(np.repeat(np.arange(num_peers, dtype=np.int64), degrees))
+    topo = OverlayTopology.from_edge_arrays(num_peers, stubs[0::2], stubs[1::2])
     _patch_connectivity(topo, rng)
     return topo
-
-
-def scale_free_topology(
-    num_peers: int,
-    shape: float = 2.5,
-    mean_degree: float = 20.0,
-    seed: Optional[int] = None,
-) -> OverlayTopology:
-    """The paper's default overlay: power-law degrees (shape 2.5), mean degree 20.
-
-    This is a thin alias of :func:`powerlaw_configuration_topology` with the
-    paper's Sec. VI parameters as defaults.
-    """
-    return powerlaw_configuration_topology(
-        num_peers, shape=shape, mean_degree=mean_degree, seed=seed
-    )
-
-
-def barabasi_albert_topology(
-    num_peers: int, attachments: int = 10, seed: Optional[int] = None
-) -> OverlayTopology:
-    """Barabási–Albert preferential-attachment overlay (mean degree ≈ 2 × attachments)."""
-    if num_peers <= attachments:
-        raise ValueError("num_peers must exceed the number of attachments per new peer")
-    graph = nx.barabasi_albert_graph(num_peers, attachments, seed=seed)
-    return OverlayTopology.from_networkx(graph)
-
-
-def erdos_renyi_topology(
-    num_peers: int, mean_degree: float = 20.0, seed: Optional[int] = None
-) -> OverlayTopology:
-    """Erdős–Rényi overlay with edge probability chosen for the target mean degree."""
-    check_positive(mean_degree, "mean_degree")
-    if num_peers < 2:
-        raise ValueError("num_peers must be at least 2")
-    probability = min(1.0, mean_degree / (num_peers - 1))
-    graph = nx.fast_gnp_random_graph(num_peers, probability, seed=seed)
-    topo = OverlayTopology.from_networkx(graph)
-    for peer in range(num_peers):
-        topo.add_peer(peer)
-    _patch_connectivity(topo, make_rng(seed, "er-patch"))
-    return topo
-
-
-def random_regular_topology(
-    num_peers: int, degree: int = 20, seed: Optional[int] = None
-) -> OverlayTopology:
-    """Random regular overlay where every peer has exactly ``degree`` neighbours."""
-    if degree >= num_peers:
-        raise ValueError("degree must be smaller than num_peers")
-    if (degree * num_peers) % 2 == 1:
-        raise ValueError("degree * num_peers must be even for a regular graph to exist")
-    graph = nx.random_regular_graph(degree, num_peers, seed=seed)
-    return OverlayTopology.from_networkx(graph)
 
 
 def ring_topology(num_peers: int) -> OverlayTopology:
@@ -248,15 +169,14 @@ def complete_topology(num_peers: int) -> OverlayTopology:
 
 
 def _patch_connectivity(topo: OverlayTopology, rng: np.random.Generator) -> None:
-    """Connect all components to the largest one with single random edges."""
-    components = topo.connected_components()
-    if len(components) <= 1:
-        return
-    main = components[0]
-    main_list = sorted(main)
-    for component in components[1:]:
-        source = sorted(component)[int(rng.integers(len(component)))]
-        target = main_list[int(rng.integers(len(main_list)))]
+    """Join every component to the largest one with one random edge each.
+
+    Components come in :meth:`OverlayTopology.connected_components`'s
+    canonical order, so the draws do not depend on how sets iterate.
+    """
+    main, *others = topo.connected_components()
+    for component in others:
+        source = component[int(rng.integers(len(component)))]
+        target = main[int(rng.integers(len(main)))]
         topo.add_edge(source, target)
-        main.update(component)
-        main_list = sorted(main)
+        main = sorted(main + component)

@@ -1,11 +1,17 @@
-"""Mutable overlay topology with neighbour tables and join/leave support."""
+"""Mutable overlay topology with neighbour tables and join/leave support.
+
+The overlay keeps one Python set of neighbours per peer id.  Every query
+that returns peers returns them in a canonical order, never in
+set-iteration order: neighbours ascend, and connected components are
+found by one array labelling and listed largest first, ties by smallest
+id.
+"""
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["OverlayTopology"]
@@ -15,10 +21,8 @@ class OverlayTopology:
     """An undirected P2P overlay graph with explicit neighbour tables.
 
     Peers are identified by integer ids.  The class wraps an adjacency-set
-    representation (rather than delegating every operation to networkx) so
-    the hot paths used by the simulators — neighbour lookup, degree queries,
-    join/leave — are dictionary operations; conversion to a
-    :class:`networkx.Graph` is available for analysis.
+    representation so the hot paths used by the simulators — neighbour
+    lookup, degree queries, join/leave — are dictionary operations.
 
     Examples
     --------
@@ -92,22 +96,6 @@ class OverlayTopology:
                 topo._adjacency[peer] = set(other[start:end].tolist())
         topo._edge_count = int(unique_keys.size)
         return topo
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "OverlayTopology":
-        """Build a topology from an undirected networkx graph (nodes must be ints)."""
-        topo = cls(int(node) for node in graph.nodes)
-        for u, v in graph.edges:
-            if u != v:
-                topo.add_edge(int(u), int(v))
-        return topo
-
-    def to_networkx(self) -> nx.Graph:
-        """Return a networkx copy of the overlay (for analysis/plotting)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._adjacency)
-        graph.add_edges_from(self.edges())
-        return graph
 
     def copy(self) -> "OverlayTopology":
         """Return a deep copy of the topology."""
@@ -227,37 +215,52 @@ class OverlayTopology:
 
     def is_connected(self) -> bool:
         """Whether the overlay is a single connected component (False when empty)."""
-        if not self._adjacency:
-            return False
-        start = next(iter(self._adjacency))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in self._adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(self._adjacency)
+        return len(self.connected_components()) == 1
 
-    def connected_components(self) -> List[Set[int]]:
-        """Return connected components as a list of peer-id sets (largest first)."""
-        remaining = set(self._adjacency)
-        components: List[Set[int]] = []
-        while remaining:
-            start = next(iter(remaining))
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for neighbor in self._adjacency[node]:
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        frontier.append(neighbor)
-            components.append(seen)
-            remaining -= seen
-        components.sort(key=len, reverse=True)
-        return components
+    def connected_components(self) -> List[List[int]]:
+        """Connected components as ascending peer-id lists, in a canonical order.
+
+        Components are ordered by size, largest first, and equal sizes by
+        their smallest peer id, so the result depends only on the graph,
+        never on the order peers and edges were inserted in.
+        """
+        if not self._adjacency:
+            return []
+        peers = np.array(self.peers(), dtype=np.int64)
+        degrees, neighbor_ids = self.neighbor_rows(peers.tolist())
+        position = np.zeros(int(peers[-1]) + 1, dtype=np.int64)
+        position[peers] = np.arange(peers.size)
+        src = np.repeat(np.arange(peers.size), degrees)
+        dst = position[neighbor_ids]
+        keep = src < dst
+        src, dst = src[keep], dst[keep]
+        # Label propagation with pointer jumping: every label points at a
+        # smaller or equal position, and each round hooks the larger root of
+        # every edge whose ends disagree onto the smaller one.  It ends with
+        # each position labelled by the smallest position of its component.
+        label = np.arange(peers.size)
+        while src.size:
+            root_src, root_dst = label[src], label[dst]
+            differ = root_src != root_dst
+            src, dst = src[differ], dst[differ]
+            root_src, root_dst = root_src[differ], root_dst[differ]
+            np.minimum.at(
+                label, np.maximum(root_src, root_dst), np.minimum(root_src, root_dst)
+            )
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+        sizes = np.bincount(label, minlength=peers.size)
+        roots = np.flatnonzero(sizes)
+        # A stable sort by label lists each component's ids ascending, and
+        # components by smallest id; a stable sort by size keeps that order
+        # among equal sizes.
+        members = np.split(
+            peers[np.argsort(label, kind="stable")], np.cumsum(sizes[roots])[:-1]
+        )
+        return [members[i].tolist() for i in np.argsort(-sizes[roots], kind="stable")]
 
     def degree_histogram(self) -> Dict[int, int]:
         """Return ``{degree: number of peers with that degree}``."""

@@ -291,9 +291,8 @@ class ClosedJacksonNetwork:
             for queue in range(self.num_queues):
                 if remaining == 0:
                     break
-                log_weights = jobs[: remaining + 1] * log_u[queue] + suffix[
-                    queue + 1, remaining::-1
-                ]
+                log_weights = jobs[: remaining + 1] * log_u[queue]
+                log_weights += suffix[queue + 1, remaining::-1]
                 weights = np.exp(log_weights - log_weights.max())
                 row[queue] = rng.choice(remaining + 1, p=weights / weights.sum())
                 remaining -= row[queue]

@@ -28,11 +28,14 @@ class TestMarketToQueueingPipeline:
 
         The paper's symmetric-utilization argument assumes peers are
         interchangeable (as on a complete or regular overlay); on a
-        random-regular overlay the prediction holds exactly.
+        circulant overlay, where every peer sees the same neighbourhood,
+        the prediction holds exactly.
         """
-        from repro.overlay import random_regular_topology
+        from repro.overlay import OverlayTopology
 
-        topology = random_regular_topology(120, degree=10, seed=1)
+        # 10-regular circulant: peer i links to i±1 .. i±5.
+        edges = [(i, (i + step) % 120) for i in range(120) for step in range(1, 6)]
+        topology = OverlayTopology.from_edges(120, edges)
         market = CreditMarket(topology, initial_credits=50.0, pricing=UniformPricing(1.0))
         equilibrium = market.equilibrium()
         assert not equilibrium.condensation.condenses

@@ -1,17 +1,14 @@
 """Tests for overlay topology generators."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.overlay import (
-    barabasi_albert_topology,
-    complete_topology,
-    erdos_renyi_topology,
-    random_regular_topology,
-    ring_topology,
-    scale_free_topology,
-)
+from repro.overlay import complete_topology, ring_topology, scale_free_topology
 from repro.overlay.generators import powerlaw_degree_sequence
+from repro.overlay.topology import OverlayTopology
+from repro.utils.rng import make_rng
 
 
 class TestPowerlawDegreeSequence:
@@ -63,30 +60,65 @@ class TestScaleFree:
         assert degrees.max() > 2.5 * degrees.mean()
 
 
+def _paired_stubs(num_peers, seed, **degree_options):
+    """Replay :func:`scale_free_topology`'s draws: degrees, then one stub shuffle.
+
+    Returns the drawn degrees, the stub pairs, and the overlay those pairs
+    leave once self-loops and multi-edges are dropped, before patching.
+    """
+    rng = make_rng(seed, "configuration-model")
+    degrees = powerlaw_degree_sequence(num_peers, rng=rng, **degree_options)
+    stubs = rng.permutation(np.repeat(np.arange(num_peers, dtype=np.int64), degrees))
+    pairs = stubs.reshape(-1, 2).tolist()
+    kept = OverlayTopology.from_edges(num_peers, [pair for pair in pairs if pair[0] != pair[1]])
+    return degrees, pairs, kept
+
+
+#: (num_peers, seed, degree options): the paper's parameters, and sparse
+#: sequences whose pairing leaves many components to patch.
+STUB_CASES = [
+    (200, 1, {}),
+    (1000, 2, {}),
+    (300, 3, {"mean_degree": 2.5, "min_degree": 1}),
+    (120, 4, {"mean_degree": 1.5, "min_degree": 1}),
+]
+
+
+@pytest.mark.parametrize("num_peers, seed, options", STUB_CASES)
+class TestStubPairing:
+    def test_degrees_are_drawn_minus_dropped_stubs_plus_patches(self, num_peers, seed, options):
+        degrees, pairs, kept = _paired_stubs(num_peers, seed, **options)
+        counts = Counter(tuple(sorted(pair)) for pair in pairs)
+        dropped = np.zeros(num_peers, dtype=np.int64)
+        for (u, v), times in counts.items():
+            if u == v:
+                dropped[u] += 2 * times  # a self-loop takes two of u's stubs
+            else:
+                dropped[u] += times - 1  # a multi-edge keeps one of its copies
+                dropped[v] += times - 1
+        assert [kept.degree(peer) for peer in range(num_peers)] == (degrees - dropped).tolist()
+
+        topo = scale_free_topology(num_peers, seed=seed, **options)
+        assert set(kept.edges()) <= set(topo.edges())
+        patches = set(topo.edges()) - set(kept.edges())
+        patched = Counter(peer for edge in patches for peer in edge)
+        for peer in range(num_peers):
+            assert topo.degree(peer) == degrees[peer] - dropped[peer] + patched[peer]
+
+    def test_patch_edges_span_the_components(self, num_peers, seed, options):
+        _, _, kept = _paired_stubs(num_peers, seed, **options)
+        components = kept.connected_components()
+        label = {peer: index for index, component in enumerate(components) for peer in component}
+        topo = scale_free_topology(num_peers, seed=seed, **options)
+        patches = set(topo.edges()) - set(kept.edges())
+        # components - 1 edges, none inside a component, leaving one
+        # connected overlay: a spanning tree over the components.
+        assert len(patches) == len(components) - 1
+        assert all(label[u] != label[v] for u, v in patches)
+        assert topo.is_connected()
+
+
 class TestOtherGenerators:
-    def test_barabasi_albert(self):
-        topo = barabasi_albert_topology(100, attachments=5, seed=1)
-        assert topo.num_peers == 100
-        assert topo.is_connected()
-
-    def test_barabasi_albert_invalid(self):
-        with pytest.raises(ValueError):
-            barabasi_albert_topology(5, attachments=10)
-
-    def test_erdos_renyi_connected_and_sized(self):
-        topo = erdos_renyi_topology(200, mean_degree=8.0, seed=2)
-        assert topo.num_peers == 200
-        assert topo.is_connected()
-        assert 4.0 < topo.mean_degree() < 14.0
-
-    def test_random_regular_degrees(self):
-        topo = random_regular_topology(50, degree=6, seed=3)
-        assert all(degree == 6 for degree in topo.degrees().values())
-
-    def test_random_regular_parity_check(self):
-        with pytest.raises(ValueError):
-            random_regular_topology(7, degree=3)
-
     def test_ring(self):
         topo = ring_topology(10)
         assert topo.num_edges == 10

@@ -1,8 +1,5 @@
 """Tests for the mutable overlay topology."""
 
-from unittest import mock
-
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,12 +15,6 @@ class TestConstruction:
         topo = OverlayTopology.from_edges(4, [(0, 1), (2, 3)])
         assert topo.num_peers == 4
         assert topo.num_edges == 2
-
-    def test_from_networkx_round_trip(self):
-        graph = nx.path_graph(5)
-        topo = OverlayTopology.from_networkx(graph)
-        back = topo.to_networkx()
-        assert set(back.edges) == set(graph.edges)
 
     def test_copy_is_independent(self):
         topo = triangle()
@@ -132,10 +123,54 @@ class TestStructure:
 
     def test_connected_components_sorted_by_size(self):
         topo = OverlayTopology.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        components = topo.connected_components()
-        assert len(components) == 2
-        assert components[0] == {0, 1, 2}
-        assert components[1] == {3, 4}
+        assert topo.connected_components() == [[0, 1, 2], [3, 4]]
+
+    #: Equal sizes tie-break on the smallest id.  Under insertion order 2
+    #: below, CPython's set of peers iterates 33 before 2, so a search
+    #: seeded in set order listed [33, 40] before [2, 11].
+    COMPONENT_PEERS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 33, 40, 6]
+    COMPONENT_EDGES = [(2, 11), (33, 40), (8, 9), (9, 3), (3, 1), (12, 4), (4, 5), (5, 7)]
+    COMPONENTS = [[1, 3, 8, 9], [4, 5, 7, 12], [2, 11], [33, 40], [0], [6]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_connected_components_ignore_insertion_order(self, seed):
+        rng = np.random.default_rng(seed)
+        peers = list(self.COMPONENT_PEERS)
+        edges = list(self.COMPONENT_EDGES)
+        if seed:
+            peers = [peers[i] for i in rng.permutation(len(peers))]
+            edges = [edges[i][:: rng.choice([1, -1])] for i in rng.permutation(len(edges))]
+        topo = OverlayTopology(peers)
+        for u, v in edges:
+            topo.add_edge(u, v)
+        assert topo.connected_components() == self.COMPONENTS
+        assert not topo.is_connected()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_connected_components_match_breadth_first_search(self, seed):
+        # Gapped ids, a long path through a shuffled subset (many labelling
+        # rounds) and sparse random edges (many components).
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(3000)[:300].tolist()
+        path = [ids[i] for i in rng.permutation(300)[: 100 + 40 * seed]]
+        topo = OverlayTopology(ids)
+        for u, v in zip(path, path[1:]):
+            topo.add_edge(u, v)
+        for _ in range(60 + 20 * seed):
+            u, v = rng.choice(ids, size=2, replace=False)
+            topo.add_edge(int(u), int(v))
+        assert topo.connected_components() == _breadth_first_components(topo)
+
+    def test_connected_components_of_a_churned_id_space(self):
+        # Gapped ids from leaves and joins label like any other.
+        topo = OverlayTopology.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 5)])
+        topo.remove_peer(0)
+        topo.add_peer(40)
+        topo.add_edge(40, 2)
+        assert topo.connected_components() == [[1, 4, 5], [2, 3, 40]]
+        topo.add_edge(40, 5)
+        assert topo.is_connected()
+        assert OverlayTopology([7]).is_connected()
 
     def test_adjacency_matrix_symmetric(self):
         topo = triangle()
@@ -216,29 +251,50 @@ class TestCsrAdjacency:
         assert col_indices.size == 2
 
 
-def _array_path_topology(num_peers, seed):
-    # Force the stub-pairing array path the million-peer overlays take.
-    with mock.patch.object(generators, "LARGE_OVERLAY_THRESHOLD", 0):
-        return generators.powerlaw_configuration_topology(
-            num_peers, mean_degree=6.0, seed=seed
-        )
+def _breadth_first_components(topo):
+    """Plain breadth-first search: the reference for the array labelling."""
+    seen, components = set(), []
+    for start in topo.peers():
+        if start in seen:
+            continue
+        seen.add(start)
+        component, frontier = [start], [start]
+        while frontier:
+            for neighbor in topo.neighbors(frontier.pop()):
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    component.append(neighbor)
+                    frontier.append(neighbor)
+        components.append(sorted(component))
+    return sorted(components, key=lambda component: (-len(component), component[0]))
 
 
-#: Every overlay family the simulators are built on, at small sizes.
+def _circulant_topology(num_peers, half_degree):
+    # Peer i links to i±1 .. i±half_degree: every peer sees the same neighbourhood.
+    edges = [
+        (peer, (peer + step) % num_peers)
+        for peer in range(num_peers)
+        for step in range(1, half_degree + 1)
+    ]
+    return OverlayTopology.from_edges(num_peers, edges)
+
+
+#: Every overlay family the simulators are built on, at small sizes.  The
+#: sparse scale-free overlays leave many components for the patch to join.
 GENERATED_TOPOLOGIES = {
     "scale-free-200-s1": lambda: generators.scale_free_topology(200, mean_degree=8.0, seed=1),
     "scale-free-200-s2": lambda: generators.scale_free_topology(200, mean_degree=8.0, seed=2),
     "scale-free-500-s3": lambda: generators.scale_free_topology(500, mean_degree=12.0, seed=3),
-    "powerlaw-networkx-150-s4": lambda: generators.powerlaw_configuration_topology(
-        150, mean_degree=6.0, seed=4
+    "scale-free-150-s4": lambda: generators.scale_free_topology(150, mean_degree=6.0, seed=4),
+    "scale-free-300-s5": lambda: generators.scale_free_topology(300, mean_degree=6.0, seed=5),
+    "scale-free-sparse-120-s6": lambda: generators.scale_free_topology(
+        120, mean_degree=2.0, min_degree=1, seed=6
     ),
-    "powerlaw-array-300-s5": lambda: _array_path_topology(300, seed=5),
-    "barabasi-albert-120-s6": lambda: generators.barabasi_albert_topology(
-        120, attachments=3, seed=6
+    "scale-free-sparse-60-s8": lambda: generators.scale_free_topology(
+        60, mean_degree=1.5, min_degree=1, seed=8
     ),
-    "erdos-renyi-200-s7": lambda: generators.erdos_renyi_topology(200, mean_degree=6.0, seed=7),
-    "erdos-renyi-60-s8": lambda: generators.erdos_renyi_topology(60, mean_degree=2.0, seed=8),
-    "random-regular-100-s9": lambda: generators.random_regular_topology(100, degree=6, seed=9),
+    "circulant-100-6": lambda: _circulant_topology(100, 3),
+    "circulant-120-10": lambda: _circulant_topology(120, 5),
     "ring-50": lambda: generators.ring_topology(50),
     "complete-12": lambda: generators.complete_topology(12),
 }
@@ -296,6 +352,12 @@ class TestCsrAdjacencyAcrossGenerators:
         rows = _csr_rows(*topo.csr_adjacency(order))
         dense = topo.adjacency_matrix(order)
         assert [np.flatnonzero(dense[row]).tolist() for row in range(len(order))] == rows
+
+    def test_components_match_breadth_first_search(self, kind):
+        topo = GENERATED_TOPOLOGIES[kind]()
+        for peer in topo.peers()[1::3]:
+            topo.remove_peer(peer)
+        assert topo.connected_components() == _breadth_first_components(topo)
 
     def test_reflects_membership_edits(self, kind):
         # Churn removes peers and wires new ids beyond the initial range;
