@@ -5,8 +5,9 @@ distribution with shape parameter 2.5 and mean degree 20) for a population
 of 500–1000 peers, plus dynamic overlays with Poisson arrivals and
 exponential lifespans (Sec. VI).  This package provides:
 
-* :class:`~repro.overlay.topology.OverlayTopology` — mutable neighbour
-  tables with join/leave support,
+* :class:`~repro.overlay.topology.OverlayTopology` — the one adjacency:
+  id-indexed arrays whose neighbour lists are segments of a shared edge
+  buffer, edited in place by joins and leaves,
 * :func:`~repro.overlay.generators.scale_free_topology` — the paper's
   configuration-model overlay, built by array stub pairing at every
   size — plus ring and complete baselines,

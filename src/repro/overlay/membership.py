@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from repro.overlay.topology import OverlayTopology
 from repro.utils.rng import make_rng
 
@@ -32,13 +30,10 @@ class Departure(NamedTuple):
 class MembershipTracker:
     """Bootstrap service that attaches joining peers to an overlay.
 
-    The tracker mirrors the overlay in two aligned numpy arrays, built once
-    from the topology: the sorted peer ids and their degrees.  Joins,
-    leaves and orphan repairs patch both arrays with binary searches and
-    one ``insert`` or ``delete`` each, so selecting neighbours never walks
-    the population in Python.  Once the tracker is built it must be the only code that
-    mutates the overlay: a peer or edge changed behind its back leaves the
-    arrays stale, and selection then draws from wrong weights.
+    The tracker keeps no copy of the overlay: each selection reads the
+    current peers' ascending ids and degrees from the topology's arrays,
+    so selecting neighbours never walks the population in Python, and
+    edits made to the overlay by other code are seen at once.
 
     Parameters
     ----------
@@ -62,12 +57,8 @@ class MembershipTracker:
         self.topology = topology
         self.target_degree = int(target_degree)
         self._rng = make_rng(seed, "membership-tracker")
-        degrees = topology.degrees()
-        ids = np.fromiter(degrees.keys(), dtype=np.int64, count=len(degrees))
-        order = np.argsort(ids)
-        self._ids = ids[order]
-        self._degrees = np.fromiter(degrees.values(), dtype=np.int64, count=len(degrees))[order]
-        self._next_peer_id = int(self._ids[-1]) + 1 if self._ids.size else 0
+        ids, _ = topology.peer_degrees()
+        self._next_peer_id = int(ids[-1]) + 1 if ids.size else 0
         self.joins = 0
         self.leaves = 0
 
@@ -93,24 +84,16 @@ class MembershipTracker:
         empty.
         """
         count = self.target_degree if count is None else int(count)
-        candidates, degrees = self._ids, self._degrees
-        position = self._position(exclude)
-        if position is not None:
-            candidates = np.delete(candidates, position)
-            degrees = np.delete(degrees, position)
+        candidates, degrees = self.topology.peer_degrees()
+        if self.topology.has_peer(exclude):
+            keep = candidates != exclude
+            candidates, degrees = candidates[keep], degrees[keep]
         if candidates.size == 0 or count <= 0:
             return []
         count = min(count, candidates.size)
         weights = degrees + 1.0
         weights /= weights.sum()
         return self._rng.choice(candidates, size=count, replace=False, p=weights).tolist()
-
-    def _position(self, peer_id: int) -> Optional[int]:
-        """Index of ``peer_id`` in the sorted id array, or None if absent."""
-        position = int(np.searchsorted(self._ids, peer_id))
-        if position < self._ids.size and self._ids[position] == peer_id:
-            return position
-        return None
 
     # ------------------------------------------------------------------ mutation
 
@@ -126,14 +109,9 @@ class MembershipTracker:
             self._next_peer_id = max(self._next_peer_id, peer_id + 1)
         if self.topology.has_peer(peer_id):
             raise ValueError(f"peer {peer_id} is already in the overlay")
-        neighbors = self.select_neighbors(exclude=peer_id, count=degree)
         self.topology.add_peer(peer_id)
-        for neighbor in neighbors:
+        for neighbor in self.select_neighbors(exclude=peer_id, count=degree):
             self.topology.add_edge(peer_id, neighbor)
-        self._degrees[np.searchsorted(self._ids, neighbors)] += 1
-        position = int(np.searchsorted(self._ids, peer_id))
-        self._ids = np.insert(self._ids, position, peer_id)
-        self._degrees = np.insert(self._degrees, position, len(neighbors))
         self.joins += 1
         return peer_id
 
@@ -149,20 +127,13 @@ class MembershipTracker:
         neighbour set changed.
         """
         former = self.topology.remove_peer(peer_id)
-        position = self._position(peer_id)
-        self._ids = np.delete(self._ids, position)
-        self._degrees = np.delete(self._degrees, position)
-        former_positions = np.searchsorted(self._ids, former)
-        self._degrees[former_positions] -= 1
         self.leaves += 1
         repairs: List[Tuple[int, int]] = []
         if repair and self.topology.num_peers > 1:
-            for orphan, orphan_position in zip(former, former_positions.tolist()):
+            for orphan in former:
                 # An earlier repair in this loop may have wired this orphan.
-                if self._degrees[orphan_position] == 0:
+                if self.topology.degree(orphan) == 0:
                     for candidate in self.select_neighbors(exclude=orphan, count=1):
                         self.topology.add_edge(orphan, candidate)
-                        self._degrees[orphan_position] += 1
-                        self._degrees[self._position(candidate)] += 1
                         repairs.append((orphan, candidate))
         return Departure(former, repairs)

@@ -1,28 +1,43 @@
 """Mutable overlay topology with neighbour tables and join/leave support.
 
-The overlay keeps one Python set of neighbours per peer id.  Every query
-that returns peers returns them in a canonical order, never in
-set-iteration order: neighbours ascend, and connected components are
-found by one array labelling and listed largest first, ties by smallest
-id.
+The overlay is kept in id-indexed numpy arrays: ``alive`` marks the
+current peers, and each peer's neighbours are one segment of a shared
+int64 edge buffer.  Segments hold their entries in no particular order,
+so every query that returns peers returns them in a canonical order:
+neighbours ascend, and connected components are found by one array
+labelling and listed largest first, ties by smallest id.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["OverlayTopology"]
+__all__ = ["OverlayTopology", "segments"]
+
+
+def segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(start, start + length)`` of every segment, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 class OverlayTopology:
     """An undirected P2P overlay graph with explicit neighbour tables.
 
-    Peers are identified by integer ids.  The class wraps an adjacency-set
-    representation so the hot paths used by the simulators — neighbour
-    lookup, degree queries, join/leave — are dictionary operations.
+    Peers are identified by non-negative integer ids, which index the
+    arrays ``_alive``, ``_start``, ``_degree`` and ``_room``.  Peer ``p``'s
+    neighbours are ``_edges[_start[p] : _start[p] + _degree[p]]``, a
+    segment with ``_room[p]`` entries reserved for it:
+
+    * an added edge is appended in place while the segment has room; a
+      full segment first moves to the buffer's end with double the room;
+    * a removed edge is overwritten by the segment's last entry;
+    * when the buffer's end is reached, one gather packs the live
+      segments to its front.  The buffer doubles only when more than
+      half of it would still be live, so under churn it stays within a
+      fixed multiple of ``2 × num_edges`` entries.
 
     Examples
     --------
@@ -34,7 +49,14 @@ class OverlayTopology:
     """
 
     def __init__(self, peer_ids: Optional[Iterable[int]] = None) -> None:
-        self._adjacency: Dict[int, Set[int]] = {}
+        self._alive = np.zeros(0, dtype=bool)
+        self._start = np.zeros(0, dtype=np.int64)
+        self._degree = np.zeros(0, dtype=np.int64)
+        self._room = np.zeros(0, dtype=np.int64)
+        self._edges = np.zeros(0, dtype=np.int64)
+        #: First buffer entry after the last segment.
+        self._end = 0
+        self._num_peers = 0
         self._edge_count = 0
         if peer_ids is not None:
             for peer_id in peer_ids:
@@ -57,13 +79,12 @@ class OverlayTopology:
         """Bulk-build a topology on peers ``0..num_peers-1`` from endpoint arrays.
 
         ``src[i]``–``dst[i]`` pairs are undirected edges; self-loops and
-        duplicates (in either orientation) are dropped.  Unlike
-        :meth:`from_edges`, the adjacency sets are materialised through
-        array operations — one sort of the symmetrised edge list plus one
-        C-level ``set()`` construction per peer — so million-peer overlays
-        build in seconds instead of the minutes a per-edge Python loop
-        takes.  The result is identical to feeding the same (deduplicated)
-        edges through :meth:`from_edges`.
+        duplicates (in either orientation) are dropped.  Both orientations
+        of every edge are encoded as ``u·N + v`` keys, and one sort of the
+        keys groups them by ``u`` with neighbours ascending, so dropping
+        equal neighbours leaves the edge buffer itself.  The result is
+        identical to feeding the same (deduplicated) edges through
+        :meth:`from_edges`.
         """
         num_peers = int(num_peers)
         src = np.asarray(src, dtype=np.int64).ravel()
@@ -79,66 +100,74 @@ class OverlayTopology:
             raise ValueError("edge endpoints must lie in [0, num_peers)")
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        unique_keys = np.unique(lo * num_peers + hi)
-        lo, hi = unique_keys // num_peers, unique_keys % num_peers
+        keys = np.sort(np.concatenate([src * num_peers + dst, dst * num_peers + src]))
+        if keys.size:
+            keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
         topo = cls()
-        topo._adjacency = {peer: set() for peer in range(num_peers)}
-        endpoint = np.concatenate([lo, hi])
-        other = np.concatenate([hi, lo])
-        order = np.argsort(endpoint, kind="stable")
-        endpoint, other = endpoint[order], other[order]
-        boundaries = np.searchsorted(endpoint, np.arange(num_peers + 1))
-        for peer in range(num_peers):
-            start, end = int(boundaries[peer]), int(boundaries[peer + 1])
-            if end > start:
-                topo._adjacency[peer] = set(other[start:end].tolist())
-        topo._edge_count = int(unique_keys.size)
+        topo._alive = np.ones(num_peers, dtype=bool)
+        topo._degree = np.bincount(keys // num_peers, minlength=num_peers).astype(np.int64)
+        topo._start = np.cumsum(topo._degree) - topo._degree
+        topo._room = topo._degree.copy()
+        topo._edges = np.remainder(keys, num_peers, out=keys)
+        topo._end = int(keys.size)
+        topo._num_peers = num_peers
+        topo._edge_count = int(keys.size) // 2
         return topo
-
-    def copy(self) -> "OverlayTopology":
-        """Return a deep copy of the topology."""
-        clone = OverlayTopology(self._adjacency)
-        for u, v in self.edges():
-            clone.add_edge(u, v)
-        return clone
 
     # ------------------------------------------------------------------ peers
 
     def add_peer(self, peer_id: int) -> None:
-        """Add an isolated peer (no-op if already present)."""
-        self._adjacency.setdefault(int(peer_id), set())
+        """Add an isolated peer (no-op if already present).
+
+        Raises ValueError for a negative id: ids index the peer arrays.
+        """
+        peer_id = int(peer_id)
+        if peer_id < 0:
+            raise ValueError(f"peer ids must be non-negative, got {peer_id}")
+        if peer_id >= self._alive.size:
+            pad = max(peer_id + 1 - self._alive.size, self._alive.size)
+            for name in ("_alive", "_start", "_degree", "_room"):
+                array = getattr(self, name)
+                setattr(self, name, np.concatenate([array, np.zeros(pad, array.dtype)]))
+        if not self._alive[peer_id]:
+            self._alive[peer_id] = True
+            self._num_peers += 1
 
     def remove_peer(self, peer_id: int) -> List[int]:
         """Remove a peer and all its edges; return its former neighbours."""
-        peer_id = int(peer_id)
-        if peer_id not in self._adjacency:
-            raise KeyError(f"peer {peer_id} is not in the overlay")
-        former = sorted(self._adjacency[peer_id])
-        for neighbor in former:
-            self._adjacency[neighbor].discard(peer_id)
-            self._edge_count -= 1
-        del self._adjacency[peer_id]
-        return former
+        peer_id = self._checked(peer_id)
+        former = np.sort(self._segment(peer_id))
+        self._drop(former, np.full(former.size, peer_id))
+        self._alive[peer_id] = False
+        self._degree[peer_id] = self._room[peer_id] = 0
+        self._num_peers -= 1
+        self._edge_count -= former.size
+        return former.tolist()
 
     def has_peer(self, peer_id: int) -> bool:
         """Whether ``peer_id`` is currently in the overlay."""
-        return int(peer_id) in self._adjacency
+        peer_id = int(peer_id)
+        return 0 <= peer_id < self._alive.size and bool(self._alive[peer_id])
 
     def peers(self) -> List[int]:
         """Sorted list of current peer ids."""
-        return sorted(self._adjacency)
+        return np.flatnonzero(self._alive).tolist()
 
     @property
     def num_peers(self) -> int:
         """Number of peers currently in the overlay."""
-        return len(self._adjacency)
+        return self._num_peers
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges currently in the overlay."""
         return self._edge_count
+
+    def _checked(self, peer_id: int) -> int:
+        """``peer_id`` as an int; raises KeyError if it is not in the overlay."""
+        if not self.has_peer(peer_id):
+            raise KeyError(f"peer {peer_id} is not in the overlay")
+        return int(peer_id)
 
     # ------------------------------------------------------------------ edges
 
@@ -147,34 +176,84 @@ class OverlayTopology:
         u, v = int(u), int(v)
         if u == v:
             raise ValueError("self-loops are not allowed in the overlay")
-        if u not in self._adjacency or v not in self._adjacency:
+        if not (self.has_peer(u) and self.has_peer(v)):
             raise KeyError(f"both endpoints must be in the overlay (got {u}, {v})")
-        if v in self._adjacency[u]:
+        if v in self._segment(u):
             return False
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        self._link(u, v)
+        self._link(v, u)
         self._edge_count += 1
         return True
 
     def remove_edge(self, u: int, v: int) -> None:
         """Disconnect peers ``u`` and ``v`` (raises KeyError if not connected)."""
         u, v = int(u), int(v)
-        if u not in self._adjacency or v not in self._adjacency[u]:
+        if not self.has_edge(u, v):
             raise KeyError(f"edge ({u}, {v}) is not in the overlay")
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
+        self._drop(np.array([u, v]), np.array([v, u]))
         self._edge_count -= 1
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether peers ``u`` and ``v`` are neighbours."""
-        return int(v) in self._adjacency.get(int(u), set())
+        return self.has_peer(u) and int(v) in self._segment(int(u))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over undirected edges as ``(min, max)`` tuples, sorted."""
-        for u in sorted(self._adjacency):
-            for v in sorted(self._adjacency[u]):
+        for u in self.peers():
+            for v in self.neighbors(u):
                 if u < v:
                     yield (u, v)
+
+    def _segment(self, peer_id: int) -> np.ndarray:
+        start = int(self._start[peer_id])
+        return self._edges[start : start + int(self._degree[peer_id])]
+
+    def _link(self, peer_id: int, other: int) -> None:
+        """Append ``other`` to ``peer_id``'s segment.
+
+        A full segment first moves to the buffer's end with double the room.
+        """
+        degree = int(self._degree[peer_id])
+        if degree == self._room[peer_id]:
+            room = max(2 * degree, 4)
+            if self._end + room > self._edges.size:
+                self._compact(room)
+            start, end = int(self._start[peer_id]), self._end
+            self._edges[end : end + degree] = self._edges[start : start + degree]
+            self._start[peer_id], self._room[peer_id], self._end = end, room, end + room
+        self._edges[self._start[peer_id] + degree] = other
+        self._degree[peer_id] = degree + 1
+
+    def _drop(self, owners: np.ndarray, entries: np.ndarray) -> None:
+        """Remove ``entries[i]`` from the segment of ``owners[i]`` (owners distinct).
+
+        Each entry is overwritten by its segment's last entry.
+        """
+        starts, degrees = self._start[owners], self._degree[owners]
+        slots = segments(starts, degrees)
+        found = slots[self._edges[slots] == np.repeat(entries, degrees)]
+        self._edges[found] = self._edges[starts + degrees - 1]
+        self._degree[owners] -= 1
+
+    def _compact(self, extra: int) -> None:
+        """Pack the live segments, without room to spare, leaving ``extra`` entries free.
+
+        The buffer keeps its size while at most half of it would be
+        live, and otherwise at least doubles, so it stays within four
+        times the live entries (plus ``extra``) of its last growth.
+        """
+        peers = np.flatnonzero(self._alive)
+        degrees = self._degree[peers]
+        live = segments(self._start[peers], degrees)
+        capacity = self._edges.size
+        if 2 * (live.size + extra) > capacity:
+            capacity = max(2 * capacity, 2 * (live.size + extra))
+        edges = np.zeros(capacity, dtype=np.int64)
+        edges[: live.size] = self._edges[live]
+        self._edges = edges
+        self._start[peers] = np.cumsum(degrees) - degrees
+        self._room[peers] = degrees
+        self._end = int(live.size)
 
     # ------------------------------------------------------------------ neighbour queries
 
@@ -182,34 +261,38 @@ class OverlayTopology:
         """Neighbour ids of ``peer_id``, ascending.
 
         The order is part of the contract: routing rows, churn refreshes
-        and price draws follow it, so it must not depend on how the
-        adjacency sets happen to iterate.
+        and price draws follow it, so it must not depend on the order
+        edits left a segment in.
         """
-        peer_id = int(peer_id)
-        if peer_id not in self._adjacency:
-            raise KeyError(f"peer {peer_id} is not in the overlay")
-        return tuple(sorted(self._adjacency[peer_id]))
+        return tuple(sorted(self._segment(self._checked(peer_id)).tolist()))
 
     def degree(self, peer_id: int) -> int:
         """Number of neighbours of ``peer_id``."""
-        peer_id = int(peer_id)
-        if peer_id not in self._adjacency:
-            raise KeyError(f"peer {peer_id} is not in the overlay")
-        return len(self._adjacency[peer_id])
+        return int(self._degree[self._checked(peer_id)])
 
-    def degrees(self) -> Dict[int, int]:
-        """Mapping of peer id to degree for every peer."""
-        return {peer: len(neigh) for peer, neigh in self._adjacency.items()}
+    def peer_degrees(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Ascending ids of the current peers and their degrees, as int64 arrays."""
+        peers = np.flatnonzero(self._alive)
+        return peers, self._degree[peers]
 
     def mean_degree(self) -> float:
         """Average degree over current peers (0.0 for an empty overlay)."""
-        if not self._adjacency:
+        if not self._num_peers:
             return 0.0
-        return 2.0 * self._edge_count / len(self._adjacency)
+        return 2.0 * self._edge_count / self._num_peers
 
-    def isolated_peers(self) -> List[int]:
-        """Peers with no neighbours."""
-        return sorted(p for p, neigh in self._adjacency.items() if not neigh)
+    def neighbor_rows(self, peer_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Degrees and concatenated neighbour ids of ``peer_ids``, in one gather.
+
+        Each row is in segment order, which is arbitrary: callers
+        key-sort the rows before their order can matter.
+        """
+        ids = np.asarray(peer_ids, dtype=np.int64)
+        outside = (ids < 0) | (ids >= self._alive.size)
+        if outside.any() or not self._alive[ids].all():
+            raise KeyError("every peer must be in the overlay")
+        degrees = self._degree[ids]
+        return degrees, self._edges[segments(self._start[ids], degrees)]
 
     # ------------------------------------------------------------------ structure metrics
 
@@ -224,11 +307,11 @@ class OverlayTopology:
         their smallest peer id, so the result depends only on the graph,
         never on the order peers and edges were inserted in.
         """
-        if not self._adjacency:
+        if not self._num_peers:
             return []
-        peers = np.array(self.peers(), dtype=np.int64)
-        degrees, neighbor_ids = self.neighbor_rows(peers.tolist())
-        position = np.zeros(int(peers[-1]) + 1, dtype=np.int64)
+        peers = np.flatnonzero(self._alive)
+        degrees, neighbor_ids = self.neighbor_rows(peers)
+        position = np.zeros(self._alive.size, dtype=np.int64)
         position[peers] = np.arange(peers.size)
         src = np.repeat(np.arange(peers.size), degrees)
         dst = position[neighbor_ids]
@@ -261,64 +344,6 @@ class OverlayTopology:
             peers[np.argsort(label, kind="stable")], np.cumsum(sizes[roots])[:-1]
         )
         return [members[i].tolist() for i in np.argsort(-sizes[roots], kind="stable")]
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Return ``{degree: number of peers with that degree}``."""
-        histogram: Dict[int, int] = {}
-        for neighbors in self._adjacency.values():
-            histogram[len(neighbors)] = histogram.get(len(neighbors), 0) + 1
-        return histogram
-
-    def adjacency_matrix(self, order: Optional[List[int]] = None) -> np.ndarray:
-        """Dense 0/1 adjacency matrix in the given peer order (default: sorted ids)."""
-        order = list(order) if order is not None else self.peers()
-        index = {peer: i for i, peer in enumerate(order)}
-        matrix = np.zeros((len(order), len(order)))
-        for u, v in self.edges():
-            if u in index and v in index:
-                matrix[index[u], index[v]] = 1.0
-                matrix[index[v], index[u]] = 1.0
-        return matrix
-
-    def neighbor_rows(self, peer_ids: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Degrees and concatenated neighbour ids of ``peer_ids``, read in one pass.
-
-        Each row is in adjacency-set order, which is arbitrary: callers
-        key-sort the rows before their order can matter.
-        """
-        sets = [self._adjacency[peer] for peer in peer_ids]
-        degrees = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-        ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(degrees.sum()))
-        return degrees, ids
-
-    def csr_adjacency(
-        self, order: Optional[List[int]] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat CSR adjacency: ``(row_start, col_indices)`` in the given peer order.
-
-        Row ``r`` of the implied matrix lists the neighbours of
-        ``order[r]`` as positions into ``order``, ascending:
-        ``col_indices[row_start[r]:row_start[r+1]]``.  This is the
-        segmented layout the million-peer simulator kernels consume —
-        memory scales with the edge count (``2 × num_edges`` int64
-        entries), never ``N × max_degree`` padding or the ``N²`` cells of
-        :meth:`adjacency_matrix`.  Neighbours outside ``order`` are
-        ignored, matching :meth:`adjacency_matrix`; every peer of ``order``
-        must be in the overlay.
-        """
-        order = np.asarray(order if order is not None else self.peers(), dtype=np.int64)
-        count = order.size
-        degrees, neighbor_ids = self.neighbor_rows(order.tolist())
-        # Map ids to positions in `order` through its sorted copy.
-        by_id = np.argsort(order, kind="stable")
-        found = np.minimum(np.searchsorted(order[by_id], neighbor_ids), max(count - 1, 0))
-        keep = order[by_id[found]] == neighbor_ids
-        rows = np.repeat(np.arange(count, dtype=np.int64), degrees)[keep]
-        # One key sort of (row, column) orders every row at once.
-        keys = np.sort(rows * count + by_id[found[keep]])
-        row_start = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=count), out=row_start[1:])
-        return row_start, keys % max(count, 1)
 
     # ------------------------------------------------------------------ dunder
 

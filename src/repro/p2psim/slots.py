@@ -10,9 +10,9 @@ only as a CSR pack.  A simulator declares its per-slot arrays, and the
 arrays aligned with the pack's edges, as :class:`SlotArray` attributes,
 so assigning one registers it with the store, which grows or splices it.
 
-Rows are read from the overlay in one batch and key-sorted by slot, so
-no row depends on how a set happens to iterate — an unpickled simulator,
-whose overlay sets were rebuilt, derives exactly the rows it had.  Admitting a
+Rows are read from the overlay's edge segments in one gather and
+key-sorted by slot, so no row depends on the order edits left a segment
+in — an unpickled simulator derives exactly the rows it had.  Admitting a
 peer never derives a row: a churn round first applies every departure
 and arrival, then re-derives the rows of every peer whose neighbour set
 changed with one :meth:`PeerSlots.refresh_rows` call, which patches the
@@ -39,7 +39,7 @@ from repro.core.taxation import NoTax, ThresholdIncomeTax
 from repro.obs import get_emitter
 from repro.overlay.generators import scale_free_topology
 from repro.overlay.membership import MembershipTracker
-from repro.overlay.topology import OverlayTopology
+from repro.overlay.topology import OverlayTopology, segments
 from repro.p2psim.recorder import WealthRecorder
 from repro.utils.rng import make_rng
 
@@ -53,12 +53,6 @@ __all__ = [
 ]
 
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
-
-
-def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``arange(start, start + length)`` of every segment, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 @dataclass
@@ -78,7 +72,7 @@ class SlotPack:
 
     def edge_positions(self, rows: np.ndarray) -> np.ndarray:
         """Positions in ``edge_dst`` of the edges of ``rows``, row after row."""
-        return _segments(self.row_start[rows], self.degrees[rows])
+        return segments(self.row_start[rows], self.degrees[rows])
 
 
 class PeerSlots:
@@ -177,7 +171,7 @@ class PeerSlots:
         ids, slots = ids[slots >= 0], slots[slots >= 0]
         if not ids.size and not self._moved:
             return _EMPTY_ROW
-        degrees, keys = self.topology.neighbor_rows(ids.tolist())
+        degrees, keys = self.topology.neighbor_rows(ids)
         keys = self._slots_of(keys)
         if keys.size and keys.min() < 0:
             row = np.searchsorted(np.cumsum(degrees), np.argmin(keys), side="right")
@@ -194,7 +188,7 @@ class PeerSlots:
         lengths[kept], starts[kept] = old.degrees[old_rows[kept]], old.row_start[old_rows[kept]]
         rows = np.searchsorted(alive_slots, slots)
         lengths[rows], starts[rows] = degrees, old.edge_dst.size + np.cumsum(degrees) - degrees
-        take = _segments(starts, lengths)
+        take = segments(starts, lengths)
         for name, values in self.edge_arrays.items():
             padded = np.concatenate([values, np.zeros(fresh.size, dtype=values.dtype)])
             self.edge_arrays[name] = padded[take]

@@ -146,7 +146,6 @@ class TestStreamingAndMarketSimulatorsAgree:
         num_peers = 40
         prices = {peer: 1.0 + float(rng.poisson(1.0)) for peer in range(num_peers)}
         pricing = PerPeerFlatPricing(prices)
-        topology = scale_free_topology(num_peers, mean_degree=8, seed=7)
 
         market_result = CreditMarketSimulator.run_config(
             MarketSimConfig(
@@ -154,14 +153,14 @@ class TestStreamingAndMarketSimulatorsAgree:
                 utilization=UtilizationMode.ASYMMETRIC, pricing=pricing,
                 topology_mean_degree=8.0, sample_interval=100.0, seed=7,
             ),
-            topology=topology.copy(),
+            topology=scale_free_topology(num_peers, mean_degree=8, seed=7),
         )
         streaming_result = StreamingMarketSimulator.run_config(
             StreamingSimConfig(
                 num_peers=num_peers, initial_credits=20.0, horizon=250.0, pricing=pricing,
                 topology_mean_degree=8.0, upload_capacity=1, sample_interval=50.0, seed=7,
             ),
-            topology=topology.copy(),
+            topology=scale_free_topology(num_peers, mean_degree=8, seed=7),
         )
         # Both levels of fidelity agree on the qualitative outcome: wealth
         # becomes substantially skewed under heterogeneous per-seller prices.

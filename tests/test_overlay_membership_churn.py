@@ -40,13 +40,22 @@ class TestMembershipTracker:
         with pytest.raises(ValueError):
             tracker.join(peer_id=10)
 
+    def test_negative_peer_id_is_rejected_before_any_draw(self):
+        topology = scale_free_topology(30, mean_degree=4, seed=1)
+        tracker = MembershipTracker(topology, seed=2)
+        state = tracker._rng.bit_generator.state
+        with pytest.raises(ValueError, match="non-negative"):
+            tracker.join(peer_id=-1)
+        assert tracker._rng.bit_generator.state == state
+        assert topology.num_peers == 30 and tracker.joins == 0
+
     def test_leave_repairs_orphans(self):
         # Star topology: removing the hub would isolate every leaf.
         topology = OverlayTopology.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         tracker = MembershipTracker(topology, target_degree=2, seed=4)
         tracker.leave(0)
         assert not topology.has_peer(0)
-        assert topology.isolated_peers() == []
+        assert all(topology.degree(peer) > 0 for peer in topology.peers())
         assert tracker.leaves == 1
 
     def test_select_neighbors_excludes_self_and_is_bounded(self):
@@ -93,44 +102,58 @@ def _churn_tracker(tracker, steps, seed):
     return repairs
 
 
-class TestTrackerArrays:
-    def test_arrays_mirror_the_topology_through_churn(self):
+def _assert_selection_matches_the_oracle(tracker, exclude):
+    peers = tracker.topology.peers()
+    for trial in range(20):
+        if exclude == "present":
+            excluded = peers[(7 * trial) % len(peers)]
+        else:
+            excluded = tracker.allocate_peer_id()
+        count = 1 + trial % 7
+        state = tracker._rng.bit_generator.state
+        expected = _list_select_neighbors(tracker, excluded, count)
+        tracker._rng.bit_generator.state = state
+        assert tracker.select_neighbors(excluded, count) == expected
+
+
+class TestTrackerSelection:
+    """The tracker reads ids and degrees from the overlay; the list oracle pins its draws."""
+
+    @pytest.mark.parametrize("exclude", ["present", "absent"])
+    def test_matches_the_list_oracle_through_churn(self, exclude):
         topology = scale_free_topology(40, mean_degree=2.0, seed=8)
         tracker = MembershipTracker(topology, target_degree=2, seed=9)
         repairs = 0
         for step in range(4):
             repairs += _churn_tracker(tracker, steps=50, seed=step)
-            assert tracker._ids.tolist() == topology.peers()
-            degrees = topology.degrees()
-            assert tracker._degrees.tolist() == [degrees[peer] for peer in topology.peers()]
+            _assert_selection_matches_the_oracle(tracker, exclude)
         assert repairs > 0, "expected some leaves to repair orphans"
+        # Reuse an id below the maximum in the now gapped id space, and
+        # edit the overlay behind the tracker's back.
+        if topology.has_peer(1):
+            tracker.leave(1)
+        assert tracker.join(peer_id=1) == 1
+        assert topology.peers()[-1] > topology.num_peers
+        hub = max(topology.peers(), key=topology.degree)
+        topology.remove_edge(hub, topology.neighbors(hub)[0])
+        _assert_selection_matches_the_oracle(tracker, exclude)
 
-    def test_explicit_ids_below_the_maximum_keep_the_arrays_sorted(self):
+    def test_explicit_ids_below_the_maximum(self):
         topology = OverlayTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         topology.remove_peer(1)
         topology.add_edge(0, 2)
         tracker = MembershipTracker(topology, target_degree=2, seed=1)
         tracker.join(peer_id=1)
-        assert tracker._ids.tolist() == topology.peers() == [0, 1, 2, 3]
-        degrees = topology.degrees()
-        assert tracker._degrees.tolist() == [degrees[peer] for peer in range(4)]
+        assert topology.peers() == [0, 1, 2, 3]
+        assert topology.degree(1) == 2
+        _assert_selection_matches_the_oracle(tracker, "present")
 
     @pytest.mark.parametrize("exclude", ["present", "absent"])
     def test_select_neighbors_matches_the_list_oracle(self, exclude):
         topology = scale_free_topology(60, mean_degree=4.0, seed=3)
         tracker = MembershipTracker(topology, target_degree=5, seed=4)
         _churn_tracker(tracker, steps=40, seed=5)
-        peers = topology.peers()
-        for trial in range(20):
-            if exclude == "present":
-                excluded = peers[(7 * trial) % len(peers)]
-            else:
-                excluded = tracker.allocate_peer_id()
-            count = 1 + trial % 7
-            state = tracker._rng.bit_generator.state
-            expected = _list_select_neighbors(tracker, excluded, count)
-            tracker._rng.bit_generator.state = state
-            assert tracker.select_neighbors(excluded, count) == expected
+        _assert_selection_matches_the_oracle(tracker, exclude)
 
 
 @pytest.mark.parametrize("exclude", [0, 5, 99])
@@ -293,3 +316,23 @@ class TestOrphanRepair:
                     assert orphan_slot in sim._slots.row(partner_slot)
                     assert partner_slot in sim._slots.row(orphan_slot)
         assert repairs, "expected the sparse overlay to orphan some peers"
+
+
+def test_churned_market_keeps_the_edge_buffer_bounded():
+    # Twenty population turnovers append about twenty times the live
+    # entries; only compaction keeps the buffer near the live size.
+    config = MarketSimConfig(
+        num_peers=200,
+        initial_credits=10.0,
+        horizon=400.0,
+        step=1.0,
+        topology_mean_degree=8.0,
+        seed=5,
+        churn=ChurnConfig.for_population(200, mean_lifespan=20.0),
+    )
+    sim = CreditMarketSimulator(config)
+    topology = sim.topology
+    for _ in range(sim.total_rounds()):
+        sim.advance_rounds(1)
+        assert topology._edges.size <= 8 * 2 * topology.num_edges
+    assert sim.joins > 10 * config.num_peers

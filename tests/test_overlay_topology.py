@@ -16,12 +16,11 @@ class TestConstruction:
         assert topo.num_peers == 4
         assert topo.num_edges == 2
 
-    def test_copy_is_independent(self):
-        topo = triangle()
-        clone = topo.copy()
-        clone.remove_edge(0, 1)
-        assert topo.has_edge(0, 1)
-        assert not clone.has_edge(0, 1)
+    def test_empty_overlay(self):
+        topo = OverlayTopology.from_edges(0, [])
+        assert topo.num_peers == topo.num_edges == 0
+        assert topo.peers() == [] and list(topo.edges()) == []
+        assert topo.connected_components() == []
 
 
 class TestPeers:
@@ -48,6 +47,19 @@ class TestPeers:
         assert 0 in topo
         assert 9 not in topo
         assert len(topo) == 3
+
+    def test_negative_ids_are_rejected(self):
+        # An id-indexed array would wrap -1 onto the last peer.
+        topo = triangle()
+        with pytest.raises(ValueError, match="non-negative"):
+            topo.add_peer(-1)
+        assert topo.num_peers == 3
+        assert not topo.has_peer(-1)
+        assert -1 not in topo
+        with pytest.raises(KeyError):
+            topo.neighbors(-1)
+        with pytest.raises(KeyError):
+            topo.add_edge(0, -1)
 
 
 class TestEdges:
@@ -88,13 +100,19 @@ class TestQueries:
         topo = triangle()
         assert topo.neighbors(0) == (1, 2)
         assert topo.degree(0) == 2
-        assert topo.degrees() == {0: 2, 1: 2, 2: 2}
+        ids, degrees = topo.peer_degrees()
+        assert ids.tolist() == [0, 1, 2] and degrees.tolist() == [2, 2, 2]
+        assert ids.dtype == degrees.dtype == np.int64
 
-    def test_neighbors_ascend_whatever_the_set_order(self):
-        # On CPython a set of {1, 8} iterates 8 first (8 lands in bucket
-        # 0), so this pins that neighbours come back sorted, not in set order.
-        topo = OverlayTopology.from_edges(9, [(0, 8), (0, 1)])
-        assert topo.neighbors(0) == (1, 8)
+    def test_neighbors_ascend_whatever_the_segment_order(self):
+        # Peer 0's segment holds 8 before 1, and removing 8 moves 5 into
+        # its place: neighbours still come back sorted.
+        topo = OverlayTopology.from_edges(9, [(0, 8), (0, 1), (0, 5)])
+        assert topo.neighbors(0) == (1, 5, 8)
+        topo.remove_edge(0, 8)
+        topo.add_edge(0, 3)
+        assert topo.neighbors(0) == (1, 3, 5)
+        assert sorted(topo.neighbor_rows([0])[1].tolist()) == [1, 3, 5]
 
     def test_neighbors_missing_peer_raises(self):
         with pytest.raises(KeyError):
@@ -103,15 +121,6 @@ class TestQueries:
     def test_mean_degree(self):
         assert triangle().mean_degree() == pytest.approx(2.0)
         assert OverlayTopology().mean_degree() == 0.0
-
-    def test_isolated_peers(self):
-        topo = OverlayTopology([0, 1, 2])
-        topo.add_edge(0, 1)
-        assert topo.isolated_peers() == [2]
-
-    def test_degree_histogram(self):
-        topo = OverlayTopology.from_edges(3, [(0, 1)])
-        assert topo.degree_histogram() == {1: 2, 0: 1}
 
 
 class TestStructure:
@@ -172,19 +181,6 @@ class TestStructure:
         assert topo.is_connected()
         assert OverlayTopology([7]).is_connected()
 
-    def test_adjacency_matrix_symmetric(self):
-        topo = triangle()
-        matrix = topo.adjacency_matrix()
-        np.testing.assert_array_equal(matrix, matrix.T)
-        assert matrix.sum() == 6  # 3 undirected edges
-
-    def test_adjacency_matrix_custom_order(self):
-        topo = OverlayTopology.from_edges(3, [(0, 2)])
-        matrix = topo.adjacency_matrix(order=[2, 0, 1])
-        assert matrix[0, 1] == 1.0
-        assert matrix[1, 0] == 1.0
-        assert matrix[2].sum() == 0.0
-
 
 class TestBulkConstruction:
     def test_from_edge_arrays_matches_from_edges(self):
@@ -223,32 +219,28 @@ class TestBulkConstruction:
         assert topo.num_edges == 0
 
 
-class TestCsrAdjacency:
-    def test_matches_dense_adjacency(self):
+class TestNeighborRows:
+    def test_rows_follow_the_requested_peers(self):
         topo = OverlayTopology.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
-        row_start, col_indices = topo.csr_adjacency()
-        dense = topo.adjacency_matrix()
-        assert row_start.dtype == np.int64 and col_indices.dtype == np.int64
-        assert row_start[0] == 0 and row_start[-1] == col_indices.size == 2 * topo.num_edges
-        for row in range(6):
-            cols = col_indices[row_start[row] : row_start[row + 1]]
-            assert list(cols) == sorted(cols)  # ascending within each row
-            np.testing.assert_array_equal(np.flatnonzero(dense[row]), cols)
-
-    def test_respects_custom_order_and_ignores_outsiders(self):
-        topo = OverlayTopology.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        order = [3, 1, 2]  # peer 2's neighbours 1 and 3 -> positions 1 and 0
-        row_start, col_indices = topo.csr_adjacency(order)
-        dense = topo.adjacency_matrix(order)
-        for row in range(len(order)):
-            cols = col_indices[row_start[row] : row_start[row + 1]]
-            np.testing.assert_array_equal(np.flatnonzero(dense[row]), cols)
+        degrees, ids = topo.neighbor_rows([4, 0, 5])
+        assert degrees.dtype == ids.dtype == np.int64
+        assert degrees.tolist() == [2, 2, 1]
+        rows = np.split(ids, np.cumsum(degrees)[:-1])
+        assert [sorted(row.tolist()) for row in rows] == [[3, 5], [1, 2], [4]]
 
     def test_isolated_peers_have_empty_rows(self):
         topo = OverlayTopology.from_edges(3, [(0, 1)])
-        row_start, col_indices = topo.csr_adjacency()
-        assert row_start[2] == row_start[3]  # peer 2 has no neighbours
-        assert col_indices.size == 2
+        degrees, ids = topo.neighbor_rows([2, 0])
+        assert degrees.tolist() == [0, 1] and ids.tolist() == [1]
+        degrees, ids = topo.neighbor_rows([])
+        assert degrees.size == ids.size == 0
+
+    def test_missing_peers_raise(self):
+        topo = triangle()
+        topo.remove_peer(1)
+        for missing in ([0, 1], [5], [-1]):
+            with pytest.raises(KeyError):
+                topo.neighbor_rows(missing)
 
 
 def _breadth_first_components(topo):
@@ -300,58 +292,41 @@ GENERATED_TOPOLOGIES = {
 }
 
 
-def _csr_rows(row_start, col_indices):
-    return [
-        col_indices[row_start[row] : row_start[row + 1]].tolist()
-        for row in range(row_start.size - 1)
-    ]
+def _rows(topo):
+    """Every current peer's row from one :meth:`neighbor_rows` gather, by id."""
+    peers = topo.peers()
+    degrees, ids = topo.neighbor_rows(peers)
+    assert degrees.dtype == ids.dtype == np.int64
+    return dict(zip(peers, (row.tolist() for row in np.split(ids, np.cumsum(degrees)[:-1]))))
 
 
 @pytest.mark.parametrize("kind", sorted(GENERATED_TOPOLOGIES))
-class TestCsrAdjacencyAcrossGenerators:
-    """CSR invariants on every generator family, not just hand-built graphs."""
+class TestNeighborRowsAcrossGenerators:
+    """Adjacency invariants on every generator family, not just hand-built graphs."""
 
-    def test_rows_are_sorted_neighbour_positions(self, kind):
+    def test_rows_are_the_neighbours(self, kind):
         topo = GENERATED_TOPOLOGIES[kind]()
-        order = topo.peers()
-        position = {peer: index for index, peer in enumerate(order)}
-        rows = _csr_rows(*topo.csr_adjacency())
+        rows = _rows(topo)
         assert len(rows) == topo.num_peers
-        for peer, row in zip(order, rows):
-            assert row == sorted(position[neighbor] for neighbor in topo.neighbors(peer))
+        for peer, row in rows.items():
+            assert sorted(row) == list(topo.neighbors(peer))
+            assert len(set(row)) == len(row)
 
     def test_symmetric_without_self_loops(self, kind):
-        rows = _csr_rows(*GENERATED_TOPOLOGIES[kind]().csr_adjacency())
-        entries = {(row, col) for row, cols in enumerate(rows) for col in cols}
-        assert all(row != col for row, col in entries)
-        assert all((col, row) in entries for row, col in entries)
+        rows = _rows(GENERATED_TOPOLOGIES[kind]())
+        entries = {(peer, other) for peer, row in rows.items() for other in row}
+        assert all(peer != other for peer, other in entries)
+        assert all((other, peer) in entries for peer, other in entries)
 
     def test_row_lengths_are_degrees(self, kind):
         topo = GENERATED_TOPOLOGIES[kind]()
-        row_start, col_indices = topo.csr_adjacency()
-        assert row_start.dtype == np.int64 and col_indices.dtype == np.int64
-        assert row_start.size == topo.num_peers + 1
-        assert np.all(np.diff(row_start) >= 0)
-        assert np.diff(row_start).tolist() == [topo.degree(peer) for peer in topo.peers()]
-        assert int(row_start[-1]) == col_indices.size == 2 * topo.num_edges
-
-    def test_permuted_order_relabels_rows(self, kind):
-        topo = GENERATED_TOPOLOGIES[kind]()
-        peers = topo.peers()
-        order = [peers[i] for i in np.random.default_rng(0).permutation(len(peers))]
-        default_rows = _csr_rows(*topo.csr_adjacency())
-        permuted_rows = _csr_rows(*topo.csr_adjacency(order))
-        position = {peer: index for index, peer in enumerate(order)}
-        for index, peer in enumerate(order):
-            expected = sorted(position[peers[col]] for col in default_rows[peers.index(peer)])
-            assert permuted_rows[index] == expected
-
-    def test_partial_order_matches_dense_submatrix(self, kind):
-        topo = GENERATED_TOPOLOGIES[kind]()
-        order = topo.peers()[::2]
-        rows = _csr_rows(*topo.csr_adjacency(order))
-        dense = topo.adjacency_matrix(order)
-        assert [np.flatnonzero(dense[row]).tolist() for row in range(len(order))] == rows
+        rows = _rows(topo)
+        assert [len(row) for row in rows.values()] == [topo.degree(p) for p in rows]
+        assert topo.peer_degrees()[1].tolist() == [len(row) for row in rows.values()]
+        assert sum(map(len, rows.values())) == 2 * topo.num_edges
+        assert list(topo.edges()) == sorted(
+            (peer, other) for peer, row in rows.items() for other in row if peer < other
+        )
 
     def test_components_match_breadth_first_search(self, kind):
         topo = GENERATED_TOPOLOGIES[kind]()
@@ -361,20 +336,61 @@ class TestCsrAdjacencyAcrossGenerators:
 
     def test_reflects_membership_edits(self, kind):
         # Churn removes peers and wires new ids beyond the initial range;
-        # the CSR view must track the live overlay, not the generated one.
+        # the rows must track the live overlay, not the generated one.
         topo = GENERATED_TOPOLOGIES[kind]()
         departed = topo.peers()[1::5]
         for peer in departed:
             topo.remove_peer(peer)
         newcomer = max(topo.peers()) + 1000
         topo.add_peer(newcomer)
-        for neighbor in topo.peers()[:3]:
-            if neighbor != newcomer:
-                topo.add_edge(newcomer, neighbor)
-        order = topo.peers()
-        position = {peer: index for index, peer in enumerate(order)}
-        rows = _csr_rows(*topo.csr_adjacency())
+        first = topo.peers()[:3]
+        for neighbor in first:
+            topo.add_edge(newcomer, neighbor)
+        rows = _rows(topo)
         assert len(rows) == topo.num_peers
-        assert rows[position[newcomer]] == [0, 1, 2]
-        for peer, row in zip(order, rows):
-            assert row == sorted(position[neighbor] for neighbor in topo.neighbors(peer))
+        assert not set(departed) & set(rows)
+        assert sorted(rows[newcomer]) == first
+        for peer, row in rows.items():
+            assert sorted(row) == list(topo.neighbors(peer))
+            assert not set(departed) & set(row)
+        assert topo.connected_components() == _breadth_first_components(topo)
+
+
+class TestEdgeBuffer:
+    def test_rows_survive_compaction(self):
+        # Random joins, leaves and edge edits leave holes in the buffer;
+        # after each gather every row must still equal a rebuild that adds
+        # the live edges one by one.
+        rng = np.random.default_rng(7)
+        topo = generators.scale_free_topology(120, mean_degree=6.0, seed=7)
+        edges = set(topo.edges())
+        next_id, gathers = 120, 0
+        while gathers < 4:
+            buffer = topo._edges
+            peers = topo.peers()
+            u, v = (int(peer) for peer in rng.choice(peers, size=2, replace=False))
+            action = rng.random()
+            if action < 0.1:
+                topo.remove_peer(u)
+                edges = {edge for edge in edges if u not in edge}
+            elif action < 0.2:
+                topo.add_peer(next_id)
+                for neighbor in rng.choice(peers, size=3, replace=False).tolist():
+                    topo.add_edge(next_id, neighbor)
+                    edges.add((neighbor, next_id))
+                next_id += 1
+            elif (min(u, v), max(u, v)) in edges:
+                topo.remove_edge(u, v)
+                edges.discard((min(u, v), max(u, v)))
+            else:
+                topo.add_edge(v, u)
+                edges.add((min(u, v), max(u, v)))
+            if topo._edges is not buffer:
+                gathers += 1
+                rebuilt = OverlayTopology(topo.peers())
+                for edge in sorted(edges):
+                    rebuilt.add_edge(*edge)
+                assert topo.num_edges == rebuilt.num_edges == len(edges)
+                for peer in topo.peers():
+                    assert topo.neighbors(peer) == rebuilt.neighbors(peer)
+                assert list(topo.edges()) == sorted(edges)
