@@ -328,11 +328,66 @@ class TestNeighborRowsAcrossGenerators:
             (peer, other) for peer, row in rows.items() for other in row if peer < other
         )
 
+    def test_permuted_request_reorders_whole_rows(self, kind):
+        # A gather in any peer order returns each peer's own row, entry for
+        # entry: the request order moves rows, never their contents.
+        topo = GENERATED_TOPOLOGIES[kind]()
+        peers = topo.peers()
+        order = [peers[i] for i in np.random.default_rng(0).permutation(len(peers))]
+        default_rows = _rows(topo)
+        degrees, ids = topo.neighbor_rows(order)
+        assert degrees.tolist() == [len(default_rows[peer]) for peer in order]
+        assert ids.tolist() == [other for peer in order for other in default_rows[peer]]
+
+    def test_partial_request_matches_the_dense_submatrix(self, kind):
+        topo = GENERATED_TOPOLOGIES[kind]()
+        order = topo.peers()[::2]
+        position = {peer: index for index, peer in enumerate(order)}
+        degrees, ids = topo.neighbor_rows(order)
+        assert degrees.tolist() == [topo.degree(peer) for peer in order]
+        gathered = np.zeros((len(order), len(order)), dtype=int)
+        for row, neighbours in enumerate(np.split(ids, np.cumsum(degrees)[:-1])):
+            for other in neighbours.tolist():
+                if other in position:
+                    gathered[row, position[other]] += 1
+        dense = np.zeros_like(gathered)
+        for u, v in topo.edges():
+            if u in position and v in position:
+                dense[position[u], position[v]] = dense[position[v], position[u]] = 1
+        np.testing.assert_array_equal(gathered, dense)
+
     def test_components_match_breadth_first_search(self, kind):
         topo = GENERATED_TOPOLOGIES[kind]()
         for peer in topo.peers()[1::3]:
             topo.remove_peer(peer)
         assert topo.connected_components() == _breadth_first_components(topo)
+
+    def test_rows_survive_compaction(self, kind):
+        # Departures leave holes in the buffer; newcomers wired to the
+        # survivors fill segments until one gather packs it.  Every row
+        # must then equal a rebuild that adds the live edges one by one.
+        topo = GENERATED_TOPOLOGIES[kind]()
+        edges = set(topo.edges())
+        for peer in topo.peers()[1::4]:
+            topo.remove_peer(peer)
+            edges = {edge for edge in edges if peer not in edge}
+        survivors = topo.peers()
+        buffer, newcomer = topo._edges, max(survivors) + 1
+        while topo._edges is buffer:
+            topo.add_peer(newcomer)
+            for neighbor in survivors[newcomer % 5 :: 7]:
+                topo.add_edge(newcomer, neighbor)
+                edges.add((neighbor, newcomer))
+            newcomer += 1
+        assert topo._end <= topo._edges.size
+        rebuilt = OverlayTopology(topo.peers())
+        for edge in sorted(edges):
+            rebuilt.add_edge(*edge)
+        assert topo.num_edges == rebuilt.num_edges == len(edges)
+        for peer, row in _rows(topo).items():
+            assert sorted(row) == list(rebuilt.neighbors(peer))
+        assert list(topo.edges()) == sorted(edges)
+        assert topo.connected_components() == _breadth_first_components(rebuilt)
 
     def test_reflects_membership_edits(self, kind):
         # Churn removes peers and wires new ids beyond the initial range;
