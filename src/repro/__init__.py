@@ -19,7 +19,7 @@ True
 Subpackages
 -----------
 ``repro.core``
-    Credit market, wallets/ledger, pricing, taxation, spending policies,
+    Credit market, pricing, the income tax, spending policies,
     condensation analysis and inequality metrics.
 ``repro.queueing``
     Jackson queueing-network analytics (traffic equations, closed/open
@@ -42,7 +42,6 @@ Subpackages
 """
 
 from repro.core import (
-    CreditLedger,
     CreditMarket,
     DynamicSpendingPolicy,
     FixedSpendingPolicy,
@@ -54,7 +53,6 @@ from repro.core import (
     PricingScheme,
     ThresholdIncomeTax,
     UniformPricing,
-    Wallet,
     condensation_threshold,
     diagnose_condensation,
     exchange_efficiency,
@@ -85,8 +83,6 @@ __all__ = [
     # core
     "CreditMarket",
     "MarketEquilibrium",
-    "CreditLedger",
-    "Wallet",
     "PricingScheme",
     "UniformPricing",
     "PerPeerFlatPricing",

@@ -1,13 +1,14 @@
 """Core credit-market library — the paper's primary contribution.
 
 The :class:`~repro.core.market.CreditMarket` class ties together an overlay
-topology, a pricing scheme, peer earning/spending rates and wallets, and
-exposes the Table I mapping onto a Jackson queueing network.  Around it:
+topology, a pricing scheme, peer earning/spending rates and credit
+balances, and exposes the Table I mapping onto a Jackson queueing network.
+Around it:
 
-* :mod:`repro.core.credits` — wallets and a conservation-checked ledger;
 * :mod:`repro.core.pricing` — chunk pricing schemes (uniform, per-peer flat,
   linear, Poisson-priced, auction);
-* :mod:`repro.core.taxation` — the taxation counter-measure of Sec. VI-C;
+* :mod:`repro.core.taxation` — the income-tax counter-measure of Sec. VI-C
+  and its untaxed baseline;
 * :mod:`repro.core.spending` — fixed and wealth-proportional dynamic
   spending-rate policies (Sec. VI-D);
 * :mod:`repro.core.condensation` — the condensation threshold ``T`` of
@@ -15,7 +16,6 @@ exposes the Table I mapping onto a Jackson queueing network.  Around it:
 * :mod:`repro.core.metrics` — Gini/Lorenz and other inequality measures.
 """
 
-from repro.core.credits import CreditLedger, InsufficientCreditsError, Transaction, Wallet
 from repro.core.pricing import (
     AuctionPricing,
     LinearPricing,
@@ -51,10 +51,6 @@ from repro.core.metrics import (
 from repro.core.market import CreditMarket, MarketEquilibrium
 
 __all__ = [
-    "Wallet",
-    "CreditLedger",
-    "Transaction",
-    "InsufficientCreditsError",
     "PricingScheme",
     "UniformPricing",
     "PerPeerFlatPricing",

@@ -2,8 +2,8 @@
 
 :class:`CreditMarket` is the paper's central abstraction: a population of
 peers on an overlay, each with an earning rate ``λ_i``, a maximum spending
-rate ``μ_i``, a wallet, a pricing scheme and trading preferences encoded in
-the routing matrix ``P``.  The class
+rate ``μ_i``, an initial credit balance, a pricing scheme and trading
+preferences encoded in the routing matrix ``P``.  The class
 
 * derives ``μ_i`` and ``P`` from chunk transfer rates and prices using the
   relations of Sec. V-C (``μ_i p_ij = r_ji s_j`` hence
@@ -23,7 +23,6 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.condensation import CondensationReport, diagnose_condensation
-from repro.core.credits import CreditLedger
 from repro.core.pricing import PricingScheme, UniformPricing
 from repro.overlay.topology import OverlayTopology
 from repro.queueing.closed import ClosedJacksonNetwork
@@ -67,6 +66,10 @@ class MarketEquilibrium:
 class CreditMarket:
     """A credit-incentivized P2P content market.
 
+    Every peer holds its ``initial_credits`` endowment.  The class analyses
+    the market at equilibrium and never moves a credit, so the balances
+    stay constant; the simulators of :mod:`repro.p2psim` move them.
+
     Parameters
     ----------
     topology:
@@ -106,9 +109,7 @@ class CreditMarket:
         self._order = topology.peers()
         self._index = {peer: i for i, peer in enumerate(self._order)}
 
-        self.ledger = CreditLedger(record_transactions=False)
-        for peer in self._order:
-            self.ledger.open_wallet(peer, initial_credits)
+        self._balances = np.full(len(self._order), float(initial_credits))
 
         self._chunk_rates = self._normalize_chunk_rates(chunk_rates)
         self._mu = self._derive_spending_rates(spending_rates)
@@ -229,7 +230,8 @@ class CreditMarket:
     @property
     def total_credits(self) -> float:
         """Total credits ``M`` currently in circulation."""
-        return self.ledger.total_in_circulation()
+        # A sequential sum, not numpy's pairwise one: fig3 prints this total.
+        return sum(self._balances.tolist())
 
     @property
     def average_wealth(self) -> float:
@@ -247,8 +249,8 @@ class CreditMarket:
         return self._mu.copy()
 
     def wealth_vector(self) -> np.ndarray:
-        """Current wallet balances in peer order."""
-        return np.array(self.ledger.balance_vector(self._order))
+        """Current credit balances in peer order."""
+        return self._balances.copy()
 
     # ------------------------------------------------------------------ equilibrium analysis
 

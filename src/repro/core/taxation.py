@@ -1,40 +1,37 @@
-"""Taxation counter-measures against wealth condensation (Sec. VI-C).
+"""The taxation counter-measure against wealth condensation (Sec. VI-C).
 
 The paper's taxation rule: for a peer whose wealth exceeds a *tax
 threshold*, the system collects a fixed proportion (the *tax rate*) of its
 income; whenever the collected pool reaches ``N`` units, one unit is
 returned to every peer.  :class:`ThresholdIncomeTax` implements exactly
-that rule; :class:`ProportionalRedistributionTax` is an ablation variant
-that redistributes the pool continuously in proportion to poverty instead
-of waiting for ``N`` units.
+that rule on the alive peers' balance and income arrays; :class:`NoTax` is
+the untaxed baseline.  A policy keeps no run state: the pool and the
+totals live in the simulator that applies it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Tuple
 
-from repro.core.credits import CreditLedger
+import numpy as np
+
 from repro.utils.validation import check_fraction, check_non_negative
 
-__all__ = ["TaxPolicy", "NoTax", "ThresholdIncomeTax", "ProportionalRedistributionTax"]
+__all__ = ["TaxPolicy", "NoTax", "ThresholdIncomeTax"]
 
 
 class TaxPolicy:
     """Interface for taxation policies applied to peer income."""
 
-    def on_income(
-        self,
-        ledger: CreditLedger,
-        peer_id: int,
-        income: float,
-        time: float,
-        population: Sequence[int],
-    ) -> float:
-        """Called after ``peer_id`` earned ``income`` credits.
+    def apply(
+        self, balances: np.ndarray, incomes: np.ndarray, pool: float
+    ) -> Tuple[float, float, float]:
+        """Tax one round of the alive peers' ``incomes`` and pay rebates from ``pool``.
 
-        Returns the amount of tax collected (0 when no tax applies).  The
-        policy is responsible for collecting into the ledger's system pool
-        and, when its redistribution condition triggers, disbursing rebates.
+        ``balances`` and ``incomes`` are aligned arrays over the alive
+        peers; ``balances`` is edited in place.  Returns ``(collected,
+        rebated, pool)``: what this round collected and rebated, and the
+        pool carried to the next round.
         """
         raise NotImplementedError
 
@@ -46,15 +43,10 @@ class TaxPolicy:
 class NoTax(TaxPolicy):
     """The baseline: no taxation at all."""
 
-    def on_income(
-        self,
-        ledger: CreditLedger,
-        peer_id: int,
-        income: float,
-        time: float,
-        population: Sequence[int],
-    ) -> float:
-        return 0.0
+    def apply(
+        self, balances: np.ndarray, incomes: np.ndarray, pool: float
+    ) -> Tuple[float, float, float]:
+        return 0.0, 0.0, pool
 
     def describe(self) -> str:
         return "no taxation"
@@ -80,103 +72,28 @@ class ThresholdIncomeTax(TaxPolicy):
         self.rate = check_fraction(rate, "rate")
         self.threshold = check_non_negative(threshold, "threshold")
         self.rebate_unit = check_non_negative(rebate_unit, "rebate_unit")
-        self.total_collected = 0.0
-        self.total_rebated = 0.0
-        self.rebate_rounds = 0
 
-    def on_income(
-        self,
-        ledger: CreditLedger,
-        peer_id: int,
-        income: float,
-        time: float,
-        population: Sequence[int],
-    ) -> float:
-        if income <= 0 or self.rate <= 0:
-            return 0.0
-        wallet = ledger.wallet(peer_id)
-        if wallet.balance <= self.threshold:
-            return 0.0
-        tax = min(income * self.rate, wallet.balance)
-        if tax <= 0:
-            return 0.0
-        ledger.collect_to_pool(peer_id, tax, time=time)
-        self.total_collected += tax
-        self._maybe_rebate(ledger, time, population)
-        return tax
+    def apply(
+        self, balances: np.ndarray, incomes: np.ndarray, pool: float
+    ) -> Tuple[float, float, float]:
+        """Tax every peer on its balance before any rebate, then rebate.
 
-    def _maybe_rebate(self, ledger: CreditLedger, time: float, population: Sequence[int]) -> None:
-        peers = [peer for peer in population if ledger.has_wallet(peer)]
-        if not peers or self.rebate_unit <= 0:
-            return
-        required = self.rebate_unit * len(peers)
-        while ledger.system_pool >= required and required > 0:
-            for peer in peers:
-                ledger.disburse_from_pool(peer, self.rebate_unit, time=time)
-                self.total_rebated += self.rebate_unit
-            self.rebate_rounds += 1
+        A peer above the threshold pays ``rate`` of its income, capped at
+        its balance.  The pool then pays ``rebate_unit`` to every peer as
+        many times as it covers a whole round of rebates.
+        """
+        taxable = (balances > self.threshold) & (incomes > 0)
+        taxes = np.where(taxable, np.minimum(incomes * self.rate, balances), 0.0)
+        balances -= taxes
+        collected = float(taxes.sum())
+        pool += collected
+        rebated = 0.0
+        rebate_cost = self.rebate_unit * balances.size
+        while rebate_cost > 0 and pool >= rebate_cost:
+            balances += self.rebate_unit
+            pool -= rebate_cost
+            rebated += rebate_cost
+        return collected, rebated, pool
 
     def describe(self) -> str:
         return f"tax rate={self.rate:g} threshold={self.threshold:g}"
-
-
-class ProportionalRedistributionTax(TaxPolicy):
-    """Ablation variant: collected tax is immediately redistributed to the poorest peers.
-
-    Income above the threshold is taxed at ``rate`` exactly as in
-    :class:`ThresholdIncomeTax`, but instead of accumulating a pool the
-    collected amount is split immediately among the peers whose wealth is
-    below the threshold, proportionally to their shortfall.  When no peer is
-    below the threshold the collection is skipped entirely.
-    """
-
-    def __init__(self, rate: float, threshold: float) -> None:
-        self.rate = check_fraction(rate, "rate")
-        self.threshold = check_non_negative(threshold, "threshold")
-        self.total_collected = 0.0
-        self.total_rebated = 0.0
-
-    def on_income(
-        self,
-        ledger: CreditLedger,
-        peer_id: int,
-        income: float,
-        time: float,
-        population: Sequence[int],
-    ) -> float:
-        if income <= 0 or self.rate <= 0:
-            return 0.0
-        wallet = ledger.wallet(peer_id)
-        if wallet.balance <= self.threshold:
-            return 0.0
-        shortfalls: Dict[int, float] = {}
-        for peer in population:
-            if peer == peer_id or not ledger.has_wallet(peer):
-                continue
-            balance = ledger.wallet(peer).balance
-            if balance < self.threshold:
-                shortfalls[peer] = self.threshold - balance
-        if not shortfalls:
-            return 0.0
-        tax = min(income * self.rate, wallet.balance)
-        if tax <= 0:
-            return 0.0
-        ledger.collect_to_pool(peer_id, tax, time=time)
-        self.total_collected += tax
-        total_shortfall = sum(shortfalls.values())
-        remaining = tax
-        items: List = sorted(shortfalls.items())
-        for index, (peer, shortfall) in enumerate(items):
-            if index == len(items) - 1:
-                share = remaining
-            else:
-                share = tax * shortfall / total_shortfall
-                share = min(share, remaining)
-            if share > 0:
-                ledger.disburse_from_pool(peer, share, time=time)
-                self.total_rebated += share
-                remaining -= share
-        return tax
-
-    def describe(self) -> str:
-        return f"proportional tax rate={self.rate:g} threshold={self.threshold:g}"

@@ -16,13 +16,11 @@ utilization), with three observations:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.taxation import NoTax, ThresholdIncomeTax
+from repro.core.taxation import NoTax, TaxPolicy, ThresholdIncomeTax
 from repro.experiments.common import ExperimentResult, Scale, scale_parameters
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.market_sim import CreditMarketSimulator
-from repro.utils.records import ResultTable
+from repro.utils.records import ResultTable, SeriesRecord
 
 __all__ = ["run", "run_point"]
 
@@ -31,6 +29,45 @@ TITLE = "Fig. 9 — Gini index under different tax rates and thresholds"
 
 #: Parameters `run_point` accepts as sweep axes.
 SWEEP_PARAMS = ("tax_rate", "tax_threshold", "num_peers", "horizon")
+
+
+def _run_setting(
+    params: dict, seed: int, rate: float, threshold: float, table: ResultTable
+) -> SeriesRecord:
+    """Run one tax setting, add its row to ``table`` and return its Gini series.
+
+    ``rate <= 0`` means no taxation.  The row's tax totals are the run's
+    own, read from the result.
+    """
+    policy: TaxPolicy
+    if rate <= 0.0:
+        policy, label = NoTax(), "no taxation"
+    else:
+        policy = ThresholdIncomeTax(rate=rate, threshold=threshold)
+        label = f"rate={rate:g} thres.={threshold:g}"
+    config = MarketSimConfig(
+        num_peers=params["num_peers"],
+        initial_credits=params["initial_credits"],
+        horizon=params["horizon"],
+        step=params["step"],
+        utilization=UtilizationMode.ASYMMETRIC,
+        tax_policy=policy,
+        sample_interval=max(params["step"], params["horizon"] / 100.0),
+        seed=seed,
+    )
+    result = CreditMarketSimulator.run_config(config)
+    table.add_row(
+        taxation=label,
+        tax_rate=rate,
+        tax_threshold=threshold,
+        stabilized_gini=result.stabilized_gini,
+        final_gini=result.final_gini,
+        total_tax_collected=result.extras["tax_collected"],
+        total_tax_rebated=result.extras["tax_rebated"],
+    )
+    gini_series = result.recorder.gini_series
+    gini_series.label = label
+    return gini_series
 
 
 def run_point(
@@ -59,27 +96,6 @@ def run_point(
         params["horizon"] = float(horizon)
     tax_rate = float(tax_rate)
     tax_threshold = float(tax_threshold)
-
-    if tax_rate <= 0.0:
-        policy: object = NoTax()
-        label = "no taxation"
-    else:
-        policy = ThresholdIncomeTax(rate=tax_rate, threshold=tax_threshold)
-        label = f"rate={tax_rate:g} thres.={tax_threshold:g}"
-    config = MarketSimConfig(
-        num_peers=params["num_peers"],
-        initial_credits=params["initial_credits"],
-        horizon=params["horizon"],
-        step=params["step"],
-        utilization=UtilizationMode.ASYMMETRIC,
-        tax_policy=policy,
-        sample_interval=max(params["step"], params["horizon"] / 100.0),
-        seed=seed,
-    )
-    result = CreditMarketSimulator.run_config(config)
-    gini_series = result.recorder.gini_series
-    gini_series.label = label
-
     metadata = dict(
         params,
         scale=str(scale),
@@ -87,18 +103,8 @@ def run_point(
         tax_rate=tax_rate,
         tax_threshold=tax_threshold,
     )
-    collected: Optional[float] = getattr(policy, "total_collected", None)
-    rebated: Optional[float] = getattr(policy, "total_rebated", None)
     table = ResultTable(title=TITLE, metadata=metadata)
-    table.add_row(
-        taxation=label,
-        tax_rate=tax_rate,
-        tax_threshold=tax_threshold,
-        stabilized_gini=result.stabilized_gini,
-        final_gini=result.final_gini,
-        total_tax_collected=0.0 if collected is None else collected,
-        total_tax_rebated=0.0 if rebated is None else rebated,
-    )
+    gini_series = _run_setting(params, seed, tax_rate, tax_threshold, table)
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=TITLE,
@@ -136,39 +142,10 @@ def run(scale: str = Scale.DEFAULT, seed: int = 0) -> ExperimentResult:
     )
 
     table = ResultTable(title=TITLE, metadata=dict(params, scale=str(scale), seed=seed))
-    series = []
-    for rate, threshold in params["tax_settings"]:
-        if rate is None:
-            policy = NoTax()
-            label = "no taxation"
-        else:
-            policy = ThresholdIncomeTax(rate=rate, threshold=threshold)
-            label = f"rate={rate:g} thres.={threshold:g}"
-        config = MarketSimConfig(
-            num_peers=params["num_peers"],
-            initial_credits=params["initial_credits"],
-            horizon=params["horizon"],
-            step=params["step"],
-            utilization=UtilizationMode.ASYMMETRIC,
-            tax_policy=policy,
-            sample_interval=max(params["step"], params["horizon"] / 100.0),
-            seed=seed,
-        )
-        result = CreditMarketSimulator.run_config(config)
-        gini_series = result.recorder.gini_series
-        gini_series.label = label
-        series.append(gini_series)
-        collected: Optional[float] = getattr(policy, "total_collected", None)
-        rebated: Optional[float] = getattr(policy, "total_rebated", None)
-        table.add_row(
-            taxation=label,
-            tax_rate=0.0 if rate is None else rate,
-            tax_threshold=0.0 if threshold is None else threshold,
-            stabilized_gini=result.stabilized_gini,
-            final_gini=result.final_gini,
-            total_tax_collected=0.0 if collected is None else collected,
-            total_tax_rebated=0.0 if rebated is None else rebated,
-        )
+    series = [
+        _run_setting(params, seed, rate or 0.0, threshold or 0.0, table)
+        for rate, threshold in params["tax_settings"]
+    ]
 
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,

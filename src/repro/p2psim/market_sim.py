@@ -86,6 +86,9 @@ class MarketSimResult:
         Total number of credit transfers simulated.
     joins, leaves:
         Churn event counts (zero for static overlays).
+    extras:
+        ``tax_pool`` (credits the tax holds at the end), the run's tax
+        totals ``tax_collected`` and ``tax_rebated``, and ``final_population``.
     """
 
     config: MarketSimConfig
@@ -286,11 +289,6 @@ class CreditMarketSimulator(SlotSimulator):
             refresh_rows=self._refresh_routing_rows,
         )
 
-    # ------------------------------------------------------------------ taxation
-
-    def _apply_taxation(self, income: np.ndarray) -> None:
-        apply_income_taxation(self, income, self._time)
-
     # ------------------------------------------------------------------ main loop
 
     def _routing_pack(self) -> Tuple[SlotPack, np.ndarray]:
@@ -379,7 +377,7 @@ class CreditMarketSimulator(SlotSimulator):
             # Nobody spent: skip the transfer machinery entirely, but still
             # show the (all-zero) income to the tax policy — rebate rounds
             # may fire on a quiet round once the pool is full.
-            self._apply_taxation(self._zero_income)
+            apply_income_taxation(self, self._zero_income, alive_slots)
             return
         draws = rng.random(total)
         # The kernel runs tens of thousands of times per second, so its
@@ -406,7 +404,7 @@ class CreditMarketSimulator(SlotSimulator):
         received = np.flatnonzero(income > 0)
         self._balance[received] += income[received]
         self._earned[received] += income[received]
-        self._apply_taxation(income)
+        apply_income_taxation(self, income, alive_slots)
 
     def total_rounds(self) -> int:
         """Number of simulation rounds the configured horizon spans."""
@@ -450,6 +448,8 @@ class CreditMarketSimulator(SlotSimulator):
             leaves=self.leaves,
             extras={
                 "tax_pool": self._tax_pool,
+                "tax_collected": self._tax_collected,
+                "tax_rebated": self._tax_rebated,
                 "final_population": int(alive_slots.size),
             },
         )

@@ -24,8 +24,8 @@ are the round steps both call, so a fix to either step can never
 silently diverge the two fidelity levels.  The steps read the attributes
 a :class:`SlotSimulator` sets up (``config`` with its ``churn`` and
 ``tax_policy``, ``_rng``, ``_slots``, ``_balance``, ``_tracker``,
-``topology``, ``_tax_pool``, the ``joins``/``leaves`` counters) and call
-the simulator's own ``_evict(peer_id)``.
+``topology``, ``_tax_pool`` and the tax totals, the ``joins``/``leaves``
+counters) and call the simulator's own ``_evict(peer_id)``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.taxation import NoTax, ThresholdIncomeTax
 from repro.obs import get_emitter
 from repro.overlay.generators import scale_free_topology
 from repro.overlay.membership import MembershipTracker
@@ -291,6 +290,8 @@ class SlotSimulator:
         self._slots = PeerSlots(self.topology)
         self._balance = np.zeros(self._slots.capacity)
         self._tax_pool = 0.0
+        self._tax_collected = 0.0
+        self._tax_rebated = 0.0
         self.joins = 0
         self.leaves = 0
 
@@ -393,48 +394,19 @@ def apply_round_churn(
     refresh_rows(list(touched))
 
 
-def apply_income_taxation(sim: Any, income: np.ndarray, now: float) -> None:
+def apply_income_taxation(sim: Any, income: np.ndarray, alive_slots: np.ndarray) -> None:
     """Tax one round's per-slot income under the simulator's tax policy.
 
-    :class:`~repro.core.taxation.ThresholdIncomeTax` — the paper's rule —
-    runs as a vectorised fast path over the alive slots (collecting into
-    ``sim._tax_pool`` and rebating whole units once the pool covers a
-    round of rebates).  Custom policies fall back to a per-peer pass
-    through a minimal ledger facade.
+    ``alive_slots`` are the slots of the alive peers, ascending.  The
+    policy's :meth:`~repro.core.taxation.TaxPolicy.apply` taxes their
+    balances and rebates from ``sim._tax_pool``; the step writes the
+    balances back and adds the round's collections and rebates to
+    ``sim._tax_collected`` and ``sim._tax_rebated``.
     """
-    policy = sim.config.tax_policy
-    if isinstance(policy, NoTax):
-        return
-    alive_slots = np.flatnonzero(sim._slots.alive)
-    if alive_slots.size == 0:
-        return
-    if isinstance(policy, ThresholdIncomeTax):
-        balances = sim._balance[alive_slots]
-        incomes = income[alive_slots]
-        taxable = (balances > policy.threshold) & (incomes > 0)
-        taxes = np.where(taxable, np.minimum(incomes * policy.rate, balances), 0.0)
-        sim._balance[alive_slots] -= taxes
-        collected = float(taxes.sum())
-        sim._tax_pool += collected
-        policy.total_collected += collected
-        rebate_cost = policy.rebate_unit * alive_slots.size
-        while rebate_cost > 0 and sim._tax_pool >= rebate_cost:
-            sim._balance[alive_slots] += policy.rebate_unit
-            sim._tax_pool -= rebate_cost
-            policy.total_rebated += rebate_cost
-            policy.rebate_rounds += 1
-        return
-    # Generic (slower) path for custom policies: apply per peer through a
-    # minimal ledger facade.
-    from repro.core.credits import CreditLedger
-
-    ledger = CreditLedger(record_transactions=False)
-    for slot in alive_slots:
-        ledger.open_wallet(int(slot), float(sim._balance[slot]))
-    population = [int(slot) for slot in alive_slots]
-    for slot in alive_slots:
-        if income[slot] > 0:
-            policy.on_income(ledger, int(slot), float(income[slot]), now, population)
-    for slot in alive_slots:
-        sim._balance[slot] = ledger.wallet(int(slot)).balance
-    sim._tax_pool += ledger.system_pool
+    balances = sim._balance[alive_slots]
+    collected, rebated, sim._tax_pool = sim.config.tax_policy.apply(
+        balances, income[alive_slots], sim._tax_pool
+    )
+    sim._balance[alive_slots] = balances
+    sim._tax_collected += collected
+    sim._tax_rebated += rebated

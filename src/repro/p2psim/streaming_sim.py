@@ -396,6 +396,10 @@ class StreamingSimResult:
         Total chunks purchased and delivered across the swarm.
     joins, leaves:
         Churn event counts (zero for static overlays).
+    extras:
+        ``tax_pool`` (credits the tax holds at the end), the run's tax
+        totals ``tax_collected`` and ``tax_rebated``, and ``peer_order``,
+        ``source_chunks`` and ``final_population``.
     """
 
     config: StreamingSimConfig
@@ -824,13 +828,14 @@ class StreamingMarketSimulator(SlotSimulator):
         sellers: np.ndarray,
         chunk_abs: np.ndarray,
         prices: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Apply one tick's admitted purchases: credits now, chunks after latency.
 
         Shared verbatim by both kernels.  Posted-price schemes settle as
         batched array updates; stateful schemes (auctions, linear pricing)
         settle purchase-by-purchase in the global admission order through
-        the scalar ``settle``/``note_purchase`` hooks.
+        the scalar ``settle``/``note_purchase`` hooks.  Returns each slot's
+        income of the tick, which the tax step reads.
         """
         config = self.config
         capacity = self._slots.capacity
@@ -892,10 +897,7 @@ class StreamingMarketSimulator(SlotSimulator):
                     self._earned_win += income
                 self.chunks_delivered += int(buyers.size)
                 deliveries.append((buyers, chunk_abs))
-        self._apply_taxation(income)
-
-    def _apply_taxation(self, income: np.ndarray) -> None:
-        apply_income_taxation(self, income, self.now)
+        return income
 
     # ------------------------------------------------------------------ playback
 
@@ -1017,7 +1019,8 @@ class StreamingMarketSimulator(SlotSimulator):
             buyers, sellers, chunk_abs, prices = kernel(
                 pack, balances, uniforms, self._win_base, self._emitted - 1
             )
-        self._settle(buyers, sellers, chunk_abs, prices)
+        income = self._settle(buyers, sellers, chunk_abs, prices)
+        apply_income_taxation(self, income, pack.alive_slots)
         self._advance_playback(pack, dt)
         self._apply_deliveries()
 
@@ -1065,5 +1068,7 @@ class StreamingMarketSimulator(SlotSimulator):
                 "source_chunks": self._emitted,
                 "final_population": len(order),
                 "tax_pool": self._tax_pool,
+                "tax_collected": self._tax_collected,
+                "tax_rebated": self._tax_rebated,
             },
         )

@@ -75,7 +75,8 @@ def result_fingerprint(result):
     """Every value a simulator result reports, its config aside.
 
     The config is left out because a run mutates some of its objects in
-    place (an income tax counts what it collected), and the two runs
-    compared may have started from differently used copies.
+    place (a memoised pricing scheme keeps the prices it drew), and the
+    two runs compared may have started from differently used copies.  The
+    tax totals are in ``extras``, so they are compared.
     """
     return comparable({name: value for name, value in vars(result).items() if name != "config"})

@@ -43,6 +43,19 @@ class TestConstruction:
         assert market.average_wealth == pytest.approx(25.0)
         np.testing.assert_allclose(market.wealth_vector(), 25.0)
 
+    def test_total_credits_sums_balances_in_peer_order(self):
+        # Ten balances of 0.1 summed one after another give 0.9999999999999999,
+        # not 10 * 0.1: the total is the sequential sum, bit for bit.
+        market = CreditMarket(ring_topology(10), initial_credits=0.1)
+        assert market.total_credits == sum([0.1] * 10) == 0.9999999999999999
+        assert market.average_wealth == 0.9999999999999999 / 10
+
+    def test_wealth_vector_is_a_copy(self):
+        market = CreditMarket(ring_topology(4), initial_credits=10.0)
+        market.wealth_vector()[0] = 99.0
+        assert market.wealth_vector().tolist() == [10.0] * 4
+        assert market.total_credits == 40.0
+
     def test_explicit_spending_rates(self):
         topology = ring_topology(4)
         market = CreditMarket(

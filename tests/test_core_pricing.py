@@ -133,3 +133,20 @@ class TestAuctionPricing:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             AuctionPricing(low=2.0, high=1.0)
+
+
+@pytest.mark.parametrize(
+    "scheme, stateful",
+    [
+        (UniformPricing(2.0), False),
+        (PerPeerFlatPricing({0: 1.0, 1: 3.0}), False),
+        (PoissonPricing(mean_price=2.0, seed=1), False),
+        (LinearPricing(base_price=1.0, increment=0.5), True),
+        (AuctionPricing(low=0.5, high=1.5, seed=1), True),
+    ],
+    ids=["uniform", "per-peer-flat", "poisson", "linear", "auction"],
+)
+def test_only_schemes_with_purchase_hooks_are_stateful(scheme, stateful):
+    """Posted prices take the batched settlement path; schemes whose
+    purchases feed back into prices settle one purchase at a time."""
+    assert scheme.is_stateful() is stateful

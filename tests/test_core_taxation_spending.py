@@ -1,58 +1,77 @@
-"""Tests for taxation policies and spending-rate policies."""
+"""Tests for the income tax and spending-rate policies."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core import CreditLedger, DynamicSpendingPolicy, FixedSpendingPolicy, NoTax, ThresholdIncomeTax
+from repro.core import DynamicSpendingPolicy, FixedSpendingPolicy, NoTax, ThresholdIncomeTax
 from repro.core.spending import SpendingPolicy
-from repro.core.taxation import ProportionalRedistributionTax
+from repro.p2psim.slots import apply_income_taxation
 
 
-def ledger_with(balances):
-    ledger = CreditLedger()
-    for peer, balance in balances.items():
-        ledger.open_wallet(peer, balance)
-    return ledger
+def apply(policy, balances, incomes, pool=0.0):
+    """Run ``policy.apply`` on fresh arrays; return balances, collected, rebated, pool."""
+    balances = np.array(balances, dtype=float)
+    collected, rebated, pool = policy.apply(balances, np.array(incomes, dtype=float), pool)
+    return balances, collected, rebated, pool
 
 
 class TestNoTax:
     def test_collects_nothing(self):
-        ledger = ledger_with({1: 100.0, 2: 5.0})
-        policy = NoTax()
-        assert policy.on_income(ledger, 1, 10.0, 0.0, [1, 2]) == 0.0
-        assert ledger.wallet(1).balance == 100.0
-        assert policy.describe() == "no taxation"
+        balances, collected, rebated, pool = apply(NoTax(), [100.0, 5.0], [10.0, 0.0], 3.0)
+        assert balances.tolist() == [100.0, 5.0]
+        assert (collected, rebated, pool) == (0.0, 0.0, 3.0)
+        assert NoTax().describe() == "no taxation"
 
 
 class TestThresholdIncomeTax:
     def test_taxes_only_above_threshold(self):
-        ledger = ledger_with({1: 100.0, 2: 10.0})
         policy = ThresholdIncomeTax(rate=0.2, threshold=50.0)
-        collected_rich = policy.on_income(ledger, 1, 10.0, 0.0, [1, 2])
-        collected_poor = policy.on_income(ledger, 2, 10.0, 0.0, [1, 2])
-        assert collected_rich == pytest.approx(2.0)
-        assert collected_poor == 0.0
-        # The 2 collected credits immediately fund one rebate round of 1
-        # credit to each of the 2 peers, so the rich peer nets 100 - 2 + 1.
-        assert policy.rebate_rounds == 1
-        assert ledger.wallet(1).balance == pytest.approx(99.0)
-        assert ledger.wallet(2).balance == pytest.approx(11.0)
+        balances, collected, rebated, pool = apply(policy, [100.0, 10.0], [10.0, 10.0])
+        # The 2 collected credits fund one rebate round of 1 credit to each
+        # of the 2 peers, so the rich peer nets 100 - 2 + 1.
+        assert collected == pytest.approx(2.0)
+        assert rebated == pytest.approx(2.0)
+        assert pool == pytest.approx(0.0)
+        assert balances.tolist() == pytest.approx([99.0, 11.0])
+
+    def test_taxes_on_balances_before_any_rebate(self):
+        # The second peer sits below the threshold before the round's
+        # rebate lifts it above: it is not taxed, whatever the order.
+        policy = ThresholdIncomeTax(rate=0.2, threshold=15.0)
+        balances, collected, rebated, pool = apply(policy, [200.0, 14.5], [10.0, 1.0])
+        assert balances.tolist() == [199.0, 15.5]
+        assert (collected, rebated, pool) == (2.0, 2.0, 0.0)
 
     def test_rebate_triggered_when_pool_full(self):
-        ledger = ledger_with({1: 1000.0, 2: 0.0})
         policy = ThresholdIncomeTax(rate=0.5, threshold=10.0, rebate_unit=1.0)
         # Collect 5 credits: with 2 peers, two full rebate rounds of 1 credit each.
-        policy.on_income(ledger, 1, 10.0, 0.0, [1, 2])
-        assert policy.total_collected == pytest.approx(5.0)
-        assert policy.rebate_rounds == 2
-        assert ledger.wallet(2).balance == pytest.approx(2.0)
-        assert ledger.system_pool == pytest.approx(1.0)
-        ledger.verify_conservation()
+        balances, collected, rebated, pool = apply(policy, [1000.0, 0.0], [10.0, 0.0])
+        assert collected == pytest.approx(5.0)
+        assert rebated == pytest.approx(4.0)
+        assert balances.tolist() == pytest.approx([997.0, 2.0])
+        assert pool == pytest.approx(1.0)
+
+    def test_carried_pool_pays_several_rounds(self):
+        policy = ThresholdIncomeTax(rate=0.5, threshold=10.0)
+        balances, collected, rebated, pool = apply(policy, [1.0, 2.0, 3.0], [0.0] * 3, 7.5)
+        assert collected == 0.0
+        assert rebated == 6.0
+        assert balances.tolist() == [3.0, 4.0, 5.0]
+        assert pool == 1.5
 
     def test_zero_income_not_taxed(self):
-        ledger = ledger_with({1: 100.0})
         policy = ThresholdIncomeTax(rate=0.1, threshold=10.0)
-        assert policy.on_income(ledger, 1, 0.0, 0.0, [1]) == 0.0
+        balances, collected, _, pool = apply(policy, [100.0], [0.0])
+        assert (collected, pool) == (0.0, 0.0)
+        assert balances.tolist() == [100.0]
+
+    def test_tax_is_capped_at_the_balance(self):
+        policy = ThresholdIncomeTax(rate=1.0, threshold=0.0, rebate_unit=0.0)
+        balances, collected, _, pool = apply(policy, [3.0], [8.0])
+        assert balances.tolist() == [0.0]
+        assert collected == pool == 3.0
 
     def test_describe_mentions_parameters(self):
         text = ThresholdIncomeTax(rate=0.1, threshold=80).describe()
@@ -67,100 +86,89 @@ class TestThresholdIncomeTax:
             ThresholdIncomeTax(rate=0.1, threshold=10.0, rebate_unit=-1.0)
 
     def test_wealth_exactly_at_threshold_is_not_taxed(self):
-        ledger = ledger_with({1: 50.0, 2: 0.0})
         policy = ThresholdIncomeTax(rate=0.5, threshold=50.0)
-        assert policy.on_income(ledger, 1, 10.0, 0.0, [1, 2]) == 0.0
-        assert ledger.wallet(1).balance == 50.0
+        balances, collected, _, _ = apply(policy, [50.0, 0.0], [10.0, 0.0])
+        assert collected == 0.0
+        assert balances.tolist() == [50.0, 0.0]
 
     def test_zero_rate_collects_nothing(self):
-        ledger = ledger_with({1: 500.0, 2: 0.0})
         policy = ThresholdIncomeTax(rate=0.0, threshold=10.0)
-        assert policy.on_income(ledger, 1, 100.0, 0.0, [1, 2]) == 0.0
-        assert policy.total_collected == 0.0
-        assert ledger.system_pool == 0.0
+        balances, collected, rebated, pool = apply(policy, [500.0, 0.0], [100.0, 0.0])
+        assert (collected, rebated, pool) == (0.0, 0.0, 0.0)
+        assert balances.tolist() == [500.0, 0.0]
 
     def test_zero_rebate_unit_keeps_the_pool(self):
-        ledger = ledger_with({1: 100.0, 2: 0.0})
         policy = ThresholdIncomeTax(rate=0.5, threshold=10.0, rebate_unit=0.0)
+        balances, pool, collected = np.array([100.0, 0.0]), 0.0, 0.0
         for _ in range(3):
-            policy.on_income(ledger, 1, 10.0, 0.0, [1, 2])
-        assert policy.total_collected == pytest.approx(15.0)
-        assert policy.rebate_rounds == 0
-        assert ledger.system_pool == pytest.approx(15.0)
-        assert ledger.wallet(2).balance == 0.0
-        ledger.verify_conservation()
-
-    def test_rebates_skip_peers_without_wallets(self):
-        ledger = ledger_with({1: 100.0, 2: 0.0})
-        policy = ThresholdIncomeTax(rate=0.5, threshold=10.0)
-        # Peer 3 has left: the pool only needs 2 credits for a round of 1 each.
-        policy.on_income(ledger, 1, 4.0, 0.0, [1, 2, 3])
-        assert policy.rebate_rounds == 1
-        assert policy.total_rebated == pytest.approx(2.0)
-        assert not ledger.has_wallet(3)
-        assert ledger.wallet(2).balance == pytest.approx(1.0)
+            taxed, rebated, pool = policy.apply(balances, np.array([10.0, 0.0]), pool)
+            collected += taxed
+            assert rebated == 0.0
+        assert collected == pytest.approx(15.0)
+        assert pool == pytest.approx(15.0)
+        assert balances.tolist() == pytest.approx([85.0, 0.0])
 
     def test_conserves_credits_over_many_incomes(self):
         rng = np.random.default_rng(4)
-        ledger = ledger_with({peer: float(rng.integers(0, 200)) for peer in range(8)})
-        before = ledger.total_in_circulation()
+        balances = rng.integers(0, 200, size=8).astype(float)
+        before = balances.sum()
         policy = ThresholdIncomeTax(rate=0.2, threshold=80.0)
+        pool = collected = rebated = 0.0
         for _ in range(200):
-            peer = int(rng.integers(0, 8))
-            policy.on_income(ledger, peer, float(rng.uniform(0, 20)), 0.0, list(range(8)))
-        assert ledger.total_in_circulation() == pytest.approx(before)
-        assert policy.total_collected == pytest.approx(policy.total_rebated + ledger.system_pool)
-        ledger.verify_conservation()
+            incomes = np.where(rng.random(8) < 0.5, rng.uniform(0, 20, size=8), 0.0)
+            taxed, paid, pool = policy.apply(balances, incomes, pool)
+            collected += taxed
+            rebated += paid
+            assert balances.min() >= 0.0
+        assert balances.sum() + pool == pytest.approx(before)
+        assert collected == pytest.approx(rebated + pool)
+        assert rebated > 0
+
+    def test_apply_leaves_the_policy_unchanged(self):
+        policy = ThresholdIncomeTax(rate=0.5, threshold=10.0)
+        before = dict(vars(policy))
+        apply(policy, [100.0, 0.0], [10.0, 0.0])
+        assert vars(policy) == before
 
 
-class TestProportionalRedistributionTax:
-    def test_redistributes_to_poor_immediately(self):
-        ledger = ledger_with({1: 200.0, 2: 10.0, 3: 5.0})
-        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
-        collected = policy.on_income(ledger, 1, 20.0, 0.0, [1, 2, 3])
-        assert collected == pytest.approx(10.0)
-        # The poorer peer (3) gets the larger share of the redistribution.
-        assert ledger.wallet(3).balance > ledger.wallet(2).balance - 5.0
-        assert ledger.wallet(2).balance + ledger.wallet(3).balance == pytest.approx(25.0)
-        assert ledger.system_pool == pytest.approx(0.0)
-        ledger.verify_conservation()
+def tax_sim(policy, balances, alive):
+    """The attributes :func:`apply_income_taxation` reads, on plain arrays."""
+    return SimpleNamespace(
+        config=SimpleNamespace(tax_policy=policy),
+        _balance=np.array(balances, dtype=float),
+        _tax_pool=0.0,
+        _tax_collected=0.0,
+        _tax_rebated=0.0,
+        alive_slots=np.flatnonzero(alive),
+    )
 
-    def test_no_poor_peers_means_no_tax(self):
-        ledger = ledger_with({1: 200.0, 2: 150.0})
-        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
-        assert policy.on_income(ledger, 1, 20.0, 0.0, [1, 2]) == 0.0
 
-    def test_shares_are_proportional_to_shortfall(self):
-        ledger = ledger_with({1: 200.0, 2: 40.0, 3: 20.0, 4: 90.0})
-        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
-        collected = policy.on_income(ledger, 1, 24.0, 0.0, [1, 2, 3, 4])
-        # Shortfalls 10 and 30 split the 12 credits 1:3; peer 4 is above the threshold.
-        assert collected == pytest.approx(12.0)
-        assert ledger.wallet(2).balance == pytest.approx(43.0)
-        assert ledger.wallet(3).balance == pytest.approx(29.0)
-        assert ledger.wallet(4).balance == pytest.approx(90.0)
-        assert policy.total_rebated == pytest.approx(policy.total_collected)
+class TestApplyIncomeTaxation:
+    def test_rebates_go_only_to_alive_peers(self):
+        # Slot 2 is free: the pool needs only 2 credits for a round of 1 each.
+        sim = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0, 7.0], [1, 1, 0])
+        apply_income_taxation(sim, np.array([4.0, 0.0, 9.0]), sim.alive_slots)
+        assert sim._balance.tolist() == [99.0, 1.0, 7.0]
+        assert (sim._tax_collected, sim._tax_rebated, sim._tax_pool) == (2.0, 2.0, 0.0)
 
-    def test_payer_and_absent_peers_receive_nothing(self):
-        ledger = ledger_with({1: 60.0, 2: 49.0})
-        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
-        policy.on_income(ledger, 1, 10.0, 0.0, [1, 2, 3])
-        assert ledger.wallet(1).balance == pytest.approx(55.0)
-        assert ledger.wallet(2).balance == pytest.approx(54.0)
-        ledger.verify_conservation()
+    def test_totals_accumulate_over_rounds(self):
+        sim = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0], [1, 1])
+        for _ in range(3):
+            apply_income_taxation(sim, np.array([3.0, 0.0]), sim.alive_slots)
+        # 1.5 per round: rebate rounds after the 2nd (3.0) and 3rd (2.5) rounds.
+        assert sim._tax_collected == 4.5
+        assert sim._tax_rebated == 4.0
+        assert sim._tax_pool == 0.5
+        assert sim._balance.sum() + sim._tax_pool == 100.0
 
-    def test_below_threshold_and_zero_income_untaxed(self):
-        ledger = ledger_with({1: 30.0, 2: 5.0})
-        policy = ProportionalRedistributionTax(rate=0.5, threshold=50.0)
-        assert policy.on_income(ledger, 1, 10.0, 0.0, [1, 2]) == 0.0
-        assert policy.on_income(ledger, 1, 0.0, 0.0, [1, 2]) == 0.0
-        assert policy.total_collected == 0.0
-
-    def test_describe_and_validation(self):
-        text = ProportionalRedistributionTax(rate=0.2, threshold=80).describe()
-        assert text.startswith("proportional") and "0.2" in text and "80" in text
-        with pytest.raises(ValueError):
-            ProportionalRedistributionTax(rate=-0.1, threshold=10.0)
+    def test_no_tax_and_empty_population_change_nothing(self):
+        untaxed = tax_sim(NoTax(), [100.0, 0.0], [1, 1])
+        apply_income_taxation(untaxed, np.array([50.0, 50.0]), untaxed.alive_slots)
+        empty = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=0.0), [100.0, 0.0], [0, 0])
+        apply_income_taxation(empty, np.array([50.0, 50.0]), empty.alive_slots)
+        for sim in (untaxed, empty):
+            assert sim._balance.tolist() == [100.0, 0.0]
+            assert (sim._tax_collected, sim._tax_rebated, sim._tax_pool) == (0.0, 0.0, 0.0)
 
 
 class TestSpendingPolicies:

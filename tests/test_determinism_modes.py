@@ -13,6 +13,8 @@ tests pin that contract at every layer:
 * orchestrator — a pooled sweep (``jobs=2``, one BLAS thread per worker)
   must produce the same shard payloads and aggregate CSV as the serial
   sweep, for every sweepable figure at smoke scale;
+* config reuse — re-running one config object gives the same result,
+  tax totals included, and leaves its tax policy unchanged;
 * routing rows — every market row lists its neighbours in ascending slot
   order, whatever order the overlay's adjacency sets iterate in, and
   still routes to each neighbour with probability ``clip(price_j) /
@@ -32,6 +34,8 @@ from repro.p2psim import (
     CreditMarketSimulator,
     KernelOptions,
     MarketSimConfig,
+    StreamingMarketSimulator,
+    StreamingSimConfig,
     UtilizationMode,
 )
 from repro.experiments import SWEEPS
@@ -41,7 +45,7 @@ from repro.runner import (
     aggregate_sweep,
     run_sweep,
 )
-from roundtrip import run_round_tripped
+from roundtrip import result_fingerprint, run_round_tripped
 
 
 def fingerprint(result):
@@ -203,7 +207,7 @@ def _sweep_spec(experiment_id, grid):
 #: configuration; every other sweepable figure runs its default point.
 SWEEP_GRIDS = {
     "fig7": ParamGrid({"average_wealth": [8.0, 16.0]}),
-    # fig9 reads mutable tax-policy counters back after each run.
+    # Two tax settings, each with its own collected and rebated totals.
     "fig9": ParamGrid({"tax_rate": [0.2], "tax_threshold": [20.0, 40.0]}),
     "fig10": [
         {"spending_policy": "fixed"},
@@ -225,6 +229,41 @@ class TestSerialPooledSweepEquivalence:
             shard.payload for shard in pooled.shards
         ]
         assert aggregate_sweep(pooled).to_csv() == aggregate_sweep(serial).to_csv()
+
+
+class TestConfigReuse:
+    """One config object run twice gives the same result, tax totals included."""
+
+    @pytest.mark.parametrize(
+        "simulator, config",
+        [
+            (
+                CreditMarketSimulator,
+                fig7_like_config(tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0)),
+            ),
+            (
+                StreamingMarketSimulator,
+                StreamingSimConfig(
+                    num_peers=30,
+                    initial_credits=20.0,
+                    horizon=60.0,
+                    topology_mean_degree=6.0,
+                    tax_policy=ThresholdIncomeTax(rate=0.3, threshold=15.0),
+                    seed=31,
+                ),
+            ),
+        ],
+        ids=["market", "streaming"],
+    )
+    def test_rerun_of_one_config_is_identical(self, simulator, config):
+        policy = config.tax_policy
+        before = dict(vars(policy))
+        first = simulator.run_config(config)
+        assert vars(policy) == before
+        second = simulator.run_config(config)
+        assert vars(policy) == before
+        assert first.extras["tax_collected"] > 0 and first.extras["tax_rebated"] > 0
+        assert result_fingerprint(second) == result_fingerprint(first)
 
 
 def _routing_rows(simulator):

@@ -6,8 +6,10 @@ seconds.  The paper's claims about each figure are asserted over seeds in
 ``cli-fig*`` digests in ``test_golden.py``.
 """
 
+import numpy as np
 import pytest
 
+from repro.core import ThresholdIncomeTax
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -15,6 +17,9 @@ from repro.experiments import (
     get_experiment,
     run_experiment,
 )
+from repro.experiments.fig05_06_convergence import profile_distance
+from repro.experiments.fig09_taxation import run_point as fig9_run_point
+from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode
 
 
 class TestRegistry:
@@ -67,6 +72,30 @@ class TestSimulationExperiments:
             for row in result.table():
                 assert 0.0 <= row["stabilized_gini"] <= 1.0
 
+    def test_fig9_rows_report_each_runs_own_tax_totals(self):
+        first, second = (
+            fig9_run_point(scale="smoke", seed=4, tax_rate=0.2, tax_threshold=20.0).table().rows[0]
+            for _ in range(2)
+        )
+        assert first == second
+        direct = CreditMarketSimulator.run_config(
+            MarketSimConfig(
+                num_peers=60,
+                initial_credits=30.0,
+                horizon=400.0,
+                step=2.0,
+                utilization=UtilizationMode.ASYMMETRIC,
+                tax_policy=ThresholdIncomeTax(rate=0.2, threshold=20.0),
+                sample_interval=4.0,
+                seed=4,
+            )
+        )
+        assert first["total_tax_collected"] == direct.extras["tax_collected"] > 0
+        assert first["total_tax_rebated"] == direct.extras["tax_rebated"] > 0
+        untaxed = fig9_run_point(scale="smoke", seed=4, tax_rate=0.0).table().rows[0]
+        assert untaxed["taxation"] == "no taxation"
+        assert untaxed["total_tax_collected"] == untaxed["total_tax_rebated"] == 0.0
+
     def test_fig11_run_point_rejects_churn_params_without_lifespan(self):
         from repro.experiments.fig11_churn import run_point
 
@@ -74,3 +103,16 @@ class TestSimulationExperiments:
             run_point(scale="smoke", arrival_rate=0.5)
         with pytest.raises(ValueError, match="mean_lifespan"):
             run_point(scale="smoke", rate_factor=2.0)
+
+
+class TestProfileDistance:
+    def test_fewer_than_two_profiles_have_no_distance(self):
+        assert profile_distance([]) == 0.0
+        assert profile_distance([np.array([1.0, 2.0])]) == 0.0
+
+    def test_mean_l1_over_consecutive_pairs_on_common_length(self):
+        profiles = [np.array([0.0, 2.0, 9.0]), np.array([1.0, 4.0]), np.array([]), np.array([3.0])]
+        # The first pair compares two peers: (|0 - 1| + |2 - 4|) / 2 = 1.5.  Both
+        # pairs with the empty profile are skipped.
+        assert profile_distance(profiles) == 1.5
+        assert profile_distance([np.array([1.0]), np.array([3.0]), np.array([3.0])]) == 1.0

@@ -73,8 +73,9 @@ def _streaming(**overrides) -> StreamingSimConfig:
     return StreamingSimConfig(**settings)
 
 
-#: Simulator cases: name -> factory building a fresh config (tax policies
-#: carry counters, so every run gets its own objects).
+#: Simulator cases: name -> factory building a fresh config (memoised
+#: pricing schemes keep the prices they drew, so every run gets its own
+#: objects).
 MARKET_CASES: Dict[str, Callable[[], MarketSimConfig]] = {
     "market-static": lambda: _market(),
     "market-churn": lambda: _market(

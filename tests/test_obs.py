@@ -8,6 +8,7 @@ uninstrumented ones) and the runner and cache layers emit their
 lifecycle events through the active emitter.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -323,3 +324,43 @@ class TestRecorderNdarrayInput:
         assert from_list.gini_series.y == from_array.gini_series.y
         assert from_list.bankrupt_series.y == from_array.bankrupt_series.y
         assert from_list.mean_wealth_series.y == from_array.mean_wealth_series.y
+
+
+class TestBenchHistory:
+    def test_default_root_is_the_source_checkout(self):
+        from repro.obs.bench import default_bench_root
+
+        assert (default_bench_root() / "src" / "repro" / "__init__.py").is_file()
+
+    def test_unreadable_recordings_get_an_error_placeholder(self, tmp_path):
+        from repro.obs.bench import load_bench_history
+
+        (tmp_path / "BENCH_bad.json").write_text("{not json")
+        (tmp_path / "BENCH_plain.json").write_text(json.dumps({"wall_s": 1.5}))
+        (tmp_path / "other.json").write_text("{}")
+        history = load_bench_history(tmp_path)
+        assert history["root"] == str(tmp_path)
+        assert history["files"] == ["BENCH_bad.json", "BENCH_plain.json"]
+        assert history["benchmarks"]["BENCH_bad.json"]["error"].startswith("JSONDecodeError")
+        assert history["benchmarks"]["BENCH_plain.json"] == {"wall_s": 1.5}
+        assert history["kernels"] == {}
+
+    def test_kernel_rows_keep_only_population_and_rates(self, tmp_path):
+        from repro.obs.bench import load_bench_history
+
+        record = {
+            "profile": "smoke",
+            "populations": [
+                {"num_peers": 10, "steps_per_second": 4.0, "speedup": 2.0, "wall_s": 9.0},
+                "not a population",
+                {"wall_s": 1.0},
+            ],
+        }
+        (tmp_path / "BENCH_kernel.json").write_text(json.dumps(record))
+        kernels = load_bench_history(tmp_path)["kernels"]
+        assert kernels == {
+            "BENCH_kernel.json": {
+                "profile": "smoke",
+                "rows": [{"num_peers": 10, "steps_per_second": 4.0, "speedup": 2.0}],
+            }
+        }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.spending import DynamicSpendingPolicy
-from repro.core.taxation import ProportionalRedistributionTax, ThresholdIncomeTax
+from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode
 
@@ -117,17 +117,6 @@ class TestDynamics:
             )
         )
         assert taxed.stabilized_gini < untaxed.stabilized_gini
-
-    def test_generic_tax_policy_path(self):
-        result = CreditMarketSimulator.run_config(
-            small_config(
-                horizon=100.0,
-                tax_policy=ProportionalRedistributionTax(rate=0.3, threshold=15.0),
-            )
-        )
-        assert result.final_wealths.sum() + result.extras["tax_pool"] == pytest.approx(
-            1000.0, rel=1e-6
-        )
 
     def test_spending_rate_noise_creates_heterogeneity(self):
         noisy = CreditMarketSimulator(

@@ -49,8 +49,9 @@ def point_runs(name):
     """``(class, config, snapshot times, fingerprint)`` of each run the point makes.
 
     Configs are deep-copied before the run, since a run mutates some of
-    their objects in place (an income tax counts what it collected), and
-    results are fingerprinted before the point runner relabels a series.
+    their objects in place (a memoised pricing scheme keeps the prices it
+    drew), and results are fingerprinted before the point runner relabels
+    a series.
     """
     experiment_id, config = POINTS[name]
     runs = []

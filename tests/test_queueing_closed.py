@@ -112,6 +112,14 @@ class TestMarginals:
             assert network.idle_probability(queue) == pytest.approx(pmf[0], rel=1e-8)
             assert network.tail_probability(queue, 3) == pytest.approx(pmf[3:].sum(), rel=1e-8)
 
+    def test_idle_probabilities_list_every_queue(self):
+        network = ClosedJacksonNetwork([1.0, 0.3, 0.6], 5)
+        idle = network.idle_probabilities()
+        assert idle.shape == (3,)
+        assert idle.tolist() == [network.idle_probability(queue) for queue in range(3)]
+        # The least utilized queue is the most often bankrupt.
+        assert idle.argmax() == 1
+
     def test_tail_probability_bounds(self):
         network = ClosedJacksonNetwork([1.0, 1.0], 5)
         assert network.tail_probability(0, 0) == 1.0

@@ -16,7 +16,7 @@ from repro.runner import (
     run_sweep,
     task_key,
 )
-from repro.runner.executor import _openblas_symbol, _single_blas_thread
+from repro.runner.executor import _openblas_symbol, _single_blas_thread, default_jobs
 
 # Two configs x three replications of the cheap fig3 point runner: the whole
 # sweep takes well under a second even including pool startup.
@@ -191,3 +191,10 @@ def test_warm_sweep_and_single_shard_start_no_pool(tmp_path, monkeypatch):
 def test_run_sweep_has_no_round_block_knob():
     with pytest.raises(TypeError, match="intra_jobs"):
         run_sweep(SPEC, jobs=1, intra_jobs=2)
+
+
+def test_default_jobs_is_the_cpu_count_and_at_least_one(monkeypatch):
+    monkeypatch.setattr("repro.runner.executor.os.cpu_count", lambda: 3)
+    assert default_jobs() == 3
+    monkeypatch.setattr("repro.runner.executor.os.cpu_count", lambda: None)
+    assert default_jobs() == 1

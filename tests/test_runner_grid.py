@@ -7,6 +7,17 @@ from repro.utils.rng import derive_seed
 
 
 class TestParamGrid:
+    def test_add_axis_appends_or_replaces_an_axis(self):
+        grid = ParamGrid({"a": [1, 2]}).add_axis("b", ("x",)).add_axis("a", [3])
+        assert grid.axes == {"a": [3], "b": ["x"]}
+        assert grid.points() == [{"a": 3, "b": "x"}]
+
+    def test_add_axis_rejects_an_empty_axis(self):
+        grid = ParamGrid({"a": [1]})
+        with pytest.raises(ValueError, match="at least one value"):
+            grid.add_axis("b", [])
+        assert grid.axes == {"a": [1]}
+
     def test_cartesian_expansion_order(self):
         grid = ParamGrid({"a": [1, 2], "b": ["x", "y"]})
         assert grid.points() == [
@@ -101,6 +112,16 @@ class TestSweepSpec:
 
         task = SweepSpec("fig9", grid=[{"tax_rate": 0.1}], replications=1).tasks()[0]
         assert SweepTask.from_payload(task.to_payload()) == task
+
+    def test_task_config_key_ignores_axis_order(self):
+        forward, backward = (
+            SweepSpec("fig9", grid=[config], replications=1).tasks()[0]
+            for config in ({"tax_rate": 0.1, "tax_threshold": 50.0},
+                           {"tax_threshold": 50.0, "tax_rate": 0.1})
+        )
+        assert forward.config_key() == backward.config_key()
+        assert forward.config_key() == canonical_config(forward.config)
+        assert forward.seed == backward.seed
 
     def test_rejects_zero_replications(self):
         with pytest.raises(ValueError, match="replications"):
