@@ -80,7 +80,7 @@ class ThresholdIncomeTax(TaxPolicy):
 
         A peer above the threshold pays ``rate`` of its income, capped at
         its balance.  The pool then pays ``rebate_unit`` to every peer as
-        many times as it covers a whole round of rebates.
+        many times as it covers a whole round of rebates, all at once.
         """
         taxable = (balances > self.threshold) & (incomes > 0)
         taxes = np.where(taxable, np.minimum(incomes * self.rate, balances), 0.0)
@@ -89,10 +89,15 @@ class ThresholdIncomeTax(TaxPolicy):
         pool += collected
         rebated = 0.0
         rebate_cost = self.rebate_unit * balances.size
-        while rebate_cost > 0 and pool >= rebate_cost:
-            balances += self.rebate_unit
-            pool -= rebate_cost
-            rebated += rebate_cost
+        if rebate_cost > 0 and pool >= rebate_cost:
+            # ``pool / cost`` overflows to inf for a subnormal unit, so the
+            # count stops where float64 still counts whole rounds exactly.
+            rounds = min(float(np.floor(pool / rebate_cost)), 2.0**53)
+            if rounds * rebate_cost > pool:
+                rounds -= 1.0
+            balances += rounds * self.rebate_unit
+            rebated = rounds * rebate_cost
+            pool -= rebated
         return collected, rebated, pool
 
     def describe(self) -> str:

@@ -14,13 +14,65 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["OverlayTopology", "segments"]
+__all__ = ["OverlayTopology", "component_labels", "segments"]
+
+#: Breadth-first levels :func:`component_labels` searches before label
+#: propagation takes over; scale-free overlays need about five.
+_SEARCH_LEVELS = 32
 
 
 def segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``arange(start, start + length)`` of every segment, concatenated."""
     ends = np.cumsum(lengths)
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
+def component_labels(degrees: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Label the connected components of an undirected graph kept as CSR rows.
+
+    Position ``k``'s neighbours are the next ``degrees[k]`` entries of
+    ``neighbors``, in any order.  Entry ``k`` of the result is the
+    smallest position of ``k``'s component.
+    """
+    label = np.arange(degrees.size)
+    if not neighbors.size:
+        return label
+    starts = np.cumsum(degrees) - degrees
+    # A breadth-first search from the best-connected position covers its
+    # component (on a scale-free overlay, nearly every peer, in a few
+    # levels) with one gather and one mask per level.
+    reached = np.zeros(degrees.size, dtype=bool)
+    frontier = np.argmax(degrees, keepdims=True)
+    reached[frontier] = True
+    for _ in range(_SEARCH_LEVELS):
+        found = np.zeros(degrees.size, dtype=bool)
+        found[neighbors[segments(starts[frontier], degrees[frontier])]] = True
+        found &= ~reached
+        reached |= found
+        frontier = np.flatnonzero(found)
+        if not frontier.size:
+            break
+    label[reached] = np.argmax(reached)
+    # Label propagation with pointer jumping labels the rest, and the far
+    # end of a component too long for the search: every label points at a
+    # smaller or equal position, and each round hooks the larger root of
+    # every edge whose ends disagree onto the smaller one.  It ends with
+    # each position labelled by the smallest position of its component.
+    rest = np.flatnonzero(~reached)
+    src = np.repeat(rest, degrees[rest])
+    dst = neighbors[segments(starts[rest], degrees[rest])]
+    while src.size:
+        root_src, root_dst = label[src], label[dst]
+        differ = root_src != root_dst
+        src, dst = src[differ], dst[differ]
+        root_src, root_dst = root_src[differ], root_dst[differ]
+        np.minimum.at(label, np.maximum(root_src, root_dst), np.minimum(root_src, root_dst))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
 
 
 class OverlayTopology:
@@ -313,28 +365,7 @@ class OverlayTopology:
         degrees, neighbor_ids = self.neighbor_rows(peers)
         position = np.zeros(self._alive.size, dtype=np.int64)
         position[peers] = np.arange(peers.size)
-        src = np.repeat(np.arange(peers.size), degrees)
-        dst = position[neighbor_ids]
-        keep = src < dst
-        src, dst = src[keep], dst[keep]
-        # Label propagation with pointer jumping: every label points at a
-        # smaller or equal position, and each round hooks the larger root of
-        # every edge whose ends disagree onto the smaller one.  It ends with
-        # each position labelled by the smallest position of its component.
-        label = np.arange(peers.size)
-        while src.size:
-            root_src, root_dst = label[src], label[dst]
-            differ = root_src != root_dst
-            src, dst = src[differ], dst[differ]
-            root_src, root_dst = root_src[differ], root_dst[differ]
-            np.minimum.at(
-                label, np.maximum(root_src, root_dst), np.minimum(root_src, root_dst)
-            )
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
+        label = component_labels(degrees, position[neighbor_ids])
         sizes = np.bincount(label, minlength=peers.size)
         roots = np.flatnonzero(sizes)
         # A stable sort by label lists each component's ids ascending, and

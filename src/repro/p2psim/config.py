@@ -20,7 +20,12 @@ class UtilizationMode(enum.Enum):
     """How peer earning/spending rates are configured (Sec. VI of the paper).
 
     ``SYMMETRIC`` — spending rates are tuned so every peer's utilization
-    ``λ_i / μ_i`` is identical (the ū = {1, ..., 1} case).
+    ``λ_i / μ_i`` is identical (the ū = {1, ..., 1} case): ``μ_i ∝ λ_i``
+    with ``λ_i = w_i · W_i``, the exact solution of the traffic equations
+    for routing in proportion to the sellers' prices ``w`` (``W_i`` sums
+    them over ``i``'s neighbours), found in one pass over the overlay's
+    edges rather than by an ``N × N`` eigenvector solve.  Peers joining
+    through churn get the mean rate of the peers alive before them.
     ``ASYMMETRIC`` — every peer has the same maximum spending rate while
     earning rates follow from the (heterogeneous, scale-free) topology, so
     utilizations differ across peers.

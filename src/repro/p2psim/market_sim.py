@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_emitter
-from repro.overlay.topology import OverlayTopology
+from repro.overlay.topology import OverlayTopology, component_labels
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.recorder import WealthRecorder
 from repro.p2psim.slots import (
@@ -34,8 +34,6 @@ from repro.p2psim.slots import (
     apply_income_taxation,
     apply_round_churn,
 )
-from repro.queueing.routing import RoutingMatrix
-from repro.queueing.traffic import solve_traffic_equations
 
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
 
@@ -168,98 +166,102 @@ class CreditMarketSimulator(SlotSimulator):
         self._time = 0.0
         self._next_sample = 0.0
 
-        initial_peers = self.topology.peers()
-        mu_by_peer = self._configure_spending_rates(initial_peers)
+        initial_peers = self.topology.peer_degrees()[0]
+        # Symmetric rates quote every seller, in id order, before any row
+        # is quoted: memoised prices are drawn in that order.
+        weights = None
+        if self.config.utilization is UtilizationMode.SYMMETRIC:
+            weights = self.config.pricing.price_array(initial_peers.tolist(), 0)
         # Admit everyone first, then derive every row in one batch.
-        for peer in initial_peers:
-            self._admit(peer, mu_by_peer[peer])
+        slots = self._admit(initial_peers, 0.0)
         self._refresh_routing_rows(initial_peers)
+        self._base_mu[slots] = self._configure_spending_rates(weights)
         # Build the routing pack eagerly: it is part of construction, not of
         # the first advanced round (benchmarks time rounds, not set-up).
         self._routing_pack()
 
     # ------------------------------------------------------------------ setup helpers
 
-    def _configure_spending_rates(self, peers: Sequence[int]) -> Dict[int, float]:
-        """Assign base spending rates according to the utilization mode.
+    def _configure_spending_rates(self, weights: Optional[np.ndarray]) -> np.ndarray:
+        """Base spending rates of the initial population, in slot order.
 
         Asymmetric mode gives every peer the same maximum spending rate, so
         utilizations inherit the (heterogeneous) earning rates implied by
-        the topology and pricing.  Symmetric mode solves the traffic
-        equations and sets ``μ_i ∝ λ_i`` so every utilization is equal,
-        then rescales so the mean spending rate equals the configured base
-        rate (keeping overall credit velocity comparable across modes).
+        the topology and pricing.  Symmetric mode sets ``μ_i ∝ λ_i``, the
+        solution of the traffic equations ``λP = λ``, so every utilization
+        is equal, then rescales so the mean spending rate equals the
+        configured base rate (keeping overall credit velocity comparable
+        across modes).
+
+        Routing ``P_ij = w_j / W_i`` over the overlay — ``w`` the sellers'
+        clipped prices in ``weights`` (the weights :func:`routing_cdfs`
+        routes with), ``W_i`` the sum of ``w`` over ``i``'s neighbours — is
+        a reversible random walk, so ``λ_i = w_i W_i`` satisfies detailed
+        balance and solves the equations exactly (Kelly, *Reversibility and
+        Stochastic Networks*, 1979).  ``W`` is summed over each pack row, in
+        ascending neighbour order.  Each connected component is normalised
+        to its size, and an isolated peer gets ``λ = 1``, as the power
+        method from a uniform start would give.  The optional lognormal
+        noise is one draw per peer, in slot order.
         """
+        pack = self._slots.pack()
         base = self.config.base_spending_rate
-        if self.config.utilization is UtilizationMode.ASYMMETRIC:
-            rates = {peer: base for peer in peers}
+        if weights is None:
+            rates = np.full(pack.alive_slots.size, base)
         else:
-            routing = RoutingMatrix.weighted_over_neighbors(
-                self.topology,
-                weights=self._seller_weights(peers),
-                order=peers,
-            )
-            solution = solve_traffic_equations(routing)
-            lam = solution.arrival_rates
-            lam = lam / lam.mean() * base
-            rates = {peer: float(rate) for peer, rate in zip(peers, lam)}
+            w = np.clip(weights, 1e-12, None)
+            rows = np.repeat(np.arange(pack.alive_slots.size), pack.degrees)
+            lam = w * np.bincount(rows, weights=w[pack.edge_dst], minlength=w.size)
+            lam[pack.degrees == 0] = 1.0
+            label = component_labels(pack.degrees, pack.edge_dst)
+            lam *= np.bincount(label)[label] / np.bincount(label, weights=lam)[label]
+            rates = lam / lam.mean() * base
         noise = self.config.spending_rate_noise
         if noise > 0:
             sigma = float(np.sqrt(np.log(1.0 + noise**2)))
-            for peer in rates:
-                rates[peer] *= float(self._rng.lognormal(-sigma**2 / 2.0, sigma))
+            rates *= self._rng.lognormal(-sigma**2 / 2.0, sigma, size=rates.size)
         return rates
-
-    def _seller_weights(self, peers: Sequence[int]) -> Dict[int, float]:
-        """Attractiveness of each peer as a seller (its posted chunk price)."""
-        return {
-            peer: float(self.config.pricing.price(peer, chunk_index=0)) for peer in peers
-        }
-
-    def _default_spending_rate(self) -> float:
-        """Spending rate for peers that join after start-up."""
-        if self.config.utilization is UtilizationMode.ASYMMETRIC:
-            return self.config.base_spending_rate
-        alive_rates = self._base_mu[self._alive]
-        if alive_rates.size == 0:
-            return self.config.base_spending_rate
-        return float(alive_rates.mean())
 
     # ------------------------------------------------------------------ peer lifecycle
 
-    def _admit(self, peer_id: int, spending_rate: float) -> int:
-        """Create simulator state for ``peer_id`` (already present in the topology).
+    def _admit(self, peer_ids: np.ndarray, spending_rate: float) -> np.ndarray:
+        """Create simulator state for ``peer_ids`` (already in the topology).
 
         No routing row is derived here: the caller refreshes the rows of
-        the new peer and of its neighbours in one batch once it has admitted
-        everyone — ``__init__`` for the initial population,
+        the new peers and of their neighbours in one batch once it has
+        admitted everyone — ``__init__`` for the initial population,
         :func:`apply_round_churn` at the end of each round.
         """
-        slot = self._slots.admit(peer_id)
-        self._balance[slot] = self.config.initial_credits
-        self._base_mu[slot] = spending_rate
-        self._spent[slot] = 0.0
-        self._earned[slot] = 0.0
-        return slot
+        slots = self._slots.admit(peer_ids)
+        self._balance[slots] = self.config.initial_credits
+        self._base_mu[slots] = spending_rate
+        self._spent[slots] = 0.0
+        self._earned[slots] = 0.0
+        return slots
 
-    def _admit_joiner(self, peer_id: int) -> int:
-        """Admit a peer arriving through churn.
+    def _admit_joiners(self, peer_ids: np.ndarray) -> np.ndarray:
+        """Admit a round's churn arrivals, in join order.
 
         Memoised pricing schemes draw a seller's price the first time a
         routing row quotes it.  Rows are refreshed only at the end of a
-        churn round, so the joiner is quoted here, on arrival: its draw
-        then keeps its place in the pricing stream whatever order the rows
-        are refreshed in.  Peers already in the overlay were quoted when
-        their neighbours' rows were built; an initial peer without
-        neighbours is the one exception.
+        churn round, so the joiners are quoted here, in join order: their
+        draws then keep their place in the pricing stream whatever order
+        the rows are refreshed in.  Peers already in the overlay were
+        quoted when their neighbours' rows were built; an initial peer
+        without neighbours is the one exception.  In symmetric mode every
+        joiner gets the mean rate of the peers alive before the round's
+        admissions; in asymmetric mode, the base rate.
         """
-        self.config.pricing.price(peer_id, chunk_index=0)
-        return self._admit(peer_id, self._default_spending_rate())
+        rate = self.config.base_spending_rate
+        if self.config.utilization is UtilizationMode.SYMMETRIC and self._alive.any():
+            rate = float(self._base_mu[self._alive].mean())
+        if peer_ids.size:
+            self.config.pricing.price_array(peer_ids.tolist(), 0)
+        return self._admit(peer_ids, rate)
 
-    def _evict(self, peer_id: int) -> None:
-        """Remove ``peer_id``'s simulator state (topology surgery happens separately)."""
-        slot = self._slots.evict(peer_id)
-        self._balance[slot] = 0.0
+    def _evict(self, peer_ids: np.ndarray) -> None:
+        """Remove the simulator state of ``peer_ids`` (topology surgery happens separately)."""
+        self._balance[self._slots.evict(peer_ids)] = 0.0
 
     def _refresh_routing_rows(self, peer_ids: Sequence[int]) -> None:
         """Re-derive the neighbour rows and routing CDFs of ``peer_ids``.
@@ -285,7 +287,7 @@ class CreditMarketSimulator(SlotSimulator):
         apply_round_churn(
             self,
             dt,
-            admit=self._admit_joiner,
+            admit=self._admit_joiners,
             refresh_rows=self._refresh_routing_rows,
         )
 

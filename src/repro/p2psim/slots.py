@@ -4,19 +4,22 @@ Both :class:`~repro.p2psim.market_sim.CreditMarketSimulator` and
 :class:`~repro.p2psim.streaming_sim.StreamingMarketSimulator` keep peer
 state in slot-indexed numpy arrays.  :class:`PeerSlots` is the one copy of
 the bookkeeping behind those arrays: the alive mask, the peer↔slot maps,
-the free-slot list, capacity growth of every per-slot array and the
+the free-slot stack, capacity growth of every per-slot array and the
 alive peers' neighbour rows (their neighbours' slots, ascending), kept
 only as a CSR pack.  A simulator declares its per-slot arrays, and the
 arrays aligned with the pack's edges, as :class:`SlotArray` attributes,
 so assigning one registers it with the store, which grows or splices it.
 
-Rows are read from the overlay's edge segments in one gather and
-key-sorted by slot, so no row depends on the order edits left a segment
-in — an unpickled simulator derives exactly the rows it had.  Admitting a
-peer never derives a row: a churn round first applies every departure
-and arrival, then re-derives the rows of every peer whose neighbour set
-changed with one :meth:`PeerSlots.refresh_rows` call, which patches the
-pack with one gather; a hub touched by many joins is recomputed once.
+Peers enter and leave in whole arrays: :meth:`PeerSlots.admit` and
+:meth:`PeerSlots.evict` take id arrays and hand out or free slots exactly
+as one call per peer would, in order, so the initial population is one
+call and a churn round two.  Admitting a peer never derives a row.  Rows
+are read from the overlay's edge segments in one gather and key-sorted by
+slot, so no row depends on the order edits left a segment in — an
+unpickled simulator derives exactly the rows it had.  After a round's
+departures and arrivals, one :meth:`PeerSlots.refresh_rows` call
+re-derives the rows of every peer whose neighbour set changed and patches
+the pack with one gather; a hub touched by many joins is recomputed once.
 
 :class:`SlotSimulator` is the set-up and run plumbing both simulators
 inherit, and :func:`apply_round_churn` and :func:`apply_income_taxation`
@@ -25,7 +28,7 @@ silently diverge the two fidelity levels.  The steps read the attributes
 a :class:`SlotSimulator` sets up (``config`` with its ``churn`` and
 ``tax_policy``, ``_rng``, ``_slots``, ``_balance``, ``_tracker``,
 ``topology``, ``_tax_pool`` and the tax totals, the ``joins``/``leaves``
-counters) and call the simulator's own ``_evict(peer_id)``.
+counters) and call the simulator's own ``_evict(peer_ids)``.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class PeerSlots:
     the reverse map, -1 for peers without a slot.  Peer ids must be
     non-negative integers: ``slot_of`` is indexed by them.  Freed slots
     are reused last-in first-out, and the initial population, admitted
-    in ascending id order, gets slots ``0, 1, 2, …``.  ``pack_row[slot]``
-    is one plus the slot's row in the pack (0: none, or evicted).
+    in one call in ascending id order, gets slots ``0, 1, 2, …``.
+    ``pack_row[slot]`` is one plus the slot's row in the pack (0: none,
+    or evicted).
     """
 
     def __init__(self, topology: OverlayTopology) -> None:
@@ -98,7 +102,8 @@ class PeerSlots:
         #: Every array aligned with the pack's ``edge_dst``.
         self.edge_arrays: Dict[str, np.ndarray] = {}
         self.slot_of = np.full(self.capacity, -1, dtype=np.int64)
-        self._free: List[int] = list(range(self.capacity - 1, -1, -1))
+        #: The free slots, a stack: the last entry is the next one taken.
+        self._free = np.arange(self.capacity - 1, -1, -1)
         self._pack = SlotPack(_EMPTY_ROW, _EMPTY_ROW, np.zeros(1, dtype=np.int64), _EMPTY_ROW)
         #: Whether slots were admitted or evicted since the pack was spliced.
         self._moved = False
@@ -123,36 +128,49 @@ class PeerSlots:
         slots[(peer_ids < 0) | (peer_ids >= self.slot_of.size)] = -1
         return slots
 
-    def admit(self, peer_id: int) -> int:
-        """Give ``peer_id`` a free slot (growing every array if none is left)."""
-        if not self._free:
-            self._grow()
-        if peer_id >= self.slot_of.size:
-            pad = max(self.slot_of.size, peer_id + 1 - self.slot_of.size)
-            self.slot_of = np.concatenate([self.slot_of, np.full(pad, -1, dtype=np.int64)])
-        slot = self._free.pop()
-        self.alive[slot] = True
-        self.peer_of[slot] = peer_id
-        self.slot_of[peer_id] = slot
-        self._moved = True
-        return slot
+    def admit(self, peer_ids: Sequence[int]) -> np.ndarray:
+        """Give each of ``peer_ids`` a free slot, in order; return the slots.
 
-    def evict(self, peer_id: int) -> int:
-        """Free ``peer_id``'s slot and drop its row; return the freed slot."""
-        slot = int(self.slot_of[peer_id])
-        self.slot_of[peer_id] = -1
-        self.alive[slot] = False
-        self.arrays["pack_row"][slot] = 0
-        self._free.append(slot)
-        self._moved = True
-        return slot
+        Slots come off the free list exactly as one call per peer would
+        take them: every array grows (doubling) only once the free list
+        cannot cover the batch, and freshly grown slots go out ascending.
+        """
+        ids = np.asarray(peer_ids, dtype=np.int64)
+        while self._free.size < ids.size:
+            self._grow()
+        if ids.size and ids.max() >= self.slot_of.size:
+            pad = max(self.slot_of.size, int(ids.max()) + 1 - self.slot_of.size)
+            self.slot_of = np.concatenate([self.slot_of, np.full(pad, -1, dtype=np.int64)])
+        top = self._free.size - ids.size
+        slots = self._free[top:][::-1].copy()
+        self._free = self._free[:top]
+        self.alive[slots] = True
+        self.peer_of[slots] = ids
+        self.slot_of[ids] = slots
+        self._moved |= bool(ids.size)
+        return slots
+
+    def evict(self, peer_ids: Sequence[int]) -> np.ndarray:
+        """Free the slots of ``peer_ids`` and drop their rows; return the slots.
+
+        The freed slots go onto the free list in order, so the last one
+        is the first reused.
+        """
+        ids = np.asarray(peer_ids, dtype=np.int64)
+        slots = self.slot_of[ids]
+        self.slot_of[ids] = -1
+        self.alive[slots] = False
+        self.arrays["pack_row"][slots] = 0
+        self._free = np.concatenate([self._free, slots])
+        self._moved |= bool(ids.size)
+        return slots
 
     def _grow(self) -> None:
         old = self.capacity
         for name, array in self.arrays.items():
             pad = np.zeros(array.shape[:-1] + (old,), dtype=array.dtype)
             self.arrays[name] = np.concatenate([array, pad], axis=-1)
-        self._free = list(range(2 * old - 1, old - 1, -1)) + self._free
+        self._free = np.concatenate([np.arange(2 * old - 1, old - 1, -1), self._free])
         self.capacity = 2 * old
 
     def refresh_rows(self, peer_ids: Sequence[int]) -> np.ndarray:
@@ -348,7 +366,7 @@ class SlotSimulator:
 def apply_round_churn(
     sim: Any,
     dt: float,
-    admit: Callable[[int], object],
+    admit: Callable[[np.ndarray], object],
     refresh_rows: Callable[[List[int]], object],
 ) -> None:
     """Apply one round of Poisson arrivals and exponential departures.
@@ -357,13 +375,16 @@ def apply_round_churn(
     ``1 − exp(−dt/lifespan)`` (the discretised exponential lifetime — the
     distribution is memoryless, so peers present at start-up churn like
     everyone else) and a Poisson number of peers arrives, wired into the
-    overlay by the tracker.  ``admit`` creates the simulator state of one
-    joining peer without deriving any neighbour row.  After the last
-    arrival, ``refresh_rows`` gets, in one call, every peer whose
-    neighbour set changed — each leaver's former neighbours, each orphan's
-    repair partner, each joiner and its neighbours — once each, in the
-    order they were first touched.  Peers that left later in the round
-    have no slot and are skipped by the store.
+    overlay by the tracker.  The overlay changes peer by peer, the
+    simulator state in whole batches: the tracker removes every leaver,
+    then one ``sim._evict(leavers)`` frees their slots; the tracker wires
+    in every joiner, then one ``admit(joiners)`` creates their state, in
+    join order, without deriving any neighbour row.  Last, ``refresh_rows``
+    gets, in one call, every peer whose neighbour set changed — each
+    leaver's former neighbours, each orphan's repair partner, each joiner
+    and its neighbours — once each, in the order they were first touched.
+    Peers that left later in the round have no slot and are skipped by
+    the store.
     """
     churn = sim.config.churn
     if churn is None:
@@ -374,23 +395,26 @@ def apply_round_churn(
     departing = alive_slots[rng.random(alive_slots.size) < departure_probability]
     # Insertion-ordered set of the peers whose neighbour rows went stale.
     touched: Dict[int, None] = {}
+    leavers: List[int] = []
     for peer_id in sim._slots.peer_of[departing].tolist():
         if sim.topology.num_peers <= 2:
             break
         departure = sim._tracker.leave(peer_id)
-        sim._evict(peer_id)
-        sim.leaves += 1
+        leavers.append(peer_id)
         touched.update(dict.fromkeys(departure.former_neighbors))
         # A repaired orphan is a former neighbour; its partner gained an
         # edge too and must start routing to it.
         touched.update(dict.fromkeys(partner for _, partner in departure.repairs))
-    arrivals = rng.poisson(churn.arrival_rate * dt)
-    for _ in range(int(arrivals)):
+    sim._evict(np.array(leavers, dtype=np.int64))
+    sim.leaves += len(leavers)
+    joiners: List[int] = []
+    for _ in range(int(rng.poisson(churn.arrival_rate * dt))):
         peer_id = sim._tracker.join()
-        admit(peer_id)
-        sim.joins += 1
+        joiners.append(peer_id)
         touched[peer_id] = None
         touched.update(dict.fromkeys(sim.topology.neighbors(peer_id)))
+    admit(np.array(joiners, dtype=np.int64))
+    sim.joins += len(joiners)
     refresh_rows(list(touched))
 
 

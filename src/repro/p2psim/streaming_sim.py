@@ -507,9 +507,8 @@ class StreamingMarketSimulator(SlotSimulator):
 
         # Admit everyone first, then derive every row in one batch (as churn
         # rounds do); the pack is built here, as construction cost.
-        initial_peers = self.topology.peers()
-        for peer_id in initial_peers:
-            self._admit(peer_id)
+        initial_peers = self.topology.peer_degrees()[0]
+        self._admit(initial_peers)
         self._slots.refresh_rows(initial_peers)
 
     # ------------------------------------------------------------------ clock helpers
@@ -533,45 +532,45 @@ class StreamingMarketSimulator(SlotSimulator):
 
     # ------------------------------------------------------------------ peer lifecycle
 
-    def _admit(self, peer_id: int) -> int:
-        """Create simulator state for ``peer_id`` (already present in the topology).
+    def _admit(self, peer_ids: np.ndarray) -> np.ndarray:
+        """Create simulator state for ``peer_ids`` (already in the topology).
 
         No neighbour row is derived here: the caller refreshes the rows of
-        the new peer and of its neighbours in one batch once it has admitted
-        everyone — ``__init__`` for the initial population,
+        the new peers and of their neighbours in one batch once it has
+        admitted everyone — ``__init__`` for the initial population,
         :func:`apply_round_churn` at the end of each round.
         """
-        slot = self._slots.admit(peer_id)
-        self._balance[slot] = self.config.initial_credits
-        self._minted += self.config.initial_credits
-        self._spent_win[slot] = 0.0
-        self._earned_win[slot] = 0.0
-        self._uploads_total[slot] = 0.0
-        self._played[slot] = 0
-        self._missed[slot] = 0
+        slots = self._slots.admit(peer_ids)
+        self._balance[slots] = self.config.initial_credits
+        self._minted += self.config.initial_credits * slots.size
+        self._spent_win[slots] = 0.0
+        self._earned_win[slots] = 0.0
+        self._uploads_total[slots] = 0.0
+        self._played[slots] = 0
+        self._missed[slots] = 0
         # A joiner tunes in near the live edge (initial peers start at 0).
-        self._pb_next[slot] = max(0, self._emitted - self.config.startup_chunks)
-        self._pb_started[slot] = False
-        self._pb_backlog[slot] = 0.0
-        self._have[:, slot] = False
-        self._fill_price_row(slot)
-        return slot
+        self._pb_next[slots] = max(0, self._emitted - self.config.startup_chunks)
+        self._pb_started[slots] = False
+        self._pb_backlog[slots] = 0.0
+        self._have[:, slots] = False
+        self._fill_price_rows(slots)
+        return slots
 
-    def _evict(self, peer_id: int) -> None:
-        """Remove ``peer_id``'s simulator state (topology surgery happens separately).
+    def _evict(self, peer_ids: np.ndarray) -> None:
+        """Remove the simulator state of ``peer_ids`` (topology surgery happens separately).
 
-        The departing peer takes its credits out of the economy, and any
-        chunk still in flight toward it is dropped — a mid-purchase
+        The departing peers take their credits out of the economy, and any
+        chunk still in flight toward them is dropped — a mid-purchase
         departure must neither crash the delivery nor hand the chunk to
         whichever peer later reuses the slot.
         """
-        slot = self._slots.evict(peer_id)
-        self._destroyed += float(self._balance[slot])
-        self._balance[slot] = 0.0
-        self._have[:, slot] = False
+        slots = self._slots.evict(peer_ids)
+        self._destroyed += float(self._balance[slots].sum())
+        self._balance[slots] = 0.0
+        self._have[:, slots] = False
         for batch in self._in_flight:
             for position, (buyer_slots, chunk_indices) in enumerate(batch):
-                keep = buyer_slots != slot
+                keep = ~np.isin(buyer_slots, slots)
                 if not keep.all():
                     batch[position] = (buyer_slots[keep], chunk_indices[keep])
 
@@ -582,14 +581,16 @@ class StreamingMarketSimulator(SlotSimulator):
 
     # ------------------------------------------------------------------ stream window
 
-    def _fill_price_row(self, slot: int) -> None:
-        """Quote one (re)admitted seller's prices for every chunk in the window."""
-        peer_id = int(self._slots.peer_of[slot])
-        live_cols = self._emitted - self._win_base
-        for col in range(live_cols):
-            self._price_win[col, slot] = self.config.pricing.price(
-                peer_id, self._win_base + col
-            )
+    def _fill_price_rows(self, slots: np.ndarray) -> None:
+        """Quote (re)admitted sellers' prices for every chunk in the window.
+
+        Quotes go seller after seller, in admission order, each over the
+        window's chunks in order, so memoised schemes draw in that order.
+        """
+        price, chunks = self.config.pricing.price, range(self._win_base, self._emitted)
+        peer_ids = self._slots.peer_of[slots].tolist()
+        quotes = [price(peer_id, chunk) for peer_id in peer_ids for chunk in chunks]
+        self._price_win[: len(chunks), slots] = np.reshape(quotes, (slots.size, len(chunks))).T
 
     def _fill_price_column(self, col: int, chunk_index: int, alive_slots: np.ndarray) -> None:
         """Quote every alive seller's posted price for one chunk column."""

@@ -9,11 +9,10 @@ trading (Sec. III-B2).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.overlay.topology import OverlayTopology
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_fraction, check_stochastic_matrix
 
@@ -23,8 +22,7 @@ __all__ = ["RoutingMatrix"]
 class RoutingMatrix:
     """A row-stochastic credit routing matrix over ``n`` peers.
 
-    Construct directly from an array, or use the classmethod constructors to
-    derive a matrix from an overlay topology and trading preferences.
+    Construct directly from an array, from purchase rates, or at random.
     """
 
     def __init__(self, matrix: Sequence[Sequence[float]]) -> None:
@@ -76,81 +74,6 @@ class RoutingMatrix:
         return f"RoutingMatrix(size={self.size})"
 
     # ------------------------------------------------------------------ constructors
-
-    @classmethod
-    def uniform_over_neighbors(
-        cls,
-        topology: OverlayTopology,
-        reserve_fraction: float = 0.0,
-        order: Optional[Sequence[int]] = None,
-    ) -> "RoutingMatrix":
-        """Uniform routing: each peer splits its spending equally over its neighbours.
-
-        This is the streaming / uniform-pricing case of Sec. V-C, where a
-        peer has no reason to prefer one neighbour over another:
-        ``p_ij = (1 - p_ii) / (N_i)`` for each of its ``N_i`` neighbours.
-
-        Parameters
-        ----------
-        topology:
-            The overlay; peers with no neighbours route everything to
-            themselves (their column would otherwise be undefined).
-        reserve_fraction:
-            The self-loop probability ``p_ii`` (identical for every peer).
-        order:
-            Peer ordering defining matrix indices; defaults to sorted ids.
-        """
-        reserve = check_fraction(reserve_fraction, "reserve_fraction")
-        order = list(order) if order is not None else topology.peers()
-        index = {peer: i for i, peer in enumerate(order)}
-        n = len(order)
-        matrix = np.zeros((n, n))
-        for peer in order:
-            i = index[peer]
-            neighbors = [p for p in topology.neighbors(peer) if p in index]
-            if not neighbors:
-                matrix[i, i] = 1.0
-                continue
-            matrix[i, i] = reserve
-            share = (1.0 - reserve) / len(neighbors)
-            for neighbor in neighbors:
-                matrix[i, index[neighbor]] = share
-        return cls(matrix)
-
-    @classmethod
-    def weighted_over_neighbors(
-        cls,
-        topology: OverlayTopology,
-        weights: Mapping[int, float],
-        reserve_fraction: float = 0.0,
-        order: Optional[Sequence[int]] = None,
-    ) -> "RoutingMatrix":
-        """Routing proportional to per-neighbour attractiveness weights.
-
-        ``weights[j]`` is the attractiveness of buying from peer *j* (e.g.
-        its chunk availability × 1/price); peer *i* splits its spending over
-        its neighbours proportionally to their weights.  Zero-weight
-        neighbour sets fall back to uniform routing.
-        """
-        reserve = check_fraction(reserve_fraction, "reserve_fraction")
-        order = list(order) if order is not None else topology.peers()
-        index = {peer: i for i, peer in enumerate(order)}
-        n = len(order)
-        matrix = np.zeros((n, n))
-        for peer in order:
-            i = index[peer]
-            neighbors = [p for p in topology.neighbors(peer) if p in index]
-            if not neighbors:
-                matrix[i, i] = 1.0
-                continue
-            matrix[i, i] = reserve
-            raw = np.array([max(0.0, float(weights.get(p, 0.0))) for p in neighbors])
-            if raw.sum() <= 0:
-                raw = np.ones(len(neighbors))
-            raw = raw / raw.sum() * (1.0 - reserve)
-            for neighbor, share in zip(neighbors, raw):
-                matrix[i, index[neighbor]] = share
-        return cls(matrix)
 
     @classmethod
     def from_purchase_rates(

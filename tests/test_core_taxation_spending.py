@@ -61,6 +61,32 @@ class TestThresholdIncomeTax:
         assert balances.tolist() == [3.0, 4.0, 5.0]
         assert pool == 1.5
 
+    def test_one_round_keeps_the_per_round_loops_bits(self):
+        # Paying whole rounds at once must round exactly as paying one
+        # round per pass did whenever the pool covers a single round.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            unit = float(rng.uniform(0.01, 3.0))
+            balances = rng.uniform(0.0, 50.0, size=int(rng.integers(1, 9)))
+            cost = unit * balances.size
+            pool = float(rng.uniform(cost, 2 * cost))
+            expected_balances, expected_pool, expected_rebated = balances.copy(), pool, 0.0
+            while expected_pool >= cost:
+                expected_balances += unit
+                expected_pool -= cost
+                expected_rebated += cost
+            policy = ThresholdIncomeTax(rate=0.0, threshold=0.0, rebate_unit=unit)
+            _, rebated, pool = policy.apply(balances, np.zeros(balances.size), pool)
+            assert balances.tobytes() == expected_balances.tobytes()
+            assert (rebated, pool) == (expected_rebated, expected_pool)
+
+    def test_subnormal_unit_ends(self):
+        policy = ThresholdIncomeTax(rate=0.5, threshold=10.0, rebate_unit=5e-324)
+        balances, _, rebated, pool = apply(policy, [1.0, 2.0], [0.0, 0.0], 150.0)
+        assert 0.0 < rebated < 150.0
+        assert pool == 150.0 - rebated
+        assert np.isfinite(balances).all()
+
     def test_zero_income_not_taxed(self):
         policy = ThresholdIncomeTax(rate=0.1, threshold=10.0)
         balances, collected, _, pool = apply(policy, [100.0], [0.0])

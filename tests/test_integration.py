@@ -9,6 +9,7 @@ analytical predictions.
 import numpy as np
 import pytest
 
+from dense_routing import neighbor_routing
 from repro.core import CreditMarket, UniformPricing, gini_index
 from repro.core.condensation import grand_canonical_wealth
 from repro.overlay import ring_topology, scale_free_topology
@@ -19,7 +20,7 @@ from repro.p2psim import (
     StreamingSimConfig,
     UtilizationMode,
 )
-from repro.queueing import ClosedJacksonNetwork, RoutingMatrix, solve_traffic_equations
+from repro.queueing import ClosedJacksonNetwork, solve_traffic_equations
 
 
 class TestMarketToQueueingPipeline:
@@ -93,7 +94,7 @@ class TestSimulationMatchesTheory:
         # Ring of 4 peers with heterogeneous spending rates.
         topology = ring_topology(4)
         spending = {0: 2.0, 1: 1.0, 2: 2.0, 3: 1.0}
-        routing = RoutingMatrix.uniform_over_neighbors(topology)
+        routing = neighbor_routing(topology)
         lam = solve_traffic_equations(routing).arrival_rates
         utilizations = (lam / np.array([spending[i] for i in range(4)]))
         network = ClosedJacksonNetwork(utilizations, 4 * 25)

@@ -170,6 +170,16 @@ class TestStructure:
             topo.add_edge(int(u), int(v))
         assert topo.connected_components() == _breadth_first_components(topo)
 
+    def test_connected_components_of_a_path_longer_than_the_search(self):
+        # The breadth-first search stops after 32 levels; label propagation
+        # must finish both ends of a 500-peer path and the other components.
+        order = np.random.default_rng(5).permutation(600).tolist()
+        edges = list(zip(order[:499], order[1:500])) + [(order[550], order[551])]
+        topo = OverlayTopology.from_edges(600, edges)
+        components = topo.connected_components()
+        assert [len(component) for component in components[:2]] == [500, 2]
+        assert components == _breadth_first_components(topo)
+
     def test_connected_components_of_a_churned_id_space(self):
         # Gapped ids from leaves and joins label like any other.
         topo = OverlayTopology.from_edges(6, [(0, 1), (2, 3), (4, 5), (1, 5)])

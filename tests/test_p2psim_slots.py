@@ -21,8 +21,7 @@ def path_topology(num_peers):
 
 
 def admit_all(slots):
-    for peer in slots.topology.peers():
-        slots.admit(peer)
+    slots.admit(slots.topology.peers())
     slots.refresh_rows(slots.topology.peers())
 
 
@@ -49,19 +48,17 @@ class TestAdmitEvict:
     def test_evicted_slots_are_reused_last_in_first_out(self):
         slots = PeerSlots(path_topology(5))
         admit_all(slots)
-        assert slots.evict(1) == 1
-        assert slots.evict(3) == 3
+        assert slots.evict([1, 3]).tolist() == [1, 3]
         assert slots.slot(1) == -1 and not slots.alive[1]
-        assert slots.admit(7) == 3
-        assert slots.admit(8) == 1
+        assert slots.admit([7, 8]).tolist() == [3, 1]
         assert slots.slot(7) == 3 and slots.peer_of[3] == 7
-        assert slots.admit(9) == 5  # then the never-used slots, ascending
+        assert slots.admit([9]).tolist() == [5]  # then the never-used slots, ascending
 
     def test_eviction_drops_the_row(self):
         slots = PeerSlots(path_topology(4))
         admit_all(slots)
         assert slots.row(1).tolist() == [0, 2]
-        slots.evict(1)
+        slots.evict([1])
         assert slots.row(1).size == 0
 
     def test_unknown_and_negative_ids_have_no_slot(self):
@@ -74,9 +71,51 @@ class TestAdmitEvict:
 
     def test_refresh_requires_every_neighbour_admitted(self):
         slots = PeerSlots(path_topology(3))
-        slots.admit(1)
+        slots.admit([1])
         with pytest.raises(RuntimeError, match="neighbour of peer 1 has no slot"):
             slots.refresh_rows([1])
+
+
+def _state(slots, peer_ids):
+    """What a batch call must leave as its single calls do."""
+    return (
+        slots.capacity,
+        slots._free.tolist(),
+        slots.alive.tolist(),
+        slots.peer_of[slots.alive].tolist(),
+        [slots.slot(peer) for peer in peer_ids],
+    )
+
+
+class TestBatchAgainstSingleCalls:
+    """One call over ``k`` peers leaves the store as ``k`` one-peer calls do."""
+
+    @pytest.mark.parametrize("k", [1, 7, 10, 11, 60])
+    def test_admit_then_evict_then_readmit(self, k):
+        # 5 initial peers in a 16-slot store: k = 11 fills it exactly, and
+        # k = 60 grows it twice within one call.
+        batch, single = PeerSlots(path_topology(5)), PeerSlots(path_topology(5))
+        batch.admit(range(5))
+        single.admit(range(5))
+        joiners = np.arange(100, 100 + k)
+        everyone = np.concatenate([np.arange(5), joiners, joiners + 1000])
+        assert batch.admit(joiners).tolist() == [single.admit([p])[0] for p in joiners]
+        assert _state(batch, everyone) == _state(single, everyone)
+        leavers = np.random.default_rng(k).permutation(np.arange(5).tolist() + joiners.tolist())
+        leavers = leavers[: leavers.size // 2 + 1]
+        assert batch.evict(leavers).tolist() == [single.evict([p])[0] for p in leavers]
+        assert _state(batch, everyone) == _state(single, everyone)
+        assert batch.admit(joiners + 1000).tolist() == [
+            single.admit([p])[0] for p in joiners + 1000
+        ]
+        assert _state(batch, everyone) == _state(single, everyone)
+
+    def test_empty_batches_change_nothing(self):
+        slots = PeerSlots(path_topology(3))
+        admit_all(slots)
+        pack = slots.pack()
+        assert slots.admit([]).size == slots.evict([]).size == 0
+        assert slots.pack() is pack
 
 
 class TestRows:
@@ -86,10 +125,10 @@ class TestRows:
         slots = PeerSlots(topology)
         admit_all(slots)
         topology.remove_peer(0)
-        slots.evict(0)
+        slots.evict([0])
         topology.add_peer(4)
         topology.add_edge(4, 2)
-        slots.admit(4)
+        slots.admit([4])
         slots.refresh_rows([2])
         assert slots.slot(4) == 0
         assert slots.row(slots.slot(2)).tolist() == [0, 1, 3]
@@ -103,14 +142,14 @@ class TestRows:
         slots.refresh_rows([2])
         assert slots.pack() is not pack
         pack = slots.pack()
-        slots.evict(5)
+        slots.evict([5])
         assert slots.pack() is not pack
 
     def test_pack_layout(self):
         slots = PeerSlots(path_topology(4))
         admit_all(slots)
         slots.topology.remove_peer(3)
-        slots.evict(3)
+        slots.evict([3])
         slots.refresh_rows([2])
         pack = slots.pack()
         assert pack.alive_slots.tolist() == [0, 1, 2]
@@ -131,8 +170,7 @@ class TestGrowth:
             owner.window[peer % 3, slots.slot(peer)] = True
         rows = {peer: slots.row(slots.slot(peer)).tolist() for peer in range(4)}
         # Peer ids past the initial slot_of size grow it too.
-        for peer in range(100, 100 + capacity):
-            slots.admit(peer)
+        slots.admit(np.arange(100, 100 + capacity))
         assert slots.capacity == 2 * capacity
         assert owner.weight.shape == (2 * capacity,)
         assert owner.window.shape == (3, 2 * capacity)
@@ -274,7 +312,7 @@ class TestChurnedRuns:
         for field in ("alive_slots", "degrees", "row_start", "edge_dst"):
             assert getattr(clone.pack(), field).tobytes() == getattr(slots.pack(), field).tobytes()
         # Admitting into the clone takes the same slot as into the original.
-        assert clone.admit(10**4) == slots.admit(10**4)
+        assert clone.admit([10**4]).tolist() == slots.admit([10**4]).tolist()
 
 
 class TestRunConfig:

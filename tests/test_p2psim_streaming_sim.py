@@ -196,7 +196,7 @@ class TestChurn:
         victim_slot = sorted(in_flight_slots)[0]
         victim_peer = int(simulator._slots.peer_of[victim_slot])
         simulator._tracker.leave(victim_peer)
-        simulator._evict(victim_peer)
+        simulator._evict(np.array([victim_peer]))
         remaining = {
             int(slot)
             for batch in simulator._in_flight
@@ -207,7 +207,7 @@ class TestChurn:
         # The freed slot can be re-used by a joiner without inheriting the
         # departed peer's pending chunks.
         joiner = simulator._tracker.join()
-        reused_slot = simulator._admit(joiner)
+        (reused_slot,) = simulator._admit(np.array([joiner]))
         assert reused_slot == victim_slot
         assert not simulator._have[:, reused_slot].any()
         simulator.advance_rounds(simulator.total_rounds() - 10)
@@ -217,7 +217,7 @@ class TestChurn:
         simulator = StreamingMarketSimulator(small_config())
         simulator.advance_rounds(60)
         joiner = simulator._tracker.join()
-        slot = simulator._admit(joiner)
+        (slot,) = simulator._admit(np.array([joiner]))
         live_edge = simulator._emitted - 1
         assert simulator._pb_next[slot] == max(
             0, simulator._emitted - simulator.config.startup_chunks

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.overlay import OverlayTopology, ring_topology, scale_free_topology
+from dense_routing import neighbor_routing
+from repro.overlay import ring_topology, scale_free_topology
 from repro.queueing import RoutingMatrix
 
 
@@ -27,41 +28,6 @@ class TestConstruction:
         matrix = routing.matrix
         matrix[0, 0] = 99.0
         assert routing.probability(0, 0) == 0.0
-
-
-class TestUniformOverNeighbors:
-    def test_rows_split_evenly(self):
-        topology = ring_topology(4)
-        routing = RoutingMatrix.uniform_over_neighbors(topology)
-        for i in range(4):
-            row = routing.row(i)
-            assert row[i] == 0.0
-            assert sorted(row)[-2:] == [0.5, 0.5]
-
-    def test_reserve_fraction_on_diagonal(self):
-        topology = ring_topology(4)
-        routing = RoutingMatrix.uniform_over_neighbors(topology, reserve_fraction=0.2)
-        np.testing.assert_allclose(routing.self_loop_fractions(), 0.2)
-        np.testing.assert_allclose(routing.matrix.sum(axis=1), 1.0)
-
-    def test_isolated_peer_gets_self_loop(self):
-        topology = OverlayTopology([0, 1, 2])
-        topology.add_edge(0, 1)
-        routing = RoutingMatrix.uniform_over_neighbors(topology)
-        assert routing.probability(2, 2) == 1.0
-
-
-class TestWeightedOverNeighbors:
-    def test_weights_respected(self):
-        topology = OverlayTopology.from_edges(3, [(0, 1), (0, 2)])
-        routing = RoutingMatrix.weighted_over_neighbors(topology, weights={1: 3.0, 2: 1.0})
-        assert routing.probability(0, 1) == pytest.approx(0.75)
-        assert routing.probability(0, 2) == pytest.approx(0.25)
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        topology = OverlayTopology.from_edges(3, [(0, 1), (0, 2)])
-        routing = RoutingMatrix.weighted_over_neighbors(topology, weights={})
-        assert routing.probability(0, 1) == pytest.approx(0.5)
 
 
 class TestFromPurchaseRates:
@@ -94,18 +60,18 @@ class TestRandomStochastic:
 class TestDerivedMatrices:
     def test_with_reserve_fraction(self):
         topology = ring_topology(5)
-        routing = RoutingMatrix.uniform_over_neighbors(topology).with_reserve_fraction(0.3)
+        routing = neighbor_routing(topology).with_reserve_fraction(0.3)
         np.testing.assert_allclose(routing.self_loop_fractions(), 0.3)
         np.testing.assert_allclose(routing.matrix.sum(axis=1), 1.0)
 
     def test_restricted_to_subset(self):
-        routing = RoutingMatrix.uniform_over_neighbors(scale_free_topology(30, mean_degree=6, seed=4))
+        routing = neighbor_routing(scale_free_topology(30, mean_degree=6, seed=4))
         sub = routing.restricted_to(range(10))
         assert sub.size == 10
         np.testing.assert_allclose(sub.matrix.sum(axis=1), 1.0)
 
     def test_is_irreducible_ring(self):
-        routing = RoutingMatrix.uniform_over_neighbors(ring_topology(6))
+        routing = neighbor_routing(ring_topology(6))
         assert routing.is_irreducible()
 
     def test_is_irreducible_detects_disconnection(self):

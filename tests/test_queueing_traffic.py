@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_routing import neighbor_routing
 from repro.overlay import ring_topology, scale_free_topology
 from repro.queueing import RoutingMatrix, solve_traffic_equations, spectral_radius
 from repro.queueing.traffic import normalized_utilizations, stationary_distribution
@@ -16,7 +17,7 @@ class TestSpectralRadius:
 
 class TestStationaryDistribution:
     def test_doubly_stochastic_gives_uniform(self):
-        routing = RoutingMatrix.uniform_over_neighbors(ring_topology(6))
+        routing = neighbor_routing(ring_topology(6))
         pi = stationary_distribution(routing)
         np.testing.assert_allclose(pi, 1.0 / 6.0, atol=1e-8)
 
@@ -42,7 +43,7 @@ class TestLemmaOne:
 
     def test_scale_free_market(self):
         topology = scale_free_topology(150, seed=5)
-        routing = RoutingMatrix.uniform_over_neighbors(topology)
+        routing = neighbor_routing(topology)
         solution = solve_traffic_equations(routing)
         assert solution.residual < 1e-6
         assert np.all(solution.arrival_rates > 0)
@@ -76,7 +77,7 @@ class TestLemmaOne:
         # For uniform neighbour routing, the stationary arrival rates are
         # proportional to peer degree (random-walk stationary distribution).
         topology = scale_free_topology(80, mean_degree=8, seed=10)
-        routing = RoutingMatrix.uniform_over_neighbors(topology)
+        routing = neighbor_routing(topology)
         solution = solve_traffic_equations(routing)
         degrees = np.array([topology.degree(peer) for peer in topology.peers()], dtype=float)
         expected = degrees / degrees.sum() * len(degrees)

@@ -115,15 +115,15 @@ def test_departures_with_chunks_in_flight_after_a_slide(sides, monkeypatch):
     departures = []
     evict = StreamingMarketSimulator._evict
 
-    def recording_evict(simulator, peer_id):
-        slot = simulator._slots.slot(peer_id)
-        in_flight = sum(
-            int((buyers == slot).sum())
-            for batch in simulator._in_flight
-            for buyers, _ in batch
-        )
-        departures.append((simulator._win_base, in_flight))
-        evict(simulator, peer_id)
+    def recording_evict(simulator, peer_ids):
+        for slot in simulator._slots.slot_of[peer_ids].tolist():
+            in_flight = sum(
+                int((buyers == slot).sum())
+                for batch in simulator._in_flight
+                for buyers, _ in batch
+            )
+            departures.append((simulator._win_base, in_flight))
+        evict(simulator, peer_ids)
 
     monkeypatch.setattr(StreamingMarketSimulator, "_evict", recording_evict)
     vectorized = run(CONFIGS["churned"], "vectorized")
