@@ -71,14 +71,15 @@ class PricingScheme:
     def price_array(self, seller_ids: Sequence[int], chunk_index: int) -> np.ndarray:
         """Posted prices of many sellers for one chunk, as a float array.
 
-        The batched simulators quote a whole column of sellers at once;
-        the generic implementation loops over :meth:`price`, flat-price
+        ``seller_ids`` may be a sequence or an int array; sellers are
+        quoted in its order.  The batched simulators quote a whole column
+        of sellers at once; the generic implementation converts the ids
+        to Python ints once and loops over :meth:`price`, flat-price
         schemes override with a single array operation.
         """
-        return np.array(
-            [self.price(int(seller), int(chunk_index)) for seller in seller_ids],
-            dtype=float,
-        )
+        sellers = np.asarray(seller_ids, dtype=np.int64).tolist()
+        chunk_index = int(chunk_index)
+        return np.array([self.price(seller, chunk_index) for seller in sellers], dtype=float)
 
     def is_stateful(self) -> bool:
         """Whether purchases feed back into future prices or settlements.
@@ -156,11 +157,9 @@ class PerPeerFlatPricing(PricingScheme):
     def price_array(self, seller_ids: Sequence[int], chunk_index: int) -> np.ndarray:
         get = self._prices.get
         default = self.default_price
-        return np.fromiter(
-            (get(int(seller), default) for seller in seller_ids),
-            dtype=float,
-            count=len(seller_ids),
-        )
+        sellers = np.asarray(seller_ids, dtype=np.int64).tolist()
+        prices = (get(seller, default) for seller in sellers)
+        return np.fromiter(prices, dtype=float, count=len(sellers))
 
     def mean_price(self) -> float:
         if not self._prices:

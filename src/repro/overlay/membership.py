@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.overlay.topology import OverlayTopology
 from repro.utils.rng import make_rng
 
@@ -110,8 +112,7 @@ class MembershipTracker:
         if self.topology.has_peer(peer_id):
             raise ValueError(f"peer {peer_id} is already in the overlay")
         self.topology.add_peer(peer_id)
-        for neighbor in self.select_neighbors(exclude=peer_id, count=degree):
-            self.topology.add_edge(peer_id, neighbor)
+        self.topology.connect(peer_id, self.select_neighbors(exclude=peer_id, count=degree))
         self.joins += 1
         return peer_id
 
@@ -130,7 +131,10 @@ class MembershipTracker:
         self.leaves += 1
         repairs: List[Tuple[int, int]] = []
         if repair and self.topology.num_peers > 1:
-            for orphan in former:
+            # Repairs only add edges, so the orphans are among the former
+            # neighbours the departure left without any.
+            isolated = np.asarray(former)[self.topology._degree[former] == 0]
+            for orphan in isolated.tolist():
                 # An earlier repair in this loop may have wired this orphan.
                 if self.topology.degree(orphan) == 0:
                     for candidate in self.select_neighbors(exclude=orphan, count=1):

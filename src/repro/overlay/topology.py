@@ -83,8 +83,10 @@ class OverlayTopology:
     neighbours are ``_edges[_start[p] : _start[p] + _degree[p]]``, a
     segment with ``_room[p]`` entries reserved for it:
 
-    * an added edge is appended in place while the segment has room; a
-      full segment first moves to the buffer's end with double the room;
+    * added edges are appended in place while the segment has room; a
+      full segment first moves to the buffer's end with at least double
+      the room (:meth:`connect` moves all of one call's full segments at
+      once);
     * a removed edge is overwritten by the segment's last entry;
     * when the buffer's end is reached, one gather packs the live
       segments to its front.  The buffer doubles only when more than
@@ -225,17 +227,59 @@ class OverlayTopology:
 
     def add_edge(self, u: int, v: int) -> bool:
         """Connect peers ``u`` and ``v``; returns False if the edge already existed."""
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError("self-loops are not allowed in the overlay")
-        if not (self.has_peer(u) and self.has_peer(v)):
-            raise KeyError(f"both endpoints must be in the overlay (got {u}, {v})")
-        if v in self._segment(u):
-            return False
-        self._link(u, v)
-        self._link(v, u)
-        self._edge_count += 1
-        return True
+        return self.connect(u, [v]) == 1
+
+    def connect(self, peer_id: int, others: Sequence[int]) -> int:
+        """Connect ``peer_id`` to each of the distinct peers ``others``.
+
+        Returns the number of edges added: those already present are
+        skipped.  Every owner, ``peer_id`` and each new neighbour, gets
+        its entries in one array pass: the full segments move to the
+        buffer's end together, each with room for at least twice its
+        old degree, after one compaction if the buffer cannot hold them.
+        """
+        peer_id = int(peer_id)
+        others = np.asarray(others, dtype=np.int64).ravel()
+        owners = np.empty(others.size + 1, dtype=np.int64)
+        owners[0], owners[1:] = peer_id, others
+        ascending = np.sort(owners)
+        if (ascending[1:] == ascending[:-1]).any():
+            if peer_id in others:
+                raise ValueError("self-loops are not allowed in the overlay")
+            raise ValueError("the peers to connect must be distinct")
+        if ascending[0] < 0 or ascending[-1] >= self._alive.size or not self._alive[owners].all():
+            raise KeyError(f"both endpoints must be in the overlay (got {peer_id}, {others})")
+        if self._degree[peer_id]:
+            linked = (others[:, None] == self._segment(peer_id)).any(axis=1)
+            if linked.any():
+                others = others[~linked]
+                owners = np.concatenate([owners[:1], others])
+        if not others.size:
+            return 0
+        added = np.ones(owners.size, dtype=np.int64)
+        added[0] = others.size
+        degrees = self._degree[owners]
+        need = degrees + added
+        full = need > self._room[owners]
+        if full.any():
+            room = np.maximum(np.maximum(2 * degrees, need), 4)
+            if self._end + int(room[full].sum()) > self._edges.size:
+                # A compacted segment has no room to spare: every owner moves.
+                self._compact(int(room.sum()))
+                full[:] = True
+            moving, moved, lengths = owners[full], room[full], degrees[full]
+            starts = self._end + np.cumsum(moved) - moved
+            old_starts = self._start[moving]
+            source = segments(old_starts, lengths)
+            self._edges[source + np.repeat(starts - old_starts, lengths)] = self._edges[source]
+            self._start[moving], self._room[moving] = starts, moved
+            self._end += int(moved.sum())
+        tails = self._start[owners] + degrees
+        self._edges[tails[0] : tails[0] + others.size] = others
+        self._edges[tails[1:]] = peer_id
+        self._degree[owners] = need
+        self._edge_count += int(others.size)
+        return int(others.size)
 
     def remove_edge(self, u: int, v: int) -> None:
         """Disconnect peers ``u`` and ``v`` (raises KeyError if not connected)."""
@@ -259,22 +303,6 @@ class OverlayTopology:
     def _segment(self, peer_id: int) -> np.ndarray:
         start = int(self._start[peer_id])
         return self._edges[start : start + int(self._degree[peer_id])]
-
-    def _link(self, peer_id: int, other: int) -> None:
-        """Append ``other`` to ``peer_id``'s segment.
-
-        A full segment first moves to the buffer's end with double the room.
-        """
-        degree = int(self._degree[peer_id])
-        if degree == self._room[peer_id]:
-            room = max(2 * degree, 4)
-            if self._end + room > self._edges.size:
-                self._compact(room)
-            start, end = int(self._start[peer_id]), self._end
-            self._edges[end : end + degree] = self._edges[start : start + degree]
-            self._start[peer_id], self._room[peer_id], self._end = end, room, end + room
-        self._edges[self._start[peer_id] + degree] = other
-        self._degree[peer_id] = degree + 1
 
     def _drop(self, owners: np.ndarray, entries: np.ndarray) -> None:
         """Remove ``entries[i]`` from the segment of ``owners[i]`` (owners distinct).

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import get_emitter
-from repro.overlay.topology import OverlayTopology, component_labels
+from repro.overlay.topology import OverlayTopology, component_labels, segments
 from repro.p2psim.config import MarketSimConfig, UtilizationMode
 from repro.p2psim.recorder import WealthRecorder
 from repro.p2psim.slots import (
@@ -45,20 +45,32 @@ def routing_cdfs(prices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Routing CDFs of consecutive rows of ``prices`` (row ``i`` has ``degrees[i]``).
 
     Each CDF ends at exactly 1.0, so every uniform draw in [0, 1) lands on
-    a real neighbour.  Rows go in blocks of one exact degree: the sums and
-    ``cumsum`` of a C-contiguous ``(rows, degree)`` block round exactly as
-    each row's alone would, which ``np.add.reduceat`` or zero padding would not.
+    a real neighbour.  One stable sort by degree and one gather lay the
+    rows out by degree, so each group of equal-degree rows is one
+    contiguous stretch, normalised and summed as a C-contiguous ``(rows,
+    degree)`` view: its sums and ``cumsum`` round exactly as each row's
+    alone would, which ``np.add.reduceat`` or zero padding would not.
     """
-    weights = np.clip(prices, 1e-12, None)
-    cdf = np.empty(weights.size)
-    offsets = np.cumsum(degrees) - degrees
-    for degree in np.unique(degrees[degrees > 0]).tolist():
-        block = offsets[degrees == degree, None] + np.arange(degree)
-        probs = weights[block]
-        probs /= probs.sum(axis=1, keepdims=True)
-        row_cdf = np.cumsum(probs, axis=1)
-        row_cdf /= row_cdf[:, -1:]
-        cdf[block] = row_cdf
+    rows = np.flatnonzero(degrees)
+    rows = rows[np.argsort(degrees[rows], kind="stable")]
+    sorted_degrees = degrees[rows]
+    edges = segments((np.cumsum(degrees) - degrees)[rows], sorted_degrees)
+    probs = np.clip(prices[edges], 1e-12, None)
+    distinct, counts = np.unique(sorted_degrees, return_counts=True)
+    lo = 0
+    # `np.add.reduce` and `np.add.accumulate` are what `sum` and `cumsum`
+    # call, minus the Python wrappers that dominate small groups.
+    for degree, count in zip(distinct.tolist(), counts.tolist()):
+        block = probs[lo : lo + degree * count].reshape(count, degree)
+        block /= np.add.reduce(block, axis=1, keepdims=True)
+        np.add.accumulate(block, axis=1, out=block)
+        lo += degree * count
+    # Dividing by each row's last entry is elementwise, so it can wait
+    # for the whole array.
+    last = np.cumsum(sorted_degrees) - 1
+    probs /= np.repeat(probs[last], sorted_degrees)
+    cdf = np.empty(prices.size)
+    cdf[edges] = probs
     return cdf
 
 
@@ -171,7 +183,7 @@ class CreditMarketSimulator(SlotSimulator):
         # is quoted: memoised prices are drawn in that order.
         weights = None
         if self.config.utilization is UtilizationMode.SYMMETRIC:
-            weights = self.config.pricing.price_array(initial_peers.tolist(), 0)
+            weights = self.config.pricing.price_array(initial_peers, 0)
         # Admit everyone first, then derive every row in one batch.
         slots = self._admit(initial_peers, 0.0)
         self._refresh_routing_rows(initial_peers)
@@ -256,7 +268,7 @@ class CreditMarketSimulator(SlotSimulator):
         if self.config.utilization is UtilizationMode.SYMMETRIC and self._alive.any():
             rate = float(self._base_mu[self._alive].mean())
         if peer_ids.size:
-            self.config.pricing.price_array(peer_ids.tolist(), 0)
+            self.config.pricing.price_array(peer_ids, 0)
         return self._admit(peer_ids, rate)
 
     def _evict(self, peer_ids: np.ndarray) -> None:
@@ -277,7 +289,7 @@ class CreditMarketSimulator(SlotSimulator):
         for lo in range(0, rows.size, _ROW_BLOCK):
             block_rows = rows[lo : lo + _ROW_BLOCK]
             edges = pack.edge_positions(block_rows)
-            neighbor_ids = self._slots.peer_of[pack.edge_dst[edges]].tolist()
+            neighbor_ids = self._slots.peer_of[pack.edge_dst[edges]]
             prices = np.asarray(self.config.pricing.price_array(neighbor_ids, 0), dtype=float)
             self._edge_cdf[edges] = routing_cdfs(prices, pack.degrees[block_rows])
 

@@ -375,8 +375,9 @@ def apply_round_churn(
     ``1 − exp(−dt/lifespan)`` (the discretised exponential lifetime — the
     distribution is memoryless, so peers present at start-up churn like
     everyone else) and a Poisson number of peers arrives, wired into the
-    overlay by the tracker.  The overlay changes peer by peer, the
-    simulator state in whole batches: the tracker removes every leaver,
+    overlay by the tracker.  The overlay changes one peer per call (each
+    joiner's edges in one :meth:`~repro.overlay.topology.OverlayTopology.connect`),
+    the simulator state in whole batches: the tracker removes every leaver,
     then one ``sim._evict(leavers)`` frees their slots; the tracker wires
     in every joiner, then one ``admit(joiners)`` creates their state, in
     join order, without deriving any neighbour row.  Last, ``refresh_rows``

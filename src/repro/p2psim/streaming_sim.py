@@ -596,9 +596,8 @@ class StreamingMarketSimulator(SlotSimulator):
         """Quote every alive seller's posted price for one chunk column."""
         if alive_slots.size == 0:
             return
-        peer_ids = self._slots.peer_of[alive_slots].tolist()
         self._price_win[col, alive_slots] = self.config.pricing.price_array(
-            peer_ids, chunk_index
+            self._slots.peer_of[alive_slots], chunk_index
         )
 
     def _refresh_price_window(self, alive_slots: np.ndarray) -> None:

@@ -150,3 +150,38 @@ def test_only_schemes_with_purchase_hooks_are_stateful(scheme, stateful):
     """Posted prices take the batched settlement path; schemes whose
     purchases feed back into prices settle one purchase at a time."""
     assert scheme.is_stateful() is stateful
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PoissonPricing(mean_price=3.0, min_price=1.0, seed=6),
+        lambda: AuctionPricing(low=0.5, high=1.5, seed=6),
+    ],
+    ids=["poisson", "auction"],
+)
+def test_array_and_list_quotes_draw_identically(make):
+    """Memoised schemes draw on first quote, so the id container must not matter.
+
+    The simulators quote int64 id arrays; quoting the same ids as a list
+    of ints must draw the same prices, in the same order, and leave the
+    same memo behind.  Repeated sellers are quoted from the memo.
+    """
+    rng = np.random.default_rng(6)
+    batches = [rng.integers(0, 400, size) for size in (1, 30, 0, 500, 250)]
+    from_arrays, from_lists = make(), make()
+    for batch in batches:
+        quoted = from_arrays.price_array(batch, 0)
+        assert quoted.dtype == np.float64
+        assert quoted.tobytes() == from_lists.price_array(batch.tolist(), 0).tobytes()
+    memo = "_memo" if isinstance(from_arrays, PoissonPricing) else "_reservation"
+    assert getattr(from_arrays, memo) == getattr(from_lists, memo)
+    # Equal in order and in key types too (numpy ints would repr differently).
+    assert repr(getattr(from_arrays, memo)) == repr(getattr(from_lists, memo))
+
+
+def test_flat_prices_from_an_id_array():
+    pricing = PerPeerFlatPricing({3: 0.0, 7: 2.5}, default_price=1.5)
+    ids = np.array([7, 3, 9, 7], dtype=np.int64)
+    assert pricing.price_array(ids, 0).tolist() == [2.5, 0.0, 1.5, 2.5]
+    assert UniformPricing(2.0).price_array(ids, 0).tolist() == [2.0] * 4

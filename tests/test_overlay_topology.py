@@ -95,6 +95,76 @@ class TestEdges:
         assert list(topo.edges()) == [(0, 1), (2, 3)]
 
 
+class TestConnect:
+    """``connect`` wires a peer's neighbours in one call, as one ``add_edge`` per edge would."""
+
+    def test_adds_new_edges_and_skips_present_ones(self):
+        topo = OverlayTopology.from_edges(5, [(0, 1)])
+        assert topo.connect(0, [2, 1, 3]) == 2
+        assert topo.neighbors(0) == (1, 2, 3)
+        assert topo.neighbors(2) == topo.neighbors(3) == (0,)
+        assert topo.num_edges == 3
+        assert topo.connect(0, []) == topo.connect(0, np.array([1, 3])) == 0
+        assert topo.connect(4, np.array([0, 2])) == 2
+        assert topo.neighbors(0) == (1, 2, 3, 4) and topo.num_edges == 5
+
+    @pytest.mark.parametrize(
+        "peer, others, error",
+        [
+            (0, [2, 0], ValueError),
+            (0, [2, 2], ValueError),
+            (0, [2, 9], KeyError),
+            (0, [-1], KeyError),
+            (9, [1], KeyError),
+        ],
+    )
+    def test_rejects_bad_requests_before_any_edit(self, peer, others, error):
+        topo = OverlayTopology.from_edges(4, [(0, 1)])
+        with pytest.raises(error):
+            topo.connect(peer, others)
+        assert topo.num_edges == 1 and topo.neighbors(2) == ()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_one_add_edge_at_a_time_through_churn(self, seed):
+        # Both overlays start with an empty edge buffer, so compaction
+        # fires inside `connect` from the first call on and again as
+        # joins fill the buffer; leaves leave holes for it to pack.
+        rng = np.random.default_rng(seed)
+        bulk, single = OverlayTopology(range(30)), OverlayTopology(range(30))
+        edges, next_id, compactions = set(), 30, 0
+        for _ in range(80):
+            for peer in rng.choice(bulk.peers(), size=rng.integers(0, 3), replace=False).tolist():
+                assert bulk.remove_peer(peer) == single.remove_peer(peer)
+                edges = {edge for edge in edges if peer not in edge}
+            for _ in range(int(rng.integers(1, 4))):
+                peers = bulk.peers()
+                if rng.random() < 0.7:
+                    peer, next_id = next_id, next_id + 1
+                    bulk.add_peer(peer)
+                    single.add_peer(peer)
+                else:
+                    # An existing peer: some of the drawn edges are present.
+                    peer = peers[int(rng.integers(len(peers)))]
+                candidates = [other for other in peers if other != peer]
+                count = min(len(candidates), int(rng.integers(0, 12)))
+                others = rng.choice(candidates, size=count, replace=False)
+                buffer = bulk._edges
+                added = bulk.connect(peer, others)
+                compactions += bulk._edges is not buffer
+                assert added == sum(single.add_edge(peer, other) for other in others.tolist())
+                edges |= {(min(peer, other), max(peer, other)) for other in others.tolist()}
+            peers = bulk.peers()
+            assert peers == single.peers()
+            assert bulk.num_edges == single.num_edges == len(edges)
+            bulk_rows, single_rows = (
+                {peer: sorted(row) for peer, row in _rows(topo).items()} for topo in (bulk, single)
+            )
+            assert bulk_rows == single_rows
+            assert bulk.peer_degrees()[1].tolist() == single.peer_degrees()[1].tolist()
+            assert list(bulk.edges()) == sorted(edges)
+        assert compactions >= 3
+
+
 class TestQueries:
     def test_neighbors_and_degree(self):
         topo = triangle()

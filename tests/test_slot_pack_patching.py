@@ -222,7 +222,7 @@ def reference_cdfs(prices, degrees):
 
 
 class TestRoutingCdfs:
-    """The degree-blocked CDFs equal the per-row reference bit for bit."""
+    """The degree-grouped CDFs equal the per-row reference bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_degrees_one_to_three_hundred(self, seed):
@@ -245,5 +245,23 @@ class TestRoutingCdfs:
         ends = np.cumsum(degrees)[degrees > 0]
         assert np.all(cdf[ends - 1] == 1.0)
 
+    @pytest.mark.parametrize("prices", ["lognormal", "integer"])
+    def test_hub_rows_among_small_rows(self, prices):
+        # Hub-sized rows (20k-peer overlays have hubs of ~3800 neighbours)
+        # reach deeper levels of numpy's pairwise-summation recursion;
+        # repeated hub degrees share a group, and small rows sit between them.
+        rng = np.random.default_rng(5)
+        hubs = np.concatenate([rng.integers(129, 4097, 24), [129, 4096, 4096, 1024, 1024]])
+        degrees = rng.permutation(np.concatenate([hubs, rng.integers(0, 40, 300)]))
+        size = int(degrees.sum())
+        if prices == "lognormal":
+            values = rng.lognormal(0.0, 1.5, size) * rng.choice([1e-3, 1.0, 1e3], size)
+        else:
+            values = rng.poisson(1.0, size).astype(float)
+        cdf = routing_cdfs(values, degrees)
+        assert cdf.tobytes() == reference_cdfs(values, degrees).tobytes()
+
     def test_no_rows(self):
         assert routing_cdfs(np.empty(0), np.empty(0, dtype=np.int64)).size == 0
+        degrees = np.zeros(3, dtype=np.int64)
+        assert routing_cdfs(np.empty(0), degrees).size == 0
