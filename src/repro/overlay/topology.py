@@ -112,6 +112,9 @@ class OverlayTopology:
         self._end = 0
         self._num_peers = 0
         self._edge_count = 0
+        #: Bumped by every call that may change the peers or their degrees,
+        #: so a reader caching degrees can tell whether it is still current.
+        self.mutations = 0
         if peer_ids is not None:
             for peer_id in peer_ids:
                 self.add_peer(int(peer_id))
@@ -178,6 +181,7 @@ class OverlayTopology:
         peer_id = int(peer_id)
         if peer_id < 0:
             raise ValueError(f"peer ids must be non-negative, got {peer_id}")
+        self.mutations += 1
         if peer_id >= self._alive.size:
             pad = max(peer_id + 1 - self._alive.size, self._alive.size)
             for name in ("_alive", "_start", "_degree", "_room"):
@@ -190,6 +194,7 @@ class OverlayTopology:
     def remove_peer(self, peer_id: int) -> List[int]:
         """Remove a peer and all its edges; return its former neighbours."""
         peer_id = self._checked(peer_id)
+        self.mutations += 1
         former = np.sort(self._segment(peer_id))
         self._drop(former, np.full(former.size, peer_id))
         self._alive[peer_id] = False
@@ -239,6 +244,7 @@ class OverlayTopology:
         old degree, after one compaction if the buffer cannot hold them.
         """
         peer_id = int(peer_id)
+        self.mutations += 1
         others = np.asarray(others, dtype=np.int64).ravel()
         owners = np.empty(others.size + 1, dtype=np.int64)
         owners[0], owners[1:] = peer_id, others
@@ -309,6 +315,7 @@ class OverlayTopology:
 
         Each entry is overwritten by its segment's last entry.
         """
+        self.mutations += 1
         starts, degrees = self._start[owners], self._degree[owners]
         slots = segments(starts, degrees)
         found = slots[self._edges[slots] == np.repeat(entries, degrees)]

@@ -1,11 +1,13 @@
 """Tests for the membership tracker, churn parameters and round churn."""
 
 import functools
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.overlay import ChurnConfig, MembershipTracker, scale_free_topology
+from repro.overlay.membership import _weighted_positions
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim import (
     CreditMarketSimulator,
@@ -102,6 +104,13 @@ def _churn_tracker(tracker, steps, seed):
     return repairs
 
 
+def _assert_kept_weights_match_a_scan(tracker):
+    ids, degrees = tracker.topology.peer_degrees()
+    assert tracker._ids[: tracker._size].tolist() == ids.tolist()
+    assert tracker._weights[: tracker._size].tolist() == (degrees + 1.0).tolist()
+    assert tracker._total == int(degrees.sum()) + ids.size
+
+
 def _assert_selection_matches_the_oracle(tracker, exclude):
     peers = tracker.topology.peers()
     for trial in range(20):
@@ -114,6 +123,7 @@ def _assert_selection_matches_the_oracle(tracker, exclude):
         expected = _list_select_neighbors(tracker, excluded, count)
         tracker._rng.bit_generator.state = state
         assert tracker.select_neighbors(excluded, count) == expected
+        _assert_kept_weights_match_a_scan(tracker)
 
 
 class TestTrackerSelection:
@@ -154,6 +164,116 @@ class TestTrackerSelection:
         tracker = MembershipTracker(topology, target_degree=5, seed=4)
         _churn_tracker(tracker, steps=40, seed=5)
         _assert_selection_matches_the_oracle(tracker, exclude)
+
+
+def _hub_weights(size, seed):
+    """``degree + 1`` weights of a sparse overlay with a few hundred-edge hubs."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 5, size).astype(float)
+    weights[rng.choice(size, 3, replace=False)] = rng.integers(100, 900, 3)
+    return weights
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "absent"])
+def test_sampler_draws_what_generator_choice_draws(where):
+    """The tracker's sampler against the live ``Generator.choice``.
+
+    Excluding a position by giving it weight 0 must pick what ``choice``
+    picks among the other positions and leave the generator in the same
+    state, for every count up to the whole population, which takes many
+    redraw rounds once the hubs are picked.  The golden digests pin the
+    tracker's own draws; if this fails after a numpy upgrade while they
+    hold, numpy's ``choice`` changed, not the tracker.
+    """
+    size = 40
+    for seed in range(5):
+        weights = _hub_weights(size, seed)
+        skip = {"first": 0, "middle": size // 2, "last": size - 1, "absent": -1}[where]
+        others = np.flatnonzero(np.arange(size) != skip)
+        total = int(weights[others].sum())
+        for count in range(1, others.size + 1):
+            expected_rng = np.random.default_rng([seed, count])
+            actual_rng = np.random.default_rng([seed, count])
+            p = weights[others] / weights[others].sum()
+            expected = others[expected_rng.choice(others.size, count, replace=False, p=p)]
+            actual = _weighted_positions(actual_rng, weights, total, skip, count)
+            assert actual.tolist() == expected.tolist()
+            assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestKeptWeights:
+    """Joins patch the tracker's weights; any other edit costs one rebuild."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        peer_degrees = OverlayTopology.peer_degrees
+
+        def counted(topology):
+            scans.append(1)
+            return peer_degrees(topology)
+
+        monkeypatch.setattr(OverlayTopology, "peer_degrees", counted)
+        return scans
+
+    @staticmethod
+    def _checked_join(tracker):
+        """Join one peer and check its picks against the list oracle."""
+        state = tracker._rng.bit_generator.state
+        expected = _list_select_neighbors(tracker, tracker._next_peer_id)
+        tracker._rng.bit_generator.state = state
+        picks = []
+        select = MembershipTracker.select_neighbors
+
+        def recording(exclude, count=None):
+            picks.append(select(tracker, exclude, count))
+            return picks[-1]
+
+        tracker.select_neighbors = recording
+        try:
+            tracker.join()
+        finally:
+            del tracker.select_neighbors
+        assert picks == [expected]
+
+    def test_consecutive_joins_rebuild_at_most_once(self, monkeypatch):
+        topology = scale_free_topology(200, mean_degree=4.0, seed=2)
+        tracker = MembershipTracker(topology, target_degree=4, seed=3)
+        scans = self._count_scans(monkeypatch)
+        for _ in range(40):
+            self._checked_join(tracker)
+        assert len(scans) <= 1
+        _assert_kept_weights_match_a_scan(tracker)
+
+    def test_an_outside_edit_costs_exactly_one_rebuild(self, monkeypatch):
+        topology = scale_free_topology(200, mean_degree=4.0, seed=2)
+        tracker = MembershipTracker(topology, target_degree=4, seed=3)
+        self._checked_join(tracker)
+        scans = self._count_scans(monkeypatch)
+        hub = int(np.argmax(topology._degree))
+        topology.remove_edge(hub, topology.neighbors(hub)[0])
+        self._checked_join(tracker)
+        assert len(scans) == 1
+        self._checked_join(tracker)
+        assert len(scans) == 1
+        _assert_kept_weights_match_a_scan(tracker)
+
+    def test_pickled_between_joins_continues_the_same(self):
+        topology = scale_free_topology(150, mean_degree=4.0, seed=5)
+        tracker = MembershipTracker(topology, target_degree=4, seed=6)
+        for _ in range(10):
+            tracker.join()
+        assert tracker._in_sync()
+        clone = pickle.loads(pickle.dumps(tracker))
+        assert clone._in_sync()
+        for _ in range(20):
+            assert tracker.join() == clone.join()
+        peers = topology.peers()
+        assert clone.topology.peers() == peers
+        assert [clone.topology.neighbors(p) for p in peers] == [
+            topology.neighbors(p) for p in peers
+        ]
+        assert clone._rng.bit_generator.state == tracker._rng.bit_generator.state
 
 
 @pytest.mark.parametrize("exclude", [0, 5, 99])
