@@ -313,12 +313,14 @@ class CreditMarketSimulator(SlotSimulator):
         1.0, so row ``r`` occupies values in ``(3r, 3r + 1]``).  It is
         therefore one globally sorted vector, and a credit of spender row
         ``r`` with uniform ``u`` routes to edge ``searchsorted(flat, u + 3r,
-        "right")`` — one batched binary search routes every credit of a
-        round against exactly the degree mass of the overlay.  Both kernels
-        compare against the same ``flat`` values, so their routing
-        decisions are bit-identical.  It is recomputed from ``_edge_cdf``
-        in one array pass whenever the store splices a new pack; on static
-        overlays it is built once and reused for the whole run.
+        "right")``, the first entry above its key.  The vectorized kernel
+        finds that edge inside the credit's own row and checks it against
+        two ``flat`` entries (see :meth:`_route_credits_vectorized`); the
+        loop kernel searches the row's slice.  Both compare against the
+        same ``flat`` values, so their routing decisions are bit-identical.
+        It is recomputed from ``_edge_cdf`` in one array pass whenever the
+        store splices a new pack; on static overlays it is built once and
+        reused for the whole run.
         """
         pack = self._slots.pack()
         if self._flat_pack is not pack:
@@ -331,19 +333,31 @@ class CreditMarketSimulator(SlotSimulator):
     def _route_credits_vectorized(
         self, pack: SlotPack, flat: np.ndarray, spendable: np.ndarray, draws: np.ndarray
     ) -> np.ndarray:
-        """Route every credit of the round with one batched binary search.
+        """Route every credit of the round inside its own row of ``flat``.
 
-        The segmented CDF array is globally sorted (row ``r`` occupies
-        ``(3r, 3r + 1]``), so one ``searchsorted`` against the whole edge
-        array resolves every credit; entries of earlier rows are at most
-        ``3r - 2`` and can never capture row ``r``'s draws.
+        A credit of row ``r`` (first edge ``s``, degree ``d``) with uniform
+        ``u`` routes to ``searchsorted(flat, u + 3r, "right")``.  Row
+        ``r``'s CDF is near ``(j + 1) / d`` when prices are near equal, so
+        the kernel guesses edge ``h = s + floor(u·d)`` and accepts it when
+        ``flat[h - 1] <= u + 3r < flat[h]``.  Those are the comparisons the
+        search would end on, against the same values, and ``flat`` is
+        sorted, so an accepted guess is exactly the search's answer.  Only
+        the misses pay the global binary search.  Under round-to-nearest
+        ``fl(u·d) < d`` for every ``u < 1``, so a guess never leaves its
+        row.  A guess of edge 0 reads ``flat[-1]``, the largest entry, so
+        it always misses and is settled by the search.
         """
         rows = np.repeat(np.arange(pack.alive_slots.size), spendable)
-        hits = np.searchsorted(flat, draws + 3.0 * rows, side="right")
-        # `u + 3r` can round up to exactly the row's final cdf value (e.g.
-        # u = 1 - 2**-53 at row 1 rounds to 4.0), which would index one past
-        # the row's last edge; clamp those ~ulp-probability draws onto it.
-        hits = np.minimum(hits, pack.row_start[rows + 1] - 1)
+        keys = draws + 3.0 * rows
+        hits = pack.row_start[rows] + (draws * pack.degrees[rows]).astype(np.int64)
+        misses = np.flatnonzero((flat[hits - 1] > keys) | (keys >= flat[hits]))
+        if misses.size:
+            found = np.searchsorted(flat, keys[misses], side="right")
+            # `u + 3r` can round up to exactly the row's final cdf value
+            # (e.g. u = 1 - 2**-53 at row 1 rounds to 4.0), which would index
+            # one past the row's last edge; clamp those ~ulp-probability
+            # draws onto it.
+            hits[misses] = np.minimum(found, pack.row_start[rows[misses] + 1] - 1)
         destinations = pack.edge_dst[hits]
         return np.bincount(destinations, minlength=self._slots.capacity).astype(float)
 

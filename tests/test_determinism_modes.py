@@ -142,16 +142,23 @@ class TestKernelEquivalence:
         # u + 3*row can round up to exactly the row's final cdf value (e.g.
         # u = 1 - 2**-53 at row 1 rounds to 4.0); both kernels must clamp
         # that onto the last real neighbour instead of indexing the padding.
+        # A u = 0 draw lands on each row's first neighbour; on the row that
+        # owns edge 0 the vectorized kernel's guess reads flat[-1] and
+        # falls back to the global search.
         simulator = CreditMarketSimulator(fig7_like_config())
         pack, flat = simulator._routing_pack()
         count = pack.alive_slots.size
         spendable = np.ones(count, dtype=np.int64)
-        draws = np.full(count, 1.0 - 2.0**-53)
-        vectorized = simulator._route_credits_vectorized(pack, flat, spendable, draws).copy()
-        loop = simulator._route_credits_loop(pack, flat, spendable, draws).copy()
-        assert vectorized.tobytes() == loop.tobytes()
-        assert vectorized.sum() == count  # every credit landed on a real peer
-        assert np.all(vectorized[~simulator._slots.alive] == 0.0)
+        for u in (1.0 - 2.0**-53, 0.0):
+            draws = np.full(count, u)
+            vectorized = simulator._route_credits_vectorized(pack, flat, spendable, draws).copy()
+            loop = simulator._route_credits_loop(pack, flat, spendable, draws).copy()
+            assert vectorized.tobytes() == loop.tobytes()
+            assert vectorized.sum() == count  # every credit landed on a real peer
+            assert np.all(vectorized[~simulator._slots.alive] == 0.0)
+        # The last draws were u = 0: one credit to each row's first neighbour.
+        first = np.bincount(pack.edge_dst[pack.row_start[:-1]], minlength=vectorized.size)
+        assert vectorized.tobytes() == first.astype(float).tobytes()
 
     def test_dynamic_policy_takes_vector_fast_path(self):
         # The dynamic rule must visibly accelerate rich peers through the
