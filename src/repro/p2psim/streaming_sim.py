@@ -50,18 +50,17 @@ advanced in blocks with a pickle round-trip between them is bit-identical
 to the one-block run.
 
 The vectorized kernel works per window column.  One pass over the live
-columns' ``have`` rows lists the candidate cells (window columns a peer
-misses) grouped by column, and each column expands from its cheaper
-side.  The *demand* side walks the row of every peer missing the chunk;
-the *supply* side walks the row of every holder and keeps the
-neighbours that miss it.  A column's demand mass — its candidate cells'
-degrees summed — and its supply mass — its alive holders' degrees
-summed — are what each side would expand.  Early in the stream few
-peers hold anything, so the supply side is orders of magnitude smaller.
-Both sides pass only holding neighbours to one tie-break tail, in the
-cell's neighbour order and with its uniform, so the side never changes a
-purchase.  One sort of packed keys then restores the loop kernel's
-peer-by-peer order for the budget greedy.
+columns' ``have`` rows marks the candidate cells (window columns a peer
+misses), and each column is resolved from its cheaper side: the
+*demand* side walks the row of every peer missing the chunk, the
+*supply* side the row of every holder, keeping the neighbours that miss
+it.  Early in the stream few peers hold anything, so the supply side is
+orders of magnitude smaller.  Both choose among holding neighbours
+only, in the cell's neighbour order and with its uniform, so the side
+never changes a purchase.  A peer stops at ``max_requests_per_round``
+purchases, so only the columns before the first supply column are
+resolved whole, in one batch; the later ones are walked in window
+order, each resolving only the peers that can still request.
 
 Churn (Sec. VI-E) follows the market simulator's round-based model: per
 tick, each alive peer departs with probability ``1 − exp(−dt/lifespan)``
@@ -114,12 +113,10 @@ _SUPPLY_OVERHEAD = 1 << 12
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _blocks(seg: np.ndarray) -> Iterator[Tuple[int, int, int]]:
-    """Split consecutive segments into runs of at most ~``_EDGE_BLOCK`` entries.
+def _blocks(seg: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Split consecutive segments into runs ``lo:hi`` of at most ~``_EDGE_BLOCK`` entries.
 
-    Yields ``(lo, hi, offset)``: segments ``lo:hi`` and the entry offset
-    of segment ``lo``.  A segment longer than the block gets a run of
-    its own.
+    A segment longer than the block gets a run of its own.
     """
     ends = np.cumsum(seg)
     lo = 0
@@ -127,32 +124,29 @@ def _blocks(seg: np.ndarray) -> Iterator[Tuple[int, int, int]]:
         offset = int(ends[lo - 1]) if lo else 0
         hi = int(np.searchsorted(ends, offset + _EDGE_BLOCK, side="right"))
         hi = min(max(hi, lo + 1), seg.size)
-        yield lo, hi, offset
+        yield lo, hi
         lo = hi
 
 
 def _candidate_cells(
     have: np.ndarray, pack: SlotPack, first_col: np.ndarray, window: int, live: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every candidate cell of the round, column by column.
+) -> Tuple[int, np.ndarray]:
+    """Every candidate cell of the round, as a mask over the live columns.
 
     Pack row ``r`` wants the columns ``first_col[r] ≤ c < first_col[r] +
     window`` that are live (``0 ≤ c < live``) and that it does not hold,
     if it has a neighbour to ask.  One pass over the live columns'
-    contiguous ``have`` rows finds them all.  Returns ``(rows, cols)``:
-    ``cols`` non-decreasing, ``rows`` ascending within a column.
+    contiguous ``have`` rows finds them all.  Returns ``(lo, wanted)``:
+    row ``r`` wants column ``lo + i`` iff ``wanted[i, r]``.
     """
     start = np.maximum(first_col, 0)
     stop = np.where(pack.degrees > 0, np.minimum(first_col + window, live), 0)
     lo, hi = int(start.min()), int(stop.max())
-    if lo >= hi:
-        return _EMPTY, _EMPTY
-    col = np.arange(lo, hi)[:, None]
+    col = np.arange(lo, max(lo, hi))[:, None]
     wanted = (col >= start) & (col < stop)
     # In the window and not held: ``wanted > held``.
-    np.greater(wanted, have[lo:hi, pack.alive_slots], out=wanted)
-    cols, rows = np.divmod(np.flatnonzero(wanted), first_col.size)
-    return rows, cols + lo
+    np.greater(wanted, have[lo : lo + col.size, pack.alive_slots], out=wanted)
+    return lo, wanted
 
 
 class _Round(NamedTuple):
@@ -185,19 +179,24 @@ class _Round(NamedTuple):
         return None
 
 
+def _nth_tie(u: np.ndarray, ties: np.ndarray) -> np.ndarray:
+    """Each cell's ``pick = floor(u · ties)``: the loop kernel's ``ties[pick]``."""
+    # u·ties can round up to ties.
+    return np.minimum(np.floor(u * ties).astype(np.int64), ties - 1)
+
+
 def _pick_ties(
     offers: np.ndarray, cell: np.ndarray, u: np.ndarray, score: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Pick one supplier per cell from its offers; the tail both sides share.
+    """Pick one supplier per cell from its offers: the demand side's tail.
 
     Offer ``i`` is neighbour ``offers[i]``, which holds the chunk of cell
     ``cell[i]``.  ``cell`` is non-decreasing, every cell ``0 … u.size-1``
     has an offer, and each cell's offers come in its neighbour order;
     ``u`` holds each cell's uniform.  The offers whose ``score`` is
     within ``_EPS`` of their cell's best tie (all of them when ``score``
-    is None), and the cell takes the ``(pick+1)``-th tie in neighbour
-    order with ``pick = floor(u · ties)`` — the loop kernel's
-    ``ties[pick]``.  Returns each cell's choice.
+    is None) tie, and the cell takes tie :func:`_nth_tie` in neighbour
+    order.  Returns each cell's choice.
     """
     count = u.size
     if score is None:
@@ -214,9 +213,7 @@ def _pick_ties(
         tied = offers[at]
     before = np.zeros(count, dtype=np.int64)
     np.cumsum(ties[:-1], out=before[1:])
-    # u·ties can round up to ties.
-    pick = np.minimum(np.floor(u * ties).astype(np.int64), ties - 1)
-    return tied[before + pick]
+    return tied[before + _nth_tie(u, ties)]
 
 
 def _demand_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -231,7 +228,7 @@ def _demand_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np
     held = round_.have.ravel()
     seg_all = pack.degrees[rows]
     out = []
-    for lo, hi, _ in _blocks(seg_all):
+    for lo, hi in _blocks(seg_all):
         b_rows, b_cols, seg = rows[lo:hi], cols[lo:hi], seg_all[lo:hi]
         dst = pack.edge_dst[pack.edge_positions(b_rows)]
         cell = np.repeat(np.arange(seg.size), seg)
@@ -252,122 +249,162 @@ def _demand_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np
     return _concat(out)
 
 
-def _supply_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Resolve whole columns of cells ``(rows, cols)`` from their holders.
-
-    ``cols`` is non-decreasing and each column's cells are all of its
-    candidate cells.  Walks the row of every alive holder ``h`` of each
-    column — one contiguous scan of ``have[col]`` — and keeps the
-    neighbours ``n`` with a cell in the column.  Rows are ascending and
-    the overlay is undirected, so ``h``'s position in ``n``'s row orders
-    the pairs of a cell as ascending ``h``: one sort of a column's
-    ``(row of n, h)`` keys both groups its pairs by cell and puts each
-    group in the cell's neighbour order.  Every pair is an eligible
-    offer; cells without one stay unresolved.
+class _Holders(NamedTuple):
+    """The supply side's per-tick scratch, by slot: ``linked`` (alive, with a
+    neighbour), its pack row, and the row of its cell in the column being
+    resolved (else -1; each call fills and clears it).
     """
-    if rows.size == 0:
-        return _concat([])
+
+    linked: np.ndarray
+    row_of: np.ndarray
+    cell_row: np.ndarray
+
+    @classmethod
+    def of(cls, round_: _Round) -> "_Holders":
+        pack, capacity = round_.pack, round_.have.shape[1]
+        slots = pack.alive_slots
+        linked = np.zeros(capacity, dtype=bool)
+        linked[slots[pack.degrees > 0]] = True
+        row_of = np.zeros(capacity, dtype=np.int64)
+        row_of[slots] = np.arange(slots.size)
+        cell_row = np.full(capacity, -1, dtype=np.int64)
+        return cls(linked, row_of, cell_row)
+
+
+def _supply_side(
+    round_: _Round, rows: np.ndarray, col: int, holders_: _Holders
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve the cells of ``rows`` in column ``col`` from the column's holders.
+
+    Walks the row of every alive holder ``h`` of the column (one contiguous
+    scan of ``have[col]``) and keeps the neighbours ``n`` with a cell among
+    ``rows``: each pair is an eligible offer, dropped if it scores above
+    its cell's best tie.  ``h``'s position in ``n``'s ascending row orders
+    a cell's pairs as ascending ``h`` (the overlay is undirected), so one
+    sort of ``(row of n, h)`` keys groups the ties by cell in neighbour
+    order.  Returns the resolved cells' rows and suppliers.
+    """
     pack, capacity = round_.pack, round_.have.shape[1]
-    slots = pack.alive_slots
-    linked = np.zeros(capacity, dtype=bool)
-    linked[slots[pack.degrees > 0]] = True
-    # ``cell_row[slot]``: the row of the slot's cell in the current
-    # column, or -1; small enough to stay in cache while the holders'
-    # rows go through it.
-    cell_row = np.full(capacity, -1, dtype=np.int64)
+    holders = np.flatnonzero(round_.have[col] & holders_.linked)
+    if holders.size == 0:
+        return _EMPTY, _EMPTY
     # A (row, holder) key packs the row above the holder's slot bits.
-    shift = max(capacity - 1, 1).bit_length()
-    first = int(cols[0])
-    bounds = np.searchsorted(cols, np.arange(first, int(cols[-1]) + 2)).tolist()
-    out = []
-    for col, a, b in zip(range(first, first + len(bounds) - 1), bounds[:-1], bounds[1:]):
-        holders = np.flatnonzero(round_.have[col] & linked) if a < b else _EMPTY
-        if holders.size == 0:
-            continue
-        cell_slots = slots[rows[a:b]]
-        cell_row[cell_slots] = rows[a:b]
-        hold_rows = np.searchsorted(slots, holders)
-        hold_deg = pack.degrees[hold_rows]
-        keys = []
-        for lo, hi, _ in _blocks(hold_deg):
-            nbr_row = cell_row[pack.edge_dst[pack.edge_positions(hold_rows[lo:hi])]]
-            keep = np.flatnonzero(nbr_row >= 0)
-            keys.append((nbr_row[keep] << shift) | np.repeat(holders[lo:hi], hold_deg[lo:hi])[keep])
-        cell_row[cell_slots] = -1
-        key = np.sort(np.concatenate(keys))
-        if key.size == 0:
-            continue
-        # A cell per run of equal rows; ``cell_all`` numbers each pair's.
+    shift, cell_row = max(capacity - 1, 1).bit_length(), holders_.cell_row
+    cell_slots = pack.alive_slots[rows]
+    cell_row[cell_slots] = rows
+    hold_rows = holders_.row_of[holders]
+    hold_deg = pack.degrees[hold_rows]
+    keys = []
+    for lo, hi in _blocks(hold_deg):
+        nbr_row = cell_row[pack.edge_dst[pack.edge_positions(hold_rows[lo:hi])]]
+        keep = np.flatnonzero(nbr_row >= 0)
+        keys.append((nbr_row[keep] << shift) | np.repeat(holders[lo:hi], hold_deg[lo:hi])[keep])
+    cell_row[cell_slots] = -1
+    key = np.concatenate(keys)
+    offers = key & ((1 << shift) - 1)
+    score = round_.score(offers, offers + col * capacity)
+    if score is not None:
         key_rows = key >> shift
-        new_cell = key_rows[1:] != key_rows[:-1]
-        cell_all = np.zeros(key.size, dtype=np.int64)
-        np.cumsum(new_cell, out=cell_all[1:])
-        seg_start = np.flatnonzero(new_cell) + 1
-        found = key_rows[np.concatenate([[0], seg_start])]
-        seg_all = np.diff(seg_start, prepend=0, append=key.size)
-        for lo, hi, offset in _blocks(seg_all):
-            end = offset + int(seg_all[lo:hi].sum())
-            offers = key[offset:end] & ((1 << shift) - 1)
-            f_rows = found[lo:hi]
-            u = round_.cell_uniforms(f_rows, col)
-            score = round_.score(offers, offers + col * capacity)
-            chosen = _pick_ties(offers, cell_all[offset:end] - lo, u, score)
-            out.append((f_rows, np.full(f_rows.size, col), chosen))
-    return _concat(out)
+        best = np.full(pack.degrees.size, np.inf)
+        # See :func:`_pick_ties` for the dtype view.
+        np.minimum.at(best, key_rows, score.view(best.dtype))
+        best += _EPS
+        key = key[score <= best[key_rows]]
+    key = np.sort(key)
+    # A cell per run of equal rows, its ties in neighbour order.
+    key_rows = key >> shift
+    first = np.flatnonzero(np.diff(key_rows, prepend=-1))
+    found = key_rows[first]
+    pick = _nth_tie(round_.cell_uniforms(found, col), np.diff(first, append=key.size))
+    return found, key[first + pick] & ((1 << shift) - 1)
 
 
-def _concat(parts: Sequence[Tuple[np.ndarray, ...]], width: int = 3) -> Tuple[np.ndarray, ...]:
-    """Join ``width``-tuples of arrays, such as ``(rows, cols, sellers)`` results."""
+def _concat(parts: Sequence[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+    """Join ``(rows, cols, sellers)`` triples of arrays."""
     if not parts:
-        return (_EMPTY,) * width
+        return _EMPTY, _EMPTY, _EMPTY
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _choose_suppliers_for_cells(
-    round_: _Round, rows: np.ndarray, cols: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Resolve the supplier choice for every candidate cell.
+def _supply_columns(round_: _Round, lo: int, wanted: np.ndarray) -> np.ndarray:
+    """Which columns ``lo + i`` of the candidate mask expand from their holders.
 
-    Cell ``(rows[i], cols[i])``, as :func:`_candidate_cells` lists them,
-    asks pack row ``rows[i]``'s neighbours for window column ``cols[i]``.
-    A pure function of read-only inputs: each cell's supplier depends
-    only on its own neighbours, so how cells are split into
-    ``_EDGE_BLOCK`` blocks or between the two sides cannot change it.
-    Each window column is expanded from its cheaper side:
-
-    * demand mass — the degrees of its candidate cells summed — prices
-      expanding every cell over its row (:func:`_demand_side`);
-    * supply mass — the degrees of its alive holders summed — prices
-      expanding every holder over its row (:func:`_supply_side`).
-
-    The supply side runs only if the columns it would take save more
-    than ``_SUPPLY_OVERHEAD`` entries in all.  Returns
-    ``(rows, cols, sellers)`` of the resolved cells.
+    They are the columns whose alive holders' degrees sum to less than
+    their candidate cells' degrees, if they save more than
+    ``_SUPPLY_OVERHEAD`` entries in all.
     """
-    if rows.size == 0:
-        return _concat([])
     pack = round_.pack
-    lo, hi = int(cols[0]), int(cols[-1]) + 1
-    # Column ``lo + i`` holds cells ``bounds[i]:bounds[i + 1]``.
-    bounds = np.searchsorted(cols, np.arange(lo, hi + 1))
-    cum_degree = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(pack.degrees[rows], out=cum_degree[1:])
-    demand_mass = np.diff(cum_degree[bounds])
     slot_degree = np.zeros(round_.have.shape[1], dtype=np.int64)
     slot_degree[pack.alive_slots] = pack.degrees
-    # ``einsum`` casts ``have`` in buffered chunks, never as a whole.
-    saving = demand_mass - np.einsum("ij,j->i", round_.have[lo:hi], slot_degree)
+    # ``einsum`` casts the masks in buffered chunks, never as a whole.
+    saving = np.einsum("ij,j->i", wanted, pack.degrees) - np.einsum(
+        "ij,j->i", round_.have[lo : lo + len(wanted)], slot_degree
+    )
     supply = saving > 0
     if saving[supply].sum() <= _SUPPLY_OVERHEAD:
-        return _demand_side(round_, rows, cols)
+        supply[:] = False
+    return supply
 
-    def cells(columns: np.ndarray) -> Tuple[np.ndarray, ...]:
-        parts = [slice(bounds[i], bounds[i + 1]) for i in np.flatnonzero(columns).tolist()]
-        return _concat([(rows[p], cols[p]) for p in parts], width=2)
 
-    return _concat(
-        [_demand_side(round_, *cells(~supply)), _supply_side(round_, *cells(supply))]
-    )
+def _choose_cells(
+    round_: _Round, lo: int, wanted: np.ndarray, budget: np.ndarray, max_requests: int
+) -> Tuple[np.ndarray, ...]:
+    """Every row's purchases, in (row, column) order: the loop kernel's window walk.
+
+    Row ``r`` scans its cells (``wanted[:, r]``, from column ``lo``) until
+    it holds ``max_requests``, skipping those no neighbour supplies or it
+    cannot afford out of ``budget[r] + _EPS`` (``budget`` is spent in
+    place).  The columns before the first supply column are resolved in
+    one demand-side batch, and a greedy pass per request slot takes each
+    row's first open affordable cell: budgets only decrease, so that is
+    the sequential rule.  The later columns are walked one by one, each
+    resolving only open rows; a row has one cell per column, so that too
+    is the sequential rule.  Returns ``(rows, cols, sellers)``.
+    """
+    supply = _supply_columns(round_, lo, wanted)
+    split = int(np.argmax(supply)) if supply.any() else supply.size
+    rows, cols = np.divmod(np.flatnonzero(wanted[:split].T), max(split, 1))
+    rows, cols, sellers = _demand_side(round_, rows, cols + lo)
+    prices = round_.price_win[cols, sellers]
+    open_cell = np.ones(rows.size, dtype=bool)
+    for _ in range(max_requests):
+        affordable = np.flatnonzero(open_cell & (prices <= budget[rows] + _EPS))
+        if affordable.size == 0:
+            break
+        first = np.ones(affordable.size, dtype=bool)
+        first[1:] = rows[affordable[1:]] != rows[affordable[:-1]]
+        taken = affordable[first]
+        budget[rows[taken]] -= prices[taken]
+        open_cell[taken] = False
+    picked = np.flatnonzero(~open_cell)
+    picks = [(rows[picked], cols[picked], sellers[picked])]
+    if split == supply.size:
+        return picks[0]
+
+    requests = np.bincount(picks[0][0], minlength=budget.size)
+    open_row = requests < max_requests
+    holders = _Holders.of(round_)
+    for i in range(split, supply.size):
+        rows = np.flatnonzero(wanted[i] & open_row)
+        if rows.size == 0:
+            continue
+        col = lo + i
+        if supply[i]:
+            rows, sellers = _supply_side(round_, rows, col, holders)
+        else:
+            rows, _, sellers = _demand_side(round_, rows, np.full(rows.size, col))
+        prices = round_.price_win[col, sellers]
+        taken = np.flatnonzero(prices <= budget[rows] + _EPS)
+        rows, sellers = rows[taken], sellers[taken]
+        budget[rows] -= prices[taken]
+        requests[rows] += 1
+        open_row[rows] = requests[rows] < max_requests
+        picks.append((rows, np.full(rows.size, col), sellers))
+    rows, cols, sellers = _concat(picks)
+    # Each part lists a row's picks in column order, and the parts come
+    # in column order: a stable sort by row is the (row, column) order.
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], sellers[order]
 
 
 @dataclass
@@ -526,7 +563,7 @@ class StreamingMarketSimulator(SlotSimulator):
         additions of 0.1 give 5.999999999999998, whose quotient floors to
         59 instead of 60 — silently granting a seller a double capacity
         window.  The integer counter cannot drift; the per-tick admission
-        counters (see ``_upload_slot_available``) are scoped to it.
+        counters (the loop kernel's ``used``) are scoped to it.
         """
         return self._tick
 
@@ -660,9 +697,12 @@ class StreamingMarketSimulator(SlotSimulator):
         same candidate order, same supplier tie-breaks (the cell at window
         position ``w`` of pack row ``r`` spends uniform ``uniforms[r, w]``),
         same greedy budget rule, same global admission order — as pure
-        array operations.  The candidate cells are found and resolved
-        window column by window column; one sort of packed keys then puts
-        the resolved cells in the loop's peer-by-peer order.
+        array operations.  One pass over the live columns lists the
+        candidate cells, and :func:`_choose_cells` resolves and buys them:
+        the columns before the first supply column in one batch, the rest
+        one column at a time, resolving only the cells of peers that can
+        still request.  Its picks come in the loop's peer-by-peer order,
+        which is the order upload slots are admitted in.
         """
         config = self.config
         slots = pack.alive_slots
@@ -670,62 +710,29 @@ class StreamingMarketSimulator(SlotSimulator):
             return _EMPTY, _EMPTY, _EMPTY, np.empty(0)
 
         first_col = self._pb_next[slots] - base
-        rows, cols = _candidate_cells(
+        lo, wanted = _candidate_cells(
             self._have, pack, first_col, config.playback_window, live_edge - base + 1
         )
         round_ = _Round(
             self._have, self._price_win, self._uploads_total, pack, first_col, uniforms,
             config.supplier_choice,
         )
-        rows, cols, sellers = _choose_suppliers_for_cells(round_, rows, cols)
-        # The resolved cells as one list in (row, column) order: every
-        # peer's window, in order, minus the cells no neighbour can supply.
-        capacity = self._have.shape[1]
-        seller_bits = max(capacity - 1, 1).bit_length()
-        col_bits = max(self._win_width - 1, 1).bit_length()
-        key = np.sort((((rows << col_bits) | cols) << seller_bits) | sellers)
-        sellers = key & ((1 << seller_bits) - 1)
-        key >>= seller_bits
-        cols = key & ((1 << col_bits) - 1)
-        rows = key >> col_bits
-        prices = self._price_win.ravel()[cols * capacity + sellers]
-
-        # Greedy selection with budget skip, one vectorized pass per request
-        # slot: each pass takes every peer's first still-open affordable
-        # cell.  Budgets only decrease, so the passes reproduce the
-        # sequential "scan once, skip unaffordable" rule exactly, and each
-        # peer's picks come in window order.
-        budget = balances.copy()
-        open_cell = np.ones(rows.size, dtype=bool)
-        for _ in range(config.max_requests_per_round):
-            affordable = np.flatnonzero(open_cell & (prices <= budget[rows] + _EPS))
-            if affordable.size == 0:
-                break
-            first = np.ones(affordable.size, dtype=bool)
-            first[1:] = rows[affordable[1:]] != rows[affordable[:-1]]
-            taken = affordable[first]
-            budget[rows[taken]] -= prices[taken]
-            open_cell[taken] = False
-        picked = np.flatnonzero(~open_cell)  # (row, column) order = global order
-        if picked.size == 0:
-            return _EMPTY, _EMPTY, _EMPTY, np.empty(0)
-        sellers, paid = sellers[picked], prices[picked]
-        buyers = slots[rows[picked]]
-        chunk_abs = base + cols[picked]
-
+        rows, cols, sellers = _choose_cells(
+            round_, lo, wanted, balances.copy(), config.max_requests_per_round
+        )
         # Upload-slot admission in global order: within each seller, the
         # first ``upload_capacity`` requests win.  The ``(seller, position)``
-        # keys are unique, so sorting them is the stable sort by seller.
+        # keys are unique, so sorting them is the stable sort by seller, and
+        # a request's rank is its place in it less its seller's first place.
         size = sellers.size
-        order = np.sort(sellers * size + np.arange(size)) % size
-        sorted_sellers = sellers[order]
-        new_group = np.ones(size, dtype=bool)
-        new_group[1:] = sorted_sellers[1:] != sorted_sellers[:-1]
-        group_first = np.maximum.accumulate(np.where(new_group, np.arange(size), 0))
-        admitted_sorted = (np.arange(size) - group_first) < config.upload_capacity
+        key = np.sort(sellers * size + np.arange(size))
+        seller_of, counts = key // size, np.bincount(sellers)
+        rank = np.arange(size) - (np.cumsum(counts) - counts)[seller_of]
         admitted = np.empty(size, dtype=bool)
-        admitted[order] = admitted_sorted
-        return buyers[admitted], sellers[admitted], chunk_abs[admitted], paid[admitted]
+        admitted[key % size] = rank < config.upload_capacity
+        rows, cols, sellers = rows[admitted], cols[admitted], sellers[admitted]
+        paid = self._price_win.ravel()[cols * self._have.shape[1] + sellers]
+        return slots[rows], sellers, base + cols, paid
 
     def _schedule_loop(
         self,
@@ -796,8 +803,9 @@ class StreamingMarketSimulator(SlotSimulator):
                     continue
                 budget -= price
                 requests += 1
-                # Upload-slot admission (global order = this scan order).
-                if not self._upload_slot_available(seller, used):
+                # Upload-slot admission (global order = this scan order),
+                # counted per tick: see ``_upload_epoch``.
+                if used.get(seller, 0) >= capacity:
                     continue
                 used[seller] = used.get(seller, 0) + 1
                 buyers.append(slot)
@@ -810,15 +818,6 @@ class StreamingMarketSimulator(SlotSimulator):
             np.array(chunks, dtype=np.int64),
             np.array(paid),
         )
-
-    def _upload_slot_available(self, seller_slot: int, used: Dict[int, int]) -> bool:
-        """Whether ``seller_slot`` still has upload capacity this tick.
-
-        ``used`` is the tick-local admission counter; the epoch is the
-        integer tick counter (see ``_upload_epoch``), so the windowed
-        accounting cannot drift with the float clock.
-        """
-        return used.get(seller_slot, 0) < self.config.upload_capacity
 
     # ------------------------------------------------------------------ settlement
 

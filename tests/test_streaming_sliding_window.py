@@ -94,7 +94,7 @@ def sides(monkeypatch):
         return demand(*args)
 
     def supply_spy(*args):
-        taken["supply"] += args[1].size  # candidate cells, whole columns
+        taken["supply"] += args[1].size  # one column's cells of open rows
         return supply(*args)
 
     monkeypatch.setattr(streaming_sim, "_demand_side", demand_spy)

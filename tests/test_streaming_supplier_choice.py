@@ -1,12 +1,13 @@
 """Supplier choice of the vectorized streaming kernel, side by side.
 
-``_candidate_cells`` lists the round's candidate cells column by column,
-and ``_choose_suppliers_for_cells`` expands each window column from its
-cheaper side: the candidate cells' rows (demand) or the holders' rows
-(supply).  Both sides must pick exactly what the loop kernel picks —
-``eligible → ties → ties[pick]`` per cell — so these tests compare the
-cell list, each side, and the split between them, against a brute-force
-reference on random undirected CSR overlays.
+``_candidate_cells`` marks the round's candidate cells in a column mask,
+``_supply_columns`` gives each window column its cheaper side, and
+``_choose_cells`` resolves the columns before the first supply column in
+one demand-side batch and walks the rest, resolving only the rows that
+can still request.  Both sides must pick exactly what the loop kernel
+picks — ``eligible → ties → ties[pick]`` per cell — so these tests compare
+the candidate mask, each side, the split between them and the purchases
+against a brute-force reference on random undirected CSR overlays.
 """
 
 import numpy as np
@@ -16,11 +17,13 @@ from repro.p2psim import streaming_sim
 from repro.p2psim.slots import SlotPack
 from repro.p2psim.streaming_sim import (
     _EPS,
+    _Holders,
     _Round,
     _candidate_cells,
-    _choose_suppliers_for_cells,
+    _choose_cells,
     _demand_side,
     _pick_ties,
+    _supply_columns,
     _supply_side,
 )
 
@@ -63,23 +66,27 @@ class Swarm:
         self.uniforms = rng.random((count, window))
         # u = 1 makes u·count equal count: the pick must clamp to the last tie.
         self.uniforms[rng.random((count, window)) < 0.1] = 1.0
-        self.rows, self.cols = _candidate_cells(
+        self.lo, self.wanted = _candidate_cells(
             self.have, self.pack, self.first_col, window, width
         )
 
     def cells(self, columns=None):
         """The candidate cells of ``columns`` (all if None), column by column."""
+        cols, rows = np.nonzero(self.wanted)
+        cols = cols + self.lo
         if columns is None:
-            return self.rows, self.cols
-        keep = np.isin(self.cols, sorted(columns))
-        return self.rows[keep], self.cols[keep]
+            return rows, cols
+        keep = np.isin(cols, sorted(columns))
+        return rows[keep], cols[keep]
 
-    def inputs(self, choice, columns=None):
-        round_ = _Round(
+    def round(self, choice):
+        return _Round(
             self.have, self.price_win, self.uploads_total, self.pack,
             self.first_col, self.uniforms, choice,
         )
-        return (round_, *self.cells(columns))
+
+    def inputs(self, choice, columns=None):
+        return (self.round(choice), *self.cells(columns))
 
     def candidates(self):
         """``{(row, col)}`` by the loop kernel's window walk."""
@@ -117,6 +124,27 @@ class Swarm:
             chosen[(r, col)] = ties[min(int(u * len(ties)), len(ties) - 1)]
         return chosen
 
+    def purchases(self, choice, budget, max_requests):
+        """``([(row, col, seller)], budget)`` by the loop kernel's budget walk."""
+        chosen = self.reference(choice)
+        budget = budget.copy()
+        picks = []
+        for r in range(self.alive_slots.size):
+            requests = 0
+            for col in range(int(self.first_col[r]), int(self.first_col[r]) + self.window):
+                if requests >= max_requests:
+                    break
+                if (r, col) not in chosen:
+                    continue
+                seller = chosen[(r, col)]
+                price = float(self.price_win[col, seller])
+                if price > budget[r] + _EPS:
+                    continue
+                budget[r] -= price
+                requests += 1
+                picks.append((r, col, seller))
+        return picks, budget
+
 
 def as_dict(rows, cols, sellers):
     result = {(int(r), int(c)): int(s) for r, c, s in zip(rows, cols, sellers)}
@@ -128,13 +156,40 @@ def demand_only(swarm, choice, columns=None):
     return _demand_side(*swarm.inputs(choice, columns))
 
 
-def supply_only(swarm, choice, columns=None):
-    return _supply_side(*swarm.inputs(choice, columns))
+def supply_only(swarm, choice, columns=None, rows=None):
+    """Each column's cells (of ``rows`` only, if given) through one ``_supply_side`` call each.
+
+    One scratch serves every call, as in a tick, so each call must leave
+    it as it found it.
+    """
+    round_ = swarm.round(choice)
+    holders = _Holders.of(round_)
+    all_rows, all_cols = swarm.cells(columns)
+    parts = []
+    for col in np.unique(all_cols).tolist():
+        col_rows = all_rows[all_cols == col]
+        if rows is not None:
+            col_rows = np.intersect1d(col_rows, rows)
+        found, sellers = _supply_side(round_, col_rows, col, holders)
+        parts.append((found, np.full(found.size, col), sellers))
+    assert (holders.cell_row == -1).all()
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts)) if parts else ([],) * 3
+
+
+def choose_all(swarm, choice):
+    """``_choose_cells`` with budgets and requests that never bind: every resolved cell."""
+    rows, cols, sellers = _choose_cells(
+        swarm.round(choice), swarm.lo, swarm.wanted,
+        np.full(swarm.alive_slots.size, np.inf), swarm.window,
+    )
+    # The purchases come in (row, column) order.
+    assert np.lexsort((cols, rows)).tolist() == list(range(rows.size))
+    return rows, cols, sellers
 
 
 @pytest.fixture
 def sides(monkeypatch):
-    """Record the work each side receives from ``_choose_suppliers_for_cells``.
+    """Record the work each side receives from ``_choose_cells``.
 
     These swarms are far too small to pay the supply side's fixed cost,
     so the overhead is zeroed: the split then follows the masses alone.
@@ -148,7 +203,7 @@ def sides(monkeypatch):
         return demand(*args)
 
     def supply_spy(*args):
-        seen["supply_cols"].extend(np.unique(args[2]).tolist())
+        seen["supply_cols"].append(args[2])
         return supply(*args)
 
     monkeypatch.setattr(streaming_sim, "_demand_side", demand_spy)
@@ -160,21 +215,23 @@ MIXED = [0.0, 0.03, 0.05, 0.6, 0.8, 0.1, 0.9, 0.0, 0.02, 0.7, 0.5, 0.04]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_candidate_cells_follow_the_window_walk_column_by_column(seed):
+def test_candidate_mask_follows_the_window_walk(seed):
     swarm = Swarm(seed, MIXED)
     rows, cols = swarm.cells()
     assert set(zip(rows.tolist(), cols.tolist())) == swarm.candidates()
-    assert len(rows) == len(swarm.candidates())
-    order = np.lexsort((rows, cols))
-    assert order.tolist() == list(range(rows.size))
+    assert swarm.wanted.shape[1] == swarm.alive_slots.size
+    # The mask starts at the first live column of any window.
+    assert swarm.lo == max(int(swarm.first_col.min()), 0)
 
 
 def test_candidate_cells_stop_at_the_live_edge():
     swarm = Swarm(0, [0.2] * 10)
     live = 6
-    rows, cols = _candidate_cells(swarm.have, swarm.pack, swarm.first_col, swarm.window, live)
+    lo, wanted = _candidate_cells(swarm.have, swarm.pack, swarm.first_col, swarm.window, live)
+    assert lo + wanted.shape[0] <= live
+    cols, rows = np.nonzero(wanted)
     expected = {(r, c) for r, c in swarm.candidates() if c < live}
-    assert set(zip(rows.tolist(), cols.tolist())) == expected
+    assert set(zip(rows.tolist(), (cols + lo).tolist())) == expected
 
 
 @pytest.mark.parametrize("choice", CHOICES)
@@ -194,42 +251,65 @@ class TestEachSideMatchesTheReference:
         expected = swarm.reference(choice, columns=columns)
         assert as_dict(*supply_only(swarm, choice, columns)) == expected
 
+    def test_supply_side_on_a_subset_of_rows(self, choice, seed):
+        # A walked column resolves only the rows that can still request.
+        swarm = Swarm(seed, MIXED)
+        rows = np.arange(0, swarm.alive_slots.size, 3)
+        expected = {cell: s for cell, s in swarm.reference(choice).items() if cell[0] in rows}
+        assert expected
+        assert as_dict(*supply_only(swarm, choice, rows=rows)) == expected
+
+
+def test_side_rule_follows_the_masses():
+    swarm = Swarm(3, MIXED)
+    round_ = swarm.round("least-loaded")
+    demand_mass = swarm.wanted.astype(np.int64) @ swarm.pack.degrees
+    slot_degree = np.zeros(swarm.have.shape[1], dtype=np.int64)
+    slot_degree[swarm.alive_slots] = swarm.pack.degrees
+    supply_mass = swarm.have[swarm.lo : swarm.lo + len(swarm.wanted)].astype(np.int64) @ slot_degree
+    saving = demand_mass - supply_mass
+    assert 0 < saving[saving > 0].sum() <= streaming_sim._SUPPLY_OVERHEAD
+    assert not _supply_columns(round_, swarm.lo, swarm.wanted).any()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streaming_sim, "_SUPPLY_OVERHEAD", 0)
+        supply = _supply_columns(round_, swarm.lo, swarm.wanted)
+    assert supply.tolist() == (saving > 0).tolist()
+    assert supply.any() and not supply.all()
+
 
 @pytest.mark.parametrize("choice", CHOICES)
 class TestColumnSplit:
     def test_mixed_split(self, choice, sides):
         swarm = Swarm(3, MIXED)
-        result = as_dict(*_choose_suppliers_for_cells(*swarm.inputs(choice)))
-        assert result == swarm.reference(choice)
+        assert as_dict(*choose_all(swarm, choice)) == swarm.reference(choice)
         assert sides["demand_cells"] > 0 and sides["supply_cols"]
 
     def test_all_demand(self, choice, sides):
         swarm = Swarm(4, [0.9] * 8)
-        result = as_dict(*_choose_suppliers_for_cells(*swarm.inputs(choice)))
-        assert result == swarm.reference(choice)
+        assert as_dict(*choose_all(swarm, choice)) == swarm.reference(choice)
         assert sides["demand_cells"] > 0 and not sides["supply_cols"]
 
     def test_all_supply(self, choice, sides):
         swarm = Swarm(5, [0.04] * 8, capacity=120, degree=6.0)
-        result = as_dict(*_choose_suppliers_for_cells(*swarm.inputs(choice)))
+        result = as_dict(*choose_all(swarm, choice))
         assert result and result == swarm.reference(choice)
         assert sides["demand_cells"] == 0 and sides["supply_cols"]
 
     def test_holderless_columns_stay_unresolved(self, choice, sides):
         density = [0.0, 0.8, 0.0, 0.0, 0.05, 0.0, 0.7, 0.0]
         swarm = Swarm(6, density)
-        _, cols, _ = _choose_suppliers_for_cells(*swarm.inputs(choice))
+        _, cols, _ = choose_all(swarm, choice)
         empty = {c for c, d in enumerate(density) if d == 0.0}
         assert not empty & set(cols.tolist())
         assert empty <= set(sides["supply_cols"])
-        assert as_dict(*supply_only(swarm, choice, empty)) == {}
+        assert supply_only(swarm, choice, empty)[0].size == 0
 
 
 def test_supply_side_waits_for_a_saving_above_its_overhead(sides, monkeypatch):
     swarm = Swarm(5, [0.04] * 8, capacity=120, degree=6.0)
     expected = swarm.reference("least-loaded")
     monkeypatch.setattr(streaming_sim, "_SUPPLY_OVERHEAD", 10**9)
-    assert as_dict(*_choose_suppliers_for_cells(*swarm.inputs("least-loaded"))) == expected
+    assert as_dict(*choose_all(swarm, "least-loaded")) == expected
     assert sides["demand_cells"] > 0 and not sides["supply_cols"]
 
 
@@ -241,10 +321,31 @@ def test_hub_row_split_across_blocks(choice, monkeypatch):
     # The hub (row 0) is longer than a block: a block of its own when it
     # misses chunks (demand side) and when it holds them (supply side).
     assert swarm.pack.degrees[0] > 5
-    assert (swarm.rows == 0).any() and swarm.have[:, swarm.alive_slots[0]].any()
+    assert swarm.wanted[:, 0].any() and swarm.have[:, swarm.alive_slots[0]].any()
     assert as_dict(*demand_only(swarm, choice)) == expected
     assert as_dict(*supply_only(swarm, choice)) == expected
-    assert as_dict(*_choose_suppliers_for_cells(*swarm.inputs(choice))) == expected
+    assert as_dict(*choose_all(swarm, choice)) == expected
+    monkeypatch.setattr(streaming_sim, "_SUPPLY_OVERHEAD", 0)
+    assert as_dict(*choose_all(swarm, choice)) == expected
+
+
+@pytest.mark.parametrize("overhead", [0, None], ids=["both-sides", "demand-only"])
+@pytest.mark.parametrize("choice", CHOICES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_purchases_follow_the_budget_walk(seed, choice, overhead, monkeypatch):
+    # Budgets of one to six credits against prices of one to three: rows
+    # skip cells they cannot afford, take cheaper ones after them, and
+    # close after two purchases, in the batch and in the walk alike.
+    if overhead is not None:
+        monkeypatch.setattr(streaming_sim, "_SUPPLY_OVERHEAD", overhead)
+    swarm = Swarm(seed, MIXED)
+    rng = np.random.default_rng(seed + 20)
+    budget = rng.integers(1, 7, size=swarm.alive_slots.size) + rng.random(swarm.alive_slots.size)
+    expected, spent = swarm.purchases(choice, budget, max_requests=2)
+    left = budget.copy()
+    rows, cols, sellers = _choose_cells(swarm.round(choice), swarm.lo, swarm.wanted, left, 2)
+    assert list(zip(rows.tolist(), cols.tolist(), sellers.tolist())) == expected
+    assert left.tobytes() == spent.tobytes()
 
 
 def test_pick_clamps_when_u_times_count_reaches_count():
