@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +74,34 @@ def routing_cdfs(prices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _search_rows(
+    cdf: np.ndarray, keys: np.ndarray, guesses: np.ndarray, first: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """Settle the keys whose guessed edge missed, each inside its own row.
+
+    Key ``i`` belongs to the row of edges ``first[i]..last[i]`` and missed
+    the edge ``guesses[i]``.  Returns, for each, the first edge of its row
+    whose CDF exceeds the key, or ``last`` if none does: the row's
+    ``searchsorted(side="right")``, clamped.  A miss tells which side of
+    the guess its edge lies on.  The edge next to the guess on that side
+    is probed first, since that is where nearly every miss ends, and a
+    binary search bounded to the rest of the side settles the others.
+    """
+    right = cdf[guesses] <= keys
+    lo = np.where(right, np.minimum(guesses + 1, last), first)
+    hi = np.where(right, last, guesses - 1)
+    # The answer lies in lo..hi; a range closes when they meet.
+    pending = np.flatnonzero(lo < hi)
+    probe = np.where(right, lo, hi - 1)[pending]
+    while pending.size:
+        above = cdf[probe] > keys[pending]
+        hi[pending] = np.where(above, probe, hi[pending])
+        lo[pending] = np.where(above, lo[pending], probe + 1)
+        pending = pending[lo[pending] < hi[pending]]
+        probe = (lo[pending] + hi[pending]) >> 1
+    return lo
+
+
 @dataclass
 class MarketSimResult:
     """Output of one :class:`CreditMarketSimulator` run.
@@ -126,11 +154,12 @@ class CreditMarketSimulator(SlotSimulator):
     """Round-based simulator of credit circulation on a P2P overlay.
 
     Peer state lives in slot-indexed arrays kept by a
-    :class:`~repro.p2psim.slots.PeerSlots` store, which also holds the
-    neighbour rows as a CSR pack.  The simulator adds what routing needs
-    on top: ``_edge_cdf``, each row's routing CDF over its neighbours'
-    prices, and the ``flat`` search array over all rows (see
-    :meth:`_routing_pack`).
+    :class:`~repro.p2psim.slots.PeerSlots` store, which also holds each
+    alive peer's neighbour row as one segment of its buffer.  The
+    simulator adds what routing needs on top: ``_edge_cdf``, aligned with
+    that buffer, holds each row's routing CDF over its neighbours'
+    prices in the row's own segment, and each credit is routed on its
+    spender's CDF alone (see :meth:`_route_credits_vectorized`).
 
     Parameters
     ----------
@@ -168,11 +197,8 @@ class CreditMarketSimulator(SlotSimulator):
         # both preallocated so the hot loop allocates nothing on quiet rounds.
         self._income = np.zeros(capacity)
         self._zero_income = np.zeros(capacity)
-        # The routing CDF of every pack edge, and the search array over all
-        # rows with the store pack it was built from.
+        # The routing CDF of every row entry of the store's buffer.
         self._edge_cdf = np.empty(0)
-        self._flat = np.empty(0)
-        self._flat_pack: Optional[SlotPack] = None
 
         self.total_transfers = 0
         self._time = 0.0
@@ -188,9 +214,6 @@ class CreditMarketSimulator(SlotSimulator):
         slots = self._admit(initial_peers, 0.0)
         self._refresh_routing_rows(initial_peers)
         self._base_mu[slots] = self._configure_spending_rates(weights)
-        # Build the routing pack eagerly: it is part of construction, not of
-        # the first advanced round (benchmarks time rounds, not set-up).
-        self._routing_pack()
 
     # ------------------------------------------------------------------ setup helpers
 
@@ -278,20 +301,21 @@ class CreditMarketSimulator(SlotSimulator):
     def _refresh_routing_rows(self, peer_ids: Sequence[int]) -> None:
         """Re-derive the neighbour rows and routing CDFs of ``peer_ids``.
 
-        The store splices the slot-sorted rows into its pack; their
+        The store writes the slot-sorted rows to their segments; their
         neighbours are quoted row after row (one ``price_array`` call per
         block), so memoised pricing draws in per-row order, and
-        :func:`routing_cdfs` fills their stretch of ``_edge_cdf``.
+        :func:`routing_cdfs` fills their segments of ``_edge_cdf``.
         """
-        rows = self._slots.refresh_rows(peer_ids)
-        pack = self._slots.pack()
+        store = self._slots
+        slots = store.refresh_rows(peer_ids)
+        start, degree = store.arrays["start"], store.arrays["degree"]
         # Blocks of rows bound the transient arrays of a start-up batch.
-        for lo in range(0, rows.size, _ROW_BLOCK):
-            block_rows = rows[lo : lo + _ROW_BLOCK]
-            edges = pack.edge_positions(block_rows)
-            neighbor_ids = self._slots.peer_of[pack.edge_dst[edges]]
+        for lo in range(0, slots.size, _ROW_BLOCK):
+            block = slots[lo : lo + _ROW_BLOCK]
+            edges = segments(start[block], degree[block])
+            neighbor_ids = store.peer_of[store.edges[edges]]
             prices = np.asarray(self.config.pricing.price_array(neighbor_ids, 0), dtype=float)
-            self._edge_cdf[edges] = routing_cdfs(prices, pack.degrees[block_rows])
+            self._edge_cdf[edges] = routing_cdfs(prices, degree[block])
 
     # ------------------------------------------------------------------ churn
 
@@ -305,92 +329,62 @@ class CreditMarketSimulator(SlotSimulator):
 
     # ------------------------------------------------------------------ main loop
 
-    def _routing_pack(self) -> Tuple[SlotPack, np.ndarray]:
-        """Return the store's CSR rows and the ``flat`` routing search array.
-
-        ``flat`` holds every row's routing CDF, concatenated in pack row
-        order and offset by ``3.0 * r`` (each row's CDF ends at exactly
-        1.0, so row ``r`` occupies values in ``(3r, 3r + 1]``).  It is
-        therefore one globally sorted vector, and a credit of spender row
-        ``r`` with uniform ``u`` routes to edge ``searchsorted(flat, u + 3r,
-        "right")``, the first entry above its key.  The vectorized kernel
-        finds that edge inside the credit's own row and checks it against
-        two ``flat`` entries (see :meth:`_route_credits_vectorized`); the
-        loop kernel searches the row's slice.  Both compare against the
-        same ``flat`` values, so their routing decisions are bit-identical.
-        It is recomputed from ``_edge_cdf`` in one array pass whenever the
-        store splices a new pack; on static overlays it is built once and
-        reused for the whole run.
-        """
-        pack = self._slots.pack()
-        if self._flat_pack is not pack:
-            self._flat = self._edge_cdf + 3.0 * np.repeat(
-                np.arange(pack.alive_slots.size, dtype=np.float64), pack.degrees
-            )
-            self._flat_pack = pack
-        return pack, self._flat
-
     def _route_credits_vectorized(
-        self, pack: SlotPack, flat: np.ndarray, spendable: np.ndarray, draws: np.ndarray
+        self, rows: SlotPack, spendable: np.ndarray, draws: np.ndarray
     ) -> np.ndarray:
-        """Route every credit of the round inside its own row of ``flat``.
+        """Route every credit of the round on its spender's own CDF.
 
-        A credit of row ``r`` (first edge ``s``, degree ``d``) with uniform
-        ``u`` routes to ``searchsorted(flat, u + 3r, "right")``.  Row
-        ``r``'s CDF is near ``(j + 1) / d`` when prices are near equal, so
-        the kernel guesses edge ``h = s + floor(u·d)`` and accepts it when
-        ``flat[h - 1] <= u + 3r < flat[h]``.  Those are the comparisons the
-        search would end on, against the same values, and ``flat`` is
-        sorted, so an accepted guess is exactly the search's answer.  Only
-        the misses pay the global binary search.  Under round-to-nearest
-        ``fl(u·d) < d`` for every ``u < 1``, so a guess never leaves its
-        row.  A guess of edge 0 reads ``flat[-1]``, the largest entry, so
-        it always misses and is settled by the search.
+        A credit with uniform ``u`` from a row of degree ``d`` whose CDF
+        ``c`` starts at buffer entry ``s`` routes to edge ``s + j``, ``j =
+        searchsorted(c, u, "right")`` clamped to ``d - 1``.  ``c`` is near
+        ``(j + 1) / d`` when prices are near equal, so the kernel guesses
+        ``j = floor(u·d)`` and accepts it when ``(j == 0 or c[j - 1] <= u)
+        and u < c[j]``: since ``c`` is sorted, that is exactly the
+        search's answer.  Under round-to-nearest ``fl(u·d) < d`` for every
+        ``u < 1``, so a guess never leaves its row.  Only the misses are
+        searched, each inside its row (:func:`_search_rows`).
         """
-        rows = np.repeat(np.arange(pack.alive_slots.size), spendable)
-        keys = draws + 3.0 * rows
-        hits = pack.row_start[rows] + (draws * pack.degrees[rows]).astype(np.int64)
-        misses = np.flatnonzero((flat[hits - 1] > keys) | (keys >= flat[hits]))
+        cdf = self._edge_cdf
+        spenders = np.repeat(np.arange(rows.alive_slots.size), spendable)
+        first, degrees = rows.row_start[spenders], rows.degrees[spenders]
+        guesses = (draws * degrees).astype(np.int64)
+        hits = first + guesses
+        misses = np.flatnonzero(((cdf[hits - 1] > draws) & (guesses > 0)) | (draws >= cdf[hits]))
         if misses.size:
-            found = np.searchsorted(flat, keys[misses], side="right")
-            # `u + 3r` can round up to exactly the row's final cdf value
-            # (e.g. u = 1 - 2**-53 at row 1 rounds to 4.0), which would index
-            # one past the row's last edge; clamp those ~ulp-probability
-            # draws onto it.
-            hits[misses] = np.minimum(found, pack.row_start[rows[misses] + 1] - 1)
-        destinations = pack.edge_dst[hits]
-        return np.bincount(destinations, minlength=self._slots.capacity).astype(float)
+            first, last = first[misses], first[misses] + degrees[misses] - 1
+            hits[misses] = _search_rows(cdf, draws[misses], hits[misses], first, last)
+        return np.bincount(rows.edge_dst[hits], minlength=self._slots.capacity).astype(float)
 
     def _route_credits_loop(
-        self, pack: SlotPack, flat: np.ndarray, spendable: np.ndarray, draws: np.ndarray
+        self, rows: SlotPack, spendable: np.ndarray, draws: np.ndarray
     ) -> np.ndarray:
         """Per-spender routing loop (the benchmark baseline).
 
-        Consumes the draws exactly like the vectorized kernel — the same
-        inverse-CDF search against the same edge-segment values — so both
+        Consumes the draws exactly like the vectorized kernel: each
+        spender's credits search its own row's CDF with
+        ``searchsorted(side="right")``, clamped to the last edge, so both
         kernels produce bit-identical income vectors.
         """
         income = self._income
         income.fill(0.0)
+        cdf, edges = self._edge_cdf, rows.edge_dst
         offset = 0
-        for row in range(pack.alive_slots.size):
-            to_spend = int(spendable[row])
+        for start, degree, to_spend in zip(
+            rows.row_start.tolist(), rows.degrees.tolist(), spendable.tolist()
+        ):
             if to_spend == 0:
                 continue
             uniforms = draws[offset : offset + to_spend]
             offset += to_spend
-            start = pack.row_start[row]
-            end = pack.row_start[row + 1]
-            segment = flat[start:end]
-            hits = np.searchsorted(segment, uniforms + 3.0 * row, side="right")
-            hits = np.minimum(hits, pack.degrees[row] - 1)
-            np.add.at(income, pack.edge_dst[start:end][hits], 1.0)
+            end = start + degree
+            hits = np.minimum(np.searchsorted(cdf[start:end], uniforms, side="right"), degree - 1)
+            np.add.at(income, edges[start:end][hits], 1.0)
         return income
 
     def _spending_round(self, dt: float) -> None:
         rng = self._rng
-        pack, flat = self._routing_pack()
-        alive_slots = pack.alive_slots
+        rows = self._slots.rows()
+        alive_slots = rows.alive_slots
         if alive_slots.size == 0:
             return
         balances = self._balance[alive_slots]
@@ -399,7 +393,7 @@ class CreditMarketSimulator(SlotSimulator):
         )
         intended = rng.poisson(rates * dt)
         spendable = np.minimum(intended, np.floor(balances).astype(np.int64))
-        spendable = np.where(pack.degrees > 0, spendable, 0)
+        spendable = np.where(rows.degrees > 0, spendable, 0)
         total = int(spendable.sum())
         if total == 0:
             # Nobody spent: skip the transfer machinery entirely, but still
@@ -417,9 +411,9 @@ class CreditMarketSimulator(SlotSimulator):
         observing = emitter.enabled
         kernel_started = time.perf_counter() if observing else 0.0
         if options.kernel == "loop":
-            income = self._route_credits_loop(pack, flat, spendable, draws)
+            income = self._route_credits_loop(rows, spendable, draws)
         else:
-            income = self._route_credits_vectorized(pack, flat, spendable, draws)
+            income = self._route_credits_vectorized(rows, spendable, draws)
         if observing:
             emitter.timing(
                 "market.kernel." + options.kernel,

@@ -5,10 +5,11 @@ Both :class:`~repro.p2psim.market_sim.CreditMarketSimulator` and
 state in slot-indexed numpy arrays.  :class:`PeerSlots` is the one copy of
 the bookkeeping behind those arrays: the alive mask, the peer↔slot maps,
 the free-slot stack, capacity growth of every per-slot array and the
-alive peers' neighbour rows (their neighbours' slots, ascending), kept
-only as a CSR pack.  A simulator declares its per-slot arrays, and the
-arrays aligned with the pack's edges, as :class:`SlotArray` attributes,
-so assigning one registers it with the store, which grows or splices it.
+alive peers' neighbour rows (their neighbours' slots, ascending), each
+kept as one segment of a shared buffer.  A simulator declares its
+per-slot arrays, and the arrays aligned with the buffer, as
+:class:`SlotArray` attributes, so assigning one registers it with the
+store, which grows or compacts it.
 
 Peers enter and leave in whole arrays: :meth:`PeerSlots.admit` and
 :meth:`PeerSlots.evict` take id arrays and hand out or free slots exactly
@@ -18,8 +19,9 @@ are read from the overlay's edge segments in one gather and key-sorted by
 slot, so no row depends on the order edits left a segment in — an
 unpickled simulator derives exactly the rows it had.  After a round's
 departures and arrivals, one :meth:`PeerSlots.refresh_rows` call
-re-derives the rows of every peer whose neighbour set changed and patches
-the pack with one gather; a hub touched by many joins is recomputed once.
+re-derives the rows of every peer whose neighbour set changed and writes
+only their segments; a hub touched by many joins is recomputed once.
+:meth:`PeerSlots.pack` reads the rows as one CSR pack.
 
 :class:`SlotSimulator` is the set-up and run plumbing both simulators
 inherit, and :func:`apply_round_churn` and :func:`apply_income_taxation`
@@ -59,12 +61,15 @@ _EMPTY_ROW = np.empty(0, dtype=np.int64)
 
 @dataclass
 class SlotPack:
-    """Alive peers' neighbour rows in CSR (segmented) layout — no padding.
+    """Alive peers' neighbour rows, each a segment of ``edge_dst`` — no padding.
 
     Row ``r`` describes the peer in slot ``alive_slots[r]``:
-    ``edge_dst[row_start[r]:row_start[r+1]]`` are its neighbours' slots,
-    ascending.  Memory scales with the edge count, never with
-    ``N × max_degree``.
+    ``edge_dst[row_start[r] : row_start[r] + degrees[r]]`` are its
+    neighbours' slots, ascending.  Memory scales with the edge count,
+    never with ``N × max_degree``.  :meth:`PeerSlots.pack` gives the CSR
+    form, whose rows lie back to back and whose ``row_start`` ends with
+    one more entry, ``edge_dst.size``; :meth:`PeerSlots.rows` views the
+    store's buffer as it is.
     """
 
     alive_slots: np.ndarray
@@ -86,8 +91,11 @@ class PeerSlots:
     non-negative integers: ``slot_of`` is indexed by them.  Freed slots
     are reused last-in first-out, and the initial population, admitted
     in one call in ascending id order, gets slots ``0, 1, 2, …``.
-    ``pack_row[slot]`` is one plus the slot's row in the pack (0: none,
-    or evicted).
+
+    Slot ``s``'s row is ``edges[start[s] : start[s] + degree[s]]``, a
+    segment of one shared buffer with ``room[s]`` entries reserved for
+    it; ``start``, ``degree`` and ``room`` are per-slot arrays, and a slot
+    without a row has degree and room 0.
     """
 
     def __init__(self, topology: OverlayTopology) -> None:
@@ -97,16 +105,27 @@ class PeerSlots:
         self.arrays: Dict[str, np.ndarray] = {
             "alive": np.zeros(self.capacity, dtype=bool),
             "peer_of": np.zeros(self.capacity, dtype=np.int64),
-            "pack_row": np.zeros(self.capacity, dtype=np.int64),
+            "start": np.zeros(self.capacity, dtype=np.int64),
+            "degree": np.zeros(self.capacity, dtype=np.int64),
+            "room": np.zeros(self.capacity, dtype=np.int64),
         }
-        #: Every array aligned with the pack's ``edge_dst``.
+        #: The segment buffer, and every array aligned with it.
+        self.edges = _EMPTY_ROW
         self.edge_arrays: Dict[str, np.ndarray] = {}
+        #: First buffer entry after the last segment.
+        self._end = 0
+        #: Whether ``edges[:_end]`` is the alive rows back to back in slot order.
+        self._packed = True
         self.slot_of = np.full(self.capacity, -1, dtype=np.int64)
         #: The free slots, a stack: the last entry is the next one taken.
         self._free = np.arange(self.capacity - 1, -1, -1)
-        self._pack = SlotPack(_EMPTY_ROW, _EMPTY_ROW, np.zeros(1, dtype=np.int64), _EMPTY_ROW)
-        #: Whether slots were admitted or evicted since the pack was spliced.
-        self._moved = False
+        #: :meth:`rows` and :meth:`pack`, kept until the rows change.
+        self._rows: Optional[SlotPack] = None
+        self._pack: Optional[SlotPack] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The caches may view the buffer; they are rebuilt on first read.
+        return dict(self.__dict__, _rows=None, _pack=None)
 
     @property
     def alive(self) -> np.ndarray:
@@ -147,7 +166,8 @@ class PeerSlots:
         self.alive[slots] = True
         self.peer_of[slots] = ids
         self.slot_of[ids] = slots
-        self._moved |= bool(ids.size)
+        if ids.size:
+            self._rows = self._pack = None
         return slots
 
     def evict(self, peer_ids: Sequence[int]) -> np.ndarray:
@@ -160,9 +180,12 @@ class PeerSlots:
         slots = self.slot_of[ids]
         self.slot_of[ids] = -1
         self.alive[slots] = False
-        self.arrays["pack_row"][slots] = 0
+        degree = self.arrays["degree"]
+        self._packed &= not degree[slots].any()
+        degree[slots] = self.arrays["room"][slots] = 0
         self._free = np.concatenate([self._free, slots])
-        self._moved |= bool(ids.size)
+        if ids.size:
+            self._rows = self._pack = None
         return slots
 
     def _grow(self) -> None:
@@ -174,59 +197,114 @@ class PeerSlots:
         self.capacity = 2 * old
 
     def refresh_rows(self, peer_ids: Sequence[int]) -> np.ndarray:
-        """Re-derive the rows of ``peer_ids`` and splice them into the pack.
+        """Re-derive the rows of ``peer_ids`` (once each); return their slots, in order.
 
         Peers without a slot are skipped; every overlay neighbour of the
-        others must have one.  All rows are read in one pass and ordered by
-        one sort of their ``(row, slot)`` keys.  One gather then builds the
-        new pack, and every :attr:`edge_arrays` entry (zero on these rows),
-        from the old pack's other alive rows and these; evicted slots lose
-        their rows.  Returns these rows' indices in the new pack, in order.
+        others must have one.  All rows are read in one pass and ordered
+        by one sort of their ``(row, slot)`` keys.  A row that fits its
+        room is rewritten in place, the others move to the buffer's end
+        with room for twice their degree, and once the end is reached
+        every row is laid out anew (:meth:`_compact`).  The rows' entries
+        of every :attr:`edge_arrays` array are left for the caller to fill.
         """
         ids = np.asarray(peer_ids, dtype=np.int64)
         slots = self._slots_of(ids)
         ids, slots = ids[slots >= 0], slots[slots >= 0]
-        if not ids.size and not self._moved:
+        if not ids.size:
             return _EMPTY_ROW
         degrees, keys = self.topology.neighbor_rows(ids)
         keys = self._slots_of(keys)
         if keys.size and keys.min() < 0:
             row = np.searchsorted(np.cumsum(degrees), np.argmin(keys), side="right")
             raise RuntimeError(f"a neighbour of peer {ids[row]} has no slot")
-        keys += np.repeat(np.arange(ids.size) * self.capacity, degrees)
+        # A (row, slot) key packs the row above the slot's bits.
+        shift = max(self.capacity - 1, 1).bit_length()
+        keys |= np.repeat(np.arange(ids.size) << shift, degrees)
         keys.sort()
-        fresh = np.remainder(keys, self.capacity, out=keys)
-        old, pack_row = self._pack, self.arrays["pack_row"]
+        fresh = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
+        start, degree, room = self.arrays["start"], self.arrays["degree"], self.arrays["room"]
+        self._rows = self._pack = None
+        moving = degrees > room[slots]
+        moved = np.maximum(2 * degrees[moving], 4)
+        if self._end + int(moved.sum()) > self.edges.size:
+            self._compact(slots, degrees, fresh)
+            return slots
+        starts = start[slots]
+        starts[moving] = self._end + np.cumsum(moved) - moved
+        self._end += int(moved.sum())
+        self._packed &= not moving.any() and np.array_equal(degree[slots], degrees)
+        start[slots], degree[slots] = starts, degrees
+        room[slots[moving]] = moved
+        self.edges[segments(starts, degrees)] = fresh
+        return slots
+
+    def _compact(self, slots: np.ndarray, degrees: np.ndarray, fresh: np.ndarray) -> None:
+        """Lay every alive row out back to back in slot order, ``slots`` with ``fresh``.
+
+        The other rows, and their entries of every edge array, are carried
+        over.  The first layout is exact, so a static overlay keeps no
+        spare room; later the buffer keeps its size while at most half of
+        it is live, and otherwise at least doubles.
+        """
+        start, degree, room = self.arrays["start"], self.arrays["degree"], self.arrays["room"]
         alive_slots = np.flatnonzero(self.alive)
-        old_rows = pack_row[alive_slots] - 1
-        kept = old_rows >= 0
-        lengths = np.zeros(alive_slots.size, dtype=np.int64)
-        starts = np.zeros(alive_slots.size, dtype=np.int64)
-        lengths[kept], starts[kept] = old.degrees[old_rows[kept]], old.row_start[old_rows[kept]]
-        rows = np.searchsorted(alive_slots, slots)
-        lengths[rows], starts[rows] = degrees, old.edge_dst.size + np.cumsum(degrees) - degrees
-        take = segments(starts, lengths)
+        refreshed = np.zeros(self.capacity, dtype=bool)
+        refreshed[slots] = True
+        kept = alive_slots[~refreshed[alive_slots]]
+        source = segments(start[kept], degree[kept])
+        degree[slots] = degrees
+        lengths = degree[alive_slots]
+        start[alive_slots] = np.cumsum(lengths) - lengths
+        room[alive_slots] = lengths
+        live = int(lengths.sum())
+        size = self.edges.size
+        if not size:
+            size = live
+        elif 2 * live > size:
+            size = max(2 * size, 2 * live)
+        target = segments(start[kept], degree[kept])
+        if size == live and np.array_equal(slots, alive_slots):
+            # Every row is fresh and in slot order (set-up): the layout itself.
+            edges = fresh
+        else:
+            edges = np.zeros(size, dtype=np.int64)
+            edges[target] = self.edges[source]
+            edges[segments(start[slots], degrees)] = fresh
         for name, values in self.edge_arrays.items():
-            padded = np.concatenate([values, np.zeros(fresh.size, dtype=values.dtype)])
-            self.edge_arrays[name] = padded[take]
-        row_start = np.concatenate([[0], np.cumsum(lengths)])
-        edge_dst = np.concatenate([old.edge_dst, fresh])[take]
-        self._pack = SlotPack(alive_slots, lengths, row_start, edge_dst)
-        pack_row[alive_slots] = np.arange(1, alive_slots.size + 1)
-        self._moved = False
-        return rows
+            carried = np.zeros(size, dtype=values.dtype)
+            carried[target] = values[source]
+            self.edge_arrays[name] = carried
+        self.edges, self._end, self._packed = edges, live, True
 
     def row(self, slot: int) -> np.ndarray:
-        """The neighbour slots of ``slot``, ascending (a view into the pack)."""
-        row, pack = int(self.arrays["pack_row"][slot]) - 1, self._pack
-        if row < 0:
-            return _EMPTY_ROW
-        return pack.edge_dst[pack.row_start[row] : pack.row_start[row + 1]]
+        """The neighbour slots of ``slot``, ascending (a view into the buffer)."""
+        start = int(self.arrays["start"][slot])
+        return self.edges[start : start + int(self.arrays["degree"][slot])]
+
+    def rows(self) -> SlotPack:
+        """The alive rows where they lie: ``row_start`` holds their segment starts."""
+        if self._rows is None:
+            alive_slots = np.flatnonzero(self.alive)
+            degrees, starts = self.arrays["degree"][alive_slots], self.arrays["start"][alive_slots]
+            self._rows = SlotPack(alive_slots, degrees, starts, self.edges)
+        return self._rows
 
     def pack(self) -> SlotPack:
-        """The CSR rows of the alive population (spliced first if slots moved)."""
-        if self._moved:
-            self.refresh_rows(())
+        """The CSR rows of the alive population.
+
+        While the buffer is laid out in slot order (after set-up, and on
+        a static overlay for good) the pack views it; otherwise one
+        gather copies the segments.  Either is kept until the rows change.
+        """
+        if self._pack is None:
+            rows = self.rows()
+            row_start = np.zeros(rows.degrees.size + 1, dtype=np.int64)
+            np.cumsum(rows.degrees, out=row_start[1:])
+            if self._packed:
+                edge_dst = self.edges[: self._end]
+            else:
+                edge_dst = self.edges[segments(rows.row_start, rows.degrees)]
+            self._pack = SlotPack(rows.alive_slots, rows.degrees, row_start, edge_dst)
         return self._pack
 
 
@@ -237,8 +315,8 @@ class SlotArray:
     under the attribute's name (or under ``key``), where the store grows
     it along its last axis, the slot axis, whenever the population
     outgrows the capacity.  With ``edges=True`` it is stored in ``edge_arrays``
-    instead, aligned with the pack's ``edge_dst``, and every splice
-    carries it along.
+    instead, aligned with the store's segment buffer ``edges``, and every
+    compaction carries it along.
     """
 
     def __init__(self, key: Optional[str] = None, edges: bool = False) -> None:

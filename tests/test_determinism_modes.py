@@ -139,20 +139,20 @@ class TestKernelEquivalence:
         assert fingerprint(vectorized) == fingerprint(loop)
 
     def test_boundary_draw_routes_to_last_neighbour(self):
-        # u + 3*row can round up to exactly the row's final cdf value (e.g.
-        # u = 1 - 2**-53 at row 1 rounds to 4.0); both kernels must clamp
-        # that onto the last real neighbour instead of indexing the padding.
-        # A u = 0 draw lands on each row's first neighbour; on the row that
-        # owns edge 0 the vectorized kernel's guess reads flat[-1] and
-        # falls back to the global search.
+        # The largest draw, u = 1 - 2**-53, lies below every row's final
+        # cdf value of exactly 1.0, so both kernels land on the last real
+        # neighbour.  A u = 0 draw lands on each row's first neighbour; on
+        # the row whose segment starts the buffer the vectorized kernel's
+        # guess has no entry before it and is accepted on its own.
         simulator = CreditMarketSimulator(fig7_like_config())
-        pack, flat = simulator._routing_pack()
-        count = pack.alive_slots.size
+        rows = simulator._slots.rows()
+        pack = simulator._slots.pack()
+        count = rows.alive_slots.size
         spendable = np.ones(count, dtype=np.int64)
         for u in (1.0 - 2.0**-53, 0.0):
             draws = np.full(count, u)
-            vectorized = simulator._route_credits_vectorized(pack, flat, spendable, draws).copy()
-            loop = simulator._route_credits_loop(pack, flat, spendable, draws).copy()
+            vectorized = simulator._route_credits_vectorized(rows, spendable, draws).copy()
+            loop = simulator._route_credits_loop(rows, spendable, draws).copy()
             assert vectorized.tobytes() == loop.tobytes()
             assert vectorized.sum() == count  # every credit landed on a real peer
             assert np.all(vectorized[~simulator._slots.alive] == 0.0)
@@ -276,15 +276,17 @@ class TestConfigReuse:
 def _routing_rows(simulator):
     """``(peer, neighbour slots, row CDF)`` of every alive market peer."""
     slots = simulator._slots
-    pack = slots.pack()
-    assert pack.alive_slots.tolist() == np.flatnonzero(slots.alive).tolist()
+    rows = slots.rows()
+    assert rows.alive_slots.tolist() == np.flatnonzero(slots.alive).tolist()
     return [
         (
             int(slots.peer_of[slot]),
             slots.row(slot),
-            simulator._edge_cdf[pack.row_start[row] : pack.row_start[row + 1]],
+            simulator._edge_cdf[start : start + degree],
         )
-        for row, slot in enumerate(pack.alive_slots.tolist())
+        for slot, degree, start in zip(
+            rows.alive_slots.tolist(), rows.degrees.tolist(), rows.row_start.tolist()
+        )
     ]
 
 

@@ -155,10 +155,8 @@ class TestOneRepresentation:
         simulator.advance_rounds(5)
         _assert_one_representation(simulator)
         edge_cdf = simulator._edge_cdf
-        assert edge_cdf.size == simulator._slots.pack().edge_dst.size > 0
+        assert edge_cdf.size == simulator._slots.edges.size > 0
         assert edge_cdf.dtype == np.float64
-        _, flat = simulator._routing_pack()
-        assert flat.dtype == np.float64
         result = simulator.finalize()
         assert result.final_wealths.dtype == np.float64
 

@@ -1,18 +1,18 @@
-"""The market router's guess-and-check equals the global search, draw for draw.
+"""The market router's guess-and-check equals a search of each row's own CDF.
 
 :meth:`CreditMarketSimulator._route_credits_vectorized` guesses each
 credit's edge from ``floor(u·d)`` inside its own row, accepts the guess
-when two ``flat`` entries bracket the credit's key, and searches globally
-only for the misses.  These tests compare its income vector byte for byte
-with the global search it replaces — ``np.searchsorted(flat, u + 3r,
-"right")`` clamped to the row's last edge — on draws placed on the
-check's boundaries: ``u = 0``, ``u = 1 − 2⁻⁵³``, ``u = k/d``, and every
-row's own CDF values with their neighbouring doubles.  The overlay has
-degree-1 rows, a hub row of degree ≥ 4096 and an isolated peer ahead of
-the row that owns edge 0, whose guess of edge 0 reads ``flat[-1]`` and
-must fall back to the search.  Each pricing scheme in
-:mod:`repro.core.pricing` is covered, zero-priced sellers (whose CDF
-entries are near-duplicates after the ``1e-12`` clip) included.
+when the row's CDF brackets the credit's draw, and settles the misses
+with a search bounded to the row.  These tests compare its income vector
+byte for byte with an exact per-row search — ``np.searchsorted`` over
+the row's CDF, ``"right"``, clamped to its last edge — on draws placed
+on the check's boundaries: ``u = 0``, ``u = 1 − 2⁻⁵³``, ``u = k/d``, and
+every row's own CDF values with their neighbouring doubles.  The overlay
+has degree-1 rows, a hub row of degree ≥ 4096 and an isolated peer ahead
+of the row whose segment starts the buffer, where a ``j == 0`` guess has
+no entry before it.  Each pricing scheme in :mod:`repro.core.pricing` is
+covered, zero-priced sellers (whose CDF entries are near-duplicates after
+the ``1e-12`` clip) included.
 """
 
 import numpy as np
@@ -26,14 +26,11 @@ from repro.core.pricing import (
     UniformPricing,
 )
 from repro.overlay.topology import OverlayTopology
-from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode
+from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode, market_sim
+from repro.p2psim.market_sim import _search_rows
 
 HUB_DEGREE = 4200
 NUM_PEERS = 2 + HUB_DEGREE + 60
-
-#: The global search, kept before any test wraps ``np.searchsorted``.
-_searchsorted = np.searchsorted
-
 
 def zero_priced_thirds():
     """Flat prices, zero for every third seller and varied elsewhere."""
@@ -77,19 +74,24 @@ def market(pricing):
     return CreditMarketSimulator(config, topology=mixed_overlay())
 
 
-def global_search_income(simulator, pack, flat, spendable, draws):
-    """The oracle: one global search, clamped to the row's last edge."""
-    rows = np.repeat(np.arange(pack.alive_slots.size), spendable)
-    hits = _searchsorted(flat, draws + 3.0 * rows, side="right")
-    hits = np.minimum(hits, pack.row_start[rows + 1] - 1)
-    return np.bincount(pack.edge_dst[hits], minlength=simulator._slots.capacity).astype(float)
+def row_search_income(simulator, rows, spendable, draws):
+    """The oracle: each credit searches its own row's CDF, clamped to its last edge."""
+    cdf, edges = simulator._edge_cdf, simulator._slots.edges
+    hits = []
+    for start, degree, count, offset in zip(
+        rows.row_start, rows.degrees, spendable, np.cumsum(spendable) - spendable
+    ):
+        if count:
+            found = np.searchsorted(cdf[start : start + degree], draws[offset : offset + count], "right")
+            hits.append(start + np.minimum(found, degree - 1))
+    hits = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
+    return np.bincount(edges[hits], minlength=simulator._slots.capacity).astype(float)
 
 
-def boundary_draws(simulator, pack):
+def boundary_draws(simulator, rows):
     """Per-row draws on the guess's boundaries, concatenated in row order."""
     per_row = []
-    for row, degree in enumerate(pack.degrees.tolist()):
-        start = int(pack.row_start[row])
+    for start, degree in zip(rows.row_start.tolist(), rows.degrees.tolist()):
         cdf = simulator._edge_cdf[start : start + degree]
         draws = np.concatenate(
             [
@@ -106,17 +108,21 @@ def boundary_draws(simulator, pack):
 
 
 class SearchSpy:
-    """Stands in for ``np.searchsorted`` and keeps every key it is asked for."""
+    """Stands in for ``market_sim._search_rows`` and keeps every call's misses."""
 
     def __init__(self):
-        self.keys = []
+        self.calls = []
 
-    def __call__(self, a, v, side="left", sorter=None):
-        self.keys.append(np.array(v, dtype=float, copy=True))
-        return _searchsorted(a, v, side=side, sorter=sorter)
+    def __call__(self, cdf, keys, guesses, first, last):
+        found = _search_rows(cdf, keys, guesses.copy(), first, last)
+        self.calls.append((keys.copy(), guesses.copy(), first.copy(), last.copy(), found.copy()))
+        return found
 
-    def searched(self):
-        return np.concatenate(self.keys) if self.keys else np.empty(0)
+    def misses(self):
+        """``(keys, guesses, first, last, found)`` over every call."""
+        if not self.calls:
+            return tuple(np.empty(0) for _ in range(5))
+        return tuple(np.concatenate(column) for column in zip(*self.calls))
 
 
 @pytest.fixture
@@ -125,68 +131,67 @@ def spy_on_search(monkeypatch):
 
     def install():
         spy = SearchSpy()
-        monkeypatch.setattr(np, "searchsorted", spy)
+        monkeypatch.setattr(market_sim, "_search_rows", spy)
         return spy
 
     return install
 
 
-def edge_zero_row(pack):
-    return int(np.flatnonzero(pack.degrees)[0])
+def edge_zero_row(rows):
+    """The row whose segment starts the buffer: its ``j == 0`` guess has no entry before it."""
+    return int(np.flatnonzero(rows.degrees)[0])
 
 
-class TestGuessEqualsGlobalSearch:
+class TestGuessEqualsRowSearch:
     def test_overlay_has_the_rows_the_router_must_handle(self):
-        pack, _ = market(UniformPricing())._routing_pack()
-        assert pack.degrees[0] == 0
-        assert edge_zero_row(pack) == 1
-        assert pack.degrees[1] == HUB_DEGREE >= 4096
-        assert np.count_nonzero(pack.degrees == 1) >= HUB_DEGREE - 60
+        rows = market(UniformPricing())._slots.rows()
+        assert rows.degrees[0] == 0
+        assert edge_zero_row(rows) == 1 and rows.row_start[1] == 0
+        assert rows.degrees[1] == HUB_DEGREE >= 4096
+        assert np.count_nonzero(rows.degrees == 1) >= HUB_DEGREE - 60
 
     @pytest.mark.parametrize("name", sorted(PRICINGS))
-    def test_boundary_draws_route_like_the_global_search(self, name, spy_on_search):
+    def test_boundary_draws_route_like_a_row_search(self, name, spy_on_search):
         simulator = market(PRICINGS[name]())
-        pack, flat = simulator._routing_pack()
-        spendable, draws = boundary_draws(simulator, pack)
-        expected = global_search_income(simulator, pack, flat, spendable, draws)
+        rows = simulator._slots.rows()
+        spendable, draws = boundary_draws(simulator, rows)
+        expected = row_search_income(simulator, rows, spendable, draws)
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(pack, flat, spendable, draws)
+        income = simulator._route_credits_vectorized(rows, spendable, draws)
         assert income.tobytes() == expected.tobytes()
-        # The edge-0 row's u = 0 draw guesses edge 0, reads flat[-1] and
-        # must have gone to the search.
-        assert 3.0 * edge_zero_row(pack) in search_spy.searched()
+        # Every row's u = 0 draw guesses its first edge, which the check
+        # accepts without the entry before it: no u = 0 key is searched,
+        # the edge-0 row's included.
+        keys = search_spy.misses()[0]
+        assert 0.0 in draws and not np.any(keys == 0.0)
 
-    def test_zero_priced_sellers_leave_duplicate_flat_entries(self):
+    def test_zero_priced_sellers_leave_near_duplicate_cdf_entries(self):
+        # A zero-priced seller's share is 1e-12 of the row's mass: its CDF
+        # entry lies within a few ulps of the one before it.
         simulator = market(zero_priced_thirds())
-        pack, flat = simulator._routing_pack()
-        hub = slice(int(pack.row_start[1]), int(pack.row_start[2]))
-        assert np.any(np.diff(flat[hub]) == 0.0)
+        rows = simulator._slots.rows()
+        hub = simulator._edge_cdf[rows.row_start[1] : rows.row_start[1] + rows.degrees[1]]
+        assert np.any(np.diff(hub) <= 2 * np.spacing(hub[1:]))
 
     def test_uniform_prices_are_resolved_by_the_guess(self, spy_on_search):
-        # Random draws on uniform prices miss only where the guess is
-        # edge 0, which lies in the row that owns it.
         simulator = market(UniformPricing())
-        pack, flat = simulator._routing_pack()
+        rows = simulator._slots.rows()
         rng = np.random.default_rng(17)
-        spendable = np.where(pack.degrees > 0, rng.poisson(3.0, pack.degrees.size), 0)
+        spendable = np.where(rows.degrees > 0, rng.poisson(3.0, rows.degrees.size), 0)
         draws = rng.random(int(spendable.sum()))
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(pack, flat, spendable, draws)
-        assert income.tobytes() == global_search_income(simulator, pack, flat, spendable, draws).tobytes()
-        row = edge_zero_row(pack)
-        searched = search_spy.searched()
-        assert np.all((searched >= 3.0 * row) & (searched < 3.0 * row + 1.0))
+        income = simulator._route_credits_vectorized(rows, spendable, draws)
+        assert income.tobytes() == row_search_income(simulator, rows, spendable, draws).tobytes()
+        assert not search_spy.calls
 
-    def test_whole_uniform_run_searches_only_the_edge_zero_row(self, spy_on_search):
+    def test_whole_uniform_run_never_searches(self, spy_on_search):
         simulator = CreditMarketSimulator(
             MarketSimConfig(num_peers=500, horizon=40.0, utilization=UtilizationMode.ASYMMETRIC, seed=9)
         )
         search_spy = spy_on_search()
         simulator.advance_rounds(40)
         assert simulator.total_transfers > 10_000
-        row = edge_zero_row(simulator._slots.pack())
-        searched = search_spy.searched()
-        assert np.all((searched >= 3.0 * row) & (searched < 3.0 * row + 1.0))
+        assert not search_spy.calls
 
     def test_unequal_prices_fall_back_to_the_search(self, spy_on_search):
         # Auction prices spread each row's CDF away from (j + 1) / d, so
@@ -199,14 +204,47 @@ class TestGuessEqualsGlobalSearch:
                 seed=9,
             )
         )
-        pack, flat = simulator._routing_pack()
+        rows = simulator._slots.rows()
         rng = np.random.default_rng(17)
-        spendable = np.where(pack.degrees > 0, 2, 0)
+        spendable = np.where(rows.degrees > 0, 2, 0)
         draws = rng.random(int(spendable.sum()))
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(pack, flat, spendable, draws)
-        assert income.tobytes() == global_search_income(simulator, pack, flat, spendable, draws).tobytes()
-        assert search_spy.searched().size > draws.size // 10
+        income = simulator._route_credits_vectorized(rows, spendable, draws)
+        assert income.tobytes() == row_search_income(simulator, rows, spendable, draws).tobytes()
+        assert search_spy.misses()[0].size > draws.size // 10
+
+    def test_auction_misses_reach_every_clause_of_the_row_search(self, spy_on_search):
+        # Boundary draws under auction prices miss towards both ends of
+        # their rows and, on the hub row, far from the guess.  Each miss
+        # must settle where the row's own search does.
+        simulator = market(AuctionPricing(seed=11))
+        rows = simulator._slots.rows()
+        spendable, draws = boundary_draws(simulator, rows)
+        search_spy = spy_on_search()
+        income = simulator._route_credits_vectorized(rows, spendable, draws)
+        assert income.tobytes() == row_search_income(simulator, rows, spendable, draws).tobytes()
+        keys, guesses, first, last, found = search_spy.misses()
+        cdf = simulator._edge_cdf
+        for key, lo, hi, edge in zip(keys, first, last, found):
+            expected = lo + min(int(np.searchsorted(cdf[lo : hi + 1], key, "right")), hi - lo)
+            assert edge == expected
+        left, right = found < guesses, found > guesses
+        assert np.any(left & (found == first)) and np.any(right & (found == last))
+        assert np.any(left & (guesses - found > 1)) and np.any(right & (found - guesses > 1))
+        assert np.any(left & (guesses - found == 1)) and np.any(right & (found - guesses == 1))
+
+
+def test_search_clamps_onto_the_row_s_last_edge():
+    # Routing CDFs end at exactly 1.0, above every draw; on a row whose
+    # CDF ends lower, a key past its end settles on the last edge, as
+    # the row's clamped searchsorted does.
+    cdf = np.array([0.5, 1.0, 0.25, 0.5, 0.75, 0.9])
+    keys = np.array([0.95, 0.95, 0.6, 0.1])
+    guesses = np.array([5, 4, 3, 4])
+    first, last = np.full(4, 2), np.full(4, 5)
+    found = _search_rows(cdf, keys, guesses, first, last)
+    expected = [2 + min(int(np.searchsorted(cdf[2:], key, "right")), 3) for key in keys]
+    assert found.tolist() == expected == [5, 5, 4, 2]
 
 
 def test_largest_draw_guesses_inside_every_row_up_to_degree_1e5():

@@ -440,7 +440,7 @@ class TestOrphanRepair:
 
 def test_churned_market_keeps_the_edge_buffer_bounded():
     # Twenty population turnovers append about twenty times the live
-    # entries; only compaction keeps the buffer near the live size.
+    # entries; only compaction keeps the buffers near the live size.
     config = MarketSimConfig(
         num_peers=200,
         initial_credits=10.0,
@@ -451,8 +451,10 @@ def test_churned_market_keeps_the_edge_buffer_bounded():
         churn=ChurnConfig.for_population(200, mean_lifespan=20.0),
     )
     sim = CreditMarketSimulator(config)
-    topology = sim.topology
+    topology, slots = sim.topology, sim._slots
     for _ in range(sim.total_rounds()):
         sim.advance_rounds(1)
         assert topology._edges.size <= 8 * 2 * topology.num_edges
+        # The store's row segments are compacted the same way.
+        assert slots.edges.size == sim._edge_cdf.size <= 8 * int(slots.rows().degrees.sum())
     assert sim.joins > 10 * config.num_peers

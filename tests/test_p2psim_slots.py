@@ -60,6 +60,10 @@ class TestAdmitEvict:
         assert slots.row(1).tolist() == [0, 2]
         slots.evict([1])
         assert slots.row(1).size == 0
+        # The pack leaves the evicted row's entries out even before any
+        # refresh has rewritten its neighbours' rows.
+        assert slots.pack().alive_slots.tolist() == [0, 2, 3]
+        assert slots.pack().edge_dst.tolist() == [1, 1, 3, 2]
 
     def test_unknown_and_negative_ids_have_no_slot(self):
         slots = PeerSlots(path_topology(3))

@@ -1,10 +1,12 @@
-"""The patched slot pack and routing CDFs against a from-scratch, per-row rebuild.
+"""The store's row segments and routing CDFs against a from-scratch, per-row rebuild.
 
-A churn round re-derives only the rows it touched and splices them into
-the store's CSR pack, and the market fills only their stretch of the
-edge-aligned routing CDF.  After every round the result must equal what
-rebuilding every row on its own would give: ``np.sort`` of its
-neighbours' slots and a per-row ``cumsum`` of its price shares.
+A churn round re-derives only the rows it touched and writes them to
+their segments of the store's buffer, and the market fills only their
+segments of the buffer-aligned routing CDF.  After every round each
+alive slot's segment must equal what rebuilding its row on its own would
+give: ``np.sort`` of its neighbours' slots and a per-row ``cumsum`` of
+its price shares.  The CSR pack read from the segments must equal the
+rebuilt rows laid end to end.
 """
 
 import copy
@@ -32,55 +34,54 @@ def reference_row_cdf(prices):
     return cdf
 
 
-def rebuilt_state(sim):
-    """The pack (and, for a market, ``edge_cdf`` and ``flat``) built row by row."""
+def rebuilt_rows(sim):
+    """Every alive slot's row (and, for a market, its routing CDF) built on its own."""
     slots = sim._slots
     alive_slots = np.flatnonzero(slots.alive)
     neighbors = [sim.topology.neighbors(int(slots.peer_of[slot])) for slot in alive_slots]
     rows = [np.sort(slots.slot_of[np.array(ids, dtype=np.int64)]) for ids in neighbors]
-    degrees = np.array([row.size for row in rows], dtype=np.int64)
-    state = {
-        "alive_slots": alive_slots,
-        "degrees": degrees,
-        "row_start": np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
-        "edge_dst": np.concatenate(rows).astype(np.int64),
-    }
+    cdfs = [None] * len(rows)
     if isinstance(sim, CreditMarketSimulator):
         # A copy, so the reference can never draw a price the run has not.
         pricing = copy.deepcopy(sim.config.pricing)
         cdfs = [
             reference_row_cdf(pricing.price_array(slots.peer_of[row].tolist(), 0))
-            for row in rows
             if row.size
+            else np.empty(0)
+            for row in rows
         ]
-        state["edge_cdf"] = np.concatenate(cdfs) if cdfs else np.empty(0)
-        state["flat"] = state["edge_cdf"] + 3.0 * np.repeat(
-            np.arange(alive_slots.size, dtype=np.float64), degrees
-        )
-    return state
-
-
-def patched_state(sim):
-    pack = sim._slots.pack()
-    fields = ("alive_slots", "degrees", "row_start", "edge_dst")
-    state = {name: getattr(pack, name) for name in fields}
-    if isinstance(sim, CreditMarketSimulator):
-        state["edge_cdf"] = sim._edge_cdf
-        state["flat"] = sim._routing_pack()[1]
-    return state
+    return alive_slots, rows, cdfs
 
 
 def assert_matches_rebuild(sim):
-    expected = rebuilt_state(sim)
-    actual = patched_state(sim)
-    assert sorted(actual) == sorted(expected)
+    """Each segment, its CDF and the CSR pack equal the per-row rebuild."""
+    slots = sim._slots
+    alive_slots, rows, cdfs = rebuilt_rows(sim)
+    start, degree, room = (slots.arrays[name][alive_slots] for name in ("start", "degree", "room"))
+    # Segments, with their room, lie inside the buffer's used part and
+    # never overlap.
+    assert np.all(degree <= room) and np.all(start + room <= slots._end)
+    assert slots._end <= slots.edges.size
+    ranked = np.argsort(start)
+    order = ranked[room[ranked] > 0]
+    assert np.all((start + room)[order][:-1] <= start[order][1:])
+    for slot, first, row, cdf in zip(alive_slots.tolist(), start.tolist(), rows, cdfs):
+        segment = slice(first, first + row.size)
+        assert slots.edges[segment].tobytes() == row.tobytes()
+        assert slots.row(slot).tobytes() == row.tobytes()
+        if cdf is not None:
+            assert sim._edge_cdf[segment].tobytes() == cdf.tobytes()
+    degrees = np.array([row.size for row in rows], dtype=np.int64)
+    expected = {
+        "alive_slots": alive_slots,
+        "degrees": degrees,
+        "row_start": np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
+        "edge_dst": np.concatenate(rows).astype(np.int64),
+    }
+    pack = slots.pack()
     for name, array in expected.items():
-        assert actual[name].dtype == array.dtype, name
-        assert actual[name].tobytes() == array.tobytes(), name
-    # `row(slot)` is a slice of the same pack.
-    for row, slot in enumerate(expected["alive_slots"].tolist()):
-        start, end = expected["row_start"][row], expected["row_start"][row + 1]
-        assert sim._slots.row(slot).tolist() == expected["edge_dst"][start:end].tolist()
+        assert getattr(pack, name).dtype == array.dtype, name
+        assert getattr(pack, name).tobytes() == array.tobytes(), name
 
 
 def market(seed, **overrides):
