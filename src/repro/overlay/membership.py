@@ -10,7 +10,7 @@ shape of the overlay is preserved under churn.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,47 +29,24 @@ class Departure(NamedTuple):
     repairs: List[Tuple[int, int]]
 
 
-def _weighted_positions(
-    rng: np.random.Generator, weights: np.ndarray, total: int, skip: int, count: int
-) -> np.ndarray:
-    """Positions ``rng.choice(weights.size, count, replace=False, p=weights / total)`` draws.
-
-    A copy of that call's algorithm, draw for draw: each round draws
-    one uniform per missing pick, zeroes the weight of every pick so
-    far, inverts the normalised prefix sums and keeps the first
-    occurrence of each new position, in draw order.  Position ``skip``
-    (ignored when negative) gets weight 0 and ``total`` must exclude it:
-    a zero leaves every prefix sum bit-identical and can never be drawn,
-    so the picks equal those of ``choice`` over the other positions.
-    """
-    p = weights / total
-    if skip >= 0:
-        p[skip] = 0.0
-    found: List[int] = []
-    while len(found) < count:
-        uniforms = rng.random(count - len(found))
-        if found:
-            p[found] = 0.0
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        found.extend(dict.fromkeys(cdf.searchsorted(uniforms, side="right").tolist()))
-    return np.array(found, dtype=np.int64)
-
-
 class MembershipTracker:
     """Bootstrap service that attaches joining peers to an overlay.
 
-    The tracker keeps the current peers' ascending ids, their
-    ``degree + 1`` weights and the integer total of those weights, in
-    buffers built from the topology's arrays on the first draw.  A join
-    whose id is the largest patches them in O(degree): the joiner is
-    appended, and each neighbour's weight grows by one.  Every other edit
-    (a departure, a repair, an explicit id below the maximum, or an edit
-    made to the overlay by other code) moves the topology's
-    ``mutations`` counter past the one the buffers were synced at, and
-    the next draw rebuilds them with one scan.  Selection therefore
-    always sees the current overlay, never walks the population in
-    Python, and costs one prefix sum per join.
+    Neighbours are drawn from two integer tables.  The base table holds
+    the ascending ids of the peers alive at the first draw after an edit
+    and the prefix sums of their ``degree + 1`` weights: one
+    ``peer_degrees()`` scan and one ``cumsum`` build it.  The increment
+    table lists, with its own prefix sums, the weight each later join
+    added: the joiner's own 1, and one for each end of every edge it
+    made.  A peer's ``degree + 1`` is its base weight plus its
+    increments, so a uniform integer below the tables' total, resolved
+    by ``searchsorted`` in the table it falls in, picks each peer in
+    proportion to ``degree + 1``.  Any other edit (a departure, a
+    repair, or an edit made to the overlay by other code) moves the
+    topology's ``mutations`` counter past the one the tables were
+    synced at, and the next draw rebuilds them: under churn, once per
+    round, after the departures.  Nothing is built before the first
+    draw.
 
     Parameters
     ----------
@@ -97,11 +74,12 @@ class MembershipTracker:
         self._next_peer_id = int(ids[-1]) + 1 if ids.size else 0
         self.joins = 0
         self.leaves = 0
-        # The first ``_size`` entries hold the kept ids and weights; the
-        # topology's ``mutations`` count they reflect is ``_synced_at``.
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._weights = np.zeros(0)
-        self._size = 0
+        # The base table, the first `_added` entries of the increment
+        # table, the total weight of both, and the topology's `mutations`
+        # count they reflect.
+        self._base_ids = self._base_cum = np.zeros(0, dtype=np.int64)
+        self._added_ids = self._added_cum = np.zeros(0, dtype=np.int64)
+        self._added = 0
         self._total = 0
         self._synced_at = -1
 
@@ -120,65 +98,68 @@ class MembershipTracker:
     def select_neighbors(self, exclude: int, count: Optional[int] = None) -> List[int]:
         """Pick up to ``count`` neighbour candidates for a joining peer.
 
-        Candidates never include ``exclude`` and are distinct.  They are
-        drawn without replacement with probability proportional to
-        ``degree + 1`` — preferential attachment, which keeps the overlay
-        scale-free under churn — exactly as ``Generator.choice`` draws
-        them from the other peers.  Returns an empty list when the
-        overlay is empty.
+        Candidates never include ``exclude`` and are distinct, listed in
+        the order they were drawn.  Each draw picks a peer with
+        probability proportional to ``degree + 1`` — preferential
+        attachment, which keeps the overlay scale-free under churn — and
+        a draw that hits ``exclude`` or an earlier pick is drawn again,
+        so the picks are successive sampling without replacement, the law
+        ``Generator.choice(replace=False, p)`` draws from.  Returns an
+        empty list when no other peer is in the overlay.
         """
         count = self.target_degree if count is None else int(count)
-        if not self._in_sync():
-            self._rebuild()
-        ids, weights = self._ids[: self._size], self._weights[: self._size]
-        skip = int(np.searchsorted(ids, exclude))
-        total = self._total
-        if skip < ids.size and ids[skip] == exclude:
-            total -= int(weights[skip])
-        else:
-            skip = -1
-        count = min(count, ids.size - (skip >= 0))
+        count = min(count, self.topology.num_peers - self.topology.has_peer(exclude))
         if count <= 0:
             return []
-        positions = _weighted_positions(self._rng, weights, total, skip, count)
-        return ids[positions].tolist()
+        if self._synced_at != self.topology.mutations:
+            self._rebuild()
+        picks: Dict[int, None] = {}
+        while len(picks) < count:
+            draws = self._rng.integers(self._total, size=count - len(picks))
+            picks.update(dict.fromkeys(self._peers_at(draws).tolist()))
+            picks.pop(exclude, None)
+        return list(picks)
 
-    # ------------------------------------------------------------------ kept weights
-
-    def _in_sync(self) -> bool:
-        return self._synced_at == self.topology.mutations
+    # ------------------------------------------------------------------ weight tables
 
     def _rebuild(self) -> None:
-        """Refill the kept ids and weights from the topology's arrays."""
+        """Refill the base table from the topology and empty the increments."""
         ids, degrees = self.topology.peer_degrees()
-        if ids.size > self._ids.size:
-            self._ids = np.empty(2 * ids.size, dtype=np.int64)
-            self._weights = np.empty(2 * ids.size)
-        self._size = ids.size
-        self._ids[: ids.size] = ids
-        np.add(degrees, 1.0, out=self._weights[: ids.size])
-        self._total = int(degrees.sum()) + ids.size
+        degrees += 1
+        self._base_ids, self._base_cum = ids, np.cumsum(degrees)
+        self._added = 0
+        self._total = int(self._base_cum[-1])
         self._synced_at = self.topology.mutations
 
-    def _append(self, peer_id: int) -> None:
-        """Keep a new isolated peer whose id is larger than every kept id."""
-        if self._size == self._ids.size:
-            capacity = max(2 * self._size, 16)
-            self._ids = np.resize(self._ids, capacity)
-            self._weights = np.resize(self._weights, capacity)
-        self._ids[self._size] = peer_id
-        self._weights[self._size] = 1.0
-        self._size += 1
-        self._total += 1
+    def _add(self, peer_id: int, neighbors: List[int], own: int) -> None:
+        """Record a join's weight: ``own`` for ``peer_id`` and one for each neighbour.
+
+        The tables are current again afterwards.
+        """
+        used, size = self._added, len(neighbors) + 1
+        if used + size > self._added_ids.size:
+            capacity = max(2 * self._added_ids.size, used + size, 64)
+            self._added_ids = np.resize(self._added_ids, capacity)
+            self._added_cum = np.resize(self._added_cum, capacity)
+        self._added_ids[used] = peer_id
+        self._added_ids[used + 1 : used + size] = neighbors
+        first = self._total + own
+        self._added_cum[used : used + size] = np.arange(first, first + size)
+        self._total = first + size - 1
+        self._added += size
         self._synced_at = self.topology.mutations
 
-    def _wire(self, peer_id: int, neighbors: List[int]) -> None:
-        """Patch in the edges one ``connect`` just added from ``peer_id``."""
-        ids = self._ids[: self._size]
-        self._weights[np.searchsorted(ids, neighbors)] += 1.0
-        self._weights[np.searchsorted(ids, peer_id)] += len(neighbors)
-        self._total += 2 * len(neighbors)
-        self._synced_at = self.topology.mutations
+    def _peers_at(self, draws: np.ndarray) -> np.ndarray:
+        """The peer owning each weight unit in ``draws``: base table first, then increments."""
+        rows = self._base_cum.searchsorted(draws, side="right")
+        late = rows == self._base_ids.size
+        if not late.any():
+            return self._base_ids[rows]
+        peers = np.empty_like(draws)
+        peers[~late] = self._base_ids[rows[~late]]
+        added_cum = self._added_cum[: self._added]
+        peers[late] = self._added_ids[added_cum.searchsorted(draws[late], side="right")]
+        return peers
 
     # ------------------------------------------------------------------ mutation
 
@@ -194,17 +175,17 @@ class MembershipTracker:
             self._next_peer_id = max(self._next_peer_id, peer_id + 1)
         if self.topology.has_peer(peer_id):
             raise ValueError(f"peer {peer_id} is already in the overlay")
-        appendable = self._in_sync() and (
-            self._size == 0 or peer_id > self._ids[self._size - 1]
-        )
+        stale = self._synced_at != self.topology.mutations
         self.topology.add_peer(peer_id)
-        if appendable:
-            self._append(peer_id)
+        if not stale:
+            # The joiner, excluded from its own draw, is recorded with its edges.
+            self._synced_at = self.topology.mutations
         neighbors = self.select_neighbors(exclude=peer_id, count=degree)
-        patchable = self._in_sync()
+        # A rebuild at the draw already counted the joiner's own 1.
+        current = self._synced_at == self.topology.mutations
         self.topology.connect(peer_id, neighbors)
-        if patchable:
-            self._wire(peer_id, neighbors)
+        if current:
+            self._add(peer_id, neighbors, own=len(neighbors) + (not stale))
         self.joins += 1
         return peer_id
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -307,15 +307,19 @@ class CreditMarketSimulator(SlotSimulator):
         :func:`routing_cdfs` fills their segments of ``_edge_cdf``.
         """
         store = self._slots
-        slots = store.refresh_rows(peer_ids)
-        start, degree = store.arrays["start"], store.arrays["degree"]
+        slots, positions = store.refresh_rows(peer_ids)
+        degree = store.arrays["degree"][slots]
+        ends = np.cumsum(degree)
         # Blocks of rows bound the transient arrays of a start-up batch.
         for lo in range(0, slots.size, _ROW_BLOCK):
-            block = slots[lo : lo + _ROW_BLOCK]
-            edges = segments(start[block], degree[block])
+            hi = min(lo + _ROW_BLOCK, slots.size)
+            first, last = ends[lo] - degree[lo], ends[hi - 1]
+            edges: Union[slice, np.ndarray] = (
+                slice(first, last) if positions is None else positions[first:last]
+            )
             neighbor_ids = store.peer_of[store.edges[edges]]
             prices = np.asarray(self.config.pricing.price_array(neighbor_ids, 0), dtype=float)
-            self._edge_cdf[edges] = routing_cdfs(prices, degree[block])
+            self._edge_cdf[edges] = routing_cdfs(prices, degree[lo:hi])
 
     # ------------------------------------------------------------------ churn
 

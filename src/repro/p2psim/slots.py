@@ -36,7 +36,7 @@ counters) and call the simulator's own ``_evict(peer_ids)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -196,22 +196,27 @@ class PeerSlots:
         self._free = np.concatenate([np.arange(2 * old - 1, old - 1, -1), self._free])
         self.capacity = 2 * old
 
-    def refresh_rows(self, peer_ids: Sequence[int]) -> np.ndarray:
-        """Re-derive the rows of ``peer_ids`` (once each); return their slots, in order.
+    def refresh_rows(self, peer_ids: Sequence[int]) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Re-derive the rows of ``peer_ids`` (once each).
 
-        Peers without a slot are skipped; every overlay neighbour of the
-        others must have one.  All rows are read in one pass and ordered
-        by one sort of their ``(row, slot)`` keys.  A row that fits its
-        room is rewritten in place, the others move to the buffer's end
-        with room for twice their degree, and once the end is reached
-        every row is laid out anew (:meth:`_compact`).  The rows' entries
-        of every :attr:`edge_arrays` array are left for the caller to fill.
+        Returns their slots, in order, and the buffer positions their
+        rows were written to, row after row, or None when they were
+        written back to back from entry 0, as at set-up, where the
+        positions are a range.  Peers without a slot are skipped; every
+        overlay neighbour of the others must have one.
+
+        All rows are read in one pass and ordered by one sort of their
+        ``(row, slot)`` keys.  A row that fits its room is rewritten in
+        place, the others move to the buffer's end with room for twice
+        their degree, and once the end is reached every row is laid out
+        anew (:meth:`_compact`).  The rows' entries of every
+        :attr:`edge_arrays` array are left for the caller to fill.
         """
         ids = np.asarray(peer_ids, dtype=np.int64)
         slots = self._slots_of(ids)
         ids, slots = ids[slots >= 0], slots[slots >= 0]
         if not ids.size:
-            return _EMPTY_ROW
+            return _EMPTY_ROW, _EMPTY_ROW
         degrees, keys = self.topology.neighbor_rows(ids)
         keys = self._slots_of(keys)
         if keys.size and keys.min() < 0:
@@ -227,19 +232,24 @@ class PeerSlots:
         moving = degrees > room[slots]
         moved = np.maximum(2 * degrees[moving], 4)
         if self._end + int(moved.sum()) > self.edges.size:
-            self._compact(slots, degrees, fresh)
-            return slots
+            return slots, self._compact(slots, degrees, fresh)
         starts = start[slots]
         starts[moving] = self._end + np.cumsum(moved) - moved
         self._end += int(moved.sum())
         self._packed &= not moving.any() and np.array_equal(degree[slots], degrees)
         start[slots], degree[slots] = starts, degrees
         room[slots[moving]] = moved
-        self.edges[segments(starts, degrees)] = fresh
-        return slots
+        positions = segments(starts, degrees)
+        self.edges[positions] = fresh
+        return slots, positions
 
-    def _compact(self, slots: np.ndarray, degrees: np.ndarray, fresh: np.ndarray) -> None:
+    def _compact(
+        self, slots: np.ndarray, degrees: np.ndarray, fresh: np.ndarray
+    ) -> Optional[np.ndarray]:
         """Lay every alive row out back to back in slot order, ``slots`` with ``fresh``.
+
+        Returns the positions ``fresh`` was written to, as
+        :meth:`refresh_rows` does.
 
         The other rows, and their entries of every edge array, are carried
         over.  The first layout is exact, so a static overlay keeps no
@@ -265,16 +275,18 @@ class PeerSlots:
         target = segments(start[kept], degree[kept])
         if size == live and np.array_equal(slots, alive_slots):
             # Every row is fresh and in slot order (set-up): the layout itself.
-            edges = fresh
+            edges, positions = fresh, None
         else:
             edges = np.zeros(size, dtype=np.int64)
             edges[target] = self.edges[source]
-            edges[segments(start[slots], degrees)] = fresh
+            positions = segments(start[slots], degrees)
+            edges[positions] = fresh
         for name, values in self.edge_arrays.items():
             carried = np.zeros(size, dtype=values.dtype)
             carried[target] = values[source]
             self.edge_arrays[name] = carried
         self.edges, self._end, self._packed = edges, live, True
+        return positions
 
     def row(self, slot: int) -> np.ndarray:
         """The neighbour slots of ``slot``, ascending (a view into the buffer)."""

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.overlay import ChurnConfig, MembershipTracker, scale_free_topology
-from repro.overlay.membership import _weighted_positions
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim import (
     CreditMarketSimulator,
@@ -77,21 +76,11 @@ class TestMembershipTracker:
         assert tracker.population() == 3
 
 
-def _list_select_neighbors(tracker, exclude, count=None):
-    """The list-based selection the array tracker replaced, kept as an oracle."""
-    count = tracker.target_degree if count is None else int(count)
-    candidates = [peer for peer in tracker.topology.peers() if peer != exclude]
-    if not candidates or count <= 0:
-        return []
-    count = min(count, len(candidates))
-    weights = np.array([tracker.topology.degree(peer) + 1.0 for peer in candidates])
-    weights /= weights.sum()
-    chosen = tracker._rng.choice(candidates, size=count, replace=False, p=weights)
-    return [int(peer) for peer in chosen]
-
-
 def _churn_tracker(tracker, steps, seed):
-    """Random joins and leaves; sparse overlays make leaves repair orphans."""
+    """Random joins and leaves; sparse overlays make leaves repair orphans.
+
+    After every join the weight tables must match a scan.
+    """
     rng = np.random.default_rng(seed)
     repairs = 0
     for _ in range(steps):
@@ -101,108 +90,27 @@ def _churn_tracker(tracker, steps, seed):
             repairs += len(departure.repairs)
         else:
             tracker.join(degree=int(rng.integers(1, 4)))
+            _assert_tables_match_a_scan(tracker)
     return repairs
 
 
-def _assert_kept_weights_match_a_scan(tracker):
-    ids, degrees = tracker.topology.peer_degrees()
-    assert tracker._ids[: tracker._size].tolist() == ids.tolist()
-    assert tracker._weights[: tracker._size].tolist() == (degrees + 1.0).tolist()
-    assert tracker._total == int(degrees.sum()) + ids.size
+def _assert_tables_match_a_scan(tracker):
+    """The tracker's tables are current and weigh every peer at ``degree + 1``."""
+    topology = tracker.topology
+    assert tracker._synced_at == topology.mutations
+    base_cum, added_cum = tracker._base_cum, tracker._added_cum[: tracker._added]
+    base_total = int(base_cum[-1]) if base_cum.size else 0
+    owners = np.concatenate([tracker._base_ids, tracker._added_ids[: tracker._added]])
+    units = np.concatenate([np.diff(base_cum, prepend=0), np.diff(added_cum, prepend=base_total)])
+    assert (units >= 0).all()
+    weights = np.bincount(owners, weights=units, minlength=topology._alive.size)
+    ids, degrees = topology.peer_degrees()
+    assert weights[ids].tolist() == (degrees + 1).tolist()
+    assert weights.sum() == weights[ids].sum() == tracker._total
 
 
-def _assert_selection_matches_the_oracle(tracker, exclude):
-    peers = tracker.topology.peers()
-    for trial in range(20):
-        if exclude == "present":
-            excluded = peers[(7 * trial) % len(peers)]
-        else:
-            excluded = tracker.allocate_peer_id()
-        count = 1 + trial % 7
-        state = tracker._rng.bit_generator.state
-        expected = _list_select_neighbors(tracker, excluded, count)
-        tracker._rng.bit_generator.state = state
-        assert tracker.select_neighbors(excluded, count) == expected
-        _assert_kept_weights_match_a_scan(tracker)
-
-
-class TestTrackerSelection:
-    """The tracker reads ids and degrees from the overlay; the list oracle pins its draws."""
-
-    @pytest.mark.parametrize("exclude", ["present", "absent"])
-    def test_matches_the_list_oracle_through_churn(self, exclude):
-        topology = scale_free_topology(40, mean_degree=2.0, seed=8)
-        tracker = MembershipTracker(topology, target_degree=2, seed=9)
-        repairs = 0
-        for step in range(4):
-            repairs += _churn_tracker(tracker, steps=50, seed=step)
-            _assert_selection_matches_the_oracle(tracker, exclude)
-        assert repairs > 0, "expected some leaves to repair orphans"
-        # Reuse an id below the maximum in the now gapped id space, and
-        # edit the overlay behind the tracker's back.
-        if topology.has_peer(1):
-            tracker.leave(1)
-        assert tracker.join(peer_id=1) == 1
-        assert topology.peers()[-1] > topology.num_peers
-        hub = max(topology.peers(), key=topology.degree)
-        topology.remove_edge(hub, topology.neighbors(hub)[0])
-        _assert_selection_matches_the_oracle(tracker, exclude)
-
-    def test_explicit_ids_below_the_maximum(self):
-        topology = OverlayTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        topology.remove_peer(1)
-        topology.add_edge(0, 2)
-        tracker = MembershipTracker(topology, target_degree=2, seed=1)
-        tracker.join(peer_id=1)
-        assert topology.peers() == [0, 1, 2, 3]
-        assert topology.degree(1) == 2
-        _assert_selection_matches_the_oracle(tracker, "present")
-
-    @pytest.mark.parametrize("exclude", ["present", "absent"])
-    def test_select_neighbors_matches_the_list_oracle(self, exclude):
-        topology = scale_free_topology(60, mean_degree=4.0, seed=3)
-        tracker = MembershipTracker(topology, target_degree=5, seed=4)
-        _churn_tracker(tracker, steps=40, seed=5)
-        _assert_selection_matches_the_oracle(tracker, exclude)
-
-
-def _hub_weights(size, seed):
-    """``degree + 1`` weights of a sparse overlay with a few hundred-edge hubs."""
-    rng = np.random.default_rng(seed)
-    weights = rng.integers(1, 5, size).astype(float)
-    weights[rng.choice(size, 3, replace=False)] = rng.integers(100, 900, 3)
-    return weights
-
-
-@pytest.mark.parametrize("where", ["first", "middle", "last", "absent"])
-def test_sampler_draws_what_generator_choice_draws(where):
-    """The tracker's sampler against the live ``Generator.choice``.
-
-    Excluding a position by giving it weight 0 must pick what ``choice``
-    picks among the other positions and leave the generator in the same
-    state, for every count up to the whole population, which takes many
-    redraw rounds once the hubs are picked.  The golden digests pin the
-    tracker's own draws; if this fails after a numpy upgrade while they
-    hold, numpy's ``choice`` changed, not the tracker.
-    """
-    size = 40
-    for seed in range(5):
-        weights = _hub_weights(size, seed)
-        skip = {"first": 0, "middle": size // 2, "last": size - 1, "absent": -1}[where]
-        others = np.flatnonzero(np.arange(size) != skip)
-        total = int(weights[others].sum())
-        for count in range(1, others.size + 1):
-            expected_rng = np.random.default_rng([seed, count])
-            actual_rng = np.random.default_rng([seed, count])
-            p = weights[others] / weights[others].sum()
-            expected = others[expected_rng.choice(others.size, count, replace=False, p=p)]
-            actual = _weighted_positions(actual_rng, weights, total, skip, count)
-            assert actual.tolist() == expected.tolist()
-            assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
-
-
-class TestKeptWeights:
-    """Joins patch the tracker's weights; any other edit costs one rebuild."""
+class TestWeightTables:
+    """Joins add to the tracker's tables; any other edit costs one rebuild."""
 
     @staticmethod
     def _count_scans(monkeypatch):
@@ -216,56 +124,70 @@ class TestKeptWeights:
         monkeypatch.setattr(OverlayTopology, "peer_degrees", counted)
         return scans
 
-    @staticmethod
-    def _checked_join(tracker):
-        """Join one peer and check its picks against the list oracle."""
-        state = tracker._rng.bit_generator.state
-        expected = _list_select_neighbors(tracker, tracker._next_peer_id)
-        tracker._rng.bit_generator.state = state
-        picks = []
-        select = MembershipTracker.select_neighbors
+    def test_tables_match_a_scan_through_churn(self):
+        topology = scale_free_topology(40, mean_degree=2.0, seed=8)
+        tracker = MembershipTracker(topology, target_degree=2, seed=9)
+        repairs = _churn_tracker(tracker, steps=200, seed=1)
+        assert repairs > 0, "expected some leaves to repair orphans"
+        # Reuse an id below the maximum in the now gapped id space, and
+        # edit the overlay behind the tracker's back.
+        if topology.has_peer(1):
+            tracker.leave(1)
+        assert tracker.join(peer_id=1) == 1
+        assert topology.peers()[-1] > topology.num_peers
+        _assert_tables_match_a_scan(tracker)
+        hub = max(topology.peers(), key=topology.degree)
+        topology.remove_edge(hub, topology.neighbors(hub)[0])
+        tracker.join()
+        _assert_tables_match_a_scan(tracker)
 
-        def recording(exclude, count=None):
-            picks.append(select(tracker, exclude, count))
-            return picks[-1]
+    def test_explicit_ids_below_the_maximum(self):
+        topology = OverlayTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        topology.remove_peer(1)
+        topology.add_edge(0, 2)
+        tracker = MembershipTracker(topology, target_degree=2, seed=1)
+        tracker.join(peer_id=1)
+        assert topology.peers() == [0, 1, 2, 3]
+        assert topology.degree(1) == 2
+        _assert_tables_match_a_scan(tracker)
 
-        tracker.select_neighbors = recording
-        try:
-            tracker.join()
-        finally:
-            del tracker.select_neighbors
-        assert picks == [expected]
+    def test_joins_onto_a_lone_peer_draw_from_the_increments(self):
+        topology = OverlayTopology([5])
+        tracker = MembershipTracker(topology, target_degree=3, seed=2)
+        for degree in (1, 2, 3, 3, 3):
+            assert topology.degree(tracker.join()) == degree
+            _assert_tables_match_a_scan(tracker)
+        assert tracker._base_ids.tolist() == [5, 6]
 
     def test_consecutive_joins_rebuild_at_most_once(self, monkeypatch):
         topology = scale_free_topology(200, mean_degree=4.0, seed=2)
         tracker = MembershipTracker(topology, target_degree=4, seed=3)
         scans = self._count_scans(monkeypatch)
         for _ in range(40):
-            self._checked_join(tracker)
-        assert len(scans) <= 1
-        _assert_kept_weights_match_a_scan(tracker)
+            tracker.join()
+        assert len(scans) == 1
+        _assert_tables_match_a_scan(tracker)
 
     def test_an_outside_edit_costs_exactly_one_rebuild(self, monkeypatch):
         topology = scale_free_topology(200, mean_degree=4.0, seed=2)
         tracker = MembershipTracker(topology, target_degree=4, seed=3)
-        self._checked_join(tracker)
+        tracker.join()
         scans = self._count_scans(monkeypatch)
         hub = int(np.argmax(topology._degree))
         topology.remove_edge(hub, topology.neighbors(hub)[0])
-        self._checked_join(tracker)
+        tracker.join()
         assert len(scans) == 1
-        self._checked_join(tracker)
+        tracker.join()
         assert len(scans) == 1
-        _assert_kept_weights_match_a_scan(tracker)
+        _assert_tables_match_a_scan(tracker)
 
     def test_pickled_between_joins_continues_the_same(self):
         topology = scale_free_topology(150, mean_degree=4.0, seed=5)
         tracker = MembershipTracker(topology, target_degree=4, seed=6)
         for _ in range(10):
             tracker.join()
-        assert tracker._in_sync()
         clone = pickle.loads(pickle.dumps(tracker))
-        assert clone._in_sync()
+        _assert_tables_match_a_scan(clone)
         for _ in range(20):
             assert tracker.join() == clone.join()
         peers = topology.peers()

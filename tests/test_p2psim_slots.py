@@ -71,7 +71,8 @@ class TestAdmitEvict:
         assert slots.slot(-1) == -1
         assert slots.slot(10**6) == -1
         # A peer without a slot is skipped: it gets no row.
-        assert slots.refresh_rows([10**6, -1]).size == 0
+        refreshed, positions = slots.refresh_rows([10**6, -1])
+        assert refreshed.size == positions.size == 0
 
     def test_refresh_requires_every_neighbour_admitted(self):
         slots = PeerSlots(path_topology(3))
