@@ -1,10 +1,13 @@
 """Benchmark: spending-kernel step throughput, loop vs vectorized.
 
-Times ``CreditMarketSimulator.advance_rounds`` (construction excluded)
-for the per-spender **loop** kernel — the pre-vectorization hot path —
-and the batched **vectorized** kernel at several populations, verifies
-the two produce bit-identical end states, and records the numbers to
-``BENCH_simkernel.json`` at the repo root.
+Times ``advance_rounds`` (construction excluded) for the per-spender
+**loop** oracle — the pre-vectorization hot path, run by
+``LoopCreditMarketSimulator`` from ``tests/kernel_oracles.py`` — and the
+batched **vectorized** kernel of ``CreditMarketSimulator`` at several
+populations, verifies the two produce bit-identical end states, and
+records the numbers to ``BENCH_simkernel.json`` at the repo root.  It is
+a pytest module: run it with ``python -m pytest
+benchmarks/bench_simkernel.py``.
 
 Two profiles share one recording format:
 
@@ -39,15 +42,21 @@ import contextlib
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.obs import MemorySink, MetricsEmitter, use_emitter
-from repro.p2psim import CreditMarketSimulator, KernelOptions, MarketSimConfig, UtilizationMode
+from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_simkernel.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+OUTPUT_PATH = REPO_ROOT / "BENCH_simkernel.json"
+
+# The loop oracle lives with the tests.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from kernel_oracles import MARKET_KERNELS  # noqa: E402
 
 #: (num_peers, simulated rounds) per profile.  Rounds shrink with the
 #: population so every measurement stays in wall-clock seconds.  The smoke
@@ -81,7 +90,7 @@ REPEATS = {"loop": 1, "vectorized": 3}
 TELEMETRY_REPEATS = 7
 
 
-def _config(num_peers: int, rounds: int, kernel: str) -> MarketSimConfig:
+def _config(num_peers: int, rounds: int) -> MarketSimConfig:
     return MarketSimConfig(
         num_peers=num_peers,
         initial_credits=100.0,
@@ -89,7 +98,6 @@ def _config(num_peers: int, rounds: int, kernel: str) -> MarketSimConfig:
         step=1.0,
         utilization=UtilizationMode.ASYMMETRIC,
         sample_interval=float(rounds),  # one warm-up sample, one final
-        options=KernelOptions(kernel=kernel),
         seed=1,
     )
 
@@ -115,7 +123,7 @@ def _telemetry_scope():
 
 
 def _timed_run(num_peers: int, rounds: int, kernel: str, scope) -> dict:
-    simulator = CreditMarketSimulator(_config(num_peers, rounds, kernel))
+    simulator = MARKET_KERNELS[kernel](_config(num_peers, rounds))
     with scope:
         started = time.perf_counter()
         simulator.advance_rounds(rounds)

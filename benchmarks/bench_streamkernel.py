@@ -1,11 +1,14 @@
 """Benchmark: streaming-kernel tick throughput, loop vs vectorized.
 
-Times ``StreamingMarketSimulator.advance_rounds`` (construction excluded)
-for the per-peer **loop** kernel — the per-peer/per-chunk scheduling walk
-that was the pre-batching hot path — and the batched **vectorized**
-kernel at several populations, verifies the two produce bit-identical end
-states, and records the numbers to ``BENCH_streamkernel.json`` at the
-repo root.
+Times ``advance_rounds`` (construction excluded) for the per-peer
+**loop** oracle — the per-peer/per-chunk scheduling walk that was the
+pre-batching hot path, run by ``LoopStreamingMarketSimulator`` from
+``tests/kernel_oracles.py`` — and the batched **vectorized** kernel of
+``StreamingMarketSimulator`` at several populations, verifies the two
+produce bit-identical end states, and records the numbers to
+``BENCH_streamkernel.json`` at the repo root.  It is a pytest module: run
+it with ``python -m pytest benchmarks/bench_streamkernel.py``; run as a
+script it does nothing.
 
 Two profiles share one recording format:
 
@@ -41,15 +44,21 @@ import contextlib
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.obs import MemorySink, MetricsEmitter, use_emitter
-from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
+from repro.p2psim import StreamingMarketSimulator, StreamingSimConfig
 
-OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_streamkernel.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+OUTPUT_PATH = REPO_ROOT / "BENCH_streamkernel.json"
+
+# The loop oracle lives with the tests.
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from kernel_oracles import STREAMING_KERNELS  # noqa: E402
 
 #: (num_peers, simulated ticks) per profile.  Ticks shrink with the
 #: population so every measurement stays in wall-clock seconds.  The smoke
@@ -83,13 +92,12 @@ REPEATS = {"loop": 2, "vectorized": 4}
 TELEMETRY_REPEATS = 5
 
 
-def _config(num_peers: int, ticks: int, kernel: str) -> StreamingSimConfig:
+def _config(num_peers: int, ticks: int) -> StreamingSimConfig:
     return StreamingSimConfig(
         num_peers=num_peers,
         initial_credits=100.0,
         horizon=float(ticks),
         sample_interval=float(ticks),  # one warm-up sample, one final
-        options=KernelOptions(kernel=kernel),
         seed=1,
     )
 
@@ -116,7 +124,7 @@ def _telemetry_scope():
 
 
 def _timed_run(num_peers: int, ticks: int, kernel: str, scope) -> dict:
-    simulator = StreamingMarketSimulator(_config(num_peers, ticks, kernel))
+    simulator = STREAMING_KERNELS[kernel](_config(num_peers, ticks))
     with scope:
         started = time.perf_counter()
         simulator.advance_rounds(ticks)

@@ -9,7 +9,6 @@ DET001     randomness only via injected generators, never global RNG state
 DET002     set / filesystem iteration feeding results must be sorted
 DET003     no wall-clock reads in result paths (monotonic spans are fine)
 OBS001     hot-loop telemetry guarded by the branch-on-local-bool pattern
-KERNEL001  loop/vectorized kernel pairs reachable from the config switch
 SEED001    generator seeds descend from derive_seed or an injected value
 SEED002    generators never escape into globals/class attrs/defaults
 THREAD001  thread-shared mutable containers locked on every access path

@@ -125,8 +125,6 @@ def _scopes() -> Dict[str, Scope]:
         # Telemetry guard pattern in hot loops.  The emitter's own package
         # is exempt (it *is* the instrumentation).
         "OBS001": Scope(include=simulation, exclude=("repro/obs/",)),
-        # Kernel-pair reachability.
-        "KERNEL001": Scope(include=simulation),
         # Seed provenance (project-wide taint): every generator built in
         # simulation code must take a seed descending from `derive_seed`
         # or an injected parameter/config field.  The sanctioned factory

@@ -8,7 +8,6 @@ from repro.analysis.rules.determinism import (
 )
 from repro.analysis.rules.seeds import RngEscapeRule, SeedProvenanceRule
 from repro.analysis.rules.structure import (
-    KernelPairRule,
     ParseFailureRule,
     SuppressionHygieneRule,
     UnguardedEmitterRule,
@@ -21,7 +20,6 @@ __all__ = [
     "UnorderedIterationRule",
     "WallClockRule",
     "UnguardedEmitterRule",
-    "KernelPairRule",
     "SuppressionHygieneRule",
     "UnusedSuppressionRule",
     "ParseFailureRule",

@@ -1,23 +1,19 @@
-"""Structural rules: telemetry guards, kernel pairing, suppression hygiene.
+"""Structural rules: telemetry guards and suppression hygiene.
 
 OBS001 enforces the branch-on-local-bool pattern that keeps the
-telemetry-overhead CI gate honest; KERNEL001 keeps every
-loop/vectorized kernel pair reachable from its config switch so the
-bit-identity tests keep comparing two live implementations.
+telemetry-overhead CI gate honest.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Iterator, Optional
 
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Finding, Rule, Severity, register
 
 __all__ = [
     "UnguardedEmitterRule",
-    "KernelPairRule",
     "SuppressionHygieneRule",
     "UnusedSuppressionRule",
     "ParseFailureRule",
@@ -25,9 +21,6 @@ __all__ = [
 
 #: Emitter event methods (see repro.obs.emitter.MetricsEmitter).
 _EMITTER_METHODS = {"counter", "gauge", "point", "mark", "timing", "span"}
-
-_KERNEL_NAME_RE = re.compile(r"^(?P<stem>.+)_(?P<variant>loop|vectorized)$")
-
 
 @register
 class UnguardedEmitterRule(Rule):
@@ -113,79 +106,6 @@ def _is_enabled_guard(test: ast.expr) -> bool:
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
         return any(_is_enabled_guard(value) for value in test.values)
     return False
-
-
-@register
-class KernelPairRule(Rule):
-    """KERNEL001 — loop/vectorized kernel pairs stay dispatchable."""
-
-    id = "KERNEL001"
-    severity = Severity.ERROR
-    summary = (
-        "a *_loop/*_vectorized kernel pair where one variant is never "
-        "referenced, or whose module lacks a `.kernel` config switch"
-    )
-
-    def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
-        defs: Dict[str, List[ast.AST]] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.setdefault(node.name, []).append(node)
-        pairs: Dict[str, Dict[str, List[ast.AST]]] = {}
-        for name in sorted(defs):
-            match = _KERNEL_NAME_RE.match(name)
-            if match is not None:
-                pairs.setdefault(match.group("stem"), {})[match.group("variant")] = defs[name]
-        complete = {
-            stem: variants
-            for stem, variants in sorted(pairs.items())
-            if {"loop", "vectorized"} <= set(variants)
-        }
-        if not complete:
-            return
-        references = self._reference_names(ctx, defs)
-        kernel_switch = any(
-            isinstance(node, ast.Attribute)
-            and node.attr == "kernel"
-            and isinstance(node.ctx, ast.Load)
-            for node in ast.walk(ctx.tree)
-        )
-        for stem, variants in sorted(complete.items()):
-            for variant in ("loop", "vectorized"):
-                name = f"{stem}_{variant}"
-                if name not in references:
-                    yield self.finding(
-                        ctx,
-                        variants[variant][0],
-                        f"kernel variant `{name}` is defined but never "
-                        "dispatched — both members of a loop/vectorized pair "
-                        "must stay reachable from the `kernel` config switch "
-                        "so the bit-identity tests compare live code",
-                    )
-            if not kernel_switch:
-                yield self.finding(
-                    ctx,
-                    variants["loop"][0],
-                    f"kernel pair `{stem}_loop`/`{stem}_vectorized` has no "
-                    "`.kernel` config switch in this module — the selection "
-                    "must come from the run config, not an edit",
-                )
-
-    def _reference_names(
-        self, ctx: FileContext, defs: Dict[str, List[ast.AST]]
-    ) -> Set[str]:
-        """Function names referenced outside their own definitions."""
-        names: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            name: Optional[str] = None
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                name = node.attr
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            if name is None or name not in defs:
-                continue
-            names.add(name)
-        return names
 
 
 # The three rules below are emitted by the walker (suppression parsing and

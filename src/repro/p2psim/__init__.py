@@ -19,9 +19,9 @@ detail:
 
 Both simulators advance in synchronous rounds over slot-indexed arrays
 (float64 wealth/price/CDF state, int64 peer ids) kept by one
-:class:`~repro.p2psim.slots.PeerSlots` store, offer bit-identical
-``"vectorized"`` / ``"loop"`` kernels for their hot round (selected by the
-shared :class:`~repro.p2psim.options.KernelOptions`), and share the
+:class:`~repro.p2psim.slots.PeerSlots` store, run one vectorized kernel
+for their hot round (held byte for byte to a per-peer loop oracle in
+``tests/kernel_oracles.py``), and share the
 :class:`~repro.p2psim.recorder.WealthRecorder` for Gini / snapshot time
 series.  Both inherit :class:`~repro.p2psim.slots.SlotSimulator`, whose
 round contract (``total_rounds`` / ``advance_rounds`` / ``finalize``,
@@ -29,14 +29,12 @@ picklable state between rounds) they satisfy.
 """
 
 from repro.p2psim.config import MarketSimConfig, StreamingSimConfig, UtilizationMode
-from repro.p2psim.options import KernelOptions
 from repro.p2psim.recorder import WealthRecorder
 from repro.p2psim.market_sim import CreditMarketSimulator, MarketSimResult
 from repro.p2psim.streaming_sim import StreamingMarketSimulator, StreamingSimResult
 
 __all__ = [
     "UtilizationMode",
-    "KernelOptions",
     "MarketSimConfig",
     "StreamingSimConfig",
     "WealthRecorder",

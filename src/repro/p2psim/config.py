@@ -10,7 +10,6 @@ from repro.core.pricing import PricingScheme, UniformPricing
 from repro.core.spending import FixedSpendingPolicy, SpendingPolicy
 from repro.core.taxation import NoTax, TaxPolicy
 from repro.overlay.churn import ChurnConfig
-from repro.p2psim.options import KernelOptions
 from repro.utils.validation import check_positive
 
 __all__ = ["UtilizationMode", "MarketSimConfig", "StreamingSimConfig"]
@@ -77,16 +76,6 @@ class MarketSimConfig:
         (closed network).
     sample_interval:
         Seconds between Gini/snapshot samples.
-    options:
-        Shared kernel switch (see
-        :class:`~repro.p2psim.options.KernelOptions`).  ``options.kernel``
-        selects the spending-round implementation: ``"vectorized"``
-        (default) routes every credit of a round through one batched
-        segmented-CSR kernel; ``"loop"`` walks spenders in a per-peer
-        Python loop.  Both kernels consume the same random draws and
-        produce bit-identical results — the loop kernel exists as the
-        throughput baseline the simulator benchmark
-        (``benchmarks/bench_simkernel.py``) compares against.
     seed:
         Base RNG seed.
     """
@@ -105,7 +94,6 @@ class MarketSimConfig:
     tax_policy: TaxPolicy = field(default_factory=NoTax)
     churn: Optional[ChurnConfig] = None
     sample_interval: float = 50.0
-    options: KernelOptions = field(default_factory=KernelOptions)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,8 +108,6 @@ class MarketSimConfig:
         check_positive(self.sample_interval, "sample_interval")
         if self.topology_mean_degree >= self.num_peers:
             raise ValueError("topology_mean_degree must be smaller than num_peers")
-        if not isinstance(self.options, KernelOptions):
-            raise TypeError("options must be a KernelOptions instance")
 
 
 @dataclass
@@ -175,17 +161,6 @@ class StreamingSimConfig:
         the market simulator.
     sample_interval:
         Seconds between recorder samples.
-    options:
-        Shared kernel switch (see
-        :class:`~repro.p2psim.options.KernelOptions`).  ``options.kernel``
-        selects the scheduling-round implementation: ``"vectorized"``
-        (default) stacks every alive peer's chunk-request routing —
-        candidate scoring, supplier choice, upload-slot admission — into
-        array operations over the whole swarm; ``"loop"`` walks peers and
-        window positions in a per-peer Python loop.  Both kernels consume
-        the same random draws and produce bit-identical results — the loop
-        kernel exists as the bit-identity oracle the determinism and
-        golden tests check the vectorized kernel against.
     seed:
         Base RNG seed.
     """
@@ -209,7 +184,6 @@ class StreamingSimConfig:
     topology_mean_degree: float = 20.0
     churn: Optional[ChurnConfig] = None
     sample_interval: float = 30.0
-    options: KernelOptions = field(default_factory=KernelOptions)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -238,5 +212,3 @@ class StreamingSimConfig:
             raise ValueError("transfer_latency must be non-negative")
         if self.topology_mean_degree >= self.num_peers:
             raise ValueError("topology_mean_degree must be smaller than num_peers")
-        if not isinstance(self.options, KernelOptions):
-            raise TypeError("options must be a KernelOptions instance")

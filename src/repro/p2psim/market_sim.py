@@ -159,7 +159,7 @@ class CreditMarketSimulator(SlotSimulator):
     simulator adds what routing needs on top: ``_edge_cdf``, aligned with
     that buffer, holds each row's routing CDF over its neighbours'
     prices in the row's own segment, and each credit is routed on its
-    spender's CDF alone (see :meth:`_route_credits_vectorized`).
+    spender's CDF alone (see :meth:`_route_credits`).
 
     Parameters
     ----------
@@ -176,7 +176,6 @@ class CreditMarketSimulator(SlotSimulator):
     _base_mu = SlotArray()
     _spent = SlotArray()
     _earned = SlotArray()
-    _income = SlotArray()
     _zero_income = SlotArray()
     _edge_cdf = SlotArray(edges=True)
 
@@ -192,10 +191,8 @@ class CreditMarketSimulator(SlotSimulator):
         self._base_mu = np.zeros(capacity)
         self._spent = np.zeros(capacity)
         self._earned = np.zeros(capacity)
-        # Per-round scratch buffers: `_income` accumulates the loop kernel's
-        # transfers, `_zero_income` is the (never written) empty-round view —
-        # both preallocated so the hot loop allocates nothing on quiet rounds.
-        self._income = np.zeros(capacity)
+        # The (never written) income of a round in which nobody spends,
+        # preallocated so quiet rounds allocate nothing.
         self._zero_income = np.zeros(capacity)
         # The routing CDF of every row entry of the store's buffer.
         self._edge_cdf = np.empty(0)
@@ -333,7 +330,7 @@ class CreditMarketSimulator(SlotSimulator):
 
     # ------------------------------------------------------------------ main loop
 
-    def _route_credits_vectorized(
+    def _route_credits(
         self, rows: SlotPack, spendable: np.ndarray, draws: np.ndarray
     ) -> np.ndarray:
         """Route every credit of the round on its spender's own CDF.
@@ -358,32 +355,6 @@ class CreditMarketSimulator(SlotSimulator):
             first, last = first[misses], first[misses] + degrees[misses] - 1
             hits[misses] = _search_rows(cdf, draws[misses], hits[misses], first, last)
         return np.bincount(rows.edge_dst[hits], minlength=self._slots.capacity).astype(float)
-
-    def _route_credits_loop(
-        self, rows: SlotPack, spendable: np.ndarray, draws: np.ndarray
-    ) -> np.ndarray:
-        """Per-spender routing loop (the benchmark baseline).
-
-        Consumes the draws exactly like the vectorized kernel: each
-        spender's credits search its own row's CDF with
-        ``searchsorted(side="right")``, clamped to the last edge, so both
-        kernels produce bit-identical income vectors.
-        """
-        income = self._income
-        income.fill(0.0)
-        cdf, edges = self._edge_cdf, rows.edge_dst
-        offset = 0
-        for start, degree, to_spend in zip(
-            rows.row_start.tolist(), rows.degrees.tolist(), spendable.tolist()
-        ):
-            if to_spend == 0:
-                continue
-            uniforms = draws[offset : offset + to_spend]
-            offset += to_spend
-            end = start + degree
-            hits = np.minimum(np.searchsorted(cdf[start:end], uniforms, side="right"), degree - 1)
-            np.add.at(income, edges[start:end][hits], 1.0)
-        return income
 
     def _spending_round(self, dt: float) -> None:
         rng = self._rng
@@ -410,19 +381,12 @@ class CreditMarketSimulator(SlotSimulator):
         # timing is a pre-measured `timing()` event rather than a `span()`
         # context manager — roughly half the per-round instrumentation
         # cost, which the telemetry-overhead CI gate holds under 5%.
-        options = self.config.options
         emitter = get_emitter()
         observing = emitter.enabled
         kernel_started = time.perf_counter() if observing else 0.0
-        if options.kernel == "loop":
-            income = self._route_credits_loop(rows, spendable, draws)
-        else:
-            income = self._route_credits_vectorized(rows, spendable, draws)
+        income = self._route_credits(rows, spendable, draws)
         if observing:
-            emitter.timing(
-                "market.kernel." + options.kernel,
-                time.perf_counter() - kernel_started,
-            )
+            emitter.timing("market.kernel.vectorized", time.perf_counter() - kernel_started)
         spent = spendable.astype(float)
         self._balance[alive_slots] -= spent
         self._spent[alive_slots] += spent

@@ -34,20 +34,14 @@ emission fills a row and a slide moves whole rows.  The scheduling round
 — candidate cells, supplier choice, budget greedy, upload-slot admission
 — runs as one batched kernel over all alive peers.
 
-Two kernels implement the identical round semantics and consume the
-identical random draws (one tie-break uniform per (peer, window-position)
-cell, drawn tick-wise before the kernel runs):
-
-* ``kernel="vectorized"`` (default) stacks the round into array
-  operations — the measured hot path;
-* ``kernel="loop"`` walks peers and window positions in a per-peer Python
-  loop — the bit-identity oracle the determinism and golden tests hold
-  the vectorized kernel to.
-
-Results are bit-identical between the kernels by construction.  Each
-tick depends only on the simulator's (fully picklable) state, so a run
-advanced in blocks with a pickle round-trip between them is bit-identical
-to the one-block run.
+The kernel stacks the round into array operations.  Its oracle, the
+per-peer loop in ``tests/kernel_oracles.py``, walks peers and window
+positions one at a time over the same random draws (one tie-break
+uniform per (peer, window-position) cell, drawn tick-wise before the
+kernel runs); the determinism and golden tests hold the kernel to it
+byte for byte.  Each tick depends only on the simulator's (fully
+picklable) state, so a run advanced in blocks with a pickle round-trip
+between them is bit-identical to the one-block run.
 
 The vectorized kernel works per window column.  One pass over the live
 columns' ``have`` rows marks the candidate cells (window columns a peer
@@ -93,7 +87,7 @@ from repro.p2psim.slots import (
 __all__ = ["StreamingSimResult", "StreamingMarketSimulator"]
 
 #: Tolerance used in budget and tie comparisons, matching the historical
-#: wallet/scheduler epsilon.  Both kernels must use the same constant.
+#: wallet/scheduler epsilon.  The loop oracle imports this constant.
 _EPS = 1e-12
 
 
@@ -180,7 +174,7 @@ class _Round(NamedTuple):
 
 
 def _nth_tie(u: np.ndarray, ties: np.ndarray) -> np.ndarray:
-    """Each cell's ``pick = floor(u · ties)``: the loop kernel's ``ties[pick]``."""
+    """Each cell's ``pick = floor(u · ties)``: the loop oracle's ``ties[pick]``."""
     # u·ties can round up to ties.
     return np.minimum(np.floor(u * ties).astype(np.int64), ties - 1)
 
@@ -349,7 +343,7 @@ def _supply_columns(round_: _Round, lo: int, wanted: np.ndarray) -> np.ndarray:
 def _choose_cells(
     round_: _Round, lo: int, wanted: np.ndarray, budget: np.ndarray, max_requests: int
 ) -> Tuple[np.ndarray, ...]:
-    """Every row's purchases, in (row, column) order: the loop kernel's window walk.
+    """Every row's purchases, in (row, column) order: the loop oracle's window walk.
 
     Row ``r`` scans its cells (``wanted[:, r]``, from column ``lo``) until
     it holds ``max_requests``, skipping those no neighbour supplies or it
@@ -563,7 +557,7 @@ class StreamingMarketSimulator(SlotSimulator):
         additions of 0.1 give 5.999999999999998, whose quotient floors to
         59 instead of 60 — silently granting a seller a double capacity
         window.  The integer counter cannot drift; the per-tick admission
-        counters (the loop kernel's ``used``) are scoped to it.
+        counters are scoped to it.
         """
         return self._tick
 
@@ -681,9 +675,9 @@ class StreamingMarketSimulator(SlotSimulator):
                 self._have[col, chosen] = True
             self._emitted += 1
 
-    # ------------------------------------------------------------------ scheduling kernels
+    # ------------------------------------------------------------------ scheduling kernel
 
-    def _schedule_vectorized(
+    def _schedule(
         self,
         pack: SlotPack,
         balances: np.ndarray,
@@ -693,7 +687,7 @@ class StreamingMarketSimulator(SlotSimulator):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batched scheduling round: every alive peer's requests at once.
 
-        Implements exactly the per-peer semantics of ``_schedule_loop`` —
+        Implements exactly the per-peer semantics of the loop oracle —
         same candidate order, same supplier tie-breaks (the cell at window
         position ``w`` of pack row ``r`` spends uniform ``uniforms[r, w]``),
         same greedy budget rule, same global admission order — as pure
@@ -733,91 +727,6 @@ class StreamingMarketSimulator(SlotSimulator):
         rows, cols, sellers = rows[admitted], cols[admitted], sellers[admitted]
         paid = self._price_win.ravel()[cols * self._have.shape[1] + sellers]
         return slots[rows], sellers, base + cols, paid
-
-    def _schedule_loop(
-        self,
-        pack: SlotPack,
-        balances: np.ndarray,
-        uniforms: np.ndarray,
-        base: int,
-        live_edge: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-peer scheduling loop (the vectorized kernel's test oracle).
-
-        Walks every alive peer's want window one position at a time —
-        exactly what the retired event-driven scheduler did per peer per
-        round — consuming the same tie-break uniforms as the vectorized
-        kernel, so both produce bit-identical purchases.
-        """
-        config = self.config
-        window = config.playback_window
-        capacity = config.upload_capacity
-        choice = config.supplier_choice
-        max_requests = config.max_requests_per_round
-        have = self._have
-        price_win = self._price_win
-        uploads_total = self._uploads_total
-        pb_next = self._pb_next
-        buyers: List[int] = []
-        sellers: List[int] = []
-        chunks: List[int] = []
-        paid: List[float] = []
-        used: Dict[int, int] = {}
-        if live_edge < 0:
-            return _EMPTY, _EMPTY, _EMPTY, np.empty(0)
-        for row in range(pack.alive_slots.size):
-            slot = int(pack.alive_slots[row])
-            degree = int(pack.degrees[row])
-            if degree == 0:
-                continue
-            neighbors = self._slots.row(slot)
-            playback_point = int(pb_next[slot])
-            budget = float(balances[row])
-            requests = 0
-            for w in range(window):
-                if requests >= max_requests:
-                    break
-                index = playback_point + w
-                if index < base or index > live_edge:
-                    continue
-                col = index - base
-                if have[col, slot]:
-                    continue
-                eligible = [int(s) for s in neighbors if have[col, s]]
-                if not eligible:
-                    continue
-                if choice == "least-loaded":
-                    loads = [float(uploads_total[s]) for s in eligible]
-                    best = min(loads)
-                    ties = [s for s, load in zip(eligible, loads) if load <= best + _EPS]
-                elif choice == "cheapest":
-                    quotes = [float(price_win[col, s]) for s in eligible]
-                    best = min(quotes)
-                    ties = [s for s, quote in zip(eligible, quotes) if quote <= best + _EPS]
-                else:
-                    ties = eligible
-                pick = min(int(float(uniforms[row, w]) * len(ties)), len(ties) - 1)
-                seller = ties[pick]
-                price = float(price_win[col, seller])
-                if price > budget + _EPS:
-                    continue
-                budget -= price
-                requests += 1
-                # Upload-slot admission (global order = this scan order),
-                # counted per tick: see ``_upload_epoch``.
-                if used.get(seller, 0) >= capacity:
-                    continue
-                used[seller] = used.get(seller, 0) + 1
-                buyers.append(slot)
-                sellers.append(seller)
-                chunks.append(index)
-                paid.append(price)
-        return (
-            np.array(buyers, dtype=np.int64),
-            np.array(sellers, dtype=np.int64),
-            np.array(chunks, dtype=np.int64),
-            np.array(paid),
-        )
 
     # ------------------------------------------------------------------ settlement
 
@@ -1003,19 +912,15 @@ class StreamingMarketSimulator(SlotSimulator):
             self._refresh_price_window(pack.alive_slots)
         balances = self._balance[pack.alive_slots]
         uniforms = self._rng.random((pack.alive_slots.size, config.playback_window))
-        options = config.options
-        kernel = (
-            self._schedule_loop if options.kernel == "loop" else self._schedule_vectorized
-        )
         emitter = get_emitter()
         observing = emitter.enabled
         if observing:
-            with emitter.span("streaming.kernel." + options.kernel):
-                buyers, sellers, chunk_abs, prices = kernel(
+            with emitter.span("streaming.kernel.vectorized"):
+                buyers, sellers, chunk_abs, prices = self._schedule(
                     pack, balances, uniforms, self._win_base, self._emitted - 1
                 )
         else:
-            buyers, sellers, chunk_abs, prices = kernel(
+            buyers, sellers, chunk_abs, prices = self._schedule(
                 pack, balances, uniforms, self._win_base, self._emitted - 1
             )
         income = self._settle(buyers, sellers, chunk_abs, prices)

@@ -17,8 +17,7 @@ paper:
 * :class:`~repro.queueing.open_network.OpenJacksonNetwork` — open Jackson
   networks used for the churn discussion (Sec. VI-E);
 * :mod:`~repro.queueing.mva` — exact mean value analysis as an independent
-  cross-check of the convolution results;
-* :mod:`~repro.queueing.mm1` — single-queue M/M/1 / M/M/1/K building blocks.
+  cross-check of the convolution results.
 """
 
 from repro.queueing.routing import RoutingMatrix
@@ -36,7 +35,6 @@ from repro.queueing.approximations import (
     symmetric_zero_probability,
 )
 from repro.queueing.mva import mva_mean_queue_lengths, mva_throughputs
-from repro.queueing.mm1 import MM1Queue, MM1KQueue
 
 __all__ = [
     "RoutingMatrix",
@@ -52,6 +50,4 @@ __all__ = [
     "symmetric_zero_probability",
     "mva_mean_queue_lengths",
     "mva_throughputs",
-    "MM1Queue",
-    "MM1KQueue",
 ]

@@ -72,7 +72,7 @@ class TestAnalyzeCommand:
     def test_list_rules(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "OBS001", "KERNEL001"):
+        for rule_id in ("DET001", "DET002", "DET003", "OBS001", "SEED001"):
             assert rule_id in out
 
     def test_json_report_structure(self, tmp_path, capsys):

@@ -439,71 +439,6 @@ class TestOBS001UnguardedEmitter:
         ) == ["OBS001"]
 
 
-class TestKERNEL001KernelPairs:
-    def test_undispatched_variant_fires(self):
-        findings = run_rules(
-            """
-            class Simulator:
-                def _route_loop(self):
-                    return 1
-
-                def _route_vectorized(self):
-                    return 1
-
-                def step(self):
-                    if self.config.kernel == "loop":
-                        return self._route_loop()
-                    return self._route_loop()
-            """
-        )
-        assert [f.rule for f in findings] == ["KERNEL001"]
-        assert "_route_vectorized" in findings[0].message
-
-    def test_missing_config_switch_fires(self):
-        findings = run_rules(
-            """
-            class Simulator:
-                def _route_loop(self):
-                    return 1
-
-                def _route_vectorized(self):
-                    return 1
-
-                def step(self):
-                    routed = self._route_loop()
-                    return routed + self._route_vectorized()
-            """
-        )
-        assert [f.rule for f in findings] == ["KERNEL001"]
-        assert "config switch" in findings[0].message
-
-    def test_dispatched_pair_is_clean(self):
-        assert fired(
-            """
-            class Simulator:
-                def _route_loop(self):
-                    return 1
-
-                def _route_vectorized(self):
-                    return 1
-
-                def step(self):
-                    if self.config.kernel == "loop":
-                        return self._route_loop()
-                    return self._route_vectorized()
-            """
-        ) == []
-
-    def test_unpaired_helper_is_clean(self):
-        assert fired(
-            """
-            class Simulator:
-                def _drain_loop(self):
-                    return 1
-            """
-        ) == []
-
-
 def _analyze_fixture(tmp_path, source, name="fixture.py"):
     target = tmp_path / "src" / "repro" / "p2psim" / name
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -605,7 +540,6 @@ class TestRegistry:
             "DET002",
             "DET003",
             "OBS001",
-            "KERNEL001",
             "SEED001",
             "SEED002",
             "THREAD001",

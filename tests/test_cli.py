@@ -48,10 +48,10 @@ class TestParser:
     # Each simulator has one execution path; the spatial-sharding flags,
     # the round-block flag, the kernel switch and the state-dtype switch
     # are gone from every subcommand rather than accepted and ignored (the
-    # loop kernel is a simulator-level test oracle, reachable only through
-    # KernelOptions; float64 state is the only representation; a shard
-    # runs its simulations whole).  `analyze` keeps no state between runs:
-    # its cache, --changed and baseline flags are gone.
+    # loop kernels are test oracles in tests/kernel_oracles.py; float64
+    # state is the only representation; a shard runs its simulations
+    # whole).  `analyze` keeps no state between runs: its cache,
+    # --changed and baseline flags are gone.
     @pytest.mark.parametrize(
         "argv",
         [

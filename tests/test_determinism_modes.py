@@ -3,13 +3,14 @@
 *How* a simulation executes never changes *what* it produces.  These
 tests pin that contract at every layer:
 
-* simulator — the ``loop`` and ``vectorized`` kernels, fed the same
+* simulator — the vectorized kernel and its loop oracle
+  (``kernel_oracles.LoopCreditMarketSimulator``), fed the same
   configuration, must end in byte-identical :class:`MarketSimResult`\\ s
   (fig7-shaped symmetric-noise markets and fig10-shaped dynamic-spending
   markets, plus churn/taxation variants);
 * round-trip — a run advanced in blocks with a pickle round-trip of the
   simulator at each boundary must be byte-identical to the one-block
-  run, including under churn, taxation and the loop kernel;
+  run, including under churn, taxation and the loop oracle;
 * orchestrator — a pooled sweep (``jobs=2``, one BLAS thread per worker)
   must produce the same shard payloads and aggregate CSV as the serial
   sweep, for every sweepable figure at smoke scale;
@@ -32,7 +33,6 @@ from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import (
     CreditMarketSimulator,
-    KernelOptions,
     MarketSimConfig,
     StreamingMarketSimulator,
     StreamingSimConfig,
@@ -45,6 +45,7 @@ from repro.runner import (
     aggregate_sweep,
     run_sweep,
 )
+from kernel_oracles import LoopCreditMarketSimulator, route_credits_loop
 from roundtrip import result_fingerprint, run_round_tripped
 
 
@@ -106,13 +107,23 @@ CONFIG_FACTORIES = {
 }
 
 #: Variants of the fig7 shape whose state a pickle round-trip must carry
-#: unchanged: churned membership, the tax pool, the loop kernel, and the
-#: memoised prices and price generator of Poisson pricing.
+#: unchanged: churned membership, the tax pool, the loop oracle, and the
+#: memoised prices and price generator of Poisson pricing.  Each is a
+#: simulator class and a config factory.
 VARIANTS = {
-    "churn": lambda: fig7_like_config(churn=ChurnConfig(arrival_rate=0.2, mean_lifespan=150.0)),
-    "taxed": lambda: fig7_like_config(tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0)),
-    "loop": lambda: fig7_like_config(options=KernelOptions(kernel="loop")),
-    "poisson-priced": lambda: fig7_like_config(pricing=PoissonPricing(mean_price=2.0, seed=5)),
+    "churn": (
+        CreditMarketSimulator,
+        lambda: fig7_like_config(churn=ChurnConfig(arrival_rate=0.2, mean_lifespan=150.0)),
+    ),
+    "taxed": (
+        CreditMarketSimulator,
+        lambda: fig7_like_config(tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0)),
+    ),
+    "loop": (LoopCreditMarketSimulator, fig7_like_config),
+    "poisson-priced": (
+        CreditMarketSimulator,
+        lambda: fig7_like_config(pricing=PoissonPricing(mean_price=2.0, seed=5)),
+    ),
 }
 
 
@@ -120,10 +131,8 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("shape", sorted(CONFIG_FACTORIES))
     def test_loop_and_vectorized_kernels_byte_identical(self, shape):
         config = CONFIG_FACTORIES[shape]()
-        vectorized = CreditMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
-        )
-        loop = CreditMarketSimulator.run_config(dataclasses.replace(config, options=KernelOptions(kernel="loop")))
+        vectorized = CreditMarketSimulator.run_config(config)
+        loop = LoopCreditMarketSimulator.run_config(config)
         assert fingerprint(vectorized) == fingerprint(loop)
 
     def test_kernels_agree_under_churn_and_taxation(self):
@@ -131,10 +140,8 @@ class TestKernelEquivalence:
             churn=ChurnConfig(arrival_rate=0.2, mean_lifespan=150.0),
             tax_policy=ThresholdIncomeTax(rate=0.2, threshold=8.0),
         )
-        vectorized = CreditMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
-        )
-        loop = CreditMarketSimulator.run_config(dataclasses.replace(config, options=KernelOptions(kernel="loop")))
+        vectorized = CreditMarketSimulator.run_config(config)
+        loop = LoopCreditMarketSimulator.run_config(config)
         assert vectorized.joins > 0 and vectorized.leaves > 0  # churn exercised
         assert fingerprint(vectorized) == fingerprint(loop)
 
@@ -151,8 +158,8 @@ class TestKernelEquivalence:
         spendable = np.ones(count, dtype=np.int64)
         for u in (1.0 - 2.0**-53, 0.0):
             draws = np.full(count, u)
-            vectorized = simulator._route_credits_vectorized(rows, spendable, draws).copy()
-            loop = simulator._route_credits_loop(rows, spendable, draws).copy()
+            vectorized = simulator._route_credits(rows, spendable, draws)
+            loop = route_credits_loop(simulator, rows, spendable, draws)
             assert vectorized.tobytes() == loop.tobytes()
             assert vectorized.sum() == count  # every credit landed on a real peer
             assert np.all(vectorized[~simulator._slots.alive] == 0.0)
@@ -186,10 +193,9 @@ class TestPickleRoundTripEquivalence:
     def test_round_tripped_blocks_byte_identical_under_variants(self, variant, blocks):
         # Each run gets its own config: a stateful pricing scheme draws
         # and memoises prices as the run goes.
-        monolithic = CreditMarketSimulator.run_config(VARIANTS[variant]())
-        round_tripped = run_round_tripped(
-            CreditMarketSimulator(VARIANTS[variant]()), blocks=blocks
-        )
+        simulator, config = VARIANTS[variant]
+        monolithic = simulator.run_config(config())
+        round_tripped = run_round_tripped(simulator(config()), blocks=blocks)
         assert fingerprint(monolithic) == fingerprint(round_tripped)
 
     def test_round_tripped_snapshots_match(self):

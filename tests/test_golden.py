@@ -9,12 +9,12 @@ and say so in CHANGES.md.
 Each simulator case is a small (200–300 peer, 200–300 round) run whose
 end state — final wealths, measured rates, tax pool and the
 transfer/chunk/join/leave counts — is hashed with SHA-256.  Every case is
-checked against both the vectorized and the loop kernel, which must land
-on the same digest; ``KernelOptions(kernel="loop")`` on a simulator config
-is the only way to reach the loop kernel.  The CLI cases hash the stdout
-of ``repro run <fig> --scale smoke`` for every figure.  The sweep case
-hashes the aggregate table of a multi-shard, multi-replication smoke
-sweep, which pins seed derivation per shard.
+checked against both the vectorized simulator and its loop oracle
+subclass from ``kernel_oracles``, which must land on the same digest.
+The CLI cases hash the stdout of ``repro run <fig> --scale smoke`` for
+every figure.  The sweep case hashes the aggregate table of a
+multi-shard, multi-replication smoke sweep, which pins seed derivation
+per shard.
 
 To see which digests moved after a deliberate change, and to re-pin them::
 
@@ -25,7 +25,6 @@ To see which digests moved after a deliberate change, and to re-pin them::
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -39,13 +38,8 @@ import pytest
 from repro.core.pricing import PoissonPricing
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
-from repro.p2psim import (
-    CreditMarketSimulator,
-    MarketSimConfig,
-    StreamingMarketSimulator,
-    StreamingSimConfig,
-    UtilizationMode,
-)
+from repro.p2psim import MarketSimConfig, StreamingSimConfig, UtilizationMode
+from kernel_oracles import MARKET_KERNELS, STREAMING_KERNELS
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 
@@ -133,14 +127,8 @@ def _hash(parts: Dict[str, object]) -> str:
     return digest.hexdigest()
 
 
-def _with_kernel(config, kernel: str):
-    return dataclasses.replace(
-        config, options=dataclasses.replace(config.options, kernel=kernel)
-    )
-
-
 def market_digest(name: str, kernel: str) -> str:
-    result = CreditMarketSimulator.run_config(_with_kernel(MARKET_CASES[name](), kernel))
+    result = MARKET_KERNELS[kernel].run_config(MARKET_CASES[name]())
     return _hash(
         {
             "final_wealths": result.final_wealths,
@@ -155,9 +143,7 @@ def market_digest(name: str, kernel: str) -> str:
 
 
 def streaming_digest(name: str, kernel: str) -> str:
-    result = StreamingMarketSimulator.run_config(
-        _with_kernel(STREAMING_CASES[name](), kernel)
-    )
+    result = STREAMING_KERNELS[kernel].run_config(STREAMING_CASES[name]())
     return _hash(
         {
             "final_wealths": result.final_wealths,

@@ -1,11 +1,12 @@
 """The market router's guess-and-check equals a search of each row's own CDF.
 
-:meth:`CreditMarketSimulator._route_credits_vectorized` guesses each
-credit's edge from ``floor(u·d)`` inside its own row, accepts the guess
-when the row's CDF brackets the credit's draw, and settles the misses
-with a search bounded to the row.  These tests compare its income vector
-byte for byte with an exact per-row search — ``np.searchsorted`` over
-the row's CDF, ``"right"``, clamped to its last edge — on draws placed
+:meth:`CreditMarketSimulator._route_credits` guesses each credit's edge
+from ``floor(u·d)`` inside its own row, accepts the guess when the row's
+CDF brackets the credit's draw, and settles the misses with a search
+bounded to the row.  These tests compare its income vector byte for byte
+with the loop oracle's (:func:`kernel_oracles.route_credits_loop`), an
+exact per-row search — ``np.searchsorted`` over the row's CDF,
+``"right"``, clamped to its last edge — on draws placed
 on the check's boundaries: ``u = 0``, ``u = 1 − 2⁻⁵³``, ``u = k/d``, and
 every row's own CDF values with their neighbouring doubles.  The overlay
 has degree-1 rows, a hub row of degree ≥ 4096 and an isolated peer ahead
@@ -28,6 +29,7 @@ from repro.core.pricing import (
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode, market_sim
 from repro.p2psim.market_sim import _search_rows
+from kernel_oracles import route_credits_loop
 
 HUB_DEGREE = 4200
 NUM_PEERS = 2 + HUB_DEGREE + 60
@@ -72,20 +74,6 @@ def market(pricing):
         seed=3,
     )
     return CreditMarketSimulator(config, topology=mixed_overlay())
-
-
-def row_search_income(simulator, rows, spendable, draws):
-    """The oracle: each credit searches its own row's CDF, clamped to its last edge."""
-    cdf, edges = simulator._edge_cdf, simulator._slots.edges
-    hits = []
-    for start, degree, count, offset in zip(
-        rows.row_start, rows.degrees, spendable, np.cumsum(spendable) - spendable
-    ):
-        if count:
-            found = np.searchsorted(cdf[start : start + degree], draws[offset : offset + count], "right")
-            hits.append(start + np.minimum(found, degree - 1))
-    hits = np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
-    return np.bincount(edges[hits], minlength=simulator._slots.capacity).astype(float)
 
 
 def boundary_draws(simulator, rows):
@@ -155,9 +143,9 @@ class TestGuessEqualsRowSearch:
         simulator = market(PRICINGS[name]())
         rows = simulator._slots.rows()
         spendable, draws = boundary_draws(simulator, rows)
-        expected = row_search_income(simulator, rows, spendable, draws)
+        expected = route_credits_loop(simulator, rows, spendable, draws)
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(rows, spendable, draws)
+        income = simulator._route_credits(rows, spendable, draws)
         assert income.tobytes() == expected.tobytes()
         # Every row's u = 0 draw guesses its first edge, which the check
         # accepts without the entry before it: no u = 0 key is searched,
@@ -180,8 +168,8 @@ class TestGuessEqualsRowSearch:
         spendable = np.where(rows.degrees > 0, rng.poisson(3.0, rows.degrees.size), 0)
         draws = rng.random(int(spendable.sum()))
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(rows, spendable, draws)
-        assert income.tobytes() == row_search_income(simulator, rows, spendable, draws).tobytes()
+        income = simulator._route_credits(rows, spendable, draws)
+        assert income.tobytes() == route_credits_loop(simulator, rows, spendable, draws).tobytes()
         assert not search_spy.calls
 
     def test_whole_uniform_run_never_searches(self, spy_on_search):
@@ -209,8 +197,8 @@ class TestGuessEqualsRowSearch:
         spendable = np.where(rows.degrees > 0, 2, 0)
         draws = rng.random(int(spendable.sum()))
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(rows, spendable, draws)
-        assert income.tobytes() == row_search_income(simulator, rows, spendable, draws).tobytes()
+        income = simulator._route_credits(rows, spendable, draws)
+        assert income.tobytes() == route_credits_loop(simulator, rows, spendable, draws).tobytes()
         assert search_spy.misses()[0].size > draws.size // 10
 
     def test_auction_misses_reach_every_clause_of_the_row_search(self, spy_on_search):
@@ -221,8 +209,8 @@ class TestGuessEqualsRowSearch:
         rows = simulator._slots.rows()
         spendable, draws = boundary_draws(simulator, rows)
         search_spy = spy_on_search()
-        income = simulator._route_credits_vectorized(rows, spendable, draws)
-        assert income.tobytes() == row_search_income(simulator, rows, spendable, draws).tobytes()
+        income = simulator._route_credits(rows, spendable, draws)
+        assert income.tobytes() == route_credits_loop(simulator, rows, spendable, draws).tobytes()
         keys, guesses, first, last, found = search_spy.misses()
         cdf = simulator._edge_cdf
         for key, lo, hi, edge in zip(keys, first, last, found):

@@ -25,7 +25,6 @@ from repro.obs import (
 )
 from repro.p2psim import (
     CreditMarketSimulator,
-    KernelOptions,
     MarketSimConfig,
     StreamingMarketSimulator,
     StreamingSimConfig,
@@ -34,7 +33,7 @@ from repro.p2psim import (
 from repro.runner import ArtifactCache, ParamGrid, SweepSpec, run_sweep
 
 
-def _market_config(kernel="vectorized", rounds=40):
+def _market_config(rounds=40):
     return MarketSimConfig(
         num_peers=30,
         initial_credits=50.0,
@@ -42,18 +41,16 @@ def _market_config(kernel="vectorized", rounds=40):
         step=1.0,
         utilization=UtilizationMode.ASYMMETRIC,
         sample_interval=5.0,
-        options=KernelOptions(kernel=kernel),
         seed=7,
     )
 
 
-def _streaming_config(kernel="vectorized", ticks=30):
+def _streaming_config(ticks=30):
     return StreamingSimConfig(
         num_peers=30,
         initial_credits=80.0,
         horizon=float(ticks),
         sample_interval=5.0,
-        options=KernelOptions(kernel=kernel),
         seed=7,
     )
 

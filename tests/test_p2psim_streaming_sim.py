@@ -1,13 +1,12 @@
 """Tests for the batched chunk-level streaming market simulator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.core.pricing import PerPeerFlatPricing, UniformPricing
 from repro.overlay.churn import ChurnConfig
-from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
+from repro.p2psim import StreamingMarketSimulator, StreamingSimConfig
+from kernel_oracles import LoopStreamingMarketSimulator
 
 
 def small_config(**overrides):
@@ -38,15 +37,16 @@ class TestConfigValidation:
             StreamingSimConfig(num_peers=10, topology_mean_degree=30.0)
 
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            StreamingSimConfig(options=KernelOptions(kernel="bogus"))
+        # One kernel per simulator: no kernel switch is accepted.
+        with pytest.raises(TypeError, match="kernel"):
+            StreamingSimConfig(kernel="bogus")
 
     def test_accepts_both_kernels_and_churn(self):
         churn = ChurnConfig(arrival_rate=0.5, mean_lifespan=100.0)
-        for kernel in ("loop", "vectorized"):
-            config = StreamingSimConfig(options=KernelOptions(kernel=kernel), churn=churn)
-            assert config.options.kernel == kernel
-            assert config.churn is churn
+        config = StreamingSimConfig(num_peers=30, topology_mean_degree=6.0, churn=churn)
+        assert config.churn is churn
+        for simulator in (StreamingMarketSimulator, LoopStreamingMarketSimulator):
+            assert simulator(config).config.churn is churn
 
 
 class TestStreamingRun:
@@ -310,11 +310,7 @@ class TestSeedFanout:
 class TestKernelParity:
     def test_loop_and_vectorized_deliver_identical_results(self):
         config = small_config()
-        vectorized = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
-        )
-        loop = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="loop"))
-        )
+        vectorized = StreamingMarketSimulator.run_config(config)
+        loop = LoopStreamingMarketSimulator.run_config(config)
         assert vectorized.final_wealths.tobytes() == loop.final_wealths.tobytes()
         assert vectorized.chunks_delivered == loop.chunks_delivered

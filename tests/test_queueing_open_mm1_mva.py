@@ -1,119 +1,20 @@
-"""Tests for open Jackson networks, M/M/1 building blocks and MVA."""
+"""Tests for open Jackson networks and MVA."""
 
 import numpy as np
 import pytest
 
-from repro.queueing import ClosedJacksonNetwork, MM1KQueue, MM1Queue, OpenJacksonNetwork
+from repro.queueing import ClosedJacksonNetwork, OpenJacksonNetwork
 from repro.queueing.mva import mva_full, mva_mean_queue_lengths, mva_throughputs
-
-
-class TestMM1:
-    def test_standard_formulas(self):
-        queue = MM1Queue(arrival_rate=1.0, service_rate=2.0)
-        assert queue.utilization == pytest.approx(0.5)
-        assert queue.mean_queue_length == pytest.approx(1.0)
-        assert queue.mean_waiting_time == pytest.approx(1.0)
-        assert queue.idle_probability == pytest.approx(0.5)
-
-    def test_pmf_is_geometric(self):
-        queue = MM1Queue(arrival_rate=1.0, service_rate=2.0)
-        pmf = queue.queue_length_pmf(10)
-        np.testing.assert_allclose(pmf[:3], [0.5, 0.25, 0.125])
-
-    def test_tail_probability(self):
-        queue = MM1Queue(arrival_rate=1.0, service_rate=4.0)
-        assert queue.tail_probability(2) == pytest.approx(0.0625)
-        assert queue.tail_probability(0) == 1.0
-
-    def test_unstable_queue_raises(self):
-        queue = MM1Queue(arrival_rate=3.0, service_rate=2.0)
-        assert not queue.is_stable
-        with pytest.raises(ValueError):
-            _ = queue.mean_queue_length
-
-    def test_invalid_rates(self):
-        with pytest.raises(ValueError):
-            MM1Queue(arrival_rate=0.0, service_rate=1.0)
-
-    @pytest.mark.parametrize("arrival_rate, service_rate", [(0.5, 1.0), (1.0, 3.0), (4.5, 5.0)])
-    def test_littles_law(self, arrival_rate, service_rate):
-        queue = MM1Queue(arrival_rate, service_rate)
-        assert queue.mean_queue_length == pytest.approx(
-            arrival_rate * queue.mean_waiting_time
-        )
-
-    def test_long_pmf_has_unit_mass_and_the_closed_form_mean(self):
-        queue = MM1Queue(arrival_rate=3.0, service_rate=4.0)
-        pmf = queue.queue_length_pmf(400)
-        assert pmf.sum() == pytest.approx(1.0)
-        assert np.dot(np.arange(pmf.size), pmf) == pytest.approx(queue.mean_queue_length)
-
-    def test_tail_is_the_complement_of_the_pmf_head(self):
-        queue = MM1Queue(arrival_rate=2.0, service_rate=5.0)
-        pmf = queue.queue_length_pmf(10)
-        for threshold in range(1, 8):
-            assert queue.tail_probability(threshold) == pytest.approx(
-                1.0 - pmf[:threshold].sum()
-            )
-        assert queue.tail_probability(-3) == 1.0
-
-    def test_every_steady_state_quantity_needs_stability(self):
-        queue = MM1Queue(arrival_rate=2.0, service_rate=2.0)
-        assert not queue.is_stable
-        for read in (
-            lambda: queue.mean_waiting_time,
-            lambda: queue.idle_probability,
-            lambda: queue.queue_length_pmf(3),
-            lambda: queue.tail_probability(1),
-        ):
-            with pytest.raises(ValueError):
-                read()
-
-
-class TestMM1K:
-    def test_blocking_probability_matches_closed_form(self):
-        queue = MM1KQueue(arrival_rate=1.0, service_rate=1.0, capacity=3)
-        # rho=1: uniform over 0..3, blocking = 1/4.
-        assert queue.blocking_probability == pytest.approx(0.25)
-        assert queue.mean_queue_length == pytest.approx(1.5)
-
-    def test_effective_throughput(self):
-        queue = MM1KQueue(arrival_rate=2.0, service_rate=1.0, capacity=2)
-        pmf = queue.queue_length_pmf()
-        assert pmf.sum() == pytest.approx(1.0)
-        assert queue.effective_throughput == pytest.approx(2.0 * (1 - pmf[-1]))
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            MM1KQueue(arrival_rate=1.0, service_rate=1.0, capacity=0)
-
-    def test_large_buffer_approaches_mm1(self):
-        finite = MM1KQueue(arrival_rate=1.0, service_rate=2.0, capacity=60)
-        infinite = MM1Queue(arrival_rate=1.0, service_rate=2.0)
-        np.testing.assert_allclose(
-            finite.queue_length_pmf(), infinite.queue_length_pmf(60), atol=1e-12
-        )
-        assert finite.mean_queue_length == pytest.approx(infinite.mean_queue_length)
-        assert finite.blocking_probability < 1e-15
-
-    def test_overload_is_served_at_most_at_the_service_rate(self):
-        queue = MM1KQueue(arrival_rate=5.0, service_rate=1.0, capacity=4)
-        pmf = queue.queue_length_pmf()
-        # Flow balance: served jobs leave at mu whenever the server is busy.
-        assert queue.effective_throughput == pytest.approx(1.0 * (1.0 - pmf[0]))
-        assert queue.effective_throughput < 1.0
-        assert queue.blocking_probability > 0.75
-        assert queue.mean_queue_length > 3.0
 
 
 class TestOpenJacksonNetwork:
     def test_single_queue_reduces_to_mm1(self):
         network = OpenJacksonNetwork([[0.0]], external_arrivals=[1.0], service_rates=[2.0])
-        reference = MM1Queue(1.0, 2.0)
+        rho = 1.0 / 2.0
         result = network.queue_result(0)
-        assert result.utilization == pytest.approx(reference.utilization)
-        assert result.mean_queue_length == pytest.approx(reference.mean_queue_length)
-        assert result.idle_probability == pytest.approx(reference.idle_probability)
+        assert result.utilization == pytest.approx(rho)
+        assert result.mean_queue_length == pytest.approx(rho / (1.0 - rho))
+        assert result.idle_probability == pytest.approx(1.0 - rho)
 
     def test_tandem_queues(self):
         # Two queues in series: all traffic enters queue 0 then visits queue 1.

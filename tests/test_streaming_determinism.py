@@ -5,8 +5,9 @@ contract the market simulator already honours: *how* a streaming
 simulation executes never changes *what* it produces.  These tests pin it
 at every layer:
 
-* simulator — the ``loop`` and ``vectorized`` scheduling kernels, fed the
-  same configuration, must end in byte-identical
+* simulator — the vectorized scheduling kernel and its loop oracle
+  (``kernel_oracles.LoopStreamingMarketSimulator``), fed the same
+  configuration, must end in byte-identical
   :class:`StreamingSimResult`\\ s (static, churned, heterogeneously priced
   and taxed swarms, the configs the streaming fig5_6/fig11 points build,
   and 400-peer swarms whose runs take both of the vectorized kernel's
@@ -19,20 +20,19 @@ at every layer:
   ``jobs=4``, and from a cold and a warm cache.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.core.pricing import PerPeerFlatPricing, PoissonPricing
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
-from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
+from repro.p2psim import StreamingMarketSimulator, StreamingSimConfig
 from repro.runner import (
     SCENARIOS,
     aggregate_sweep,
     run_sweep,
 )
+from kernel_oracles import LoopStreamingMarketSimulator
 from roundtrip import run_round_tripped
 
 
@@ -141,12 +141,8 @@ class TestStreamingKernelEquivalence:
     @pytest.mark.parametrize("shape", sorted(CONFIG_FACTORIES))
     def test_loop_and_vectorized_kernels_byte_identical(self, shape):
         config = CONFIG_FACTORIES[shape]()
-        vectorized = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
-        )
-        loop = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="loop"))
-        )
+        vectorized = StreamingMarketSimulator.run_config(config)
+        loop = LoopStreamingMarketSimulator.run_config(config)
         assert fingerprint(vectorized) == fingerprint(loop)
 
     def test_churn_exercised_in_churned_shape(self):
@@ -156,12 +152,8 @@ class TestStreamingKernelEquivalence:
     @pytest.mark.parametrize("choice", ["availability", "least-loaded", "cheapest"])
     def test_supplier_policies_agree_across_kernels(self, choice):
         config = static_config(supplier_choice=choice, horizon=80.0)
-        vectorized = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
-        )
-        loop = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="loop"))
-        )
+        vectorized = StreamingMarketSimulator.run_config(config)
+        loop = LoopStreamingMarketSimulator.run_config(config)
         assert fingerprint(vectorized) == fingerprint(loop)
 
 
@@ -204,13 +196,9 @@ class TestStreamingKernelEquivalenceAtSwarmScale:
 
         monkeypatch.setattr(streaming_sim, "_demand_side", demand_spy)
         monkeypatch.setattr(streaming_sim, "_supply_side", supply_spy)
-        vectorized = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="vectorized"))
-        )
+        vectorized = StreamingMarketSimulator.run_config(config)
         assert taken["demand"] > 0 and taken["supply"] > 0
-        loop = StreamingMarketSimulator.run_config(
-            dataclasses.replace(config, options=KernelOptions(kernel="loop"))
-        )
+        loop = LoopStreamingMarketSimulator.run_config(config)
         assert fingerprint(vectorized) == fingerprint(loop)
         assert vectorized.chunks_delivered > 0
 

@@ -1,4 +1,4 @@
-"""Loop and vectorized streaming kernels agree after the window slides.
+"""The vectorized streaming kernel and its loop oracle agree after the window slides.
 
 The availability window keeps ``max(4 × playback_window, …)`` columns,
 column-major (``have[col, slot]``), and slides by whole column rows once
@@ -6,20 +6,19 @@ the live edge passes its end.  The swarms here run well past that, with
 the supply side's fixed cost zeroed so that each run also takes both of
 the vectorized kernel's supplier-choice sides; the 400-peer swarms of
 ``test_streaming_determinism`` never slide, and the golden cases never
-take the supply side.  Each must end byte-identical under both kernels
-and when run in 3 blocks with a pickle round-trip between them, including
+take the supply side.  Each must end byte-identical under the kernel
+and its oracle, and when run in 3 blocks with a pickle round-trip between them, including
 a churned swarm whose peers depart with chunks still in flight after a
 slide.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.core.pricing import PerPeerFlatPricing
 from repro.overlay import ChurnConfig
-from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
+from repro.p2psim import StreamingMarketSimulator, StreamingSimConfig
 from repro.p2psim import streaming_sim
+from kernel_oracles import STREAMING_KERNELS
 from roundtrip import run_round_tripped
 
 NUM_PEERS = 80
@@ -73,9 +72,7 @@ def fingerprint(result):
 
 
 def run(config, kernel):
-    simulator = StreamingMarketSimulator(
-        dataclasses.replace(config, options=KernelOptions(kernel=kernel))
-    )
+    simulator = STREAMING_KERNELS[kernel](config)
     result = simulator.run()
     # The window slid: its first column is no longer chunk 0.
     assert simulator._win_base > simulator._win_width

@@ -1,4 +1,4 @@
-"""The vectorized streaming kernel's column walk, against the loop kernel.
+"""The vectorized streaming kernel's column walk, against the loop oracle.
 
 ``_choose_cells`` resolves the window columns before the first supply
 column in one demand-side batch and walks the later ones one at a time,
@@ -13,17 +13,16 @@ prices, so the walk meets what the batch never does:
 * a supply column comes before a demand column, forced through the side
   rule (``_supply_columns``), so the walk also resolves demand columns.
 
-Every run must end byte-identical to the loop kernel's.
+Every run must end byte-identical to the loop oracle's.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.pricing import PoissonPricing
-from repro.p2psim import KernelOptions, StreamingMarketSimulator, StreamingSimConfig
+from repro.p2psim import StreamingSimConfig
 from repro.p2psim import streaming_sim
+from kernel_oracles import STREAMING_KERNELS
 
 CHOICES = ["availability", "least-loaded", "cheapest"]
 
@@ -55,8 +54,7 @@ def fingerprint(result):
 
 
 def run(choice, kernel):
-    config = dataclasses.replace(walk_config(choice), options=KernelOptions(kernel=kernel))
-    return StreamingMarketSimulator.run_config(config)
+    return STREAMING_KERNELS[kernel].run_config(walk_config(choice))
 
 
 class Tick:
