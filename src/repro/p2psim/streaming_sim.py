@@ -742,7 +742,9 @@ class StreamingMarketSimulator(SlotSimulator):
         Shared verbatim by both kernels.  Posted-price schemes settle as
         batched array updates; stateful schemes (auctions, linear pricing)
         settle purchase-by-purchase in the global admission order through
-        the scalar ``settle``/``note_purchase`` hooks.  Returns each slot's
+        the scalar ``settle``/``note_purchase`` hooks.  The budget rule
+        admits a price up to ``_EPS`` above the wallet, so a wallet that
+        rounding leaves below zero is emptied instead.  Returns each slot's
         income of the tick, which the tax step reads.
         """
         config = self.config
@@ -776,7 +778,7 @@ class StreamingMarketSimulator(SlotSimulator):
                     )
                     if price > self._balance[buyer_slot] + _EPS:
                         continue
-                    self._balance[buyer_slot] -= price
+                    self._balance[buyer_slot] = max(self._balance[buyer_slot] - price, 0.0)
                     self._balance[seller_slot] += price
                     income[seller_slot] += price
                     if measuring:
@@ -798,6 +800,7 @@ class StreamingMarketSimulator(SlotSimulator):
                 spent = np.bincount(buyers, weights=prices, minlength=capacity)
                 income = np.bincount(sellers, weights=prices, minlength=capacity)
                 self._balance -= spent
+                np.maximum(self._balance, 0.0, out=self._balance)
                 self._balance += income
                 self._uploads_total += np.bincount(sellers, minlength=capacity).astype(float)
                 if measuring:
