@@ -33,6 +33,7 @@ class SpendingPolicy:
     ) -> np.ndarray:
         """Vectorised :meth:`effective_rate` over aligned rate/wealth arrays.
 
+        ``base_rates`` may be one rate all peers share, which broadcasts.
         The base implementation falls back to the scalar method element by
         element; the built-in policies override it with array expressions
         that apply the *same* floating-point operations in the same order,
@@ -42,7 +43,7 @@ class SpendingPolicy:
         return np.array(
             [
                 self.effective_rate(float(base), float(wealth))
-                for base, wealth in zip(base_rates, wealths)
+                for base, wealth in zip(np.broadcast_to(base_rates, np.shape(wealths)), wealths)
             ],
             dtype=float,
         )

@@ -176,7 +176,6 @@ class CreditMarketSimulator(SlotSimulator):
     _base_mu = SlotArray()
     _spent = SlotArray()
     _earned = SlotArray()
-    _zero_income = SlotArray()
     _edge_cdf = SlotArray(edges=True)
 
     def __init__(
@@ -191,9 +190,6 @@ class CreditMarketSimulator(SlotSimulator):
         self._base_mu = np.zeros(capacity)
         self._spent = np.zeros(capacity)
         self._earned = np.zeros(capacity)
-        # The (never written) income of a round in which nobody spends,
-        # preallocated so quiet rounds allocate nothing.
-        self._zero_income = np.zeros(capacity)
         # The routing CDF of every row entry of the store's buffer.
         self._edge_cdf = np.empty(0)
 
@@ -211,6 +207,11 @@ class CreditMarketSimulator(SlotSimulator):
         slots = self._admit(initial_peers, 0.0)
         self._refresh_routing_rows(initial_peers)
         self._base_mu[slots] = self._configure_spending_rates(weights)
+        # Asymmetric rates without noise are the base rate for every peer,
+        # joiners too: one scalar draws the Poisson stream its array draws,
+        # without numpy's per-array checks.
+        shared = weights is None and self.config.spending_rate_noise == 0
+        self._shared_rate = float(self.config.base_spending_rate) if shared else None
 
     # ------------------------------------------------------------------ setup helpers
 
@@ -335,8 +336,9 @@ class CreditMarketSimulator(SlotSimulator):
     ) -> np.ndarray:
         """Route every credit of the round on its spender's own CDF.
 
-        A credit with uniform ``u`` from a row of degree ``d`` whose CDF
-        ``c`` starts at buffer entry ``s`` routes to edge ``s + j``, ``j =
+        Returns each slot's credits as int64 counts.  A credit with
+        uniform ``u`` from a row of degree ``d`` whose CDF ``c`` starts at
+        buffer entry ``s`` routes to edge ``s + j``, ``j =
         searchsorted(c, u, "right")`` clamped to ``d - 1``.  ``c`` is near
         ``(j + 1) / d`` when prices are near equal, so the kernel guesses
         ``j = floor(u·d)`` and accepts it when ``(j == 0 or c[j - 1] <= u)
@@ -346,55 +348,56 @@ class CreditMarketSimulator(SlotSimulator):
         searched, each inside its row (:func:`_search_rows`).
         """
         cdf = self._edge_cdf
-        spenders = np.repeat(np.arange(rows.alive_slots.size), spendable)
-        first, degrees = rows.row_start[spenders], rows.degrees[spenders]
+        first = rows.row_start.repeat(spendable)
+        degrees = rows.degrees.repeat(spendable)
         guesses = (draws * degrees).astype(np.int64)
         hits = first + guesses
-        misses = np.flatnonzero(((cdf[hits - 1] > draws) & (guesses > 0)) | (draws >= cdf[hits]))
+        misses = (((cdf[hits - 1] > draws) & (guesses > 0)) | (draws >= cdf[hits])).nonzero()[0]
         if misses.size:
             first, last = first[misses], first[misses] + degrees[misses] - 1
             hits[misses] = _search_rows(cdf, draws[misses], hits[misses], first, last)
-        return np.bincount(rows.edge_dst[hits], minlength=self._slots.capacity).astype(float)
+        return np.bincount(rows.edge_dst[hits], minlength=self._slots.capacity)
 
     def _spending_round(self, dt: float) -> None:
+        """Spend, route and tax one round on the alive rows' arrays.
+
+        Balances are gathered and scattered once.  A zero income leaves a
+        balance as it was: spending and tax end at +0.0, never at -0.0.
+        """
         rng = self._rng
         rows = self._slots.rows()
         alive_slots = rows.alive_slots
-        if alive_slots.size == 0:
-            return
         balances = self._balance[alive_slots]
-        rates = self.config.spending_policy.effective_rate_vector(
-            self._base_mu[alive_slots], balances
-        )
-        intended = rng.poisson(rates * dt)
+        base_rates = self._base_mu[alive_slots] if self._shared_rate is None else self._shared_rate
+        rates = self.config.spending_policy.effective_rate_vector(base_rates, balances)
+        intended = rng.poisson(rates * dt, size=alive_slots.size)
         spendable = np.minimum(intended, np.floor(balances).astype(np.int64))
-        spendable = np.where(rows.degrees > 0, spendable, 0)
+        spendable *= rows.has_row
         total = int(spendable.sum())
-        if total == 0:
+        if total:
+            draws = rng.random(total)
+            # The kernel runs tens of thousands of times per second, so its
+            # timing is a pre-measured `timing()` event rather than a `span()`
+            # context manager — roughly half the per-round instrumentation
+            # cost, which the telemetry-overhead CI gate holds under 5%.
+            emitter = get_emitter()
+            observing = emitter.enabled
+            kernel_started = time.perf_counter() if observing else 0.0
+            income = self._route_credits(rows, spendable, draws)[alive_slots]
+            if observing:
+                emitter.timing("market.kernel.vectorized", time.perf_counter() - kernel_started)
+            balances -= spendable
+            balances += income
+            self._spent[alive_slots] += spendable
+            self._earned[alive_slots] += income
+            self.total_transfers += total
+        else:
             # Nobody spent: skip the transfer machinery entirely, but still
             # show the (all-zero) income to the tax policy — rebate rounds
             # may fire on a quiet round once the pool is full.
-            apply_income_taxation(self, self._zero_income, alive_slots)
-            return
-        draws = rng.random(total)
-        # The kernel runs tens of thousands of times per second, so its
-        # timing is a pre-measured `timing()` event rather than a `span()`
-        # context manager — roughly half the per-round instrumentation
-        # cost, which the telemetry-overhead CI gate holds under 5%.
-        emitter = get_emitter()
-        observing = emitter.enabled
-        kernel_started = time.perf_counter() if observing else 0.0
-        income = self._route_credits(rows, spendable, draws)
-        if observing:
-            emitter.timing("market.kernel.vectorized", time.perf_counter() - kernel_started)
-        spent = spendable.astype(float)
-        self._balance[alive_slots] -= spent
-        self._spent[alive_slots] += spent
-        self.total_transfers += total
-        received = np.flatnonzero(income > 0)
-        self._balance[received] += income[received]
-        self._earned[received] += income[received]
-        apply_income_taxation(self, income, alive_slots)
+            income = np.zeros(alive_slots.size, dtype=np.int64)
+        apply_income_taxation(self, balances, income)
+        self._balance[alive_slots] = balances
 
     def total_rounds(self) -> int:
         """Number of simulation rounds the configured horizon spans."""
@@ -408,13 +411,15 @@ class CreditMarketSimulator(SlotSimulator):
         state because each round's draws depend only on the state before it.
         """
         dt = self.config.step
+        churned = self.config.churn is not None
         observing = get_emitter().enabled
         started = time.perf_counter() if observing else 0.0
         for _ in range(rounds):
             if self._time + 1e-9 >= self._next_sample:
                 self._record_sample()
                 self._next_sample += self.config.sample_interval
-            self._apply_churn(dt)
+            if churned:
+                self._apply_churn(dt)
             self._spending_round(dt)
             self._time += dt
         if observing and rounds:
@@ -422,7 +427,7 @@ class CreditMarketSimulator(SlotSimulator):
             get_emitter().gauge("market.steps_per_second", rounds / elapsed)
 
     def _record_sample(self) -> None:
-        self._record_wealth("market", self._time, np.flatnonzero(self._alive))
+        self._record_wealth("market", self._time, self._slots.rows().alive_slots)
 
     def _build_result(self) -> MarketSimResult:
         alive_slots = np.flatnonzero(self._alive)

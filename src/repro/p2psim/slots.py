@@ -36,6 +36,7 @@ counters) and call the simulator's own ``_evict(peer_ids)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +77,11 @@ class SlotPack:
     degrees: np.ndarray
     row_start: np.ndarray
     edge_dst: np.ndarray
+
+    @cached_property
+    def has_row(self) -> np.ndarray:
+        """Whether each row has a neighbour to route to."""
+        return self.degrees > 0
 
     def edge_positions(self, rows: np.ndarray) -> np.ndarray:
         """Positions in ``edge_dst`` of the edges of ``rows``, row after row."""
@@ -509,19 +515,16 @@ def apply_round_churn(
     refresh_rows(list(touched))
 
 
-def apply_income_taxation(sim: Any, income: np.ndarray, alive_slots: np.ndarray) -> None:
-    """Tax one round's per-slot income under the simulator's tax policy.
+def apply_income_taxation(sim: Any, balances: np.ndarray, income: np.ndarray) -> None:
+    """Tax one round's income under the simulator's tax policy.
 
-    ``alive_slots`` are the slots of the alive peers, ascending.  The
-    policy's :meth:`~repro.core.taxation.TaxPolicy.apply` taxes their
-    balances and rebates from ``sim._tax_pool``; the step writes the
-    balances back and adds the round's collections and rebates to
-    ``sim._tax_collected`` and ``sim._tax_rebated``.
+    ``balances`` and ``income`` are the alive rows' arrays, in slot order.
+    :meth:`~repro.core.taxation.TaxPolicy.apply` taxes ``balances`` in
+    place, rebating from ``sim._tax_pool``; the round's collections and
+    rebates go to ``sim._tax_collected`` and ``sim._tax_rebated``.
     """
-    balances = sim._balance[alive_slots]
     collected, rebated, sim._tax_pool = sim.config.tax_policy.apply(
-        balances, income[alive_slots], sim._tax_pool
+        balances, income, sim._tax_pool
     )
-    sim._balance[alive_slots] = balances
     sim._tax_collected += collected
     sim._tax_rebated += rebated

@@ -532,6 +532,7 @@ class StreamingMarketSimulator(SlotSimulator):
         self._minted = 0.0
         self._destroyed = 0.0
         self.chunks_delivered = 0
+        # Integer ticks: a float sum of intervals drifts across tick boundaries.
         self._tick = 0
         self._next_sample = 0.0
         self._measure_start = config.horizon / 2.0
@@ -548,18 +549,6 @@ class StreamingMarketSimulator(SlotSimulator):
     def now(self) -> float:
         """Current simulation time (tick counter × scheduling interval)."""
         return self._tick * self.config.scheduling_interval
-
-    def _upload_epoch(self) -> int:
-        """The upload-slot accounting epoch: the integer tick counter.
-
-        Deriving the epoch from the float clock (``floor(now / interval)``)
-        mis-buckets ticks once accumulated additions drift — e.g. sixty
-        additions of 0.1 give 5.999999999999998, whose quotient floors to
-        59 instead of 60 — silently granting a seller a double capacity
-        window.  The integer counter cannot drift; the per-tick admission
-        counters are scoped to it.
-        """
-        return self._tick
 
     # ------------------------------------------------------------------ peer lifecycle
 
@@ -927,7 +916,9 @@ class StreamingMarketSimulator(SlotSimulator):
                 pack, balances, uniforms, self._win_base, self._emitted - 1
             )
         income = self._settle(buyers, sellers, chunk_abs, prices)
-        apply_income_taxation(self, income, pack.alive_slots)
+        balances = self._balance[pack.alive_slots]
+        apply_income_taxation(self, balances, income[pack.alive_slots])
+        self._balance[pack.alive_slots] = balances
         self._advance_playback(pack, dt)
         self._apply_deliveries()
 

@@ -27,9 +27,9 @@ def route_credits_loop(
     Consumes the draws exactly like the vectorized kernel: each
     spender's credits search its own row's CDF with
     ``searchsorted(side="right")``, clamped to the last edge, so both
-    kernels produce bit-identical income vectors.
+    kernels produce bit-identical int64 income counts.
     """
-    income = np.zeros(sim._slots.capacity)
+    income = np.zeros(sim._slots.capacity, dtype=np.int64)
     cdf, edges = sim._edge_cdf, rows.edge_dst
     offset = 0
     for start, degree, to_spend in zip(
@@ -41,7 +41,7 @@ def route_credits_loop(
         offset += to_spend
         end = start + degree
         hits = np.minimum(np.searchsorted(cdf[start:end], uniforms, side="right"), degree - 1)
-        np.add.at(income, edges[start:end][hits], 1.0)
+        np.add.at(income, edges[start:end][hits], 1)
     return income
 
 
@@ -115,7 +115,7 @@ def schedule_loop(
             budget -= price
             requests += 1
             # Upload-slot admission (global order = this scan order),
-            # counted per tick: see ``_upload_epoch``.
+            # counted per tick: ``used`` is scoped to this one call.
             if used.get(seller, 0) >= capacity:
                 continue
             used[seller] = used.get(seller, 0) + 1

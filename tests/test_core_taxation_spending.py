@@ -158,7 +158,7 @@ class TestThresholdIncomeTax:
 
 
 def tax_sim(policy, balances, alive):
-    """The attributes :func:`apply_income_taxation` reads, on plain arrays."""
+    """The attributes :func:`apply_income_taxation` reads, plus per-slot balances."""
     return SimpleNamespace(
         config=SimpleNamespace(tax_policy=policy),
         _balance=np.array(balances, dtype=float),
@@ -169,18 +169,30 @@ def tax_sim(policy, balances, alive):
     )
 
 
+def tax_round(sim, income):
+    """One round's tax step as the simulators take it, on per-slot ``income``.
+
+    The alive rows' balances are gathered once, taxed in place by
+    :func:`apply_income_taxation` against the alive rows' income, and
+    scattered back once.
+    """
+    balances = sim._balance[sim.alive_slots]
+    apply_income_taxation(sim, balances, np.asarray(income, dtype=float)[sim.alive_slots])
+    sim._balance[sim.alive_slots] = balances
+
+
 class TestApplyIncomeTaxation:
     def test_rebates_go_only_to_alive_peers(self):
         # Slot 2 is free: the pool needs only 2 credits for a round of 1 each.
         sim = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0, 7.0], [1, 1, 0])
-        apply_income_taxation(sim, np.array([4.0, 0.0, 9.0]), sim.alive_slots)
+        tax_round(sim, [4.0, 0.0, 9.0])
         assert sim._balance.tolist() == [99.0, 1.0, 7.0]
         assert (sim._tax_collected, sim._tax_rebated, sim._tax_pool) == (2.0, 2.0, 0.0)
 
     def test_totals_accumulate_over_rounds(self):
         sim = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0], [1, 1])
         for _ in range(3):
-            apply_income_taxation(sim, np.array([3.0, 0.0]), sim.alive_slots)
+            tax_round(sim, [3.0, 0.0])
         # 1.5 per round: rebate rounds after the 2nd (3.0) and 3rd (2.5) rounds.
         assert sim._tax_collected == 4.5
         assert sim._tax_rebated == 4.0
@@ -189,12 +201,24 @@ class TestApplyIncomeTaxation:
 
     def test_no_tax_and_empty_population_change_nothing(self):
         untaxed = tax_sim(NoTax(), [100.0, 0.0], [1, 1])
-        apply_income_taxation(untaxed, np.array([50.0, 50.0]), untaxed.alive_slots)
+        tax_round(untaxed, [50.0, 50.0])
         empty = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=0.0), [100.0, 0.0], [0, 0])
-        apply_income_taxation(empty, np.array([50.0, 50.0]), empty.alive_slots)
+        tax_round(empty, [50.0, 50.0])
         for sim in (untaxed, empty):
             assert sim._balance.tolist() == [100.0, 0.0]
             assert (sim._tax_collected, sim._tax_rebated, sim._tax_pool) == (0.0, 0.0, 0.0)
+
+    def test_credit_counts_tax_like_their_floats(self):
+        # The market taxes its routed credits as int64 counts, in row order.
+        policy = ThresholdIncomeTax(rate=0.3, threshold=10.0)
+        taxed = []
+        for income in (np.array([7, 0, 3]), np.array([7.0, 0.0, 3.0])):
+            sim = tax_sim(policy, [], [])
+            balances = np.array([50.0, 60.0, 9.0])
+            apply_income_taxation(sim, balances, income)
+            taxed.append((balances.tobytes(), sim._tax_collected, sim._tax_pool))
+        assert taxed[0] == taxed[1]
+        assert taxed[0][1] == 7 * 0.3
 
 
 class TestSpendingPolicies:
@@ -246,6 +270,13 @@ class TestEffectiveRateVector:
             ]
         )
         assert vector.tobytes() == scalar.tobytes()
+        self._assert_shared_rate_broadcasts(policy)
+
+    def _assert_shared_rate_broadcasts(self, policy):
+        # A market whose peers all share one base rate passes it as a scalar.
+        shared = policy.effective_rate_vector(2.0, self.WEALTHS)
+        full = policy.effective_rate_vector(np.full(self.WEALTHS.size, 2.0), self.WEALTHS)
+        assert np.broadcast_to(shared, full.shape).tobytes() == full.tobytes()
 
     def test_fixed_policy_vector(self):
         self._assert_matches_scalar(FixedSpendingPolicy())
@@ -270,6 +301,7 @@ class TestEffectiveRateVector:
         policy = Halver(wealth_threshold=100.0)
         vector = policy.effective_rate_vector(self.BASES, self.WEALTHS)
         assert vector.tobytes() == (0.5 * self.BASES).tobytes()
+        self._assert_shared_rate_broadcasts(policy)
 
     # Rates are always float64, whatever the input arrays' dtype.
     @pytest.mark.parametrize("input_dtype", [np.int64, np.float32])

@@ -11,6 +11,9 @@ tests pin that contract at every layer:
 * round-trip — a run advanced in blocks with a pickle round-trip of the
   simulator at each boundary must be byte-identical to the one-block
   run, including under churn, taxation and the loop oracle;
+* quiet rounds — a market with a peer that has no neighbour, where most
+  rounds nobody spends and a rebate fires on such a round, runs alike
+  on both kernels and across pickle round-trips;
 * orchestrator — a pooled sweep (``jobs=2``, one BLAS thread per worker)
   must produce the same shard payloads and aggregate CSV as the serial
   sweep, for every sweepable figure at smoke scale;
@@ -30,7 +33,7 @@ import pytest
 from repro.core.pricing import PoissonPricing
 from repro.core.spending import DynamicSpendingPolicy, FixedSpendingPolicy
 from repro.core.taxation import ThresholdIncomeTax
-from repro.overlay import ChurnConfig
+from repro.overlay import ChurnConfig, OverlayTopology
 from repro.p2psim import (
     CreditMarketSimulator,
     MarketSimConfig,
@@ -165,7 +168,7 @@ class TestKernelEquivalence:
             assert np.all(vectorized[~simulator._slots.alive] == 0.0)
         # The last draws were u = 0: one credit to each row's first neighbour.
         first = np.bincount(pack.edge_dst[pack.row_start[:-1]], minlength=vectorized.size)
-        assert vectorized.tobytes() == first.astype(float).tobytes()
+        assert vectorized.tobytes() == first.tobytes()
 
     def test_dynamic_policy_takes_vector_fast_path(self):
         # The dynamic rule must visibly accelerate rich peers through the
@@ -177,6 +180,57 @@ class TestKernelEquivalence:
             dataclasses.replace(config, spending_policy=FixedSpendingPolicy())
         )
         assert dynamic.total_transfers > fixed.total_transfers
+
+
+#: The peer of :func:`isolated_peer_market` that has no neighbour.
+ISOLATED = 10
+
+
+def isolated_peer_market():
+    """A taxed, churned market of ten ring peers and one without neighbours.
+
+    Each peer spends 0.02 credits a round, so most rounds nobody spends.
+    Income is taxed at 0.25 and rebated a quarter credit a peer, so the
+    pool rests on multiples of 0.25 below the round's cost: once a
+    departure lowers the cost to the pool, the rebate fires on a quiet
+    round.  Returns the config and a fresh overlay, which churn edits.
+    """
+    edges = [(i, (i + 1) % 10) for i in range(10)] + [(i, (i + 3) % 10) for i in range(0, 10, 2)]
+    config = MarketSimConfig(
+        num_peers=ISOLATED + 1,
+        initial_credits=5.0,
+        horizon=600.0,
+        step=1.0,
+        base_spending_rate=0.02,
+        utilization=UtilizationMode.ASYMMETRIC,
+        tax_policy=ThresholdIncomeTax(rate=0.25, threshold=0.0, rebate_unit=0.25),
+        churn=ChurnConfig(arrival_rate=0.002, mean_lifespan=1000.0),
+        topology_mean_degree=3.0,
+        sample_interval=50.0,
+        seed=13,
+    )
+    return config, OverlayTopology.from_edges(ISOLATED + 1, edges)
+
+
+class TestQuietRounds:
+    def test_isolated_peer_and_quiet_round_rebate_run_alike_everywhere(self):
+        simulator = CreditMarketSimulator(*isolated_peer_market())
+        quiet = quiet_rebates = 0
+        for _ in range(simulator.total_rounds()):
+            transfers, rebated = simulator.total_transfers, simulator._tax_rebated
+            simulator.advance_rounds(1)
+            if simulator.total_transfers == transfers:
+                quiet += 1
+                quiet_rebates += simulator._tax_rebated > rebated
+        slot = simulator._slots.slot(ISOLATED)
+        assert slot >= 0 and simulator._slots.row(slot).size == 0
+        assert simulator._spent[slot] == 0.0  # drew spending intents, had nobody to pay
+        assert quiet > simulator.total_rounds() // 2 and quiet_rebates > 0
+        assert simulator.leaves > 0 and simulator.joins > 0
+        vectorized = fingerprint(simulator.finalize())
+        loop = LoopCreditMarketSimulator(*isolated_peer_market()).run()
+        round_tripped = run_round_tripped(CreditMarketSimulator(*isolated_peer_market()), blocks=4)
+        assert fingerprint(loop) == vectorized == fingerprint(round_tripped)
 
 
 class TestPickleRoundTripEquivalence:

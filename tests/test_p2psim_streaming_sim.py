@@ -247,8 +247,13 @@ class TestUploadSlotAccounting:
         assert drifted, "expected the naive float epoch derivation to drift"
         simulator = StreamingMarketSimulator(small_config(scheduling_interval=interval))
         for expected_tick in range(5):
-            assert simulator._upload_epoch() == expected_tick == simulator._tick
+            assert simulator._tick == expected_tick
             simulator.advance_rounds(1)
+        # Past the first tick the float sum mis-buckets, the counter still
+        # names the tick, and the clock is derived from it, never summed.
+        simulator.advance_rounds(drifted[0] - 5)
+        assert simulator._tick == drifted[0]
+        assert simulator.now == drifted[0] * interval
 
     def test_drift_prone_interval_never_over_admits(self):
         # 0.1-second rounds for 600 ticks: per-tick admissions must respect
