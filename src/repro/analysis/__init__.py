@@ -13,22 +13,21 @@ SEED001    generator seeds descend from derive_seed or an injected value
 SEED002    generators never escape into globals/class attrs/defaults
 THREAD001  thread-shared mutable containers locked on every access path
 THREAD002  ContextVar emitters resolved in-thread, not captured pre-start
-SWEEP001   SWEEP_PARAMS axes match run_point signatures both ways
-SWEEP002   scenario bundles sweep only axes their experiment declares
-NOQA001    suppressions must name rules and carry a ``-- reason``
-NOQA002    stale suppressions must be removed
 PARSE001   unparsable files gate the build
 =========  ==============================================================
 
-The SEED/THREAD/SWEEP families are *project rules*: they run against a
-whole-program model (symbol tables, call graph, flow closures) built in
-a first pass from the same parsed files — see
+The SEED and THREAD families, and DET002's cross-module half, are
+*project rules*: they run against a whole-program model (import aliases,
+re-export chains, per-function return provenance, flow closures) built
+in a first pass from the same parsed files — see
 :mod:`repro.analysis.project` and :mod:`repro.analysis.flow`.  A run is a
 pure function of the analyzed sources: it keeps no state between runs.
 
-Line-level escapes use ``# repro: noqa RULE123 -- reason``; per-function
-policy exemptions live in :mod:`repro.analysis.config` as allowed
-contexts with written justifications.
+Every finding gates.  Per-function policy exemptions live in
+:mod:`repro.analysis.config` as allowed contexts with written
+justifications; there is no inline suppression.  The sweep contract
+(``SWEEP_PARAMS`` against each ``run_point``, scenario axes against
+their experiment) is checked at run time by the test suite, not here.
 """
 
 from repro.analysis.config import DEFAULT_CONFIG, AllowedContext, AnalysisConfig, Scope

@@ -11,11 +11,12 @@ Two mechanisms, deliberately distinct:
   consecutive path segments (``"repro/p2psim/"``), matched anywhere in
   the analyzed file's path so relative and absolute invocations agree.
 * **Allowed contexts** exempt a single function, by file and qualified
-  name, with a mandatory written reason.  This is for code that is
-  *legitimately* outside the contract (order-insensitive reductions,
-  optional-generator defaults) — unlike a ``# repro: noqa`` suppression,
-  it is config reviewed with the analyzer, not an annotation scattered in
-  the target file, and it keeps matching when lines around it move.
+  name, with a mandatory written reason.  They are the analyzer's only
+  exemption mechanism, for code that is *legitimately* outside the
+  contract (order-insensitive reductions, optional-generator defaults):
+  config reviewed with the analyzer in one file, not annotations
+  scattered in the target files, and they keep matching when lines
+  around them move.
 """
 
 from __future__ import annotations
@@ -144,12 +145,7 @@ def _scopes() -> Dict[str, Scope]:
         # modules that spawn threads; the analyzer itself is excluded.
         "THREAD001": Scope(include=simulation, exclude=("repro/analysis/",)),
         "THREAD002": Scope(include=simulation, exclude=("repro/analysis/",)),
-        # Sweep registry/scenario contract drift.
-        "SWEEP001": Scope(include=simulation, exclude=("repro/analysis/",)),
-        "SWEEP002": Scope(include=simulation, exclude=("repro/analysis/",)),
-        # Suppression hygiene and parse failures apply everywhere.
-        "NOQA001": Scope(),
-        "NOQA002": Scope(),
+        # Parse failures apply everywhere.
         "PARSE001": Scope(),
     }
 

@@ -4,8 +4,9 @@ The analyzer encodes, as AST checks, the contracts the dynamic test suite
 can only probe on the paths it happens to execute: simulation code draws
 randomness exclusively from injected generators, iteration feeding results
 is explicitly ordered, result paths never read the wall clock, hot-loop
-telemetry is guarded by the branch-on-local-bool pattern, and every
-loop/vectorized kernel pair stays reachable from its config switch.
+telemetry is guarded by the branch-on-local-bool pattern, generator seeds
+descend from ``derive_seed`` or an injected value, and state shared
+between threads is locked.
 
 This module holds the shared machinery: :class:`Finding` (one diagnostic),
 :class:`FileContext` (parsed source plus parent links and qualified
@@ -44,11 +45,6 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-#: Lifecycle states a finding moves through while the report is assembled.
-STATUS_ACTIVE = "active"
-STATUS_SUPPRESSED = "suppressed"
-
-
 @dataclass
 class Finding:
     """One diagnostic emitted by a rule for one source location."""
@@ -61,18 +57,14 @@ class Finding:
     message: str
     #: The stripped source line, shown in the report.
     snippet: str = ""
-    status: str = STATUS_ACTIVE
-    #: Why the finding does not gate (its inline suppression's reason).
-    justification: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
     def format(self) -> str:
-        tag = "" if self.status == STATUS_ACTIVE else f" [{self.status}]"
         return (
             f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} {self.severity.value}{tag}: {self.message}"
+            f"{self.rule} {self.severity.value}: {self.message}"
         )
 
 
@@ -231,12 +223,13 @@ class Rule:
 class ProjectRule(Rule):
     """Base class for pass-2 rules that run against the whole-program model.
 
-    Project rules see every module at once (import graph, call graph,
-    flow closures) instead of one AST.  Their per-file :meth:`check` is a
-    no-op unless a rule also has a per-file half (DET002); the walker
-    invokes :meth:`check_project` after the model is built, then routes
-    the findings through the same scope, allowed-context and suppression
-    machinery as per-file findings.
+    Project rules see every module at once (import aliases, re-export
+    chains, flow closures) instead of one AST.  Their per-file
+    :meth:`check` is a no-op unless a rule also has a per-file half
+    (DET002); the walker invokes :meth:`check_project` after the model is
+    built.  Each project rule applies its scope and allowed contexts
+    itself, through :meth:`AnalysisConfig.covers_path` and
+    :meth:`AnalysisConfig.allowed_context_for_path`.
     """
 
     def check(self, ctx: FileContext, config: "AnalysisConfig") -> Iterator[Finding]:

@@ -1,20 +1,20 @@
 """Pass 1 of the project-wide analyzer: the project model.
 
 The per-file rules in :mod:`repro.analysis.rules` see one AST at a time;
-the cross-module rule families (SEED, THREAD, SWEEP) need whole-program
-context — which function calls which, what a module re-exports, where a
-seed value came from.  This module builds that context once per run as a
-:class:`ProjectModel`:
+the cross-module rules (SEED, THREAD and DET002's cross-module half) need
+whole-program context — what a module re-exports, where a seed value
+came from, which functions return sets.  This module builds that context
+once per run as a :class:`ProjectModel`:
 
-* a :class:`ModuleSummary` per analyzed file — symbol table, import
-  aliases, a conservative record of every call site, plus the targeted
-  "facts" the flow rules consume (RNG construction sites with local
-  seed-provenance tags, RNG escapes into module/class scope, thread
-  spawns, shared-attribute accesses, ``SWEEP_PARAMS`` tuples, registry
-  and scenario declarations, set-returning functions and the loops that
-  iterate straight over a call);
-* a conservative call graph over canonical ``module:qualname`` ids,
-  resolved through import aliases **and** package re-export chains.
+* a :class:`ModuleSummary` per analyzed file — import aliases plus the
+  targeted "facts" the project rules consume (each function's return
+  provenance, RNG construction sites with local seed-provenance tags,
+  RNG escapes into module/class scope, thread spawns, shared-attribute
+  accesses, set-returning functions and the loops that iterate straight
+  over a call);
+* :meth:`ProjectModel.resolve`, which maps a raw call target to a
+  canonical ``module:qualname`` id through import aliases **and**
+  package re-export chains.
 
 Summaries are extracted from the :class:`~repro.analysis.core.FileContext`
 the walker already built for the per-file rules, so each file is parsed
@@ -31,7 +31,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.analysis.core import FileContext
 
 __all__ = [
-    "CallSite",
     "IterationCall",
     "RngSite",
     "RngEscape",
@@ -39,8 +38,6 @@ __all__ = [
     "AttrAccess",
     "ClassFacts",
     "FunctionFacts",
-    "RegistryEntry",
-    "SpecFact",
     "ModuleSummary",
     "ProjectModel",
     "module_name_for",
@@ -112,27 +109,14 @@ def module_name_for(path: str) -> str:
 
 
 @dataclass(frozen=True)
-class CallSite:
-    """One call expression: raw target plus location.
-
-    ``target`` is either an import-resolved dotted path
-    (``numpy.random.default_rng``), a module-local reference
-    (``local:SweepSpec.tasks``), or ``self:<attr>`` for single-hop method
-    calls on ``self``.
-    """
-
-    target: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class IterationCall:
     """A ``for`` loop or comprehension iterating straight over a call.
 
-    ``target`` is the raw call target as in :class:`CallSite`; it is
-    ``None`` for a method called on an arbitrary object
-    (``self.topology.neighbors(p)``), where only ``method`` is known.
+    ``target`` is the raw call target: an import-resolved dotted path
+    (``numpy.random.default_rng``), a module-local reference
+    (``local:SweepSpec.tasks``) or ``self:<attr>``.  It is ``None`` for a
+    method called on an arbitrary object (``self.topology.neighbors(p)``),
+    where only ``method`` is known.
     """
 
     target: Optional[str]
@@ -215,46 +199,13 @@ class ClassFacts:
 
 @dataclass(frozen=True)
 class FunctionFacts:
-    """Signature + call/return facts for one function or method."""
+    """Return facts for one function or method."""
 
     qualname: str
     line: int
     col: int
-    params: Tuple[str, ...]
-    has_varkw: bool
-    calls: Tuple[CallSite, ...]
     #: provenance tags of every `return <expr>` (see RngSite.tags).
     return_tags: Tuple[str, ...]
-    #: keys of every all-string-key dict literal in the body (sweep axes).
-    axis_keys: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One ``SWEEPS`` registry entry: experiment id → runner + params refs."""
-
-    experiment_id: str
-    runner: str  # raw dotted/local target
-    params: str  # raw dotted/local target of the SWEEP_PARAMS tuple
-    line: int
-    col: int
-    snippet: str
-
-
-@dataclass(frozen=True)
-class SpecFact:
-    """One statically visible ``SweepSpec(...)`` construction."""
-
-    experiment_id: Optional[str]
-    axes: Tuple[str, ...]
-    #: local helper calls whose dict keys also feed the grid (one hop).
-    helpers: Tuple[str, ...]
-    #: False when the grid expression was not statically resolvable.
-    resolvable: bool
-    qualname: str
-    line: int
-    col: int
-    snippet: str
 
 
 @dataclass
@@ -273,10 +224,6 @@ class ModuleSummary:
     #: raw targets passed as `target=` to threading.Thread(...).
     thread_targets: List[str] = field(default_factory=list)
     spawns_threads: bool = False
-    #: module-level NAME -> tuple of string constants (SWEEP_PARAMS & co).
-    string_tuples: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    registry_entries: List[RegistryEntry] = field(default_factory=list)
-    spec_facts: List[SpecFact] = field(default_factory=list)
     #: module-level mutable globals: name -> (line, col, kind).
     mutable_globals: Dict[str, Tuple[int, int, str]] = field(default_factory=dict)
     #: unlocked mutations of those globals: (qualname, name, line, col, snippet).
@@ -493,145 +440,6 @@ def _return_tags(ctx: FileContext, fn: ast.AST, params: Set[str]) -> List[str]:
     return tags
 
 
-def _axis_keys(fn: ast.AST) -> List[str]:
-    """Keys of every all-string-key dict literal in a function body."""
-    keys: List[str] = []
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Dict):
-            continue
-        if not node.keys or not all(
-            isinstance(k, ast.Constant) and isinstance(k.value, str) for k in node.keys
-        ):
-            continue
-        keys.extend(k.value for k in node.keys)  # type: ignore[union-attr]
-    seen: Dict[str, None] = {}
-    for key in keys:
-        seen.setdefault(key, None)
-    return list(seen)
-
-
-def _string_tuple(value: ast.expr) -> Optional[Tuple[str, ...]]:
-    if isinstance(value, (ast.Tuple, ast.List)) and value.elts:
-        items: List[str] = []
-        for elt in value.elts:
-            if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-                return None
-            items.append(elt.value)
-        return tuple(items)
-    return None
-
-
-def _extract_registry(ctx: FileContext, summary: ModuleSummary, node: ast.Assign) -> None:
-    """Record SWEEPS-style registry entries from a module-level dict literal."""
-    if not isinstance(node.value, ast.Dict):
-        return
-    for key, value in zip(node.value.keys, node.value.values):
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            continue
-        if not isinstance(value, ast.Dict):
-            continue
-        entry: Dict[str, str] = {}
-        for inner_key, inner_value in zip(value.keys, value.values):
-            if not (isinstance(inner_key, ast.Constant) and isinstance(inner_key.value, str)):
-                continue
-            if inner_key.value in ("runner", "params"):
-                target = _resolve_target(ctx, inner_value)
-                if target is None and isinstance(inner_value, ast.Attribute):
-                    base = ctx.imports.resolve(inner_value.value)
-                    if base is not None:
-                        target = f"{base}.{inner_value.attr}"
-                if target is not None:
-                    entry[inner_key.value] = target
-        if "runner" in entry and "params" in entry:
-            summary.registry_entries.append(
-                RegistryEntry(
-                    experiment_id=key.value,
-                    runner=entry["runner"],
-                    params=entry["params"],
-                    line=key.lineno,
-                    col=key.col_offset,
-                    snippet=ctx.snippet(key.lineno),
-                )
-            )
-
-
-def _extract_spec_fact(ctx: FileContext, call: ast.Call) -> Optional[SpecFact]:
-    """A :class:`SpecFact` when ``call`` is a ``SweepSpec(...)`` construction."""
-    target = _resolve_target(ctx, call.func)
-    if target is None or target.split(":")[-1].split(".")[-1] != "SweepSpec":
-        return None
-    experiment_id: Optional[str] = None
-    if call.args and isinstance(call.args[0], ast.Constant) and isinstance(call.args[0].value, str):
-        experiment_id = call.args[0].value
-    for keyword in call.keywords:
-        if keyword.arg == "experiment_id":
-            if isinstance(keyword.value, ast.Constant) and isinstance(keyword.value.value, str):
-                experiment_id = keyword.value.value
-    grid_expr: Optional[ast.expr] = None
-    if len(call.args) > 1:
-        grid_expr = call.args[1]
-    for keyword in call.keywords:
-        if keyword.arg == "grid":
-            grid_expr = keyword.value
-    enclosing = ctx.enclosing_function(call)
-    qualname = ctx.qualname(call)
-    axes: List[str] = []
-    helpers: List[str] = []
-    resolvable = True
-    if grid_expr is None:
-        pass  # empty grid: a plain replication, nothing to validate
-    else:
-        # Inline ParamGrid({...}) / [{...}] grids resolve directly; a Name
-        # or helper call falls back to the enclosing function's dict keys
-        # plus one hop into locally-called helpers.
-        direct = _grid_axes(grid_expr)
-        if direct is not None:
-            axes.extend(direct)
-        elif enclosing is not None:
-            axes.extend(_axis_keys(enclosing))
-            for node in ast.walk(enclosing):
-                if isinstance(node, ast.Call):
-                    helper = _resolve_target(ctx, node.func)
-                    if helper is not None and helper.startswith("local:"):
-                        helpers.append(helper)
-        else:
-            resolvable = False
-    return SpecFact(
-        experiment_id=experiment_id,
-        axes=tuple(dict.fromkeys(axes)),
-        helpers=tuple(dict.fromkeys(helpers)),
-        resolvable=resolvable,
-        qualname=qualname,
-        line=call.lineno,
-        col=call.col_offset,
-        snippet=ctx.snippet(call.lineno),
-    )
-
-
-def _grid_axes(expr: ast.expr) -> Optional[List[str]]:
-    """Axis names of an inline grid expression, or None when indirect."""
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name == "ParamGrid" and expr.args and isinstance(expr.args[0], ast.Dict):
-            keys = expr.args[0].keys
-            if all(isinstance(k, ast.Constant) and isinstance(k.value, str) for k in keys):
-                return [k.value for k in keys]  # type: ignore[union-attr]
-            return []
-        return None
-    if isinstance(expr, ast.List):
-        axes: List[str] = []
-        for elt in expr.elts:
-            if isinstance(elt, ast.Dict) and all(
-                isinstance(k, ast.Constant) and isinstance(k.value, str) for k in elt.keys
-            ):
-                axes.extend(k.value for k in elt.keys)  # type: ignore[union-attr]
-        return list(dict.fromkeys(axes))
-    return None
-
-
 def summarize_module(ctx: FileContext) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` for one parsed file."""
     tree = ctx.tree
@@ -639,7 +447,7 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
     summary.module_aliases = dict(ctx.imports.module_aliases)
     summary.member_aliases = dict(ctx.imports.member_aliases)
 
-    # -- functions: signatures, calls, returns, axis keys -------------------
+    # -- functions: return provenance, default-argument escapes -------------
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -649,24 +457,13 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
         if named and named[0] in ("self", "cls"):
             named = named[1:]
         params = set(named)
-        env = _function_env(ctx, node, params)
-        calls: List[CallSite] = []
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call) and ctx.enclosing_function(child) is node:
-                target = _resolve_target(ctx, child.func)
-                if target is not None:
-                    calls.append(CallSite(target, child.lineno, child.col_offset))
         if _is_set_annotation(node.returns):
             summary.set_returning.append(qualname)
         summary.functions[qualname] = FunctionFacts(
             qualname=qualname,
             line=node.lineno,
             col=node.col_offset,
-            params=tuple(named),
-            has_varkw=args.kwarg is not None,
-            calls=tuple(calls),
             return_tags=tuple(_return_tags(ctx, node, params)),
-            axis_keys=tuple(_axis_keys(node)),
         )
         # RNG constructions as default argument values escape into
         # module-import-time state shared by every later run.
@@ -771,11 +568,6 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
             kind = _is_mutable_literal(ctx, value)
             if kind is not None:
                 summary.mutable_globals[name] = (node.lineno, node.col_offset, kind)
-            tup = _string_tuple(value)
-            if tup is not None:
-                summary.string_tuples[name] = tup
-            if name == "SWEEPS" and isinstance(node, ast.Assign):
-                _extract_registry(ctx, summary, node)
 
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
@@ -894,13 +686,6 @@ def summarize_module(ctx: FileContext) -> ModuleSummary:
                     ctx.snippet(node.lineno),
                 )
             )
-
-    # -- SweepSpec constructions ---------------------------------------------
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            fact = _extract_spec_fact(ctx, node)
-            if fact is not None:
-                summary.spec_facts.append(fact)
 
     summary.iteration_calls = list(_iteration_calls(ctx))
     return summary
@@ -1063,7 +848,6 @@ class ProjectModel:
         for path in sorted(self.summaries):
             summary = self.summaries[path]
             self.modules.setdefault(summary.module, summary)
-        self._call_graph: Optional[Dict[str, Set[str]]] = None
 
     @classmethod
     def build(cls, contexts: Sequence[FileContext]) -> "ProjectModel":
@@ -1133,49 +917,3 @@ class ProjectModel:
             return f"{module}:{'.'.join([head, *tail])}"
         return module
 
-    def function(self, canonical: str) -> Optional[FunctionFacts]:
-        """The :class:`FunctionFacts` behind a canonical ``module:qual`` id."""
-        if ":" not in canonical:
-            return None
-        module, qual = canonical.split(":", 1)
-        summary = self.modules.get(module)
-        if summary is None:
-            return None
-        return summary.functions.get(qual)
-
-    def string_tuple(self, canonical: str) -> Optional[Tuple[str, ...]]:
-        if ":" not in canonical:
-            return None
-        module, name = canonical.split(":", 1)
-        summary = self.modules.get(module)
-        if summary is None:
-            return None
-        return summary.string_tuples.get(name)
-
-    @property
-    def call_graph(self) -> Dict[str, Set[str]]:
-        """canonical caller id -> canonical callee ids (conservative)."""
-        if self._call_graph is None:
-            graph: Dict[str, Set[str]] = {}
-            for summary in self.summaries.values():
-                for qual, facts in summary.functions.items():
-                    caller = f"{summary.module}:{qual}"
-                    callees: Set[str] = set()
-                    for call in facts.calls:
-                        target = call.target
-                        if target.startswith("self:"):
-                            # Single-hop method call within the same class.
-                            if "." in qual:
-                                cls_name = qual.rsplit(".", 1)[0]
-                                resolved: Optional[str] = (
-                                    f"{summary.module}:{cls_name}.{target[len('self:') :]}"
-                                )
-                            else:
-                                resolved = None
-                        else:
-                            resolved = self.resolve(target, summary.module)
-                        if resolved is not None:
-                            callees.add(resolved)
-                    graph[caller] = callees
-            self._call_graph = graph
-        return self._call_graph

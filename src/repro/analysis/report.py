@@ -11,26 +11,19 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.analysis.core import STATUS_ACTIVE, Finding
+from repro.analysis.core import Finding
 from repro.analysis.walker import Report
 
 __all__ = ["render_human", "render_json", "write_json"]
 
-_REPORT_VERSION = 2
+_REPORT_VERSION = 3
 
 
-def render_human(report: Report, verbose: bool = False) -> str:
-    """Grouped, greppable text: ``path:line:col: RULE severity: message``.
-
-    Suppressed (non-gating) findings are listed only with
-    ``verbose``; the summary always counts them so a quiet report still
-    says what was waved through.
-    """
+def render_human(report: Report) -> str:
+    """Grouped, greppable text: ``path:line:col: RULE severity: message``."""
     lines: List[str] = []
     current_path = None
     for finding in report.findings:
-        if finding.status != STATUS_ACTIVE and not verbose:
-            continue
         if finding.path != current_path:
             if current_path is not None:
                 lines.append("")
@@ -42,9 +35,8 @@ def render_human(report: Report, verbose: bool = False) -> str:
     per_rule = ", ".join(f"{rule}={count}" for rule, count in counts.items())
     summary = (
         f"{report.files_analyzed} files analyzed: "
-        f"{len(report.active)} finding(s)"
+        f"{len(report.findings)} finding(s)"
         + (f" ({per_rule})" if per_rule else "")
-        + f", {len(report.suppressed)} suppressed"
     )
     lines.append(summary)
     if report.modules_total:
@@ -61,8 +53,6 @@ def _finding_record(finding: Finding) -> Dict[str, object]:
         "col": finding.col,
         "message": finding.message,
         "snippet": finding.snippet,
-        "status": finding.status,
-        "justification": finding.justification,
     }
 
 
@@ -73,8 +63,7 @@ def render_json(report: Report) -> Dict[str, object]:
         "files_analyzed": report.files_analyzed,
         "findings": [_finding_record(f) for f in report.findings],
         "summary": {
-            "active": len(report.active),
-            "suppressed": len(report.suppressed),
+            "active": len(report.findings),
             "per_rule": report.per_rule_counts(),
         },
         "project_model": {

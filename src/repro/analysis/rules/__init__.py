@@ -1,18 +1,12 @@
 """Rule modules; importing this package registers every shipped rule."""
 
-from repro.analysis.rules.contracts import RegistrySignatureRule, ScenarioAxesRule
 from repro.analysis.rules.determinism import (
     GlobalRngRule,
     UnorderedIterationRule,
     WallClockRule,
 )
 from repro.analysis.rules.seeds import RngEscapeRule, SeedProvenanceRule
-from repro.analysis.rules.structure import (
-    ParseFailureRule,
-    SuppressionHygieneRule,
-    UnguardedEmitterRule,
-    UnusedSuppressionRule,
-)
+from repro.analysis.rules.structure import ParseFailureRule, UnguardedEmitterRule
 from repro.analysis.rules.threads import EmitterCaptureRule, UnlockedSharedStateRule
 
 __all__ = [
@@ -20,13 +14,9 @@ __all__ = [
     "UnorderedIterationRule",
     "WallClockRule",
     "UnguardedEmitterRule",
-    "SuppressionHygieneRule",
-    "UnusedSuppressionRule",
     "ParseFailureRule",
     "SeedProvenanceRule",
     "RngEscapeRule",
     "UnlockedSharedStateRule",
     "EmitterCaptureRule",
-    "RegistrySignatureRule",
-    "ScenarioAxesRule",
 ]

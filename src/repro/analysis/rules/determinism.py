@@ -110,7 +110,7 @@ class _SetLocalCollector(ast.NodeVisitor):
     re-binds the name to an explicitly ordered list, which is exactly the
     fix DET002 asks for, so the name stops counting as set-valued from
     then on.  Remaining false positives are cheap to silence with
-    ``sorted(...)`` at the iteration site or a noqa.
+    ``sorted(...)`` at the iteration site or an allowed context.
     """
 
     def __init__(self) -> None:

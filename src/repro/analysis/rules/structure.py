@@ -1,4 +1,4 @@
-"""Structural rules: telemetry guards and suppression hygiene.
+"""Structural rules: telemetry guards and parse failures.
 
 OBS001 enforces the branch-on-local-bool pattern that keeps the
 telemetry-overhead CI gate honest.
@@ -12,12 +12,7 @@ from typing import Iterator, Optional
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import FileContext, Finding, Rule, Severity, register
 
-__all__ = [
-    "UnguardedEmitterRule",
-    "SuppressionHygieneRule",
-    "UnusedSuppressionRule",
-    "ParseFailureRule",
-]
+__all__ = ["UnguardedEmitterRule", "ParseFailureRule"]
 
 #: Emitter event methods (see repro.obs.emitter.MetricsEmitter).
 _EMITTER_METHODS = {"counter", "gauge", "point", "mark", "timing", "span"}
@@ -108,36 +103,9 @@ def _is_enabled_guard(test: ast.expr) -> bool:
     return False
 
 
-# The three rules below are emitted by the walker (suppression parsing and
-# file loading), not by AST visitation; they are registered so they appear
-# in --list-rules and carry documented severities.
-
-
-@register
-class SuppressionHygieneRule(Rule):
-    """NOQA001 — suppressions must name rules and give a reason."""
-
-    id = "NOQA001"
-    severity = Severity.WARNING
-    summary = (
-        "malformed `# repro: noqa` — must be "
-        "`# repro: noqa RULE123[, RULE456] -- reason`"
-    )
-
-    def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
-        return iter(())
-
-
-@register
-class UnusedSuppressionRule(Rule):
-    """NOQA002 — suppressions that no longer match anything must go."""
-
-    id = "NOQA002"
-    severity = Severity.WARNING
-    summary = "`# repro: noqa` suppression that matched no finding on its line"
-
-    def check(self, ctx: FileContext, config: AnalysisConfig) -> Iterator[Finding]:
-        return iter(())
+# PARSE001 is emitted by the walker when a file fails to parse, not by AST
+# visitation; it is registered so it appears in --list-rules and carries a
+# documented severity.
 
 
 @register

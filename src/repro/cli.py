@@ -44,8 +44,8 @@ from ``/runs/<id>/result``, and read the committed benchmark history from
 
 ``analyze`` runs the determinism static analyzer
 (:mod:`repro.analysis`) over the given paths and exits non-zero on any
-finding that is not suppressed inline (``# repro: noqa RULE -- why``) or
-covered by an allowed context — the blocking CI gate::
+finding that no allowed context in :mod:`repro.analysis.config` covers —
+the blocking CI gate::
 
     python -m repro.cli analyze src tests benchmarks --json report.json
     python -m repro.cli analyze --list-rules
@@ -206,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every registered rule with its contract and exit",
     )
-    analyze_parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list suppressed findings",
-    )
     return parser
 
 
@@ -347,11 +342,11 @@ def _command_analyze(args: argparse.Namespace) -> int:
         report = analyze_paths(args.paths, rules=rules)
     except (FileNotFoundError, ValueError) as error:
         return _print_error(error)
-    print(render_human(report, verbose=args.verbose))
+    print(render_human(report))
     if args.json_path:
         write_json(report, args.json_path)
         print(f"wrote {args.json_path}")
-    return 1 if report.active else 0
+    return 1 if report.findings else 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:

@@ -82,7 +82,7 @@ class ThresholdIncomeTax(TaxPolicy):
         its balance.  The pool then pays ``rebate_unit`` to every peer as
         many times as it covers a whole round of rebates, all at once.
         """
-        taxable = (balances > self.threshold) & (incomes > 0)
+        taxable = balances > self.threshold
         taxes = np.where(taxable, np.minimum(incomes * self.rate, balances), 0.0)
         balances -= taxes
         collected = float(taxes.sum())

@@ -1,6 +1,6 @@
 """End-to-end tests for ``repro analyze``: exit codes, JSON report,
-suppressions, file discovery, the one-parse-per-file pass structure, and
-the self-check that the repository itself is clean."""
+file discovery, the one-parse-per-file pass structure, and the
+self-check that the repository itself is clean."""
 
 import ast
 import json
@@ -52,6 +52,18 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
+    def test_inline_noqa_comment_does_not_suppress(self, tmp_path, capsys):
+        # Allowed contexts in repro.analysis.config are the one exemption:
+        # a comment on the flagged line waives nothing.
+        target = _write_fixture(
+            tmp_path,
+            VIOLATING.replace(
+                "return time.time()", "return time.time()  # repro: noqa DET003 -- why"
+            ),
+        )
+        assert main(["analyze", str(target)]) == 1
+        assert "1 finding(s) (DET003=1)" in capsys.readouterr().out
+
     def test_missing_path_exits_two(self, tmp_path, capsys):
         code = main(["analyze", str(tmp_path / "nope")])
         assert code == 2
@@ -82,24 +94,22 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         assert code == 1
         payload = json.loads(report_path.read_text())
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["files_analyzed"] == 1
-        assert payload["summary"] == {"active": 1, "suppressed": 0, "per_rule": {"DET003": 1}}
+        assert payload["summary"] == {"active": 1, "per_rule": {"DET003": 1}}
         assert payload["project_model"] == {"modules_total": 1}
         (finding,) = payload["findings"]
         assert set(finding) == {
             "rule", "severity", "path", "line", "col", "message", "snippet",
-            "status", "justification",
         }
         assert finding["rule"] == "DET003"
-        assert finding["status"] == "active"
         assert finding["snippet"] == "return time.time()"
 
     def test_human_summary_counts_modules_only(self, tmp_path, capsys):
         target = _write_fixture(tmp_path, VIOLATING)
         main(["analyze", str(target)])
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-2] == "1 files analyzed: 1 finding(s) (DET003=1), 0 suppressed"
+        assert lines[-2] == "1 files analyzed: 1 finding(s) (DET003=1)"
         assert lines[-1] == "project model: 1 modules"
 
     def test_run_writes_nothing_but_the_json_report(self, tmp_path, monkeypatch, capsys):
@@ -109,35 +119,6 @@ class TestAnalyzeCommand:
         assert main(["analyze", "src", "--json", "report.json"]) == 1
         capsys.readouterr()
         assert sorted(tmp_path.rglob("*")) == sorted(before + [tmp_path / "report.json"])
-
-
-class TestSuppressionRoundTrip:
-    def test_suppression_lifecycle(self, tmp_path, capsys):
-        # 1. violation gates
-        target = _write_fixture(tmp_path, VIOLATING)
-        assert main(["analyze", str(target)]) == 1
-        # 2. justified suppression waves it through
-        target.write_text(
-            textwrap.dedent(VIOLATING).replace(
-                "return time.time()",
-                "return time.time()  # repro: noqa DET003 -- demo fixture",
-            ),
-            encoding="utf-8",
-        )
-        assert main(["analyze", str(target)]) == 0
-        assert "1 suppressed" in capsys.readouterr().out
-        # 3. fixing the code makes the suppression stale: gates again
-        target.write_text(
-            textwrap.dedent(CLEAN).replace(
-                "return time.perf_counter() - started",
-                "return time.perf_counter() - started  # repro: noqa DET003 -- demo fixture",
-            ),
-            encoding="utf-8",
-        )
-        code = main(["analyze", str(target)])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "NOQA002" in out
 
 
 ALPHA = """
@@ -199,20 +180,6 @@ class TestProjectTree:
         assert "2 files analyzed: 1 finding(s) (PARSE001=1)" in out
         assert "project model: 1 modules" in out
 
-    def test_verbose_lists_suppressed_findings_with_their_reason(self, tmp_path, capsys):
-        source = textwrap.dedent(VIOLATING).replace(
-            "return time.time()", "return time.time()  # repro: noqa DET003 -- demo fixture"
-        )
-        target = _write_fixture(tmp_path, source)
-        report_path = tmp_path / "report.json"
-        assert main(["analyze", str(target), "--json", str(report_path)]) == 0
-        assert "DET003" not in capsys.readouterr().out
-        assert main(["analyze", str(target), "--verbose"]) == 0
-        assert "DET003 error [suppressed]" in capsys.readouterr().out
-        (finding,) = json.loads(report_path.read_text())["findings"]
-        assert (finding["status"], finding["justification"]) == ("suppressed", "demo fixture")
-
-
 class TestDiscovery:
     def test_file_paths_and_overlapping_roots_are_deduplicated(self, tmp_path):
         src = tmp_path / "src"
@@ -230,7 +197,7 @@ class TestDiscovery:
         target.write_text("import random\n\ndef draw():\n    return random.random()\n")
         report = analyze_paths([str((root / "src").resolve())])
         assert report.files_analyzed == 1
-        assert [(f.rule, f.line) for f in report.active] == [("DET001", 4)]
+        assert [(f.rule, f.line) for f in report.findings] == [("DET001", 4)]
         assert main(["analyze", str(root / "src")]) == 1
         assert "DET001" in capsys.readouterr().out
 
@@ -244,40 +211,34 @@ class TestDiscovery:
 
 
 class TestOneParsePerFile:
-    def test_each_file_is_parsed_tokenized_and_contextualized_once(
+    def test_each_file_is_parsed_and_contextualized_once(
         self, tmp_path, monkeypatch
     ):
         _project_tree(tmp_path)
         _write_fixture(tmp_path, "def broken(:\n", name="delta.py")
-        calls = {"context": 0, "suppressions": 0, "parse": 0}
+        calls = {"context": 0, "parse": 0}
         init = FileContext.__init__
-        parse_suppressions = walker.parse_suppressions
         parse = ast.parse
 
         def counting_init(self, *args, **kwargs):
             calls["context"] += 1
             init(self, *args, **kwargs)
 
-        def counting_suppressions(source):
-            calls["suppressions"] += 1
-            return parse_suppressions(source)
-
         def counting_parse(*args, **kwargs):
             calls["parse"] += 1
             return parse(*args, **kwargs)
 
         monkeypatch.setattr(FileContext, "__init__", counting_init)
-        monkeypatch.setattr(walker, "parse_suppressions", counting_suppressions)
         monkeypatch.setattr(ast, "parse", counting_parse)
         report = analyze_paths([str(tmp_path / "src")])
         monkeypatch.undo()
 
-        # One FileContext per parseable file; every file read is tokenized
-        # for suppressions and parsed exactly once.
-        assert calls == {"context": 3, "suppressions": 4, "parse": 4}
+        # One FileContext per parseable file; every file read is parsed
+        # exactly once.
+        assert calls == {"context": 3, "parse": 4}
         assert report.files_analyzed == 4
         assert report.modules_total == 3  # delta.py is PARSE001 only
-        assert "PARSE001" in {f.rule for f in report.active}
+        assert "PARSE001" in {f.rule for f in report.findings}
 
 
 class TestSelfCheck:
@@ -303,14 +264,14 @@ class TestSelfCheck:
         """Every configured exemption still covers a real finding.
 
         If a refactor removes the flagged code, the allowed context must be
-        retired too — this is NOQA002 for config-level exemptions.
+        retired too, so stale exemptions cannot accumulate.
         """
         from repro.analysis import DEFAULT_CONFIG, AnalysisConfig
 
         monkeypatch.chdir(REPO_ROOT)
         bare = AnalysisConfig(rule_scopes=DEFAULT_CONFIG.rule_scopes, allowed_contexts={})
         report = analyze_paths(["src"], config=bare)
-        uncovered = {(f.rule, f.path) for f in report.active}
+        uncovered = {(f.rule, f.path) for f in report.findings}
         for rule_id, contexts in DEFAULT_CONFIG.allowed_contexts.items():
             for context in contexts:
                 assert any(

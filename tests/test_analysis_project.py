@@ -1,11 +1,10 @@
-"""Tests for the project-wide analyzer: the pass-1 model (symbol tables,
-call graph) and the pass-2 SEED/THREAD/SWEEP rule families, each with a
-planted violation and a clean counterpart."""
+"""Tests for the project-wide analyzer: the pass-1 model (module names,
+re-export resolution) and the pass-2 SEED/THREAD rule families and
+cross-module DET002, each with a planted violation and a clean
+counterpart."""
 
 import ast
 import textwrap
-
-import pytest
 
 from repro.analysis import FileContext, analyze_paths
 from repro.analysis.project import ProjectModel, module_name_for
@@ -52,7 +51,7 @@ def build_model(files):
 def active_rules(root, files, paths=None):
     write_tree(root, files)
     report = analyze_paths([str(root / p) for p in (paths or ["src"])])
-    return sorted({f.rule for f in report.active}), report
+    return sorted({f.rule for f in report.findings}), report
 
 
 class TestModuleNames:
@@ -68,12 +67,24 @@ class TestModuleNames:
 
 
 class TestProjectModel:
-    def test_call_graph_resolves_through_reexport(self):
-        # driver calls `compute`, imported from the package __init__, which
-        # re-exports it from repro.mini.core — the edge lands on the origin.
+    def test_resolve_follows_reexport_chain(self):
+        # driver imports `compute` from the package __init__, which
+        # re-exports it from repro.mini.core — the name lands on the origin.
         model = build_model(MINI_PACKAGE)
-        assert "repro.mini.core:compute" in model.call_graph["repro.mini.driver:run"]
-        assert "repro.mini.util:helper" in model.call_graph["repro.mini.core:compute"]
+        assert model.resolve("repro.mini.compute", "repro.mini.driver") == (
+            "repro.mini.core:compute"
+        )
+        assert model.resolve("repro.mini.util.helper", "repro.mini.core") == (
+            "repro.mini.util:helper"
+        )
+        # Module-local names resolve through the recording module's imports.
+        assert model.resolve("local:compute", "repro.mini.driver") == (
+            "repro.mini.core:compute"
+        )
+        assert model.resolve("local:helper", "repro.mini.core") == "repro.mini.util:helper"
+        assert model.resolve("numpy.random.default_rng", "repro.mini.core") == (
+            "numpy.random.default_rng"
+        )
 
     def test_model_is_keyed_by_display_path(self):
         model = build_model(MINI_PACKAGE)
@@ -97,7 +108,7 @@ class TestSeedRules:
             },
         )
         assert "SEED002" in rules
-        (escape,) = [f for f in report.active if f.rule == "SEED002"]
+        (escape,) = [f for f in report.findings if f.rule == "SEED002"]
         assert "module global" in escape.message
 
     def test_unseeded_generator_in_simulation_fires(self, tmp_path):
@@ -171,7 +182,7 @@ class TestSeedRules:
             },
         )
         assert "SEED002" in rules
-        (escape,) = [f for f in report.active if f.rule == "SEED002"]
+        (escape,) = [f for f in report.findings if f.rule == "SEED002"]
         assert "default argument" in escape.message
 
 
@@ -208,7 +219,7 @@ class TestThreadRules:
             },
         )
         assert "THREAD001" in rules
-        (finding,) = [f for f in report.active if f.rule == "THREAD001"]
+        (finding,) = [f for f in report.findings if f.rule == "THREAD001"]
         assert "_jobs" in finding.message and "Service.submit" in finding.message
 
     def test_locked_access_on_every_path_is_clean(self, tmp_path):
@@ -266,81 +277,6 @@ class TestThreadRules:
         assert "THREAD002" not in rules
 
 
-SWEEP_FIXTURE = {
-    "src/repro/experiments/figy.py": """
-        SWEEP_PARAMS = ("alpha", "beta")
-
-        def run_point(alpha=1.0, beta=2.0, scale="full", seed=0):
-            return {"alpha": alpha, "beta": beta}
-        """,
-    "src/repro/experiments/registry.py": """
-        from repro.experiments import figy
-
-        SWEEPS = {
-            "figy": {"runner": figy.run_point, "params": figy.SWEEP_PARAMS},
-        }
-        """,
-}
-
-
-class TestSweepRules:
-    def test_matching_registry_is_clean(self, tmp_path):
-        rules, _ = active_rules(tmp_path, SWEEP_FIXTURE)
-        assert "SWEEP001" not in rules
-
-    def test_renamed_axis_fires_both_directions(self, tmp_path):
-        drifted = dict(SWEEP_FIXTURE)
-        # The runner renamed `beta` to `gamma` but the declaration did not.
-        drifted["src/repro/experiments/figy.py"] = """
-            SWEEP_PARAMS = ("alpha", "beta")
-
-            def run_point(alpha=1.0, gamma=2.0, scale="full", seed=0):
-                return {"alpha": alpha, "gamma": gamma}
-            """
-        rules, report = active_rules(tmp_path, drifted)
-        assert "SWEEP001" in rules
-        messages = [f.message for f in report.active if f.rule == "SWEEP001"]
-        assert any("beta" in m and "does not accept" in m for m in messages)
-        assert any("gamma" in m and "not declared" in m for m in messages)
-
-    def test_scenario_with_undeclared_axis_fires(self, tmp_path):
-        files = dict(SWEEP_FIXTURE)
-        files["src/repro/runner/bundles.py"] = """
-            from repro.runner.grid import ParamGrid, SweepSpec
-
-            def scenario():
-                return SweepSpec("figy", ParamGrid({"alpha": [1, 2], "delta": [3]}))
-            """
-        rules, report = active_rules(tmp_path, files)
-        assert "SWEEP002" in rules
-        (finding,) = [f for f in report.active if f.rule == "SWEEP002"]
-        assert "delta" in finding.message
-
-    def test_scenario_over_declared_axes_is_clean(self, tmp_path):
-        files = dict(SWEEP_FIXTURE)
-        files["src/repro/runner/bundles.py"] = """
-            from repro.runner.grid import ParamGrid, SweepSpec
-
-            def scenario():
-                return SweepSpec("figy", ParamGrid({"alpha": [1, 2], "beta": [3]}))
-            """
-        rules, _ = active_rules(tmp_path, files)
-        assert "SWEEP002" not in rules
-
-    def test_unregistered_experiment_id_fires(self, tmp_path):
-        files = dict(SWEEP_FIXTURE)
-        files["src/repro/runner/bundles.py"] = """
-            from repro.runner.grid import ParamGrid, SweepSpec
-
-            def scenario():
-                return SweepSpec("nonesuch", ParamGrid({"alpha": [1]}))
-            """
-        rules, report = active_rules(tmp_path, files)
-        assert "SWEEP002" in rules
-        (finding,) = [f for f in report.active if f.rule == "SWEEP002"]
-        assert "nonesuch" in finding.message
-
-
 #: A graph module whose lookups return sets, and a walker module that
 #: iterates them without sorting — the order leak DET002 must see across
 #: the module boundary.
@@ -379,11 +315,11 @@ class TestCrossModuleUnorderedIteration:
             """
         rules, report = active_rules(tmp_path, files)
         assert rules == ["DET002"]
-        messages = sorted(f.message for f in report.active)
+        messages = sorted(f.message for f in report.findings)
         assert len(messages) == 2
         assert "`members(...)`" in messages[0]
         assert "`neighbours(...)`" in messages[1]
-        assert {f.path.rsplit("/", 1)[-1] for f in report.active} == {"walk.py"}
+        assert {f.path.rsplit("/", 1)[-1] for f in report.findings} == {"walk.py"}
 
     def test_sorted_and_non_set_calls_are_clean(self, tmp_path):
         files = dict(SET_RETURNING_GRAPH)
@@ -417,25 +353,4 @@ class TestCrossModuleUnorderedIteration:
         }
         rules, report = active_rules(tmp_path, files)
         assert rules == ["DET002"]
-        assert "`Graph.peers(...)`" in report.active[0].message
-
-
-class TestProjectFindingSuppression:
-    def test_noqa_suppresses_project_findings(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "src/repro/p2psim/sampler.py": """
-                    import numpy as np
-
-                    def sample(n):
-                        rng = np.random.default_rng()  # repro: noqa SEED001 -- demo fixture
-                        return rng.normal(size=n)
-                    """
-            },
-        )
-        report = analyze_paths([str(tmp_path / "src")])
-        assert not [f for f in report.active if f.rule == "SEED001"]
-        assert [f for f in report.suppressed if f.rule == "SEED001"]
-        # And the suppression counts as used: no NOQA002.
-        assert not [f for f in report.active if f.rule == "NOQA002"]
+        assert "`Graph.peers(...)`" in report.findings[0].message

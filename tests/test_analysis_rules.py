@@ -446,81 +446,6 @@ def _analyze_fixture(tmp_path, source, name="fixture.py"):
     return analyze_file(target)
 
 
-class TestNOQA001SuppressionHygiene:
-    def test_bare_noqa_fires_and_does_not_suppress(self, tmp_path):
-        findings = _analyze_fixture(
-            tmp_path,
-            """
-            import time
-
-            def stamp():
-                return time.time()  # repro: noqa
-            """,
-        )
-        assert sorted(f.rule for f in findings) == ["DET003", "NOQA001"]
-        det003 = [f for f in findings if f.rule == "DET003"]
-        assert det003[0].status == "active"
-
-    def test_missing_reason_fires(self, tmp_path):
-        findings = _analyze_fixture(
-            tmp_path,
-            """
-            import time
-
-            def stamp():
-                return time.time()  # repro: noqa DET003
-            """,
-        )
-        assert sorted(f.rule for f in findings) == ["DET003", "NOQA001"]
-
-    def test_wellformed_suppression_is_clean_and_suppresses(self, tmp_path):
-        findings = _analyze_fixture(
-            tmp_path,
-            """
-            import time
-
-            def stamp():
-                return time.time()  # repro: noqa DET003 -- feeds a log line only
-            """,
-        )
-        assert [f.rule for f in findings] == ["DET003"]
-        assert findings[0].status == "suppressed"
-        assert findings[0].justification == "feeds a log line only"
-
-    def test_syntax_mention_in_docstring_is_not_a_suppression(self, tmp_path):
-        findings = _analyze_fixture(
-            tmp_path,
-            '''
-            """Docs may show `# repro: noqa DET001 -- reason` verbatim."""
-            ''',
-        )
-        assert findings == []
-
-
-class TestNOQA002StaleSuppressions:
-    def test_unused_suppression_fires(self, tmp_path):
-        findings = _analyze_fixture(
-            tmp_path,
-            """
-            def stamp():
-                return 42  # repro: noqa DET003 -- nothing to suppress here
-            """,
-        )
-        assert [f.rule for f in findings] == ["NOQA002"]
-
-    def test_used_suppression_is_clean(self, tmp_path):
-        findings = _analyze_fixture(
-            tmp_path,
-            """
-            import time
-
-            def stamp():
-                return time.time()  # repro: noqa DET003 -- bookkeeping only
-            """,
-        )
-        assert [f.rule for f in findings if f.rule == "NOQA002"] == []
-
-
 class TestPARSE001:
     def test_syntax_error_fires(self, tmp_path):
         findings = _analyze_fixture(tmp_path, "def broken(:\n    pass\n")
@@ -544,10 +469,6 @@ class TestRegistry:
             "SEED002",
             "THREAD001",
             "THREAD002",
-            "SWEEP001",
-            "SWEEP002",
-            "NOQA001",
-            "NOQA002",
             "PARSE001",
         }
 
@@ -566,6 +487,13 @@ class TestRegistry:
 
 
 class TestDefaultConfig:
+    def test_config_names_exactly_the_registered_rules(self):
+        # A scope left behind by a deleted rule configures nothing, and a
+        # rule without a scope would silently run over every path.
+        registered = {rule.id for rule in all_rules()}
+        assert set(DEFAULT_CONFIG.rule_scopes) == registered
+        assert set(DEFAULT_CONFIG.allowed_contexts) <= registered
+
     def test_every_repro_path_names_existing_code(self):
         # A pattern left behind by a deleted package silently scopes nothing.
         patterns = [

@@ -76,6 +76,7 @@ class TestParser:
             ["analyze", "--baseline", "base.json"],
             ["analyze", "--no-baseline", "src"],
             ["analyze", "--write-baseline", "src"],
+            ["analyze", "--verbose", "src"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )

@@ -183,11 +183,14 @@ def tax_round(sim, income):
 
 class TestApplyIncomeTaxation:
     def test_rebates_go_only_to_alive_peers(self):
-        # Slot 2 is free: the pool needs only 2 credits for a round of 1 each.
-        sim = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0, 7.0], [1, 1, 0])
-        tax_round(sim, [4.0, 0.0, 9.0])
-        assert sim._balance.tolist() == [99.0, 1.0, 7.0]
-        assert (sim._tax_collected, sim._tax_rebated, sim._tax_pool) == (2.0, 2.0, 0.0)
+        # Slot 2 is free: the pool needs only 3 credits for a round of 1 each.
+        # Slot 3 is above the threshold but earned nothing, so it pays nothing.
+        sim = tax_sim(
+            ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0, 7.0, 30.0], [1, 1, 0, 1]
+        )
+        tax_round(sim, [6.0, 0.0, 9.0, 0.0])
+        assert sim._balance.tolist() == [98.0, 1.0, 7.0, 31.0]
+        assert (sim._tax_collected, sim._tax_rebated, sim._tax_pool) == (3.0, 3.0, 0.0)
 
     def test_totals_accumulate_over_rounds(self):
         sim = tax_sim(ThresholdIncomeTax(rate=0.5, threshold=10.0), [100.0, 0.0], [1, 1])

@@ -37,6 +37,10 @@ POINT_CONFIGS = {
     "fig11": {"mean_lifespan": 100.0, "num_peers": 24, "horizon": 80.0},
 }
 
+#: Figures computed in closed form: their point runners take ``seed`` for a
+#: uniform interface and record it, but draw nothing.
+ANALYTIC = ("fig2", "fig4")
+
 #: The experiments this PR ported to point runners (fig3/fig9/fig11 were
 #: sweepable before).
 NEWLY_SWEEPABLE = ("fig1", "fig2", "fig4", "fig5_6", "fig7", "fig8", "fig10")
@@ -61,6 +65,23 @@ class TestRegistryCompleteness:
         runner = SWEEPS[experiment_id]["runner"]
         assert "kernel" not in inspect.signature(runner).parameters
 
+    # The sweep contract, checked on the live objects: every declared axis
+    # is a keyword its point runner accepts (else sweeping it raises
+    # TypeError inside a worker), and every keyword the runner takes besides
+    # `seed` and `scale` is declared (else no sweep can reach it).
+    @pytest.mark.parametrize("experiment_id", sorted(SWEEPS))
+    def test_sweep_params_match_run_point_signature(self, experiment_id):
+        parameters = inspect.signature(SWEEPS[experiment_id]["runner"]).parameters
+        kinds = {parameter.kind for parameter in parameters.values()}
+        assert inspect.Parameter.VAR_KEYWORD not in kinds, experiment_id
+        keywords = {
+            name
+            for name, parameter in parameters.items()
+            if parameter.kind
+            in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        }
+        assert keywords - {"seed", "scale"} == set(sweep_params(experiment_id))
+
     def test_point_configs_cover_every_experiment(self):
         assert set(POINT_CONFIGS) == set(EXPERIMENTS)
 
@@ -81,6 +102,23 @@ class TestPointRunners:
         assert result.tables, experiment_id
         assert len(result.tables[0]) >= 1
         assert result.metadata["seed"] == 3
+
+    # A point runner that drops its seed (say, a literal passed on in a
+    # config field) gives every replication the same draws.  No analyzer
+    # rule sees through the config field, and only fig7 has a golden sweep
+    # digest over replications.
+    @pytest.mark.parametrize("experiment_id", sorted(POINT_CONFIGS))
+    def test_point_runner_draws_from_its_seed(self, experiment_id):
+        rows = [
+            [
+                table.rows
+                for table in run_sweep_point(
+                    experiment_id, POINT_CONFIGS[experiment_id], scale="smoke", seed=seed
+                ).tables
+            ]
+            for seed in (3, 4)
+        ]
+        assert (rows[0] == rows[1]) == (experiment_id in ANALYTIC)
 
     @pytest.mark.parametrize("experiment_id", sorted(POINT_CONFIGS))
     def test_unknown_axis_rejected(self, experiment_id):
