@@ -37,6 +37,7 @@ import pytest
 
 from repro.core.pricing import PoissonPricing
 from repro.core.taxation import ThresholdIncomeTax
+from repro.experiments.fig01_spending_rates import _poisson_seller_prices
 from repro.overlay import ChurnConfig
 from repro.p2psim import MarketSimConfig, StreamingSimConfig, UtilizationMode
 from kernel_oracles import MARKET_KERNELS, STREAMING_KERNELS
@@ -67,6 +68,11 @@ def _streaming(**overrides) -> StreamingSimConfig:
     return StreamingSimConfig(**settings)
 
 
+def _flat_prices(seed: int):
+    """Fig. 1's per-seller ``Poisson(1)`` prices, zeros included, for ids 0–1999."""
+    return _poisson_seller_prices(2000, 1.0, seed)
+
+
 #: Simulator cases: name -> factory building a fresh config (memoised
 #: pricing schemes keep the prices they drew, so every run gets its own
 #: objects).
@@ -82,6 +88,13 @@ MARKET_CASES: Dict[str, Callable[[], MarketSimConfig]] = {
         churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=250.0),
         pricing=PoissonPricing(mean_price=2.0, seed=303),
     ),
+    # Heterogeneous per-seller prices under churn: a reused slot must
+    # carry its new owner's price.  Joiners get ids above the initial
+    # population, so prices are drawn over ids well past it.
+    "market-churn-flat": lambda: _market(
+        churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=250.0),
+        pricing=_flat_prices(101),
+    ),
     "market-taxed": lambda: _market(
         utilization=UtilizationMode.SYMMETRIC,
         spending_rate_noise=0.05,
@@ -93,6 +106,11 @@ STREAMING_CASES: Dict[str, Callable[[], StreamingSimConfig]] = {
     "stream-static": lambda: _streaming(),
     "stream-churn": lambda: _streaming(
         churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=150.0)
+    ),
+    # See ``market-churn-flat``.
+    "stream-churn-flat": lambda: _streaming(
+        churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=150.0),
+        pricing=_flat_prices(202),
     ),
 }
 
