@@ -45,11 +45,9 @@ from repro.core import (
     CreditMarket,
     DynamicSpendingPolicy,
     FixedSpendingPolicy,
-    LinearPricing,
     MarketEquilibrium,
     NoTax,
     PerPeerFlatPricing,
-    PoissonPricing,
     PricingScheme,
     ThresholdIncomeTax,
     UniformPricing,
@@ -86,8 +84,6 @@ __all__ = [
     "PricingScheme",
     "UniformPricing",
     "PerPeerFlatPricing",
-    "LinearPricing",
-    "PoissonPricing",
     "ThresholdIncomeTax",
     "NoTax",
     "FixedSpendingPolicy",

@@ -19,7 +19,14 @@ _EMITTER_METHODS = {"counter", "gauge", "point", "mark", "timing", "span"}
 
 @register
 class UnguardedEmitterRule(Rule):
-    """OBS001 — hot-loop telemetry must branch on a local enabled bool."""
+    """OBS001 — hot-loop telemetry must branch on a local enabled bool.
+
+    The rule sees only loops in the emitter call's own function
+    (:meth:`_enclosing_loop` stops at the first enclosing ``def`` or
+    ``lambda``).  An unguarded call in a function that a loop calls once
+    per round, such as ``CreditMarketSimulator._spending_round`` under
+    ``advance_rounds``, passes.
+    """
 
     id = "OBS001"
     severity = Severity.WARNING

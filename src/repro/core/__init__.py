@@ -5,8 +5,7 @@ topology, a pricing scheme, peer earning/spending rates and credit
 balances, and exposes the Table I mapping onto a Jackson queueing network.
 Around it:
 
-* :mod:`repro.core.pricing` — chunk pricing schemes (uniform, per-peer flat,
-  linear, Poisson-priced, auction);
+* :mod:`repro.core.pricing` — posted chunk prices (uniform, per-seller flat);
 * :mod:`repro.core.taxation` — the income-tax counter-measure of Sec. VI-C
   and its untaxed baseline;
 * :mod:`repro.core.spending` — fixed and wealth-proportional dynamic
@@ -16,14 +15,7 @@ Around it:
 * :mod:`repro.core.metrics` — Gini/Lorenz and other inequality measures.
 """
 
-from repro.core.pricing import (
-    AuctionPricing,
-    LinearPricing,
-    PerPeerFlatPricing,
-    PoissonPricing,
-    PricingScheme,
-    UniformPricing,
-)
+from repro.core.pricing import PerPeerFlatPricing, PricingScheme, UniformPricing
 from repro.core.taxation import NoTax, TaxPolicy, ThresholdIncomeTax
 from repro.core.spending import (
     DynamicSpendingPolicy,
@@ -54,9 +46,6 @@ __all__ = [
     "PricingScheme",
     "UniformPricing",
     "PerPeerFlatPricing",
-    "LinearPricing",
-    "PoissonPricing",
-    "AuctionPricing",
     "TaxPolicy",
     "NoTax",
     "ThresholdIncomeTax",

@@ -175,16 +175,13 @@ class CreditMarket:
         for buyer in self._order:
             sellers = list(self._chunk_rates[buyer])
             if sellers:
-                # One batched quote per buyer row (μ_i = Σ_j r_ji s_j);
-                # price_array preserves the per-seller call order, so
-                # memoising schemes (Poisson prices) draw identically to
-                # the historical scalar loop.
+                # One batched quote per buyer row (μ_i = Σ_j r_ji s_j).
                 rates = np.fromiter(
                     (self._chunk_rates[buyer][s] for s in sellers),
                     dtype=float,
                     count=len(sellers),
                 )
-                prices = self.pricing.price_array(sellers, 0)
+                prices = self.pricing.price_array(sellers)
                 total = float(rates @ prices)
             else:
                 total = 0.0
@@ -205,7 +202,7 @@ class CreditMarket:
                 dtype=float,
                 count=len(sellers),
             )
-            prices = self.pricing.price_array(sellers, 0)
+            prices = self.pricing.price_array(sellers)
             columns = np.fromiter(
                 (self._index[s] for s in sellers), dtype=np.int64, count=len(sellers)
             )

@@ -25,10 +25,7 @@ drawn from ``Poisson(1)`` — mean exactly the documented 1 credit — so every
 seller has a stable, heterogeneous price, which is the reading that
 produces sustained income asymmetry and hence condensation.  The draw
 includes zero-price sellers (~37% at mean 1): they give chunks away, earn
-nothing, and deepen the income asymmetry driving case A.  The
-per-(seller, chunk) variant is available as
-:class:`repro.core.pricing.PoissonPricing` and is exercised in the pricing
-ablation benchmark.
+nothing, and deepen the income asymmetry driving case A.
 """
 
 from __future__ import annotations
@@ -159,9 +156,7 @@ def run_point(
 
     pricing = _make_pricing(pricing_model, mean_price, params["num_peers"], seed)
     outcome = _run_case(params, initial_credits, pricing, seed)
-    realized_mean_price = float(
-        np.mean([pricing.price(peer, 0) for peer in range(params["num_peers"])])
-    )
+    realized_mean_price = float(np.mean(pricing.price_array(range(params["num_peers"]))))
 
     metadata = dict(
         params,

@@ -148,8 +148,9 @@ class StreamingSimConfig:
         Number of random peers that receive each freshly emitted chunk for
         free from the source (the origin server's push degree).
     pricing:
-        Chunk pricing scheme (Fig. 1 case A uses Poisson prices, case B
-        uniform pricing at 1 credit).
+        Posted per-seller chunk prices (Fig. 1 case A draws each seller's
+        flat price from a Poisson law with mean 1 credit, case B prices
+        every chunk at 1 credit).
     spending_policy / tax_policy:
         As in :class:`MarketSimConfig`.
     topology_shape / topology_mean_degree:

@@ -37,7 +37,7 @@ from repro.p2psim.slots import (
 
 __all__ = ["MarketSimResult", "CreditMarketSimulator"]
 
-#: Rows quoted and normalised per block when routing rows are refreshed.
+#: Rows normalised per block when routing rows are refreshed.
 _ROW_BLOCK = 4096
 
 
@@ -158,8 +158,9 @@ class CreditMarketSimulator(SlotSimulator):
     alive peer's neighbour row as one segment of its buffer.  The
     simulator adds what routing needs on top: ``_edge_cdf``, aligned with
     that buffer, holds each row's routing CDF over its neighbours'
-    prices in the row's own segment, and each credit is routed on its
-    spender's CDF alone (see :meth:`_route_credits`).
+    posted prices (the per-slot ``_price``) in the row's own segment, and
+    each credit is routed on its spender's CDF alone (see
+    :meth:`_route_credits`).
 
     Parameters
     ----------
@@ -198,24 +199,20 @@ class CreditMarketSimulator(SlotSimulator):
         self._next_sample = 0.0
 
         initial_peers = self.topology.peer_degrees()[0]
-        # Symmetric rates quote every seller, in id order, before any row
-        # is quoted: memoised prices are drawn in that order.
-        weights = None
-        if self.config.utilization is UtilizationMode.SYMMETRIC:
-            weights = self.config.pricing.price_array(initial_peers, 0)
         # Admit everyone first, then derive every row in one batch.
         slots = self._admit(initial_peers, 0.0)
         self._refresh_routing_rows(initial_peers)
-        self._base_mu[slots] = self._configure_spending_rates(weights)
+        symmetric = self.config.utilization is UtilizationMode.SYMMETRIC
+        self._base_mu[slots] = self._configure_spending_rates(symmetric)
         # Asymmetric rates without noise are the base rate for every peer,
         # joiners too: one scalar draws the Poisson stream its array draws,
         # without numpy's per-array checks.
-        shared = weights is None and self.config.spending_rate_noise == 0
+        shared = not symmetric and self.config.spending_rate_noise == 0
         self._shared_rate = float(self.config.base_spending_rate) if shared else None
 
     # ------------------------------------------------------------------ setup helpers
 
-    def _configure_spending_rates(self, weights: Optional[np.ndarray]) -> np.ndarray:
+    def _configure_spending_rates(self, symmetric: bool) -> np.ndarray:
         """Base spending rates of the initial population, in slot order.
 
         Asymmetric mode gives every peer the same maximum spending rate, so
@@ -227,8 +224,8 @@ class CreditMarketSimulator(SlotSimulator):
         across modes).
 
         Routing ``P_ij = w_j / W_i`` over the overlay — ``w`` the sellers'
-        clipped prices in ``weights`` (the weights :func:`routing_cdfs`
-        routes with), ``W_i`` the sum of ``w`` over ``i``'s neighbours — is
+        clipped posted prices (the weights :func:`routing_cdfs` routes
+        with), ``W_i`` the sum of ``w`` over ``i``'s neighbours — is
         a reversible random walk, so ``λ_i = w_i W_i`` satisfies detailed
         balance and solves the equations exactly (Kelly, *Reversibility and
         Stochastic Networks*, 1979).  ``W`` is summed over each pack row, in
@@ -239,10 +236,10 @@ class CreditMarketSimulator(SlotSimulator):
         """
         pack = self._slots.pack()
         base = self.config.base_spending_rate
-        if weights is None:
+        if not symmetric:
             rates = np.full(pack.alive_slots.size, base)
         else:
-            w = np.clip(weights, 1e-12, None)
+            w = np.clip(self._price[pack.alive_slots], 1e-12, None)
             rows = np.repeat(np.arange(pack.alive_slots.size), pack.degrees)
             lam = w * np.bincount(rows, weights=w[pack.edge_dst], minlength=w.size)
             lam[pack.degrees == 0] = 1.0
@@ -265,8 +262,7 @@ class CreditMarketSimulator(SlotSimulator):
         admitted everyone — ``__init__`` for the initial population,
         :func:`apply_round_churn` at the end of each round.
         """
-        slots = self._slots.admit(peer_ids)
-        self._balance[slots] = self.config.initial_credits
+        slots = self._admit_peers(peer_ids)
         self._base_mu[slots] = spending_rate
         self._spent[slots] = 0.0
         self._earned[slots] = 0.0
@@ -275,21 +271,13 @@ class CreditMarketSimulator(SlotSimulator):
     def _admit_joiners(self, peer_ids: np.ndarray) -> np.ndarray:
         """Admit a round's churn arrivals, in join order.
 
-        Memoised pricing schemes draw a seller's price the first time a
-        routing row quotes it.  Rows are refreshed only at the end of a
-        churn round, so the joiners are quoted here, in join order: their
-        draws then keep their place in the pricing stream whatever order
-        the rows are refreshed in.  Peers already in the overlay were
-        quoted when their neighbours' rows were built; an initial peer
-        without neighbours is the one exception.  In symmetric mode every
-        joiner gets the mean rate of the peers alive before the round's
-        admissions; in asymmetric mode, the base rate.
+        In symmetric mode every joiner gets the mean rate of the peers
+        alive before the round's admissions; in asymmetric mode, the base
+        rate.
         """
         rate = self.config.base_spending_rate
         if self.config.utilization is UtilizationMode.SYMMETRIC and self._alive.any():
             rate = float(self._base_mu[self._alive].mean())
-        if peer_ids.size:
-            self.config.pricing.price_array(peer_ids, 0)
         return self._admit(peer_ids, rate)
 
     def _evict(self, peer_ids: np.ndarray) -> None:
@@ -299,10 +287,9 @@ class CreditMarketSimulator(SlotSimulator):
     def _refresh_routing_rows(self, peer_ids: Sequence[int]) -> None:
         """Re-derive the neighbour rows and routing CDFs of ``peer_ids``.
 
-        The store writes the slot-sorted rows to their segments; their
-        neighbours are quoted row after row (one ``price_array`` call per
-        block), so memoised pricing draws in per-row order, and
-        :func:`routing_cdfs` fills their segments of ``_edge_cdf``.
+        The store writes the slot-sorted rows to their segments, and
+        :func:`routing_cdfs` fills their segments of ``_edge_cdf`` from
+        their neighbours' posted prices.
         """
         store = self._slots
         slots, positions = store.refresh_rows(peer_ids)
@@ -315,8 +302,7 @@ class CreditMarketSimulator(SlotSimulator):
             edges: Union[slice, np.ndarray] = (
                 slice(first, last) if positions is None else positions[first:last]
             )
-            neighbor_ids = store.peer_of[store.edges[edges]]
-            prices = np.asarray(self.config.pricing.price_array(neighbor_ids, 0), dtype=float)
+            prices = self._price[store.edges[edges]]
             self._edge_cdf[edges] = routing_cdfs(prices, degree[lo:hi])
 
     # ------------------------------------------------------------------ churn

@@ -359,8 +359,10 @@ class SlotSimulator:
 
     ``__init__`` adopts ``topology`` (or generates the configured
     scale-free overlay) and builds the wealth recorder, the membership
-    tracker and the slot store; a subclass then adds its per-slot arrays
-    and admits the initial population.  A subclass names its random
+    tracker and the slot store with the per-slot ``_balance`` and
+    ``_price`` that :meth:`_admit_peers` fills; a subclass then adds its
+    own per-slot arrays and admits the initial population through
+    :meth:`_admit_peers`.  A subclass names its random
     stream in ``_rng_label`` and implements the four methods below that
     raise :class:`NotImplementedError`.
 
@@ -374,6 +376,7 @@ class SlotSimulator:
     _rng_label = ""
     _alive = SlotArray("alive")
     _balance = SlotArray()
+    _price = SlotArray()
 
     def __init__(
         self,
@@ -403,11 +406,24 @@ class SlotSimulator:
         )
         self._slots = PeerSlots(self.topology)
         self._balance = np.zeros(self._slots.capacity)
+        self._price = np.zeros(self._slots.capacity)
         self._tax_pool = 0.0
         self._tax_collected = 0.0
         self._tax_rebated = 0.0
         self.joins = 0
         self.leaves = 0
+
+    def _admit_peers(self, peer_ids: np.ndarray) -> np.ndarray:
+        """Give ``peer_ids`` slots, in order, with their initial credits and prices.
+
+        A seller's posted price depends on the seller alone, so each peer
+        is quoted once, here, into ``_price``; a reused slot takes its new
+        owner's price.  Returns the slots.
+        """
+        slots = self._slots.admit(peer_ids)
+        self._balance[slots] = self.config.initial_credits
+        self._price[slots] = self.config.pricing.price_array(peer_ids)
+        return slots
 
     def total_rounds(self) -> int:
         raise NotImplementedError

@@ -28,9 +28,10 @@ Execution model
 The simulator advances in **synchronous ticks** of one scheduling
 interval.  Peer state lives in slot-indexed numpy arrays behind an alive
 mask.  Chunk availability is a sliding boolean window over the live
-stream, column-major like the posted prices (``_have[col, slot]``,
-``_price_win[col, slot]``): a chunk's holders are one contiguous row,
-emission fills a row and a slide moves whole rows.  The scheduling round
+stream, column-major (``_have[col, slot]``): a chunk's holders are one
+contiguous row, emission fills a row and a slide moves whole rows.  A
+seller's posted price is one entry of the per-slot ``_price``, quoted
+when the peer is admitted.  The scheduling round
 — candidate cells, supplier choice, budget greedy, upload-slot admission
 — runs as one batched kernel over all alive peers.
 
@@ -146,13 +147,14 @@ def _candidate_cells(
 class _Round(NamedTuple):
     """The read-only inputs of one round's supplier choice.
 
-    ``have`` and ``price_win`` are column-major, ``[col, slot]``.  Pack
-    row ``r``'s window starts at column ``first_col[r]``, and its cell at
-    window position ``w`` spends tie-break uniform ``uniforms[r, w]``.
+    ``have`` is column-major, ``[col, slot]``, and ``price`` is each
+    slot's posted price.  Pack row ``r``'s window starts at column
+    ``first_col[r]``, and its cell at window position ``w`` spends
+    tie-break uniform ``uniforms[r, w]``.
     """
 
     have: np.ndarray
-    price_win: np.ndarray
+    price: np.ndarray
     uploads_total: np.ndarray
     pack: SlotPack
     first_col: np.ndarray
@@ -164,12 +166,12 @@ class _Round(NamedTuple):
         at = rows * self.uniforms.shape[1] + (cols - self.first_col[rows])
         return self.uniforms.ravel()[at]
 
-    def score(self, offers: np.ndarray, quote_at: np.ndarray) -> Optional[np.ndarray]:
-        """Each offer's score (None: all tie); ``quote_at`` flat-indexes its price."""
+    def score(self, offers: np.ndarray) -> Optional[np.ndarray]:
+        """Each offer's score (None: all tie)."""
         if self.choice == "least-loaded":
             return self.uploads_total[offers]
         if self.choice == "cheapest":
-            return self.price_win.ravel()[quote_at]
+            return self.price[offers]
         return None
 
 
@@ -239,7 +241,7 @@ def _demand_side(round_: _Round, rows: np.ndarray, cols: np.ndarray) -> Tuple[np
         f_rows, f_cols = b_rows[found], b_cols[found]
         offers = dst[keep]
         u = round_.cell_uniforms(f_rows, f_cols)
-        out.append((f_rows, f_cols, _pick_ties(offers, cell, u, round_.score(offers, at[keep]))))
+        out.append((f_rows, f_cols, _pick_ties(offers, cell, u, round_.score(offers))))
     return _concat(out)
 
 
@@ -296,7 +298,7 @@ def _supply_side(
     cell_row[cell_slots] = -1
     key = np.concatenate(keys)
     offers = key & ((1 << shift) - 1)
-    score = round_.score(offers, offers + col * capacity)
+    score = round_.score(offers)
     if score is not None:
         key_rows = key >> shift
         best = np.full(pack.degrees.size, np.inf)
@@ -359,7 +361,7 @@ def _choose_cells(
     split = int(np.argmax(supply)) if supply.any() else supply.size
     rows, cols = np.divmod(np.flatnonzero(wanted[:split].T), max(split, 1))
     rows, cols, sellers = _demand_side(round_, rows, cols + lo)
-    prices = round_.price_win[cols, sellers]
+    prices = round_.price[sellers]
     open_cell = np.ones(rows.size, dtype=bool)
     for _ in range(max_requests):
         affordable = np.flatnonzero(open_cell & (prices <= budget[rows] + _EPS))
@@ -387,7 +389,7 @@ def _choose_cells(
             rows, sellers = _supply_side(round_, rows, col, holders)
         else:
             rows, _, sellers = _demand_side(round_, rows, np.full(rows.size, col))
-        prices = round_.price_win[col, sellers]
+        prices = round_.price[sellers]
         taken = np.flatnonzero(prices <= budget[rows] + _EPS)
         rows, sellers = rows[taken], sellers[taken]
         budget[rows] -= prices[taken]
@@ -486,7 +488,6 @@ class StreamingMarketSimulator(SlotSimulator):
     _pb_started = SlotArray()
     _pb_backlog = SlotArray()
     _have = SlotArray()
-    _price_win = SlotArray()
 
     def __init__(
         self,
@@ -514,7 +515,6 @@ class StreamingMarketSimulator(SlotSimulator):
         # Column-major: ``_have[col, slot]``, so a column is one
         # contiguous row.
         self._have = np.zeros((self._win_width, capacity), dtype=bool)
-        self._price_win = np.zeros((self._win_width, capacity))
 
         # Purchased chunks in flight: ``_in_flight[i]`` is applied at the
         # end of the i-th tick from now; each batch is a list of
@@ -560,8 +560,7 @@ class StreamingMarketSimulator(SlotSimulator):
         admitted everyone — ``__init__`` for the initial population,
         :func:`apply_round_churn` at the end of each round.
         """
-        slots = self._slots.admit(peer_ids)
-        self._balance[slots] = self.config.initial_credits
+        slots = self._admit_peers(peer_ids)
         self._minted += self.config.initial_credits * slots.size
         self._spent_win[slots] = 0.0
         self._earned_win[slots] = 0.0
@@ -573,7 +572,6 @@ class StreamingMarketSimulator(SlotSimulator):
         self._pb_started[slots] = False
         self._pb_backlog[slots] = 0.0
         self._have[:, slots] = False
-        self._fill_price_rows(slots)
         return slots
 
     def _evict(self, peer_ids: np.ndarray) -> None:
@@ -601,41 +599,13 @@ class StreamingMarketSimulator(SlotSimulator):
 
     # ------------------------------------------------------------------ stream window
 
-    def _fill_price_rows(self, slots: np.ndarray) -> None:
-        """Quote (re)admitted sellers' prices for every chunk in the window.
-
-        Quotes go seller after seller, in admission order, each over the
-        window's chunks in order, so memoised schemes draw in that order.
-        """
-        price, chunks = self.config.pricing.price, range(self._win_base, self._emitted)
-        peer_ids = self._slots.peer_of[slots].tolist()
-        quotes = [price(peer_id, chunk) for peer_id in peer_ids for chunk in chunks]
-        self._price_win[: len(chunks), slots] = np.reshape(quotes, (slots.size, len(chunks))).T
-
-    def _fill_price_column(self, col: int, chunk_index: int, alive_slots: np.ndarray) -> None:
-        """Quote every alive seller's posted price for one chunk column."""
-        if alive_slots.size == 0:
-            return
-        self._price_win[col, alive_slots] = self.config.pricing.price_array(
-            self._slots.peer_of[alive_slots], chunk_index
-        )
-
-    def _refresh_price_window(self, alive_slots: np.ndarray) -> None:
-        """Re-quote the whole window (stateful pricing schemes only)."""
-        live_cols = self._emitted - self._win_base
-        for col in range(live_cols):
-            self._fill_price_column(col, self._win_base + col, alive_slots)
-
     def _slide_window(self, shift: int) -> None:
         width = self._win_width
         if shift >= width:
             self._have[:] = False
-            self._price_win[:] = 0.0
         else:
             self._have[: width - shift] = self._have[shift:]
             self._have[width - shift :] = False
-            self._price_win[: width - shift] = self._price_win[shift:]
-            self._price_win[width - shift :] = 0.0
         self._win_base += shift
 
     def _emit_due_chunks(self, alive_slots: np.ndarray) -> None:
@@ -657,7 +627,6 @@ class StreamingMarketSimulator(SlotSimulator):
             if col >= self._win_width:
                 self._slide_window(col - self._win_width + 1)
                 col = index - self._win_base
-            self._fill_price_column(col, index, alive_slots)
             if alive_slots.size:
                 fanout = min(self.config.seed_fanout, alive_slots.size)
                 chosen = rng.choice(alive_slots, size=fanout, replace=False)
@@ -697,7 +666,7 @@ class StreamingMarketSimulator(SlotSimulator):
             self._have, pack, first_col, config.playback_window, live_edge - base + 1
         )
         round_ = _Round(
-            self._have, self._price_win, self._uploads_total, pack, first_col, uniforms,
+            self._have, self._price, self._uploads_total, pack, first_col, uniforms,
             config.supplier_choice,
         )
         rows, cols, sellers = _choose_cells(
@@ -714,8 +683,7 @@ class StreamingMarketSimulator(SlotSimulator):
         admitted = np.empty(size, dtype=bool)
         admitted[key % size] = rank < config.upload_capacity
         rows, cols, sellers = rows[admitted], cols[admitted], sellers[admitted]
-        paid = self._price_win.ravel()[cols * self._have.shape[1] + sellers]
-        return slots[rows], sellers, base + cols, paid
+        return slots[rows], sellers, base + cols, self._price[sellers]
 
     # ------------------------------------------------------------------ settlement
 
@@ -728,75 +696,25 @@ class StreamingMarketSimulator(SlotSimulator):
     ) -> np.ndarray:
         """Apply one tick's admitted purchases: credits now, chunks after latency.
 
-        Shared verbatim by both kernels.  Posted-price schemes settle as
-        batched array updates; stateful schemes (auctions, linear pricing)
-        settle purchase-by-purchase in the global admission order through
-        the scalar ``settle``/``note_purchase`` hooks.  The budget rule
-        admits a price up to ``_EPS`` above the wallet, so a wallet that
-        rounding leaves below zero is emptied instead.  Returns each slot's
-        income of the tick, which the tax step reads.
+        Shared verbatim by both kernels, as batched array updates.  The
+        budget rule admits a price up to ``_EPS`` above the wallet, so a
+        wallet that rounding leaves below zero is emptied instead.
+        Returns each slot's income of the tick, which the tax step reads.
         """
-        config = self.config
         capacity = self._slots.capacity
-        income = np.zeros(capacity)
-        deliveries = self._in_flight[self._delay_ticks - 1]
-        measuring = self.now >= self._measure_start
-        if buyers.size:
-            if config.pricing.is_stateful():
-                base = self._win_base
-                peer_of = self._slots.peer_of
-                delivered_slots: List[int] = []
-                delivered_chunks: List[int] = []
-                for buyer, seller, index, _quote in zip(
-                    buyers, sellers, chunk_abs, prices
-                ):
-                    buyer_slot, seller_slot = int(buyer), int(seller)
-                    buyer_id = int(peer_of[buyer_slot])
-                    seller_id = int(peer_of[seller_slot])
-                    col = int(index) - base
-                    competing = [
-                        int(peer_of[s])
-                        for s in self._slots.row(buyer_slot)
-                        if self._have[col, s]
-                    ]
-                    price = float(
-                        config.pricing.settle(
-                            seller_id, int(index), buyer_id=buyer_id,
-                            competing_sellers=competing,
-                        )
-                    )
-                    if price > self._balance[buyer_slot] + _EPS:
-                        continue
-                    self._balance[buyer_slot] = max(self._balance[buyer_slot] - price, 0.0)
-                    self._balance[seller_slot] += price
-                    income[seller_slot] += price
-                    if measuring:
-                        self._spent_win[buyer_slot] += price
-                        self._earned_win[seller_slot] += price
-                    config.pricing.note_purchase(seller_id, int(index), buyer_id)
-                    self._uploads_total[seller_slot] += 1.0
-                    self.chunks_delivered += 1
-                    delivered_slots.append(buyer_slot)
-                    delivered_chunks.append(int(index))
-                if delivered_slots:
-                    deliveries.append(
-                        (
-                            np.array(delivered_slots, dtype=np.int64),
-                            np.array(delivered_chunks, dtype=np.int64),
-                        )
-                    )
-            else:
-                spent = np.bincount(buyers, weights=prices, minlength=capacity)
-                income = np.bincount(sellers, weights=prices, minlength=capacity)
-                self._balance -= spent
-                np.maximum(self._balance, 0.0, out=self._balance)
-                self._balance += income
-                self._uploads_total += np.bincount(sellers, minlength=capacity).astype(float)
-                if measuring:
-                    self._spent_win += spent
-                    self._earned_win += income
-                self.chunks_delivered += int(buyers.size)
-                deliveries.append((buyers, chunk_abs))
+        if not buyers.size:
+            return np.zeros(capacity)
+        spent = np.bincount(buyers, weights=prices, minlength=capacity)
+        income = np.bincount(sellers, weights=prices, minlength=capacity)
+        self._balance -= spent
+        np.maximum(self._balance, 0.0, out=self._balance)
+        self._balance += income
+        self._uploads_total += np.bincount(sellers, minlength=capacity).astype(float)
+        if self.now >= self._measure_start:
+            self._spent_win += spent
+            self._earned_win += income
+        self.chunks_delivered += int(buyers.size)
+        self._in_flight[self._delay_ticks - 1].append((buyers, chunk_abs))
         return income
 
     # ------------------------------------------------------------------ playback
@@ -875,7 +793,6 @@ class StreamingMarketSimulator(SlotSimulator):
         """
         config = self.config
         dt = config.scheduling_interval
-        stateful_pricing = config.pricing.is_stateful()
         emitter = get_emitter()
         observing = emitter.enabled
         started = time.perf_counter() if observing else 0.0
@@ -885,23 +802,20 @@ class StreamingMarketSimulator(SlotSimulator):
                 self._next_sample += config.sample_interval
             if observing:
                 with emitter.span("streaming.tick"):
-                    self._advance_tick(dt, stateful_pricing)
+                    self._advance_tick(dt)
             else:
-                self._advance_tick(dt, stateful_pricing)
+                self._advance_tick(dt)
             self._tick += 1
         if observing and rounds:
             elapsed = max(time.perf_counter() - started, 1e-9)
             emitter.gauge("streaming.ticks_per_second", rounds / elapsed)
 
-    def _advance_tick(self, dt: float, stateful_pricing: bool) -> None:
+    def _advance_tick(self, dt: float) -> None:
         """Execute one scheduling tick (churn, emission, scheduling, settlement)."""
         config = self.config
         self._apply_churn(dt)
         pack = self._slots.pack()
         self._emit_due_chunks(pack.alive_slots)
-        if stateful_pricing:
-            config.pricing.reset_round()
-            self._refresh_price_window(pack.alive_slots)
         balances = self._balance[pack.alive_slots]
         uniforms = self._rng.random((pack.alive_slots.size, config.playback_window))
         emitter = get_emitter()

@@ -66,7 +66,7 @@ def schedule_loop(
     choice = config.supplier_choice
     max_requests = config.max_requests_per_round
     have = sim._have
-    price_win = sim._price_win
+    price = sim._price
     uploads_total = sim._uploads_total
     pb_next = sim._pb_next
     buyers: List[int] = []
@@ -102,17 +102,17 @@ def schedule_loop(
                 best = min(loads)
                 ties = [s for s, load in zip(eligible, loads) if load <= best + _EPS]
             elif choice == "cheapest":
-                quotes = [float(price_win[col, s]) for s in eligible]
+                quotes = [float(price[s]) for s in eligible]
                 best = min(quotes)
                 ties = [s for s, quote in zip(eligible, quotes) if quote <= best + _EPS]
             else:
                 ties = eligible
             pick = min(int(float(uniforms[row, w]) * len(ties)), len(ties) - 1)
             seller = ties[pick]
-            price = float(price_win[col, seller])
-            if price > budget + _EPS:
+            quote = float(price[seller])
+            if quote > budget + _EPS:
                 continue
-            budget -= price
+            budget -= quote
             requests += 1
             # Upload-slot admission (global order = this scan order),
             # counted per tick: ``used`` is scoped to this one call.
@@ -122,7 +122,7 @@ def schedule_loop(
             buyers.append(slot)
             sellers.append(seller)
             chunks.append(index)
-            paid.append(price)
+            paid.append(quote)
     return (
         np.array(buyers, dtype=np.int64),
         np.array(sellers, dtype=np.int64),

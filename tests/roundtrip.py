@@ -74,9 +74,7 @@ def comparable(value):
 def result_fingerprint(result):
     """Every value a simulator result reports, its config aside.
 
-    The config is left out because a run mutates some of its objects in
-    place (a memoised pricing scheme keeps the prices it drew), and the
-    two runs compared may have started from differently used copies.  The
-    tax totals are in ``extras``, so they are compared.
+    The config is left out: the two runs compared may hold distinct
+    copies of it.  The tax totals are in ``extras``, so they are compared.
     """
     return comparable({name: value for name, value in vars(result).items() if name != "config"})

@@ -30,7 +30,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.pricing import PoissonPricing
 from repro.core.spending import DynamicSpendingPolicy, FixedSpendingPolicy
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig, OverlayTopology
@@ -48,6 +47,7 @@ from repro.runner import (
     aggregate_sweep,
     run_sweep,
 )
+from drawn_prices import poisson_prices
 from kernel_oracles import LoopCreditMarketSimulator, route_credits_loop
 from roundtrip import result_fingerprint, run_round_tripped
 
@@ -111,7 +111,7 @@ CONFIG_FACTORIES = {
 
 #: Variants of the fig7 shape whose state a pickle round-trip must carry
 #: unchanged: churned membership, the tax pool, the loop oracle, and the
-#: memoised prices and price generator of Poisson pricing.  Each is a
+#: per-slot prices of per-seller Poisson-drawn pricing.  Each is a
 #: simulator class and a config factory.
 VARIANTS = {
     "churn": (
@@ -125,7 +125,7 @@ VARIANTS = {
     "loop": (LoopCreditMarketSimulator, fig7_like_config),
     "poisson-priced": (
         CreditMarketSimulator,
-        lambda: fig7_like_config(pricing=PoissonPricing(mean_price=2.0, seed=5)),
+        lambda: fig7_like_config(pricing=poisson_prices(2.0, seed=5)),
     ),
 }
 
@@ -245,8 +245,6 @@ class TestPickleRoundTripEquivalence:
     @pytest.mark.parametrize("blocks", [2, 4, 8])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_round_tripped_blocks_byte_identical_under_variants(self, variant, blocks):
-        # Each run gets its own config: a stateful pricing scheme draws
-        # and memoises prices as the run goes.
         simulator, config = VARIANTS[variant]
         monolithic = simulator.run_config(config())
         round_tripped = run_round_tripped(simulator(config()), blocks=blocks)
@@ -355,12 +353,12 @@ class TestCanonicalRoutingRows:
 
     @pytest.fixture(scope="class")
     def churned(self):
-        # Memoised Poisson prices make the weights uneven, and churn makes
+        # Per-seller Poisson prices make the weights uneven, and churn makes
         # slot order differ from peer-id order (freed slots are reused).
         simulator = CreditMarketSimulator(
             fig7_like_config(
                 churn=ChurnConfig(arrival_rate=0.5, mean_lifespan=60.0),
-                pricing=PoissonPricing(mean_price=2.0, seed=5),
+                pricing=poisson_prices(2.0, seed=5),
             )
         )
         simulator.advance_rounds(100)
@@ -388,7 +386,7 @@ class TestCanonicalRoutingRows:
                 assert cdf.size == 0
                 continue
             ids = churned._slots.peer_of[row].tolist()
-            weights = np.clip(np.asarray(pricing.price_array(ids, 0), dtype=float), 1e-12, None)
+            weights = np.clip(np.asarray(pricing.price_array(ids), dtype=float), 1e-12, None)
             expected = np.cumsum(weights / weights.sum())
             expected /= expected[-1]
             assert cdf.tobytes() == expected.tobytes()

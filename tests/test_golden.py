@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 import pytest
 
-from repro.core.pricing import PoissonPricing
 from repro.core.taxation import ThresholdIncomeTax
 from repro.experiments.fig01_spending_rates import _poisson_seller_prices
 from repro.overlay import ChurnConfig
@@ -73,20 +72,11 @@ def _flat_prices(seed: int):
     return _poisson_seller_prices(2000, 1.0, seed)
 
 
-#: Simulator cases: name -> factory building a fresh config (memoised
-#: pricing schemes keep the prices they drew, so every run gets its own
-#: objects).
+#: Simulator cases: name -> factory building a fresh config.
 MARKET_CASES: Dict[str, Callable[[], MarketSimConfig]] = {
     "market-static": lambda: _market(),
     "market-churn": lambda: _market(
         churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=250.0)
-    ),
-    # Memoised pricing draws each seller's price the first time a routing
-    # row quotes it, so this case pins the order in which churn refreshes
-    # rows.  A mean above the minimum price makes every quote a real draw.
-    "market-churn-poisson": lambda: _market(
-        churn=ChurnConfig(arrival_rate=1.0, mean_lifespan=250.0),
-        pricing=PoissonPricing(mean_price=2.0, seed=303),
     ),
     # Heterogeneous per-seller prices under churn: a reused slot must
     # carry its new owner's price.  Joiners get ids above the initial

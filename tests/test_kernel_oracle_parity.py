@@ -16,6 +16,7 @@ import inspect
 import pytest
 
 import kernel_oracles
+from drawn_prices import poisson_prices, uniform_prices
 from kernel_oracles import (
     MARKET_KERNELS,
     STREAMING_KERNELS,
@@ -23,7 +24,7 @@ from kernel_oracles import (
     LoopStreamingMarketSimulator,
 )
 from repro.analysis import DEFAULT_CONFIG, all_rules, select_rules
-from repro.core.pricing import AuctionPricing, LinearPricing, PerPeerFlatPricing, PoissonPricing
+from repro.core.pricing import PerPeerFlatPricing
 from repro.core.spending import DynamicSpendingPolicy
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
@@ -102,8 +103,7 @@ def flat_prices(count):
     return PerPeerFlatPricing({peer: float(1 + peer % 4) for peer in range(count)})
 
 
-#: Market points: name -> factory of a fresh config (memoised pricing
-#: schemes keep the prices they drew, so each run gets its own objects).
+#: Market points: name -> factory of a fresh config.
 MARKET_POINTS = {
     "symmetric": lambda: market(utilization=UtilizationMode.SYMMETRIC),
     "asymmetric": lambda: market(utilization=UtilizationMode.ASYMMETRIC),
@@ -116,8 +116,7 @@ MARKET_POINTS = {
     ),
     "scarce-credits": lambda: market(initial_credits=1.0),
     "sparse-overlay": lambda: market(topology_mean_degree=3.0, topology_shape=2.1),
-    "linear-pricing": lambda: market(pricing=LinearPricing(base_price=1.0, increment=0.5)),
-    "auction-pricing": lambda: market(pricing=AuctionPricing(seed=7)),
+    "uniform-drawn-pricing": lambda: market(pricing=uniform_prices(seed=7)),
     "flat-pricing": lambda: market(pricing=flat_prices(50)),
     "churn-dynamic-taxed": lambda: market(
         churn=ChurnConfig(arrival_rate=0.5, mean_lifespan=80.0),
@@ -126,7 +125,7 @@ MARKET_POINTS = {
     ),
     "churn-poisson-noisy": lambda: market(
         churn=ChurnConfig(arrival_rate=0.5, mean_lifespan=80.0),
-        pricing=PoissonPricing(mean_price=2.0, seed=9),
+        pricing=poisson_prices(2.0, seed=9),
         spending_rate_noise=0.1,
     ),
 }
@@ -146,11 +145,11 @@ STREAMING_POINTS = {
     "dynamic-spending": lambda: streaming(
         spending_policy=DynamicSpendingPolicy(wealth_threshold=10.0)
     ),
-    "cheapest-linear": lambda: streaming(
-        supplier_choice="cheapest", pricing=LinearPricing(base_price=1.0, increment=0.2)
+    "cheapest-poisson-drawn": lambda: streaming(
+        supplier_choice="cheapest", pricing=poisson_prices(2.0, seed=5)
     ),
-    "availability-auction": lambda: streaming(
-        supplier_choice="availability", pricing=AuctionPricing(seed=5)
+    "availability-uniform-drawn": lambda: streaming(
+        supplier_choice="availability", pricing=uniform_prices(seed=5)
     ),
     # Posted prices like 1.1 leave rounding dust in the batched settlement.
     "fractional-flat": lambda: streaming(
@@ -179,7 +178,9 @@ def test_streaming_kernel_matches_loop_oracle(point):
     assert streaming_fingerprint(vectorized) == streaming_fingerprint(loop)
 
 
-@pytest.mark.parametrize("point", ["fractional-flat", "cheapest-linear", "availability-auction"])
+@pytest.mark.parametrize(
+    "point", ["fractional-flat", "cheapest-poisson-drawn", "availability-uniform-drawn"]
+)
 def test_rounding_never_overdraws_a_wallet(point):
     # The budget rule admits a price up to a tolerance above the wallet;
     # settlement must not leave the rounding residue as a negative balance,

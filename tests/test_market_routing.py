@@ -11,24 +11,20 @@ on the check's boundaries: ``u = 0``, ``u = 1 − 2⁻⁵³``, ``u = k/d``, and
 every row's own CDF values with their neighbouring doubles.  The overlay
 has degree-1 rows, a hub row of degree ≥ 4096 and an isolated peer ahead
 of the row whose segment starts the buffer, where a ``j == 0`` guess has
-no entry before it.  Each pricing scheme in :mod:`repro.core.pricing` is
-covered, zero-priced sellers (whose CDF entries are near-duplicates after
-the ``1e-12`` clip) included.
+no entry before it.  Uniform prices and per-seller flat prices are
+covered: whole-credit Poisson draws, ``Uniform(0.5, 1.5)`` draws (which
+send many draws past their first guess) and zero-priced sellers (whose
+CDF entries are near-duplicates after the ``1e-12`` clip).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.pricing import (
-    AuctionPricing,
-    LinearPricing,
-    PerPeerFlatPricing,
-    PoissonPricing,
-    UniformPricing,
-)
+from repro.core.pricing import PerPeerFlatPricing, UniformPricing
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode, market_sim
 from repro.p2psim.market_sim import _search_rows
+from drawn_prices import poisson_prices, uniform_prices
 from kernel_oracles import route_credits_loop
 
 HUB_DEGREE = 4200
@@ -44,9 +40,8 @@ def zero_priced_thirds():
 PRICINGS = {
     "uniform": UniformPricing,
     "per-peer-flat-with-zeros": zero_priced_thirds,
-    "linear": LinearPricing,
-    "poisson": lambda: PoissonPricing(mean_price=2.0, seed=5),
-    "auction": lambda: AuctionPricing(seed=11),
+    "poisson-drawn": lambda: poisson_prices(2.0, seed=5, num_ids=NUM_PEERS),
+    "uniform-drawn": lambda: uniform_prices(seed=11, num_ids=NUM_PEERS),
 }
 
 
@@ -182,13 +177,14 @@ class TestGuessEqualsRowSearch:
         assert not search_spy.calls
 
     def test_unequal_prices_fall_back_to_the_search(self, spy_on_search):
-        # Auction prices spread each row's CDF away from (j + 1) / d, so
-        # a sizeable share of random draws miss their first guess.
+        # Per-seller prices from Uniform(0.5, 1.5) spread each row's CDF
+        # away from (j + 1) / d, so a sizeable share of random draws miss
+        # their first guess.
         simulator = CreditMarketSimulator(
             MarketSimConfig(
                 num_peers=2000,
                 utilization=UtilizationMode.ASYMMETRIC,
-                pricing=AuctionPricing(seed=11),
+                pricing=uniform_prices(seed=11),
                 seed=9,
             )
         )
@@ -201,11 +197,11 @@ class TestGuessEqualsRowSearch:
         assert income.tobytes() == route_credits_loop(simulator, rows, spendable, draws).tobytes()
         assert search_spy.misses()[0].size > draws.size // 10
 
-    def test_auction_misses_reach_every_clause_of_the_row_search(self, spy_on_search):
-        # Boundary draws under auction prices miss towards both ends of
-        # their rows and, on the hub row, far from the guess.  Each miss
-        # must settle where the row's own search does.
-        simulator = market(AuctionPricing(seed=11))
+    def test_unequal_price_misses_reach_every_clause_of_the_row_search(self, spy_on_search):
+        # Boundary draws under Uniform(0.5, 1.5) per-seller prices miss
+        # towards both ends of their rows and, on the hub row, far from
+        # the guess.  Each miss must settle where the row's own search does.
+        simulator = market(uniform_prices(seed=11, num_ids=NUM_PEERS))
         rows = simulator._slots.rows()
         spendable, draws = boundary_draws(simulator, rows)
         search_spy = spy_on_search()

@@ -188,7 +188,7 @@ class TestOneRepresentation:
         simulator = StreamingMarketSimulator(streaming_config())
         simulator.advance_rounds(5)
         _assert_one_representation(simulator)
-        assert simulator._price_win.dtype == np.float64
+        assert simulator._price.dtype == np.float64
         result = simulator.finalize()
         assert result.final_wealths.dtype == np.float64
 

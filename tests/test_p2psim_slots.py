@@ -200,7 +200,7 @@ class TestGrowth:
         grow = PeerSlots._grow
 
         def recording_grow(slots):
-            before = {key: slots.arrays[key].copy() for key in ("_have", "_price_win")}
+            before = {key: slots.arrays[key].copy() for key in ("_have",)}
             grow(slots)
             grown.append((before, {key: slots.arrays[key].copy() for key in before}))
 

@@ -48,10 +48,9 @@ SPLITS = {
 def point_runs(name):
     """``(class, config, snapshot times, fingerprint)`` of each run the point makes.
 
-    Configs are deep-copied before the run, since a run mutates some of
-    their objects in place (a memoised pricing scheme keeps the prices it
-    drew), and results are fingerprinted before the point runner relabels
-    a series.
+    Configs are deep-copied before the run, so each is kept as the run
+    started from it, and results are fingerprinted before the point
+    runner relabels a series.
     """
     experiment_id, config = POINTS[name]
     runs = []

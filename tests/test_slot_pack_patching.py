@@ -9,12 +9,9 @@ its price shares.  The CSR pack read from the segments must equal the
 rebuilt rows laid end to end.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
-from repro.core.pricing import PoissonPricing
 from repro.overlay import ChurnConfig
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim import (
@@ -24,6 +21,7 @@ from repro.p2psim import (
     StreamingSimConfig,
 )
 from repro.p2psim.market_sim import routing_cdfs
+from drawn_prices import poisson_prices
 
 
 def reference_row_cdf(prices):
@@ -42,10 +40,9 @@ def rebuilt_rows(sim):
     rows = [np.sort(slots.slot_of[np.array(ids, dtype=np.int64)]) for ids in neighbors]
     cdfs = [None] * len(rows)
     if isinstance(sim, CreditMarketSimulator):
-        # A copy, so the reference can never draw a price the run has not.
-        pricing = copy.deepcopy(sim.config.pricing)
+        pricing = sim.config.pricing
         cdfs = [
-            reference_row_cdf(pricing.price_array(slots.peer_of[row].tolist(), 0))
+            reference_row_cdf(pricing.price_array(slots.peer_of[row].tolist()))
             if row.size
             else np.empty(0)
             for row in rows
@@ -89,7 +86,7 @@ def market(seed, **overrides):
         num_peers=60, initial_credits=10.0, horizon=40.0, step=1.0,
         topology_mean_degree=3.0, sample_interval=20.0, seed=seed,
         churn=ChurnConfig(arrival_rate=1.5, mean_lifespan=30.0),
-        pricing=PoissonPricing(mean_price=2.0, seed=seed),
+        pricing=poisson_prices(2.0, seed),
     )
     settings.update(overrides)
     topology = settings.pop("topology", None)
@@ -101,7 +98,7 @@ def streaming(seed, **overrides):
         num_peers=50, initial_credits=10.0, horizon=30.0,
         topology_mean_degree=3.0, sample_interval=10.0, seed=seed,
         churn=ChurnConfig(arrival_rate=1.5, mean_lifespan=20.0),
-        pricing=PoissonPricing(mean_price=2.0, seed=seed),
+        pricing=poisson_prices(2.0, seed),
     )
     settings.update(overrides)
     topology = settings.pop("topology", None)

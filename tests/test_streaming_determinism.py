@@ -23,7 +23,7 @@ at every layer:
 import numpy as np
 import pytest
 
-from repro.core.pricing import PerPeerFlatPricing, PoissonPricing
+from repro.core.pricing import PerPeerFlatPricing
 from repro.core.taxation import ThresholdIncomeTax
 from repro.overlay import ChurnConfig
 from repro.p2psim import StreamingMarketSimulator, StreamingSimConfig
@@ -32,6 +32,7 @@ from repro.runner import (
     aggregate_sweep,
     run_sweep,
 )
+from drawn_prices import poisson_prices
 from kernel_oracles import LoopStreamingMarketSimulator
 from roundtrip import run_round_tripped
 
@@ -234,14 +235,11 @@ class TestStreamingPickleRoundTripEquivalence:
             )
 
     @pytest.mark.parametrize("blocks", [2, 4, 8])
-    def test_memoised_prices_survive_round_trips(self, blocks):
-        # Each run gets its own config: Poisson prices are drawn and
-        # memoised as the run goes.
-        def config():
-            return static_config(pricing=PoissonPricing(mean_price=2.0, seed=5))
-
-        monolithic = StreamingMarketSimulator.run_config(config())
-        round_tripped = run_round_tripped(StreamingMarketSimulator(config()), blocks=blocks)
+    def test_per_seller_prices_survive_round_trips(self, blocks):
+        # Joiners are quoted as they are admitted, between round-trips.
+        config = churned_config(pricing=poisson_prices(2.0, seed=5))
+        monolithic = StreamingMarketSimulator.run_config(config)
+        round_tripped = run_round_tripped(StreamingMarketSimulator(config), blocks=blocks)
         assert fingerprint(monolithic) == fingerprint(round_tripped)
 
     def test_churn_event_state_survives_round_trips(self):

@@ -35,8 +35,8 @@ class Swarm:
 
     ``density[c]`` is the chance that an alive slot holds column ``c``;
     ``hub`` links the first alive slot to every other alive slot.  Chunk
-    availability and prices are column-major, ``have[col, slot]``, as the
-    simulator keeps them.
+    availability is column-major, ``have[col, slot]``, and prices are
+    per slot, ``price[slot]``, as the simulator keeps them.
     """
 
     def __init__(self, seed, density, capacity=48, window=5, degree=4.0, hub=False):
@@ -59,7 +59,7 @@ class Swarm:
         alive[self.alive_slots] = True
         self.have = (rng.random((width, capacity)) < np.asarray(density)[:, None]) & alive
         # Few distinct prices and loads, so ties are common.
-        self.price_win = rng.integers(1, 4, size=(width, capacity)).astype(float)
+        self.price = rng.integers(1, 4, size=capacity).astype(float)
         self.uploads_total = rng.integers(0, 3, size=capacity).astype(float)
 
         self.first_col = rng.integers(-2, width - window + 2, size=count)
@@ -81,7 +81,7 @@ class Swarm:
 
     def round(self, choice):
         return _Round(
-            self.have, self.price_win, self.uploads_total, self.pack,
+            self.have, self.price, self.uploads_total, self.pack,
             self.first_col, self.uniforms, choice,
         )
 
@@ -115,7 +115,7 @@ class Swarm:
             if choice == "least-loaded":
                 scores = [float(self.uploads_total[s]) for s in eligible]
             elif choice == "cheapest":
-                scores = [float(self.price_win[col, s]) for s in eligible]
+                scores = [float(self.price[s]) for s in eligible]
             else:
                 scores = [0.0] * len(eligible)
             best = min(scores)
@@ -137,7 +137,7 @@ class Swarm:
                 if (r, col) not in chosen:
                     continue
                 seller = chosen[(r, col)]
-                price = float(self.price_win[col, seller])
+                price = float(self.price[seller])
                 if price > budget[r] + _EPS:
                     continue
                 budget[r] -= price
@@ -376,10 +376,10 @@ def test_near_ties_count_in_neighbour_order():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cheapest_near_ties_match_the_reference_on_both_sides(seed):
     swarm = Swarm(seed, MIXED)
-    # Every integer price level splits into distinct quotes less than
-    # _EPS apart; the loop kernel treats each level as one tie.
+    # Every integer price level splits into distinct per-slot prices less
+    # than _EPS apart; the loop kernel treats each level as one tie.
     rng = np.random.default_rng(seed + 10)
-    swarm.price_win = swarm.price_win + rng.random(swarm.price_win.shape) * 0.9 * _EPS
+    swarm.price = swarm.price + rng.random(swarm.price.shape) * 0.9 * _EPS
     expected = swarm.reference("cheapest")
     assert as_dict(*demand_only(swarm, "cheapest")) == expected
     assert as_dict(*supply_only(swarm, "cheapest")) == expected

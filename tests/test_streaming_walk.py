@@ -4,8 +4,9 @@
 column in one demand-side batch and walks the later ones one at a time,
 resolving only the cells of peers that can still request and paying
 from the budgets the earlier columns left.  The 400-peer swarms here take
-a supply column in every tick and hold 20-credit wallets against Poisson
-prices, so the walk meets what the batch never does:
+a supply column in every tick and hold 20-credit wallets against
+per-seller whole-credit Poisson prices, so the walk meets what the batch
+never does:
 
 * a walked peer skips a cell it cannot afford and buys a later one;
 * peers close before the last supply column, and none of their cells
@@ -19,23 +20,22 @@ Every run must end byte-identical to the loop oracle's.
 import numpy as np
 import pytest
 
-from repro.core.pricing import PoissonPricing
 from repro.p2psim import StreamingSimConfig
 from repro.p2psim import streaming_sim
+from drawn_prices import poisson_prices
 from kernel_oracles import STREAMING_KERNELS
 
 CHOICES = ["availability", "least-loaded", "cheapest"]
 
 
 def walk_config(choice):
-    # Each run gets its own config: Poisson prices are memoised as drawn.
     return StreamingSimConfig(
         num_peers=400,
         horizon=30.0,
         sample_interval=5.0,
         initial_credits=20.0,
         supplier_choice=choice,
-        pricing=PoissonPricing(mean_price=2.0, seed=5),
+        pricing=poisson_prices(2.0, seed=5),
         seed=5,
     )
 

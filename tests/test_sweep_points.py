@@ -203,7 +203,7 @@ class TestFig1PricingFidelity:
 
     def test_poisson_seller_prices_realize_documented_mean(self):
         pricing = fig01_spending_rates._poisson_seller_prices(4000, 1.0, seed=5)
-        prices = np.array([pricing.price(peer, 0) for peer in range(4000)])
+        prices = pricing.price_array(range(4000))
         # Poisson(1) over 4000 sellers: the sample mean is within a few
         # standard errors (sigma/sqrt(n) ~ 0.016) of the documented mean.
         assert abs(float(prices.mean()) - 1.0) < 0.08

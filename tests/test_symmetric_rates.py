@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from dense_routing import neighbor_routing
-from repro.core.pricing import PerPeerFlatPricing, PoissonPricing
+from drawn_prices import poisson_prices
+from repro.core.pricing import PerPeerFlatPricing, UniformPricing
 from repro.overlay import OverlayTopology, scale_free_topology
 from repro.p2psim import CreditMarketSimulator, MarketSimConfig, UtilizationMode
 from repro.queueing.traffic import solve_traffic_equations, stationary_distribution
@@ -31,15 +32,15 @@ def rates(sim):
 
 
 def seller_weights(sim):
-    """The clipped prices routing uses (memoised by the set-up's quotes)."""
-    prices = sim.config.pricing.price_array(sim.topology.peers(), 0)
+    """The clipped prices routing uses, quoted from the scheme by peer id."""
+    prices = sim.config.pricing.price_array(sim.topology.peers())
     return np.clip(prices, 1e-12, None)
 
 
 @pytest.mark.parametrize("num_peers", [50, 200, 500])
 def test_matches_the_eigenvector_solve_on_scale_free_overlays(num_peers):
     topology = scale_free_topology(num_peers, mean_degree=6.0, seed=num_peers)
-    sim = symmetric_market(topology, PoissonPricing(mean_price=3.0, seed=num_peers))
+    sim = symmetric_market(topology, poisson_prices(3.0, seed=num_peers))
     solution = solve_traffic_equations(neighbor_routing(topology, seller_weights(sim)))
     assert solution.unique_direction
     lam = solution.arrival_rates
@@ -64,8 +65,8 @@ def test_zero_priced_sellers_balance_the_simulators_own_routing_rows():
     # Zero prices are clipped to 1e-12, so those sellers earn almost
     # nothing; λP = λ must still hold on the CDFs the kernel routes with.
     topology = scale_free_topology(300, mean_degree=6.0, seed=8)
-    sim = symmetric_market(topology, PoissonPricing(mean_price=1.0, min_price=0.0, seed=8))
-    assert (sim.config.pricing.price_array(topology.peers(), 0) == 0).sum() > 50
+    sim = symmetric_market(topology, poisson_prices(1.0, seed=8, min_price=0.0))
+    assert (sim.config.pricing.price_array(topology.peers()) == 0).sum() > 50
     pack = sim._slots.pack()
     lam = sim._base_mu[pack.alive_slots]
     cdf = sim._edge_cdf
@@ -78,8 +79,8 @@ def test_zero_priced_sellers_balance_the_simulators_own_routing_rows():
 
 def test_noise_is_one_vector_draw_equal_to_per_peer_draws():
     topology = scale_free_topology(120, mean_degree=6.0, seed=3)
-    quiet = symmetric_market(topology, PoissonPricing(seed=3))
-    noisy = symmetric_market(topology, PoissonPricing(seed=3), spending_rate_noise=0.4)
+    quiet = symmetric_market(topology, UniformPricing())
+    noisy = symmetric_market(topology, UniformPricing(), spending_rate_noise=0.4)
     sigma = float(np.sqrt(np.log(1.0 + 0.4**2)))
     rng = make_rng(4, "market-sim")
     expected = [
@@ -93,14 +94,14 @@ def test_set_up_builds_no_dense_matrix(monkeypatch):
         raise AssertionError("symmetric set-up must not solve a dense eigenproblem")
 
     monkeypatch.setattr(np.linalg, "eig", refuse)
-    sim = symmetric_market(scale_free_topology(3000, mean_degree=8.0, seed=1), PoissonPricing())
+    sim = symmetric_market(scale_free_topology(3000, mean_degree=8.0, seed=1), UniformPricing())
     assert rates(sim).mean() == pytest.approx(2.0, rel=1e-12)
     assert (rates(sim) > 0).all()
 
 
 def test_a_rounds_joiners_get_the_mean_rate_of_the_peers_alive_before_them():
     topology = scale_free_topology(60, mean_degree=6.0, seed=2)
-    sim = symmetric_market(topology, PoissonPricing(seed=2), spending_rate_noise=0.5)
+    sim = symmetric_market(topology, UniformPricing(), spending_rate_noise=0.5)
     before = float(sim._base_mu[sim._alive].mean())
     joiners = np.array([sim._tracker.join() for _ in range(3)])
     slots = sim._admit_joiners(joiners)
