@@ -166,6 +166,23 @@ class TestSectionVC:
         assert routing.probability(0, 1) == pytest.approx(0.75)
         assert routing.probability(0, 2) == pytest.approx(0.25)
 
+    def test_zero_priced_sellers_draw_no_credits(self):
+        # Fig. 1's Poisson prices include sellers that give chunks away: a
+        # buyer spends nothing on them and routes no credit to them.
+        topology = OverlayTopology.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        pricing = PerPeerFlatPricing({0: 1.0, 1: 0.0, 2: 2.0})
+        market = CreditMarket(
+            topology,
+            initial_credits=10.0,
+            pricing=pricing,
+            chunk_rates=streaming_chunk_rates(topology),
+        )
+        # mu_0 = 0.5 * 0 + 0.5 * 2 = 1 (Sec. V-C).
+        assert market.spending_rates[0] == pytest.approx(1.0)
+        routing = market.routing_matrix
+        assert routing.probability(0, 1) == 0.0
+        assert routing.probability(0, 2) == pytest.approx(1.0)
+
     def test_elastic_demand_creates_asymmetric_utilization(self):
         topology = scale_free_topology(80, mean_degree=8, seed=3)
         market = CreditMarket(

@@ -14,7 +14,9 @@ of the row whose segment starts the buffer, where a ``j == 0`` guess has
 no entry before it.  Uniform prices and per-seller flat prices are
 covered: whole-credit Poisson draws, ``Uniform(0.5, 1.5)`` draws (which
 send many draws past their first guess) and zero-priced sellers (whose
-CDF entries are near-duplicates after the ``1e-12`` clip).
+CDF entries are near-duplicates after the ``1e-12`` clip), both every
+third seller and Fig. 1's ``Poisson(1)`` draws, whose seed-7 draw prices
+the hub at zero, so every leaf's row holds clipped weights only.
 """
 
 import numpy as np
@@ -41,6 +43,7 @@ PRICINGS = {
     "uniform": UniformPricing,
     "per-peer-flat-with-zeros": zero_priced_thirds,
     "poisson-drawn": lambda: poisson_prices(2.0, seed=5, num_ids=NUM_PEERS),
+    "fig1-poisson-drawn": lambda: poisson_prices(1.0, seed=7, num_ids=NUM_PEERS, min_price=0.0),
     "uniform-drawn": lambda: uniform_prices(seed=11, num_ids=NUM_PEERS),
 }
 

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.pricing import PerPeerFlatPricing, UniformPricing
 from repro.overlay import ChurnConfig
 from repro.overlay.topology import OverlayTopology
 from repro.p2psim import (
@@ -14,6 +15,7 @@ from repro.p2psim import (
     StreamingSimConfig,
 )
 from repro.p2psim.slots import PeerSlots, SlotArray
+from drawn_prices import poisson_prices
 
 
 def path_topology(num_peers):
@@ -318,6 +320,52 @@ class TestChurnedRuns:
             assert getattr(clone.pack(), field).tobytes() == getattr(slots.pack(), field).tobytes()
         # Admitting into the clone takes the same slot as into the original.
         assert clone.admit([10**4]).tolist() == slots.admit([10**4]).tolist()
+
+
+ADMISSION_PRICINGS = {
+    "fig1-poisson": lambda: poisson_prices(1.0, seed=9, min_price=0.0),
+    "uniform-fractional": lambda: UniformPricing(1.1),
+}
+
+
+class TestAdmissionPrices:
+    """Each peer is quoted once, on admission, into the per-slot ``_price``."""
+
+    @pytest.mark.parametrize("pricing", sorted(ADMISSION_PRICINGS))
+    @pytest.mark.parametrize("name", sorted(SIMULATORS))
+    def test_alive_slots_hold_their_owners_posted_prices(self, name, pricing):
+        scheme = ADMISSION_PRICINGS[pricing]()
+        sim = SIMULATORS[name](pricing=scheme)
+        initial_peers = sim.config.num_peers
+        sim.advance_rounds(sim.total_rounds())
+        slots = sim._slots
+        alive = np.flatnonzero(slots.alive)
+        owners = slots.peer_of[alive]
+        # Initial peers took slots 0 … n-1, so a joiner below that slot
+        # reuses a departed peer's slot.
+        assert np.any((owners >= initial_peers) & (alive < initial_peers))
+        assert sim._price[alive].tobytes() == scheme.price_array(owners).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SIMULATORS))
+    def test_every_admission_is_quoted_once_and_nothing_else_quotes(self, name, monkeypatch):
+        admit, price_array = PeerSlots.admit, PerPeerFlatPricing.price_array
+        admitted, quoted = [], []
+
+        def recording_admit(slots, peer_ids):
+            admitted.append(np.asarray(peer_ids).tolist())
+            return admit(slots, peer_ids)
+
+        def recording_price_array(scheme, seller_ids):
+            quoted.append(np.asarray(seller_ids).tolist())
+            return price_array(scheme, seller_ids)
+
+        monkeypatch.setattr(PeerSlots, "admit", recording_admit)
+        monkeypatch.setattr(PerPeerFlatPricing, "price_array", recording_price_array)
+        sim = SIMULATORS[name](pricing=poisson_prices(1.0, seed=9, min_price=0.0))
+        sim.advance_rounds(sim.total_rounds())
+        assert sim.joins > 0
+        assert quoted == admitted
+        assert sum(len(batch) for batch in quoted) == sim.config.num_peers + sim.joins
 
 
 class TestRunConfig:

@@ -212,6 +212,16 @@ class TestFig1PricingFidelity:
         assert float((prices == 0.0).mean()) > 0.2
         assert len(np.unique(prices)) >= 3
 
+    def test_poisson_seller_prices_are_whole_credits_fixed_by_the_seed(self):
+        draw = fig01_spending_rates._poisson_seller_prices
+        ids = np.arange(500)
+        prices = draw(500, 1.0, seed=5).price_array(ids)
+        assert np.array_equal(prices, np.round(prices)) and prices.min() == 0.0
+        assert prices.tobytes() == draw(500, 1.0, seed=5).price_array(ids).tobytes()
+        assert prices.tobytes() != draw(500, 1.0, seed=6).price_array(ids).tobytes()
+        # Only the population is drawn; any other id posts the default credit.
+        assert draw(500, 1.0, seed=5).price_array([500, 10**6]).tolist() == [1.0, 1.0]
+
     def test_full_figure_uses_documented_mean(self):
         result = fig01_spending_rates.run(scale="smoke", seed=2)
         rows = {row["case"]: row for row in result.table()}
